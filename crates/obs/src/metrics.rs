@@ -89,6 +89,13 @@ pub enum Counter {
     /// Requests shed by per-tenant admission control (token-bucket
     /// quota exhausted) rather than by the global queue bound.
     ServeTenantShed,
+    /// Service passes of the `dut serve` shard loops: one sweep over a
+    /// shard's parked connections (flush, frame, dispatch, reap).
+    ServeShardPasses,
+    /// Times a `dut serve` shard parked in `poll(2)` after a pass
+    /// instead of sweeping again at once. A saturated shard rarely
+    /// parks; an idle one parks once per wake.
+    ServeShardParks,
     /// Hostile client actions injected by `dut loadgen --chaos`
     /// (slowloris writes, half-open connects, mid-frame disconnects,
     /// reconnect storms, garbage frames, …).
@@ -96,7 +103,7 @@ pub enum Counter {
 }
 
 impl Counter {
-    const COUNT: usize = 31;
+    const COUNT: usize = 33;
 
     /// All counters, in slot order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -130,6 +137,8 @@ impl Counter {
         Counter::ServeBackendHistogram,
         Counter::ServeCoalesced,
         Counter::ServeTenantShed,
+        Counter::ServeShardPasses,
+        Counter::ServeShardParks,
         Counter::ChaosInjected,
     ];
 
@@ -167,6 +176,8 @@ impl Counter {
             Counter::ServeBackendHistogram => "serve_backend_histogram",
             Counter::ServeCoalesced => "serve_coalesced",
             Counter::ServeTenantShed => "serve_tenant_shed",
+            Counter::ServeShardPasses => "serve_shard_passes",
+            Counter::ServeShardParks => "serve_shard_parks",
             Counter::ChaosInjected => "chaos_injected",
         }
     }

@@ -7,9 +7,10 @@
 //! each against a bounded LRU of prepared testers (the balanced rule's
 //! Monte-Carlo calibration and the Poisson-threshold memo in
 //! `dut_testers::cache` are both amortized across requests), runs the
-//! verdict on the histogram fast path, and replies with the verdict,
-//! the acceptance estimate with its Wilson interval, whether the
-//! tester was cached, and the service time.
+//! verdict on the sampling engine `SampleBackend::Auto` resolves to
+//! for the request's `(n, q)`, and replies with the verdict, the
+//! acceptance estimate with its Wilson interval, whether the tester
+//! was cached, and the service time.
 //!
 //! Design constraints, in order:
 //!
@@ -38,14 +39,20 @@
 //! persistent connections on nonblocking sockets and dispatch framed
 //! request lines to the worker pool, which coalesces queued requests
 //! sharing a prepared tester into one answer pass over the sharded
-//! tester cache. The crate is std-only on the network path:
-//! `std::net` sockets and `std::thread` shards/workers, no async
-//! runtime.
+//! tester cache. An idle shard (and the accept thread) blocks in
+//! `poll(2)` until a socket, a timer, or a cross-thread wake needs it.
+//! The crate is std-only on the network path: `std::net` sockets and
+//! `std::thread` shards/workers, no async runtime. The one `poll(2)`
+//! binding lives in a private module, the only place `unsafe` is
+//! allowed.
+
+#![deny(unsafe_code)]
 
 pub mod cache;
 pub mod chaos;
 pub mod engine;
 pub mod loadgen;
+mod poll;
 pub mod protocol;
 pub mod server;
 pub mod stats;

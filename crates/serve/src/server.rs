@@ -10,6 +10,20 @@
 //! stays parked — idle keep-alive clients no longer occupy workers,
 //! and a shed never costs the client its connection.
 //!
+//! Shards and the accept thread are readiness-driven. After each pass
+//! a shard blocks in `poll(2)` on exactly the sockets it would act on:
+//! readable where it would read a request (or drain a closing
+//! connection), writable where a reply is only partly flushed. The
+//! timeout is the nearest idle-reap, drain-window or shutdown-grace
+//! deadline, capped at [`POLL_INTERVAL`]. What the sockets cannot show
+//! arrives through the shard's self-pipe waker: a connection handed
+//! over by the accept thread, shutdown, a worker reply that left bytes
+//! unflushed or closed the writer, and the last in-flight reply of a
+//! connection that stopped reading (peer EOF or shutdown) and now only
+//! waits to be dropped. The common reply, which the worker flushes
+//! whole, wakes nobody. The accept thread likewise blocks on the
+//! listener plus its own waker.
+//!
 //! Workers coalesce every queued request that shares the leader's
 //! [`CacheKey`](crate::engine::CacheKey) into one
 //! [`Engine::handle_batch`] pass, so a herd of identical
@@ -27,13 +41,14 @@
 //! request instead of being shed itself.
 //!
 //! Shutdown is cooperative. A `{"cmd":"shutdown"}` request flips a
-//! flag; the accept thread stops accepting, shards stop reading new
-//! lines, workers drain every queued request, and the shard loops keep
-//! each connection parked until its in-flight replies have flushed
-//! (bounded by a grace period). [`ServerHandle::join`] returns once
-//! all threads exit.
+//! flag and wakes every parked thread; the accept thread stops
+//! accepting, shards stop reading new lines, workers drain every
+//! queued request, and the shard loops keep each connection parked
+//! until its in-flight replies have flushed (bounded by a grace
+//! period). [`ServerHandle::join`] returns once all threads exit.
 
 use crate::engine::{CacheKey, Engine, QueuedRequest};
+use crate::poll::{PollFd, Waker, POLLIN, POLLOUT};
 use crate::protocol::{self, Command};
 use crate::stats;
 use dut_obs::metrics::{Counter, Gauge, HistogramId};
@@ -42,20 +57,16 @@ use parking_lot::Mutex as PlMutex;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Worker condvar / accept backoff granularity; bounds
-/// shutdown-notice latency for threads blocked waiting for work.
+/// Longest a parked thread waits before re-checking its state: the
+/// worker condvar timeout and the cap on every `poll(2)` timeout. Wakes
+/// normally come sooner; this only bounds the cost of one missed.
 const POLL_INTERVAL: Duration = Duration::from_millis(100);
-
-/// How long a shard sleeps after a pass in which no connection read
-/// or wrote a byte. This is the parked-connection polling latency: it
-/// is added (at most, and only on an idle shard) to a request's
-/// read-side latency, so it must stay well under the SLO target.
-const SHARD_IDLE_SLEEP: Duration = Duration::from_micros(100);
 
 /// Read chunks one connection may consume per shard pass, so one
 /// firehose client cannot starve its shard siblings.
@@ -65,7 +76,7 @@ const READS_PER_PASS: usize = 16;
 /// server declares the client a non-reader and drops it. Bounds
 /// memory under the slow-reader attack the per-connection writer
 /// otherwise invites.
-const OUTBUF_CAP: usize = 256 * 1024;
+pub const OUTBUF_CAP: usize = 256 * 1024;
 
 /// How long a closing connection is drained (client bytes read and
 /// discarded) after the final notice, so the notice survives instead
@@ -243,8 +254,8 @@ impl ConnWriter {
     }
 
     /// Writes as much of the output buffer as the socket accepts
-    /// right now. Returns the bytes written this call.
-    fn flush(&mut self) -> usize {
+    /// right now.
+    fn flush(&mut self) {
         let mut written = 0usize;
         while written < self.out.len() {
             match self.stream.write(&self.out[written..]) {
@@ -269,7 +280,6 @@ impl ConnWriter {
             // only converts their stall into our memory.
             self.dead = true;
         }
-        written
     }
 }
 
@@ -278,9 +288,10 @@ struct WriterStatus {
     dead: bool,
     closing: bool,
     write_shut: bool,
+    /// Released bytes still wait for the socket to accept them.
+    unflushed: bool,
     /// Nothing released or buffered remains unwritten.
     drained: bool,
-    wrote: usize,
 }
 
 /// One live connection, shared between its shard (reads) and any
@@ -289,6 +300,12 @@ struct Conn {
     writer: PlMutex<ConnWriter>,
     /// Requests parsed off this connection not yet answered.
     inflight: AtomicU64,
+    /// The shard stopped reading (peer EOF or shutdown) and keeps the
+    /// connection only until its in-flight replies flush: retiring the
+    /// last one must wake the shard.
+    draining: AtomicBool,
+    /// The owning shard's waker.
+    waker: Arc<Waker>,
 }
 
 impl Conn {
@@ -311,6 +328,26 @@ impl Conn {
         );
         writer.release();
         writer.flush();
+        // A reply flushed whole needs nothing from the shard. Bytes
+        // left over (the shard must watch for POLLOUT) and a closing
+        // or dead writer are changes its sockets cannot show.
+        let wake = !writer.out.is_empty() || writer.closing || writer.dead;
+        drop(writer);
+        if wake {
+            self.waker.wake();
+        }
+    }
+
+    /// Retires one answered (or shed) request. The last one of a
+    /// draining connection wakes the shard waiting to drop it.
+    fn retire(&self) {
+        // SeqCst pairs with the shard's `draining` store and
+        // `inflight` load in `step_conn`: at least one side sees the
+        // other, so the final retire is never missed.
+        if self.inflight.fetch_sub(1, Ordering::SeqCst) == 1 && self.draining.load(Ordering::SeqCst)
+        {
+            self.waker.wake();
+        }
     }
 
     fn is_closing(&self) -> bool {
@@ -323,7 +360,9 @@ impl Conn {
     /// report state for the shard's keep/drop decision.
     fn pump(&self) -> WriterStatus {
         let mut writer = self.writer.lock();
-        let wrote = if writer.dead { 0 } else { writer.flush() };
+        if !writer.dead {
+            writer.flush();
+        }
         if writer.closing && !writer.dead && !writer.write_shut && writer.out.is_empty() {
             let _ = writer.stream.shutdown(Shutdown::Write);
             writer.write_shut = true;
@@ -332,8 +371,8 @@ impl Conn {
             dead: writer.dead,
             closing: writer.closing,
             write_shut: writer.write_shut,
+            unflushed: !writer.out.is_empty(),
             drained: writer.out.is_empty() && writer.ready.is_empty(),
-            wrote,
         }
     }
 }
@@ -478,6 +517,13 @@ impl Tenants {
     }
 }
 
+/// A shard's hand-off box: connections the accept thread passed over,
+/// and the waker that tells the parked shard to collect them.
+struct Mailbox {
+    inbox: PlMutex<Vec<NewConn>>,
+    waker: Arc<Waker>,
+}
+
 struct Shared {
     engine: Engine,
     queue: Mutex<VecDeque<Job>>,
@@ -496,7 +542,9 @@ struct Shared {
     error_budget: u32,
     max_line_bytes: usize,
     /// Per-shard hand-off boxes from the accept thread.
-    inboxes: Vec<PlMutex<Vec<NewConn>>>,
+    shards: Vec<Mailbox>,
+    /// Wakes the accept thread out of its `poll(2)` (shutdown).
+    accept_waker: Waker,
     tenants: Tenants,
     conn_count: AtomicU64,
 }
@@ -511,6 +559,10 @@ impl Shared {
     fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         self.available.notify_all();
+        self.accept_waker.wake();
+        for mailbox in &self.shards {
+            mailbox.waker.wake();
+        }
     }
 
     fn is_shutting_down(&self) -> bool {
@@ -602,6 +654,15 @@ pub fn start(config: &ServeConfig) -> Result<ServerHandle, String> {
             .install_sink(Arc::clone(dut_obs::flight::global()) as Arc<dyn dut_obs::Sink>);
     });
     let shards = config.shards.max(1);
+    let waker = || Waker::new().map_err(|e| format!("cannot create waker: {e}"));
+    let mailboxes = (0..shards)
+        .map(|_| {
+            Ok(Mailbox {
+                inbox: PlMutex::new(Vec::new()),
+                waker: Arc::new(waker()?),
+            })
+        })
+        .collect::<Result<Vec<_>, String>>()?;
     let shared = Arc::new(Shared {
         engine: Engine::with_options(
             config.cache_cap,
@@ -618,24 +679,32 @@ pub fn start(config: &ServeConfig) -> Result<ServerHandle, String> {
         idle_timeout: config.idle_timeout.max(POLL_INTERVAL),
         error_budget: config.error_budget,
         max_line_bytes: config.max_line_bytes.max(1),
-        inboxes: (0..shards).map(|_| PlMutex::new(Vec::new())).collect(),
+        shards: mailboxes,
+        accept_waker: waker()?,
         tenants: Tenants::new(config.tenancy.clone()),
         conn_count: AtomicU64::new(0),
     });
     let workers = config.workers.max(1);
     let mut threads = Vec::with_capacity(workers + shards + 1);
-    for _ in 0..workers {
-        let shared = Arc::clone(&shared);
-        threads.push(std::thread::spawn(move || worker_loop(&shared)));
+    for worker in 0..workers {
+        threads.push(spawn_named(
+            format!("serve-worker-{worker}"),
+            &shared,
+            worker_loop,
+        )?);
     }
     for shard in 0..shards {
-        let shared = Arc::clone(&shared);
-        threads.push(std::thread::spawn(move || shard_loop(&shared, shard)));
+        threads.push(spawn_named(
+            format!("serve-shard-{shard}"),
+            &shared,
+            move |shared| shard_loop(shared, shard),
+        )?);
     }
-    {
-        let shared = Arc::clone(&shared);
-        threads.push(std::thread::spawn(move || accept_loop(&listener, &shared)));
-    }
+    threads.push(spawn_named(
+        "serve-accept".to_owned(),
+        &shared,
+        move |shared| accept_loop(&listener, shared),
+    )?);
     dut_obs::global().emit_with(|| {
         dut_obs::Event::new("serve_started")
             .with("addr", addr.to_string())
@@ -648,6 +717,23 @@ pub fn start(config: &ServeConfig) -> Result<ServerHandle, String> {
         shared,
         threads,
     })
+}
+
+/// Spawns one named server thread (the names make per-thread CPU in
+/// `/proc/<pid>/task/*/stat` attributable). On failure the threads
+/// already running are told to exit.
+fn spawn_named<F>(name: String, shared: &Arc<Shared>, body: F) -> Result<JoinHandle<()>, String>
+where
+    F: FnOnce(&Shared) + Send + 'static,
+{
+    let thread_shared = Arc::clone(shared);
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(move || body(&thread_shared))
+        .map_err(|e| {
+            shared.begin_shutdown();
+            format!("cannot spawn server thread: {e}")
+        })
 }
 
 fn conn_opened(shared: &Shared) {
@@ -663,88 +749,144 @@ fn conn_closed(shared: &Shared) {
 /// Accepts connections and hands each to a shard round-robin. This
 /// thread never writes to a socket: under overload the shed decision
 /// is per *request* and happens on the shard/worker side, so a burst
-/// of slow clients cannot stall the accept path.
+/// of slow clients cannot stall the accept path. Between bursts it
+/// parks in `poll(2)` on the listener and its waker.
 fn accept_loop(listener: &TcpListener, shared: &Shared) {
     let mut next_shard = 0usize;
-    loop {
-        if shared.is_shutting_down() {
-            break;
-        }
-        match listener.accept() {
+    let mut fds = Vec::with_capacity(2);
+    while !shared.is_shutting_down() {
+        let listening = match listener.accept() {
             Ok((stream, _peer)) => {
-                // One-line replies must leave immediately: without
-                // nodelay the reply sits in Nagle's buffer waiting on
-                // the client's delayed ACK (~40ms a round trip).
-                let _ = stream.set_nodelay(true);
-                // Both halves share the fd, so this covers the writer
-                // clone too.
-                if stream.set_nonblocking(true).is_err() {
-                    continue;
-                }
-                let Ok(write_half) = stream.try_clone() else {
-                    continue;
-                };
-                let conn = Arc::new(Conn {
-                    writer: PlMutex::new(ConnWriter {
-                        stream: write_half,
-                        next_release: 0,
-                        ready: BTreeMap::new(),
-                        out: Vec::new(),
-                        errors_released: 0,
-                        error_budget: shared.error_budget,
-                        closing: false,
-                        write_shut: false,
-                        dead: false,
-                    }),
-                    inflight: AtomicU64::new(0),
-                });
-                conn_opened(shared);
-                shared.inboxes[next_shard]
-                    .lock()
-                    .push(NewConn { stream, conn });
-                next_shard = (next_shard + 1) % shared.inboxes.len();
+                hand_off(shared, stream, next_shard);
+                next_shard = (next_shard + 1) % shared.shards.len();
+                continue;
             }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                std::thread::sleep(Duration::from_millis(5));
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => true,
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::Interrupted | ErrorKind::ConnectionAborted
+                ) =>
+            {
+                continue;
             }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
+            // Out of descriptors or buffers: the listener stays
+            // readable, so watching it would spin. Wait out one
+            // interval on the waker alone, then retry.
+            Err(_) => false,
+        };
+        fds.clear();
+        if listening {
+            fds.push(PollFd::new(listener.as_raw_fd(), POLLIN));
         }
+        shared.accept_waker.wait(&mut fds, POLL_INTERVAL);
     }
     // Listener drops here: further connects are refused, which is the
     // observable "server is gone" signal clients get after drain.
     shared.available.notify_all();
 }
 
-/// Outcome of one connection's service step within a shard pass.
-struct ConnStep {
-    keep: bool,
-    /// Bytes moved in either direction (suppresses the idle sleep).
-    active: bool,
+/// Sets up one accepted connection and passes it to `shard`.
+fn hand_off(shared: &Shared, stream: TcpStream, shard: usize) {
+    // One-line replies must leave immediately: without nodelay the
+    // reply sits in Nagle's buffer waiting on the client's delayed ACK
+    // (~40ms a round trip).
+    let _ = stream.set_nodelay(true);
+    // Both halves share the fd, so this covers the writer clone too.
+    if stream.set_nonblocking(true).is_err() {
+        return;
+    }
+    let Ok(write_half) = stream.try_clone() else {
+        return;
+    };
+    let mailbox = &shared.shards[shard];
+    let conn = Arc::new(Conn {
+        writer: PlMutex::new(ConnWriter {
+            stream: write_half,
+            next_release: 0,
+            ready: BTreeMap::new(),
+            out: Vec::new(),
+            errors_released: 0,
+            error_budget: shared.error_budget,
+            closing: false,
+            write_shut: false,
+            dead: false,
+        }),
+        inflight: AtomicU64::new(0),
+        draining: AtomicBool::new(false),
+        waker: Arc::clone(&mailbox.waker),
+    });
+    conn_opened(shared);
+    mailbox.inbox.lock().push(NewConn { stream, conn });
+    mailbox.waker.wake();
+}
+
+/// What a kept connection needs from its shard before the next pass.
+#[derive(Default)]
+struct Wait {
+    /// `poll(2)` events to watch on the socket; 0 leaves the socket
+    /// out of the poll set (muted, peer-EOF and shutting connections
+    /// with nothing left to flush).
+    events: i16,
+    /// A timer (idle reap, drain window) that needs a pass.
+    deadline: Option<Instant>,
+    /// The next pass has work whatever the socket shows (read budget
+    /// spent, or the connection changed state this pass).
+    now: bool,
+}
+
+impl Wait {
+    fn socket(events: i16) -> Wait {
+        Wait {
+            events,
+            ..Wait::default()
+        }
+    }
+
+    fn now() -> Wait {
+        Wait {
+            now: true,
+            ..Wait::default()
+        }
+    }
 }
 
 /// One shard: parks its connections, frames request lines, dispatches
 /// jobs, and retires connections that died, drained after EOF, or
-/// finished their closing handshake.
+/// finished their closing handshake. Each pass ends in `poll(2)` over
+/// the sockets the pass left waiting, unless some connection already
+/// has more work.
 fn shard_loop(shared: &Shared, shard: usize) {
+    let registry = dut_obs::metrics::global();
+    let mailbox = &shared.shards[shard];
     let mut conns: Vec<ConnReader> = Vec::new();
+    let mut fds: Vec<PollFd> = Vec::new();
     let mut shutdown_deadline: Option<Instant> = None;
     loop {
-        let fresh: Vec<NewConn> = std::mem::take(&mut *shared.inboxes[shard].lock());
-        let mut active = !fresh.is_empty();
+        registry.incr(Counter::ServeShardPasses);
+        let fresh: Vec<NewConn> = std::mem::take(&mut *mailbox.inbox.lock());
         conns.extend(fresh.into_iter().map(ConnReader::new));
         let shutting = shared.is_shutting_down();
         if shutting && shutdown_deadline.is_none() {
             shutdown_deadline = Some(Instant::now() + SHUTDOWN_GRACE);
         }
+        let mut deadline = shutdown_deadline;
+        let mut busy = false;
+        fds.clear();
         conns.retain_mut(|reader| {
-            let step = step_conn(shared, reader, shutting);
-            if step.active {
-                active = true;
-            }
-            if !step.keep {
+            let Some(wait) = step_conn(shared, reader, shutting) else {
                 conn_closed(shared);
+                return false;
+            };
+            if wait.events != 0 {
+                fds.push(PollFd::new(reader.stream.as_raw_fd(), wait.events));
             }
-            step.keep
+            deadline = match (deadline, wait.deadline) {
+                (Some(a), Some(b)) => Some(a.min(b)),
+                (a, b) => a.or(b),
+            };
+            busy |= wait.now;
+            true
         });
         if shutting {
             let expired = shutdown_deadline.is_some_and(|deadline| Instant::now() >= deadline);
@@ -756,25 +898,28 @@ fn shard_loop(shared: &Shared, shard: usize) {
                 break;
             }
         }
-        if !active {
-            std::thread::sleep(SHARD_IDLE_SLEEP);
+        if !busy {
+            registry.incr(Counter::ServeShardParks);
+            let timeout = deadline.map_or(POLL_INTERVAL, |at| {
+                at.saturating_duration_since(Instant::now())
+                    .min(POLL_INTERVAL)
+            });
+            mailbox.waker.wait(&mut fds, timeout);
         }
     }
 }
 
-/// Services one connection for one shard pass. Order matters: flush
-/// first (replies drain even off a muted or closing connection), then
-/// the closing handshake, then EOF/shutdown drain conditions, then
-/// the idle reap, and only then new reads.
-fn step_conn(shared: &Shared, reader: &mut ConnReader, shutting: bool) -> ConnStep {
+/// Services one connection for one shard pass and says what it waits
+/// for next (`None`: drop it). Order matters: flush first (replies
+/// drain even off a muted or closing connection), then the closing
+/// handshake, then EOF/shutdown drain conditions, then the idle reap,
+/// and only then new reads.
+fn step_conn(shared: &Shared, reader: &mut ConnReader, shutting: bool) -> Option<Wait> {
     let status = reader.conn.pump();
-    let mut active = status.wrote > 0;
     if status.dead {
-        return ConnStep {
-            keep: false,
-            active,
-        };
+        return None;
     }
+    let flush = if status.unflushed { POLLOUT } else { 0 };
     if status.write_shut {
         // Final notice sent and write side shut: drain (and discard)
         // client leftovers for a bounded moment so the notice is not
@@ -785,38 +930,36 @@ fn step_conn(shared: &Shared, reader: &mut ConnReader, shutting: bool) -> ConnSt
         let mut sink = [0u8; 4096];
         loop {
             match reader.stream.read(&mut sink) {
-                Ok(0) => {
-                    return ConnStep {
-                        keep: false,
-                        active: true,
-                    }
-                }
-                Ok(_) => active = true,
+                Ok(0) => return None,
+                Ok(_) => {}
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => {
-                    return ConnStep {
-                        keep: false,
-                        active: true,
-                    }
-                }
+                Err(_) => return None,
             }
         }
-        let keep = Instant::now() < deadline;
-        return ConnStep { keep, active };
+        if Instant::now() >= deadline {
+            return None;
+        }
+        return Some(Wait {
+            events: POLLIN,
+            deadline: Some(deadline),
+            now: false,
+        });
     }
     if status.closing {
         // Close-after reply released but not fully flushed yet.
-        return ConnStep { keep: true, active };
+        return Some(Wait::socket(flush));
     }
     if reader.peer_eof || shutting {
         // Half-closed client (served until its queued work drains,
         // then dropped → clean FIN) or server shutdown (no new reads;
         // in-flight replies still flush).
-        let inflight = reader.conn.inflight.load(Ordering::Acquire);
-        let keep = inflight > 0 || !status.drained;
-        return ConnStep { keep, active };
+        reader.conn.draining.store(true, Ordering::SeqCst);
+        let inflight = reader.conn.inflight.load(Ordering::SeqCst);
+        return (inflight > 0 || !status.drained).then(|| Wait::socket(flush));
     }
+    // A connection still awaiting a reply is not idle; its reap is
+    // re-checked on a later pass (see the deadline below).
     if !reader.muted
         && reader.conn.inflight.load(Ordering::Acquire) == 0
         && reader.last_line_at.elapsed() >= shared.idle_timeout
@@ -827,40 +970,41 @@ fn step_conn(shared: &Shared, reader: &mut ConnReader, shutting: bool) -> ConnSt
             .conn
             .submit(seq, protocol::render_idle_timeout(), false, true);
         reader.muted = true;
-        return ConnStep {
-            keep: true,
-            active: true,
-        };
+        return Some(Wait::now());
     }
     if reader.muted {
-        return ConnStep { keep: true, active };
+        return Some(Wait::socket(flush));
     }
     let mut chunk = [0u8; 4096];
     for _ in 0..READS_PER_PASS {
         match reader.stream.read(&mut chunk) {
             Ok(0) => {
                 reader.peer_eof = true;
-                break;
+                return Some(Wait::now());
             }
             Ok(got) => {
-                active = true;
                 reader.pending.extend_from_slice(&chunk[..got]);
                 process_pending(shared, reader);
                 if reader.muted {
-                    break;
+                    return Some(Wait::now());
                 }
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                // A reap deadline already past (requests in flight)
+                // is left to the poll cap rather than spun on.
+                let idle_at = reader.last_line_at + shared.idle_timeout;
+                return Some(Wait {
+                    events: POLLIN | flush,
+                    deadline: (idle_at > Instant::now()).then_some(idle_at),
+                    now: false,
+                });
+            }
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => {
-                return ConnStep {
-                    keep: false,
-                    active,
-                }
-            }
+            Err(_) => return None,
         }
     }
-    ConnStep { keep: true, active }
+    // Read budget spent with bytes still arriving: come straight back.
+    Some(Wait::now())
 }
 
 /// Frames and answers every complete request line buffered on the
@@ -1009,13 +1153,13 @@ fn enqueue_request(shared: &Shared, job: Job) {
             shared.available.notify_one();
             if let Some(victim) = victim {
                 shed_request(shared, &victim.conn, victim.seq);
-                victim.conn.inflight.fetch_sub(1, Ordering::AcqRel);
+                victim.conn.retire();
             }
         } else {
             registry.set_gauge(Gauge::ServeQueueDepth, queue.len() as u64);
             drop(queue);
             shed_request(shared, &job.conn, job.seq);
-            job.conn.inflight.fetch_sub(1, Ordering::AcqRel);
+            job.conn.retire();
         }
     } else {
         streak_reset(&shared.shed_streak);
@@ -1129,7 +1273,7 @@ fn process_batch(shared: &Shared, jobs: &[Job]) {
         }
     }
     for job in jobs {
-        job.conn.inflight.fetch_sub(1, Ordering::AcqRel);
+        job.conn.retire();
     }
 }
 

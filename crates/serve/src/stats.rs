@@ -68,6 +68,10 @@ pub struct Stats {
     /// Cumulative requests whose resolved backend was the histogram
     /// engine.
     pub backend_histogram: u64,
+    /// Cumulative shard-loop service passes since boot.
+    pub shard_passes: u64,
+    /// Cumulative times a shard loop parked in `poll(2)` since boot.
+    pub shard_parks: u64,
     /// Actual span of the short window, microseconds.
     pub window_micros: u64,
     /// Requests per second over the short window.
@@ -151,6 +155,8 @@ pub fn gather(cached_testers: u64, slo_config: &SloConfig) -> Stats {
         error_budget_closed: registry.counter(Counter::ServeErrorBudget),
         backend_per_draw: registry.counter(Counter::ServeBackendPerDraw),
         backend_histogram: registry.counter(Counter::ServeBackendHistogram),
+        shard_passes: registry.counter(Counter::ServeShardPasses),
+        shard_parks: registry.counter(Counter::ServeShardParks),
         window_micros: short.span_micros,
         req_per_sec: short.rate_per_sec(Counter::ServeRequests),
         shed_per_sec: short.rate_per_sec(Counter::ServeShed),
@@ -198,11 +204,12 @@ impl Stats {
         );
         let _ = write!(
             out,
-            ",\"cumulative\":{{\"requests\":{},\"shed\":{},\"coalesced\":{},\"tenant_shed\":{},\"cache_hits\":{},\"cache_misses\":{},\"malformed\":{},\"reaped\":{},\"error_budget_closed\":{},\"backend_per_draw\":{},\"backend_histogram\":{}}}",
+            ",\"cumulative\":{{\"requests\":{},\"shed\":{},\"coalesced\":{},\"tenant_shed\":{},\"cache_hits\":{},\"cache_misses\":{},\"malformed\":{},\"reaped\":{},\"error_budget_closed\":{},\"backend_per_draw\":{},\"backend_histogram\":{},\"shard_passes\":{},\"shard_parks\":{}}}",
             self.requests, self.shed, self.coalesced, self.tenant_shed,
             self.cache_hits, self.cache_misses,
             self.malformed, self.reaped, self.error_budget_closed,
-            self.backend_per_draw, self.backend_histogram
+            self.backend_per_draw, self.backend_histogram,
+            self.shard_passes, self.shard_parks
         );
         let _ = write!(out, ",\"window\":{{\"span_us\":{}", self.window_micros);
         let field = |out: &mut String, key: &str, value: f64| {
@@ -297,6 +304,8 @@ impl Stats {
             error_budget_closed: u(cumulative, "error_budget_closed"),
             backend_per_draw: u(cumulative, "backend_per_draw"),
             backend_histogram: u(cumulative, "backend_histogram"),
+            shard_passes: u(cumulative, "shard_passes"),
+            shard_parks: u(cumulative, "shard_parks"),
             window_micros: u(window, "span_us"),
             req_per_sec: f(window, "req_per_sec"),
             shed_per_sec: f(window, "shed_per_sec"),
@@ -342,6 +351,8 @@ mod tests {
             error_budget_closed: 1,
             backend_per_draw: 40,
             backend_histogram: 960,
+            shard_passes: 2_150,
+            shard_parks: 1_990,
             window_micros: 10_000_000,
             req_per_sec: 99.5,
             shed_per_sec: 0.25,

@@ -223,6 +223,8 @@ mod tests {
             error_budget_closed: 1,
             backend_per_draw: 40,
             backend_histogram: 960,
+            shard_passes: 2_150,
+            shard_parks: 1_990,
             window_micros: 10_000_000,
             req_per_sec: 99.5,
             shed_per_sec: 0.25,

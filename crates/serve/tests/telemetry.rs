@@ -277,6 +277,11 @@ fn top_renders_frames_from_a_live_server() {
 
 #[test]
 fn stats_and_run_interleave_on_one_connection() {
+    // Sends `run` traffic, so it must not overlap the counter-delta
+    // tests above.
+    let _traffic = TRAFFIC
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     let handle = start_server(1, 8);
     let (mut stream, mut reader) = connect(&handle.local_addr());
     let first = send_line(&mut stream, &mut reader, "{\"cmd\":\"stats\"}");
