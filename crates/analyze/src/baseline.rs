@@ -11,7 +11,8 @@
 //! diff, not for matching.
 
 use crate::findings::Finding;
-use crate::json::{self, Json};
+use crate::quoted;
+use dut_obs::json::{self, Json};
 use std::fmt::Write as _;
 
 /// Schema tag of the baseline file.
@@ -64,7 +65,7 @@ pub fn parse(text: &str) -> Result<Baseline, String> {
             return Err("baseline entry is missing its `id`".to_owned());
         }
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let line = item.get("line").and_then(Json::as_num).unwrap_or(0.0) as u32;
+        let line = item.get("line").and_then(Json::as_f64).unwrap_or(0.0) as u32;
         entries.push(BaselineEntry {
             id,
             rule: field("rule"),
@@ -82,18 +83,18 @@ pub fn parse(text: &str) -> Result<Baseline, String> {
 pub fn render(findings: &[Finding]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"schema\": \"{}\",", json::escape(SCHEMA));
+    let _ = writeln!(out, "  \"schema\": {},", quoted(SCHEMA));
     let _ = writeln!(out, "  \"findings\": [");
     for (i, f) in findings.iter().enumerate() {
         let comma = if i + 1 == findings.len() { "" } else { "," };
         let _ = writeln!(
             out,
-            "    {{\"id\": \"{}\", \"rule\": \"{}\", \"path\": \"{}\", \"line\": {}, \"message\": \"{}\"}}{comma}",
-            json::escape(&f.id),
-            json::escape(f.rule),
-            json::escape(&f.path),
+            "    {{\"id\": {}, \"rule\": {}, \"path\": {}, \"line\": {}, \"message\": {}}}{comma}",
+            quoted(&f.id),
+            quoted(f.rule),
+            quoted(&f.path),
             f.line,
-            json::escape(&f.message),
+            quoted(&f.message),
         );
     }
     let _ = writeln!(out, "  ]");

@@ -59,7 +59,6 @@
 pub mod baseline;
 mod concurrency;
 pub mod findings;
-pub mod json;
 pub mod lexer;
 pub mod locks;
 pub mod rules;
@@ -70,6 +69,13 @@ pub mod walk;
 pub use findings::{Finding, Report};
 pub use rules::{FileOutcome, RuleInfo, RULES};
 pub use source::{classify, FileKind, GuardedBy, SourceFile};
+
+/// `s` as a quoted, escaped JSON string literal.
+pub(crate) fn quoted(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    dut_obs::json::write_escaped(&mut out, s);
+    out
+}
 
 use std::path::Path;
 
@@ -254,11 +260,7 @@ pub fn render_report_json(report: &Report) -> String {
     let _ = writeln!(out, "  \"files_checked\": {},", report.files_checked);
     let _ = writeln!(out, "  \"suppressed\": {},", report.suppressed);
     let _ = writeln!(out, "  \"baselined\": {},", report.baselined);
-    let stale: Vec<String> = report
-        .stale_baseline
-        .iter()
-        .map(|id| format!("\"{}\"", json::escape(id)))
-        .collect();
+    let stale: Vec<String> = report.stale_baseline.iter().map(|id| quoted(id)).collect();
     let _ = writeln!(out, "  \"stale_baseline\": [{}],", stale.join(", "));
     let _ = writeln!(out, "  \"clean\": {},", report.is_clean());
     let _ = writeln!(out, "  \"findings\": [");
@@ -270,13 +272,13 @@ pub fn render_report_json(report: &Report) -> String {
         };
         let _ = writeln!(
             out,
-            "    {{\"id\": \"{}\", \"rule\": \"{}\", \"path\": \"{}\", \"line\": {}, \"message\": \"{}\", \"hint\": \"{}\"}}{comma}",
-            json::escape(&f.id),
-            json::escape(f.rule),
-            json::escape(&f.path),
+            "    {{\"id\": {}, \"rule\": {}, \"path\": {}, \"line\": {}, \"message\": {}, \"hint\": {}}}{comma}",
+            quoted(&f.id),
+            quoted(f.rule),
+            quoted(&f.path),
             f.line,
-            json::escape(&f.message),
-            json::escape(f.hint),
+            quoted(&f.message),
+            quoted(f.hint),
         );
     }
     let _ = writeln!(out, "  ]");
@@ -323,22 +325,23 @@ fn f(shared: &S, registry: &R) {
 
     #[test]
     fn json_report_parses_back() {
+        use dut_obs::json::Json;
         let report = lint_sources(&[(
             "crates/x/src/lib.rs",
             "fn f(o: Option<u8>) -> u8 { o.unwrap() }",
         )]);
-        let doc = json::parse(&render_report_json(&report)).expect("valid json");
+        let doc = dut_obs::json::parse(&render_report_json(&report)).expect("valid json");
         assert_eq!(
-            doc.get("schema").and_then(json::Json::as_str),
+            doc.get("schema").and_then(Json::as_str),
             Some("dut-analyze-findings/v1")
         );
         let findings = doc
             .get("findings")
-            .and_then(json::Json::as_arr)
+            .and_then(Json::as_arr)
             .expect("findings");
         assert_eq!(findings.len(), 1);
         assert_eq!(
-            findings[0].get("rule").and_then(json::Json::as_str),
+            findings[0].get("rule").and_then(Json::as_str),
             Some("unwrap")
         );
     }

@@ -1,11 +1,11 @@
 //! Minimal JSON reading and writing.
 //!
-//! The trace format is JSON Lines, but the workspace has no serde;
-//! this module provides the small subset needed: escaping writers for
-//! the event serializer and a recursive-descent parser for `dut
-//! report`. It parses exactly the JSON this crate writes (objects,
-//! arrays, strings, finite numbers, bools, null) and rejects anything
-//! malformed with a positioned error.
+//! The workspace has no serde; this module is its one JSON codec:
+//! escaping writers for the trace serializer, the serve wire and the
+//! artifacts (bench, lint findings and baselines), and a
+//! recursive-descent parser for reading them back. It parses objects,
+//! arrays, strings, finite numbers, bools and null, and rejects
+//! anything malformed with a positioned error.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -80,6 +80,15 @@ impl Json {
     pub fn as_obj(&self) -> Option<&BTreeMap<String, Json>> {
         match self {
             Json::Obj(map) => Some(map),
+            _ => None,
+        }
+    }
+
+    /// The value as an array, if it is one.
+    #[must_use]
+    pub fn as_arr(&self) -> Option<&[Json]> {
+        match self {
+            Json::Arr(items) => Some(items),
             _ => None,
         }
     }

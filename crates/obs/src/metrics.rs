@@ -96,7 +96,7 @@ pub enum Counter {
     /// instead of sweeping again at once. A saturated shard rarely
     /// parks; an idle one parks once per wake.
     ServeShardParks,
-    /// Hostile client actions injected by `dut loadgen --chaos`
+    /// Hostile client actions injected by `dut fuzz --plane chaos`
     /// (slowloris writes, half-open connects, mid-frame disconnects,
     /// reconnect storms, garbage frames, …).
     ChaosInjected,

@@ -1,4 +1,4 @@
-//! Chaos injection: a hostile-client mix for `dut loadgen --chaos`.
+//! Chaos injection: a hostile-client mix for `dut fuzz --plane chaos`.
 //!
 //! Where the load generator measures how the server performs for
 //! *honest* clients, this module measures whether it survives

@@ -33,10 +33,6 @@ use std::time::{Duration, Instant};
 /// meaningless as a health signal).
 pub const BENCH_SCHEMA: &str = "dut-bench-serve/v2";
 
-/// The previous schema, still accepted by [`check_bench_json`] so
-/// historical artifacts keep validating.
-pub const BENCH_SCHEMA_V1: &str = "dut-bench-serve/v1";
-
 /// A `v2` artifact from a shed-free run must show a queue-wait p99
 /// below this (microseconds): with per-request scheduling, a healthy
 /// queue drains in well under 10ms.
@@ -641,26 +637,20 @@ pub fn bench_json(report: &LoadgenReport, stats: Option<&Stats>) -> String {
 }
 
 /// Validates a bench artifact against the `dut-bench-serve/v2`
-/// schema (`v1` artifacts are also accepted): the tag, every required
-/// field with the right type, and the internal invariants (replies ≤
-/// sent, ordered quantiles, and — v2, shed-free runs only — a sane
-/// queue-wait p99).
+/// schema: the tag, every required field with the right type, and the
+/// internal invariants (replies ≤ sent, ordered quantiles, and — on
+/// shed-free runs only — a sane queue-wait p99).
 ///
 /// # Errors
 ///
 /// Returns the first violation found.
 pub fn check_bench_json(text: &str) -> Result<(), String> {
     let doc = json::parse(text.trim()).map_err(|e| format!("not JSON: {e}"))?;
-    let v2 = match doc.get("schema") {
-        Some(Json::Str(s)) if s == BENCH_SCHEMA => true,
-        Some(Json::Str(s)) if s == BENCH_SCHEMA_V1 => false,
-        Some(Json::Str(s)) => {
-            return Err(format!(
-                "schema is `{s}`, expected `{BENCH_SCHEMA}` (or legacy `{BENCH_SCHEMA_V1}`)"
-            ))
-        }
+    match doc.get("schema") {
+        Some(Json::Str(s)) if s == BENCH_SCHEMA => {}
+        Some(Json::Str(s)) => return Err(format!("schema is `{s}`, expected `{BENCH_SCHEMA}`")),
         _ => return Err("missing `schema` tag".to_owned()),
-    };
+    }
     let need_u64 = |key: &str| -> Result<u64, String> {
         doc.get(key)
             .and_then(Json::as_u64)
@@ -672,16 +662,14 @@ pub fn check_bench_json(text: &str) -> Result<(), String> {
     need_u64("errors")?;
     need_u64("mismatches")?;
     need_u64("elapsed_us")?;
-    if v2 {
-        let queue_wait = doc
-            .get("queue_wait_p99_us")
-            .and_then(Json::as_f64)
-            .ok_or("missing or non-numeric `queue_wait_p99_us` (required by v2)")?;
-        if shed == 0 && queue_wait >= SANE_QUEUE_WAIT_MICROS {
-            return Err(format!(
-                "queue_wait_p99_us {queue_wait} on a shed-free run (v2 requires < {SANE_QUEUE_WAIT_MICROS})"
-            ));
-        }
+    let queue_wait = doc
+        .get("queue_wait_p99_us")
+        .and_then(Json::as_f64)
+        .ok_or("missing or non-numeric `queue_wait_p99_us`")?;
+    if shed == 0 && queue_wait >= SANE_QUEUE_WAIT_MICROS {
+        return Err(format!(
+            "queue_wait_p99_us {queue_wait} on a shed-free run (must be < {SANE_QUEUE_WAIT_MICROS})"
+        ));
     }
     let p50 = need_u64("p50_us")?;
     let p95 = need_u64("p95_us")?;
@@ -801,7 +789,7 @@ mod tests {
     fn bench_validator_rejects_bad_artifacts() {
         assert!(check_bench_json("not json").is_err());
         assert!(check_bench_json("{\"schema\":\"dut-bench-serve/v0\"}").is_err());
-        let missing = "{\"schema\":\"dut-bench-serve/v1\",\"sent\":5}";
+        let missing = "{\"schema\":\"dut-bench-serve/v2\",\"sent\":5}";
         assert!(check_bench_json(missing).unwrap_err().contains("replies"));
         let inverted = bench_json(
             &LoadgenReport {
@@ -825,12 +813,12 @@ mod tests {
     }
 
     #[test]
-    fn bench_validator_accepts_legacy_v1_artifacts() {
-        // A v1 line has no `queue_wait_p99_us`; it must still pass.
+    fn bench_validator_rejects_legacy_v1_artifacts() {
+        // The v1 layout (no `queue_wait_p99_us`) is no longer read.
         let v1 = "{\"schema\":\"dut-bench-serve/v1\",\"sent\":100,\"replies\":90,\
                   \"shed\":10,\"errors\":0,\"mismatches\":0,\"elapsed_us\":2000000,\
                   \"achieved_rps\":45,\"p50_us\":100,\"p95_us\":300,\"p99_us\":900}";
-        check_bench_json(v1).unwrap();
+        assert!(check_bench_json(v1).unwrap_err().contains("schema"));
     }
 
     #[test]

@@ -18,17 +18,15 @@ use distributed_uniformity::probability::{
 };
 use distributed_uniformity::{Rule, UniformityTester};
 use rand::SeedableRng;
-// BTreeMap, not HashMap: flag lookups never iterate today, but any
-// future "unknown option" listing must print in a stable order
-// (the unordered-collection lint bans HashMap here).
-use std::collections::BTreeMap;
 use std::process::ExitCode;
+use std::str::FromStr;
+use std::time::Duration;
 
 const USAGE: &str = "\
 dut — distributed uniformity testing
 
 USAGE:
-    dut <COMMAND> [--key value]...
+    dut <COMMAND> [--flag [value]]... [argument]...
 
 COMMANDS:
     test      run a tester and report acceptance rates
@@ -43,10 +41,10 @@ COMMANDS:
     top       live dashboard over a running service's stats
     fuzz      structured adversarial testing (protocol / differential / chaos)
 
-COMMON OPTIONS:
-    --n <int>         domain size                  [default: 1024]
+COMMON OPTIONS (test, predict, advise, faults):
+    --n <int>         domain size                  [default: 1024; faults: 256]
     --k <int>         number of players            [default: 16]
-    --eps <float>     proximity parameter          [default: 0.5]
+    --eps <float>     proximity parameter          [default: 0.5; faults: 0.9]
     --seed <int>      master seed                  [default: 20190729]
 
 test OPTIONS:
@@ -96,7 +94,6 @@ bench USAGE:
         --probe micro-calibrates the cost model to this host first;
         fails if auto trails the better fixed engine by >5% anywhere
     dut bench --check <file>             validate a written baseline
-                                         (accepts v1 and v2 schemas)
 
 serve USAGE:
     dut serve [--addr <host:port>] [--workers <N>] [--shards <N>]
@@ -129,7 +126,6 @@ loadgen USAGE:
                 [--bench-out <file>] [--check <file>]
                 [--trace <file>] [--trace-out <file>]
                 [--shutdown] [--shutdown-only]
-                [--chaos] [--chaos-rate <f>] [--chaos-seed <N>]
         open-loop load at --rps for --duration, then print achieved
         throughput and p50/p95/p99 latency; --pipeline keeps a window
         of N requests in flight per connection (one write per window,
@@ -139,16 +135,11 @@ loadgen USAGE:
         server's {\"cmd\":\"stats\"} accounting against the client
         tally (polling mid-load); --bench-out writes a
         dut-bench-serve/v2 artifact and --check validates one
-        without generating load (v1 accepted); --trace-out writes a
+        without generating load; --trace-out writes a
         replayable bursty/diurnal arrival trace (dut-serve-trace/v1,
         no load generated) and --trace replays one against the
         server; --shutdown stops the server afterwards,
-        --shutdown-only does nothing else;
-        --chaos replaces the honest load with the hostile client mix
-        (slowloris, half-open connects, mid-frame cuts, idle holds,
-        reconnect storms; --conns lanes, Gilbert-Elliott bursts at
-        --chaos-rate) and verifies the server still answers bit-
-        exactly afterwards
+        --shutdown-only does nothing else
 
 fuzz USAGE:
     dut fuzz --smoke [--seed <N>] [--corpus-dir <dir>]
@@ -157,10 +148,14 @@ fuzz USAGE:
     dut fuzz --plane <protocol|differential|chaos> [--iters <N>]
              [--seed <N>] [--duration <secs>] [--addr <host:port>]
              [--corpus-dir <dir>]
-        run one plane; protocol and differential attack --addr when
-        given, otherwise a fuzz-owned in-process server; violations
-        persist to --corpus-dir as replayable dut-fuzz-corpus/v1
-        entries
+        run one plane against --addr when given, otherwise against a
+        fuzz-owned in-process server; violations persist to
+        --corpus-dir as replayable dut-fuzz-corpus/v1 entries. The
+        chaos plane sends the hostile client mix (slowloris, half-open
+        connects, mid-frame cuts, idle holds, reconnect storms) and
+        verifies the server still answers bit-exactly afterwards; its
+        idle clients hold for 750ms, so give an --addr server a
+        shorter --idle-timeout to exercise the reaper
     dut fuzz --check <file|dir>...
         validate corpus entries against the schema
     dut fuzz --replay <file|dir>... [--addr <host:port>]
@@ -175,97 +170,168 @@ top USAGE:
 ";
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    // `report` and `lint` take positional args, not --key value pairs.
-    if args.first().map(String::as_str) == Some("report") {
-        return match cmd_report(&args[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(message) => {
-                eprintln!("error: {message}");
-                ExitCode::FAILURE
-            }
-        };
+    let mut argv = std::env::args().skip(1);
+    let command = argv.next().unwrap_or_default();
+    let args = Args::new(&command, argv.collect());
+    // DUT_TRACE=<path> traces these commands.
+    let traced = matches!(
+        command.as_str(),
+        "test" | "predict" | "advise" | "faults" | "lint" | "bench" | "serve" | "loadgen"
+    );
+    if traced {
+        dut_obs::init_from_env();
     }
-    if args.first().map(String::as_str) == Some("lint") {
-        return cmd_lint(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("bench") {
-        return cmd_bench(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("serve") {
-        return cmd_serve(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("loadgen") {
-        return cmd_loadgen(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("top") {
-        return cmd_top(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("fuzz") {
-        return cmd_fuzz(&args[1..]);
-    }
-    let Some((command, options)) = parse(&args) else {
-        eprint!("{USAGE}");
-        return ExitCode::FAILURE;
-    };
-    // DUT_TRACE=<path> traces this invocation too.
-    dut_obs::init_from_env();
     let result = match command.as_str() {
-        "test" => cmd_test(&options),
-        "predict" => cmd_predict(&options),
-        "advise" => cmd_advise(&options),
-        "faults" => cmd_faults(&options),
+        "test" => cmd_test(args),
+        "predict" => cmd_predict(args),
+        "advise" => cmd_advise(args),
+        "faults" => cmd_faults(args),
+        "report" => cmd_report(args),
+        "lint" => cmd_lint(args),
+        "bench" => cmd_bench(args),
+        "serve" => cmd_serve(args),
+        "loadgen" => cmd_loadgen(args),
+        "top" => cmd_top(args),
+        "fuzz" => cmd_fuzz(args),
         "help" | "--help" | "-h" => {
             print!("{USAGE}");
             Ok(())
         }
-        other => Err(format!("unknown command `{other}`")),
+        "" => Err(format!("no command given\n\n{USAGE}")),
+        other => Err(format!(
+            "unknown command `{other}`\nrun `dut help` for usage"
+        )),
     };
-    let recorder = dut_obs::global();
-    recorder.emit_metrics_snapshot();
-    recorder.flush();
+    if traced {
+        let recorder = dut_obs::global();
+        recorder.emit_metrics_snapshot();
+        recorder.flush();
+    }
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
             eprintln!("error: {message}");
-            eprintln!("run `dut help` for usage");
             ExitCode::FAILURE
         }
     }
 }
 
-fn parse(args: &[String]) -> Option<(String, BTreeMap<String, String>)> {
-    let command = args.first()?.clone();
-    let mut options = BTreeMap::new();
-    let mut i = 1;
-    while i < args.len() {
-        let key = args[i].strip_prefix("--")?;
-        let value = args.get(i + 1)?;
-        options.insert(key.to_owned(), value.clone());
-        i += 2;
-    }
-    Some((command, options))
+/// The sections of [`USAGE`] whose header line names `command`.
+fn usage(command: &str) -> String {
+    let sections: Vec<&str> = USAGE
+        .split("\n\n")
+        .filter(|section| {
+            section.lines().next().is_some_and(|header| {
+                header
+                    .split(|c: char| !c.is_ascii_alphanumeric())
+                    .any(|word| word == command)
+            })
+        })
+        .collect();
+    sections.join("\n\n")
 }
 
-fn get_usize(
-    options: &BTreeMap<String, String>,
-    key: &str,
-    default: usize,
-) -> Result<usize, String> {
-    match options.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("--{key} needs an integer, got `{v}`")),
+/// One command's arguments, claimed flag by flag: each accessor names
+/// its flag once, and [`Args::finish`] rejects whatever no accessor
+/// claimed, so a misspelt flag is an error rather than a silent
+/// default. A flag's value is the next token and never starts with
+/// `--`; every other token is a positional argument.
+struct Args {
+    command: String,
+    /// `None` once claimed.
+    tokens: Vec<Option<String>>,
+}
+
+impl Args {
+    fn new(command: &str, tokens: Vec<String>) -> Self {
+        Args {
+            command: command.to_owned(),
+            tokens: tokens.into_iter().map(Some).collect(),
+        }
+    }
+
+    /// A parse error, followed by the command's usage.
+    fn error(&self, message: &str) -> String {
+        format!("{message}\n\n{}", usage(&self.command))
+    }
+
+    /// Whether the switch `name` was given.
+    fn switch(&mut self, name: &str) -> bool {
+        let mut seen = false;
+        for token in &mut self.tokens {
+            if token.as_deref() == Some(name) {
+                *token = None;
+                seen = true;
+            }
+        }
+        seen
+    }
+
+    /// Every value given for the repeatable flag `name`, in order.
+    fn values(&mut self, name: &str) -> Result<Vec<String>, String> {
+        let mut values = Vec::new();
+        for i in 0..self.tokens.len() {
+            if self.tokens[i].as_deref() != Some(name) {
+                continue;
+            }
+            match self.tokens.get_mut(i + 1).and_then(Option::take) {
+                Some(value) if !value.starts_with("--") => values.push(value),
+                _ => return Err(self.error(&format!("{name} needs a value"))),
+            }
+            self.tokens[i] = None;
+        }
+        Ok(values)
+    }
+
+    /// The value of flag `name` (the last one, if repeated).
+    fn value(&mut self, name: &str) -> Result<Option<String>, String> {
+        Ok(self.values(name)?.pop())
+    }
+
+    /// The value of flag `name`, parsed as `T`.
+    fn get<T: FromStr>(&mut self, name: &str) -> Result<Option<T>, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        match self.value(name)? {
+            None => Ok(None),
+            Some(text) => text
+                .parse()
+                .map(Some)
+                .map_err(|e| self.error(&format!("{name} got `{text}`: {e}"))),
+        }
+    }
+
+    /// Ends parsing: the positional arguments (at most `max`), or an
+    /// error naming the first unknown flag or surplus argument.
+    fn finish(self, max: usize) -> Result<Vec<String>, String> {
+        let rest: Vec<String> = self.tokens.iter().flatten().cloned().collect();
+        if let Some(flag) = rest.iter().find(|t| t.starts_with("--")) {
+            return Err(self.error(&format!("unknown flag `{flag}`")));
+        }
+        if let Some(extra) = rest.get(max) {
+            return Err(self.error(&format!("unexpected argument `{extra}`")));
+        }
+        Ok(rest)
     }
 }
 
-fn get_f64(options: &BTreeMap<String, String>, key: &str, default: f64) -> Result<f64, String> {
-    match options.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("--{key} needs a number, got `{v}`")),
+/// The COMMON OPTIONS of test, predict, advise and faults.
+struct Common {
+    n: usize,
+    k: usize,
+    eps: f64,
+    seed: u64,
+}
+
+impl Common {
+    fn parse(args: &mut Args, default_n: usize, default_eps: f64) -> Result<Self, String> {
+        Ok(Common {
+            n: args.get("--n")?.unwrap_or(default_n),
+            k: args.get("--k")?.unwrap_or(16),
+            eps: args.get("--eps")?.unwrap_or(default_eps),
+            seed: args.get("--seed")?.unwrap_or(20_190_729),
+        })
     }
 }
 
@@ -324,15 +390,17 @@ fn parse_input(
     }
 }
 
-fn cmd_test(options: &BTreeMap<String, String>) -> Result<(), String> {
-    let n = get_usize(options, "n", 1024)?;
-    let k = get_usize(options, "k", 16)?;
-    let eps = get_f64(options, "eps", 0.5)?;
-    let seed = get_usize(options, "seed", 20_190_729)? as u64;
-    let trials = get_usize(options, "trials", 200)?;
-    let rule = parse_rule(options.get("rule").map_or("balanced", String::as_str), k)?;
+fn cmd_test(mut args: Args) -> Result<(), String> {
+    let Common { n, k, eps, seed } = Common::parse(&mut args, 1024, 0.5)?;
+    let trials = args.get("--trials")?.unwrap_or(200);
+    let rule_spec = args.value("--rule")?;
+    let input_spec = args.value("--input")?;
+    let q = args.get("--q")?;
+    let backend_spec = args.value("--backend")?;
+    args.finish(0)?;
+    let rule = parse_rule(rule_spec.as_deref().unwrap_or("balanced"), k)?;
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let input_spec = options.get("input").map_or("two-level", String::as_str);
+    let input_spec = input_spec.as_deref().unwrap_or("two-level");
     let input = parse_input(input_spec, n, eps, &mut rng)?;
 
     let tester = UniformityTester::builder()
@@ -342,16 +410,11 @@ fn cmd_test(options: &BTreeMap<String, String>) -> Result<(), String> {
         .rule(rule)
         .build()
         .map_err(|e| e.to_string())?;
-    let q = match options.get("q") {
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("--q needs an integer, got `{v}`"))?,
-        None => tester.predicted_sample_count(),
-    };
+    let q = q.unwrap_or_else(|| tester.predicted_sample_count());
     println!("configuration: n={n} k={k} eps={eps} rule={rule} q={q} input={input_spec}");
     let prepared = tester.prepare(q, &mut rng);
 
-    if let Some(spec) = options.get("backend") {
+    if let Some(spec) = backend_spec {
         let backends: Vec<SampleBackend> = match spec.as_str() {
             "both" => SampleBackend::ALL.to_vec(),
             s => vec![SampleBackend::parse(s).ok_or_else(|| {
@@ -410,243 +473,124 @@ fn cmd_test(options: &BTreeMap<String, String>) -> Result<(), String> {
 
 /// `dut lint [root]` — workspace static analysis (dut-analyze).
 ///
-/// Exits nonzero on any unsuppressed finding, so CI can gate on it.
-/// The pass runs under a `lint.workspace` span and emits a
-/// `lint_summary` event, so `dut report` shows analysis cost next to
-/// experiment cost.
-fn cmd_lint(args: &[String]) -> ExitCode {
-    if args.iter().any(|a| a == "--rules") {
+/// Fails on any unsuppressed finding, so CI can gate on it. The pass
+/// runs under a `lint.workspace` span and emits a `lint_summary`
+/// event, so `dut report` shows analysis cost next to experiment cost.
+fn cmd_lint(mut args: Args) -> Result<(), String> {
+    let rules = args.switch("--rules");
+    let list_suppressions = args.switch("--list-suppressions");
+    let format = args.value("--format")?;
+    let baseline_path = args.value("--baseline")?;
+    let write_baseline = args.value("--write-baseline")?;
+    let root = args.finish(1)?.pop();
+    if rules {
         print!("{}", dut_analyze::rules_table());
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
-    let usage = "usage: dut lint [workspace-root] [--rules] [--format text|json] \
-                 [--baseline <file>] [--write-baseline <file>] [--list-suppressions]";
-    let mut root: Option<std::path::PathBuf> = None;
-    let mut format = String::from("text");
-    let mut baseline_path: Option<std::path::PathBuf> = None;
-    let mut write_baseline: Option<std::path::PathBuf> = None;
-    let mut list_suppressions = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--format" => {
-                let Some(value) = args.get(i + 1) else {
-                    eprintln!("{usage}");
-                    return ExitCode::FAILURE;
-                };
-                if value != "text" && value != "json" {
-                    eprintln!("error: --format takes `text` or `json`, got `{value}`");
-                    return ExitCode::FAILURE;
-                }
-                format = value.clone();
-                i += 2;
-            }
-            "--baseline" => {
-                let Some(value) = args.get(i + 1) else {
-                    eprintln!("{usage}");
-                    return ExitCode::FAILURE;
-                };
-                baseline_path = Some(std::path::PathBuf::from(value));
-                i += 2;
-            }
-            "--write-baseline" => {
-                let Some(value) = args.get(i + 1) else {
-                    eprintln!("{usage}");
-                    return ExitCode::FAILURE;
-                };
-                write_baseline = Some(std::path::PathBuf::from(value));
-                i += 2;
-            }
-            "--list-suppressions" => {
-                list_suppressions = true;
-                i += 1;
-            }
-            flag if flag.starts_with("--") => {
-                eprintln!("error: unknown lint flag `{flag}`\n{usage}");
-                return ExitCode::FAILURE;
-            }
-            path => {
-                if root.is_some() {
-                    eprintln!("{usage}");
-                    return ExitCode::FAILURE;
-                }
-                root = Some(std::path::PathBuf::from(path));
-                i += 1;
-            }
-        }
-    }
+    let json = match format.as_deref() {
+        None | Some("text") => false,
+        Some("json") => true,
+        Some(other) => return Err(format!("--format takes `text` or `json`, got `{other}`")),
+    };
     let root = match root {
-        Some(dir) => dir,
-        None => match std::env::current_dir() {
-            Ok(dir) => dir,
-            Err(error) => {
-                eprintln!("error: cannot resolve cwd: {error}");
-                return ExitCode::FAILURE;
-            }
-        },
+        Some(dir) => std::path::PathBuf::from(dir),
+        None => std::env::current_dir().map_err(|e| format!("cannot resolve cwd: {e}"))?,
     };
 
     if list_suppressions {
-        return match dut_analyze::list_suppressions(&root) {
-            Ok(records) => {
-                for r in &records {
-                    println!("{}:{}: allow({}): {}", r.path, r.line, r.rule, r.reason);
-                }
-                println!("dut lint: {} suppression(s) on file", records.len());
-                ExitCode::SUCCESS
-            }
-            Err(message) => {
-                eprintln!("error: {message}");
-                ExitCode::FAILURE
-            }
-        };
+        let records = dut_analyze::list_suppressions(&root)?;
+        for r in &records {
+            println!("{}:{}: allow({}): {}", r.path, r.line, r.rule, r.reason);
+        }
+        println!("dut lint: {} suppression(s) on file", records.len());
+        return Ok(());
     }
 
     // Baseline file contents are read before the (slow) lint pass so
     // a malformed baseline fails fast.
-    let baseline = match &baseline_path {
-        None => None,
-        Some(path) => match std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read baseline {}: {e}", path.display()))
-            .and_then(|text| dut_analyze::baseline::parse(&text))
-        {
-            Ok(parsed) => Some(parsed),
-            Err(message) => {
-                eprintln!("error: {message}");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
-
-    dut_obs::init_from_env();
-    let result = {
+    let baseline = baseline_path
+        .map(|path| {
+            std::fs::read_to_string(&path)
+                .map_err(|e| format!("cannot read baseline {path}: {e}"))
+                .and_then(|text| dut_analyze::baseline::parse(&text))
+        })
+        .transpose()?;
+    let mut report = {
         let _span = dut_obs::span!("lint.workspace");
-        dut_analyze::lint_workspace(&root)
+        dut_analyze::lint_workspace(&root)?
     };
-    let recorder = dut_obs::global();
-    let code = match result {
-        Ok(mut report) => {
-            if let Some(path) = &write_baseline {
-                let rendered = dut_analyze::baseline::render(&report.findings);
-                if let Err(error) = std::fs::write(path, rendered) {
-                    eprintln!("error: cannot write baseline {}: {error}", path.display());
-                    recorder.flush();
-                    return ExitCode::FAILURE;
-                }
-                println!(
-                    "dut lint: wrote baseline {} ({} finding{})",
-                    path.display(),
-                    report.findings.len(),
-                    if report.findings.len() == 1 { "" } else { "s" },
-                );
-                recorder.flush();
-                return ExitCode::SUCCESS;
-            }
-            if let Some(baseline) = &baseline {
-                report.apply_baseline(&baseline.ids());
-            }
-            recorder.emit_with(|| {
-                dut_obs::Event::new("lint_summary")
-                    .with("files", report.files_checked as u64)
-                    .with("findings", report.findings.len() as u64)
-                    .with("suppressed", report.suppressed as u64)
-                    .with("baselined", report.baselined as u64)
-                    .with("stale_baseline", report.stale_baseline.len() as u64)
-            });
-            if format == "json" {
-                println!("{}", dut_analyze::render_report_json(&report));
-            } else {
-                println!("{report}");
-            }
-            if report.is_clean() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-        Err(message) => {
-            eprintln!("error: {message}");
-            ExitCode::FAILURE
-        }
-    };
-    recorder.flush();
-    code
+    if let Some(path) = &write_baseline {
+        let rendered = dut_analyze::baseline::render(&report.findings);
+        std::fs::write(path, rendered).map_err(|e| format!("cannot write baseline {path}: {e}"))?;
+        println!(
+            "dut lint: wrote baseline {path} ({} finding{})",
+            report.findings.len(),
+            if report.findings.len() == 1 { "" } else { "s" },
+        );
+        return Ok(());
+    }
+    if let Some(baseline) = &baseline {
+        report.apply_baseline(&baseline.ids());
+    }
+    dut_obs::global().emit_with(|| {
+        dut_obs::Event::new("lint_summary")
+            .with("files", report.files_checked as u64)
+            .with("findings", report.findings.len() as u64)
+            .with("suppressed", report.suppressed as u64)
+            .with("baselined", report.baselined as u64)
+            .with("stale_baseline", report.stale_baseline.len() as u64)
+    });
+    if json {
+        println!("{}", dut_analyze::render_report_json(&report));
+    } else {
+        println!("{report}");
+    }
+    if report.is_clean() {
+        Ok(())
+    } else {
+        Err(format!(
+            "lint is not clean: {} finding(s), {} stale baseline entr(ies)",
+            report.findings.len(),
+            report.stale_baseline.len()
+        ))
+    }
 }
 
 /// `dut serve` — run the concurrent uniformity-testing service until
 /// a client sends `{"cmd":"shutdown"}`.
-fn cmd_serve(args: &[String]) -> ExitCode {
+fn cmd_serve(mut args: Args) -> Result<(), String> {
     let mut config = dut_serve::ServeConfig::default();
-    let mut probe = false;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--probe" {
-            probe = true;
-            i += 1;
-            continue;
-        }
-        let need_value = |key: &str| -> Result<String, String> {
-            args.get(i + 1)
-                .cloned()
-                .ok_or_else(|| format!("{key} needs a value"))
-        };
-        let parsed = match args[i].as_str() {
-            "--addr" => need_value("--addr").map(|v| config.addr = v),
-            "--workers" => {
-                parse_count(&need_value("--workers"), "--workers").map(|v| config.workers = v)
-            }
-            "--cache-cap" => {
-                parse_count(&need_value("--cache-cap"), "--cache-cap").map(|v| config.cache_cap = v)
-            }
-            "--queue-cap" => {
-                parse_count(&need_value("--queue-cap"), "--queue-cap").map(|v| config.queue_cap = v)
-            }
-            "--trace-sample" => need_value("--trace-sample").and_then(|v| {
-                v.parse::<u64>()
-                    .map_err(|_| format!("--trace-sample needs an integer, got `{v}`"))
-                    .map(|v| config.trace_sample = v)
-            }),
-            "--idle-timeout" => need_value("--idle-timeout").and_then(|v| {
-                v.parse::<f64>()
-                    .map_err(|_| format!("--idle-timeout needs seconds, got `{v}`"))
-                    .map(|v| {
-                        config.idle_timeout =
-                            std::time::Duration::from_secs_f64(v.clamp(0.05, 3600.0));
-                    })
-            }),
-            "--error-budget" => need_value("--error-budget").and_then(|v| {
-                v.parse::<u32>()
-                    .map_err(|_| format!("--error-budget needs an integer, got `{v}`"))
-                    .map(|v| config.error_budget = v)
-            }),
-            "--max-line-bytes" => parse_count(&need_value("--max-line-bytes"), "--max-line-bytes")
-                .map(|v| config.max_line_bytes = v),
-            "--shards" => {
-                parse_count(&need_value("--shards"), "--shards").map(|v| config.shards = v)
-            }
-            "--cache-shards" => parse_count(&need_value("--cache-shards"), "--cache-shards")
-                .map(|v| config.cache_shards = v),
-            "--coalesce" => {
-                parse_count(&need_value("--coalesce"), "--coalesce").map(|v| config.coalesce = v)
-            }
-            "--tenant" => need_value("--tenant")
-                .and_then(|v| parse_tenant_quota(&v))
-                .map(|quota| config.tenancy.quotas.push(quota)),
-            other => Err(format!("unknown serve option `{other}`")),
-        };
-        if let Err(message) = parsed {
-            eprintln!("error: {message}");
-            eprintln!(
-                "usage: dut serve [--addr <host:port>] [--workers <N>] [--shards <N>] \
-                 [--cache-cap <N>] [--cache-shards <N>] [--queue-cap <N>] [--coalesce <N>] \
-                 [--tenant <name:rate:burst:priority>] [--trace-sample <N>] \
-                 [--idle-timeout <secs>] [--error-budget <N>] [--max-line-bytes <N>] [--probe]"
-            );
-            return ExitCode::FAILURE;
-        }
-        i += 2;
+    let probe = args.switch("--probe");
+    if let Some(addr) = args.value("--addr")? {
+        config.addr = addr;
     }
-    dut_obs::init_from_env();
+    // Every count is clamped to at least 1.
+    for (name, slot) in [
+        ("--workers", &mut config.workers),
+        ("--cache-cap", &mut config.cache_cap),
+        ("--queue-cap", &mut config.queue_cap),
+        ("--max-line-bytes", &mut config.max_line_bytes),
+        ("--shards", &mut config.shards),
+        ("--cache-shards", &mut config.cache_shards),
+        ("--coalesce", &mut config.coalesce),
+    ] {
+        if let Some(count) = args.get::<usize>(name)? {
+            *slot = count.max(1);
+        }
+    }
+    if let Some(every) = args.get("--trace-sample")? {
+        config.trace_sample = every;
+    }
+    if let Some(secs) = args.get::<f64>("--idle-timeout")? {
+        config.idle_timeout = Duration::from_secs_f64(secs.clamp(0.05, 3600.0));
+    }
+    if let Some(budget) = args.get("--error-budget")? {
+        config.error_budget = budget;
+    }
+    for spec in args.values("--tenant")? {
+        config.tenancy.quotas.push(parse_tenant_quota(&spec)?);
+    }
+    args.finish(0)?;
     if probe {
         let (per_draw_scale, histogram_scale) =
             distributed_uniformity::probability::costmodel::run_probe();
@@ -655,13 +599,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
              \u{d7}{histogram_scale:.2} histogram"
         );
     }
-    let handle = match dut_serve::server::start(&config) {
-        Ok(handle) => handle,
-        Err(message) => {
-            eprintln!("error: {message}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let handle = dut_serve::server::start(&config)?;
     println!(
         "dut serve listening on {} ({} workers, {} shards, cache {} testers, queue {} requests)",
         handle.local_addr(),
@@ -673,309 +611,168 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     println!("send {{\"cmd\":\"shutdown\"}} to stop");
     handle.join();
     println!("dut serve: drained and stopped");
-    let recorder = dut_obs::global();
-    recorder.emit_metrics_snapshot();
-    recorder.flush();
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// `dut loadgen` — open-loop load against a running `dut serve`.
-fn cmd_loadgen(args: &[String]) -> ExitCode {
+fn cmd_loadgen(mut args: Args) -> Result<(), String> {
     let mut config = dut_serve::LoadgenConfig::default();
-    let mut smoke = false;
-    let mut shutdown_after = false;
-    let mut shutdown_only = false;
-    let mut stats_check = false;
-    let mut bench_out: Option<String> = None;
-    let mut check_path: Option<String> = None;
-    let mut trace_path: Option<String> = None;
-    let mut trace_out: Option<String> = None;
-    let mut duration_secs = 2.0f64;
-    let mut chaos = false;
-    let mut chaos_rate = 0.3f64;
-    let mut chaos_seed = 7u64;
-    let mut i = 0;
-    while i < args.len() {
-        let need_value = |key: &str| -> Result<String, String> {
-            args.get(i + 1)
-                .cloned()
-                .ok_or_else(|| format!("{key} needs a value"))
-        };
-        let parsed = match args[i].as_str() {
-            "--smoke" => {
-                smoke = true;
-                i += 1;
-                continue;
-            }
-            "--shutdown" => {
-                shutdown_after = true;
-                i += 1;
-                continue;
-            }
-            "--shutdown-only" => {
-                shutdown_only = true;
-                i += 1;
-                continue;
-            }
-            "--stats-check" => {
-                stats_check = true;
-                i += 1;
-                continue;
-            }
-            "--chaos" => {
-                chaos = true;
-                i += 1;
-                continue;
-            }
-            "--chaos-rate" => need_value("--chaos-rate").and_then(|v| {
-                v.parse::<f64>()
-                    .map_err(|_| format!("--chaos-rate needs a fraction, got `{v}`"))
-                    .map(|v| chaos_rate = v.clamp(0.0, 0.375))
-            }),
-            "--chaos-seed" => need_value("--chaos-seed").and_then(|v| {
-                v.parse::<u64>()
-                    .map_err(|_| format!("--chaos-seed needs an integer, got `{v}`"))
-                    .map(|v| chaos_seed = v)
-            }),
-            "--bench-out" => need_value("--bench-out").map(|v| bench_out = Some(v)),
-            "--check" => need_value("--check").map(|v| check_path = Some(v)),
-            "--trace" => need_value("--trace").map(|v| trace_path = Some(v)),
-            "--trace-out" => need_value("--trace-out").map(|v| trace_out = Some(v)),
-            "--addr" => need_value("--addr").map(|v| config.addr = v),
-            "--rps" => need_value("--rps").and_then(|v| {
-                v.parse::<u64>()
-                    .map_err(|_| format!("--rps needs an integer, got `{v}`"))
-                    .map(|v| config.rps = v.max(1))
-            }),
-            "--duration" => need_value("--duration").and_then(|v| {
-                v.parse::<f64>()
-                    .map_err(|_| format!("--duration needs seconds, got `{v}`"))
-                    .map(|v| duration_secs = v.clamp(0.1, 600.0))
-            }),
-            "--conns" => {
-                parse_count(&need_value("--conns"), "--conns").map(|v| config.connections = v)
-            }
-            "--pipeline" => {
-                parse_count(&need_value("--pipeline"), "--pipeline").map(|v| config.pipeline = v)
-            }
-            other => Err(format!("unknown loadgen option `{other}`")),
-        };
-        if let Err(message) = parsed {
-            eprintln!("error: {message}");
-            eprintln!(
-                "usage: dut loadgen [--addr <host:port>] [--rps <N>] [--duration <secs>] \
-                 [--conns <N>] [--pipeline <N>] [--smoke] [--stats-check] [--bench-out <file>] \
-                 [--check <file>] [--trace <file>] [--trace-out <file>] [--shutdown] \
-                 [--shutdown-only] [--chaos] [--chaos-rate <f>] [--chaos-seed <N>]"
-            );
-            return ExitCode::FAILURE;
-        }
-        i += 2;
+    let smoke = args.switch("--smoke");
+    let shutdown_after = args.switch("--shutdown");
+    let shutdown_only = args.switch("--shutdown-only");
+    let stats_check = args.switch("--stats-check");
+    let bench_out = args.value("--bench-out")?;
+    let check_path = args.value("--check")?;
+    let trace_path = args.value("--trace")?;
+    let trace_out = args.value("--trace-out")?;
+    if let Some(addr) = args.value("--addr")? {
+        config.addr = addr;
     }
+    if let Some(rps) = args.get::<u64>("--rps")? {
+        config.rps = rps.max(1);
+    }
+    let duration_secs = args
+        .get::<f64>("--duration")?
+        .map_or(2.0, |secs| secs.clamp(0.1, 600.0));
+    if let Some(conns) = args.get::<usize>("--conns")? {
+        config.connections = conns.max(1);
+    }
+    if let Some(window) = args.get::<usize>("--pipeline")? {
+        config.pipeline = window.max(1);
+    }
+    args.finish(0)?;
     // `--check` validates an existing artifact; no load is generated.
     if let Some(path) = check_path {
-        return match std::fs::read_to_string(&path) {
-            Ok(text) => match dut_serve::loadgen::check_bench_json(&text) {
-                Ok(()) => {
-                    println!(
-                        "{path}: valid {} artifact",
-                        dut_serve::loadgen::BENCH_SCHEMA
-                    );
-                    ExitCode::SUCCESS
-                }
-                Err(message) => {
-                    eprintln!("{path}: {message}");
-                    ExitCode::FAILURE
-                }
-            },
-            Err(e) => {
-                eprintln!("error: cannot read {path}: {e}");
-                ExitCode::FAILURE
-            }
-        };
+        let text =
+            std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        dut_serve::loadgen::check_bench_json(&text).map_err(|e| format!("{path}: {e}"))?;
+        println!(
+            "{path}: valid {} artifact",
+            dut_serve::loadgen::BENCH_SCHEMA
+        );
+        return Ok(());
     }
     // `--trace-out` generates a replayable arrival trace; no load is
     // generated and no server is needed.
     if let Some(path) = trace_out {
         let trace = dut_serve::trace::generate(&dut_serve::TraceConfig {
             rps: config.rps,
-            duration: std::time::Duration::from_secs_f64(duration_secs),
+            duration: Duration::from_secs_f64(duration_secs),
             lanes: config.connections.max(1) as u64,
             ..dut_serve::TraceConfig::default()
         });
-        return match std::fs::write(&path, trace.render()) {
-            Ok(()) => {
-                println!(
-                    "trace written to {path}: {} arrivals over {:.2}s on {} lanes",
-                    trace.events.len(),
-                    std::time::Duration::from_micros(trace.span_micros).as_secs_f64(),
-                    trace.lanes
-                );
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("error: cannot write {path}: {e}");
-                ExitCode::FAILURE
-            }
-        };
+        std::fs::write(&path, trace.render()).map_err(|e| format!("cannot write {path}: {e}"))?;
+        println!(
+            "trace written to {path}: {} arrivals over {:.2}s on {} lanes",
+            trace.events.len(),
+            Duration::from_micros(trace.span_micros).as_secs_f64(),
+            trace.lanes
+        );
+        return Ok(());
     }
     if shutdown_only {
-        return match dut_serve::loadgen::send_shutdown(&config.addr) {
-            Ok(()) => {
-                println!("server at {} acknowledged shutdown", config.addr);
-                ExitCode::SUCCESS
-            }
-            Err(message) => {
-                eprintln!("error: {message}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    // `--chaos` replaces the honest load with the hostile client mix;
-    // the verdict is survival (every probe answered or cleanly shed,
-    // bit-exact known-good reply and stats afterwards).
-    if chaos {
-        let result = dut_serve::chaos::run(&dut_serve::chaos::ChaosConfig {
-            addr: config.addr.clone(),
-            duration: std::time::Duration::from_secs_f64(duration_secs),
-            lanes: config.connections.max(1),
-            rate: chaos_rate,
-            seed: chaos_seed,
-            ..dut_serve::chaos::ChaosConfig::default()
-        });
-        let code = match result {
-            Ok(report) => {
-                println!("chaos: {}", report.summary());
-                if report.survived() {
-                    println!("chaos: PASS (server survived the hostile mix)");
-                    ExitCode::SUCCESS
-                } else {
-                    eprintln!("chaos FAIL: server did not survive the hostile mix");
-                    ExitCode::FAILURE
-                }
-            }
-            Err(message) => {
-                eprintln!("error: {message}");
-                ExitCode::FAILURE
-            }
-        };
-        if shutdown_after {
-            if let Err(message) = dut_serve::loadgen::send_shutdown(&config.addr) {
-                eprintln!("error: {message}");
-                return ExitCode::FAILURE;
-            }
-            println!("server at {} acknowledged shutdown", config.addr);
-        }
-        return code;
+        return send_shutdown(&config.addr);
     }
     if smoke {
         config.rps = 30_000;
-        duration_secs = 2.0;
         config.connections = 8;
         config.pipeline = 4;
         config.verify_offline = true;
     }
-    config.duration = std::time::Duration::from_secs_f64(duration_secs);
-    dut_obs::init_from_env();
-    let result = if let Some(path) = trace_path {
+    config.duration = Duration::from_secs_f64(if smoke { 2.0 } else { duration_secs });
+    let outcome = run_load(&config, trace_path, stats_check, smoke, bench_out);
+    let shutdown = if shutdown_after {
+        send_shutdown(&config.addr)
+    } else {
+        Ok(())
+    };
+    outcome.and(shutdown)
+}
+
+/// One loadgen run (open-loop, or a `--trace` replay), its report, and
+/// the `--smoke` / `--stats-check` / `--bench-out` follow-ups.
+fn run_load(
+    config: &dut_serve::LoadgenConfig,
+    trace_path: Option<String>,
+    stats_check: bool,
+    smoke: bool,
+    bench_out: Option<String>,
+) -> Result<(), String> {
+    let (report, check) = if let Some(path) = trace_path {
         // `--trace` replays a recorded arrival schedule instead of the
         // open-loop generator; lanes and timing come from the file.
-        std::fs::read_to_string(&path)
-            .map_err(|e| format!("cannot read {path}: {e}"))
-            .and_then(|text| dut_serve::Trace::parse(&text))
-            .and_then(|trace| {
-                println!(
-                    "replaying {path}: {} arrivals over {:.2}s on {} lanes",
-                    trace.events.len(),
-                    std::time::Duration::from_micros(trace.span_micros).as_secs_f64(),
-                    trace.lanes
-                );
-                dut_serve::loadgen::run_trace(&config, &trace)
-            })
-            .map(|report| (report, None))
+        let text =
+            std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        let trace = dut_serve::Trace::parse(&text)?;
+        println!(
+            "replaying {path}: {} arrivals over {:.2}s on {} lanes",
+            trace.events.len(),
+            Duration::from_micros(trace.span_micros).as_secs_f64(),
+            trace.lanes
+        );
+        (dut_serve::loadgen::run_trace(config, &trace)?, None)
     } else if stats_check {
-        dut_serve::loadgen::run_checked(&config).map(|(report, check)| (report, Some(check)))
+        let (report, check) = dut_serve::loadgen::run_checked(config)?;
+        (report, Some(check))
     } else {
-        dut_serve::loadgen::run(&config).map(|report| (report, None))
+        (dut_serve::loadgen::run(config)?, None)
     };
-    let code = match result {
-        Ok((report, check)) => {
-            println!(
-                "loadgen: {} sent, {} replies, {} shed, {} errors in {:.2}s ({:.0} req/s)",
-                report.sent,
-                report.replies,
-                report.shed,
-                report.errors,
-                report.elapsed.as_secs_f64(),
-                report.achieved_rps
-            );
-            println!(
-                "latency: p50 {}us  p95 {}us  p99 {}us",
-                report.p50_micros, report.p95_micros, report.p99_micros
-            );
-            if config.verify_offline {
-                println!(
-                    "offline agreement: {} of {} replies bit-identical",
-                    report.replies - report.mismatches,
-                    report.replies
-                );
-            }
-            let mut code = if smoke {
-                smoke_verdict(&report)
-            } else {
-                ExitCode::SUCCESS
-            };
-            let server_stats = check.as_ref().map(|c| c.post.clone());
-            if let Some(check) = check {
-                println!(
-                    "stats-check: {} mid-load polls answered; server delta {} requests",
-                    check.mid_polls,
-                    check.post.requests.saturating_sub(check.pre.requests)
-                );
-                if check.passed() {
-                    println!("stats-check: PASS");
-                } else {
-                    for failure in &check.failures {
-                        eprintln!("stats-check FAIL: {failure}");
-                    }
-                    code = ExitCode::FAILURE;
-                }
-            }
-            if let Some(path) = bench_out {
-                let line = dut_serve::loadgen::bench_json(&report, server_stats.as_ref());
-                match std::fs::write(&path, format!("{line}\n")) {
-                    Ok(()) => println!("bench artifact written to {path}"),
-                    Err(e) => {
-                        eprintln!("error: cannot write {path}: {e}");
-                        code = ExitCode::FAILURE;
-                    }
-                }
-            }
-            code
-        }
-        Err(message) => {
-            eprintln!("error: {message}");
-            ExitCode::FAILURE
-        }
+    println!(
+        "loadgen: {} sent, {} replies, {} shed, {} errors in {:.2}s ({:.0} req/s)",
+        report.sent,
+        report.replies,
+        report.shed,
+        report.errors,
+        report.elapsed.as_secs_f64(),
+        report.achieved_rps
+    );
+    println!(
+        "latency: p50 {}us  p95 {}us  p99 {}us",
+        report.p50_micros, report.p95_micros, report.p99_micros
+    );
+    if config.verify_offline {
+        println!(
+            "offline agreement: {} of {} replies bit-identical",
+            report.replies - report.mismatches,
+            report.replies
+        );
+    }
+    let mut failures = if smoke {
+        smoke_failures(&report)
+    } else {
+        Vec::new()
     };
-    if shutdown_after {
-        match dut_serve::loadgen::send_shutdown(&config.addr) {
-            Ok(()) => println!("server at {} acknowledged shutdown", config.addr),
-            Err(message) => {
-                eprintln!("error: {message}");
-                return ExitCode::FAILURE;
-            }
+    if smoke && failures.is_empty() {
+        println!("smoke: PASS");
+    }
+    if let Some(check) = &check {
+        println!(
+            "stats-check: {} mid-load polls answered; server delta {} requests",
+            check.mid_polls,
+            check.post.requests.saturating_sub(check.pre.requests)
+        );
+        if check.passed() {
+            println!("stats-check: PASS");
+        }
+        failures.extend(check.failures.iter().map(|f| format!("stats-check: {f}")));
+    }
+    if let Some(path) = bench_out {
+        let line = dut_serve::loadgen::bench_json(&report, check.as_ref().map(|c| &c.post));
+        match std::fs::write(&path, format!("{line}\n")) {
+            Ok(()) => println!("bench artifact written to {path}"),
+            Err(e) => failures.push(format!("cannot write {path}: {e}")),
         }
     }
-    let recorder = dut_obs::global();
-    recorder.emit_metrics_snapshot();
-    recorder.flush();
-    code
+    if failures.is_empty() {
+        Ok(())
+    } else {
+        Err(failures.join("\n"))
+    }
 }
 
 /// The `--smoke` gate: sustained throughput with zero sheds, zero
 /// errors, zero offline disagreements, and a sane tail.
-fn smoke_verdict(report: &dut_serve::LoadgenReport) -> ExitCode {
+fn smoke_failures(report: &dut_serve::LoadgenReport) -> Vec<String> {
     let mut failures = Vec::new();
     if report.achieved_rps < 20_000.0 {
         failures.push(format!(
@@ -1004,15 +801,16 @@ fn smoke_verdict(report: &dut_serve::LoadgenReport) -> ExitCode {
             report.p99_micros
         ));
     }
-    if failures.is_empty() {
-        println!("smoke: PASS");
-        ExitCode::SUCCESS
-    } else {
-        for failure in &failures {
-            eprintln!("smoke FAIL: {failure}");
-        }
-        ExitCode::FAILURE
-    }
+    failures
+        .into_iter()
+        .map(|f| format!("smoke: {f}"))
+        .collect()
+}
+
+fn send_shutdown(addr: &str) -> Result<(), String> {
+    dut_serve::loadgen::send_shutdown(addr)?;
+    println!("server at {addr} acknowledged shutdown");
+    Ok(())
 }
 
 /// Parses a `--tenant name:rate:burst:priority` quota spec. Rate is
@@ -1043,79 +841,40 @@ fn parse_tenant_quota(spec: &str) -> Result<dut_serve::TenantQuota, String> {
     })
 }
 
-/// Parses a positive integer option value (clamped to at least 1).
-fn parse_count(value: &Result<String, String>, key: &str) -> Result<usize, String> {
-    let value = value.as_ref().map_err(Clone::clone)?;
-    value
-        .parse::<usize>()
-        .map(|v| v.max(1))
-        .map_err(|_| format!("{key} needs a positive integer, got `{value}`"))
-}
-
-fn cmd_report(args: &[String]) -> Result<(), String> {
-    match args {
-        [] => Err("usage: dut report <trace.jsonl> [<trace.jsonl>...]".into()),
-        [path] => {
-            let summary = dut_obs::report::summarize_file(path)?;
-            print!("{summary}");
-            Ok(())
-        }
+fn cmd_report(args: Args) -> Result<(), String> {
+    let paths = args.finish(usize::MAX)?;
+    let summary = match paths.as_slice() {
+        [] => return Err("usage: dut report <trace.jsonl> [<trace.jsonl>...]".into()),
+        [path] => dut_obs::report::summarize_file(path)?,
+        // Several traces: use their clock anchors to place every
+        // process on one shared wall-clock axis.
         paths => {
-            // Several traces: use their clock anchors to place every
-            // process on one shared wall-clock axis.
             let paths: Vec<&str> = paths.iter().map(String::as_str).collect();
-            let summary = dut_obs::report::summarize_aligned(&paths)?;
-            print!("{summary}");
-            Ok(())
+            dut_obs::report::summarize_aligned(&paths)?
         }
-    }
+    };
+    print!("{summary}");
+    Ok(())
 }
 
 /// `dut top` — live dashboard polling a running server's stats.
-fn cmd_top(args: &[String]) -> ExitCode {
+fn cmd_top(mut args: Args) -> Result<(), String> {
     let mut config = dut_serve::top::TopConfig {
         addr: "127.0.0.1:7979".to_owned(),
         ..dut_serve::top::TopConfig::default()
     };
-    let mut i = 0;
-    while i < args.len() {
-        let need_value = |key: &str| -> Result<String, String> {
-            args.get(i + 1)
-                .cloned()
-                .ok_or_else(|| format!("{key} needs a value"))
-        };
-        let parsed = match args[i].as_str() {
-            "--once" => {
-                config.frames = Some(1);
-                config.clear = false;
-                i += 1;
-                continue;
-            }
-            "--addr" => need_value("--addr").map(|v| config.addr = v),
-            "--interval" => need_value("--interval").and_then(|v| {
-                v.parse::<f64>()
-                    .map_err(|_| format!("--interval needs seconds, got `{v}`"))
-                    .map(|v| {
-                        config.interval = std::time::Duration::from_secs_f64(v.clamp(0.1, 60.0));
-                    })
-            }),
-            other => Err(format!("unknown top option `{other}`")),
-        };
-        if let Err(message) = parsed {
-            eprintln!("error: {message}");
-            eprintln!("usage: dut top [--addr <host:port>] [--interval <secs>] [--once]");
-            return ExitCode::FAILURE;
-        }
-        i += 2;
+    if args.switch("--once") {
+        config.frames = Some(1);
+        config.clear = false;
     }
-    let mut stdout = std::io::stdout();
-    match dut_serve::top::run(&config, &mut stdout) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
-            eprintln!("error: {message}");
-            ExitCode::FAILURE
-        }
+    if let Some(addr) = args.value("--addr")? {
+        config.addr = addr;
     }
+    if let Some(secs) = args.get::<f64>("--interval")? {
+        config.interval = Duration::from_secs_f64(secs.clamp(0.1, 60.0));
+    }
+    args.finish(0)?;
+    dut_serve::top::run(&config, &mut std::io::stdout())
 }
 
 /// `dut fuzz` — structured adversarial testing (crates/fuzz).
@@ -1125,108 +884,53 @@ fn cmd_top(args: &[String]) -> ExitCode {
 /// counts. `--check` validates corpus entries against the
 /// `dut-fuzz-corpus/v1` schema; `--replay` re-fires them as
 /// assertions.
-fn cmd_fuzz(args: &[String]) -> ExitCode {
-    const FUZZ_USAGE: &str = "usage: dut fuzz --smoke [--seed <N>] [--corpus-dir <dir>]\n\
-       dut fuzz --plane <protocol|differential|chaos> [--iters <N>] [--seed <N>]\n\
-                [--duration <secs>] [--addr <host:port>] [--corpus-dir <dir>]\n\
-       dut fuzz --check <file|dir>...\n\
-       dut fuzz --replay <file|dir>... [--addr <host:port>]";
-    let mut smoke = false;
-    let mut plane: Option<String> = None;
-    let mut iters: Option<u64> = None;
-    let mut seed = 7u64;
-    let mut duration_secs = 0.8f64;
-    let mut addr: Option<String> = None;
-    let mut corpus_dir: Option<std::path::PathBuf> = None;
-    let mut mode_check = false;
-    let mut mode_replay = false;
-    let mut paths: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let need_value = |key: &str| -> Result<String, String> {
-            args.get(i + 1)
-                .cloned()
-                .ok_or_else(|| format!("{key} needs a value"))
-        };
-        let parsed = match args[i].as_str() {
-            "--smoke" => {
-                smoke = true;
-                i += 1;
-                continue;
-            }
-            "--check" => {
-                mode_check = true;
-                i += 1;
-                continue;
-            }
-            "--replay" => {
-                mode_replay = true;
-                i += 1;
-                continue;
-            }
-            "--plane" => need_value("--plane").map(|v| plane = Some(v)),
-            "--iters" => need_value("--iters").and_then(|v| {
-                v.parse::<u64>()
-                    .map_err(|_| format!("--iters needs an integer, got `{v}`"))
-                    .map(|v| iters = Some(v.max(1)))
-            }),
-            "--seed" => need_value("--seed").and_then(|v| {
-                v.parse::<u64>()
-                    .map_err(|_| format!("--seed needs an integer, got `{v}`"))
-                    .map(|v| seed = v)
-            }),
-            "--duration" => need_value("--duration").and_then(|v| {
-                v.parse::<f64>()
-                    .map_err(|_| format!("--duration needs seconds, got `{v}`"))
-                    .map(|v| duration_secs = v.clamp(0.1, 600.0))
-            }),
-            "--addr" => need_value("--addr").map(|v| addr = Some(v)),
-            "--corpus-dir" => {
-                need_value("--corpus-dir").map(|v| corpus_dir = Some(std::path::PathBuf::from(v)))
-            }
-            flag if flag.starts_with("--") => Err(format!("unknown fuzz option `{flag}`")),
-            path => {
-                paths.push(path.to_owned());
-                i += 1;
-                continue;
-            }
-        };
-        if let Err(message) = parsed {
-            eprintln!("error: {message}");
-            eprintln!("{FUZZ_USAGE}");
-            return ExitCode::FAILURE;
-        }
-        i += 2;
-    }
+fn cmd_fuzz(mut args: Args) -> Result<(), String> {
+    let smoke = args.switch("--smoke");
+    let mode_check = args.switch("--check");
+    let mode_replay = args.switch("--replay");
+    let plane = args.value("--plane")?;
+    let iters = args.get::<u64>("--iters")?.map(|v| v.max(1));
+    let seed = args.get("--seed")?.unwrap_or(7);
+    let duration = Duration::from_secs_f64(
+        args.get::<f64>("--duration")?
+            .map_or(0.8, |secs| secs.clamp(0.1, 600.0)),
+    );
+    let addr = args.value("--addr")?;
+    let corpus_dir = args.value("--corpus-dir")?.map(std::path::PathBuf::from);
+    let paths = args.finish(usize::MAX)?;
     if mode_check {
         return fuzz_check(&paths);
     }
     if mode_replay {
-        return fuzz_replay(&paths, addr.as_deref());
+        return fuzz_replay(&paths, addr);
     }
     if smoke {
-        let config = dut_fuzz::SmokeConfig {
+        let report = dut_fuzz::smoke(&dut_fuzz::SmokeConfig {
             seed,
             corpus_dir,
             ..dut_fuzz::SmokeConfig::default()
-        };
-        return match dut_fuzz::smoke(&config) {
-            Ok(report) => print_smoke_report(&report),
-            Err(message) => {
-                eprintln!("error: {message}");
-                ExitCode::FAILURE
-            }
-        };
+        })?;
+        print_protocol_report(&report.protocol);
+        print_diff_report(&report.differential);
+        println!("chaos: {}", report.chaos.summary());
+        if report.passed() {
+            println!("fuzz smoke: PASS (all three planes held)");
+            return Ok(());
+        }
+        let failed: Vec<&str> = [
+            (report.protocol.passed(), "protocol"),
+            (report.differential.passed(), "differential"),
+            (report.chaos.survived(), "chaos"),
+        ]
+        .into_iter()
+        .filter(|(held, _)| !held)
+        .map(|(_, plane)| plane)
+        .collect();
+        return Err(format!("fuzz smoke failed: {} plane", failed.join(", ")));
     }
-    match plane.as_deref() {
+    let held = match plane.as_deref() {
         Some("protocol") => {
-            let (addr, server) = match fuzz_target(addr) {
-                Ok(pair) => pair,
-                Err(message) => {
-                    eprintln!("error: {message}");
-                    return ExitCode::FAILURE;
-                }
-            };
+            let (addr, server) = fuzz_target(addr)?;
             let result =
                 dut_fuzz::protocol_plane::run(&dut_fuzz::protocol_plane::ProtocolFuzzConfig {
                     iters: iters.unwrap_or(100),
@@ -1235,22 +939,12 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
                     corpus_dir,
                 });
             stop_fuzz_server(server);
-            match result {
-                Ok(report) => print_protocol_report(&report),
-                Err(message) => {
-                    eprintln!("error: {message}");
-                    ExitCode::FAILURE
-                }
-            }
+            let report = result?;
+            print_protocol_report(&report);
+            report.passed()
         }
         Some("differential") => {
-            let (addr, server) = match fuzz_target(addr) {
-                Ok(pair) => pair,
-                Err(message) => {
-                    eprintln!("error: {message}");
-                    return ExitCode::FAILURE;
-                }
-            };
+            let (addr, server) = fuzz_target(addr)?;
             let result = dut_fuzz::differential::run(&dut_fuzz::differential::DiffConfig {
                 iters: iters.unwrap_or(32),
                 seed,
@@ -1259,45 +953,47 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
                 cross_backend_every: 4,
             });
             stop_fuzz_server(server);
-            match result {
-                Ok(report) => print_diff_report(&report),
-                Err(message) => {
-                    eprintln!("error: {message}");
-                    ExitCode::FAILURE
-                }
-            }
+            let report = result?;
+            print_diff_report(&report);
+            report.passed()
         }
         Some("chaos") => {
-            match dut_fuzz::chaos_plane::run(&dut_fuzz::chaos_plane::ChaosPlaneConfig {
-                duration: std::time::Duration::from_secs_f64(duration_secs),
-                lanes: 3,
-                rate: 0.3,
-                seed,
-            }) {
-                Ok(report) => {
-                    println!("chaos: {}", report.summary());
-                    if report.survived() {
-                        println!("chaos: PASS");
-                        ExitCode::SUCCESS
-                    } else {
-                        eprintln!("chaos FAIL");
-                        ExitCode::FAILURE
-                    }
+            let report = match addr {
+                // An external server keeps its own idle timeout; the
+                // mix holds idle clients for the default `hold`.
+                Some(addr) => {
+                    println!("fuzz: attacking {addr}");
+                    dut_serve::chaos::run(&dut_serve::chaos::ChaosConfig {
+                        addr,
+                        duration,
+                        lanes: 3,
+                        rate: 0.3,
+                        seed,
+                        ..dut_serve::chaos::ChaosConfig::default()
+                    })
                 }
-                Err(message) => {
-                    eprintln!("error: {message}");
-                    ExitCode::FAILURE
-                }
-            }
+                None => dut_fuzz::chaos_plane::run(&dut_fuzz::chaos_plane::ChaosPlaneConfig {
+                    duration,
+                    lanes: 3,
+                    rate: 0.3,
+                    seed,
+                }),
+            }?;
+            println!("chaos: {}", report.summary());
+            report.survived()
         }
         Some(other) => {
-            eprintln!("error: unknown plane `{other}` (protocol | differential | chaos)");
-            ExitCode::FAILURE
+            return Err(format!(
+                "unknown plane `{other}` (protocol | differential | chaos)"
+            ))
         }
-        None => {
-            eprintln!("{FUZZ_USAGE}");
-            ExitCode::FAILURE
-        }
+        None => return Err(format!("no fuzz mode given\n\n{}", usage("fuzz"))),
+    };
+    if held {
+        println!("{}: PASS", plane.unwrap_or_default());
+        Ok(())
+    } else {
+        Err(format!("{} plane failed", plane.unwrap_or_default()))
     }
 }
 
@@ -1329,28 +1025,7 @@ fn stop_fuzz_server(server: Option<dut_serve::server::ServerHandle>) {
     }
 }
 
-fn print_smoke_report(report: &dut_fuzz::SmokeReport) -> ExitCode {
-    let protocol_code = print_protocol_report(&report.protocol);
-    let diff_code = print_diff_report(&report.differential);
-    println!("chaos: {}", report.chaos.summary());
-    if report.passed() {
-        println!("fuzz smoke: PASS (all three planes held)");
-        ExitCode::SUCCESS
-    } else {
-        if protocol_code == ExitCode::FAILURE {
-            eprintln!("fuzz smoke FAIL: protocol plane");
-        }
-        if diff_code == ExitCode::FAILURE {
-            eprintln!("fuzz smoke FAIL: differential plane");
-        }
-        if !report.chaos.survived() {
-            eprintln!("fuzz smoke FAIL: chaos plane");
-        }
-        ExitCode::FAILURE
-    }
-}
-
-fn print_protocol_report(report: &dut_fuzz::protocol_plane::ProtocolFuzzReport) -> ExitCode {
+fn print_protocol_report(report: &dut_fuzz::protocol_plane::ProtocolFuzzReport) {
     println!(
         "protocol: {} frames fired, {} known-good probes, accounting {}",
         report.iterations,
@@ -1372,14 +1047,9 @@ fn print_protocol_report(report: &dut_fuzz::protocol_plane::ProtocolFuzzReport) 
             eprintln!("  persisted to {}", path.display());
         }
     }
-    if report.passed() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
 }
 
-fn print_diff_report(report: &dut_fuzz::differential::DiffReport) -> ExitCode {
+fn print_diff_report(report: &dut_fuzz::differential::DiffReport) {
     println!(
         "differential: {} configs, {} cross-backend checks, {} served-path checks",
         report.iterations, report.cross_backend_checked, report.served_checked
@@ -1392,11 +1062,6 @@ fn print_diff_report(report: &dut_fuzz::differential::DiffReport) -> ExitCode {
         if let Some(path) = &failure.corpus_file {
             eprintln!("  persisted to {}", path.display());
         }
-    }
-    if report.passed() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
     }
 }
 
@@ -1437,25 +1102,16 @@ fn load_corpus(paths: &[String]) -> Result<Vec<std::path::PathBuf>, String> {
 }
 
 /// `dut fuzz --check` — schema-validate corpus entries.
-fn fuzz_check(paths: &[String]) -> ExitCode {
-    let files = match load_corpus(paths) {
-        Ok(files) => files,
-        Err(message) => {
-            eprintln!("error: {message}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn fuzz_check(paths: &[String]) -> Result<(), String> {
+    let files = load_corpus(paths)?;
     let mut bad = 0u64;
     for file in &files {
-        match std::fs::read_to_string(file)
+        if let Err(message) = std::fs::read_to_string(file)
             .map_err(|e| e.to_string())
             .and_then(|text| dut_fuzz::corpus::validate(&text))
         {
-            Ok(()) => {}
-            Err(message) => {
-                eprintln!("{}: {message}", file.display());
-                bad += 1;
-            }
+            eprintln!("{}: {message}", file.display());
+            bad += 1;
         }
     }
     println!(
@@ -1464,33 +1120,21 @@ fn fuzz_check(paths: &[String]) -> ExitCode {
         files.len()
     );
     if bad == 0 {
-        ExitCode::SUCCESS
+        Ok(())
     } else {
-        ExitCode::FAILURE
+        Err(format!("{bad} invalid corpus entr(ies)"))
     }
 }
 
 /// `dut fuzz --replay` — re-fire corpus entries as assertions.
-fn fuzz_replay(paths: &[String], addr: Option<&str>) -> ExitCode {
-    let files = match load_corpus(paths) {
-        Ok(files) => files,
-        Err(message) => {
-            eprintln!("error: {message}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn fuzz_replay(paths: &[String], addr: Option<String>) -> Result<(), String> {
     let mut entries = Vec::new();
-    for file in &files {
+    for file in &load_corpus(paths)? {
         let entry = std::fs::read_to_string(file)
             .map_err(|e| e.to_string())
-            .and_then(|text| dut_fuzz::corpus::Entry::parse(&text));
-        match entry {
-            Ok(entry) => entries.push(entry),
-            Err(message) => {
-                eprintln!("{}: {message}", file.display());
-                return ExitCode::FAILURE;
-            }
-        }
+            .and_then(|text| dut_fuzz::corpus::Entry::parse(&text))
+            .map_err(|message| format!("{}: {message}", file.display()))?;
+        entries.push(entry);
     }
     // Protocol entries need a live server; differential ones run
     // in-process, so only start a server when something will use it.
@@ -1498,13 +1142,7 @@ fn fuzz_replay(paths: &[String], addr: Option<&str>) -> ExitCode {
         .iter()
         .any(|e| e.plane == dut_fuzz::corpus::Plane::Protocol);
     let (addr, server) = if needs_server {
-        match fuzz_target(addr.map(str::to_owned)) {
-            Ok((addr, server)) => (addr, server),
-            Err(message) => {
-                eprintln!("error: {message}");
-                return ExitCode::FAILURE;
-            }
-        }
+        fuzz_target(addr)?
     } else {
         (String::new(), None)
     };
@@ -1525,12 +1163,11 @@ fn fuzz_replay(paths: &[String], addr: Option<&str>) -> ExitCode {
         entries.len()
     );
     if failed == 0 {
-        ExitCode::SUCCESS
+        Ok(())
     } else {
-        ExitCode::FAILURE
+        Err(format!("{failed} corpus entr(ies) failed to replay"))
     }
 }
-
 /// One measured grid point of the backend benchmark.
 struct BenchEntry {
     n: usize,
@@ -1560,17 +1197,13 @@ const AUTO_SLACK: f64 = 1.05;
 /// The JSON schema tag for the perf baseline; bump on layout changes.
 const BENCH_SCHEMA: &str = "dut-bench-perf/v2";
 
-/// The previous layout (no auto column, no provenance); still accepted
-/// by `dut bench --check` so older committed baselines keep validating.
-const BENCH_SCHEMA_V1: &str = "dut-bench-perf/v1";
-
 /// `dut bench` — wall-clock comparison of the sampling backends.
 ///
 /// Times [`SampleBackend::PerDraw`] (inverse-CDF, O(q log n) per draw)
 /// against [`SampleBackend::Histogram`] (stick-breaking, O(n + q)) and
 /// the cost-model-resolved `Auto` over an `(n, q)` grid on the uniform
 /// distribution, prints a table, and writes the machine-readable
-/// baseline to `BENCH_perf.json` (or `--out`). Exits nonzero if the
+/// baseline to `BENCH_perf.json` (or `--out`). Fails if the
 /// histogram backend is slower at the largest grid point, or if Auto
 /// trails the better fixed engine by more than [`AUTO_SLACK`] anywhere
 /// — the regression gates CI runs via `--smoke`. `--probe` runs the
@@ -1579,51 +1212,21 @@ const BENCH_SCHEMA_V1: &str = "dut-bench-perf/v1";
 ///
 /// [`SampleBackend::PerDraw`]: distributed_uniformity::probability::SampleBackend
 /// [`SampleBackend::Histogram`]: distributed_uniformity::probability::SampleBackend
-fn cmd_bench(args: &[String]) -> ExitCode {
-    let mut smoke = false;
-    let mut probe = false;
-    let mut out_path = String::from("BENCH_perf.json");
-    let mut check_path: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" => smoke = true,
-            "--probe" => probe = true,
-            "--out" | "--check" => {
-                let Some(value) = args.get(i + 1) else {
-                    eprintln!("error: {} needs a path", args[i]);
-                    return ExitCode::FAILURE;
-                };
-                if args[i] == "--out" {
-                    out_path = value.clone();
-                } else {
-                    check_path = Some(value.clone());
-                }
-                i += 1;
-            }
-            other => {
-                eprintln!("error: unknown bench option `{other}`");
-                eprintln!(
-                    "usage: dut bench [--smoke] [--probe] [--out <file>] | dut bench --check <file>"
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-        i += 1;
-    }
+fn cmd_bench(mut args: Args) -> Result<(), String> {
+    let smoke = args.switch("--smoke");
+    let probe = args.switch("--probe");
+    let out_path = args
+        .value("--out")?
+        .unwrap_or_else(|| "BENCH_perf.json".to_owned());
+    let check_path = args.value("--check")?;
+    args.finish(0)?;
     if let Some(path) = check_path {
-        return match check_bench_file(&path) {
-            Ok(summary) => {
-                println!("{summary}");
-                ExitCode::SUCCESS
-            }
-            Err(message) => {
-                eprintln!("error: {path}: {message}");
-                ExitCode::FAILURE
-            }
-        };
+        println!(
+            "{}",
+            check_bench_file(&path).map_err(|e| format!("{path}: {e}"))?
+        );
+        return Ok(());
     }
-    dut_obs::init_from_env();
     use distributed_uniformity::probability::costmodel;
     if probe {
         let (per_draw_scale, histogram_scale) = costmodel::run_probe();
@@ -1639,13 +1242,13 @@ fn cmd_bench(args: &[String]) -> ExitCode {
         (
             vec![100usize, 1000],
             vec![1_000u64, 10_000],
-            std::time::Duration::from_millis(100),
+            Duration::from_millis(100),
         )
     } else {
         (
             vec![100usize, 1_000, 10_000],
             vec![1_000u64, 10_000, 100_000],
-            std::time::Duration::from_millis(250),
+            Duration::from_millis(250),
         )
     };
     let mut entries = Vec::new();
@@ -1725,41 +1328,35 @@ fn cmd_bench(args: &[String]) -> ExitCode {
         }
     }
     let json = render_bench_json(&entries, smoke);
-    if let Err(error) = std::fs::write(&out_path, json) {
-        eprintln!("error: cannot write {out_path}: {error}");
-        return ExitCode::FAILURE;
-    }
+    std::fs::write(&out_path, json).map_err(|e| format!("cannot write {out_path}: {e}"))?;
     println!("[baseline written to {out_path}]");
-    let recorder = dut_obs::global();
-    recorder.emit_metrics_snapshot();
-    recorder.flush();
     let largest = entries.last().expect("grid is never empty");
     if largest.speedup() <= 1.0 {
-        eprintln!(
-            "error: histogram backend slower than per-draw at the largest grid point \
+        return Err(format!(
+            "histogram backend slower than per-draw at the largest grid point \
              (n={}, q={}: {:.0}ns vs {:.0}ns)",
             largest.n, largest.q, largest.histogram_ns, largest.per_draw_ns
-        );
-        return ExitCode::FAILURE;
+        ));
     }
-    let mut auto_failed = false;
-    for e in &entries {
-        if e.auto_ns > AUTO_SLACK * e.best_fixed_ns() {
-            eprintln!(
-                "error: auto backend trails the better fixed engine at (n={}, q={}): \
+    let trailing: Vec<String> = entries
+        .iter()
+        .filter(|e| e.auto_ns > AUTO_SLACK * e.best_fixed_ns())
+        .map(|e| {
+            format!(
+                "auto backend trails the better fixed engine at (n={}, q={}): \
                  {:.0}ns vs best {:.0}ns (limit {AUTO_SLACK}x)",
                 e.n,
                 e.q,
                 e.auto_ns,
                 e.best_fixed_ns()
-            );
-            auto_failed = true;
-        }
+            )
+        })
+        .collect();
+    if trailing.is_empty() {
+        Ok(())
+    } else {
+        Err(trailing.join("\n"))
     }
-    if auto_failed {
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
 }
 
 /// Wall-clock nanoseconds per `draw` of `q` samples for per-draw,
@@ -1858,53 +1455,45 @@ fn render_bench_json(entries: &[BenchEntry], smoke: bool) -> String {
     out
 }
 
-/// Validates a perf baseline: schema tag (`v1` or `v2`), entry fields,
-/// internal consistency of the recorded speedups, and — for `v2` —
-/// provenance plus the Auto gate (`auto_ns ≤ AUTO_SLACK × min(fixed)`
-/// at every grid point).
+/// Validates a `dut-bench-perf/v2` baseline: schema tag, provenance,
+/// entry fields, internal consistency of the recorded speedups, and
+/// the Auto gate (`auto_ns ≤ AUTO_SLACK × min(fixed)` at every grid
+/// point).
 fn check_bench_file(path: &str) -> Result<String, String> {
+    use dut_obs::json::Json;
     let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
     let doc = dut_obs::json::parse(&text)?;
     let schema = doc
         .get("schema")
-        .and_then(dut_obs::json::Json::as_str)
+        .and_then(Json::as_str)
         .ok_or("missing `schema`")?;
-    let v2 = match schema {
-        BENCH_SCHEMA => true,
-        BENCH_SCHEMA_V1 => false,
-        other => {
-            return Err(format!(
-                "schema `{other}` is neither `{BENCH_SCHEMA}` nor `{BENCH_SCHEMA_V1}`"
-            ))
-        }
-    };
-    if v2 {
-        let Some(provenance) = doc.get("provenance") else {
-            return Err("v2 baseline missing `provenance`".into());
-        };
-        let threads = provenance
-            .get("threads")
-            .and_then(dut_obs::json::Json::as_f64)
-            .ok_or("provenance missing `threads`")?;
-        if threads < 1.0 {
-            return Err(format!("provenance thread count {threads} is not >= 1"));
-        }
-        provenance
-            .get("host")
-            .and_then(dut_obs::json::Json::as_str)
-            .ok_or("provenance missing `host`")?;
+    if schema != BENCH_SCHEMA {
+        return Err(format!("schema `{schema}` is not `{BENCH_SCHEMA}`"));
     }
-    let Some(dut_obs::json::Json::Arr(entries)) = doc.get("entries") else {
-        return Err("missing `entries` array".into());
-    };
-    if entries.is_empty() {
-        return Err("`entries` is empty".into());
+    let provenance = doc
+        .get("provenance")
+        .ok_or("baseline missing `provenance`")?;
+    let threads = provenance
+        .get("threads")
+        .and_then(Json::as_f64)
+        .ok_or("provenance missing `threads`")?;
+    if threads < 1.0 {
+        return Err(format!("provenance thread count {threads} is not >= 1"));
     }
+    provenance
+        .get("host")
+        .and_then(Json::as_str)
+        .ok_or("provenance missing `host`")?;
+    let entries = doc
+        .get("entries")
+        .and_then(Json::as_arr)
+        .ok_or("missing `entries` array")?;
+    let mut last_speedup = None;
     for (i, entry) in entries.iter().enumerate() {
         let field = |key: &str| -> Result<f64, String> {
             entry
                 .get(key)
-                .and_then(dut_obs::json::Json::as_f64)
+                .and_then(Json::as_f64)
                 .filter(|v| v.is_finite() && *v > 0.0)
                 .ok_or_else(|| format!("entry {i}: missing or non-positive `{key}`"))
         };
@@ -1920,48 +1509,37 @@ fn check_bench_file(path: &str) -> Result<String, String> {
                  per_draw_ns/histogram_ns = {implied:.3}"
             ));
         }
-        if v2 {
-            let auto = field("auto_ns")?;
-            let auto_backend = entry
-                .get("auto_backend")
-                .and_then(dut_obs::json::Json::as_str)
-                .ok_or_else(|| format!("entry {i}: missing `auto_backend`"))?;
-            if SampleBackend::parse(auto_backend).is_none_or(|b| b == SampleBackend::Auto) {
-                return Err(format!(
-                    "entry {i}: `auto_backend` is `{auto_backend}`, not a concrete engine"
-                ));
-            }
-            let best = per_draw.min(histogram);
-            if auto > AUTO_SLACK * best {
-                return Err(format!(
-                    "entry {i}: auto_ns {auto:.0} exceeds {AUTO_SLACK}x the better \
-                     fixed engine ({best:.0}ns)"
-                ));
-            }
+        let auto = field("auto_ns")?;
+        let auto_backend = entry
+            .get("auto_backend")
+            .and_then(Json::as_str)
+            .ok_or_else(|| format!("entry {i}: missing `auto_backend`"))?;
+        if SampleBackend::parse(auto_backend).is_none_or(|b| b == SampleBackend::Auto) {
+            return Err(format!(
+                "entry {i}: `auto_backend` is `{auto_backend}`, not a concrete engine"
+            ));
         }
+        let best = per_draw.min(histogram);
+        if auto > AUTO_SLACK * best {
+            return Err(format!(
+                "entry {i}: auto_ns {auto:.0} exceeds {AUTO_SLACK}x the better \
+                 fixed engine ({best:.0}ns)"
+            ));
+        }
+        last_speedup = Some(speedup);
     }
-    let last = entries.last().expect("checked non-empty");
-    let last_speedup = last
-        .get("speedup")
-        .and_then(dut_obs::json::Json::as_f64)
-        .expect("validated above");
+    let last_speedup = last_speedup.ok_or("`entries` is empty")?;
     if last_speedup <= 1.0 {
         return Err(format!(
             "histogram backend slower at the largest grid point (speedup {last_speedup:.2}x)"
         ));
     }
     Ok(format!(
-        "ok: {} {} entries, largest-point speedup {last_speedup:.2}x{}",
-        entries.len(),
-        if v2 { "v2" } else { "v1" },
-        if v2 {
-            ", auto within slack everywhere"
-        } else {
-            ""
-        }
+        "ok: {} v2 entries, largest-point speedup {last_speedup:.2}x, \
+         auto within slack everywhere",
+        entries.len()
     ))
 }
-
 /// `dut faults` — graceful-degradation curves and Byzantine tolerance.
 ///
 /// Sweeps a fault model's intensity and prints the measured two-sided
@@ -1969,28 +1547,26 @@ fn check_bench_file(path: &str) -> Result<String, String> {
 /// same `k`, `q`, `ε`, then probes how many Byzantine bit-flippers
 /// each rule absorbs before its error crosses 1/3 (predicted:
 /// `t < min(T, k − T + 1)`, so AND breaks at `t = 1`).
-fn cmd_faults(options: &BTreeMap<String, String>) -> Result<(), String> {
+fn cmd_faults(mut args: Args) -> Result<(), String> {
     use distributed_uniformity::simnet::{
         byzantine_tolerance, rejection_rate, ByzantinePlan, DecisionRule, FaultPlan,
         GilbertElliott, IidFaults, MissingPolicy, Recovery, ResilientNetwork, TargetedLoss,
     };
     use distributed_uniformity::testers::TThresholdTester;
 
-    let n = get_usize(options, "n", 256)?;
-    let k = get_usize(options, "k", 16)?;
-    let eps = get_f64(options, "eps", 0.9)?;
-    let seed = get_usize(options, "seed", 20_190_729)? as u64;
-    let trials = get_usize(options, "trials", 60)?;
-    let q = get_usize(options, "q", 100)?;
-    let t = get_usize(options, "t", (k / 4).max(2))?;
+    let Common { n, k, eps, seed } = Common::parse(&mut args, 256, 0.9)?;
+    let trials = args.get("--trials")?.unwrap_or(60);
+    let q = args.get("--q")?.unwrap_or(100);
+    let t = args.get("--t")?.unwrap_or((k / 4).max(2));
+    let model = args.value("--model")?;
+    let policy = args.value("--policy")?;
+    let recovery = args.value("--recovery")?;
+    args.finish(0)?;
     if t == 0 || t > k {
         return Err(format!("--t {t} outside 1..={k}"));
     }
-    let model = options.get("model").map_or("iid", String::as_str);
-    let policy = match options
-        .get("policy")
-        .map_or("assume-accept", String::as_str)
-    {
+    let model = model.as_deref().unwrap_or("iid");
+    let policy = match policy.as_deref().unwrap_or("assume-accept") {
         "assume-accept" => MissingPolicy::AssumeAccept,
         "assume-reject" => MissingPolicy::AssumeReject,
         "exclude" => MissingPolicy::Exclude,
@@ -2000,10 +1576,10 @@ fn cmd_faults(options: &BTreeMap<String, String>) -> Result<(), String> {
             ))
         }
     };
-    let recovery = match options.get("recovery").map_or("none", String::as_str) {
+    let recovery = match recovery.as_deref().unwrap_or("none") {
         "none" => Recovery::None,
         other => {
-            let parse_count = |spec: &str| -> Result<usize, String> {
+            let count = |spec: &str| -> Result<usize, String> {
                 let count: usize = spec
                     .parse()
                     .map_err(|_| format!("--recovery needs an integer after `:`, got `{spec}`"))?;
@@ -2014,11 +1590,11 @@ fn cmd_faults(options: &BTreeMap<String, String>) -> Result<(), String> {
             };
             if let Some(copies) = other.strip_prefix("repeat:") {
                 Recovery::Repetition {
-                    copies: parse_count(copies)?,
+                    copies: count(copies)?,
                 }
             } else if let Some(attempts) = other.strip_prefix("ack:") {
                 Recovery::AckRetry {
-                    max_attempts: parse_count(attempts)?,
+                    max_attempts: count(attempts)?,
                 }
             } else {
                 return Err(format!(
@@ -2133,11 +1709,9 @@ fn cmd_faults(options: &BTreeMap<String, String>) -> Result<(), String> {
     }
     Ok(())
 }
-
-fn cmd_predict(options: &BTreeMap<String, String>) -> Result<(), String> {
-    let n = get_usize(options, "n", 1024)?;
-    let k = get_usize(options, "k", 16)?;
-    let eps = get_f64(options, "eps", 0.5)?;
+fn cmd_predict(mut args: Args) -> Result<(), String> {
+    let Common { n, k, eps, .. } = Common::parse(&mut args, 1024, 0.5)?;
+    args.finish(0)?;
     println!("theory predictions for n={n}, k={k}, eps={eps}:");
     println!(
         "  centralized (Paninski)             q ~ {:>10.0}",
@@ -2170,11 +1744,11 @@ fn cmd_predict(options: &BTreeMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_advise(options: &BTreeMap<String, String>) -> Result<(), String> {
-    let n = get_usize(options, "n", 1024)?;
-    let k = get_usize(options, "k", 16)?;
-    let eps = get_f64(options, "eps", 0.5)?;
-    let locality = match options.get("locality").map_or("any", String::as_str) {
+fn cmd_advise(mut args: Args) -> Result<(), String> {
+    let Common { n, k, eps, .. } = Common::parse(&mut args, 1024, 0.5)?;
+    let locality = args.value("--locality")?;
+    args.finish(0)?;
+    let locality = match locality.as_deref().unwrap_or("any") {
         "and" => LocalityRequirement::FullyLocal,
         "any" => LocalityRequirement::Unrestricted,
         other => {

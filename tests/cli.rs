@@ -190,3 +190,138 @@ fn help_prints_usage() {
     assert!(text.contains("USAGE"));
     assert!(text.contains("COMMANDS"));
 }
+
+/// Runs `dut` with `args` and returns (success, stderr).
+fn run_dut(args: &[&str]) -> (bool, String) {
+    let out = dut().args(args).output().expect("binary runs");
+    (
+        out.status.success(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn malformed_flags_fail_naming_the_flag() {
+    // Every case exits before binding a port or doing any work.
+    let cases: &[(&[&str], &str)] = &[
+        (&["top", "--interval"], "--interval"),
+        (&["top", "--interval", "soon"], "--interval"),
+        (&["serve", "--workers", "abc"], "--workers"),
+        (&["serve", "--idle-timeout", "later"], "--idle-timeout"),
+        (&["serve", "--tenant", "no-colons"], "--tenant"),
+        (&["serve", "--bogus"], "--bogus"),
+        (&["loadgen", "--rps"], "--rps"),
+        (&["loadgen", "--conns", "many"], "--conns"),
+        (&["loadgen", "--bogus"], "--bogus"),
+        (&["top", "--bogus"], "--bogus"),
+        (&["fuzz", "--iters", "abc"], "--iters"),
+        (&["fuzz", "--bogus"], "--bogus"),
+        (&["bench", "--bogus"], "--bogus"),
+        (&["bench", "--out"], "--out"),
+        (&["lint", "--format"], "--format"),
+        (&["lint", "--format", "yaml"], "--format"),
+        (&["lint", "--bogus"], "--bogus"),
+        (&["report"], "dut report <trace.jsonl>"),
+    ];
+    for (args, flag) in cases {
+        let (ok, err) = run_dut(args);
+        assert!(!ok, "`dut {}` should fail", args.join(" "));
+        assert!(
+            err.contains(flag),
+            "`dut {}` error should name {flag}: {err}",
+            args.join(" ")
+        );
+    }
+}
+
+#[test]
+fn lint_rules_lists_rules() {
+    let out = dut()
+        .args(["lint", "--rules"])
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success());
+    let text = String::from_utf8(out.stdout).expect("utf8");
+    assert!(text.contains("float-eq"), "{text}");
+}
+
+#[test]
+fn unknown_flags_are_rejected_with_the_command_usage() {
+    let cases: &[(&[&str], &str)] = &[
+        (&["predict", "--n", "1024", "--bogus", "3"], "--bogus"),
+        // A misspelt `--trials` must not silently run the default 200.
+        (
+            &["test", "--n", "64", "--k", "4", "--trails", "5"],
+            "--trails",
+        ),
+        (&["advise", "--localty", "and"], "--localty"),
+        (&["faults", "--modle", "ge"], "--modle"),
+        (&["predict", "--n"], "--n"),
+        (&["predict", "stray"], "stray"),
+        // The chaos client mix lives under `dut fuzz --plane chaos`.
+        (&["loadgen", "--chaos"], "--chaos"),
+    ];
+    for (args, flag) in cases {
+        let (ok, err) = run_dut(args);
+        assert!(!ok, "`dut {}` should fail", args.join(" "));
+        assert!(
+            err.contains(flag),
+            "`dut {}` error should name {flag}: {err}",
+            args.join(" ")
+        );
+        // The command's section of `dut help` follows the error.
+        let section = if args[0] == "loadgen" {
+            "loadgen USAGE:"
+        } else {
+            "COMMON OPTIONS"
+        };
+        assert!(err.contains(section), "{err}");
+    }
+}
+
+#[test]
+fn fuzz_chaos_plane_attacks_an_external_server() {
+    use std::io::{BufRead, BufReader};
+    let mut server = dut()
+        .args(["serve", "--addr", "127.0.0.1:0", "--idle-timeout", "0.15"])
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .expect("server starts");
+    // Keep the pipe open until the server exits: it prints as it stops.
+    let mut stdout = BufReader::new(server.stdout.take().expect("piped stdout"));
+    let mut banner = String::new();
+    stdout.read_line(&mut banner).expect("banner line");
+    let addr = banner
+        .split_whitespace()
+        .nth(4)
+        .expect("listening address")
+        .to_owned();
+    let out = dut()
+        .args([
+            "fuzz",
+            "--plane",
+            "chaos",
+            "--addr",
+            &addr,
+            "--duration",
+            "0.5",
+        ])
+        .output()
+        .expect("binary runs");
+    let stopped = dut()
+        .args(["loadgen", "--addr", &addr, "--shutdown-only"])
+        .status()
+        .expect("binary runs");
+    assert!(stopped.success());
+    std::io::Read::read_to_end(&mut stdout, &mut Vec::new()).expect("drain stdout");
+    assert!(server.wait().expect("server exits").success());
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8(out.stdout).expect("utf8");
+    // The mix hit the external server, not a fuzz-owned one.
+    assert!(text.contains(&format!("attacking {addr}")), "{text}");
+    assert!(text.contains("chaos: PASS"), "{text}");
+}
