@@ -4,19 +4,14 @@
 //! planes need the opposite — a client that writes arbitrary bytes
 //! and observes exactly what comes back, including "nothing" and
 //! "the connection closed on me", both of which are legal server
-//! responses to hostile input.
+//! responses to hostile input. Honest requests go through
+//! [`dut_serve::client::check_served`] instead.
 
-use dut_serve::engine;
-use dut_serve::protocol::{self, ReplyLine, Request};
+use dut_serve::client::REPLY_TIMEOUT;
+use dut_serve::protocol::ReplyLine;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
-
-/// How long a fuzz client waits for a reply before declaring the
-/// server hung. Generous next to real service times (microseconds to
-/// low milliseconds), tight enough that a wedged worker fails the run
-/// rather than stalling it.
-pub const REPLY_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// What one fired frame produced.
 #[derive(Debug)]
@@ -89,51 +84,4 @@ pub fn fire_frame(addr: &str, bytes: &[u8]) -> Result<FireOutcome, String> {
         matches!(reader.read_line(&mut rest), Ok(0))
     };
     Ok(FireOutcome { first, closed })
-}
-
-/// The known-good request whose served answer must stay bit-exact
-/// with the offline reference no matter what hostile traffic came
-/// before it.
-#[must_use]
-pub fn known_good_request() -> Request {
-    Request {
-        n: 64,
-        k: 4,
-        q: 8,
-        eps: 0.5,
-        rule: dut_core::Rule::And,
-        family: protocol::Family::Uniform,
-        seed: 42,
-        trials: 1,
-    }
-}
-
-/// Sends the known-good request and demands a bit-exact answer.
-///
-/// # Errors
-///
-/// Returns a message on connect failure, a shed, a hang, or any
-/// deviation from the offline reference — after hostile traffic,
-/// every one of those is a finding.
-pub fn probe_known_good(addr: &str) -> Result<(), String> {
-    let request = known_good_request();
-    let line = protocol::render_request(&request);
-    let outcome = fire_frame(addr, line.as_bytes())?;
-    match outcome.first {
-        Some(ReplyLine::Reply(reply)) => {
-            let expected = engine::offline_reply(&request)?;
-            if expected.verdict == reply.verdict
-                && expected.p_hat.to_bits() == reply.p_hat.to_bits()
-                && expected.wilson_lo.to_bits() == reply.wilson_lo.to_bits()
-                && expected.wilson_hi.to_bits() == reply.wilson_hi.to_bits()
-            {
-                Ok(())
-            } else {
-                Err(format!(
-                    "known-good verdict diverged from offline: {reply:?} vs {expected:?}"
-                ))
-            }
-        }
-        other => Err(format!("known-good request got {other:?}")),
-    }
 }

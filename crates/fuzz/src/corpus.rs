@@ -18,6 +18,8 @@
 
 use crate::client;
 use dut_obs::json::{self, Json};
+use dut_serve::chaos::probe_request;
+use dut_serve::client::{check_served, Served};
 use dut_serve::engine::{self, Engine};
 use dut_serve::protocol::{self, Command, ReplyLine, Request};
 use std::fmt::Write as _;
@@ -357,7 +359,8 @@ impl Entry {
         }
         // Whatever the frame did, the server must still answer an
         // honest request bit-exactly afterwards.
-        client::probe_known_good(addr)
+        check_served(addr, &probe_request())
+            .and_then(Served::answered)
             .map_err(|e| format!("corpus `{}`: server unusable after frame: {e}", self.name))
     }
 
@@ -395,11 +398,7 @@ pub fn bit_identity(request: &Request) -> Result<(), String> {
     let miss = fresh.handle(request)?;
     let hit = fresh.handle(request)?;
     for (path, reply) in [("fresh-engine miss", &miss), ("cached-engine hit", &hit)] {
-        if reply.verdict != offline.verdict
-            || reply.p_hat.to_bits() != offline.p_hat.to_bits()
-            || reply.wilson_lo.to_bits() != offline.wilson_lo.to_bits()
-            || reply.wilson_hi.to_bits() != offline.wilson_hi.to_bits()
-        {
+        if !reply.same_answer(&offline) {
             return Err(format!(
                 "{path} diverged from offline: {:?} vs {:?}",
                 reply, offline

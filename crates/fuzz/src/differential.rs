@@ -21,6 +21,8 @@
 //! findings must outlive the run that found them.
 
 use crate::corpus::{self, Entry};
+use dut_serve::chaos::probe_request;
+use dut_serve::client::{check_served, Served};
 use dut_serve::engine::{self, CacheKey};
 use dut_serve::protocol::{self, Request};
 use dut_stats::seed::derive_seed;
@@ -169,24 +171,8 @@ pub fn compare_local_paths(request: &Request) -> Result<(), String> {
 pub fn compare_all_paths(request: &Request, addr: Option<&str>) -> Result<(), String> {
     compare_local_paths(request)?;
     if let Some(addr) = addr {
-        let offline = engine::offline_reply(request)?;
-        let line = protocol::render_request(request);
-        let outcome = crate::client::fire_frame(addr, line.as_bytes())?;
-        match outcome.first {
-            Some(protocol::ReplyLine::Reply(reply)) => {
-                if reply.verdict != offline.verdict
-                    || reply.p_hat.to_bits() != offline.p_hat.to_bits()
-                    || reply.wilson_lo.to_bits() != offline.wilson_lo.to_bits()
-                    || reply.wilson_hi.to_bits() != offline.wilson_hi.to_bits()
-                {
-                    return Err(format!(
-                        "served reply diverged from offline: {reply:?} vs {offline:?}"
-                    ));
-                }
-            }
-            Some(protocol::ReplyLine::Overloaded) => {} // shed ≠ disagreement
-            other => return Err(format!("served path got {other:?}")),
-        }
+        // A shed is not a disagreement.
+        check_served(addr, request)?;
     }
     Ok(())
 }
@@ -333,7 +319,8 @@ pub fn run(config: &DiffConfig) -> Result<DiffReport, String> {
     if let Some(addr) = &config.addr {
         // Fail fast on a dead server rather than attributing connect
         // errors to every configuration.
-        crate::client::probe_known_good(addr)
+        check_served(addr, &probe_request())
+            .and_then(Served::answered)
             .map_err(|e| format!("server not healthy before differential run: {e}"))?;
     }
     let mut gen = ConfigGen::new(config.seed);

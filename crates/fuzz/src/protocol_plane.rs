@@ -14,6 +14,8 @@
 use crate::client;
 use crate::corpus::{Entry, Expect};
 use crate::gen::{Expectation, FrameGen, Mutation};
+use dut_serve::chaos::probe_request;
+use dut_serve::client::{check_served, Served};
 use dut_serve::protocol::ReplyLine;
 use std::path::{Path, PathBuf};
 
@@ -78,6 +80,12 @@ impl ProtocolFuzzReport {
     }
 }
 
+/// Sends the known-good request and demands a bit-exact answer: after
+/// hostile traffic a shed is a finding too.
+fn probe(addr: &str) -> Result<(), String> {
+    check_served(addr, &probe_request()).and_then(Served::answered)
+}
+
 /// Checks one outcome against a frame's legal behaviors.
 fn check_outcome(expect: Expectation, outcome: &client::FireOutcome) -> Result<(), String> {
     match expect {
@@ -137,8 +145,7 @@ fn persist(
 /// Returns an error only when the server is unreachable before the
 /// first frame; violations land in the report.
 pub fn run(config: &ProtocolFuzzConfig) -> Result<ProtocolFuzzReport, String> {
-    client::probe_known_good(&config.addr)
-        .map_err(|e| format!("server not healthy before protocol fuzzing: {e}"))?;
+    probe(&config.addr).map_err(|e| format!("server not healthy before protocol fuzzing: {e}"))?;
     let mut gen = FrameGen::new(config.seed);
     let mut report = ProtocolFuzzReport::default();
     let window = Mutation::ALL.len() as u64;
@@ -172,7 +179,7 @@ pub fn run(config: &ProtocolFuzzConfig) -> Result<ProtocolFuzzReport, String> {
         // have cost the next honest client its answer.
         if (i + 1) % window == 0 {
             report.probes += 1;
-            if let Err(what) = client::probe_known_good(&config.addr) {
+            if let Err(what) = probe(&config.addr) {
                 report.violations.push(Violation {
                     mutation: frame.mutation,
                     frame_preview: "<known-good probe>".to_owned(),

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Counter {
-    /// Protocol executions completed (`Network` and `FaultyNetwork`).
+    /// Protocol executions completed (`Network` and `ResilientNetwork`).
     NetRuns,
     /// Samples drawn across all players, summed over runs.
     SamplesDrawn,

@@ -20,14 +20,14 @@
 //! and `{"cmd":"stats"}` still parses. A server that survived chaos
 //! but wedged a worker fails that probe.
 
-use crate::engine;
-use crate::protocol::{self, ReplyLine, Request};
+use crate::client::{check_served, Served};
+use crate::protocol::{self, Request};
 use crate::stats::Stats;
 use dut_obs::metrics::Counter;
 use dut_simnet::{FaultPlan, GilbertElliott};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::io::{BufRead, BufReader, Write};
+use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -164,8 +164,10 @@ impl ChaosReport {
     }
 }
 
-/// The known-good request every probe sends; small enough that its
-/// tester builds in microseconds and its offline verdict is cheap.
+/// The known-good request: every chaos probe, fuzz probe and corpus
+/// replay sends it to prove the server still answers bit-exactly.
+/// Small enough that its tester builds in microseconds and its offline
+/// verdict is cheap.
 #[must_use]
 pub fn probe_request() -> Request {
     Request {
@@ -177,46 +179,6 @@ pub fn probe_request() -> Request {
         family: protocol::Family::Uniform,
         seed: 42,
         trials: 1,
-    }
-}
-
-/// Sends the probe request on a fresh connection and checks the reply
-/// against the offline reference. Returns `Ok(true)` for a bit-exact
-/// answer, `Ok(false)` for a shed, `Err` for anything else.
-fn probe(addr: &str) -> Result<bool, String> {
-    let request = probe_request();
-    let stream =
-        TcpStream::connect(addr).map_err(|e| format!("probe cannot connect to {addr}: {e}"))?;
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-    let _ = stream.set_nodelay(true);
-    let mut writer = stream
-        .try_clone()
-        .map_err(|e| format!("probe cannot clone stream: {e}"))?;
-    writeln!(writer, "{}", protocol::render_request(&request))
-        .map_err(|e| format!("probe cannot send: {e}"))?;
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    let got = reader
-        .read_line(&mut line)
-        .map_err(|e| format!("probe got no reply: {e}"))?;
-    if got == 0 {
-        return Err("probe connection closed without a reply".to_owned());
-    }
-    match ReplyLine::parse(line.trim())? {
-        ReplyLine::Reply(reply) => {
-            let expected = engine::offline_reply(&request)?;
-            let exact = expected.verdict == reply.verdict
-                && expected.p_hat.to_bits() == reply.p_hat.to_bits()
-                && expected.wilson_lo.to_bits() == reply.wilson_lo.to_bits()
-                && expected.wilson_hi.to_bits() == reply.wilson_hi.to_bits();
-            if exact {
-                Ok(true)
-            } else {
-                Err(format!("probe verdict diverged from offline: {line}"))
-            }
-        }
-        ReplyLine::Overloaded => Ok(false),
-        other => Err(format!("probe got unexpected reply: {other:?}")),
     }
 }
 
@@ -309,9 +271,9 @@ fn lane_loop(config: &ChaosConfig, lane: u64, start: Instant) -> LaneTally {
             attack(&config.addr, kind, config.hold, &mut rng);
         } else {
             tally.probes_sent += 1;
-            match probe(&config.addr) {
-                Ok(true) => tally.probes_ok += 1,
-                Ok(false) => tally.probes_shed += 1,
+            match check_served(&config.addr, &probe_request()) {
+                Ok(Served::Exact) => tally.probes_ok += 1,
+                Ok(Served::Shed) => tally.probes_shed += 1,
                 Err(_) => {}
             }
         }
@@ -327,10 +289,14 @@ fn lane_loop(config: &ChaosConfig, lane: u64, start: Instant) -> LaneTally {
 /// Returns an error only when the server is unreachable before any
 /// chaos starts; everything after that is reported, not fatal.
 pub fn run(config: &ChaosConfig) -> Result<ChaosReport, String> {
-    let probe_first =
-        probe(&config.addr).map_err(|e| format!("server not healthy before chaos: {e}"))?;
-    if !probe_first {
-        return Err("server shed the pre-chaos probe; start chaos against an idle server".into());
+    match check_served(&config.addr, &probe_request()) {
+        Ok(Served::Exact) => {}
+        Ok(Served::Shed) => {
+            return Err(
+                "server shed the pre-chaos probe; start chaos against an idle server".into(),
+            )
+        }
+        Err(e) => return Err(format!("server not healthy before chaos: {e}")),
     }
     let lanes = config.lanes.max(1);
     let start = Instant::now();
@@ -352,7 +318,10 @@ pub fn run(config: &ChaosConfig) -> Result<ChaosReport, String> {
     // Give the reaper one idle-timeout's grace to collect held
     // sockets before the verdict probes.
     std::thread::sleep(Duration::from_millis(50));
-    report.final_probe_ok = matches!(probe(&config.addr), Ok(true));
+    report.final_probe_ok = matches!(
+        check_served(&config.addr, &probe_request()),
+        Ok(Served::Exact)
+    );
     match crate::loadgen::fetch_stats(&config.addr) {
         Ok(stats) => {
             report.final_stats_ok = true;

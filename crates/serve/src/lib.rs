@@ -20,8 +20,8 @@
 //!    never from the request seed or a global RNG — so a cache hit, a
 //!    cache miss, and a fresh offline evaluation all prepare the
 //!    identical tester. [`engine::offline_reply`] is that reference
-//!    path; the stress tests and `dut loadgen --smoke` hold the server
-//!    to it.
+//!    path; [`client::check_served`], the stress tests and
+//!    `dut loadgen --smoke` hold the server to it.
 //! 2. **Bounded overload.** The dispatch queue holds *requests*, not
 //!    connections, and is bounded; beyond the bound the server sheds
 //!    the request with an explicit `overloaded` reply (the connection
@@ -50,6 +50,7 @@
 
 pub mod cache;
 pub mod chaos;
+pub mod client;
 pub mod engine;
 pub mod loadgen;
 mod poll;

@@ -1,18 +1,31 @@
-//! Open-loop load generation against a running server.
+//! Load generation against a running server.
 //!
-//! Senders pace requests on a fixed global schedule (request `i` is
-//! due at `start + i/rps`), spread round-robin over a small pool of
-//! persistent connections. Pacing from the schedule rather than from
-//! reply arrival keeps the generator open-loop: a slow server falls
-//! behind the schedule and the achieved-throughput number says so,
-//! instead of the generator politely slowing down and hiding the
-//! problem (coordinated omission).
+//! Every run is one arrival schedule spread over a pool of lanes, each
+//! lane one persistent connection, and one lane loop serves them all.
+//! An arrival is a [`TraceEvent`]: its due offset, lane, catalog index,
+//! seed and optional tenant. The schedule comes from one of two places:
+//!
+//! * **Open loop** (no trace): request `i` goes on lane `i mod conns`,
+//!   is due at `i/rps`, and takes its seed from [`request_for_index`].
+//!   Arrivals are computed lazily as the lane reaches them, so memory
+//!   does not grow with `rps × duration`. Sending stops at wall-clock
+//!   `duration`.
+//! * **Trace replay**: the arrivals of a [`Trace`] file, with their
+//!   recorded lanes, offsets, seeds and tenants. Every event is sent.
+//!
+//! Pacing follows the schedule, not reply arrival, so the generator
+//! stays open-loop: a slow server falls behind the schedule and the
+//! achieved-throughput number says so, instead of the generator
+//! politely slowing down and hiding the problem (coordinated
+//! omission). With `pipeline > 1` a lane writes a window of its next
+//! arrivals in one syscall once the window's first arrival is due.
 //!
 //! With `verify_offline` set, every reply is also checked for
 //! bit-identity against a local [`Engine`](crate::engine::Engine)
 //! evaluating the same request — the service's determinism contract,
 //! enforced from the outside.
 
+use crate::client;
 use crate::engine::Engine;
 use crate::protocol::{self, Family, ReplyLine, Request};
 use crate::stats::Stats;
@@ -171,15 +184,14 @@ struct Tally {
     latencies: Vec<u64>,
 }
 
-/// Runs the generator and aggregates the report.
+/// Runs the generator and aggregates the report: the open loop when
+/// `trace` is `None`, otherwise a replay of the trace's arrivals.
 ///
 /// # Errors
 ///
 /// Returns an error if no connection could be established; transport
 /// errors after that are counted, not fatal.
-pub fn run(config: &LoadgenConfig) -> Result<LoadgenReport, String> {
-    let connections = config.connections.max(1);
-    let rps = config.rps.max(1);
+pub fn run(config: &LoadgenConfig, trace: Option<&Trace>) -> Result<LoadgenReport, String> {
     let catalog = catalog();
     // Fail fast if the server is not there at all.
     let probe = TcpStream::connect(&config.addr)
@@ -189,23 +201,22 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadgenReport, String> {
         .verify_offline
         .then(|| Engine::new(catalog.len() * 2));
     let verifier = verifier.as_ref();
+    let lanes = trace
+        .map_or(config.connections as u64, |trace| trace.lanes)
+        .max(1);
+    let rps = config.rps.max(1);
     let total = Mutex::new(Tally::default());
     let start = Instant::now();
+    // The open loop stops sending at wall-clock `duration`; a replay
+    // sends every recorded arrival.
+    let stop_at = trace.is_none().then(|| start + config.duration);
     std::thread::scope(|scope| {
-        for lane in 0..connections {
+        for lane in 0..lanes {
             let catalog = &catalog;
             let total = &total;
-            let config = &config;
             scope.spawn(move || {
-                let tally = sender_loop(
-                    config,
-                    catalog,
-                    verifier,
-                    lane as u64,
-                    connections as u64,
-                    rps,
-                    start,
-                );
+                let arrivals = lane_arrivals(trace, lane, lanes, rps, catalog);
+                let tally = lane_loop(config, catalog, verifier, arrivals, start, stop_at);
                 let mut total = total.lock();
                 total.sent += tally.sent;
                 total.replies += tally.replies;
@@ -217,6 +228,38 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadgenReport, String> {
         }
     });
     Ok(finish_report(total.into_inner(), start.elapsed()))
+}
+
+/// The arrivals of `lane` out of `lanes`, in order: the trace's events
+/// on that lane, or else the open loop's requests `lane, lane + lanes,
+/// …`, request `i` due at `i/rps`, computed as the lane reaches them.
+fn lane_arrivals<'a>(
+    trace: Option<&'a Trace>,
+    lane: u64,
+    lanes: u64,
+    rps: u64,
+    catalog: &'a [Request],
+) -> Box<dyn Iterator<Item = TraceEvent> + 'a> {
+    match trace {
+        Some(trace) => Box::new(
+            trace
+                .events
+                .iter()
+                .filter(move |event| event.lane % lanes == lane)
+                .cloned(),
+        ),
+        None => Box::new(
+            (lane..)
+                .step_by(usize::try_from(lanes).unwrap_or(1))
+                .map(move |index| TraceEvent {
+                    at_micros: index.saturating_mul(1_000_000) / rps,
+                    lane,
+                    index,
+                    seed: request_for_index(index, catalog).seed,
+                    tenant: None,
+                }),
+        ),
+    }
 }
 
 /// Folds a run's tally into the final report (sorts latencies once).
@@ -248,152 +291,45 @@ fn finish_report(mut total: Tally, elapsed: Duration) -> LoadgenReport {
     }
 }
 
-/// Replays a [`Trace`]: each trace lane gets its own persistent
-/// connection, every event is sent at its recorded offset (falling
-/// behind shows up as achieved-rps, exactly like the open-loop
-/// schedule), and tenant fields ride the wire as recorded.
-///
-/// # Errors
-///
-/// Returns an error if no connection could be established; transport
-/// errors after that are counted, not fatal.
-pub fn run_trace(config: &LoadgenConfig, trace: &Trace) -> Result<LoadgenReport, String> {
-    let catalog = catalog();
-    let probe = TcpStream::connect(&config.addr)
-        .map_err(|e| format!("cannot connect to {}: {e}", config.addr))?;
-    drop(probe);
-    let verifier = config
-        .verify_offline
-        .then(|| Engine::new(catalog.len() * 2));
-    let verifier = verifier.as_ref();
-    let lanes = usize::try_from(trace.lanes).unwrap_or(1).max(1);
-    let mut per_lane: Vec<Vec<&TraceEvent>> = vec![Vec::new(); lanes];
-    for event in &trace.events {
-        per_lane[usize::try_from(event.lane).unwrap_or(0) % lanes].push(event);
-    }
-    let total = Mutex::new(Tally::default());
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for events in &per_lane {
-            let catalog = &catalog;
-            let total = &total;
-            let config = &config;
-            scope.spawn(move || {
-                let tally = trace_lane_loop(config, catalog, verifier, events, start);
-                let mut total = total.lock();
-                total.sent += tally.sent;
-                total.replies += tally.replies;
-                total.shed += tally.shed;
-                total.errors += tally.errors;
-                total.mismatches += tally.mismatches;
-                total.latencies.extend(tally.latencies);
-            });
-        }
-    });
-    Ok(finish_report(total.into_inner(), start.elapsed()))
-}
-
-/// One trace lane: sends its recorded events in order at their
-/// recorded offsets over one persistent connection.
-fn trace_lane_loop(
+/// One lane: one persistent connection carrying `arrivals` in order.
+/// Once a window's first arrival is due, the lane writes the window
+/// (up to `pipeline` arrivals) in one syscall, then reads the window's
+/// replies — the server's per-connection sequencing returns them in
+/// send order even when the work completes out of order. No window
+/// starts after `stop_at`. Latency is timed from the window's write.
+fn lane_loop(
     config: &LoadgenConfig,
     catalog: &[Request],
     verifier: Option<&Engine>,
-    events: &[&TraceEvent],
+    arrivals: impl Iterator<Item = TraceEvent>,
     start: Instant,
+    stop_at: Option<Instant>,
 ) -> Tally {
     let mut tally = Tally::default();
-    if events.is_empty() {
+    let mut arrivals = arrivals.peekable();
+    // A replay lane with no arrivals never connects.
+    if arrivals.peek().is_none() {
         return tally;
     }
     let Ok(stream) = TcpStream::connect(&config.addr) else {
         tally.errors += 1;
         return tally;
     };
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
+    let _ = stream.set_read_timeout(Some(client::REPLY_TIMEOUT));
     let _ = stream.set_nodelay(true);
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => {
-            tally.errors += 1;
-            return tally;
-        }
-    };
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    for event in events {
-        let due = start + Duration::from_micros(event.at_micros);
-        let now = Instant::now();
-        if due > now {
-            std::thread::sleep(due - now);
-        }
-        let mut request = request_for_index(event.index, catalog);
-        request.seed = event.seed;
-        let wire = match &event.tenant {
-            Some(tenant) => protocol::render_request_tenant(&request, tenant),
-            None => protocol::render_request(&request),
-        };
-        let sent_at = Instant::now();
-        if writeln!(writer, "{wire}").is_err() {
-            tally.errors += 1;
-            break;
-        }
-        tally.sent += 1;
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => {
-                tally.errors += 1;
-                break;
-            }
-            Ok(_) => {
-                let micros = u64::try_from(sent_at.elapsed().as_micros()).unwrap_or(u64::MAX);
-                record_reply(&mut tally, line.trim(), &request, verifier, micros);
-            }
-        }
-    }
-    tally
-}
-
-/// One sender: owns one persistent connection and the request indices
-/// `lane, lane + connections, lane + 2·connections, …`, each due at
-/// `start + index/rps`. With `pipeline > 1` the lane sends a window
-/// of consecutive indices in one write (due when the window's first
-/// index is due), then drains the window's replies in order — the
-/// server's per-connection sequencing guarantees replies come back in
-/// send order even when the work completes out of order.
-fn sender_loop(
-    config: &LoadgenConfig,
-    catalog: &[Request],
-    verifier: Option<&Engine>,
-    lane: u64,
-    lanes: u64,
-    rps: u64,
-    start: Instant,
-) -> Tally {
-    let mut tally = Tally::default();
-    let Ok(stream) = TcpStream::connect(&config.addr) else {
+    let Ok(mut writer) = stream.try_clone() else {
         tally.errors += 1;
         return tally;
     };
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-    let _ = stream.set_nodelay(true);
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => {
-            tally.errors += 1;
-            return tally;
-        }
-    };
-    let pipeline = config.pipeline.max(1) as u64;
+    let pipeline = config.pipeline.max(1);
     let mut reader = BufReader::new(stream);
-    let mut index = lane;
     let mut line = String::new();
     let mut batch = String::new();
-    let mut window: Vec<Request> = Vec::with_capacity(config.pipeline.max(1));
-    'lane: loop {
-        let due = start + Duration::from_nanos(index.saturating_mul(1_000_000_000) / rps);
+    let mut window: Vec<Request> = Vec::with_capacity(pipeline);
+    while let Some(first) = arrivals.peek() {
+        let due = start + Duration::from_micros(first.at_micros);
         let now = Instant::now();
-        if now.duration_since(start) >= config.duration {
+        if stop_at.is_some_and(|stop| now >= stop) {
             break;
         }
         if due > now {
@@ -401,9 +337,13 @@ fn sender_loop(
         }
         batch.clear();
         window.clear();
-        for slot in 0..pipeline {
-            let request = request_for_index(index + slot * lanes, catalog);
-            batch.push_str(&protocol::render_request(&request));
+        for event in arrivals.by_ref().take(pipeline) {
+            let mut request = request_for_index(event.index, catalog);
+            request.seed = event.seed;
+            batch.push_str(&match &event.tenant {
+                Some(tenant) => protocol::render_request_tenant(&request, tenant),
+                None => protocol::render_request(&request),
+            });
             batch.push('\n');
             window.push(request);
         }
@@ -418,7 +358,7 @@ fn sender_loop(
             match reader.read_line(&mut line) {
                 Ok(0) | Err(_) => {
                     tally.errors += 1;
-                    break 'lane;
+                    return tally;
                 }
                 Ok(_) => {
                     let micros = u64::try_from(sent_at.elapsed().as_micros()).unwrap_or(u64::MAX);
@@ -426,7 +366,6 @@ fn sender_loop(
                 }
             }
         }
-        index += lanes * pipeline;
     }
     tally
 }
@@ -444,11 +383,7 @@ fn record_reply(
             tally.latencies.push(micros);
             if let Some(engine) = verifier {
                 match engine.handle(request) {
-                    Ok(expected)
-                        if expected.verdict == reply.verdict
-                            && expected.p_hat.to_bits() == reply.p_hat.to_bits()
-                            && expected.wilson_lo.to_bits() == reply.wilson_lo.to_bits()
-                            && expected.wilson_hi.to_bits() == reply.wilson_hi.to_bits() => {}
+                    Ok(expected) if expected.same_answer(&reply) => {}
                     _ => tally.mismatches += 1,
                 }
             }
@@ -465,22 +400,7 @@ fn record_reply(
 /// Returns an error if the server cannot be reached or the reply is
 /// not a stats line.
 pub fn fetch_stats(addr: &str) -> Result<Stats, String> {
-    let stream = TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-    let _ = stream.set_nodelay(true);
-    let mut writer = stream
-        .try_clone()
-        .map_err(|e| format!("cannot clone stream: {e}"))?;
-    writeln!(writer, "{{\"cmd\":\"stats\"}}").map_err(|e| format!("cannot send stats: {e}"))?;
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    let got = reader
-        .read_line(&mut line)
-        .map_err(|e| format!("no stats reply: {e}"))?;
-    if got == 0 {
-        return Err("server closed before replying to stats".to_owned());
-    }
-    Stats::parse(line.trim())
+    Stats::parse(&client::exchange(addr, "{\"cmd\":\"stats\"}")?)
 }
 
 /// Server-side accounting cross-checked against the client's tally.
@@ -572,7 +492,10 @@ pub fn check_consistency(pre: &Stats, post: &Stats, report: &LoadgenReport) -> V
 /// Returns an error when the server is unreachable or a stats
 /// snapshot fails; accounting *inconsistencies* are reported in the
 /// returned [`StatsCheck`], not as errors.
-pub fn run_checked(config: &LoadgenConfig) -> Result<(LoadgenReport, StatsCheck), String> {
+pub fn run_checked(
+    config: &LoadgenConfig,
+    trace: Option<&Trace>,
+) -> Result<(LoadgenReport, StatsCheck), String> {
     let pre = fetch_stats(&config.addr)?;
     let stop = AtomicBool::new(false);
     let mid_polls = AtomicU64::new(0);
@@ -585,7 +508,7 @@ pub fn run_checked(config: &LoadgenConfig) -> Result<(LoadgenReport, StatsCheck)
                 std::thread::sleep(Duration::from_millis(100));
             }
         });
-        let report = run(config);
+        let report = run(config, trace);
         stop.store(true, Ordering::Relaxed);
         let _ = poller.join();
         report
@@ -700,18 +623,7 @@ pub fn check_bench_json(text: &str) -> Result<(), String> {
 ///
 /// Returns an error if the server cannot be reached or never acks.
 pub fn send_shutdown(addr: &str) -> Result<(), String> {
-    let stream = TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-    let mut writer = stream
-        .try_clone()
-        .map_err(|e| format!("cannot clone stream: {e}"))?;
-    writeln!(writer, "{{\"cmd\":\"shutdown\"}}").map_err(|e| format!("cannot send: {e}"))?;
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader
-        .read_line(&mut line)
-        .map_err(|e| format!("no shutdown ack: {e}"))?;
-    match ReplyLine::parse(line.trim())? {
+    match ReplyLine::parse(&client::exchange(addr, "{\"cmd\":\"shutdown\"}")?)? {
         ReplyLine::ShutdownAck => Ok(()),
         other => Err(format!("unexpected shutdown reply: {other:?}")),
     }
@@ -755,10 +667,10 @@ mod tests {
             duration: Duration::from_millis(10),
             ..LoadgenConfig::default()
         };
-        assert!(run(&config).is_err());
+        assert!(run(&config, None).is_err());
         assert!(send_shutdown(&config.addr).is_err());
         assert!(fetch_stats(&config.addr).is_err());
-        assert!(run_checked(&config).is_err());
+        assert!(run_checked(&config, None).is_err());
     }
 
     fn report() -> LoadgenReport {
@@ -891,7 +803,7 @@ mod tests {
             addr: "127.0.0.1:1".to_owned(),
             ..LoadgenConfig::default()
         };
-        assert!(run_trace(&config, &trace).is_err());
+        assert!(run(&config, Some(&trace)).is_err());
     }
 
     #[test]

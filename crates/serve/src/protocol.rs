@@ -372,6 +372,18 @@ pub struct Reply {
 }
 
 impl Reply {
+    /// Whether `other` carries the same answer: the same verdict and
+    /// bit-identical `p_hat`, `wilson_lo` and `wilson_hi`. Cache
+    /// status, service time and request id are not part of the answer.
+    /// This is the served-equals-offline contract's one comparison.
+    #[must_use]
+    pub fn same_answer(&self, other: &Reply) -> bool {
+        self.verdict == other.verdict
+            && self.p_hat.to_bits() == other.p_hat.to_bits()
+            && self.wilson_lo.to_bits() == other.wilson_lo.to_bits()
+            && self.wilson_hi.to_bits() == other.wilson_hi.to_bits()
+    }
+
     /// Renders the reply as its wire line (no trailing newline).
     #[must_use]
     pub fn render(&self) -> String {
@@ -558,6 +570,51 @@ mod tests {
         assert_eq!(back.wilson_lo.to_bits(), reply.wilson_lo.to_bits());
         assert_eq!(back.wilson_hi.to_bits(), reply.wilson_hi.to_bits());
         assert_eq!(back, reply);
+    }
+
+    #[test]
+    fn same_answer_is_verdict_plus_bit_exact_estimates() {
+        let reply = Reply {
+            verdict: Verdict::Accept,
+            p_hat: 2.0 / 3.0,
+            wilson_lo: 0.25,
+            wilson_hi: 0.9,
+            cache_hit: false,
+            micros: 10,
+            rid: 1,
+        };
+        let bookkeeping = Reply {
+            cache_hit: true,
+            micros: 999,
+            rid: 77,
+            ..reply
+        };
+        assert!(reply.same_answer(&bookkeeping));
+        let flipped = Reply {
+            verdict: Verdict::Reject,
+            ..reply
+        };
+        assert!(!reply.same_answer(&flipped));
+        let ulp = |x: f64| f64::from_bits(x.to_bits() + 1);
+        for nudged in [
+            Reply {
+                p_hat: ulp(reply.p_hat),
+                ..reply
+            },
+            Reply {
+                wilson_lo: ulp(reply.wilson_lo),
+                ..reply
+            },
+            Reply {
+                wilson_hi: ulp(reply.wilson_hi),
+                ..reply
+            },
+        ] {
+            assert!(
+                !reply.same_answer(&nudged),
+                "1-ulp change missed: {nudged:?}"
+            );
+        }
     }
 
     #[test]

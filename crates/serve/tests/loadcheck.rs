@@ -43,7 +43,7 @@ fn run_checked_passes_against_a_live_server() {
         pipeline: 1,
         verify_offline: false,
     };
-    let (report, check) = loadgen::run_checked(&config).expect("run_checked");
+    let (report, check) = loadgen::run_checked(&config, None).expect("run_checked");
     assert!(report.replies > 0);
     assert_eq!(report.errors, 0);
     assert!(
@@ -73,7 +73,7 @@ fn pipelined_lanes_verify_bit_identical() {
         pipeline: 4,
         verify_offline: true,
     };
-    let report = loadgen::run(&config).expect("pipelined run");
+    let report = loadgen::run(&config, None).expect("pipelined run");
     assert!(report.replies >= 8, "windows actually flowed");
     assert_eq!(report.errors, 0);
     assert_eq!(report.shed, 0);
@@ -86,9 +86,9 @@ fn pipelined_lanes_verify_bit_identical() {
 }
 
 /// A generated bursty/diurnal trace replays cleanly against a live
-/// server: every arrival is answered, nothing errors, the tenant
-/// field survives the wire, and the replies verify bit-identical
-/// against the offline engine.
+/// server through pipelined lanes: every arrival is answered, nothing
+/// errors, the tenant field survives the wire, and the replies verify
+/// bit-identical against the offline engine.
 #[test]
 fn trace_replay_round_trips_against_a_live_server() {
     let _traffic = TRAFFIC
@@ -113,10 +113,10 @@ fn trace_replay_round_trips_against_a_live_server() {
         rps: 300,
         duration: Duration::from_millis(500),
         connections: 4,
-        pipeline: 1,
+        pipeline: 4,
         verify_offline: true,
     };
-    let report = loadgen::run_trace(&config, &parsed).expect("trace replay");
+    let report = loadgen::run(&config, Some(&parsed)).expect("trace replay");
     assert_eq!(report.sent, parsed.events.len() as u64);
     assert_eq!(report.replies + report.shed, report.sent);
     assert_eq!(report.errors, 0, "no transport or protocol errors");

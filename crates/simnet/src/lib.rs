@@ -16,8 +16,8 @@
 //!   `q_i = T_i · τ`) is supported via [`RateVector`];
 //! * beyond the star: [`topology`], [`rounds`] and [`aggregation`]
 //!   provide the LOCAL/CONGEST round-based models on arbitrary graphs
-//!   (with per-edge bandwidth enforcement), and [`faults`] injects
-//!   message loss and crashes to study rule robustness.
+//!   (with per-edge bandwidth enforcement), and [`resilience`] injects
+//!   message loss, crashes and adversaries to study rule robustness.
 //!
 //! # Example
 //!
@@ -56,21 +56,19 @@ mod rates;
 mod rule;
 
 pub mod aggregation;
-pub mod faults;
 pub mod resilience;
 pub mod rounds;
 pub mod topology;
 
 pub use bits::PackedBits;
-pub use faults::{FaultModel, FaultyNetwork, MissingPolicy};
 pub use message::Message;
 pub use network::{Network, RunOutcome, Transcript};
 pub use player::{BitPlayerAdapter, CountPlayer, MessagePlayer, Player, PlayerContext};
 pub use rates::RateVector;
 pub use resilience::{
     byzantine_tolerance, rejection_rate, ByzantineBehavior, ByzantinePlan, FaultPlan, FaultStats,
-    GilbertElliott, IidFaults, MeasuredRates, PartialCrash, PreSample, Recovery, ReliablePlan,
-    ResilientNetwork, ResilientOutcome, RobustRule, TargetedLoss,
+    GilbertElliott, IidFaults, MeasuredRates, MissingPolicy, PartialCrash, PreSample, Recovery,
+    ReliablePlan, ResilientNetwork, ResilientOutcome, RobustRule, TargetedLoss,
 };
 pub use rounds::{RoundAlgorithm, RoundMessage, RoundModel, RoundNetwork, RoundStats};
 pub use rule::{CustomDecisionFn, DecisionRule, MessageReferee, Verdict};

@@ -1,8 +1,9 @@
 //! Fault injection, fault-aware protocols, and graceful degradation.
 //!
-//! This module generalizes [`FaultyNetwork`](crate::FaultyNetwork)'s
-//! hard-wired iid faults into a pluggable [`FaultPlan`] and asks the
-//! robustness question behind the paper's locality trade-off: the AND
+//! This module runs the one-bit protocol under a pluggable
+//! [`FaultPlan`] (the simplest being iid crashes and message loss,
+//! [`IidFaults`]) and asks the robustness question behind the paper's
+//! locality trade-off: the AND
 //! rule buys locality (any single player can raise the alarm) at the
 //! price of *maximal fragility* — one lost or corrupted message
 //! decides the verdict — while threshold rules degrade gracefully.
@@ -40,7 +41,7 @@ pub mod robust;
 pub use adversary::{ByzantineBehavior, ByzantinePlan, TargetedLoss};
 pub use channel::GilbertElliott;
 pub use measure::{rejection_rate, MeasuredRates};
-pub use network::{FaultStats, ResilientNetwork, ResilientOutcome};
+pub use network::{FaultStats, MissingPolicy, ResilientNetwork, ResilientOutcome};
 pub use plan::{FaultPlan, IidFaults, PartialCrash, PreSample, ReliablePlan};
 pub use recovery::Recovery;
 pub use robust::{byzantine_tolerance, threshold_equivalent, RobustRule};

@@ -8,11 +8,24 @@ use crate::message::Message;
 use crate::network::{record_run, Transcript};
 use crate::player::{Player, PlayerContext};
 use crate::rule::{DecisionRule, Verdict};
-use crate::MissingPolicy;
 use dut_obs::metrics::Counter;
 use dut_probability::Sampler;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// How the referee treats players it did not hear from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MissingPolicy {
+    /// Treat silence as an accept bit (the deployed default for alarm
+    /// systems: no alarm heard ⇒ assume fine). This is what makes the
+    /// AND rule fragile.
+    AssumeAccept,
+    /// Treat silence as a reject bit (fail-safe, but false alarms rise
+    /// with the fault rate).
+    AssumeReject,
+    /// Drop silent players from the vote (the rule sees fewer bits).
+    Exclude,
+}
 
 /// Everything that went wrong (and was repaired) in one execution.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -143,8 +156,7 @@ impl ResilientNetwork {
     /// the fail-safe direction) → missing policy → decision rule.
     ///
     /// If every bit is missing under [`MissingPolicy::Exclude`] the
-    /// referee accepts (it has no evidence to act on), matching
-    /// [`FaultyNetwork`](crate::FaultyNetwork).
+    /// referee accepts (it has no evidence to act on).
     pub fn run<S, P, F, R>(
         &self,
         sampler: &S,
@@ -531,6 +543,209 @@ mod tests {
             &mut rng(9),
         );
         assert!(out.verdict.is_reject());
+    }
+
+    // iid crashes and message loss through `IidFaults`, the model the
+    // root `fault_tolerance` tests measure at scale.
+
+    #[test]
+    fn fault_free_matches_reliable_network() {
+        let net = ResilientNetwork::new(8, MissingPolicy::AssumeAccept);
+        let sampler = families::uniform(16).alias_sampler();
+        let out = net.run(
+            &sampler,
+            2,
+            &AlwaysReject,
+            &DecisionRule::And,
+            &mut IidFaults::new(0.0, 0.0),
+            &mut rng(1),
+        );
+        assert!(out.verdict.is_reject());
+        assert_eq!(out.transcript.messages.len(), 8);
+    }
+
+    #[test]
+    fn and_rule_fragile_under_loss_with_assume_accept() {
+        // One rejecting player among 8 accepting ones; 50% loss.
+        // Whenever ITS message is lost, the alarm vanishes.
+        let net = ResilientNetwork::new(8, MissingPolicy::AssumeAccept);
+        let sampler = families::uniform(16).alias_sampler();
+        let one_rejector = |ctx: &PlayerContext, _: &[usize]| ctx.player_id != 3;
+        let mut plan = IidFaults::new(0.0, 0.5);
+        let mut r = rng(2);
+        let trials = 400;
+        let rejected = (0..trials)
+            .filter(|_| {
+                net.run(
+                    &sampler,
+                    1,
+                    &one_rejector,
+                    &DecisionRule::And,
+                    &mut plan,
+                    &mut r,
+                )
+                .verdict
+                .is_reject()
+            })
+            .count();
+        // Alarm survives only when the message survives: ~50%.
+        let rate = rejected as f64 / f64::from(trials);
+        assert!((0.35..0.65).contains(&rate), "alarm survival rate {rate}");
+    }
+
+    #[test]
+    fn assume_reject_is_fail_safe_but_noisy() {
+        let net = ResilientNetwork::new(8, MissingPolicy::AssumeReject);
+        let sampler = families::uniform(16).alias_sampler();
+        let mut plan = IidFaults::new(0.0, 0.5);
+        let mut r = rng(3);
+        // All players accept, but losses turn into rejects: AND almost
+        // always rejects — false alarms.
+        let trials = 200;
+        let rejected = (0..trials)
+            .filter(|_| {
+                net.run(
+                    &sampler,
+                    1,
+                    &AlwaysAccept,
+                    &DecisionRule::And,
+                    &mut plan,
+                    &mut r,
+                )
+                .verdict
+                .is_reject()
+            })
+            .count();
+        assert!(rejected > trials * 9 / 10, "rejected {rejected}/{trials}");
+    }
+
+    #[test]
+    fn exclude_policy_shrinks_the_vote() {
+        let net = ResilientNetwork::new(10, MissingPolicy::Exclude);
+        let sampler = families::uniform(16).alias_sampler();
+        let mut r = rng(4);
+        let out = net.run(
+            &sampler,
+            1,
+            &AlwaysAccept,
+            &DecisionRule::Majority,
+            &mut IidFaults::new(0.5, 0.0),
+            &mut r,
+        );
+        assert!(out.transcript.messages.len() < 10);
+        assert!(out.verdict.is_accept());
+    }
+
+    #[test]
+    fn total_silence_accepts_under_exclude() {
+        let net = ResilientNetwork::new(4, MissingPolicy::Exclude);
+        let sampler = families::uniform(4).alias_sampler();
+        let out = net.run(
+            &sampler,
+            1,
+            &AlwaysReject,
+            &DecisionRule::And,
+            &mut IidFaults::new(1.0, 0.0),
+            &mut rng(5),
+        );
+        assert!(out.verdict.is_accept());
+        assert_eq!(out.transcript.messages.len(), 0);
+        // Crashed players drew no samples.
+        assert_eq!(out.transcript.total_samples(), 0);
+    }
+
+    #[test]
+    fn combined_crash_and_loss_compound() {
+        // Both fault modes at once: crashes suppress sampling entirely,
+        // losses consume samples but drop the bit. Under AssumeReject
+        // every fault of either kind turns into a reject vote.
+        let net = ResilientNetwork::new(12, MissingPolicy::AssumeReject);
+        let sampler = families::uniform(16).alias_sampler();
+        let mut plan = IidFaults::new(0.3, 0.3);
+        let mut r = rng(6);
+        let trials = 300;
+        let mut rejected = 0usize;
+        let mut zero_sample_players = 0usize;
+        let mut partial_sample_runs = 0usize;
+        for _ in 0..trials {
+            let out = net.run(
+                &sampler,
+                2,
+                &AlwaysAccept,
+                &DecisionRule::And,
+                &mut plan,
+                &mut r,
+            );
+            if out.verdict.is_reject() {
+                rejected += 1;
+            }
+            let zeros = out
+                .transcript
+                .samples_drawn
+                .iter()
+                .filter(|&&q| q == 0)
+                .count();
+            zero_sample_players += zeros;
+            // Lost messages consumed samples without being counted in
+            // the vote: transcript shows fewer messages than sampling
+            // players.
+            if out.transcript.messages.len() < 12 - zeros {
+                partial_sample_runs += 1;
+            }
+        }
+        // P(all 12 players survive both faults) = (0.7 * 0.7)^12 ≈ 2e-4,
+        // so AND under AssumeReject should essentially always reject.
+        assert!(rejected > trials * 9 / 10, "rejected {rejected}/{trials}");
+        // Crashes happened (~30% of 12 * 300 = 1080 expected).
+        assert!(zero_sample_players > 500, "{zero_sample_players} crashes");
+        // AssumeReject keeps every player in the vote, so messages are
+        // never fewer than the number of non-crashed players.
+        assert_eq!(partial_sample_runs, 0);
+    }
+
+    #[test]
+    fn combined_faults_with_exclude_shrink_transcript() {
+        let net = ResilientNetwork::new(12, MissingPolicy::Exclude);
+        let sampler = families::uniform(16).alias_sampler();
+        let mut plan = IidFaults::new(0.4, 0.4);
+        let mut r = rng(7);
+        let mut saw_shrunk_vote = false;
+        for _ in 0..50 {
+            let out = net.run(
+                &sampler,
+                1,
+                &AlwaysAccept,
+                &DecisionRule::Majority,
+                &mut plan,
+                &mut r,
+            );
+            let crashes = out
+                .transcript
+                .samples_drawn
+                .iter()
+                .filter(|&&q| q == 0)
+                .count();
+            assert!(out.transcript.messages.len() <= 12 - crashes);
+            if out.transcript.messages.len() < 12 - crashes {
+                saw_shrunk_vote = true; // a non-crashed player's message was lost
+            }
+        }
+        assert!(
+            saw_shrunk_vote,
+            "40% loss never dropped a message in 50 runs"
+        );
+    }
+
+    #[test]
+    fn crash_probability_validated() {
+        let m = IidFaults::new(0.1, 0.2);
+        assert!((m.crash_probability() - 0.1).abs() < 1e-15);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn rejects_bad_probability() {
+        let _ = IidFaults::new(1.5, 0.0);
     }
 
     #[test]

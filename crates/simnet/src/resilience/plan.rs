@@ -119,8 +119,7 @@ fn assert_probability(p: f64, what: &str) {
 
 /// Independent faults: each player crashes before sampling with
 /// probability `crash`, and each transmitted copy is lost with
-/// probability `loss` — the model [`FaultyNetwork`](crate::FaultyNetwork)
-/// has always exposed, now expressed as a plan.
+/// probability `loss`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IidFaults {
     crash: f64,

@@ -16,7 +16,7 @@ use distributed_uniformity::lowerbound::theory;
 use distributed_uniformity::probability::{
     families, DenseDistribution, DualSampler, SampleBackend,
 };
-use distributed_uniformity::{Rule, UniformityTester};
+use distributed_uniformity::UniformityTester;
 use rand::SeedableRng;
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -138,7 +138,8 @@ loadgen USAGE:
         without generating load; --trace-out writes a
         replayable bursty/diurnal arrival trace (dut-serve-trace/v1,
         no load generated) and --trace replays one against the
-        server; --shutdown stops the server afterwards,
+        server (--pipeline and --stats-check apply to replays too);
+        --shutdown stops the server afterwards,
         --shutdown-only does nothing else
 
 fuzz USAGE:
@@ -335,29 +336,6 @@ impl Common {
     }
 }
 
-fn parse_rule(spec: &str, k: usize) -> Result<Rule, String> {
-    match spec {
-        "and" => Ok(Rule::And),
-        "balanced" => Ok(Rule::Balanced),
-        "centralized" => Ok(Rule::Centralized),
-        other => {
-            if let Some(t) = other.strip_prefix("threshold:") {
-                let t: usize = t
-                    .parse()
-                    .map_err(|_| format!("threshold rule needs an integer, got `{t}`"))?;
-                if t == 0 || t > k {
-                    return Err(format!("threshold {t} outside 1..={k}"));
-                }
-                Ok(Rule::TThreshold { t })
-            } else {
-                Err(format!(
-                    "unknown rule `{other}` (and | threshold:<T> | balanced | centralized)"
-                ))
-            }
-        }
-    }
-}
-
 fn parse_input(
     spec: &str,
     n: usize,
@@ -398,7 +376,7 @@ fn cmd_test(mut args: Args) -> Result<(), String> {
     let q = args.get("--q")?;
     let backend_spec = args.value("--backend")?;
     args.finish(0)?;
-    let rule = parse_rule(rule_spec.as_deref().unwrap_or("balanced"), k)?;
+    let rule = dut_serve::protocol::parse_rule(rule_spec.as_deref().unwrap_or("balanced"), k)?;
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let input_spec = input_spec.as_deref().unwrap_or("two-level");
     let input = parse_input(input_spec, n, eps, &mut rng)?;
@@ -698,24 +676,28 @@ fn run_load(
     smoke: bool,
     bench_out: Option<String>,
 ) -> Result<(), String> {
-    let (report, check) = if let Some(path) = trace_path {
-        // `--trace` replays a recorded arrival schedule instead of the
-        // open-loop generator; lanes and timing come from the file.
-        let text =
-            std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let trace = dut_serve::Trace::parse(&text)?;
-        println!(
-            "replaying {path}: {} arrivals over {:.2}s on {} lanes",
-            trace.events.len(),
-            Duration::from_micros(trace.span_micros).as_secs_f64(),
-            trace.lanes
-        );
-        (dut_serve::loadgen::run_trace(config, &trace)?, None)
-    } else if stats_check {
-        let (report, check) = dut_serve::loadgen::run_checked(config)?;
+    // `--trace` replays a recorded arrival schedule instead of the
+    // open loop; lanes and timing come from the file.
+    let trace = match trace_path {
+        Some(path) => {
+            let text =
+                std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
+            let trace = dut_serve::Trace::parse(&text)?;
+            println!(
+                "replaying {path}: {} arrivals over {:.2}s on {} lanes",
+                trace.events.len(),
+                Duration::from_micros(trace.span_micros).as_secs_f64(),
+                trace.lanes
+            );
+            Some(trace)
+        }
+        None => None,
+    };
+    let (report, check) = if stats_check {
+        let (report, check) = dut_serve::loadgen::run_checked(config, trace.as_ref())?;
         (report, Some(check))
     } else {
-        (dut_serve::loadgen::run(config)?, None)
+        (dut_serve::loadgen::run(config, trace.as_ref())?, None)
     };
     println!(
         "loadgen: {} sent, {} replies, {} shed, {} errors in {:.2}s ({:.0} req/s)",

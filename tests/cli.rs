@@ -279,23 +279,55 @@ fn unknown_flags_are_rejected_with_the_command_usage() {
     }
 }
 
+/// A `dut serve` child on an ephemeral port, its stdout pipe (kept
+/// open until the server exits: it prints as it stops), and its
+/// listening address.
+struct Server {
+    child: std::process::Child,
+    stdout: std::io::BufReader<std::process::ChildStdout>,
+    addr: String,
+}
+
+impl Server {
+    fn start(extra: &[&str]) -> Server {
+        use std::io::BufRead;
+        let mut child = dut()
+            .args(["serve", "--addr", "127.0.0.1:0"])
+            .args(extra)
+            .stdout(std::process::Stdio::piped())
+            .spawn()
+            .expect("server starts");
+        let mut stdout = std::io::BufReader::new(child.stdout.take().expect("piped stdout"));
+        let mut banner = String::new();
+        stdout.read_line(&mut banner).expect("banner line");
+        let addr = banner
+            .split_whitespace()
+            .nth(4)
+            .expect("listening address")
+            .to_owned();
+        Server {
+            child,
+            stdout,
+            addr,
+        }
+    }
+
+    /// Client-initiated shutdown; the server must exit 0 on its own.
+    fn stop(mut self) {
+        let stopped = dut()
+            .args(["loadgen", "--addr", &self.addr, "--shutdown-only"])
+            .status()
+            .expect("binary runs");
+        assert!(stopped.success());
+        std::io::Read::read_to_end(&mut self.stdout, &mut Vec::new()).expect("drain stdout");
+        assert!(self.child.wait().expect("server exits").success());
+    }
+}
+
 #[test]
 fn fuzz_chaos_plane_attacks_an_external_server() {
-    use std::io::{BufRead, BufReader};
-    let mut server = dut()
-        .args(["serve", "--addr", "127.0.0.1:0", "--idle-timeout", "0.15"])
-        .stdout(std::process::Stdio::piped())
-        .spawn()
-        .expect("server starts");
-    // Keep the pipe open until the server exits: it prints as it stops.
-    let mut stdout = BufReader::new(server.stdout.take().expect("piped stdout"));
-    let mut banner = String::new();
-    stdout.read_line(&mut banner).expect("banner line");
-    let addr = banner
-        .split_whitespace()
-        .nth(4)
-        .expect("listening address")
-        .to_owned();
+    let server = Server::start(&["--idle-timeout", "0.15"]);
+    let addr = server.addr.clone();
     let out = dut()
         .args([
             "fuzz",
@@ -308,13 +340,7 @@ fn fuzz_chaos_plane_attacks_an_external_server() {
         ])
         .output()
         .expect("binary runs");
-    let stopped = dut()
-        .args(["loadgen", "--addr", &addr, "--shutdown-only"])
-        .status()
-        .expect("binary runs");
-    assert!(stopped.success());
-    std::io::Read::read_to_end(&mut stdout, &mut Vec::new()).expect("drain stdout");
-    assert!(server.wait().expect("server exits").success());
+    server.stop();
     assert!(
         out.status.success(),
         "stderr: {}",
@@ -324,4 +350,51 @@ fn fuzz_chaos_plane_attacks_an_external_server() {
     // The mix hit the external server, not a fuzz-owned one.
     assert!(text.contains(&format!("attacking {addr}")), "{text}");
     assert!(text.contains("chaos: PASS"), "{text}");
+}
+
+#[test]
+fn trace_replay_honours_stats_check_and_pipeline() {
+    let dir = std::env::temp_dir().join(format!("dut_cli_trace_replay_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let trace = dir.join("trace.jsonl");
+    let trace = trace.to_str().expect("utf8 path");
+    let written = dut()
+        .args([
+            "loadgen",
+            "--rps",
+            "400",
+            "--duration",
+            "0.5",
+            "--conns",
+            "2",
+            "--trace-out",
+            trace,
+        ])
+        .output()
+        .expect("binary runs");
+    assert!(written.status.success());
+    let server = Server::start(&[]);
+    let out = dut()
+        .args([
+            "loadgen",
+            "--addr",
+            &server.addr,
+            "--trace",
+            trace,
+            "--stats-check",
+            "--pipeline",
+            "2",
+        ])
+        .output()
+        .expect("binary runs");
+    server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "stdout: {text}\nstderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(text.contains("replaying"), "{text}");
+    assert!(text.contains("stats-check: PASS"), "{text}");
 }

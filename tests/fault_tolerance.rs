@@ -5,7 +5,7 @@
 #![allow(clippy::float_cmp, clippy::cast_possible_truncation)] // test code asserts exact values
 use distributed_uniformity::probability::families;
 use distributed_uniformity::simnet::{
-    DecisionRule, FaultModel, FaultyNetwork, MissingPolicy, PlayerContext,
+    DecisionRule, IidFaults, MissingPolicy, PlayerContext, ResilientNetwork,
 };
 use distributed_uniformity::testers::TThresholdTester;
 use rand::SeedableRng;
@@ -32,11 +32,12 @@ fn and_rule_loses_alarms_to_message_loss() {
 
     let detection = |q: usize, loss: f64, seed: u64| -> f64 {
         let player = node_player(tester.node_threshold(q));
-        let net = FaultyNetwork::new(k, FaultModel::new(0.0, loss), MissingPolicy::AssumeAccept);
+        let net = ResilientNetwork::new(k, MissingPolicy::AssumeAccept);
+        let mut plan = IidFaults::new(0.0, loss);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         (0..trials)
             .filter(|_| {
-                net.run(&far, q, &player, &DecisionRule::And, &mut rng)
+                net.run(&far, q, &player, &DecisionRule::And, &mut plan, &mut rng)
                     .verdict
                     .is_reject()
             })
@@ -76,12 +77,20 @@ fn majority_rule_robust_to_moderate_loss() {
     // Every node sees massive collisions on a point mass and rejects.
     let player = node_player(1);
     let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-    let net = FaultyNetwork::new(k, FaultModel::new(0.1, 0.3), MissingPolicy::AssumeAccept);
+    let net = ResilientNetwork::new(k, MissingPolicy::AssumeAccept);
+    let mut plan = IidFaults::new(0.1, 0.3);
     let detected = (0..trials)
         .filter(|_| {
-            net.run(&far, q, &player, &DecisionRule::Majority, &mut rng)
-                .verdict
-                .is_reject()
+            net.run(
+                &far,
+                q,
+                &player,
+                &DecisionRule::Majority,
+                &mut plan,
+                &mut rng,
+            )
+            .verdict
+            .is_reject()
         })
         .count();
     // Theory: each alarm survives crash and loss w.p. 0.9 · 0.7 = 0.63,
@@ -106,12 +115,20 @@ fn assume_reject_trades_false_alarms_for_safety() {
     let uniform = families::uniform(n).alias_sampler();
     let player = node_player(u64::MAX); // local test never rejects
     let mut rng = rand::rngs::StdRng::seed_from_u64(4);
-    let net = FaultyNetwork::new(k, FaultModel::new(0.0, 0.05), MissingPolicy::AssumeReject);
+    let net = ResilientNetwork::new(k, MissingPolicy::AssumeReject);
+    let mut plan = IidFaults::new(0.0, 0.05);
     let false_alarms = (0..trials)
         .filter(|_| {
-            net.run(&uniform, q, &player, &DecisionRule::And, &mut rng)
-                .verdict
-                .is_reject()
+            net.run(
+                &uniform,
+                q,
+                &player,
+                &DecisionRule::And,
+                &mut plan,
+                &mut rng,
+            )
+            .verdict
+            .is_reject()
         })
         .count() as f64
         / f64::from(trials as u32);
@@ -140,21 +157,36 @@ fn exclude_policy_preserves_two_sided_guarantee_under_crashes() {
         (distributed_uniformity::probability::empirical::collision_count_of(samples) as f64)
             <= midpoint
     };
-    let net = FaultyNetwork::new(k, FaultModel::new(0.25, 0.0), MissingPolicy::Exclude);
+    let net = ResilientNetwork::new(k, MissingPolicy::Exclude);
+    let mut plan = IidFaults::new(0.25, 0.0);
     let mut rng = rand::rngs::StdRng::seed_from_u64(5);
     let ok = (0..trials)
         .filter(|_| {
-            net.run(&uniform, q, &player, &DecisionRule::Majority, &mut rng)
-                .verdict
-                .is_accept()
+            net.run(
+                &uniform,
+                q,
+                &player,
+                &DecisionRule::Majority,
+                &mut plan,
+                &mut rng,
+            )
+            .verdict
+            .is_accept()
         })
         .count() as f64
         / f64::from(trials as u32);
     let alarm = (0..trials)
         .filter(|_| {
-            net.run(&far, q, &player, &DecisionRule::Majority, &mut rng)
-                .verdict
-                .is_reject()
+            net.run(
+                &far,
+                q,
+                &player,
+                &DecisionRule::Majority,
+                &mut plan,
+                &mut rng,
+            )
+            .verdict
+            .is_reject()
         })
         .count() as f64
         / f64::from(trials as u32);
