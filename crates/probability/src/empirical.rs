@@ -7,6 +7,7 @@
 
 use crate::dense::DenseDistribution;
 use crate::error::DistributionError;
+use std::cell::RefCell;
 
 /// A histogram of samples over the domain `{0, .., n-1}`.
 ///
@@ -241,33 +242,101 @@ impl Histogram {
     }
 }
 
-/// Counts colliding pairs directly from a sample slice without allocating a
-/// full-domain histogram (sorts a copy; O(q log q), independent of `n`).
+/// Counts colliding pairs, `Σ_i C(c_i, 2)`, directly from a sample slice
+/// without allocating a full-domain histogram.
+///
+/// One O(q) pass over the samples marks each value's first sight in a
+/// per-thread `seen` bitset and lists every later sight in a small
+/// `repeats` vector, so only the `repeats` (about `q²/2n` of them under a
+/// near-uniform law) are sorted. The scratch is reused across calls on the
+/// same thread and left all-zero after each. A slice whose largest value is
+/// at or above 2²⁰ sorts a copy instead (O(q log q)), which bounds the
+/// bitset at 128 KiB per thread and keeps any `usize` sample correct.
 #[must_use]
 pub fn collision_count_of(samples: &[usize]) -> u64 {
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    let mut collisions = 0u64;
-    let mut run = 1u64;
-    for w in sorted.windows(2) {
-        if w[0] == w[1] {
-            run += 1;
-        } else {
-            collisions += run * (run - 1) / 2;
-            run = 1;
-        }
-    }
-    collisions + run * (run - 1) / 2
+    repeat_stats(samples).collisions
 }
 
 /// Coincidence count (`q` minus number of distinct values) directly from a
-/// sample slice.
+/// sample slice: the number of `repeats` in the pass described at
+/// [`collision_count_of`].
 #[must_use]
 pub fn coincidence_count_of(samples: &[usize]) -> u64 {
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    sorted.dedup();
-    samples.len() as u64 - sorted.len() as u64
+    repeat_stats(samples).coincidences
+}
+
+/// Samples at or above this value take the sorting path, so the per-thread
+/// `seen` bitset never exceeds 2²⁰ bits.
+const BITSET_BOUND: usize = 1 << 20;
+
+/// Scratch for [`repeat_stats`]; `seen` is all-zero between calls.
+#[derive(Default)]
+struct Scratch {
+    seen: Vec<u64>,
+    repeats: Vec<usize>,
+}
+
+thread_local! {
+    // Per-thread so concurrent trial workers reuse their scratch without locking.
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
+
+/// The two pair statistics of one sample slice.
+struct RepeatStats {
+    collisions: u64,
+    coincidences: u64,
+}
+
+/// Finds every repeated sight in `samples` and folds them into
+/// [`RepeatStats`].
+fn repeat_stats(samples: &[usize]) -> RepeatStats {
+    let max = samples.iter().copied().max().unwrap_or(0);
+    if max >= BITSET_BOUND {
+        let mut sorted = samples.to_vec();
+        sorted.sort_unstable();
+        return fold_sorted_repeats(sorted.windows(2).filter(|w| w[0] == w[1]).map(|w| w[0]));
+    }
+    SCRATCH.with(|cell| {
+        let Scratch { seen, repeats } = &mut *cell.borrow_mut();
+        let words = max / 64 + 1;
+        if seen.len() < words {
+            seen.resize(words, 0);
+        }
+        repeats.clear();
+        for &x in samples {
+            let bit = 1u64 << (x % 64);
+            let word = &mut seen[x / 64];
+            if *word & bit == 0 {
+                *word |= bit;
+            } else {
+                repeats.push(x);
+            }
+        }
+        for &x in samples {
+            seen[x / 64] = 0;
+        }
+        repeats.sort_unstable();
+        fold_sorted_repeats(repeats.iter().copied())
+    })
+}
+
+/// Folds the repeated sights, in sorted order: a value drawn `c` times
+/// appears `d = c − 1` times and contributes `C(c,2) = d(d+1)/2` pairs.
+fn fold_sorted_repeats(sorted_repeats: impl Iterator<Item = usize>) -> RepeatStats {
+    let mut stats = RepeatStats {
+        collisions: 0,
+        coincidences: 0,
+    };
+    let mut last = None;
+    let mut run = 0u64;
+    for x in sorted_repeats {
+        run = if last == Some(x) { run + 1 } else { 1 };
+        last = Some(x);
+        // The run's `run`-th repeat pairs with the `run` sights before it.
+        stats.collisions += run;
+        stats.coincidences += 1;
+    }
+    stats
 }
 
 #[cfg(test)]

@@ -8,6 +8,53 @@ use dut_probability::{
 use proptest::prelude::*;
 use rand::SeedableRng;
 
+/// The smallest sample value for which the collision functions sort a copy
+/// instead of using their per-thread bitset.
+const BITSET_BOUND: usize = 1 << 20;
+
+/// Colliding pairs by brute force: every `i < j` with equal samples.
+fn pair_count(samples: &[usize]) -> u64 {
+    let mut pairs = 0;
+    for (i, a) in samples.iter().enumerate() {
+        pairs += samples[i + 1..].iter().filter(|&b| b == a).count() as u64;
+    }
+    pairs
+}
+
+/// `q` minus the number of distinct values, by brute force: every sample
+/// equal to an earlier one.
+fn coincidences(samples: &[usize]) -> u64 {
+    (0..samples.len())
+        .filter(|&i| samples[..i].contains(&samples[i]))
+        .count() as u64
+}
+
+/// Asserts both collision functions against the brute-force oracles.
+fn assert_matches_oracle(samples: &[usize]) {
+    assert_eq!(empirical::collision_count_of(samples), pair_count(samples));
+    assert_eq!(
+        empirical::coincidence_count_of(samples),
+        coincidences(samples)
+    );
+}
+
+/// Sample slices mixing small values, values either side of the bitset bound
+/// and values just below `usize::MAX`. A third of the slices are reduced
+/// below 64 and a third below the bound, so both counting paths and their
+/// repeats are reached.
+fn arb_mixed_samples() -> impl Strategy<Value = Vec<usize>> {
+    let value = (0u8..3, 0usize..64, 0usize..4).prop_map(|(kind, small, near)| match kind {
+        0 => small,
+        1 => BITSET_BOUND - 2 + near,
+        _ => usize::MAX - near,
+    });
+    (0u8..3, prop::collection::vec(value, 0..96)).prop_map(|(cap, samples)| match cap {
+        0 => samples.into_iter().map(|x| x % 64).collect(),
+        1 => samples.into_iter().map(|x| x % BITSET_BOUND).collect(),
+        _ => samples,
+    })
+}
+
 /// Strategy producing a valid probability vector of length 2..=32.
 fn arb_distribution() -> impl Strategy<Value = DenseDistribution> {
     prop::collection::vec(0.0f64..1.0, 2..32).prop_filter_map(
@@ -111,6 +158,12 @@ proptest! {
             h.coincidence_count(),
             empirical::coincidence_count_of(&samples)
         );
+    }
+
+    #[test]
+    fn collision_functions_match_pair_oracle(samples in arb_mixed_samples()) {
+        prop_assert_eq!(empirical::collision_count_of(&samples), pair_count(&samples));
+        prop_assert_eq!(empirical::coincidence_count_of(&samples), coincidences(&samples));
     }
 
     #[test]
@@ -229,4 +282,52 @@ proptest! {
             }
         }
     }
+}
+
+#[test]
+fn collision_functions_edge_cases() {
+    assert_matches_oracle(&[]);
+    assert_matches_oracle(&[7]);
+    assert_matches_oracle(&[usize::MAX]);
+    assert_matches_oracle(&[3; 40]);
+    assert_matches_oracle(&[usize::MAX; 40]);
+    assert_eq!(empirical::collision_count_of(&[3; 40]), 40 * 39 / 2);
+    assert_eq!(empirical::coincidence_count_of(&[3; 40]), 39);
+}
+
+#[test]
+fn collision_functions_many_more_samples_than_values() {
+    // q = 512 samples over a domain of 4: every value repeats ~127 times.
+    let samples: Vec<usize> = (0..512).map(|i| (i * 7 + i / 3) % 4).collect();
+    assert_matches_oracle(&samples);
+    assert_eq!(empirical::coincidence_count_of(&samples), 508);
+}
+
+#[test]
+fn collision_scratch_does_not_leak_between_calls_or_threads() {
+    // Alternate slices that take the sorting path (large maximum) with
+    // slices that reuse the per-thread bitset, at its full 2²⁰ bits and
+    // small, on several threads at once: every answer must match the
+    // oracle, so no marks survive a call.
+    let large: Vec<usize> = vec![5, 9, BITSET_BOUND, 9, usize::MAX, BITSET_BOUND, 5];
+    let wide: Vec<usize> = (0..300)
+        .map(|i| i * 3500)
+        .chain([BITSET_BOUND - 1; 2])
+        .collect();
+    let small: Vec<usize> = (0..200).map(|i| (i * 13) % 50).collect();
+    std::thread::scope(|scope| {
+        for t in 0..4 {
+            let (large, wide, small) = (&large, &wide, &small);
+            scope.spawn(move || {
+                for round in 0..50 {
+                    assert_matches_oracle(large);
+                    if (round + t) % 2 == 0 {
+                        assert_matches_oracle(wide);
+                    }
+                    assert_matches_oracle(small);
+                    assert_matches_oracle(&small[round..round + 3]);
+                }
+            });
+        }
+    });
 }
