@@ -194,12 +194,6 @@ pub fn git_describe() -> String {
         .unwrap_or_else(|| "unknown".to_owned())
 }
 
-/// Formats a fitted slope with its target for table cells.
-#[must_use]
-pub fn slope_cell(measured: f64, predicted: f64) -> String {
-    format!("{measured:+.2} (theory {predicted:+.2})")
-}
-
 /// Re-exported for binaries.
 pub use dut_core::stats::sweep::{geometric_grid, log_log_slope, r_squared};
 

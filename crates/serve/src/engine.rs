@@ -334,21 +334,14 @@ impl Engine {
     /// [`DEFAULT_TRACE_SAMPLE`].
     #[must_use]
     pub fn new(cache_cap: usize) -> Engine {
-        Engine::with_trace_sample(cache_cap, DEFAULT_TRACE_SAMPLE)
-    }
-
-    /// Like [`Engine::new`] with an explicit sampling rate: one
-    /// request in `trace_sample` emits a `serve_trace` event
-    /// (0 disables sampled traces entirely).
-    #[must_use]
-    pub fn with_trace_sample(cache_cap: usize, trace_sample: u64) -> Engine {
-        Engine::with_options(cache_cap, trace_sample, DEFAULT_CACHE_SHARDS)
+        Engine::with_options(cache_cap, DEFAULT_TRACE_SAMPLE, DEFAULT_CACHE_SHARDS)
     }
 
     /// Fully explicit constructor: cache capacity, trace sampling
-    /// rate, and how many independent shards the tester cache splits
-    /// into (clamped to at least 1; 1 recovers the single-mutex
-    /// behavior).
+    /// rate (one request in `trace_sample` emits a `serve_trace`
+    /// event; 0 disables sampled traces), and how many independent
+    /// shards the tester cache splits into (clamped to at least 1;
+    /// 1 recovers the single-mutex behavior).
     #[must_use]
     pub fn with_options(cache_cap: usize, trace_sample: u64, cache_shards: usize) -> Engine {
         Engine {
@@ -364,40 +357,18 @@ impl Engine {
         self.cache.len()
     }
 
-    /// Evaluates one request; see [`Engine::handle_queued`] (this is
-    /// the zero-queue-wait form used by tests and the offline
-    /// verifier).
+    /// Evaluates one request with zero queue wait, as a one-element
+    /// [`Engine::handle_batch`] (the form used by tests and the
+    /// offline verifier).
     ///
     /// # Errors
     ///
     /// Returns the validation message for unsatisfiable
     /// configurations (sent back to the client as `{"error":...}`).
     pub fn handle(&self, req: &Request) -> Result<Reply, String> {
-        self.handle_queued(req, 0)
-    }
-
-    /// Evaluates one request: resolve the tester (cache or build),
-    /// run the trials on the key's resolved backend (the cost model's
-    /// per-`(n, q)` engine pick), assemble the reply.
-    /// Every call increments `serve_requests` and exactly one of
-    /// `serve_cache_hits` / `serve_cache_misses`, records the service
-    /// time in `request_micros` and the per-phase times in
-    /// `calibrate_micros` (miss builds only) and `compute_micros`,
-    /// assigns the reply a process-unique `rid`, and ticks the
-    /// windowed-metrics ring. `queue_wait_micros` is how long the
-    /// connection waited for a worker (already recorded in the
-    /// `queue_wait_micros` histogram by the server; threaded through
-    /// here so sampled traces show the full queue → calibrate →
-    /// compute breakdown).
-    ///
-    /// # Errors
-    ///
-    /// Returns the validation message for unsatisfiable
-    /// configurations (sent back to the client as `{"error":...}`).
-    pub fn handle_queued(&self, req: &Request, queue_wait_micros: u64) -> Result<Reply, String> {
         let one = [QueuedRequest {
             req: *req,
-            queue_wait_micros,
+            queue_wait_micros: 0,
         }];
         self.handle_batch(&one)
             .pop()
@@ -413,7 +384,10 @@ impl Engine {
     /// (the single-flight rule: shared work is a hit, not a repeat)
     /// and additionally tick `serve_coalesced`, so
     /// `hits + misses == requests` stays exact and the coalescing
-    /// win is visible on its own counter.
+    /// win is visible on its own counter. Each request also records
+    /// its service time in `request_micros` and its trial time in
+    /// `compute_micros`, gets a process-unique `rid`, and ticks the
+    /// windowed-metrics ring; sampled traces carry its queue wait.
     ///
     /// Trials still run per request with the request's own seed, so
     /// coalescing never changes an answer: each reply is bit-identical

@@ -31,24 +31,15 @@ use crate::protocol::{self, Family, ReplyLine, Request};
 use crate::stats::Stats;
 use crate::trace::{Trace, TraceEvent};
 use dut_core::Rule;
-use dut_obs::json::{self, Json};
 use parking_lot::Mutex;
-use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// Schema tag stamped into every bench artifact. `v2` adds the
-/// server's windowed `queue_wait_p99_us` as a first-class field — the
-/// request-level scheduler made it a number worth tracking (under
-/// connection pinning it measured whole-connection queueing and was
-/// meaningless as a health signal).
-pub const BENCH_SCHEMA: &str = "dut-bench-serve/v2";
-
-/// A `v2` artifact from a shed-free run must show a queue-wait p99
-/// below this (microseconds): with per-request scheduling, a healthy
-/// queue drains in well under 10ms.
+/// A shed-free [`smoke_failures`] run must show a server queue-wait
+/// p99 below this (microseconds): with per-request scheduling, a
+/// healthy queue drains in well under 10ms.
 pub const SANE_QUEUE_WAIT_MICROS: f64 = 10_000.0;
 
 /// Load-generator configuration.
@@ -526,95 +517,49 @@ pub fn run_checked(
     ))
 }
 
-/// Renders a bench artifact: the client-side report plus, when given,
-/// the server's post-run stats line under `"server"`.
+/// The `dut loadgen --smoke` gate over one run and its stats
+/// cross-check: sustained throughput with zero sheds, zero errors,
+/// zero offline disagreements, a client p99 under 50ms and, on a
+/// shed-free run, a server queue-wait p99 under
+/// [`SANE_QUEUE_WAIT_MICROS`]. The cross-check's own failures stay in
+/// [`StatsCheck::failures`]; an empty result means the gate passed.
 #[must_use]
-pub fn bench_json(report: &LoadgenReport, stats: Option<&Stats>) -> String {
-    let mut out = String::with_capacity(512);
-    let _ = write!(
-        out,
-        "{{\"schema\":\"{BENCH_SCHEMA}\",\"sent\":{},\"replies\":{},\"shed\":{},\"errors\":{},\"mismatches\":{}",
-        report.sent, report.replies, report.shed, report.errors, report.mismatches
-    );
-    let _ = write!(
-        out,
-        ",\"elapsed_us\":{}",
-        u64::try_from(report.elapsed.as_micros()).unwrap_or(u64::MAX)
-    );
-    out.push_str(",\"achieved_rps\":");
-    json::write_f64(&mut out, report.achieved_rps);
-    let _ = write!(
-        out,
-        ",\"p50_us\":{},\"p95_us\":{},\"p99_us\":{}",
-        report.p50_micros, report.p95_micros, report.p99_micros
-    );
-    // First-class in v2: the server's windowed queue-wait p99, the
-    // request-scheduling-delay number the bench trajectory tracks.
-    out.push_str(",\"queue_wait_p99_us\":");
-    json::write_f64(&mut out, stats.map_or(0.0, |s| s.queue_wait_p99));
-    if let Some(stats) = stats {
-        let _ = write!(out, ",\"server\":{}", stats.render());
-    }
-    out.push('}');
-    out
-}
-
-/// Validates a bench artifact against the `dut-bench-serve/v2`
-/// schema: the tag, every required field with the right type, and the
-/// internal invariants (replies ≤ sent, ordered quantiles, and — on
-/// shed-free runs only — a sane queue-wait p99).
-///
-/// # Errors
-///
-/// Returns the first violation found.
-pub fn check_bench_json(text: &str) -> Result<(), String> {
-    let doc = json::parse(text.trim()).map_err(|e| format!("not JSON: {e}"))?;
-    match doc.get("schema") {
-        Some(Json::Str(s)) if s == BENCH_SCHEMA => {}
-        Some(Json::Str(s)) => return Err(format!("schema is `{s}`, expected `{BENCH_SCHEMA}`")),
-        _ => return Err("missing `schema` tag".to_owned()),
-    }
-    let need_u64 = |key: &str| -> Result<u64, String> {
-        doc.get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("missing or non-integer `{key}`"))
-    };
-    let sent = need_u64("sent")?;
-    let replies = need_u64("replies")?;
-    let shed = need_u64("shed")?;
-    need_u64("errors")?;
-    need_u64("mismatches")?;
-    need_u64("elapsed_us")?;
-    let queue_wait = doc
-        .get("queue_wait_p99_us")
-        .and_then(Json::as_f64)
-        .ok_or("missing or non-numeric `queue_wait_p99_us`")?;
-    if shed == 0 && queue_wait >= SANE_QUEUE_WAIT_MICROS {
-        return Err(format!(
-            "queue_wait_p99_us {queue_wait} on a shed-free run (must be < {SANE_QUEUE_WAIT_MICROS})"
+pub fn smoke_failures(report: &LoadgenReport, check: &StatsCheck) -> Vec<String> {
+    let mut failures = Vec::new();
+    if report.achieved_rps < 20_000.0 {
+        failures.push(format!(
+            "achieved {:.0} req/s, smoke floor is 20000",
+            report.achieved_rps
         ));
     }
-    let p50 = need_u64("p50_us")?;
-    let p95 = need_u64("p95_us")?;
-    let p99 = need_u64("p99_us")?;
-    if doc.get("achieved_rps").and_then(Json::as_f64).is_none() {
-        return Err("missing or non-numeric `achieved_rps`".to_owned());
-    }
-    if replies > sent {
-        return Err(format!("{replies} replies exceed {sent} sends"));
-    }
-    if !(p50 <= p95 && p95 <= p99) {
-        return Err(format!(
-            "quantiles out of order: p50 {p50} p95 {p95} p99 {p99}"
+    if report.shed > 0 {
+        failures.push(format!(
+            "{} requests shed below the queue bound",
+            report.shed
         ));
     }
-    if let Some(server) = doc.get("server") {
-        // The embedded server stats must themselves parse.
-        let mut line = String::new();
-        json::write(&mut line, server);
-        Stats::parse(&line).map_err(|e| format!("embedded `server` stats invalid: {e}"))?;
+    if report.errors > 0 {
+        failures.push(format!("{} transport/protocol errors", report.errors));
     }
-    Ok(())
+    if report.mismatches > 0 {
+        failures.push(format!(
+            "{} replies disagreed with the offline engine",
+            report.mismatches
+        ));
+    }
+    if report.p99_micros > 50_000 {
+        failures.push(format!(
+            "p99 latency {}us exceeds the 50ms smoke bound",
+            report.p99_micros
+        ));
+    }
+    let queue_wait = check.post.queue_wait_p99;
+    if report.shed == 0 && queue_wait >= SANE_QUEUE_WAIT_MICROS {
+        failures.push(format!(
+            "queue-wait p99 {queue_wait}us on a shed-free run (must be < {SANE_QUEUE_WAIT_MICROS}us)"
+        ));
+    }
+    failures
 }
 
 /// Connects, sends `{"cmd":"shutdown"}`, and waits for the ack.
@@ -689,72 +634,42 @@ mod tests {
     }
 
     #[test]
-    fn bench_json_passes_its_own_validator() {
-        let line = bench_json(&report(), None);
-        check_bench_json(&line).unwrap();
-        // With embedded server stats too.
-        let line = bench_json(&report(), Some(&Stats::default()));
-        check_bench_json(&line).unwrap();
-    }
-
-    #[test]
-    fn bench_validator_rejects_bad_artifacts() {
-        assert!(check_bench_json("not json").is_err());
-        assert!(check_bench_json("{\"schema\":\"dut-bench-serve/v0\"}").is_err());
-        let missing = "{\"schema\":\"dut-bench-serve/v2\",\"sent\":5}";
-        assert!(check_bench_json(missing).unwrap_err().contains("replies"));
-        let inverted = bench_json(
-            &LoadgenReport {
-                p50_micros: 900,
-                p99_micros: 100,
-                ..report()
-            },
-            None,
-        );
-        assert!(check_bench_json(&inverted).unwrap_err().contains("order"));
-        let overcounted = bench_json(
-            &LoadgenReport {
-                replies: 200,
-                ..report()
-            },
-            None,
-        );
-        assert!(check_bench_json(&overcounted)
-            .unwrap_err()
-            .contains("exceed"));
-    }
-
-    #[test]
-    fn bench_validator_rejects_legacy_v1_artifacts() {
-        // The v1 layout (no `queue_wait_p99_us`) is no longer read.
-        let v1 = "{\"schema\":\"dut-bench-serve/v1\",\"sent\":100,\"replies\":90,\
-                  \"shed\":10,\"errors\":0,\"mismatches\":0,\"elapsed_us\":2000000,\
-                  \"achieved_rps\":45,\"p50_us\":100,\"p95_us\":300,\"p99_us\":900}";
-        assert!(check_bench_json(v1).unwrap_err().contains("schema"));
-    }
-
-    #[test]
-    fn v2_requires_a_sane_queue_wait_on_shed_free_runs() {
+    fn smoke_requires_a_sane_queue_wait_on_shed_free_runs() {
         let shed_free = LoadgenReport {
+            sent: 60_000,
+            replies: 60_000,
             shed: 0,
+            achieved_rps: 30_000.0,
             ..report()
         };
-        let healthy = Stats {
-            queue_wait_p99: 500.0,
-            ..Stats::default()
+        let check = |queue_wait_p99| StatsCheck {
+            pre: Stats::default(),
+            post: Stats {
+                queue_wait_p99,
+                ..Stats::default()
+            },
+            mid_polls: 1,
+            failures: Vec::new(),
         };
-        check_bench_json(&bench_json(&shed_free, Some(&healthy))).unwrap();
-        let mismeasured = Stats {
-            queue_wait_p99: 1_572_863.5, // the committed v1 baseline's value
-            ..Stats::default()
-        };
-        let line = bench_json(&shed_free, Some(&mismeasured));
-        assert!(check_bench_json(&line)
-            .unwrap_err()
-            .contains("queue_wait_p99_us"));
-        // A run that shed is allowed a backed-up queue.
-        let line = bench_json(&report(), Some(&mismeasured));
-        check_bench_json(&line).unwrap();
+        let healthy = check(500.0);
+        assert!(smoke_failures(&shed_free, &healthy).is_empty());
+        // The committed v1 baseline's value, from the era of
+        // connection-pinned dispatch.
+        let mismeasured = check(1_572_863.5);
+        let failures = smoke_failures(&shed_free, &mismeasured);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("queue-wait"), "{failures:?}");
+        // A run that shed is allowed a backed-up queue (the shed
+        // itself fails the gate).
+        let failures = smoke_failures(&report(), &mismeasured);
+        assert!(
+            !failures.iter().any(|f| f.contains("queue-wait")),
+            "{failures:?}"
+        );
+        assert!(
+            failures.iter().any(|f| f.contains("requests shed")),
+            "{failures:?}"
+        );
     }
 
     #[test]

@@ -1,7 +1,6 @@
 use crate::bits::PackedBits;
 use crate::message::Message;
 use crate::player::{CountPlayer, MessagePlayer, Player, PlayerContext};
-use crate::rates::RateVector;
 use crate::rule::{DecisionRule, MessageReferee, Verdict};
 use dut_obs::metrics::{Counter, Gauge, HistogramId};
 use dut_probability::{DualSampler, SampleBackend, Sampler};
@@ -194,30 +193,6 @@ impl Network {
         }
     }
 
-    /// Runs the asymmetric-rate model: player `i` draws
-    /// `⌊rate_i · tau⌋` samples (at least 1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rates.len() != k` or `tau` is not positive and finite.
-    pub fn run_with_rates<S, P, R>(
-        &self,
-        sampler: &S,
-        rates: &RateVector,
-        tau: f64,
-        player: &P,
-        rule: &DecisionRule,
-        rng: &mut R,
-    ) -> RunOutcome
-    where
-        S: Sampler,
-        P: Player + ?Sized,
-        R: Rng + ?Sized,
-    {
-        let counts = rates.samples_for_time(tau);
-        self.run_with_sample_counts(sampler, &counts, player, rule, rng)
-    }
-
     /// Runs the one-bit protocol for count-consuming players: every
     /// player receives its `q`-sample occupancy histogram, realized by
     /// the chosen [`SampleBackend`] — either by binning per-draw samples
@@ -408,34 +383,6 @@ impl Network {
         let accepted = (0..trials)
             .filter(|_| {
                 self.run(sampler, samples_per_player, player, rule, rng)
-                    .verdict
-                    .is_accept()
-            })
-            .count();
-        accepted as f64 / trials as f64
-    }
-
-    /// Estimates the acceptance probability of a count-consuming
-    /// protocol under the chosen backend, running it `trials` times.
-    #[allow(clippy::too_many_arguments)]
-    pub fn acceptance_rate_counts<P, R>(
-        &self,
-        sampler: &DualSampler,
-        backend: SampleBackend,
-        samples_per_player: usize,
-        player: &P,
-        rule: &DecisionRule,
-        trials: usize,
-        rng: &mut R,
-    ) -> f64
-    where
-        P: CountPlayer + Sync + ?Sized,
-        R: Rng + ?Sized,
-    {
-        assert!(trials > 0, "need at least one trial");
-        let accepted = (0..trials)
-            .filter(|_| {
-                self.run_counts(sampler, backend, samples_per_player, player, rule, rng)
                     .verdict
                     .is_accept()
             })

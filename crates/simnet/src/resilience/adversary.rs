@@ -67,12 +67,6 @@ impl ByzantinePlan {
         self.loss = loss;
         self
     }
-
-    /// Number of corrupted players `t`.
-    #[must_use]
-    pub fn num_corrupted(&self) -> usize {
-        self.corrupted
-    }
 }
 
 impl FaultPlan for ByzantinePlan {

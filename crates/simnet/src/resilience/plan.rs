@@ -150,12 +150,6 @@ impl IidFaults {
     pub fn crash_probability(&self) -> f64 {
         self.crash
     }
-
-    /// Per-copy loss probability.
-    #[must_use]
-    pub fn loss_probability(&self) -> f64 {
-        self.loss
-    }
 }
 
 impl FaultPlan for IidFaults {

@@ -66,7 +66,6 @@ pub fn byzantine_tolerance(rule: &DecisionRule, k: usize) -> Option<usize> {
 pub struct RobustRule {
     base_threshold: usize,
     adjusted: DecisionRule,
-    rate: f64,
     policy: MissingPolicy,
 }
 
@@ -102,7 +101,6 @@ impl RobustRule {
             adjusted: DecisionRule::Threshold {
                 min_rejects: adjusted_t,
             },
-            rate,
             policy,
         }
     }
@@ -130,12 +128,6 @@ impl RobustRule {
             DecisionRule::Threshold { min_rejects } => min_rejects,
             _ => unreachable!("adjusted rule is a threshold by construction"),
         }
-    }
-
-    /// The fault rate the rule was calibrated for.
-    #[must_use]
-    pub fn fault_rate(&self) -> f64 {
-        self.rate
     }
 
     /// The missing policy the rule was calibrated for.

@@ -123,24 +123,21 @@ serve USAGE:
 loadgen USAGE:
     dut loadgen [--addr <host:port>] [--rps <N>] [--duration <secs>]
                 [--conns <N>] [--pipeline <N>] [--smoke] [--stats-check]
-                [--bench-out <file>] [--check <file>]
                 [--trace <file>] [--trace-out <file>]
                 [--shutdown] [--shutdown-only]
         open-loop load at --rps for --duration, then print achieved
         throughput and p50/p95/p99 latency; --pipeline keeps a window
         of N requests in flight per connection (one write per window,
-        replies drained in send order); --smoke runs the CI
-        gate (>=20000 req/s, zero shed, p99 under 50ms,
-        offline-identical verdicts); --stats-check cross-checks the
+        replies drained in send order); --stats-check cross-checks the
         server's {\"cmd\":\"stats\"} accounting against the client
-        tally (polling mid-load); --bench-out writes a
-        dut-bench-serve/v2 artifact and --check validates one
-        without generating load; --trace-out writes a
-        replayable bursty/diurnal arrival trace (dut-serve-trace/v1,
-        no load generated) and --trace replays one against the
-        server (--pipeline and --stats-check apply to replays too);
-        --shutdown stops the server afterwards,
-        --shutdown-only does nothing else
+        tally (polling mid-load); --smoke runs the CI gate, stats
+        cross-check included (>=20000 req/s, zero shed, p99 under
+        50ms, offline-identical verdicts, server queue-wait p99
+        under 10ms); --trace-out writes a replayable bursty/diurnal
+        arrival trace (dut-serve-trace/v1, no load generated) and
+        --trace replays one against the server (--pipeline and
+        --stats-check apply to replays too); --shutdown stops the
+        server afterwards, --shutdown-only does nothing else
 
 fuzz USAGE:
     dut fuzz --smoke [--seed <N>] [--corpus-dir <dir>]
@@ -598,9 +595,9 @@ fn cmd_loadgen(mut args: Args) -> Result<(), String> {
     let smoke = args.switch("--smoke");
     let shutdown_after = args.switch("--shutdown");
     let shutdown_only = args.switch("--shutdown-only");
-    let stats_check = args.switch("--stats-check");
-    let bench_out = args.value("--bench-out")?;
-    let check_path = args.value("--check")?;
+    // The smoke gate reads the server's queue wait, so it always
+    // runs the stats cross-check.
+    let stats_check = args.switch("--stats-check") || smoke;
     let trace_path = args.value("--trace")?;
     let trace_out = args.value("--trace-out")?;
     if let Some(addr) = args.value("--addr")? {
@@ -619,17 +616,6 @@ fn cmd_loadgen(mut args: Args) -> Result<(), String> {
         config.pipeline = window.max(1);
     }
     args.finish(0)?;
-    // `--check` validates an existing artifact; no load is generated.
-    if let Some(path) = check_path {
-        let text =
-            std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        dut_serve::loadgen::check_bench_json(&text).map_err(|e| format!("{path}: {e}"))?;
-        println!(
-            "{path}: valid {} artifact",
-            dut_serve::loadgen::BENCH_SCHEMA
-        );
-        return Ok(());
-    }
     // `--trace-out` generates a replayable arrival trace; no load is
     // generated and no server is needed.
     if let Some(path) = trace_out {
@@ -658,7 +644,7 @@ fn cmd_loadgen(mut args: Args) -> Result<(), String> {
         config.verify_offline = true;
     }
     config.duration = Duration::from_secs_f64(if smoke { 2.0 } else { duration_secs });
-    let outcome = run_load(&config, trace_path, stats_check, smoke, bench_out);
+    let outcome = run_load(&config, trace_path, stats_check, smoke);
     let shutdown = if shutdown_after {
         send_shutdown(&config.addr)
     } else {
@@ -668,13 +654,12 @@ fn cmd_loadgen(mut args: Args) -> Result<(), String> {
 }
 
 /// One loadgen run (open-loop, or a `--trace` replay), its report, and
-/// the `--smoke` / `--stats-check` / `--bench-out` follow-ups.
+/// the `--stats-check` and `--smoke` gates.
 fn run_load(
     config: &dut_serve::LoadgenConfig,
     trace_path: Option<String>,
     stats_check: bool,
     smoke: bool,
-    bench_out: Option<String>,
 ) -> Result<(), String> {
     // `--trace` replays a recorded arrival schedule instead of the
     // open loop; lanes and timing come from the file.
@@ -719,74 +704,31 @@ fn run_load(
             report.replies
         );
     }
-    let mut failures = if smoke {
-        smoke_failures(&report)
-    } else {
-        Vec::new()
-    };
-    if smoke && failures.is_empty() {
-        println!("smoke: PASS");
-    }
+    let mut failures = Vec::new();
     if let Some(check) = &check {
+        if smoke {
+            let gate = dut_serve::loadgen::smoke_failures(&report, check);
+            if gate.is_empty() {
+                println!("smoke: PASS");
+            }
+            failures.extend(gate.iter().map(|f| format!("smoke: {f}")));
+        }
         println!(
-            "stats-check: {} mid-load polls answered; server delta {} requests",
+            "stats-check: {} mid-load polls answered; server delta {} requests; queue-wait p99 {:.0}us",
             check.mid_polls,
-            check.post.requests.saturating_sub(check.pre.requests)
+            check.post.requests.saturating_sub(check.pre.requests),
+            check.post.queue_wait_p99
         );
         if check.passed() {
             println!("stats-check: PASS");
         }
         failures.extend(check.failures.iter().map(|f| format!("stats-check: {f}")));
     }
-    if let Some(path) = bench_out {
-        let line = dut_serve::loadgen::bench_json(&report, check.as_ref().map(|c| &c.post));
-        match std::fs::write(&path, format!("{line}\n")) {
-            Ok(()) => println!("bench artifact written to {path}"),
-            Err(e) => failures.push(format!("cannot write {path}: {e}")),
-        }
-    }
     if failures.is_empty() {
         Ok(())
     } else {
         Err(failures.join("\n"))
     }
-}
-
-/// The `--smoke` gate: sustained throughput with zero sheds, zero
-/// errors, zero offline disagreements, and a sane tail.
-fn smoke_failures(report: &dut_serve::LoadgenReport) -> Vec<String> {
-    let mut failures = Vec::new();
-    if report.achieved_rps < 20_000.0 {
-        failures.push(format!(
-            "achieved {:.0} req/s, smoke floor is 20000",
-            report.achieved_rps
-        ));
-    }
-    if report.shed > 0 {
-        failures.push(format!(
-            "{} requests shed below the queue bound",
-            report.shed
-        ));
-    }
-    if report.errors > 0 {
-        failures.push(format!("{} transport/protocol errors", report.errors));
-    }
-    if report.mismatches > 0 {
-        failures.push(format!(
-            "{} replies disagreed with the offline engine",
-            report.mismatches
-        ));
-    }
-    if report.p99_micros > 50_000 {
-        failures.push(format!(
-            "p99 latency {}us exceeds the 50ms smoke bound",
-            report.p99_micros
-        ));
-    }
-    failures
-        .into_iter()
-        .map(|f| format!("smoke: {f}"))
-        .collect()
 }
 
 fn send_shutdown(addr: &str) -> Result<(), String> {
@@ -1309,7 +1251,7 @@ fn cmd_bench(mut args: Args) -> Result<(), String> {
             e.auto_ns = e.auto_ns.min(auto_ns);
         }
     }
-    let json = render_bench_json(&entries, smoke);
+    let json = render_bench_file(&entries, smoke);
     std::fs::write(&out_path, json).map_err(|e| format!("cannot write {out_path}: {e}"))?;
     println!("[baseline written to {out_path}]");
     let largest = entries.last().expect("grid is never empty");
@@ -1396,7 +1338,7 @@ fn time_backends(
 /// Serializes the measured grid as the `dut-bench-perf/v2` document:
 /// the timing columns plus a provenance block (thread count, host
 /// triple, and — when `--probe` ran — the installed cost-model scales).
-fn render_bench_json(entries: &[BenchEntry], smoke: bool) -> String {
+fn render_bench_file(entries: &[BenchEntry], smoke: bool) -> String {
     use distributed_uniformity::probability::costmodel;
     use std::fmt::Write as _;
     let mut out = String::from("{\"schema\":");

@@ -260,6 +260,10 @@ fn unknown_flags_are_rejected_with_the_command_usage() {
         (&["predict", "stray"], "stray"),
         // The chaos client mix lives under `dut fuzz --plane chaos`.
         (&["loadgen", "--chaos"], "--chaos"),
+        // The serve bench artifact is retired; perfbench's serve-hot
+        // is the serve performance record.
+        (&["loadgen", "--bench-out", "x.json"], "--bench-out"),
+        (&["loadgen", "--check", "x.json"], "--check"),
     ];
     for (args, flag) in cases {
         let (ok, err) = run_dut(args);
