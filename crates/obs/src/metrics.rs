@@ -82,9 +82,9 @@ pub enum Counter {
     /// Served requests whose `Auto` backend resolved to the histogram
     /// engine (cost model picked O(n + q) stick-breaking).
     ServeBackendHistogram,
-    /// Served requests answered as followers of a coalesced batch:
-    /// they shared one prepared-tester resolution with the batch
-    /// leader instead of taking the cache lock themselves.
+    /// Served requests whose cache lookup joined a prepared-tester
+    /// build still in flight for another request (single flight): a
+    /// subset of `serve_cache_hits`.
     ServeCoalesced,
     /// Requests shed by per-tenant admission control (token-bucket
     /// quota exhausted) rather than by the global queue bound.

@@ -505,8 +505,8 @@ impl Report {
                 let mean = *sum as f64 / *count as f64;
                 let _ = writeln!(
                     out,
-                    "  {name:<20} count={count} mean={mean:.1} p50≈{} max_bucket≈{}",
-                    approx_quantile(buckets, *count, 0.5),
+                    "  {name:<20} count={count} mean={mean:.1} p50≈{:.1} max_bucket≈{}",
+                    crate::metrics::quantile_from_buckets(buckets, *count, *sum, 0.5),
                     buckets.last().map_or(0, |b| b.0),
                 );
             }
@@ -521,25 +521,6 @@ impl Report {
         }
         out
     }
-}
-
-/// Approximate quantile from log buckets: the low edge of the bucket
-/// where the cumulative count crosses `q`.
-fn approx_quantile(buckets: &[(u64, u64)], count: u64, q: f64) -> u64 {
-    #[allow(
-        clippy::cast_precision_loss,
-        clippy::cast_sign_loss,
-        clippy::cast_possible_truncation
-    )]
-    let target = (count as f64 * q).ceil().max(1.0) as u64;
-    let mut seen = 0;
-    for &(low, n) in buckets {
-        seen += n;
-        if seen >= target {
-            return low;
-        }
-    }
-    buckets.last().map_or(0, |b| b.0)
 }
 
 #[allow(clippy::float_cmp)]
@@ -986,10 +967,22 @@ mod tests {
     }
 
     #[test]
-    fn quantile_approximation() {
-        // 10 values in bucket 8, 10 in bucket 64.
-        let buckets = vec![(8u64, 10u64), (64, 10)];
-        assert_eq!(approx_quantile(&buckets, 20, 0.5), 8);
-        assert_eq!(approx_quantile(&buckets, 20, 0.9), 64);
+    fn report_p50_is_the_registrys_estimate() {
+        // 10 values in bucket 8, 10 in bucket 64: the same buckets
+        // `{"cmd":"stats"}` and `dut top` would read.
+        let snapshot = crate::metrics::HistogramSnapshot {
+            name: "request_micros",
+            count: 20,
+            sum: 10 * 12 + 10 * 90,
+            buckets: vec![(8, 10), (64, 10)],
+        };
+        let mut report = Report::default();
+        report.histograms.insert(
+            snapshot.name.to_owned(),
+            (snapshot.count, snapshot.sum, snapshot.buckets.clone()),
+        );
+        let text = report.render();
+        let expected = format!("p50≈{:.1} ", snapshot.quantile(0.5));
+        assert!(text.contains(&expected), "want {expected:?} in {text}");
     }
 }

@@ -13,11 +13,15 @@
 //!   keys — the same check-then-act discipline as
 //!   `dut_testers::cache::cached_poisson_threshold`, but with the
 //!   computation moved outside the critical section.
-//! * **Exact accounting.** Every lookup is classified hit or miss at
-//!   the moment the map is consulted under the lock, so
-//!   `hits + misses == calls` under any interleaving. A lookup that
-//!   finds an entry still being built counts as a hit (the work is
-//!   shared, not repeated).
+//! * **Exact accounting.** Every lookup is classified at the moment
+//!   the map is consulted under the lock, so `hits + misses == calls`
+//!   under any interleaving. A lookup that finds an entry still being
+//!   built is a [`Lookup::Joined`]: it counts as a hit (the work is
+//!   shared, not repeated) and is reported apart so the server can
+//!   count how often single flight saved a build.
+//!
+//! This is the only place the server shares a prepared tester between
+//! requests: each request takes one lookup.
 //!
 //! Eviction is least-recently-used by a monotonic touch tick. Evicted
 //! entries stay alive for whoever still holds their `Arc`; builds
@@ -37,6 +41,26 @@ use std::sync::{Arc, OnceLock};
 /// one bad calibration must not pin a configuration to failure for
 /// the key's whole cache lifetime.
 type BuildResult = Result<Arc<PreparedEntry>, BuildError>;
+
+/// How one lookup was answered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lookup {
+    /// No entry: this lookup ran the build.
+    Miss,
+    /// The entry was resident with its build finished.
+    Hit,
+    /// The entry was resident but still being built by an earlier
+    /// lookup; this one waited for that build instead of repeating it.
+    Joined,
+}
+
+impl Lookup {
+    /// Whether the lookup reused an entry (a hit or a join).
+    #[must_use]
+    pub fn is_hit(self) -> bool {
+        self != Lookup::Miss
+    }
+}
 
 #[derive(Debug, Default)]
 struct EntryCell {
@@ -87,20 +111,25 @@ impl TesterCache {
     }
 
     /// Resolves `key`, building via `build` on a miss. Returns the
-    /// build result and whether this call was a hit. The build runs
+    /// build result and how the lookup was answered. The build runs
     /// without the map lock held; concurrent callers for the same key
     /// block on the entry cell instead of re-building.
-    pub fn get_or_build<F>(&self, key: &CacheKey, build: F) -> (BuildResult, bool)
+    pub fn get_or_build<F>(&self, key: &CacheKey, build: F) -> (BuildResult, Lookup)
     where
         F: FnOnce(&CacheKey) -> BuildResult,
     {
-        let (cell, hit) = {
+        let (cell, lookup) = {
             let mut state = self.state.lock();
             state.tick += 1;
             let tick = state.tick;
             if let Some(slot) = state.map.get_mut(key) {
                 slot.last_used = tick;
-                (Arc::clone(&slot.cell), true)
+                let lookup = if slot.cell.once.get().is_some() {
+                    Lookup::Hit
+                } else {
+                    Lookup::Joined
+                };
+                (Arc::clone(&slot.cell), lookup)
             } else {
                 if state.map.len() >= self.cap {
                     // Evict the least-recently-touched key.
@@ -121,7 +150,7 @@ impl TesterCache {
                         last_used: tick,
                     },
                 );
-                (cell, false)
+                (cell, Lookup::Miss)
             }
         };
         let result = cell.once.get_or_init(|| build(key)).clone();
@@ -140,7 +169,7 @@ impl TesterCache {
                 }
             }
         }
-        (result, hit)
+        (result, lookup)
     }
 }
 
@@ -204,7 +233,7 @@ impl ShardedTesterCache {
     }
 
     /// Resolves `key` on its shard; see [`TesterCache::get_or_build`].
-    pub fn get_or_build<F>(&self, key: &CacheKey, build: F) -> (BuildResult, bool)
+    pub fn get_or_build<F>(&self, key: &CacheKey, build: F) -> (BuildResult, Lookup)
     where
         F: FnOnce(&CacheKey) -> BuildResult,
     {
@@ -238,8 +267,8 @@ mod tests {
         let (first, hit1) = cache.get_or_build(&key(64, 4), build_entry);
         let (second, hit2) = cache.get_or_build(&key(64, 4), build_entry);
         assert!(first.is_ok() && second.is_ok());
-        assert!(!hit1);
-        assert!(hit2);
+        assert_eq!(hit1, Lookup::Miss);
+        assert_eq!(hit2, Lookup::Hit, "the build had finished");
         assert_eq!(cache.len(), 1);
     }
 
@@ -257,7 +286,7 @@ mod tests {
                             builds.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                             build_entry(k)
                         });
-                        (result.is_ok(), hit)
+                        (result.is_ok(), hit.is_hit())
                     })
                 })
                 .collect();
@@ -272,6 +301,47 @@ mod tests {
     }
 
     #[test]
+    fn lookup_during_a_build_joins_it() {
+        let cache = TesterCache::new(4);
+        let k = key(64, 6);
+        let builds = std::sync::atomic::AtomicUsize::new(0);
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let (cache, k, builds) = (&cache, &k, &builds);
+        std::thread::scope(|scope| {
+            let first = scope.spawn(move || {
+                cache.get_or_build(k, |kk| {
+                    builds.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    started_tx.send(()).expect("test is listening");
+                    release_rx.recv().expect("test releases the build");
+                    build_entry(kk)
+                })
+            });
+            started_rx.recv().expect("first build started");
+            let second = scope.spawn(|| {
+                cache.get_or_build(k, |kk| {
+                    builds.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    build_entry(kk)
+                })
+            });
+            // Every lookup ticks the clock under the map lock, so tick 2
+            // means the second lookup has classified itself while the
+            // first build is still held open.
+            while cache.state.lock().tick < 2 {
+                std::thread::yield_now();
+            }
+            release_tx.send(()).expect("first build is waiting");
+            let (first_built, first_lookup) = first.join().expect("no panic");
+            let (second_built, second_lookup) = second.join().expect("no panic");
+            assert!(first_built.is_ok() && second_built.is_ok());
+            assert_eq!(first_lookup, Lookup::Miss);
+            assert_eq!(second_lookup, Lookup::Joined);
+            assert!(second_lookup.is_hit(), "a join counts as a hit");
+        });
+        assert_eq!(builds.load(std::sync::atomic::Ordering::Relaxed), 1);
+    }
+
+    #[test]
     fn evicts_least_recently_used() {
         let cache = TesterCache::new(2);
         let a = key(64, 1);
@@ -281,14 +351,14 @@ mod tests {
         let _ = cache.get_or_build(&b, build_entry);
         // Touch `a` so `b` is coldest, then insert `c`.
         let (_, hit_a) = cache.get_or_build(&a, build_entry);
-        assert!(hit_a);
+        assert!(hit_a.is_hit());
         let _ = cache.get_or_build(&c, build_entry);
         assert_eq!(cache.len(), 2);
         let (_, hit_b) = cache.get_or_build(&b, build_entry);
-        assert!(!hit_b, "b was evicted");
+        assert!(!hit_b.is_hit(), "b was evicted");
         let (_, hit_c) = cache.get_or_build(&c, build_entry);
         // `b`'s reinsertion evicted someone; `a` was colder than `c`.
-        assert!(hit_c, "c stayed resident");
+        assert!(hit_c.is_hit(), "c stayed resident");
     }
 
     #[test]
@@ -298,8 +368,8 @@ mod tests {
         let (first, hit1) = cache.get_or_build(&bad, build_entry);
         let (second, hit2) = cache.get_or_build(&bad, build_entry);
         assert!(first.is_err() && second.is_err());
-        assert!(!hit1);
-        assert!(hit2, "the cached error serves the second call");
+        assert!(!hit1.is_hit());
+        assert!(hit2.is_hit(), "the cached error serves the second call");
     }
 
     #[test]
@@ -315,7 +385,7 @@ mod tests {
             Err(BuildError::transient("calibration fell over"))
         });
         assert!(matches!(&first, Err(e) if e.transient));
-        assert!(!hit1);
+        assert!(!hit1.is_hit());
         assert_eq!(cache.len(), 0, "transient failure was evicted");
         // Second lookup is a fresh miss and the real build succeeds.
         let (second, hit2) = cache.get_or_build(&k, |kk| {
@@ -323,12 +393,12 @@ mod tests {
             build_entry(kk)
         });
         assert!(second.is_ok());
-        assert!(!hit2, "recovery is a miss, not a poisoned hit");
+        assert!(!hit2.is_hit(), "recovery is a miss, not a poisoned hit");
         assert_eq!(builds.load(std::sync::atomic::Ordering::Relaxed), 2);
         // And the recovered entry is now resident.
         let (third, hit3) = cache.get_or_build(&k, build_entry);
         assert!(third.is_ok());
-        assert!(hit3);
+        assert!(hit3.is_hit());
     }
 
     #[test]
@@ -361,13 +431,13 @@ mod tests {
         for k in &keys {
             let (built, hit) = cache.get_or_build(k, build_entry);
             assert!(built.is_ok());
-            assert!(!hit, "first lookup is a miss");
+            assert!(!hit.is_hit(), "first lookup is a miss");
         }
         assert_eq!(cache.len(), keys.len());
         for k in &keys {
             let (built, hit) = cache.get_or_build(k, build_entry);
             assert!(built.is_ok());
-            assert!(hit, "same key routes to the same shard");
+            assert!(hit.is_hit(), "same key routes to the same shard");
         }
     }
 
@@ -391,7 +461,7 @@ mod tests {
                             builds.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                             build_entry(k)
                         });
-                        (result.is_ok(), hit)
+                        (result.is_ok(), hit.is_hit())
                     })
                 })
                 .collect();

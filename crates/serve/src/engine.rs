@@ -1,5 +1,10 @@
 //! Request evaluation: cache resolution, trial runs, reply assembly.
 //!
+//! Every request takes one path, [`Engine::handle_queued`]: one
+//! lookup in the single-flight tester cache (the only place requests
+//! share a prepared tester), its own trials, and its own service-time
+//! clock.
+//!
 //! The engine is deliberately separable from the TCP server — the
 //! load generator instantiates a second engine locally and requires
 //! its replies to match the served ones bit-for-bit, which is the
@@ -18,7 +23,7 @@
 //! `derive_seed(request.seed, trial_index)` exactly as the offline
 //! runner derives it.
 
-use crate::cache::ShardedTesterCache;
+use crate::cache::{Lookup, ShardedTesterCache};
 use crate::protocol::{Family, Reply, Request};
 use dut_core::{PreparedUniformityTester, Rule, UniformityTester};
 use dut_obs::metrics::{Counter, HistogramId};
@@ -308,17 +313,6 @@ pub const DEFAULT_TRACE_SAMPLE: u64 = 64;
 /// settings still get sensible per-shard capacity.
 pub const DEFAULT_CACHE_SHARDS: usize = 8;
 
-/// One queued request as the dispatch queue hands it to a worker: the
-/// parsed request plus how long it sat in the queue (per *request*,
-/// measured parse-to-pickup — the connection's lifetime never enters).
-#[derive(Debug, Clone, Copy)]
-pub struct QueuedRequest {
-    /// The parsed request.
-    pub req: Request,
-    /// Microseconds between enqueue and worker pickup.
-    pub queue_wait_micros: u64,
-}
-
 /// A request evaluator with a sharded bounded LRU of prepared testers.
 #[derive(Debug)]
 pub struct Engine {
@@ -357,129 +351,103 @@ impl Engine {
         self.cache.len()
     }
 
-    /// Evaluates one request with zero queue wait, as a one-element
-    /// [`Engine::handle_batch`] (the form used by tests and the
-    /// offline verifier).
+    /// Evaluates one request with zero queue wait (the form used by
+    /// tests and the offline verifier); see [`Engine::handle_queued`].
     ///
     /// # Errors
     ///
     /// Returns the validation message for unsatisfiable
     /// configurations (sent back to the client as `{"error":...}`).
     pub fn handle(&self, req: &Request) -> Result<Reply, String> {
-        let one = [QueuedRequest {
-            req: *req,
-            queue_wait_micros: 0,
-        }];
-        self.handle_batch(&one)
-            .pop()
-            .unwrap_or_else(|| Err("internal: empty batch result".to_owned()))
+        self.handle_queued(req, 0)
     }
 
-    /// Evaluates a coalesced batch: every request in `batch` shares
-    /// one [`CacheKey`] (the dispatch queue groups them), so the
-    /// prepared tester is resolved **once** — the batch leader takes
-    /// the cache path (hit or miss, `calibrate_micros` observed inside
-    /// the build) and every follower reuses the resolved entry
-    /// without touching the cache lock. Followers count as cache hits
-    /// (the single-flight rule: shared work is a hit, not a repeat)
-    /// and additionally tick `serve_coalesced`, so
-    /// `hits + misses == requests` stays exact and the coalescing
-    /// win is visible on its own counter. Each request also records
-    /// its service time in `request_micros` and its trial time in
-    /// `compute_micros`, gets a process-unique `rid`, and ticks the
-    /// windowed-metrics ring; sampled traces carry its queue wait.
+    /// Evaluates one request that waited `queue_wait_micros` for a
+    /// worker. The prepared tester comes from the single-flight cache,
+    /// the only place one is shared between requests: a miss builds it
+    /// (`calibrate_micros` observed inside the build), a hit reuses it,
+    /// and a hit that found the build still in flight for another
+    /// request also ticks `serve_coalesced`, so
+    /// `hits + misses == requests` stays exact. The request records
+    /// its own service time in `request_micros` (and in the reply's
+    /// `micros`) and its trial time in `compute_micros`, gets a
+    /// process-unique `rid`, and ticks the windowed-metrics ring;
+    /// sampled traces carry its queue wait.
     ///
-    /// Trials still run per request with the request's own seed, so
-    /// coalescing never changes an answer: each reply is bit-identical
-    /// to [`offline_reply`] for its request.
+    /// Trials run with the request's own seed on a tester that is a
+    /// pure function of its key, so the reply is bit-identical to
+    /// [`offline_reply`] however the lookup went.
     ///
-    /// Results align index-for-index with `batch`; an unsatisfiable
-    /// configuration yields `Err(message)` for every member.
-    #[must_use]
-    pub fn handle_batch(&self, batch: &[QueuedRequest]) -> Vec<Result<Reply, String>> {
-        let Some(leader) = batch.first() else {
-            return Vec::new();
-        };
+    /// # Errors
+    ///
+    /// Returns the validation message for unsatisfiable
+    /// configurations (sent back to the client as `{"error":...}`).
+    pub fn handle_queued(&self, req: &Request, queue_wait_micros: u64) -> Result<Reply, String> {
         let start = Instant::now();
-        let key = CacheKey::of(&leader.req);
         let registry = dut_obs::metrics::global();
         let mut calibrate_micros = 0u64;
-        let (entry, leader_hit) = self.cache.get_or_build(&key, |k| {
+        let (entry, lookup) = self.cache.get_or_build(&CacheKey::of(req), |k| {
             let build_start = Instant::now();
             let built = build_entry_caught(k);
             calibrate_micros = u64::try_from(build_start.elapsed().as_micros()).unwrap_or(u64::MAX);
             registry.observe(HistogramId::CalibrateMicros, calibrate_micros);
             built
         });
-        let mut replies = Vec::with_capacity(batch.len());
-        for (index, item) in batch.iter().enumerate() {
-            let follower = index > 0;
-            debug_assert_eq!(CacheKey::of(&item.req), key, "batch shares one key");
-            let rid = self.next_rid.fetch_add(1, Ordering::Relaxed) + 1;
-            registry.incr(Counter::ServeRequests);
-            let cache_hit = leader_hit || follower;
-            registry.incr(if cache_hit {
-                Counter::ServeCacheHits
-            } else {
-                Counter::ServeCacheMisses
-            });
-            if follower {
-                registry.incr(Counter::ServeCoalesced);
-            }
-            let entry = match &entry {
-                Ok(entry) => entry,
-                Err(e) => {
-                    replies.push(Err(e.message.clone()));
-                    continue;
-                }
-            };
-            registry.incr(match entry.backend {
-                SampleBackend::PerDraw => Counter::ServeBackendPerDraw,
-                SampleBackend::Histogram | SampleBackend::Auto => Counter::ServeBackendHistogram,
-            });
-            let compute_start = Instant::now();
-            let (verdict, estimate) = run_trials(entry, &item.req);
-            let compute_micros =
-                u64::try_from(compute_start.elapsed().as_micros()).unwrap_or(u64::MAX);
-            registry.observe(HistogramId::ComputeMicros, compute_micros);
-            let reply = assemble(verdict, &estimate, cache_hit, start, rid);
-            registry.observe(HistogramId::RequestMicros, reply.micros);
-            // Tick the windowed-metrics ring; at most one snapshot per
-            // epoch actually captures, so this is a relaxed load +
-            // compare on the hot path.
-            dut_obs::window::global().maybe_capture(registry, dut_obs::global().now_micros());
-            if self.trace_sample > 0 && rid.is_multiple_of(self.trace_sample) {
-                dut_obs::global().emit_with(|| {
-                    dut_obs::Event::new("serve_trace")
-                        .with("rid", rid)
-                        .with("queue_us", item.queue_wait_micros)
-                        .with("calibrate_us", if follower { 0 } else { calibrate_micros })
-                        .with("compute_us", compute_micros)
-                        .with("total_us", reply.micros)
-                        .with("cache", if cache_hit { "hit" } else { "miss" })
-                        .with("batch", batch.len())
-                        .with("backend", entry.backend.name())
-                        .with("verdict", verdict.to_string())
-                });
-            }
-            dut_obs::global().emit_verbose_with(|| {
-                dut_obs::Event::new("serve_request")
+        let rid = self.next_rid.fetch_add(1, Ordering::Relaxed) + 1;
+        registry.incr(Counter::ServeRequests);
+        let cache_hit = lookup.is_hit();
+        registry.incr(if cache_hit {
+            Counter::ServeCacheHits
+        } else {
+            Counter::ServeCacheMisses
+        });
+        if lookup == Lookup::Joined {
+            registry.incr(Counter::ServeCoalesced);
+        }
+        let entry = entry.map_err(|e| e.message)?;
+        registry.incr(match entry.backend {
+            SampleBackend::PerDraw => Counter::ServeBackendPerDraw,
+            SampleBackend::Histogram | SampleBackend::Auto => Counter::ServeBackendHistogram,
+        });
+        let compute_start = Instant::now();
+        let (verdict, estimate) = run_trials(&entry, req);
+        let compute_micros = u64::try_from(compute_start.elapsed().as_micros()).unwrap_or(u64::MAX);
+        registry.observe(HistogramId::ComputeMicros, compute_micros);
+        let reply = assemble(verdict, &estimate, cache_hit, start, rid);
+        registry.observe(HistogramId::RequestMicros, reply.micros);
+        // Tick the windowed-metrics ring; at most one snapshot per
+        // epoch actually captures, so this is a relaxed load + compare
+        // on the hot path.
+        dut_obs::window::global().maybe_capture(registry, dut_obs::global().now_micros());
+        if self.trace_sample > 0 && rid.is_multiple_of(self.trace_sample) {
+            dut_obs::global().emit_with(|| {
+                dut_obs::Event::new("serve_trace")
                     .with("rid", rid)
-                    .with("n", item.req.n)
-                    .with("k", item.req.k)
-                    .with("q", item.req.q)
-                    .with("rule", crate::protocol::rule_wire_name(item.req.rule))
-                    .with("samples", item.req.family.name())
-                    .with("seed", item.req.seed)
-                    .with("trials", item.req.trials)
-                    .with("verdict", verdict.to_string())
+                    .with("queue_us", queue_wait_micros)
+                    .with("calibrate_us", calibrate_micros)
+                    .with("compute_us", compute_micros)
+                    .with("total_us", reply.micros)
                     .with("cache", if cache_hit { "hit" } else { "miss" })
                     .with("backend", entry.backend.name())
-                    .with("micros", reply.micros)
+                    .with("verdict", verdict.to_string())
             });
-            replies.push(Ok(reply));
         }
-        replies
+        dut_obs::global().emit_verbose_with(|| {
+            dut_obs::Event::new("serve_request")
+                .with("rid", rid)
+                .with("n", req.n)
+                .with("k", req.k)
+                .with("q", req.q)
+                .with("rule", crate::protocol::rule_wire_name(req.rule))
+                .with("samples", req.family.name())
+                .with("seed", req.seed)
+                .with("trials", req.trials)
+                .with("verdict", verdict.to_string())
+                .with("cache", if cache_hit { "hit" } else { "miss" })
+                .with("backend", entry.backend.name())
+                .with("micros", reply.micros)
+        });
+        Ok(reply)
     }
 }
 
@@ -644,71 +612,6 @@ mod tests {
         let mut flipped = key;
         flipped.backend_code = if key.backend_code == 1 { 2 } else { 1 };
         assert_ne!(key.calibration_seed(), flipped.calibration_seed());
-    }
-
-    #[test]
-    fn coalesced_batch_matches_offline_and_accounts_exactly() {
-        let engine = Engine::new(4);
-        let registry = dut_obs::metrics::global();
-        let coalesced_before = registry.counter(Counter::ServeCoalesced);
-        let requests_before = registry.counter(Counter::ServeRequests);
-        // Five requests for one configuration, each with its own seed:
-        // one resolution, five distinct answers.
-        let batch: Vec<QueuedRequest> = (0..5u64)
-            .map(|seed| QueuedRequest {
-                req: request(seed * 31 + 1),
-                queue_wait_micros: 7,
-            })
-            .collect();
-        let replies = engine.handle_batch(&batch);
-        assert_eq!(replies.len(), batch.len());
-        for (item, reply) in batch.iter().zip(&replies) {
-            let reply = reply.as_ref().expect("batch member answered");
-            let offline = offline_reply(&item.req).expect("offline reference");
-            assert_eq!(reply.verdict, offline.verdict);
-            assert_eq!(reply.p_hat.to_bits(), offline.p_hat.to_bits());
-            assert_eq!(reply.wilson_lo.to_bits(), offline.wilson_lo.to_bits());
-            assert_eq!(reply.wilson_hi.to_bits(), offline.wilson_hi.to_bits());
-        }
-        // Followers are hits; the leader was this engine's first
-        // lookup, so exactly one miss happened for the whole batch.
-        assert!(!replies[0].as_ref().expect("leader").cache_hit);
-        assert!(replies[1..]
-            .iter()
-            .all(|r| r.as_ref().expect("follower").cache_hit));
-        assert_eq!(
-            registry.counter(Counter::ServeCoalesced) - coalesced_before,
-            batch.len() as u64 - 1
-        );
-        assert!(registry.counter(Counter::ServeRequests) - requests_before >= batch.len() as u64);
-        // Rids stay unique across the batch.
-        let mut rids: Vec<u64> = replies
-            .iter()
-            .map(|r| r.as_ref().expect("reply").rid)
-            .collect();
-        rids.dedup();
-        assert_eq!(rids.len(), batch.len());
-    }
-
-    #[test]
-    fn batch_of_invalid_configuration_errors_every_member() {
-        let engine = Engine::new(4);
-        let mut bad = request(1);
-        bad.n = 0;
-        let batch = [
-            QueuedRequest {
-                req: bad,
-                queue_wait_micros: 0,
-            },
-            QueuedRequest {
-                req: bad,
-                queue_wait_micros: 0,
-            },
-        ];
-        let replies = engine.handle_batch(&batch);
-        assert_eq!(replies.len(), 2);
-        assert!(replies.iter().all(Result::is_err));
-        assert!(engine.handle_batch(&[]).is_empty());
     }
 
     #[test]

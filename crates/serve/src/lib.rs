@@ -29,18 +29,19 @@
 //!    dropping connections. Per-tenant token buckets shed over-quota
 //!    tenants before the queue, and a higher-priority arrival may
 //!    evict a queued lower-priority request at the cap.
-//! 3. **Observability.** Requests, cache hits/misses, coalesced
-//!    batches, shed requests (global and per tenant), parked
-//!    connections, queue depth, and per-request phase timings all
-//!    land in the [`dut_obs`] registry and are surfaced by
-//!    `{"cmd":"stats"}`, `dut top`, and `dut report`.
+//! 3. **Observability.** Requests, cache hits/misses (and the hits
+//!    that joined a build in flight), shed requests (global and per
+//!    tenant), parked connections, queue depth, and per-request phase
+//!    timings all land in the [`dut_obs`] registry and are surfaced
+//!    by `{"cmd":"stats"}`, `dut top`, and `dut report`.
 //!
 //! The serving path is request-multiplexed: shard event loops park
 //! persistent connections on nonblocking sockets and dispatch framed
-//! request lines to the worker pool, which coalesces queued requests
-//! sharing a prepared tester into one answer pass over the sharded
-//! tester cache. An idle shard (and the accept thread) blocks in
-//! `poll(2)` until a socket, a timer, or a cross-thread wake needs it.
+//! request lines to the worker pool. A worker answers one request at
+//! a time; requests for one configuration share its prepared tester
+//! through the single-flight tester cache. An idle shard (and the
+//! accept thread) blocks in `poll(2)` until a socket, a timer, or a
+//! cross-thread wake needs it.
 //! The crate is std-only on the network path: `std::net` sockets and
 //! `std::thread` shards/workers, no async runtime. The one `poll(2)`
 //! binding lives in a private module, the only place `unsafe` is

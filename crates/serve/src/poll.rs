@@ -69,7 +69,7 @@ fn poll_fds(fds: &mut [PollFd], timeout: Duration) -> io::Result<()> {
 
 /// A self-pipe that wakes one thread parked in [`Waker::wait`].
 ///
-/// Wakes coalesce: between two waits at most one byte is written, so a
+/// Wakes merge: between two waits at most one byte is written, so a
 /// burst of wakes costs one syscall and never fills the pipe.
 pub(crate) struct Waker {
     tx: UnixStream,

@@ -24,11 +24,11 @@
 //! whole, wakes nobody. The accept thread likewise blocks on the
 //! listener plus its own waker.
 //!
-//! Workers coalesce every queued request that shares the leader's
-//! [`CacheKey`](crate::engine::CacheKey) into one
-//! [`Engine::handle_batch`] pass, so a herd of identical
-//! configurations resolves its prepared tester once. Replies are
-//! written through a per-connection reorder buffer: each request line
+//! A worker pops one request at a time and answers it with
+//! [`Engine::handle_queued`]; a herd of identical configurations
+//! shares one prepared tester through the engine's single-flight
+//! cache. Replies are written through a per-connection reorder
+//! buffer: each request line
 //! gets a sequence number at parse time and replies release strictly
 //! in that order, so pipelined clients see answers in request order
 //! even when workers finish out of order.
@@ -47,7 +47,7 @@
 //! until its in-flight replies have flushed (bounded by a grace
 //! period). [`ServerHandle::join`] returns once all threads exit.
 
-use crate::engine::{CacheKey, Engine, QueuedRequest};
+use crate::engine::Engine;
 use crate::poll::{PollFd, Waker, POLLIN, POLLOUT};
 use crate::protocol::{self, Command};
 use crate::stats;
@@ -157,9 +157,6 @@ pub struct ServeConfig {
     pub shards: usize,
     /// Independent prepared-tester cache shards.
     pub cache_shards: usize,
-    /// Max queued requests coalesced into one answer pass when they
-    /// share a [`CacheKey`] (values below 2 disable coalescing).
-    pub coalesce: usize,
     /// Multi-tenant admission policy.
     pub tenancy: TenantPolicy,
 }
@@ -178,7 +175,6 @@ impl Default for ServeConfig {
             max_line_bytes: protocol::MAX_LINE_BYTES,
             shards: 2,
             cache_shards: crate::engine::DEFAULT_CACHE_SHARDS,
-            coalesce: 16,
             tenancy: TenantPolicy::default(),
         }
     }
@@ -426,7 +422,6 @@ struct Job {
     conn: Arc<Conn>,
     seq: u64,
     req: protocol::Request,
-    key: CacheKey,
     priority: u8,
     enqueued_at: Instant,
 }
@@ -530,7 +525,6 @@ struct Shared {
     available: Condvar,
     shutdown: AtomicBool,
     queue_cap: usize,
-    coalesce: usize,
     slo: SloConfig,
     /// Consecutive shed requests since the last admission; crossing
     /// [`SHED_BURST_THRESHOLD`] dumps the flight recorder once per
@@ -673,7 +667,6 @@ pub fn start(config: &ServeConfig) -> Result<ServerHandle, String> {
         available: Condvar::new(),
         shutdown: AtomicBool::new(false),
         queue_cap: config.queue_cap.max(1),
-        coalesce: config.coalesce.max(1),
         slo: config.slo,
         shed_streak: AtomicU64::new(0),
         idle_timeout: config.idle_timeout.max(POLL_INTERVAL),
@@ -1097,7 +1090,6 @@ fn handle_line(shared: &Shared, conn: &Arc<Conn>, seq: u64, line: &str) {
                     conn: Arc::clone(conn),
                     seq,
                     req: request,
-                    key: CacheKey::of(&request),
                     priority,
                     enqueued_at: Instant::now(),
                 },
@@ -1184,33 +1176,19 @@ fn shed_request(shared: &Shared, conn: &Conn, seq: u64) {
 }
 
 fn worker_loop(shared: &Shared) {
-    while let Some(jobs) = next_batch(shared) {
-        process_batch(shared, &jobs);
+    while let Some(job) = next_job(shared) {
+        process_job(shared, &job);
     }
 }
 
-/// Pops the next job and coalesces every queued job sharing its
-/// [`CacheKey`] (up to the coalesce cap) into one batch. Returns
-/// `None` only when the queue is empty *and* shutdown was requested,
-/// so drain is guaranteed.
-fn next_batch(shared: &Shared) -> Option<Vec<Job>> {
+/// Pops the next job. Returns `None` only when the queue is empty
+/// *and* shutdown was requested, so drain is guaranteed.
+fn next_job(shared: &Shared) -> Option<Job> {
     let mut queue = shared.lock_queue();
     loop {
-        if let Some(lead) = queue.pop_front() {
-            let key = lead.key;
-            let mut jobs = vec![lead];
-            let mut i = 0;
-            while i < queue.len() && jobs.len() < shared.coalesce {
-                if queue[i].key == key {
-                    if let Some(job) = queue.remove(i) {
-                        jobs.push(job);
-                    }
-                } else {
-                    i += 1;
-                }
-            }
+        if let Some(job) = queue.pop_front() {
             dut_obs::metrics::global().set_gauge(Gauge::ServeQueueDepth, queue.len() as u64);
-            return Some(jobs);
+            return Some(job);
         }
         if shared.is_shutting_down() {
             return None;
@@ -1223,58 +1201,33 @@ fn next_batch(shared: &Shared) -> Option<Vec<Job>> {
     }
 }
 
-/// Answers one coalesced batch. The queue wait recorded here is the
-/// *request's* scheduling delay — parse to worker pickup — which is
-/// the number `queue_wait_p99` in stats actually promises.
-fn process_batch(shared: &Shared, jobs: &[Job]) {
+/// Answers one job. The queue wait recorded here is the *request's*
+/// scheduling delay — parse to worker pickup — which is the number
+/// `queue_wait_p99` in stats actually promises.
+fn process_job(shared: &Shared, job: &Job) {
     let registry = dut_obs::metrics::global();
-    let mut items = Vec::with_capacity(jobs.len());
-    for job in jobs {
-        let waited = u64::try_from(job.enqueued_at.elapsed().as_micros()).unwrap_or(u64::MAX);
-        registry.observe(HistogramId::QueueWaitMicros, waited);
-        items.push(QueuedRequest {
-            req: job.req,
-            queue_wait_micros: waited,
-        });
-    }
+    let waited = u64::try_from(job.enqueued_at.elapsed().as_micros()).unwrap_or(u64::MAX);
+    registry.observe(HistogramId::QueueWaitMicros, waited);
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        shared.engine.handle_batch(&items)
+        shared.engine.handle_queued(&job.req, waited)
     }));
     match caught {
-        Ok(replies) => {
-            for (index, job) in jobs.iter().enumerate() {
-                match replies.get(index) {
-                    Some(Ok(reply)) => job.conn.submit(job.seq, reply.render(), false, false),
-                    Some(Err(message)) => {
-                        job.conn
-                            .submit(job.seq, protocol::render_error(message), true, false);
-                    }
-                    None => {
-                        job.conn.submit(
-                            job.seq,
-                            protocol::render_error("internal: missing batch reply"),
-                            true,
-                            false,
-                        );
-                    }
-                }
-            }
+        Ok(Ok(reply)) => job.conn.submit(job.seq, reply.render(), false, false),
+        Ok(Err(message)) => {
+            job.conn
+                .submit(job.seq, protocol::render_error(&message), true, false);
         }
         Err(_panic) => {
             registry.incr(Counter::ServePanicsCaught);
-            for job in jobs {
-                job.conn.submit(
-                    job.seq,
-                    protocol::render_error("internal: request handler panicked"),
-                    true,
-                    true,
-                );
-            }
+            job.conn.submit(
+                job.seq,
+                protocol::render_error("internal: request handler panicked"),
+                true,
+                true,
+            );
         }
     }
-    for job in jobs {
-        job.conn.retire();
-    }
+    job.conn.retire();
 }
 
 #[cfg(test)]

@@ -46,8 +46,9 @@ pub struct Stats {
     /// Cumulative requests shed since boot (global cap + tenant
     /// quotas combined).
     pub shed: u64,
-    /// Cumulative requests answered as followers of a coalesced
-    /// batch (one prepared tester resolved for the whole batch).
+    /// Cumulative requests whose cache lookup joined a tester build
+    /// already in flight for another request (a subset of
+    /// `cache_hits`).
     pub coalesced: u64,
     /// Cumulative requests shed by per-tenant admission (a subset of
     /// `shed`).

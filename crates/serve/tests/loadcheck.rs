@@ -4,9 +4,9 @@
 //! These live in their own test binary on purpose: the metrics
 //! registry is process-global and its latency histograms are
 //! windowed, so tests that deliberately park requests behind a
-//! multi-second pin (the shed and coalescing tests) would poison the
-//! queue-wait percentiles these assertions read. A separate binary is
-//! a separate process and a clean registry.
+//! multi-second pin (the shed tests) would poison the queue-wait
+//! percentiles these assertions read. A separate binary is a separate
+//! process and a clean registry.
 
 use dut_serve::server::{self, ServeConfig};
 use dut_serve::trace::{self, TraceConfig};

@@ -26,7 +26,8 @@ fn start_server(workers: usize, queue_cap: usize) -> server::ServerHandle {
 /// A request heavy enough (a couple of seconds in either build
 /// profile) to pin a worker while a test arranges queue pressure
 /// behind it. Its cache key is distinct from every [`request`]
-/// catalog slot, so it never coalesces with the light traffic.
+/// catalog slot, so it never shares a prepared tester with the light
+/// traffic.
 fn slow_request(seed: u64) -> Request {
     // Debug builds run the trial loop roughly 6x slower; scale so the
     // pin lasts seconds in both profiles without wasting minutes.

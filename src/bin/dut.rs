@@ -98,19 +98,21 @@ bench USAGE:
 serve USAGE:
     dut serve [--addr <host:port>] [--workers <N>] [--shards <N>]
               [--cache-cap <N>] [--cache-shards <N>] [--queue-cap <N>]
-              [--coalesce <N>] [--tenant <name:rate:burst:priority>]
+              [--tenant <name:rate:burst:priority>]
               [--trace-sample <N>] [--idle-timeout <secs>]
               [--error-budget <N>] [--max-line-bytes <N>] [--probe]
         serve newline-delimited JSON requests until a client sends
         {\"cmd\":\"shutdown\"}; also answers {\"cmd\":\"stats\"} (windowed
         metrics + SLO) and {\"cmd\":\"flight\"} (flight-recorder dump)
         [defaults: 127.0.0.1:7979, 4 workers, 2 shards, 32 cached
-        testers in 8 cache shards, 64 queued requests, coalesce 16,
-        1-in-64 trace sampling]; --shards event loops park persistent
-        connections and dispatch complete request lines to the worker
-        pool (queue depth and shed decisions count requests, not
-        connections); --coalesce answers up to N queued requests for
-        one prepared tester in a single pass; --tenant (repeatable)
+        testers in 8 cache shards, 64 queued requests, 1-in-64 trace
+        sampling]; --shards event loops park persistent connections
+        and dispatch complete request lines to the worker pool (queue
+        depth and shed decisions count requests, not connections);
+        each worker answers one request at a time, and requests for
+        one configuration share its prepared tester through the
+        single-flight cache (a request that finds the build in flight
+        waits for it and counts as coalesced); --tenant (repeatable)
         adds a per-tenant token-bucket quota with a shed priority;
         hardening: connections with no completed line for
         --idle-timeout are reaped (default 30s), lines past
@@ -547,7 +549,6 @@ fn cmd_serve(mut args: Args) -> Result<(), String> {
         ("--max-line-bytes", &mut config.max_line_bytes),
         ("--shards", &mut config.shards),
         ("--cache-shards", &mut config.cache_shards),
-        ("--coalesce", &mut config.coalesce),
     ] {
         if let Some(count) = args.get::<usize>(name)? {
             *slot = count.max(1);

@@ -264,6 +264,9 @@ fn unknown_flags_are_rejected_with_the_command_usage() {
         // is the serve performance record.
         (&["loadgen", "--bench-out", "x.json"], "--bench-out"),
         (&["loadgen", "--check", "x.json"], "--check"),
+        // Requests share a prepared tester only through the
+        // single-flight cache; there is no coalescing pass to size.
+        (&["serve", "--coalesce", "16"], "--coalesce"),
     ];
     for (args, flag) in cases {
         let (ok, err) = run_dut(args);
@@ -274,10 +277,10 @@ fn unknown_flags_are_rejected_with_the_command_usage() {
             args.join(" ")
         );
         // The command's section of `dut help` follows the error.
-        let section = if args[0] == "loadgen" {
-            "loadgen USAGE:"
-        } else {
-            "COMMON OPTIONS"
+        let section = match args[0] {
+            "loadgen" => "loadgen USAGE:",
+            "serve" => "serve USAGE:",
+            _ => "COMMON OPTIONS",
         };
         assert!(err.contains(section), "{err}");
     }
