@@ -32,6 +32,23 @@ fn bench_samplers(c: &mut Criterion) {
             b.iter(|| black_box(cdf.sample(&mut rng)));
         });
     }
+    // E1's two tables: every uniform column keeps itself (a predictable
+    // keep-or-alias choice), while half the two_level columns alias (a
+    // coin flip per draw).
+    let e1_tables = [
+        ("alias_uniform", families::uniform(1 << 12)),
+        (
+            "alias_two_level",
+            families::two_level(1 << 12, 0.5).expect("valid two_level"),
+        ),
+    ];
+    for (name, dist) in e1_tables {
+        let alias = dist.alias_sampler();
+        group.bench_with_input(BenchmarkId::new(name, 1 << 12), &alias, |b, alias| {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+            b.iter(|| black_box(alias.sample(&mut rng)));
+        });
+    }
     group.finish();
 }
 

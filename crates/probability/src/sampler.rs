@@ -4,7 +4,9 @@
 //!
 //! * [`AliasSampler`] — Vose's alias method: O(n) construction, O(1) per
 //!   sample. This is what the protocol simulations use, since they draw
-//!   millions of samples from a fixed distribution.
+//!   millions of samples from a fixed distribution. Its table packs each
+//!   column's `(keep, alias)` pair into one entry, and a draw picks the
+//!   column or its alias with a conditional move rather than a branch.
 //! * [`CdfSampler`] — inverse-CDF with binary search: O(n) construction,
 //!   O(log n) per sample. Used as an independently-implemented oracle in
 //!   tests to cross-check the alias method.
@@ -28,6 +30,19 @@ pub trait Sampler {
 
 /// Vose's alias method: constant-time sampling from a discrete distribution.
 ///
+/// The table holds one `(keep, alias)` pair per column, so a draw reads a
+/// single entry: it picks a column `i` uniformly, draws `u` in `[0, 1)`,
+/// and returns `i` if `u < keep` and `alias` otherwise.
+///
+/// The choice goes through [`std::hint::select_unpredictable`], not an
+/// `if`. On a far instance such as `two_level(n, ε)` half the columns have
+/// `keep < 1`, so the outcome is a coin flip and a branch mispredicts on
+/// about every other draw; the hint makes LLVM emit a conditional move
+/// instead (a plain `if`, or a hand-written mask select, compiles back to
+/// a branch). The two random calls and the `u < keep` compare fix the
+/// output stream, which every q*, result CSV and fuzz corpus entry
+/// depends on; `tests/properties.rs` pins it with golden checksums.
+///
 /// # Example
 ///
 /// ```
@@ -42,8 +57,8 @@ pub trait Sampler {
 /// ```
 #[derive(Debug, Clone)]
 pub struct AliasSampler {
-    prob: Vec<f64>,
-    alias: Vec<usize>,
+    /// Column `i` keeps `i` with probability `keep`, else yields `alias`.
+    table: Vec<(f64, usize)>,
 }
 
 impl AliasSampler {
@@ -51,8 +66,7 @@ impl AliasSampler {
     #[must_use]
     pub fn new(dist: &DenseDistribution) -> Self {
         let n = dist.support_size();
-        let mut prob = vec![0.0f64; n];
-        let mut alias = vec![0usize; n];
+        let mut table = vec![(0.0f64, 0usize); n];
         // Scaled probabilities: mean 1.
         let mut scaled: Vec<f64> = dist.probs().iter().map(|p| p * n as f64).collect();
         let mut small: Vec<usize> = Vec::with_capacity(n);
@@ -67,8 +81,7 @@ impl AliasSampler {
         while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
             small.pop();
             large.pop();
-            prob[s] = scaled[s];
-            alias[s] = l;
+            table[s] = (scaled[s], l);
             scaled[l] = (scaled[l] + scaled[s]) - 1.0;
             if scaled[l] < 1.0 {
                 small.push(l);
@@ -78,25 +91,21 @@ impl AliasSampler {
         }
         // Whatever is left is numerically 1.
         for &i in large.iter().chain(small.iter()) {
-            prob[i] = 1.0;
-            alias[i] = i;
+            table[i] = (1.0, i);
         }
-        Self { prob, alias }
+        Self { table }
     }
 }
 
 impl Sampler for AliasSampler {
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let i = rng.random_range(0..self.prob.len());
-        if rng.random::<f64>() < self.prob[i] {
-            i
-        } else {
-            self.alias[i]
-        }
+        let i = rng.random_range(0..self.table.len());
+        let (keep, alias) = self.table[i];
+        std::hint::select_unpredictable(rng.random::<f64>() < keep, i, alias)
     }
 
     fn support_size(&self) -> usize {
-        self.prob.len()
+        self.table.len()
     }
 }
 
@@ -279,6 +288,78 @@ mod tests {
         // u = 0.25 exactly: word w with (w >> 11) * 2^-53 = 2^-2.
         let mut rng = PlantedRng(vec![1u64 << 62], 0);
         assert_eq!(s.sample(&mut rng), 0);
+    }
+
+    /// The branching reference draw over separate arrays: `u < prob[i]`
+    /// keeps column `i`, anything else takes its alias.
+    fn reference_draw<R: Rng + ?Sized>(prob: &[f64], alias: &[usize], rng: &mut R) -> usize {
+        let i = rng.random_range(0..prob.len());
+        if rng.random::<f64>() < prob[i] {
+            i
+        } else {
+            alias[i]
+        }
+    }
+
+    /// The keep values at the edges of the `u < keep` compare: never keep,
+    /// always keep, and the largest double below 1.
+    const EDGE_KEEPS: [f64; 3] = [0.0, 1.0, 1.0 - f64::EPSILON / 2.0];
+
+    #[test]
+    fn packed_draw_matches_reference_formula_on_random_tables() {
+        for seed in 0..40u64 {
+            let mut gen = rand::rngs::StdRng::seed_from_u64(seed);
+            let n = gen.random_range(1..64usize);
+            let table: Vec<(f64, usize)> = (0..n)
+                .map(|_| {
+                    let keep = match gen.random_range(0..4u8) {
+                        3 => gen.random::<f64>(),
+                        edge => EDGE_KEEPS[usize::from(edge)],
+                    };
+                    (keep, gen.random_range(0..n))
+                })
+                .collect();
+            let prob: Vec<f64> = table.iter().map(|&(keep, _)| keep).collect();
+            let alias: Vec<usize> = table.iter().map(|&(_, alias)| alias).collect();
+            let sampler = AliasSampler { table };
+            let mut packed_rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x5eed);
+            let mut reference_rng = packed_rng.clone();
+            for draw in 0..2_000 {
+                assert_eq!(
+                    sampler.sample(&mut packed_rng),
+                    reference_draw(&prob, &alias, &mut reference_rng),
+                    "seed {seed}, draw {draw}"
+                );
+            }
+            assert_eq!(packed_rng, reference_rng, "seed {seed}: streams diverged");
+        }
+    }
+
+    #[test]
+    fn packed_draw_takes_alias_when_u_equals_keep() {
+        // Four columns, so `random_range(0..4)` maps word `j << 62` to
+        // column `j`. Column 3 keeps with probability 1, and no `u < 1`
+        // can reach its alias.
+        let sampler = AliasSampler {
+            table: vec![(EDGE_KEEPS[0], 2), (0.5, 3), (EDGE_KEEPS[2], 0), (1.0, 1)],
+        };
+        let column = |j: usize| (j as u64) << 62;
+        // `u = (w >> 11) · 2⁻⁵³`, so these words plant u = 0, 0.5 and
+        // 1 − 2⁻⁵³ exactly: each equals its column's keep.
+        let planted = [(0, 0u64, 2), (1, 1 << 63, 3), (2, u64::MAX, 0)];
+        for (j, word, alias) in planted {
+            let mut rng = PlantedRng(vec![column(j), word], 0);
+            assert_eq!(sampler.sample(&mut rng), alias, "u == keep on column {j}");
+            if word > 0 {
+                // One ulp of u below keep, the column keeps itself.
+                let mut rng = PlantedRng(vec![column(j), word - (1 << 11)], 0);
+                assert_eq!(sampler.sample(&mut rng), j, "u < keep on column {j}");
+            }
+        }
+        for word in [0, 1 << 63, u64::MAX] {
+            let mut rng = PlantedRng(vec![column(3), word], 0);
+            assert_eq!(sampler.sample(&mut rng), 3);
+        }
     }
 
     #[test]

@@ -331,3 +331,28 @@ fn collision_scratch_does_not_leak_between_calls_or_threads() {
         }
     });
 }
+
+/// FNV-1a over the first `count` alias draws of `dist` at the golden seed.
+fn alias_stream_checksum(dist: &DenseDistribution, count: usize) -> u64 {
+    let sampler = dist.alias_sampler();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(20_190_729);
+    (0..count).fold(0xcbf2_9ce4_8422_2325_u64, |h, _| {
+        (h ^ sampler.sample(&mut rng) as u64).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The alias draw stream is part of the bit-identity contract: every q*,
+/// every `results/*.csv` and the fuzz corpus depend on it. These checksums
+/// were recorded from the two-array sampler (`prob`/`alias`) that predates
+/// the packed `(keep, alias)` table, so any change to which random calls a
+/// draw makes, or to the `u < keep` compare, fails here.
+#[test]
+fn alias_draw_streams_match_golden_checksums() {
+    let far = families::two_level(4096, 0.5).unwrap();
+    assert_eq!(alias_stream_checksum(&far, 10_000), 0x9138_aead_e300_2b99);
+    let uniform = families::uniform(4096);
+    assert_eq!(
+        alias_stream_checksum(&uniform, 10_000),
+        0x851f_112b_abe0_9212
+    );
+}

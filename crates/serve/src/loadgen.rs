@@ -20,6 +20,11 @@
 //! omission). With `pipeline > 1` a lane writes a window of its next
 //! arrivals in one syscall once the window's first arrival is due.
 //!
+//! Each reply is timed twice. Its *service time* runs from the
+//! window's write. Its *response time* runs from the earlier of its
+//! own due time and that write, so a stall that delays the next window
+//! shows up in the response time of every arrival it held back.
+//!
 //! With `verify_offline` set, every reply is also checked for
 //! bit-identity against a local [`Engine`](crate::engine::Engine)
 //! evaluating the same request — the service's determinism contract,
@@ -95,12 +100,18 @@ pub struct LoadgenReport {
     pub elapsed: Duration,
     /// Replies per second actually achieved.
     pub achieved_rps: f64,
-    /// Median reply latency in microseconds.
+    /// Median service time in microseconds: from the window's write
+    /// to the reply.
     pub p50_micros: u64,
-    /// 95th-percentile reply latency in microseconds.
+    /// 95th-percentile service time in microseconds.
     pub p95_micros: u64,
-    /// 99th-percentile reply latency in microseconds.
+    /// 99th-percentile service time in microseconds.
     pub p99_micros: u64,
+    /// Median response time in microseconds: from the earlier of the
+    /// arrival's due time and the window's write, to the reply.
+    pub response_p50_micros: u64,
+    /// 99th-percentile response time in microseconds.
+    pub response_p99_micros: u64,
 }
 
 /// The request mix: four distinct configurations (distinct cache
@@ -165,6 +176,31 @@ pub fn request_for_index(i: u64, catalog: &[Request]) -> Request {
     req
 }
 
+/// One reply's two clocks, in microseconds.
+#[derive(Debug, Clone, Copy)]
+struct ReplyTimes {
+    /// From the window's write.
+    service: u64,
+    /// From the earlier of the arrival's due time and the write.
+    response: u64,
+}
+
+impl ReplyTimes {
+    /// Times the reply read at `replied_at` to an arrival due at `due`
+    /// and written at `sent_at`. A pipelined arrival can be written
+    /// before it is due, and then both clocks start at the write.
+    fn of(due: Instant, sent_at: Instant, replied_at: Instant) -> Self {
+        let micros = |from: Instant| {
+            u64::try_from(replied_at.saturating_duration_since(from).as_micros())
+                .unwrap_or(u64::MAX)
+        };
+        ReplyTimes {
+            service: micros(sent_at),
+            response: micros(due.min(sent_at)),
+        }
+    }
+}
+
 #[derive(Default)]
 struct Tally {
     sent: u64,
@@ -172,7 +208,7 @@ struct Tally {
     shed: u64,
     errors: u64,
     mismatches: u64,
-    latencies: Vec<u64>,
+    latencies: Vec<ReplyTimes>,
 }
 
 /// Runs the generator and aggregates the report: the open loop when
@@ -253,17 +289,24 @@ fn lane_arrivals<'a>(
     }
 }
 
-/// Folds a run's tally into the final report (sorts latencies once).
+/// The `p`-th percentile of an ascending slice (0 when empty).
+fn percentile(sorted: &[u64], p: usize) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    sorted[(sorted.len() - 1) * p / 100]
+}
+
+/// Folds a run's tally into the final report (sorts each clock once).
 #[allow(clippy::cast_precision_loss)] // reply counts → rps display
-fn finish_report(mut total: Tally, elapsed: Duration) -> LoadgenReport {
-    total.latencies.sort_unstable();
-    let percentile = |p: u64| -> u64 {
-        if total.latencies.is_empty() {
-            return 0;
-        }
-        let rank = (total.latencies.len() - 1) * usize::try_from(p).unwrap_or(0) / 100;
-        total.latencies[rank]
+fn finish_report(total: Tally, elapsed: Duration) -> LoadgenReport {
+    let sorted = |clock: fn(&ReplyTimes) -> u64| {
+        let mut micros: Vec<u64> = total.latencies.iter().map(clock).collect();
+        micros.sort_unstable();
+        micros
     };
+    let service = sorted(|t| t.service);
+    let response = sorted(|t| t.response);
     LoadgenReport {
         sent: total.sent,
         replies: total.replies,
@@ -276,9 +319,11 @@ fn finish_report(mut total: Tally, elapsed: Duration) -> LoadgenReport {
         } else {
             0.0
         },
-        p50_micros: percentile(50),
-        p95_micros: percentile(95),
-        p99_micros: percentile(99),
+        p50_micros: percentile(&service, 50),
+        p95_micros: percentile(&service, 95),
+        p99_micros: percentile(&service, 99),
+        response_p50_micros: percentile(&response, 50),
+        response_p99_micros: percentile(&response, 99),
     }
 }
 
@@ -287,7 +332,7 @@ fn finish_report(mut total: Tally, elapsed: Duration) -> LoadgenReport {
 /// (up to `pipeline` arrivals) in one syscall, then reads the window's
 /// replies — the server's per-connection sequencing returns them in
 /// send order even when the work completes out of order. No window
-/// starts after `stop_at`. Latency is timed from the window's write.
+/// starts after `stop_at`. Each reply is timed by [`ReplyTimes::of`].
 fn lane_loop(
     config: &LoadgenConfig,
     catalog: &[Request],
@@ -316,7 +361,7 @@ fn lane_loop(
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     let mut batch = String::new();
-    let mut window: Vec<Request> = Vec::with_capacity(pipeline);
+    let mut window: Vec<(Request, Instant)> = Vec::with_capacity(pipeline);
     while let Some(first) = arrivals.peek() {
         let due = start + Duration::from_micros(first.at_micros);
         let now = Instant::now();
@@ -336,7 +381,7 @@ fn lane_loop(
                 None => protocol::render_request(&request),
             });
             batch.push('\n');
-            window.push(request);
+            window.push((request, start + Duration::from_micros(event.at_micros)));
         }
         let sent_at = Instant::now();
         if writer.write_all(batch.as_bytes()).is_err() {
@@ -344,7 +389,7 @@ fn lane_loop(
             break;
         }
         tally.sent += window.len() as u64;
-        for request in &window {
+        for (request, due) in &window {
             line.clear();
             match reader.read_line(&mut line) {
                 Ok(0) | Err(_) => {
@@ -352,8 +397,8 @@ fn lane_loop(
                     return tally;
                 }
                 Ok(_) => {
-                    let micros = u64::try_from(sent_at.elapsed().as_micros()).unwrap_or(u64::MAX);
-                    record_reply(&mut tally, line.trim(), request, verifier, micros);
+                    let times = ReplyTimes::of(*due, sent_at, Instant::now());
+                    record_reply(&mut tally, line.trim(), request, verifier, times);
                 }
             }
         }
@@ -366,12 +411,12 @@ fn record_reply(
     line: &str,
     request: &Request,
     verifier: Option<&Engine>,
-    micros: u64,
+    times: ReplyTimes,
 ) {
     match ReplyLine::parse(line) {
         Ok(ReplyLine::Reply(reply)) => {
             tally.replies += 1;
-            tally.latencies.push(micros);
+            tally.latencies.push(times);
             if let Some(engine) = verifier {
                 match engine.handle(request) {
                     Ok(expected) if expected.same_answer(&reply) => {}
@@ -519,8 +564,8 @@ pub fn run_checked(
 
 /// The `dut loadgen --smoke` gate over one run and its stats
 /// cross-check: sustained throughput with zero sheds, zero errors,
-/// zero offline disagreements, a client p99 under 50ms and, on a
-/// shed-free run, a server queue-wait p99 under
+/// zero offline disagreements, a client service-time p99 under 50ms
+/// and, on a shed-free run, a server queue-wait p99 under
 /// [`SANE_QUEUE_WAIT_MICROS`]. The cross-check's own failures stay in
 /// [`StatsCheck::failures`]; an empty result means the gate passed.
 #[must_use]
@@ -549,7 +594,7 @@ pub fn smoke_failures(report: &LoadgenReport, check: &StatsCheck) -> Vec<String>
     }
     if report.p99_micros > 50_000 {
         failures.push(format!(
-            "p99 latency {}us exceeds the 50ms smoke bound",
+            "p99 service time {}us exceeds the 50ms smoke bound",
             report.p99_micros
         ));
     }
@@ -618,6 +663,70 @@ mod tests {
         assert!(run_checked(&config, None).is_err());
     }
 
+    #[test]
+    fn reply_times_start_response_at_the_earlier_of_due_and_write() {
+        let t0 = Instant::now();
+        let at = |micros| t0 + Duration::from_micros(micros);
+        // Written 300us late: the response clock also counts the wait.
+        let late = ReplyTimes::of(at(0), at(300), at(1_000));
+        assert_eq!((late.service, late.response), (700, 1_000));
+        // Pipelined ahead of its due time: both clocks start at the write.
+        let early = ReplyTimes::of(at(500), at(300), at(1_000));
+        assert_eq!((early.service, early.response), (700, 700));
+    }
+
+    /// Replays `arrivals` on one lane of depth 8 against a live server
+    /// and returns every reply's times.
+    fn pipelined_reply_times(arrivals: Vec<TraceEvent>) -> Vec<ReplyTimes> {
+        let handle = crate::server::start(&crate::server::ServeConfig {
+            addr: "127.0.0.1:0".to_owned(),
+            workers: 2,
+            ..crate::server::ServeConfig::default()
+        })
+        .expect("server starts on an ephemeral port");
+        let config = LoadgenConfig {
+            addr: handle.local_addr().to_string(),
+            pipeline: 8,
+            ..LoadgenConfig::default()
+        };
+        let expected = arrivals.len() as u64;
+        let tally = lane_loop(
+            &config,
+            &catalog(),
+            None,
+            arrivals.into_iter(),
+            Instant::now(),
+            None,
+        );
+        handle.request_shutdown();
+        handle.join();
+        assert_eq!((tally.errors, tally.replies), (0, expected));
+        tally.latencies
+    }
+
+    #[test]
+    fn pipelined_response_time_never_undercuts_service_time() {
+        let event = |index: u64, at_micros| TraceEvent {
+            at_micros,
+            lane: 0,
+            index,
+            seed: 1000 + index,
+            tenant: None,
+        };
+        // Paced arrivals: seven of every eight are written before due.
+        let paced = pipelined_reply_times((0..32).map(|i| event(i, i * 500)).collect());
+        // A burst all due at once: every window after the first waits for
+        // the one ahead of it, which only the response clock counts.
+        let burst = pipelined_reply_times((0..32).map(|i| event(i, 0)).collect());
+        for times in paced.iter().chain(&burst) {
+            assert!(times.response >= times.service, "{times:?}");
+        }
+        assert!(
+            burst.iter().any(|t| t.response > t.service),
+            "the burst's held-back windows must show their wait: {burst:?}"
+        );
+    }
+
     fn report() -> LoadgenReport {
         LoadgenReport {
             sent: 100,
@@ -630,6 +739,8 @@ mod tests {
             p50_micros: 100,
             p95_micros: 300,
             p99_micros: 900,
+            response_p50_micros: 120,
+            response_p99_micros: 1_100,
         }
     }
 

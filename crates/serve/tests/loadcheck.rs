@@ -81,6 +81,10 @@ fn pipelined_lanes_verify_bit_identical() {
         report.mismatches, 0,
         "pipelined replies must stay in send order and bit-identical"
     );
+    // Response time starts no later than service time, reply by reply,
+    // so its quantiles cannot undercut the service quantiles.
+    assert!(report.response_p50_micros >= report.p50_micros);
+    assert!(report.response_p99_micros >= report.p99_micros);
     handle.request_shutdown();
     handle.join();
 }

@@ -128,13 +128,15 @@ loadgen USAGE:
                 [--trace <file>] [--trace-out <file>]
                 [--shutdown] [--shutdown-only]
         open-loop load at --rps for --duration, then print achieved
-        throughput and p50/p95/p99 latency; --pipeline keeps a window
+        throughput, p50/p95/p99 service time (from each window's write)
+        and p50/p99 response time (from each arrival's due time, so a
+        stall that delays later windows shows); --pipeline keeps a window
         of N requests in flight per connection (one write per window,
         replies drained in send order); --stats-check cross-checks the
         server's {\"cmd\":\"stats\"} accounting against the client
         tally (polling mid-load); --smoke runs the CI gate, stats
-        cross-check included (>=20000 req/s, zero shed, p99 under
-        50ms, offline-identical verdicts, server queue-wait p99
+        cross-check included (>=20000 req/s, zero shed, service p99
+        under 50ms, offline-identical verdicts, server queue-wait p99
         under 10ms); --trace-out writes a replayable bursty/diurnal
         arrival trace (dut-serve-trace/v1, no load generated) and
         --trace replays one against the server (--pipeline and
@@ -697,6 +699,10 @@ fn run_load(
     println!(
         "latency: p50 {}us  p95 {}us  p99 {}us",
         report.p50_micros, report.p95_micros, report.p99_micros
+    );
+    println!(
+        "response: p50 {}us  p99 {}us (from due time)",
+        report.response_p50_micros, report.response_p99_micros
     );
     if config.verify_offline {
         println!(
