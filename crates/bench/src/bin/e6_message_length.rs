@@ -2,7 +2,8 @@
 //! `r`-bit lower bound is `Ω(min(√(n/(2^r·k)), n/(2^r·k))/ε²)`.
 //!
 //! Upper side: the quantized-count-sum protocol — every node sends its
-//! collision count in `r` bits. Measures `q*(r)` and places it against
+//! collision count, centred on its uniform mean and scaled by its
+//! standard deviation, in `r` bits. Measures `q*(r)` and places it against
 //! the Theorem 6.4 floor (which every protocol must respect).
 //!
 //! ```bash

@@ -17,7 +17,7 @@
 #![cfg_attr(test, allow(clippy::float_cmp, clippy::cast_possible_truncation))]
 
 use dut_core::probability::{AliasSampler, SampleBackend};
-use dut_core::stats::runner::run_trials;
+use dut_core::stats::runner::decide_two_sided;
 use dut_core::stats::search::{minimal_sufficient, SearchResult};
 use dut_core::stats::seed::derive_seed;
 use dut_core::stats::table::Table;
@@ -113,12 +113,24 @@ impl Harness {
     }
 }
 
-/// Estimates, in parallel, whether a protocol achieves the two-sided
+/// Decides, in parallel, whether a protocol achieves the two-sided
 /// 2/3 guarantee: accepts the uniform sampler and rejects the far
 /// sampler, each with probability ≥ 2/3 over `trials` executions.
 ///
 /// `accepts(sampler, rng)` runs the protocol once and reports whether
-/// it accepted.
+/// it accepted. Uniform trial `i` is seeded with
+/// `derive_seed(derive_seed(seed, 0), i)` and far trial `i` with
+/// `derive_seed(derive_seed(seed, 1), i)`.
+///
+/// The answer is exactly `p̂_uniform ≥ 2/3 && p̂_far ≥ 2/3` over all
+/// `2·trials` of those executions, but the work stops as soon as the
+/// finished trials fix it ([`decide_two_sided`]): when one side can no
+/// longer reach 2/3, or both already have. Each side's verdict is a
+/// threshold of a fixed vector of seeded outcomes, so the bool does
+/// not depend on the thread count or schedule. Callers that need the
+/// counts themselves use [`run_trials`].
+///
+/// [`run_trials`]: dut_core::stats::runner::run_trials
 pub fn two_sided_success<F>(
     trials: u64,
     seed: u64,
@@ -129,18 +141,13 @@ pub fn two_sided_success<F>(
 where
     F: Fn(&AliasSampler, &mut StdRng) -> bool + Sync,
 {
-    let completeness = run_trials(trials, derive_seed(seed, 0), |s| {
+    let samplers = [uniform, far];
+    let side_seeds = [derive_seed(seed, 0), derive_seed(seed, 1)];
+    decide_two_sided(trials, side_seeds, |side, s| {
         let mut rng = StdRng::seed_from_u64(s);
-        accepts(uniform, &mut rng)
-    });
-    if completeness.point() < 2.0 / 3.0 {
-        return false;
-    }
-    let soundness = run_trials(trials, derive_seed(seed, 1), |s| {
-        let mut rng = StdRng::seed_from_u64(s);
-        !accepts(far, &mut rng)
-    });
-    soundness.point() >= 2.0 / 3.0
+        // Side 0 succeeds by accepting uniform, side 1 by rejecting far.
+        accepts(samplers[side], &mut rng) == (side == 0)
+    })
 }
 
 /// Binary-searches the minimal `q` (or `k`, or `τ` — any monotone

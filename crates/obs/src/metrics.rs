@@ -39,8 +39,12 @@ pub enum Counter {
     FaultRecoveredBits,
     /// Senders the referee never heard from after all retry attempts.
     FaultTimeouts,
-    /// Monte-Carlo trials executed by `run_trials`/`run_measurements`.
+    /// Monte-Carlo trials executed by `run_trials`, `run_measurements`
+    /// and `decide_two_sided`.
     TrialsRun,
+    /// Trials `decide_two_sided` never ran because the finished ones
+    /// had already fixed the two-sided verdict.
+    TrialsSkipped,
     /// Predicate evaluations spent inside `minimal_sufficient`.
     SearchProbes,
     /// Scaling-law fits computed by `dut-stats::sweep`.
@@ -103,7 +107,7 @@ pub enum Counter {
 }
 
 impl Counter {
-    const COUNT: usize = 33;
+    const COUNT: usize = 34;
 
     /// All counters, in slot order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -120,6 +124,7 @@ impl Counter {
         Counter::FaultRecoveredBits,
         Counter::FaultTimeouts,
         Counter::TrialsRun,
+        Counter::TrialsSkipped,
         Counter::SearchProbes,
         Counter::SweepFits,
         Counter::HistogramDraws,
@@ -159,6 +164,7 @@ impl Counter {
             Counter::FaultRecoveredBits => "recovered_bits",
             Counter::FaultTimeouts => "fault_timeouts",
             Counter::TrialsRun => "trials_run",
+            Counter::TrialsSkipped => "trials_skipped",
             Counter::SearchProbes => "search_probes",
             Counter::SweepFits => "sweep_fits",
             Counter::HistogramDraws => "histogram_draws",

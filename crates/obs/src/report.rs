@@ -381,8 +381,9 @@ impl Report {
             );
             let _ = writeln!(
                 out,
-                "  mc trials        {}",
-                human_count(self.counter("trials_run"))
+                "  mc trials        {} run, {} skipped by early decision",
+                human_count(self.counter("trials_run")),
+                human_count(self.counter("trials_skipped"))
             );
             let _ = writeln!(
                 out,
@@ -795,6 +796,20 @@ mod tests {
         );
         assert!(text.contains("byzantine        2 corrupted bits"), "{text}");
         assert!(text.contains("12 messages lost"), "{text}");
+    }
+
+    #[test]
+    fn render_splits_trials_into_run_and_skipped() {
+        let registry = crate::metrics::Registry::new();
+        registry.add(crate::metrics::Counter::NetRuns, 10);
+        registry.add(crate::metrics::Counter::TrialsRun, 250);
+        registry.add(crate::metrics::Counter::TrialsSkipped, 150);
+        let trace = snapshot_event(&registry.snapshot()).to_json_line();
+        let text = Report::from_jsonl(&trace).unwrap().render();
+        assert!(
+            text.contains("mc trials        250 run, 150 skipped by early decision"),
+            "{text}"
+        );
     }
 
     #[test]

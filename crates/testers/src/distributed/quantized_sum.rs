@@ -1,11 +1,13 @@
 use dut_probability::empirical::collision_count_of;
 use dut_probability::{Sampler, UniformSampler};
 use dut_simnet::{Message, Verdict};
+use dut_stats::convert::round_to_usize;
 use rand::Rng;
 
 /// An `r`-bit message protocol for experiment E6 (Theorem 6.4): every
-/// node sends its local collision count, saturating-quantized to
-/// `message_bits` bits, and the referee compares the **sum** of the
+/// node sends its local collision count, quantized around its uniform
+/// mean to `message_bits` bits ([`QuantizedSumTester::encode_count`]),
+/// and the referee compares the **sum** of the
 /// reported counts against a threshold calibrated under the uniform
 /// distribution.
 ///
@@ -67,17 +69,25 @@ impl QuantizedSumTester {
         (1u64 << self.message_bits) - 1
     }
 
-    /// The node's message for a local collision count: for `r = 1` a
-    /// balanced above-mean bit, otherwise the count saturated at
-    /// `2^r − 1`.
+    /// The node's message for a local collision count `c` at `q`
+    /// samples, with `λ₀ = C(q, 2)/n` its mean under uniform. For
+    /// `r = 1` it is the balanced above-mean bit. Otherwise the code is
+    /// `c` centred on `λ₀` and scaled by `σ = √λ₀`: the `2^r` codes span
+    /// `λ₀ ± 2σ`, clamped at `0` and `2^r − 1`, with steps of at least
+    /// one count (an integer count needs no finer code). A raw count
+    /// saturated at `2^r − 1` would send the top code under both laws
+    /// once `λ₀` passes it, and the summed statistic could not tell
+    /// them apart.
     #[must_use]
     pub fn encode_count(&self, count: u64, q: usize) -> u64 {
+        let lambda = (q * q.saturating_sub(1)) as f64 / 2.0 / self.n as f64;
         if self.message_bits == 1 {
-            let lambda = (q * q.saturating_sub(1)) as f64 / 2.0 / self.n as f64;
-            u64::from(count as f64 > lambda)
-        } else {
-            count.min(self.max_code())
+            return u64::from(count as f64 > lambda);
         }
+        let max = self.max_code();
+        let step = (4.0 * lambda.sqrt() / max as f64).max(1.0);
+        let code = round_to_usize(max as f64 / 2.0 + (count as f64 - lambda) / step);
+        (code as u64).min(max)
     }
 
     /// Calibrates the referee threshold for `q` samples per node by
@@ -215,11 +225,44 @@ mod tests {
     }
 
     #[test]
-    fn multi_bit_encoding_saturates() {
+    fn multi_bit_encoding_centres_on_the_uniform_mean() {
+        // lambda = C(10,2)/100 = 0.45: ±2σ fits in 8 codes at unit
+        // steps, so the code is the count shifted to centre 3.5.
         let tester = QuantizedSumTester::new(100, 4, 3);
-        assert_eq!(tester.encode_count(5, 10), 5);
-        assert_eq!(tester.encode_count(9, 10), 7);
         assert_eq!(tester.max_code(), 7);
+        let codes: Vec<u64> = (0..6).map(|c| tester.encode_count(c, 10)).collect();
+        assert_eq!(codes, [3, 4, 5, 6, 7, 7]);
+        // lambda = C(128,2)/1024 ≈ 7.94, σ ≈ 2.82: 4 codes of ≈3.76
+        // counts each, clamped at 0 and 3.
+        let tester = QuantizedSumTester::new(1 << 10, 32, 2);
+        let codes: Vec<u64> = [0, 4, 5, 8, 12, 20]
+            .iter()
+            .map(|&c| tester.encode_count(c, 128))
+            .collect();
+        assert_eq!(codes, [0, 0, 1, 2, 3, 3]);
+    }
+
+    #[test]
+    fn two_bit_codes_still_separate_well_above_the_predicted_q() {
+        // At 4x the predicted q = √(n/k)/ε², λ₀ = C(q,2)/n ≈ 4 already
+        // exceeds the top 2-bit code: a raw saturated count sends 3 from
+        // most nodes under both laws, and rejects far in only ~55% of
+        // runs.
+        let n = 1 << 10;
+        let k = 32;
+        let eps = 0.5;
+        let q = (4.0 * (n as f64 / k as f64).sqrt() / (eps * eps)).ceil() as usize;
+        let tester = QuantizedSumTester::new(n, k, 2);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(23);
+        let prepared = tester.prepare(q, 800, &mut rng);
+        let uniform = families::uniform(n).alias_sampler();
+        let far = families::two_level(n, eps).unwrap().alias_sampler();
+        let reject_far = 1.0 - acceptance(&prepared, &far, 300, 29);
+        assert!(
+            reject_far >= 2.0 / 3.0,
+            "far rejection {reject_far} at q = {q}"
+        );
+        assert!(acceptance(&prepared, &uniform, 300, 31) >= 2.0 / 3.0);
     }
 
     #[test]
