@@ -16,7 +16,7 @@
 // Tests assert exact constructed values and index with small literals.
 #![cfg_attr(test, allow(clippy::float_cmp, clippy::cast_possible_truncation))]
 
-use dut_core::probability::{AliasSampler, SampleBackend};
+use dut_core::probability::AliasSampler;
 use dut_core::stats::runner::decide_two_sided;
 use dut_core::stats::search::{minimal_sufficient, SearchResult};
 use dut_core::stats::seed::derive_seed;
@@ -34,11 +34,6 @@ pub struct Harness {
     pub seed: u64,
     /// Output directory for CSV tables (`DUT_RESULTS`, default `results`).
     pub results_dir: PathBuf,
-    /// Sampling backend for experiments that draw occupancy histograms
-    /// (`DUT_BACKEND`: `per-draw`, `histogram` or `auto`, default auto —
-    /// the cost model resolves a concrete engine per `(n, q)`; all
-    /// choices draw from the same law).
-    pub backend: SampleBackend,
 }
 
 impl Harness {
@@ -58,15 +53,10 @@ impl Harness {
         let results_dir = std::env::var("DUT_RESULTS")
             .map(PathBuf::from)
             .unwrap_or_else(|_| PathBuf::from("results"));
-        let backend = std::env::var("DUT_BACKEND")
-            .ok()
-            .and_then(|v| SampleBackend::parse(&v))
-            .unwrap_or_default();
         Self {
             trials,
             seed,
             results_dir,
-            backend,
         }
     }
 
@@ -76,13 +66,11 @@ impl Harness {
         let experiment = experiment.to_owned();
         let trials = self.trials;
         let seed = self.seed;
-        let backend = self.backend;
         dut_obs::global().emit_with(move || {
             dut_obs::Event::new("manifest")
                 .with("experiment", experiment)
                 .with("seed", seed)
                 .with("trials", trials)
-                .with("backend", backend.name())
                 .with("build", git_describe())
                 .with("threads", dut_core::stats::runner::available_threads())
         });
@@ -127,10 +115,7 @@ impl Harness {
 /// finished trials fix it ([`decide_two_sided`]): when one side can no
 /// longer reach 2/3, or both already have. Each side's verdict is a
 /// threshold of a fixed vector of seeded outcomes, so the bool does
-/// not depend on the thread count or schedule. Callers that need the
-/// counts themselves use [`run_trials`].
-///
-/// [`run_trials`]: dut_core::stats::runner::run_trials
+/// not depend on the thread count or schedule.
 pub fn two_sided_success<F>(
     trials: u64,
     seed: u64,
@@ -216,10 +201,8 @@ mod tests {
             trials: 200,
             seed: 1,
             results_dir: PathBuf::from("results"),
-            backend: SampleBackend::default(),
         };
         assert_eq!(h.trials, 200);
-        assert_eq!(h.backend, SampleBackend::Auto);
     }
 
     #[test]

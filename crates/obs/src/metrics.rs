@@ -39,8 +39,8 @@ pub enum Counter {
     FaultRecoveredBits,
     /// Senders the referee never heard from after all retry attempts.
     FaultTimeouts,
-    /// Monte-Carlo trials executed by `run_trials`, `run_measurements`
-    /// and `decide_two_sided`.
+    /// Monte-Carlo trials executed by `run_measurements` and
+    /// `decide_two_sided`.
     TrialsRun,
     /// Trials `decide_two_sided` never ran because the finished ones
     /// had already fixed the two-sided verdict.
@@ -193,7 +193,8 @@ impl Counter {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Gauge {
-    /// Worker threads chosen by the most recent `run_trials` call.
+    /// Worker threads chosen by the most recent `run_measurements` or
+    /// `decide_two_sided` call.
     RunnerThreads,
     /// Sampling backend of the most recent count-based network run:
     /// 1 for `SampleBackend::PerDraw`, 2 for `SampleBackend::Histogram`
@@ -239,7 +240,8 @@ impl Gauge {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum HistogramId {
-    /// Wall-clock microseconds of each `run_trials` worker batch.
+    /// Wall-clock microseconds of each `run_measurements` or
+    /// `decide_two_sided` batch.
     TrialBatchMicros,
     /// Wall-clock microseconds of each search probe.
     ProbeMicros,

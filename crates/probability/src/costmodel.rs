@@ -11,17 +11,15 @@
 //! *per-engine costs* rather than a fitted crossover curve means every
 //! calibration grid point reproduces its measured winner exactly.
 //!
-//! The embedded table is a machine-specific calibration, so an optional
-//! startup **probe** ([`run_probe`]) re-times both engines on one small
-//! grid point and rescales each table by the measured/predicted ratio —
-//! a two-number correction that adapts the model to a different host
-//! without re-running the full bench grid. Scales live in process-global
-//! atomics: every consumer in the process (serve, bench, offline
-//! reference) sees the same resolution, which is what keeps the served
-//! bit-identity contract intact.
+//! The tables are fixed data, so [`choose`] is a pure function of
+//! `(n, q)`: every process on every host resolves `Auto` to the same
+//! engine. That is what lets a served verdict equal the offline
+//! reference computed in any other process. The tables were measured
+//! on one host, so on another the pick near the crossover may be the
+//! slightly slower engine. That costs time, not agreement: the pick,
+//! and so every seeded stream, is the same everywhere.
 
 use crate::occupancy::SampleBackend;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// `ln n` grid coordinates of the embedded calibration (n = 100, 10³, 10⁴).
 const GRID_N: [f64; 3] = [100.0, 1_000.0, 10_000.0];
@@ -42,14 +40,6 @@ const HISTOGRAM_NS: [[f64; 3]; 3] = [
     [29_886.9, 60_163.6, 700_530.3],
     [141_405.4, 308_859.3, 590_339.9],
 ];
-
-/// Probe scale factors (measured/predicted per engine), stored as f64
-/// bit patterns so a lock-free global suffices. `f64::to_bits(1.0)`
-/// means "no probe ran".
-static PER_DRAW_SCALE: AtomicU64 = AtomicU64::new(0x3FF0_0000_0000_0000);
-static HISTOGRAM_SCALE: AtomicU64 = AtomicU64::new(0x3FF0_0000_0000_0000);
-/// Whether [`run_probe`] has run in this process.
-static PROBE_RAN: AtomicU64 = AtomicU64::new(0);
 
 /// Fractional position of `x` between grid coordinates, clamped to
 /// `[0, 1]` per segment; returns the lower index and the fraction.
@@ -82,12 +72,8 @@ fn interpolate(table: &[[f64; 3]; 3], n: f64, q: f64) -> f64 {
     (low + fi * (high - low)).exp()
 }
 
-fn scale_of(cell: &AtomicU64) -> f64 {
-    f64::from_bits(cell.load(Ordering::Relaxed))
-}
-
 /// Predicted nanoseconds for one `q`-sample draw on a size-`n` domain
-/// with the given **concrete** engine, including any probe rescaling.
+/// with the given **concrete** engine.
 ///
 /// # Panics
 ///
@@ -98,8 +84,8 @@ pub fn predicted_draw_ns(backend: SampleBackend, n: usize, q: u64) -> f64 {
     #[allow(clippy::cast_precision_loss)]
     let (nf, qf) = (n as f64, q as f64);
     match backend {
-        SampleBackend::PerDraw => interpolate(&PER_DRAW_NS, nf, qf) * scale_of(&PER_DRAW_SCALE),
-        SampleBackend::Histogram => interpolate(&HISTOGRAM_NS, nf, qf) * scale_of(&HISTOGRAM_SCALE),
+        SampleBackend::PerDraw => interpolate(&PER_DRAW_NS, nf, qf),
+        SampleBackend::Histogram => interpolate(&HISTOGRAM_NS, nf, qf),
         SampleBackend::Auto => {
             panic!("predicted_draw_ns takes a concrete engine, not Auto")
         }
@@ -116,63 +102,6 @@ pub fn choose(n: usize, q: u64) -> SampleBackend {
         SampleBackend::Histogram
     } else {
         SampleBackend::PerDraw
-    }
-}
-
-/// Grid point the probe re-times: small enough to finish in
-/// milliseconds, interior enough that both engines do real work.
-const PROBE_N: usize = 1_000;
-const PROBE_Q: u64 = 1_000;
-/// Timed repetitions per engine (after one warmup draw).
-const PROBE_REPS: u32 = 24;
-
-/// Micro-calibrates the cost model against this host: times both
-/// engines on the (n=10³, q=10³) grid point and rescales each cost
-/// table by measured/predicted. Idempotent per process in effect
-/// (later calls re-measure and overwrite). Returns the
-/// `(per_draw_scale, histogram_scale)` pair it installed.
-///
-/// Call once at startup (`dut serve --probe`, `dut bench --probe`)
-/// **before** any resolution is cached downstream; rescaling mid-flight
-/// would flip [`choose`] between a cached entry and a fresh one.
-pub fn run_probe() -> (f64, f64) {
-    use crate::dense::DenseDistribution;
-    use rand::SeedableRng;
-    let dual = DenseDistribution::uniform(PROBE_N).dual_sampler();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0x0070_726f_6265); // "probe"
-    let mut time_engine = |backend: SampleBackend| -> f64 {
-        let mut sink = 0u64;
-        sink = sink.wrapping_add(dual.draw(backend, PROBE_Q, &mut rng).collision_count());
-        let start = std::time::Instant::now();
-        for _ in 0..PROBE_REPS {
-            sink = sink.wrapping_add(dual.draw(backend, PROBE_Q, &mut rng).collision_count());
-        }
-        let elapsed = start.elapsed();
-        std::hint::black_box(sink);
-        elapsed.as_secs_f64() * 1e9 / f64::from(PROBE_REPS)
-    };
-    let measured_per_draw = time_engine(SampleBackend::PerDraw);
-    let measured_histogram = time_engine(SampleBackend::Histogram);
-    #[allow(clippy::cast_precision_loss)]
-    let (nf, qf) = (PROBE_N as f64, PROBE_Q as f64);
-    let per_draw_scale = (measured_per_draw / interpolate(&PER_DRAW_NS, nf, qf)).clamp(1e-3, 1e3);
-    let histogram_scale =
-        (measured_histogram / interpolate(&HISTOGRAM_NS, nf, qf)).clamp(1e-3, 1e3);
-    PER_DRAW_SCALE.store(per_draw_scale.to_bits(), Ordering::Relaxed);
-    HISTOGRAM_SCALE.store(histogram_scale.to_bits(), Ordering::Relaxed);
-    PROBE_RAN.store(1, Ordering::Relaxed);
-    (per_draw_scale, histogram_scale)
-}
-
-/// The probe scales currently in effect, or `None` when [`run_probe`]
-/// has not run (the embedded calibration is being used as-is). Bench
-/// provenance records this.
-#[must_use]
-pub fn probe_scales() -> Option<(f64, f64)> {
-    if PROBE_RAN.load(Ordering::Relaxed) == 0 {
-        None
-    } else {
-        Some((scale_of(&PER_DRAW_SCALE), scale_of(&HISTOGRAM_SCALE)))
     }
 }
 
@@ -203,6 +132,12 @@ mod tests {
         assert_eq!(choose(1_000, 1_000), SampleBackend::PerDraw);
         // And the flagship histogram win.
         assert_eq!(choose(100, 100_000), SampleBackend::Histogram);
+        // Below the grid's q edge: per-draw at the serve herd key
+        // (1024, 48), histogram at (256, 32). And the near-crossover
+        // (10⁴, 10⁴) point, where histogram measured faster.
+        assert_eq!(choose(1_024, 48), SampleBackend::PerDraw);
+        assert_eq!(choose(256, 32), SampleBackend::Histogram);
+        assert_eq!(choose(10_000, 10_000), SampleBackend::Histogram);
     }
 
     #[test]

@@ -180,7 +180,7 @@ impl TesterCache {
 /// becomes the hottest line in the server. Sharding by `CacheKey` hash
 /// splits the key space across `shards` independent caches, so lookups
 /// for unrelated testers never contend. Routing uses
-/// [`CacheKey::calibration_seed`](crate::engine::CacheKey::calibration_seed):
+/// [`CacheKey::fields_hash`](crate::engine::CacheKey::fields_hash):
 /// a pure split-mix chain over every key field, so it is stable across
 /// runs (deterministic routing) and well mixed (balanced shards).
 ///
@@ -227,7 +227,7 @@ impl ShardedTesterCache {
 
     /// The shard responsible for `key`.
     fn shard(&self, key: &CacheKey) -> &TesterCache {
-        let route = key.calibration_seed() % self.shards.len() as u64;
+        let route = key.fields_hash() % self.shards.len() as u64;
         #[allow(clippy::cast_possible_truncation)]
         &self.shards[route as usize]
     }

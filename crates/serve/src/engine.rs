@@ -85,7 +85,9 @@ impl std::fmt::Display for BuildError {
 
 /// Identity of a prepared tester: every field that influences
 /// preparation or sampling. Epsilon enters by IEEE-754 bit pattern —
-/// two requests either share a tester exactly or not at all.
+/// two requests either share a tester exactly or not at all. The
+/// sampling engine is not a field: it is [`CacheKey::backend`], a
+/// fixed function of `(n, q)`, so it is the same in every process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct CacheKey {
     /// Domain size.
@@ -102,13 +104,6 @@ pub struct CacheKey {
     pub rule_t: usize,
     /// Input family.
     pub family: Family,
-    /// Gauge code of the *resolved* sampling backend the cost model
-    /// picked for this `(n, q)` (1 = per-draw, 2 = histogram; never 3).
-    /// Part of the key so the bit-identity contract is explicit about
-    /// which engine produced a cached answer: if the cost model's
-    /// resolution ever changed mid-process, the old entry could not be
-    /// silently served for the new choice.
-    pub backend_code: u64,
 }
 
 impl CacheKey {
@@ -129,20 +124,14 @@ impl CacheKey {
             rule_tag,
             rule_t,
             family: req.family,
-            backend_code: SampleBackend::Auto
-                .resolve(req.n, req.q as u64)
-                .gauge_code(),
         }
     }
 
-    /// The concrete engine recorded in [`CacheKey::backend_code`].
+    /// The concrete engine every trial for this key runs on: the cost
+    /// model's pick for the key's `(n, q)`, never `Auto`.
     #[must_use]
     pub fn backend(&self) -> SampleBackend {
-        if self.backend_code == SampleBackend::PerDraw.gauge_code() {
-            SampleBackend::PerDraw
-        } else {
-            SampleBackend::Histogram
-        }
+        SampleBackend::Auto.resolve(self.n, self.q as u64)
     }
 
     /// The rule this key encodes.
@@ -156,20 +145,28 @@ impl CacheKey {
         }
     }
 
-    /// Seed for the preparation/calibration RNG: a pure function of
-    /// the key, so every build of this configuration — cached, fresh,
-    /// offline — prepares the bit-identical tester.
+    /// A split-mix chain over every key field: stable across runs and
+    /// well mixed. The sharded cache routes by it, so a lookup never
+    /// runs the cost model.
     #[must_use]
-    pub fn calibration_seed(&self) -> u64 {
+    pub fn fields_hash(&self) -> u64 {
         // Domain-separation constant: ASCII "dutserve" truncated.
         let mut s = derive_seed2(0x6475_7473_6572_7665, self.n as u64, self.k as u64);
         s = derive_seed2(s, self.q as u64, self.eps_bits);
-        s = derive_seed2(
+        derive_seed2(
             s,
             u64::from(self.rule_tag) << 32 | self.rule_t as u64,
             self.family as u64,
-        );
-        derive_seed2(s, self.backend_code, 0)
+        )
+    }
+
+    /// Seed for the preparation/calibration RNG: a pure function of
+    /// the key and its resolved engine, so every build of this
+    /// configuration — cached, fresh, offline, in any process —
+    /// prepares the bit-identical tester.
+    #[must_use]
+    pub fn calibration_seed(&self) -> u64 {
+        derive_seed2(self.fields_hash(), self.backend().gauge_code(), 0)
     }
 }
 
@@ -604,14 +601,46 @@ mod tests {
     }
 
     #[test]
-    fn backend_enters_the_calibration_seed() {
-        // Two keys differing only in backend_code derive different
-        // calibration streams: the recorded engine is load-bearing in
-        // the bit-identity contract, not advisory.
-        let key = CacheKey::of(&request(1));
-        let mut flipped = key;
-        flipped.backend_code = if key.backend_code == 1 { 2 } else { 1 };
-        assert_ne!(key.calibration_seed(), flipped.calibration_seed());
+    fn calibration_seeds_are_pinned() {
+        // Recorded when the engine code was still a stored key field:
+        // deriving it from (n, q) must keep every calibration stream,
+        // and so every served answer, unchanged.
+        let herd = Request {
+            n: 1024,
+            k: 64,
+            q: 48,
+            eps: 0.5,
+            rule: Rule::Balanced,
+            family: Family::Uniform,
+            seed: 5,
+            trials: 1,
+        };
+        let small = Request {
+            n: 64,
+            k: 8,
+            q: 8,
+            seed: 7,
+            ..herd
+        };
+        let crossover = Request {
+            n: 10_000,
+            k: 1,
+            q: 10_000,
+            eps: 0.1,
+            rule: Rule::Centralized,
+            family: Family::TwoLevel,
+            seed: 1,
+            trials: 50,
+        };
+        for (req, backend, seed) in [
+            (herd, SampleBackend::PerDraw, 0x3f51_0152_e2d0_549e),
+            (small, SampleBackend::Histogram, 0xccbc_df03_507f_a56a),
+            (crossover, SampleBackend::Histogram, 0x5d8e_72d8_c486_ffee),
+        ] {
+            let key = CacheKey::of(&req);
+            assert_eq!(key.backend(), backend, "{req:?}");
+            assert_eq!(key.calibration_seed(), seed, "{req:?}");
+        }
     }
 
     #[test]

@@ -55,7 +55,7 @@ test OPTIONS:
     --q <int>         samples per player           [default: predicted]
     --trials <int>    protocol executions          [default: 200]
     --backend <name>  per-draw | histogram | auto | both
-                                                   [default: legacy alias path]
+                      [default: the alias per-draw path the experiments use]
 
 advise OPTIONS:
     --locality <name> and | threshold:<T> | any    [default: any]
@@ -87,11 +87,10 @@ lint USAGE:
     dut lint --list-suppressions  audit every dut-lint allow with its reason
 
 bench USAGE:
-    dut bench [--smoke] [--probe] [--out <file>]
+    dut bench [--smoke] [--out <file>]
         time per-draw, histogram and the cost-model auto backend over
         an (n, q) grid and write a dut-bench-perf/v2 baseline with
-        thread/host/probe provenance  [default: BENCH_perf.json];
-        --probe micro-calibrates the cost model to this host first;
+        thread/host provenance  [default: BENCH_perf.json];
         fails if auto trails the better fixed engine by >5% anywhere
     dut bench --check <file>             validate a written baseline
 
@@ -100,7 +99,7 @@ serve USAGE:
               [--cache-cap <N>] [--cache-shards <N>] [--queue-cap <N>]
               [--tenant <name:rate:burst:priority>]
               [--trace-sample <N>] [--idle-timeout <secs>]
-              [--error-budget <N>] [--max-line-bytes <N>] [--probe]
+              [--error-budget <N>] [--max-line-bytes <N>]
         serve newline-delimited JSON requests until a client sends
         {\"cmd\":\"shutdown\"}; also answers {\"cmd\":\"stats\"} (windowed
         metrics + SLO) and {\"cmd\":\"flight\"} (flight-recorder dump)
@@ -118,9 +117,7 @@ serve USAGE:
         --idle-timeout are reaped (default 30s), lines past
         --max-line-bytes get {\"error\":\"line_too_long\"} then close,
         and a connection exhausting --error-budget error replies is
-        closed (default 64, 0 disables); --probe times both sampling
-        engines at startup and rescales the cost model that picks the
-        backend per request
+        closed (default 64, 0 disables)
 
 loadgen USAGE:
     dut loadgen [--addr <host:port>] [--rps <N>] [--duration <secs>]
@@ -539,7 +536,6 @@ fn cmd_lint(mut args: Args) -> Result<(), String> {
 /// a client sends `{"cmd":"shutdown"}`.
 fn cmd_serve(mut args: Args) -> Result<(), String> {
     let mut config = dut_serve::ServeConfig::default();
-    let probe = args.switch("--probe");
     if let Some(addr) = args.value("--addr")? {
         config.addr = addr;
     }
@@ -569,14 +565,6 @@ fn cmd_serve(mut args: Args) -> Result<(), String> {
         config.tenancy.quotas.push(parse_tenant_quota(&spec)?);
     }
     args.finish(0)?;
-    if probe {
-        let (per_draw_scale, histogram_scale) =
-            distributed_uniformity::probability::costmodel::run_probe();
-        println!(
-            "probe: cost model rescaled \u{d7}{per_draw_scale:.2} per-draw, \
-             \u{d7}{histogram_scale:.2} histogram"
-        );
-    }
     let handle = dut_serve::server::start(&config)?;
     println!(
         "dut serve listening on {} ({} workers, {} shards, cache {} testers, queue {} requests)",
@@ -1137,15 +1125,12 @@ const BENCH_SCHEMA: &str = "dut-bench-perf/v2";
 /// baseline to `BENCH_perf.json` (or `--out`). Fails if the
 /// histogram backend is slower at the largest grid point, or if Auto
 /// trails the better fixed engine by more than [`AUTO_SLACK`] anywhere
-/// — the regression gates CI runs via `--smoke`. `--probe` runs the
-/// startup micro-calibration first so the cost model is rescaled to
-/// this host before Auto is timed.
+/// — the regression gates CI runs via `--smoke`.
 ///
 /// [`SampleBackend::PerDraw`]: distributed_uniformity::probability::SampleBackend
 /// [`SampleBackend::Histogram`]: distributed_uniformity::probability::SampleBackend
 fn cmd_bench(mut args: Args) -> Result<(), String> {
     let smoke = args.switch("--smoke");
-    let probe = args.switch("--probe");
     let out_path = args
         .value("--out")?
         .unwrap_or_else(|| "BENCH_perf.json".to_owned());
@@ -1157,14 +1142,6 @@ fn cmd_bench(mut args: Args) -> Result<(), String> {
             check_bench_file(&path).map_err(|e| format!("{path}: {e}"))?
         );
         return Ok(());
-    }
-    use distributed_uniformity::probability::costmodel;
-    if probe {
-        let (per_draw_scale, histogram_scale) = costmodel::run_probe();
-        println!(
-            "probe: cost model rescaled \u{d7}{per_draw_scale:.2} per-draw, \
-             \u{d7}{histogram_scale:.2} histogram"
-        );
     }
     // Per-engine budget per grid point (a point costs ~3x this, see
     // `time_backends`). The smoke budget is large enough that the
@@ -1343,10 +1320,9 @@ fn time_backends(
 }
 
 /// Serializes the measured grid as the `dut-bench-perf/v2` document:
-/// the timing columns plus a provenance block (thread count, host
-/// triple, and — when `--probe` ran — the installed cost-model scales).
+/// the timing columns plus a provenance block (thread count and host
+/// triple).
 fn render_bench_file(entries: &[BenchEntry], smoke: bool) -> String {
-    use distributed_uniformity::probability::costmodel;
     use std::fmt::Write as _;
     let mut out = String::from("{\"schema\":");
     dut_obs::json::write_escaped(&mut out, BENCH_SCHEMA);
@@ -1358,13 +1334,6 @@ fn render_bench_file(entries: &[BenchEntry], smoke: bool) -> String {
         std::env::consts::OS,
         std::env::consts::ARCH
     );
-    if let Some((per_draw_scale, histogram_scale)) = costmodel::probe_scales() {
-        out.push_str(",\"probe\":{\"per_draw_scale\":");
-        dut_obs::json::write_f64(&mut out, per_draw_scale);
-        out.push_str(",\"histogram_scale\":");
-        dut_obs::json::write_f64(&mut out, histogram_scale);
-        out.push('}');
-    }
     out.push_str("},\"entries\":[");
     for (i, e) in entries.iter().enumerate() {
         if i > 0 {

@@ -267,6 +267,10 @@ fn unknown_flags_are_rejected_with_the_command_usage() {
         // Requests share a prepared tester only through the
         // single-flight cache; there is no coalescing pass to size.
         (&["serve", "--coalesce", "16"], "--coalesce"),
+        // `Auto` is a fixed function of (n, q): no startup probe
+        // rescales the cost model.
+        (&["serve", "--probe"], "--probe"),
+        (&["bench", "--probe"], "--probe"),
     ];
     for (args, flag) in cases {
         let (ok, err) = run_dut(args);
@@ -280,6 +284,7 @@ fn unknown_flags_are_rejected_with_the_command_usage() {
         let section = match args[0] {
             "loadgen" => "loadgen USAGE:",
             "serve" => "serve USAGE:",
+            "bench" => "bench USAGE:",
             _ => "COMMON OPTIONS",
         };
         assert!(err.contains(section), "{err}");
@@ -328,6 +333,60 @@ impl Server {
         assert!(stopped.success());
         std::io::Read::read_to_end(&mut self.stdout, &mut Vec::new()).expect("drain stdout");
         assert!(self.child.wait().expect("server exits").success());
+    }
+}
+
+/// A separate `dut serve` process answers one request that resolves
+/// per-draw, one that resolves histogram and one near the engine
+/// crossover, and this process computes each offline reference. They
+/// can only agree bit for bit if the engine choice and the
+/// calibration seed depend on the request alone, not on either
+/// process's state.
+#[test]
+fn served_replies_match_offline_across_processes() {
+    use distributed_uniformity::Rule;
+    use dut_serve::client::{check_served, Served};
+    use dut_serve::protocol::{Family, Request};
+    // Resolves per-draw: the balanced herd key of the serve telemetry
+    // tests.
+    let per_draw = Request {
+        n: 1024,
+        k: 64,
+        q: 48,
+        eps: 0.5,
+        rule: Rule::Balanced,
+        family: Family::Uniform,
+        seed: 5,
+        trials: 1,
+    };
+    // Resolves histogram.
+    let histogram = Request {
+        n: 64,
+        k: 8,
+        q: 8,
+        seed: 7,
+        ..per_draw
+    };
+    // Near the engine crossover, where a host-timed cost model used to
+    // pick differently from one process to the next.
+    let crossover = Request {
+        n: 10_000,
+        k: 1,
+        q: 10_000,
+        eps: 0.1,
+        rule: Rule::Centralized,
+        family: Family::TwoLevel,
+        seed: 1,
+        trials: 50,
+    };
+    let server = Server::start(&[]);
+    let outcomes: Vec<_> = [per_draw, histogram, crossover]
+        .iter()
+        .map(|req| (req.n, check_served(&server.addr, req)))
+        .collect();
+    server.stop();
+    for (n, outcome) in outcomes {
+        assert_eq!(outcome, Ok(Served::Exact), "n={n}");
     }
 }
 

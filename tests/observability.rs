@@ -5,7 +5,7 @@
 #![allow(clippy::float_cmp, clippy::cast_possible_truncation)] // test code asserts exact values
 use distributed_uniformity::obs;
 use distributed_uniformity::probability::families;
-use distributed_uniformity::stats::runner::run_trials;
+use distributed_uniformity::stats::runner::run_measurements;
 use distributed_uniformity::{Rule, UniformityTester};
 use rand::SeedableRng;
 use std::process::Command;
@@ -26,27 +26,34 @@ fn protocol_trial(seed: u64) -> bool {
     prepared.run(&uniform, &mut rng).is_accept()
 }
 
+/// [`protocol_trial`] as a measurement: 1.0 for accept, 0.0 for reject.
+fn accepted(seed: u64) -> f64 {
+    f64::from(u8::from(protocol_trial(seed)))
+}
+
 #[test]
 fn instrumentation_does_not_perturb_determinism() {
     let trials = 64;
     let master_seed = 20_190_729;
 
     // Uninstrumented: the global recorder has no sinks.
-    let baseline = run_trials(trials, master_seed, protocol_trial);
+    let baseline = run_measurements(trials, master_seed, accepted);
 
     // Instrumented: memory sink installed, verbose per-run events on.
     let recorder = obs::global();
     let sink = Arc::new(obs::MemorySink::new());
     recorder.install_sink(sink.clone());
     recorder.set_verbose(true);
-    let instrumented = run_trials(trials, master_seed, protocol_trial);
+    let instrumented = run_measurements(trials, master_seed, accepted);
     recorder.set_verbose(false);
     recorder.clear_sinks();
 
-    // Tracing never touches the RNG stream, so the estimates are
-    // bit-identical, not merely statistically close.
-    assert_eq!(baseline.successes(), instrumented.successes());
-    assert_eq!(baseline.trials(), instrumented.trials());
+    // Tracing never touches the RNG stream, so every trial's outcome
+    // is bit-identical, not merely statistically close.
+    assert_eq!(baseline.len(), instrumented.len());
+    for (i, (a, b)) in baseline.iter().zip(&instrumented).enumerate() {
+        assert_eq!(a.to_bits(), b.to_bits(), "trial {i}");
+    }
 
     // And the instrumented run did actually record events.
     let events = sink.take();
@@ -62,7 +69,7 @@ fn instrumentation_does_not_perturb_determinism() {
 fn metrics_registry_counts_protocol_activity() {
     let registry = obs::metrics::global();
     let before = registry.snapshot();
-    let estimate = run_trials(8, 7, protocol_trial);
+    let outcomes = run_measurements(8, 7, accepted);
     let after = registry.snapshot();
 
     let delta = |name: &str| {
@@ -86,7 +93,7 @@ fn metrics_registry_counts_protocol_activity() {
     assert!(delta("bits_sent") >= 8 * 4);
     assert!(delta("verdict_accept") + delta("verdict_reject") >= 8);
     assert!(delta("trials_run") >= 8);
-    let _ = estimate;
+    assert_eq!(outcomes.len(), 8);
 }
 
 #[test]
