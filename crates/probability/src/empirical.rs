@@ -245,40 +245,35 @@ impl Histogram {
 /// Counts colliding pairs, `Σ_i C(c_i, 2)`, directly from a sample slice
 /// without allocating a full-domain histogram.
 ///
-/// One O(q) pass over the samples marks each value's first sight in a
-/// per-thread `seen` bitset and lists every later sight in a small
-/// `repeats` vector, so only the `repeats` (about `q²/2n` of them under a
-/// near-uniform law) are sorted. The scratch is reused across calls on the
-/// same thread and left all-zero after each. A slice whose largest value is
-/// at or above 2²⁰ sorts a copy instead (O(q log q)), which bounds the
-/// bitset at 128 KiB per thread and keeps any `usize` sample correct.
+/// One O(q) pass over a per-thread `u16` count table adds each sample's
+/// count so far to the total, then a second pass zeroes the entries it
+/// touched. The table is reused across calls on the same thread, grows in
+/// powers of two to cover the largest sample seen (32 KiB per thread at
+/// n = 2¹⁴) and is all-zero between calls. A sample at or above 2²⁰, or a
+/// slice longer than `u16::MAX`, sorts a copy instead (O(q log q)), which
+/// bounds the table at 2 MiB per thread and keeps any `usize` sample
+/// correct.
 #[must_use]
 pub fn collision_count_of(samples: &[usize]) -> u64 {
     repeat_stats(samples).collisions
 }
 
 /// Coincidence count (`q` minus number of distinct values) directly from a
-/// sample slice: the number of `repeats` in the pass described at
-/// [`collision_count_of`].
+/// sample slice: the number of samples whose value was already seen, from
+/// the pass described at [`collision_count_of`].
 #[must_use]
 pub fn coincidence_count_of(samples: &[usize]) -> u64 {
     repeat_stats(samples).coincidences
 }
 
 /// Samples at or above this value take the sorting path, so the per-thread
-/// `seen` bitset never exceeds 2²⁰ bits.
-const BITSET_BOUND: usize = 1 << 20;
-
-/// Scratch for [`repeat_stats`]; `seen` is all-zero between calls.
-#[derive(Default)]
-struct Scratch {
-    seen: Vec<u64>,
-    repeats: Vec<usize>,
-}
+/// count table never exceeds 2²⁰ entries.
+const TABLE_BOUND: usize = 1 << 20;
 
 thread_local! {
-    // Per-thread so concurrent trial workers reuse their scratch without locking.
-    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+    // Per-thread so concurrent trial workers reuse their table without
+    // locking; all-zero between calls.
+    static COUNTS: RefCell<Vec<u16>> = const { RefCell::new(Vec::new()) };
 }
 
 /// The two pair statistics of one sample slice.
@@ -287,37 +282,46 @@ struct RepeatStats {
     coincidences: u64,
 }
 
-/// Finds every repeated sight in `samples` and folds them into
-/// [`RepeatStats`].
+/// Computes [`RepeatStats`] with the per-thread count table, or by sorting
+/// when the table cannot hold the slice.
 fn repeat_stats(samples: &[usize]) -> RepeatStats {
-    let max = samples.iter().copied().max().unwrap_or(0);
-    if max >= BITSET_BOUND {
-        let mut sorted = samples.to_vec();
-        sorted.sort_unstable();
-        return fold_sorted_repeats(sorted.windows(2).filter(|w| w[0] == w[1]).map(|w| w[0]));
+    if samples.len() <= usize::from(u16::MAX) {
+        if let Some(stats) = COUNTS.with(|cell| tally(&mut cell.borrow_mut(), samples)) {
+            return stats;
+        }
     }
-    SCRATCH.with(|cell| {
-        let Scratch { seen, repeats } = &mut *cell.borrow_mut();
-        let words = max / 64 + 1;
-        if seen.len() < words {
-            seen.resize(words, 0);
-        }
-        repeats.clear();
-        for &x in samples {
-            let bit = 1u64 << (x % 64);
-            let word = &mut seen[x / 64];
-            if *word & bit == 0 {
-                *word |= bit;
-            } else {
-                repeats.push(x);
+    let mut sorted = samples.to_vec();
+    sorted.sort_unstable();
+    fold_sorted_repeats(sorted.windows(2).filter(|w| w[0] == w[1]).map(|w| w[0]))
+}
+
+/// Tallies `samples` (at most `u16::MAX` of them) in `counts`: each sight
+/// of a value pairs with its earlier sights. Returns `None` at the first
+/// sample at or above [`TABLE_BOUND`]. Either way `counts` is all-zero
+/// again on return.
+fn tally(counts: &mut Vec<u16>, samples: &[usize]) -> Option<RepeatStats> {
+    let mut stats = RepeatStats {
+        collisions: 0,
+        coincidences: 0,
+    };
+    let mut seen = samples.len();
+    for (i, &x) in samples.iter().enumerate() {
+        if x >= counts.len() {
+            if x >= TABLE_BOUND {
+                seen = i;
+                break;
             }
+            counts.resize((x + 1).next_power_of_two(), 0);
         }
-        for &x in samples {
-            seen[x / 64] = 0;
-        }
-        repeats.sort_unstable();
-        fold_sorted_repeats(repeats.iter().copied())
-    })
+        let count = &mut counts[x];
+        stats.collisions += u64::from(*count);
+        stats.coincidences += u64::from(*count != 0);
+        *count += 1;
+    }
+    for &x in &samples[..seen] {
+        counts[x] = 0;
+    }
+    (seen == samples.len()).then_some(stats)
 }
 
 /// Folds the repeated sights, in sorted order: a value drawn `c` times

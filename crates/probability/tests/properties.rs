@@ -9,8 +9,8 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 
 /// The smallest sample value for which the collision functions sort a copy
-/// instead of using their per-thread bitset.
-const BITSET_BOUND: usize = 1 << 20;
+/// instead of using their per-thread count table.
+const TABLE_BOUND: usize = 1 << 20;
 
 /// Colliding pairs by brute force: every `i < j` with equal samples.
 fn pair_count(samples: &[usize]) -> u64 {
@@ -38,19 +38,19 @@ fn assert_matches_oracle(samples: &[usize]) {
     );
 }
 
-/// Sample slices mixing small values, values either side of the bitset bound
+/// Sample slices mixing small values, values either side of the table bound
 /// and values just below `usize::MAX`. A third of the slices are reduced
 /// below 64 and a third below the bound, so both counting paths and their
 /// repeats are reached.
 fn arb_mixed_samples() -> impl Strategy<Value = Vec<usize>> {
     let value = (0u8..3, 0usize..64, 0usize..4).prop_map(|(kind, small, near)| match kind {
         0 => small,
-        1 => BITSET_BOUND - 2 + near,
+        1 => TABLE_BOUND - 2 + near,
         _ => usize::MAX - near,
     });
     (0u8..3, prop::collection::vec(value, 0..96)).prop_map(|(cap, samples)| match cap {
         0 => samples.into_iter().map(|x| x % 64).collect(),
-        1 => samples.into_iter().map(|x| x % BITSET_BOUND).collect(),
+        1 => samples.into_iter().map(|x| x % TABLE_BOUND).collect(),
         _ => samples,
     })
 }
@@ -293,6 +293,15 @@ fn collision_functions_edge_cases() {
     assert_matches_oracle(&[usize::MAX; 40]);
     assert_eq!(empirical::collision_count_of(&[3; 40]), 40 * 39 / 2);
     assert_eq!(empirical::coincidence_count_of(&[3; 40]), 39);
+    // The most equal values a `u16` count can hold, then one more, which
+    // takes the sorting path.
+    let full = vec![3; usize::from(u16::MAX)];
+    assert_eq!(empirical::collision_count_of(&full), 2_147_385_345);
+    assert_eq!(empirical::coincidence_count_of(&full), 65_534);
+    let over = vec![3; usize::from(u16::MAX) + 1];
+    assert_eq!(empirical::collision_count_of(&over), 2_147_450_880);
+    assert_eq!(empirical::coincidence_count_of(&over), 65_535);
+    assert_matches_oracle(&[3, 5, 3]);
 }
 
 #[test]
@@ -306,18 +315,23 @@ fn collision_functions_many_more_samples_than_values() {
 #[test]
 fn collision_scratch_does_not_leak_between_calls_or_threads() {
     // Alternate slices that take the sorting path (large maximum) with
-    // slices that reuse the per-thread bitset, at its full 2²⁰ bits and
-    // small, on several threads at once: every answer must match the
-    // oracle, so no marks survive a call.
-    let large: Vec<usize> = vec![5, 9, BITSET_BOUND, 9, usize::MAX, BITSET_BOUND, 5];
+    // slices that reuse the per-thread count table, at its full 2²⁰
+    // entries and small, on several threads at once: every answer must
+    // match the oracle, so no counts survive a call. `growing` grows the
+    // table mid-slice, past a power of two; `bailing` leaves for the
+    // sorting path mid-slice, after counting small values.
+    let large: Vec<usize> = vec![5, 9, TABLE_BOUND, 9, usize::MAX, TABLE_BOUND, 5];
     let wide: Vec<usize> = (0..300)
         .map(|i| i * 3500)
-        .chain([BITSET_BOUND - 1; 2])
+        .chain([TABLE_BOUND - 1; 2])
         .collect();
     let small: Vec<usize> = (0..200).map(|i| (i * 13) % 50).collect();
+    let growing: Vec<usize> = (0..40).map(|i| i * 9).chain([7, 300, 7]).collect();
+    let bailing: Vec<usize> = vec![5, 9, 5, 13, TABLE_BOUND, 9, 13, 5];
     std::thread::scope(|scope| {
         for t in 0..4 {
             let (large, wide, small) = (&large, &wide, &small);
+            let (growing, bailing) = (&growing, &bailing);
             scope.spawn(move || {
                 for round in 0..50 {
                     assert_matches_oracle(large);
@@ -326,6 +340,10 @@ fn collision_scratch_does_not_leak_between_calls_or_threads() {
                     }
                     assert_matches_oracle(small);
                     assert_matches_oracle(&small[round..round + 3]);
+                    assert_matches_oracle(growing);
+                    assert_matches_oracle(&small[round..round + 3]);
+                    assert_matches_oracle(bailing);
+                    assert_matches_oracle(&[9, 13, 5, 2]);
                 }
             });
         }

@@ -28,8 +28,6 @@
 //!
 //! # Supporting machinery
 //!
-//! * [`calibrate`] — Monte-Carlo quantile calibration of decision
-//!   thresholds under the (known) uniform distribution,
 //! * [`cache`] — memoized Poisson tail thresholds, computed once per
 //!   sweep point instead of once per trial,
 //! * [`poisson`] — Poisson tail bounds used for per-node thresholds,
@@ -59,7 +57,6 @@
 #![cfg_attr(test, allow(clippy::float_cmp, clippy::cast_possible_truncation))]
 
 pub mod cache;
-pub mod calibrate;
 pub mod centralized;
 pub mod distributed;
 pub mod poisson;

@@ -2,7 +2,6 @@
 
 #![allow(clippy::float_cmp, clippy::cast_possible_truncation)] // test code asserts exact values
 use dut_probability::{families, DenseDistribution, Sampler};
-use dut_testers::calibrate::upper_quantile;
 use dut_testers::centralized::CentralizedTester;
 use dut_testers::poisson::{poisson_threshold_for_tail, poisson_upper_tail};
 use dut_testers::reduction::IdentityToUniformityReduction;
@@ -71,14 +70,6 @@ proptest! {
         prop_assert!(
             poisson_upper_tail(lambda, t + 1) <= poisson_upper_tail(lambda, t) + 1e-12
         );
-    }
-
-    #[test]
-    fn quantile_bounds_exceedance(values in prop::collection::vec(-100.0f64..100.0, 10..200)) {
-        let alpha = 0.2;
-        let q = upper_quantile(&values, alpha);
-        let above = values.iter().filter(|&&v| v > q).count();
-        prop_assert!(above as f64 <= alpha * values.len() as f64);
     }
 
     #[test]
