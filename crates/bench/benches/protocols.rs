@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dut_core::probability::families;
 use dut_core::testers::{
-    AndRuleTester, BalancedThresholdTester, FourierLearner, SingleSampleProtocol,
+    BalancedThresholdTester, FourierLearner, SingleSampleProtocol, TThresholdTester,
 };
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -34,9 +34,9 @@ fn bench_balanced(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("balanced", k), &k, |b, _| {
             b.iter(|| black_box(prepared.run(&uniform, &mut rng).verdict));
         });
-        let and_rule = AndRuleTester::new(n, k);
+        let and_rule = TThresholdTester::new(n, k, 1).prepare(q);
         group.bench_with_input(BenchmarkId::new("and_rule", k), &k, |b, _| {
-            b.iter(|| black_box(and_rule.run(&uniform, q, &mut rng).verdict));
+            b.iter(|| black_box(and_rule.run(&uniform, &mut rng).verdict));
         });
     }
     group.finish();

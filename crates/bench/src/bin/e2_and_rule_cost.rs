@@ -13,16 +13,17 @@ use dut_bench::{log_log_slope, q_star, two_sided_success, workload, Harness};
 use dut_core::lowerbound::theory;
 use dut_core::stats::seed::{derive_seed, derive_seed2};
 use dut_core::stats::table::Table;
-use dut_core::testers::{AndRuleTester, BalancedThresholdTester};
+use dut_core::testers::{BalancedThresholdTester, TThresholdTester};
 use rand::SeedableRng;
 
 fn q_star_and(n: usize, k: usize, eps: f64, harness: &Harness, stream: u64) -> usize {
     let (uniform, far) = workload(n, eps);
-    let tester = AndRuleTester::new(n, k);
+    let tester = TThresholdTester::new(n, k, 1);
     q_star(2, 1 << 15, |q| {
         let probe_seed = derive_seed2(harness.seed, stream, q as u64);
+        let prepared = tester.prepare(q);
         two_sided_success(harness.trials, probe_seed, &uniform, &far, |s, r| {
-            tester.run(s, q, r).verdict.is_accept()
+            prepared.run(s, r).verdict.is_accept()
         })
     })
     .minimal
@@ -93,13 +94,13 @@ fn main() {
     let (uniform, far) = workload(n, eps);
     for &k in &[4usize, 64, 1024, 16384] {
         let _span = dut_obs::span!("e2.q1_impossibility", k = k);
-        let tester = AndRuleTester::new(n, k);
+        let prepared = TThresholdTester::new(n, k, 1).prepare(1);
         let ok = two_sided_success(
             harness.trials,
             derive_seed(harness.seed, 600 + k as u64),
             &uniform,
             &far,
-            |s, r| tester.run(s, 1, r).verdict.is_accept(),
+            |s, r| prepared.run(s, r).verdict.is_accept(),
         );
         println!("k = {k}: success = {ok}");
         table1.push_row(vec![k.to_string(), ok.to_string()]);

@@ -32,8 +32,9 @@ fn q_star_for_budget(
     let tester = TThresholdTester::new(n, k, t).with_node_false_positive_budget(budget);
     q_star(2, 1 << 14, |q| {
         let probe_seed = derive_seed2(harness.seed, stream, q as u64);
+        let prepared = tester.prepare(q);
         two_sided_success(harness.trials, probe_seed, &uniform, &far, |s, r| {
-            tester.run(s, q, r).verdict.is_accept()
+            prepared.run(s, r).verdict.is_accept()
         })
     })
     .minimal

@@ -3,15 +3,18 @@ use dut_lowerbound::theory;
 use dut_probability::{DualSampler, SampleBackend, Sampler};
 use dut_simnet::Verdict;
 use dut_testers::centralized::CentralizedTester as _;
-use dut_testers::{BalancedThresholdTester, CollisionTester, TThresholdTester};
+use dut_testers::{
+    BalancedThresholdTester, CollisionTester, PreparedThresholdTester, TThresholdTester,
+};
 use rand::Rng;
 
 /// A configured distributed uniformity test.
 ///
 /// Construct with [`UniformityTester::builder`], then [`prepare`] for a
 /// specific per-player sample count and run the prepared instance as
-/// many times as needed (preparation performs the one-time Monte-Carlo
-/// calibration the balanced rule requires).
+/// many times as needed (preparation fixes the rule's thresholds once:
+/// the balanced rule's Monte-Carlo calibration, or the AND and
+/// `T`-threshold rules' Poisson tail inversion).
 ///
 /// [`prepare`]: UniformityTester::prepare
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -33,8 +36,8 @@ pub struct PreparedUniformityTester {
 
 #[derive(Debug, Clone)]
 enum PreparedVariant {
-    Biased(TThresholdTester),
-    Balanced(dut_testers::distributed::PreparedBalancedTester),
+    /// Every distributed rule: AND, `T`-threshold and balanced.
+    Threshold(PreparedThresholdTester),
     Centralized(CollisionTester),
 }
 
@@ -122,11 +125,13 @@ impl UniformityTester {
     ) -> PreparedUniformityTester {
         let variant =
             match self.rule {
-                Rule::And => PreparedVariant::Biased(TThresholdTester::new(self.n, self.k, 1)),
-                Rule::TThreshold { t } => {
-                    PreparedVariant::Biased(TThresholdTester::new(self.n, self.k, t))
+                Rule::And => {
+                    PreparedVariant::Threshold(TThresholdTester::new(self.n, self.k, 1).prepare(q))
                 }
-                Rule::Balanced => PreparedVariant::Balanced(
+                Rule::TThreshold { t } => {
+                    PreparedVariant::Threshold(TThresholdTester::new(self.n, self.k, t).prepare(q))
+                }
+                Rule::Balanced => PreparedVariant::Threshold(
                     BalancedThresholdTester::new(self.n, self.k, self.epsilon)
                         .prepare_with_backend(q, self.calibration_trials, backend, rng),
                 ),
@@ -135,16 +140,6 @@ impl UniformityTester {
                 }
             };
         PreparedUniformityTester { q, variant }
-    }
-
-    /// Convenience: prepare and run once at the predicted sample count.
-    pub fn run_once<S, R>(&self, sampler: &S, rng: &mut R) -> Verdict
-    where
-        S: Sampler,
-        R: Rng + ?Sized,
-    {
-        let q = self.predicted_sample_count();
-        self.prepare(q, rng).run(sampler, rng)
     }
 }
 
@@ -163,8 +158,7 @@ impl PreparedUniformityTester {
         R: Rng + ?Sized,
     {
         match &self.variant {
-            PreparedVariant::Biased(t) => t.run(sampler, self.q, rng).verdict,
-            PreparedVariant::Balanced(b) => b.run(sampler, rng).verdict,
+            PreparedVariant::Threshold(t) => t.run(sampler, rng).verdict,
             PreparedVariant::Centralized(c) => {
                 // Centralized baseline: a single machine draws k*q samples.
                 let samples = sampler.sample_many(self.q, rng);
@@ -183,8 +177,7 @@ impl PreparedUniformityTester {
         R: Rng + ?Sized,
     {
         match &self.variant {
-            PreparedVariant::Biased(t) => t.run_counts(sampler, backend, self.q, rng).verdict,
-            PreparedVariant::Balanced(b) => b.run_counts(sampler, backend, rng).verdict,
+            PreparedVariant::Threshold(t) => t.run_counts(sampler, backend, rng).verdict,
             PreparedVariant::Centralized(c) => {
                 let histogram = sampler.draw(backend, self.q as u64, rng);
                 c.test_histogram(&histogram)
@@ -333,15 +326,6 @@ mod tests {
     #[test]
     fn dual_backends_and_rule_rates() {
         check_dual_rates(Rule::And, 1 << 8, 8, 0.9, Some(400), 17);
-    }
-
-    #[test]
-    fn run_once_smoke() {
-        let n = 256;
-        let tester = build(Rule::Balanced, n, 8, 0.5);
-        let mut r = rng(5);
-        let uniform = families::uniform(n).alias_sampler();
-        let _ = tester.run_once(&uniform, &mut r);
     }
 
     #[test]

@@ -52,10 +52,6 @@ pub enum Counter {
     /// Occupancy histograms drawn via the conditional-binomial fast
     /// path (one per player per run under `SampleBackend::Histogram`).
     HistogramDraws,
-    /// Calibration thresholds answered from the memoized cache.
-    CalibrationCacheHits,
-    /// Calibration thresholds computed fresh (cache misses).
-    CalibrationCacheMisses,
     /// Verdict requests answered by `dut serve` (success or error).
     ServeRequests,
     /// Serve requests whose prepared tester came from the LRU cache.
@@ -107,7 +103,7 @@ pub enum Counter {
 }
 
 impl Counter {
-    const COUNT: usize = 34;
+    const COUNT: usize = 32;
 
     /// All counters, in slot order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -128,8 +124,6 @@ impl Counter {
         Counter::SearchProbes,
         Counter::SweepFits,
         Counter::HistogramDraws,
-        Counter::CalibrationCacheHits,
-        Counter::CalibrationCacheMisses,
         Counter::ServeRequests,
         Counter::ServeCacheHits,
         Counter::ServeCacheMisses,
@@ -168,8 +162,6 @@ impl Counter {
             Counter::SearchProbes => "search_probes",
             Counter::SweepFits => "sweep_fits",
             Counter::HistogramDraws => "histogram_draws",
-            Counter::CalibrationCacheHits => "calibration_cache_hits",
-            Counter::CalibrationCacheMisses => "calibration_cache_misses",
             Counter::ServeRequests => "serve_requests",
             Counter::ServeCacheHits => "serve_cache_hits",
             Counter::ServeCacheMisses => "serve_cache_misses",

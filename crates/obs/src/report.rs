@@ -430,17 +430,6 @@ impl Report {
                     human_count(hist_draws)
                 );
             }
-            let cache_hits = self.counter("calibration_cache_hits");
-            let cache_misses = self.counter("calibration_cache_misses");
-            if cache_hits + cache_misses > 0 {
-                let _ = writeln!(
-                    out,
-                    "  calib cache      {} hits, {} misses ({:.1}% hit rate)",
-                    human_count(cache_hits),
-                    human_count(cache_misses),
-                    100.0 * cache_hits as f64 / (cache_hits + cache_misses) as f64,
-                );
-            }
             let serve_requests = self.counter("serve_requests");
             let serve_shed = self.counter("serve_shed");
             if serve_requests + serve_shed > 0 {

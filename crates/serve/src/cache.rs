@@ -1,7 +1,9 @@
 //! Bounded single-flight LRU of prepared testers.
 //!
 //! Preparing a tester is the expensive part of a request (the
-//! balanced rule runs an 800-trial Monte-Carlo calibration), so the
+//! balanced rule runs an 800-trial Monte-Carlo calibration; the AND
+//! and threshold rules invert a Poisson tail in O(λ₀), bounded by
+//! [`MAX_LAMBDA`](crate::protocol::MAX_LAMBDA)), so the
 //! server keeps prepared testers resident, keyed by
 //! [`CacheKey`](crate::engine::CacheKey). Two properties matter under
 //! concurrency:
@@ -10,9 +12,7 @@
 //!   exactly one builds; the rest block on the entry's `OnceLock`
 //!   and reuse the result. The map lock is *not* held during the
 //!   build, so a slow calibration never stalls requests for other
-//!   keys — the same check-then-act discipline as
-//!   `dut_testers::cache::cached_poisson_threshold`, but with the
-//!   computation moved outside the critical section.
+//!   keys.
 //! * **Exact accounting.** Every lookup is classified at the moment
 //!   the map is consulted under the lock, so `hits + misses == calls`
 //!   under any interleaving. A lookup that finds an entry still being
@@ -160,8 +160,7 @@ impl TesterCache {
             // concurrent eviction + re-insert may already have a
             // fresh build in flight that must not be torn down. The
             // re-check and the removal happen under one lock
-            // acquisition (the same double-check discipline as
-            // `dut_testers::cache`).
+            // acquisition.
             let mut state = self.state.lock();
             if let Some(slot) = state.map.get(key) {
                 if Arc::ptr_eq(&slot.cell, &cell) {

@@ -4,9 +4,10 @@
 //! exits; this crate keeps the calibrated testers resident. A
 //! multi-threaded TCP server accepts newline-delimited JSON requests
 //! (`{"n":..,"k":..,"q":..,"eps":..,"rule":..,"seed":..}`), resolves
-//! each against a bounded LRU of prepared testers (the balanced rule's
-//! Monte-Carlo calibration and the Poisson-threshold memo in
-//! `dut_testers::cache` are both amortized across requests), runs the
+//! each against a bounded LRU of prepared testers (preparing fixes a
+//! rule's thresholds once: the balanced rule's Monte-Carlo
+//! calibration, or the AND and threshold rules' Poisson tail
+//! inversion, so both are paid once per configuration), runs the
 //! verdict on the sampling engine `SampleBackend::Auto` resolves to
 //! for the request's `(n, q)`, and replies with the verdict, the
 //! acceptance estimate with its Wilson interval, whether the tester

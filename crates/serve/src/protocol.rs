@@ -60,6 +60,16 @@ pub const MAX_K: usize = 1 << 12;
 /// worker for milliseconds, not minutes.
 pub const MAX_WORK: u64 = 1 << 26;
 
+/// Upper bound on `λ₀ = C(q,2)/n` for the `and` and `threshold:T`
+/// rules. Preparing either rule inverts a Poisson(λ₀) tail in O(λ₀)
+/// time, and `MAX_WORK` alone still admits `{"n":2,"q":1048576}`
+/// (λ₀ ≈ 2.7·10¹¹, hours of one worker). At this bound one
+/// preparation costs 6–8 ms at `k = 1` and 29–37 ms at `k = 4096`
+/// (the smallest node budget, `1/(4k)`) on a 2-vCPU VM: about one
+/// balanced-rule calibration. It still admits every `q` up to ≈ 370k
+/// at `n = MAX_N` and ≈ 11.6k at `n = 1024`.
+pub const MAX_LAMBDA: u64 = 1 << 16;
+
 /// Longest request line the server will buffer, in bytes. A client
 /// that streams bytes without a newline used to grow the server's
 /// line buffer without limit; past this cap the connection gets
@@ -269,6 +279,16 @@ pub fn parse_command_meta(line: &str) -> Result<(Command, RequestMeta), String> 
     }
     let rule_spec = doc.get("rule").and_then(Json::as_str).unwrap_or("balanced");
     let rule = parse_rule(rule_spec, k)?;
+    if matches!(rule, Rule::And | Rule::TThreshold { .. }) {
+        // λ₀ > MAX_LAMBDA exactly when C(q,2) > MAX_LAMBDA·n (q ≥ 1 here).
+        let pairs = (q as u64) * (q as u64 - 1) / 2;
+        if pairs > MAX_LAMBDA.saturating_mul(n as u64) {
+            return Err(format!(
+                "configuration too large: C(q,2)/n = {pairs}/{n} exceeds {MAX_LAMBDA} \
+                 for the `{rule_spec}` rule"
+            ));
+        }
+    }
     let family_spec = doc
         .get("samples")
         .and_then(Json::as_str)
@@ -652,6 +672,18 @@ mod tests {
         let zero_trials = "{\"n\":64,\"k\":4,\"q\":8,\"eps\":0.5,\"trials\":0}";
         assert!(parse_command(zero_trials).is_err());
         assert!(parse_command("{\"cmd\":\"restart\"}").is_err());
+        // λ₀ = C(q,2)/n: at n = 2, q = 512 is under MAX_LAMBDA and
+        // q = 513 over it. The balanced rule inverts no Poisson tail and
+        // is not bound by it.
+        let at = |q: u64, rule: &str| {
+            format!("{{\"n\":2,\"k\":1,\"q\":{q},\"eps\":0.5,\"rule\":\"{rule}\"}}")
+        };
+        assert!(parse_command(&at(512, "and")).is_ok());
+        assert!(parse_command(&at(513, "and"))
+            .unwrap_err()
+            .contains("too large"));
+        assert!(parse_command(&at(513, "threshold:1")).is_err());
+        assert!(parse_command(&at(513, "balanced")).is_ok());
     }
 
     #[test]

@@ -160,16 +160,25 @@ fn oversized_configs_are_rejected_cheaply() {
         line.contains("maximum") || line.contains("large"),
         "error does not explain the cap: {line}"
     );
-    // Work-product bomb: each dimension under its cap, product over.
+    // Work bombs. A work product over MAX_WORK with each dimension
+    // under its cap, and a λ₀ = C(q,2)/n over MAX_LAMBDA under
+    // MAX_WORK (its Poisson tail inversion would pin a worker for
+    // hours).
     let wide = format!(
         "{{\"n\":{},\"k\":{},\"q\":{},\"eps\":0.5,\"rule\":\"and\",\"seed\":1}}",
         protocol::MAX_N,
         protocol::MAX_K,
         protocol::MAX_Q
     );
-    writeln!(stream, "{wide}").expect("send wide config");
-    let line = read_reply(&mut reader);
-    assert!(line.contains("too large"), "work bomb got through: {line}");
+    let dense = format!(
+        "{{\"n\":2,\"k\":1,\"q\":{},\"eps\":0.5,\"rule\":\"and\",\"seed\":1}}",
+        protocol::MAX_Q
+    );
+    for bomb in [wide, dense] {
+        writeln!(stream, "{bomb}").expect("send work bomb");
+        let line = read_reply(&mut reader);
+        assert!(line.contains("too large"), "work bomb got through: {line}");
+    }
     known_good(&handle);
     shutdown(handle);
 }

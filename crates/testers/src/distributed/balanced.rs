@@ -1,8 +1,6 @@
+use super::prepared::{lambda_uniform, PreparedThresholdTester};
 use dut_probability::empirical::collision_count_of;
-use dut_probability::{
-    DenseDistribution, DualSampler, Histogram, SampleBackend, Sampler, UniformSampler,
-};
-use dut_simnet::{DecisionRule, Network, PlayerContext, RunOutcome};
+use dut_probability::{DenseDistribution, SampleBackend, Sampler, UniformSampler};
 use rand::Rng;
 
 /// The sample-optimal threshold protocol of \[7\], matching Theorem 1.1:
@@ -21,26 +19,12 @@ use rand::Rng;
 ///
 /// Use [`BalancedThresholdTester::prepare`] to calibrate the referee for
 /// a specific per-node sample count `q`, then run the returned
-/// [`PreparedBalancedTester`] many times.
+/// [`PreparedThresholdTester`] many times.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BalancedThresholdTester {
     n: usize,
     k: usize,
     epsilon: f64,
-}
-
-/// A [`BalancedThresholdTester`] calibrated for a fixed `q`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PreparedBalancedTester {
-    n: usize,
-    k: usize,
-    q: usize,
-    /// Local rule: reject iff collision count > this value.
-    node_threshold: f64,
-    /// Referee rule: reject iff at least this many nodes reject.
-    referee_min_rejects: usize,
-    /// Estimated per-node rejection probability under uniform.
-    p_uniform: f64,
 }
 
 impl BalancedThresholdTester {
@@ -104,7 +88,7 @@ impl BalancedThresholdTester {
         q: usize,
         calibration_trials: usize,
         rng: &mut R,
-    ) -> PreparedBalancedTester {
+    ) -> PreparedThresholdTester {
         self.prepare_with_backend(q, calibration_trials, SampleBackend::Auto, rng)
     }
 
@@ -115,6 +99,10 @@ impl BalancedThresholdTester {
     /// counts, so the calibrated thresholds are drawn from the same
     /// law; the backend only changes how long the trials take.
     ///
+    /// The node threshold is stored as the integer
+    /// `⌊λ₀·(1 + ε²/2)⌋`: for an integer count `c`, `c ≤ x` holds
+    /// exactly when `c ≤ ⌊x⌋`.
+    ///
     /// # Panics
     ///
     /// Panics if `calibration_trials == 0`.
@@ -124,11 +112,11 @@ impl BalancedThresholdTester {
         calibration_trials: usize,
         backend: SampleBackend,
         rng: &mut R,
-    ) -> PreparedBalancedTester {
+    ) -> PreparedThresholdTester {
         assert!(calibration_trials > 0, "need calibration trials");
         let backend = backend.resolve(self.n, q as u64);
-        let lambda = (q * q.saturating_sub(1)) as f64 / 2.0 / self.n as f64;
-        let node_threshold = lambda * (1.0 + self.epsilon * self.epsilon / 2.0);
+        let midpoint = lambda_uniform(self.n, q) * (1.0 + self.epsilon * self.epsilon / 2.0);
+        let node_max_count = dut_stats::convert::floor_to_usize(midpoint) as u64;
         let mut rejects = 0usize;
         match backend {
             SampleBackend::Auto => unreachable!("resolve() returns a concrete engine"),
@@ -136,7 +124,7 @@ impl BalancedThresholdTester {
                 let uniform = UniformSampler::new(self.n);
                 for _ in 0..calibration_trials {
                     let samples = uniform.sample_many(q, rng);
-                    if collision_count_of(&samples) as f64 > node_threshold {
+                    if collision_count_of(&samples) > node_max_count {
                         rejects += 1;
                     }
                 }
@@ -145,7 +133,7 @@ impl BalancedThresholdTester {
                 let uniform = DenseDistribution::uniform(self.n).histogram_sampler();
                 for _ in 0..calibration_trials {
                     let h = uniform.draw(q as u64, rng);
-                    if h.collision_count() as f64 > node_threshold {
+                    if h.collision_count() > node_max_count {
                         rejects += 1;
                     }
                 }
@@ -157,82 +145,7 @@ impl BalancedThresholdTester {
         let sd = (self.k as f64 * p_uniform * (1.0 - p_uniform)).sqrt();
         let referee_min_rejects =
             (dut_stats::convert::floor_to_usize(mean + z * sd) + 1).min(self.k);
-        PreparedBalancedTester {
-            n: self.n,
-            k: self.k,
-            q,
-            node_threshold,
-            referee_min_rejects,
-            p_uniform,
-        }
-    }
-}
-
-impl PreparedBalancedTester {
-    /// The calibrated referee threshold (minimal rejecting nodes).
-    #[must_use]
-    pub fn referee_min_rejects(&self) -> usize {
-        self.referee_min_rejects
-    }
-
-    /// The estimated per-node rejection probability under uniform.
-    #[must_use]
-    pub fn p_uniform(&self) -> f64 {
-        self.p_uniform
-    }
-
-    /// The per-node sample count this calibration is for.
-    #[must_use]
-    pub fn sample_count(&self) -> usize {
-        self.q
-    }
-
-    /// Runs one execution of the calibrated protocol.
-    pub fn run<S, R>(&self, sampler: &S, rng: &mut R) -> RunOutcome
-    where
-        S: Sampler,
-        R: Rng + ?Sized,
-    {
-        let threshold = self.node_threshold;
-        let player = move |_ctx: &PlayerContext, samples: &[usize]| {
-            collision_count_of(samples) as f64 <= threshold
-        };
-        Network::new(self.k).run(
-            sampler,
-            self.q,
-            &player,
-            &DecisionRule::Threshold {
-                min_rejects: self.referee_min_rejects,
-            },
-            rng,
-        )
-    }
-
-    /// Runs one execution on occupancy histograms with the chosen
-    /// [`SampleBackend`]; the node statistic is the same collision
-    /// count, read off the histogram.
-    pub fn run_counts<R>(
-        &self,
-        sampler: &DualSampler,
-        backend: SampleBackend,
-        rng: &mut R,
-    ) -> RunOutcome
-    where
-        R: Rng + ?Sized,
-    {
-        let threshold = self.node_threshold;
-        let player =
-            move |_ctx: &PlayerContext, h: &Histogram| h.collision_count() as f64 <= threshold;
-        Network::new(self.k).run_counts(
-            sampler,
-            backend,
-            self.q,
-            &player,
-            &DecisionRule::Threshold {
-                min_rejects: self.referee_min_rejects,
-            },
-            rng,
-        )
+        PreparedThresholdTester::new(self.k, q, node_max_count, referee_min_rejects)
     }
 }
 
@@ -243,7 +156,7 @@ mod tests {
     use rand::SeedableRng;
 
     fn acceptance_rate<S: Sampler>(
-        prepared: &PreparedBalancedTester,
+        prepared: &PreparedThresholdTester,
         sampler: &S,
         trials: usize,
         seed: u64,
@@ -306,12 +219,8 @@ mod tests {
         let far = families::two_level(n, eps).unwrap().alias_sampler();
         let balanced_rate = acceptance_rate(&prepared, &far, 100, 103);
 
-        let and_rule = crate::AndRuleTester::new(n, k);
-        let mut rng2 = rand::rngs::StdRng::seed_from_u64(105);
-        let and_accepts = (0..100)
-            .filter(|_| and_rule.run(&far, q, &mut rng2).verdict.is_accept())
-            .count() as f64
-            / 100.0;
+        let and_rule = crate::TThresholdTester::new(n, k, 1).prepare(q);
+        let and_accepts = acceptance_rate(&and_rule, &far, 100, 105);
         assert!(
             balanced_rate < and_accepts,
             "balanced acceptance {balanced_rate} should be below AND acceptance {and_accepts}"
@@ -325,8 +234,13 @@ mod tests {
         let prepared = tester.prepare(20, 500, &mut rng);
         assert!(prepared.referee_min_rejects() >= 1);
         assert!(prepared.referee_min_rejects() <= 16);
-        assert!((0.0..=1.0).contains(&prepared.p_uniform()));
         assert_eq!(prepared.sample_count(), 20);
+        // n = q = 17, ε = 0.5: λ₀ = 8 and λ₀·(1 + ε²/2) = 9 exactly. A
+        // count equal to the integral midpoint accepts; one more rejects.
+        let edge = BalancedThresholdTester::new(17, 4, 0.5).prepare(17, 10, &mut rng);
+        assert_eq!(edge.node_max_count(), 9);
+        assert!(edge.node_accepts(9));
+        assert!(!edge.node_accepts(10));
     }
 
     #[test]

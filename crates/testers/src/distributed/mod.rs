@@ -6,14 +6,16 @@ mod asymmetric;
 mod balanced;
 mod graph;
 mod learning;
+mod prepared;
 mod quantized_sum;
 mod single_sample;
 mod t_threshold;
 
 pub use asymmetric::{AsymmetricThresholdTester, PreparedAsymmetricTester};
-pub use balanced::{BalancedThresholdTester, PreparedBalancedTester};
+pub use balanced::BalancedThresholdTester;
 pub use graph::{GraphRunOutcome, GraphUniformityTester};
 pub use learning::FourierLearner;
+pub use prepared::PreparedThresholdTester;
 pub use quantized_sum::{PreparedQuantizedSumTester, QuantizedSumOutcome, QuantizedSumTester};
 pub use single_sample::{SingleSampleOutcome, SingleSampleProtocol};
-pub use t_threshold::{AndRuleTester, TThresholdTester};
+pub use t_threshold::TThresholdTester;

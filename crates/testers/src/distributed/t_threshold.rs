@@ -1,9 +1,5 @@
-use crate::cache::cached_poisson_threshold;
-use crate::poisson::poisson_upper_tail;
-use dut_probability::empirical::collision_count_of;
-use dut_probability::{DualSampler, Histogram, SampleBackend, Sampler};
-use dut_simnet::{DecisionRule, Network, PlayerContext, RunOutcome};
-use rand::Rng;
+use super::prepared::{lambda_uniform, PreparedThresholdTester};
+use crate::poisson::poisson_threshold_for_tail;
 
 /// The Fischer–Meir–Oshman biased-node protocol family: every node runs
 /// a *high-threshold* local collision test whose false-positive rate is
@@ -11,8 +7,12 @@ use rand::Rng;
 /// `T` nodes reject.
 ///
 /// * `T = 1` is the **AND rule** — the fully local protocol of
-///   Theorem 1.2 (see [`AndRuleTester`]);
+///   Theorem 1.2: the network rejects iff at least one node rejects,
+///   the local decision rule of proof-labeling schemes;
 /// * small `T > 1` is the regime of Theorem 1.3.
+///
+/// [`Self::prepare`] fixes the node threshold for a sample count `q`;
+/// the returned [`PreparedThresholdTester`] runs the protocol.
 ///
 /// # How the node threshold is chosen
 ///
@@ -27,6 +27,22 @@ use rand::Rng;
 /// tails themselves — is what the referee harvests. This is exactly the
 /// mechanism the paper shows is expensive: the bits are highly biased,
 /// and Theorem 1.2 proves a `√n/(log²k · ε²)` floor.
+///
+/// # Example
+///
+/// ```
+/// use dut_testers::TThresholdTester;
+/// use dut_probability::families;
+/// use rand::SeedableRng;
+///
+/// let n = 1 << 8;
+/// let and_rule = TThresholdTester::new(n, 8, 1).prepare(16);
+/// let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+/// let uniform = families::uniform(n).alias_sampler();
+/// let outcome = and_rule.run(&uniform, &mut rng);
+/// // 8 nodes, high local thresholds: almost surely no false alarm.
+/// assert!(outcome.verdict.is_accept());
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TThresholdTester {
     n: usize,
@@ -104,169 +120,35 @@ impl TThresholdTester {
             .unwrap_or(self.rule_threshold as f64 / (4.0 * self.k as f64))
     }
 
-    /// The uniform collision rate `λ₀ = C(q,2)/n`.
-    #[must_use]
-    pub fn lambda_uniform(&self, q: usize) -> f64 {
-        (q * q.saturating_sub(1)) as f64 / 2.0 / self.n as f64
-    }
-
     /// The local rejection threshold on the collision count for `q`
-    /// samples per node.
+    /// samples per node: a node rejects iff its count reaches it.
     ///
-    /// Memoized per `(λ, α)` pair ([`crate::cache`]): a sweep point's
-    /// thousands of trials compute the Poisson tail inversion once and
-    /// hit the cache thereafter.
+    /// Each call inverts the Poisson tail afresh, in O(λ₀) time; run
+    /// the protocol through [`Self::prepare`], which calls it once.
     #[must_use]
     pub fn node_threshold(&self, q: usize) -> u64 {
-        let lambda = self.lambda_uniform(q);
+        let lambda = lambda_uniform(self.n, q);
         if lambda <= 0.0 {
             // q < 2: a node can never see a collision; threshold 1 makes
             // it never reject (count is always 0).
             return 1;
         }
-        cached_poisson_threshold(lambda, self.node_false_positive_budget()).max(1)
+        poisson_threshold_for_tail(lambda, self.node_false_positive_budget()).max(1)
     }
 
-    /// Predicted per-node detection probability under an ε-far input
-    /// (Poisson approximation with rate `(1+ε²)·λ₀`).
+    /// Fixes the protocol for `q` samples per node: a node accepts
+    /// counts below [`Self::node_threshold`], and the referee rejects
+    /// once `T` nodes reject. Consumes no randomness.
     #[must_use]
-    pub fn predicted_detection_probability(&self, q: usize, epsilon: f64) -> f64 {
-        let lambda_far = (1.0 + epsilon * epsilon) * self.lambda_uniform(q);
-        poisson_upper_tail(lambda_far, self.node_threshold(q))
-    }
-
-    /// Runs one execution of the protocol: `k` nodes draw `q` samples
-    /// each from `sampler` and the referee applies the `T`-threshold
-    /// rule.
-    pub fn run<S, R>(&self, sampler: &S, q: usize, rng: &mut R) -> RunOutcome
-    where
-        S: Sampler,
-        R: Rng + ?Sized,
-    {
-        let threshold = self.node_threshold(q);
-        let player =
-            move |_ctx: &PlayerContext, samples: &[usize]| collision_count_of(samples) < threshold;
-        Network::new(self.k).run(
-            sampler,
-            q,
-            &player,
-            &DecisionRule::Threshold {
-                min_rejects: self.rule_threshold,
-            },
-            rng,
-        )
-    }
-
-    /// Runs one execution on occupancy histograms: the node statistic
-    /// (collision count) only depends on counts, so the network can
-    /// realize each node's samples with either engine — in particular
-    /// the O(n + q) histogram fast path.
-    pub fn run_counts<R>(
-        &self,
-        sampler: &DualSampler,
-        backend: SampleBackend,
-        q: usize,
-        rng: &mut R,
-    ) -> RunOutcome
-    where
-        R: Rng + ?Sized,
-    {
-        let threshold = self.node_threshold(q);
-        let player = move |_ctx: &PlayerContext, h: &Histogram| h.collision_count() < threshold;
-        Network::new(self.k).run_counts(
-            sampler,
-            backend,
-            q,
-            &player,
-            &DecisionRule::Threshold {
-                min_rejects: self.rule_threshold,
-            },
-            rng,
-        )
-    }
-}
-
-/// The AND-rule tester: the `T = 1` member of [`TThresholdTester`].
-///
-/// The network rejects iff **at least one** node rejects — the local
-/// decision rule of proof-labeling schemes. Theorem 1.2 shows its cost:
-/// `q = Ω(√n/(log²k · ε²))`, i.e. distribution brings almost no saving
-/// unless `k = 2^{Ω(1/ε)}`.
-///
-/// # Example
-///
-/// ```
-/// use dut_testers::AndRuleTester;
-/// use dut_probability::families;
-/// use rand::SeedableRng;
-///
-/// let n = 1 << 8;
-/// let tester = AndRuleTester::new(n, 8);
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-/// let uniform = families::uniform(n).alias_sampler();
-/// let outcome = tester.run(&uniform, 16, &mut rng);
-/// // 8 nodes, high local thresholds: almost surely no false alarm.
-/// assert!(outcome.verdict.is_accept());
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AndRuleTester {
-    inner: TThresholdTester,
-}
-
-impl AndRuleTester {
-    /// Creates the AND-rule tester for domain size `n` and `k` nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0` or `k == 0`.
-    #[must_use]
-    pub fn new(n: usize, k: usize) -> Self {
-        Self {
-            inner: TThresholdTester::new(n, k, 1),
-        }
-    }
-
-    /// The underlying biased-node protocol.
-    #[must_use]
-    pub fn as_t_threshold(&self) -> &TThresholdTester {
-        &self.inner
-    }
-
-    /// Runs one execution under the AND rule.
-    pub fn run<S, R>(&self, sampler: &S, q: usize, rng: &mut R) -> RunOutcome
-    where
-        S: Sampler,
-        R: Rng + ?Sized,
-    {
-        self.inner.run(sampler, q, rng)
-    }
-
-    /// Runs one execution under the AND rule on occupancy histograms
-    /// with the chosen [`SampleBackend`].
-    pub fn run_counts<R>(
-        &self,
-        sampler: &DualSampler,
-        backend: SampleBackend,
-        q: usize,
-        rng: &mut R,
-    ) -> RunOutcome
-    where
-        R: Rng + ?Sized,
-    {
-        self.inner.run_counts(sampler, backend, q, rng)
-    }
-
-    /// Local rejection threshold for `q` samples per node.
-    #[must_use]
-    pub fn node_threshold(&self, q: usize) -> u64 {
-        self.inner.node_threshold(q)
+    pub fn prepare(&self, q: usize) -> PreparedThresholdTester {
+        PreparedThresholdTester::new(self.k, q, self.node_threshold(q) - 1, self.rule_threshold)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dut_probability::families;
+    use dut_probability::{families, Sampler};
     use rand::SeedableRng;
 
     fn acceptance_rate<S: Sampler>(
@@ -276,9 +158,10 @@ mod tests {
         trials: usize,
         seed: u64,
     ) -> f64 {
+        let prepared = tester.prepare(q);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let accepts = (0..trials)
-            .filter(|_| tester.run(sampler, q, &mut rng).verdict.is_accept())
+            .filter(|_| prepared.run(sampler, &mut rng).verdict.is_accept())
             .count();
         accepts as f64 / trials as f64
     }
@@ -334,22 +217,14 @@ mod tests {
     }
 
     #[test]
-    fn detection_probability_increases_with_epsilon() {
-        let tester = TThresholdTester::new(1 << 10, 32, 1);
-        let q = 100;
-        let weak = tester.predicted_detection_probability(q, 0.2);
-        let strong = tester.predicted_detection_probability(q, 0.9);
-        assert!(strong > weak);
-    }
-
-    #[test]
-    fn and_rule_wrapper_delegates() {
-        let and = AndRuleTester::new(1 << 10, 16);
-        assert_eq!(and.as_t_threshold().rule_threshold(), 1);
-        assert_eq!(
-            and.node_threshold(50),
-            and.as_t_threshold().node_threshold(50)
-        );
+    fn prepare_fixes_both_thresholds() {
+        let tester = TThresholdTester::new(1 << 10, 16, 3);
+        let prepared = tester.prepare(50);
+        assert_eq!(prepared.node_max_count(), tester.node_threshold(50) - 1);
+        assert_eq!(prepared.referee_min_rejects(), 3);
+        assert_eq!(prepared.sample_count(), 50);
+        // q < 2: no collision is possible, and the count 0 accepts.
+        assert!(tester.prepare(1).node_accepts(0));
     }
 
     #[test]
@@ -359,7 +234,7 @@ mod tests {
         // Point mass: every node sees all-collisions and must reject.
         let point = families::point_mass(n, 0).unwrap().alias_sampler();
         let mut rng = rand::rngs::StdRng::seed_from_u64(71);
-        let out = tester.run(&point, 30, &mut rng);
+        let out = tester.prepare(30).run(&point, &mut rng);
         assert!(out.verdict.is_reject());
         assert_eq!(out.transcript.reject_count(), 4);
     }

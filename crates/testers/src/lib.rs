@@ -14,13 +14,18 @@
 //! * [`TThresholdTester`] — the Fischer–Meir–Oshman protocol family:
 //!   every node runs a local collision test whose false-positive rate is
 //!   calibrated to the decision rule; the referee rejects when at least
-//!   `T` nodes reject. `T = 1` is the **AND rule** ([`AndRuleTester`])
-//!   studied by Theorem 1.2; small `T` is the regime of Theorem 1.3.
+//!   `T` nodes reject. `T = 1` is the **AND rule** studied by
+//!   Theorem 1.2; small `T` is the regime of Theorem 1.3.
 //! * [`BalancedThresholdTester`] — the sample-optimal protocol matching
 //!   Theorem 1.1: nodes send *balanced* bits (local collision statistic
 //!   above/below its uniform mean) and the referee counts rejections
 //!   against a Monte-Carlo-calibrated threshold; `O(√(n/k)/ε²)` samples
 //!   per node.
+//!
+//!   Both prepare into one [`PreparedThresholdTester`]: a node rejects
+//!   when its collision count exceeds an integer threshold, and the
+//!   referee rejects once enough nodes do. The rules differ only in
+//!   how `prepare` picks the two thresholds.
 //! * [`SingleSampleProtocol`] — the Acharya–Canonne–Tyagi regime: one
 //!   sample per node, `ℓ`-bit messages via a shared random partition.
 //! * [`FourierLearner`] — distributed learning of the input distribution
@@ -28,8 +33,6 @@
 //!
 //! # Supporting machinery
 //!
-//! * [`cache`] — memoized Poisson tail thresholds, computed once per
-//!   sweep point instead of once per trial,
 //! * [`poisson`] — Poisson tail bounds used for per-node thresholds,
 //! * [`reduction`] — Goldreich's reduction showing uniformity testing is
 //!   complete for identity testing.
@@ -56,7 +59,6 @@
 // Tests assert exact constructed values and index with small literals.
 #![cfg_attr(test, allow(clippy::float_cmp, clippy::cast_possible_truncation))]
 
-pub mod cache;
 pub mod centralized;
 pub mod distributed;
 pub mod poisson;
@@ -67,6 +69,6 @@ pub use centralized::{
     SequentialUniformityTester, UniqueElementsTester,
 };
 pub use distributed::{
-    AndRuleTester, AsymmetricThresholdTester, BalancedThresholdTester, FourierLearner,
-    GraphUniformityTester, QuantizedSumTester, SingleSampleProtocol, TThresholdTester,
+    AsymmetricThresholdTester, BalancedThresholdTester, FourierLearner, GraphUniformityTester,
+    PreparedThresholdTester, QuantizedSumTester, SingleSampleProtocol, TThresholdTester,
 };

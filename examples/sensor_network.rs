@@ -16,7 +16,7 @@
 //! ```
 
 use distributed_uniformity::probability::families;
-use distributed_uniformity::testers::{AndRuleTester, BalancedThresholdTester};
+use distributed_uniformity::testers::{BalancedThresholdTester, TThresholdTester};
 use rand::SeedableRng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -41,7 +41,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let prepared = balanced.prepare(q_balanced, 2000, &mut rng);
 
     // Option B: fully local AND rule at the same measurement budget.
-    let and_rule = AndRuleTester::new(n, k);
+    let and_rule = TThresholdTester::new(n, k, 1);
+    let and_same_budget = and_rule.prepare(q_balanced);
 
     let rate = |f: &mut dyn FnMut(&mut rand::rngs::StdRng) -> bool,
                 rng: &mut rand::rngs::StdRng| {
@@ -69,15 +70,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let mut and_nominal =
-        |r: &mut rand::rngs::StdRng| and_rule.run(&nominal, q_balanced, r).verdict.is_accept();
+        |r: &mut rand::rngs::StdRng| and_same_budget.run(&nominal, r).verdict.is_accept();
     let mut and_drift =
-        |r: &mut rand::rngs::StdRng| and_rule.run(&drifted, q_balanced, r).verdict.is_reject();
-    let mut and_inter = |r: &mut rand::rngs::StdRng| {
-        and_rule
-            .run(&interleaved, q_balanced, r)
-            .verdict
-            .is_reject()
-    };
+        |r: &mut rand::rngs::StdRng| and_same_budget.run(&drifted, r).verdict.is_reject();
+    let mut and_inter =
+        |r: &mut rand::rngs::StdRng| and_same_budget.run(&interleaved, r).verdict.is_reject();
     println!(
         "{:<28}{:>11.0}%{:>11.0}%{:>13.0}%",
         "AND rule (same budget)",
@@ -89,10 +86,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // How many measurements would the AND rule need to actually detect?
     let mut q_and = q_balanced;
     loop {
-        let mut detect =
-            |r: &mut rand::rngs::StdRng| and_rule.run(&drifted, q_and, r).verdict.is_reject();
-        let mut ok =
-            |r: &mut rand::rngs::StdRng| and_rule.run(&nominal, q_and, r).verdict.is_accept();
+        let prepared = and_rule.prepare(q_and);
+        let mut detect = |r: &mut rand::rngs::StdRng| prepared.run(&drifted, r).verdict.is_reject();
+        let mut ok = |r: &mut rand::rngs::StdRng| prepared.run(&nominal, r).verdict.is_accept();
         if rate(&mut detect, &mut rng) > 2.0 / 3.0 && rate(&mut ok, &mut rng) > 2.0 / 3.0 {
             break;
         }

@@ -150,10 +150,10 @@ fn advisor_recommendation_actually_works() {
 fn transcripts_expose_player_bits() {
     use distributed_uniformity::testers::TThresholdTester;
     let n = 256;
-    let t = TThresholdTester::new(n, 8, 1);
+    let t = TThresholdTester::new(n, 8, 1).prepare(40);
     let mut r = rng(6);
     let point = families::point_mass(n, 0).unwrap().alias_sampler();
-    let out = t.run(&point, 40, &mut r);
+    let out = t.run(&point, &mut r);
     assert_eq!(out.transcript.messages.len(), 8);
     assert_eq!(out.transcript.reject_count(), 8);
     assert_eq!(out.transcript.total_samples(), 8 * 40);
