@@ -70,13 +70,6 @@ pub use findings::{Finding, Report};
 pub use rules::{FileOutcome, RuleInfo, RULES};
 pub use source::{classify, FileKind, GuardedBy, SourceFile};
 
-/// `s` as a quoted, escaped JSON string literal.
-pub(crate) fn quoted(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    dut_obs::json::write_escaped(&mut out, s);
-    out
-}
-
 use std::path::Path;
 
 /// Lints a set of parsed files as one workspace: per-file token and
@@ -253,36 +246,24 @@ pub fn rules_table() -> String {
 /// (`dut lint --format json`, schema `dut-analyze-findings/v1`).
 #[must_use]
 pub fn render_report_json(report: &Report) -> String {
-    use std::fmt::Write;
+    use dut_obs::json::{self, Json};
+    let stale = report.stale_baseline.iter().map(|id| id.clone().into());
+    let rows = report.findings.iter().map(|f| {
+        let mut row = baseline::finding_json(f);
+        row.push("hint", f.hint);
+        row
+    });
+    let doc = Json::obj([
+        ("schema", "dut-analyze-findings/v1".into()),
+        ("files_checked", report.files_checked.into()),
+        ("suppressed", report.suppressed.into()),
+        ("baselined", report.baselined.into()),
+        ("stale_baseline", Json::Arr(stale.collect())),
+        ("clean", report.is_clean().into()),
+        ("findings", Json::Arr(rows.collect())),
+    ]);
     let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"schema\": \"dut-analyze-findings/v1\",");
-    let _ = writeln!(out, "  \"files_checked\": {},", report.files_checked);
-    let _ = writeln!(out, "  \"suppressed\": {},", report.suppressed);
-    let _ = writeln!(out, "  \"baselined\": {},", report.baselined);
-    let stale: Vec<String> = report.stale_baseline.iter().map(|id| quoted(id)).collect();
-    let _ = writeln!(out, "  \"stale_baseline\": [{}],", stale.join(", "));
-    let _ = writeln!(out, "  \"clean\": {},", report.is_clean());
-    let _ = writeln!(out, "  \"findings\": [");
-    for (i, f) in report.findings.iter().enumerate() {
-        let comma = if i + 1 == report.findings.len() {
-            ""
-        } else {
-            ","
-        };
-        let _ = writeln!(
-            out,
-            "    {{\"id\": {}, \"rule\": {}, \"path\": {}, \"line\": {}, \"message\": {}, \"hint\": {}}}{comma}",
-            quoted(&f.id),
-            quoted(f.rule),
-            quoted(&f.path),
-            f.line,
-            quoted(&f.message),
-            quoted(f.hint),
-        );
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = write!(out, "}}");
+    json::write_pretty(&mut out, &doc, "findings");
     out
 }
 
@@ -321,6 +302,90 @@ fn f(shared: &S, registry: &R) {
         assert_eq!(report.findings[0].rule, "guarded-by");
         assert_eq!(report.findings[0].path, "crates/serve/src/server.rs");
         assert!(!report.findings[0].id.is_empty());
+    }
+
+    #[test]
+    fn findings_documents_keep_their_bytes() {
+        let finding = |path: &str, line, rule, message: &str, hint, id: &str| {
+            let mut f = Finding::new(path, line, rule, message.to_owned(), hint);
+            f.id = id.to_owned();
+            f
+        };
+        let findings = vec![
+            finding(
+                "crates/x/src/lib.rs",
+                3,
+                "unwrap",
+                "`.unwrap()` \"quoted\"",
+                "use ? \\ instead",
+                "aaaa",
+            ),
+            finding(
+                "crates/y/src/a b.rs",
+                9,
+                "float-eq",
+                "msg\twith tab é",
+                "h",
+                "bbbb",
+            ),
+        ];
+        let expected = [
+            r#"{"#,
+            r#"  "schema": "dut-analyze-baseline/v1","#,
+            r#"  "findings": ["#,
+            r#"    {"id": "aaaa", "rule": "unwrap", "path": "crates/x/src/lib.rs", "line": 3, "message": "`.unwrap()` \"quoted\""},"#,
+            r#"    {"id": "bbbb", "rule": "float-eq", "path": "crates/y/src/a b.rs", "line": 9, "message": "msg\twith tab é"}"#,
+            r#"  ]"#,
+            r#"}"#,
+        ]
+        .join("\n");
+        assert_eq!(baseline::render(&findings), expected);
+        let empty = [
+            r#"{"#,
+            r#"  "schema": "dut-analyze-baseline/v1","#,
+            r#"  "findings": ["#,
+            r#"  ]"#,
+            r#"}"#,
+        ]
+        .join("\n");
+        assert_eq!(baseline::render(&[]), empty);
+        let report = Report {
+            findings,
+            files_checked: 12,
+            suppressed: 3,
+            baselined: 1,
+            stale_baseline: vec!["cccc".to_owned(), "dd\"d".to_owned()],
+        };
+        let expected = [
+            r#"{"#,
+            r#"  "schema": "dut-analyze-findings/v1","#,
+            r#"  "files_checked": 12,"#,
+            r#"  "suppressed": 3,"#,
+            r#"  "baselined": 1,"#,
+            r#"  "stale_baseline": ["cccc", "dd\"d"],"#,
+            r#"  "clean": false,"#,
+            r#"  "findings": ["#,
+            r#"    {"id": "aaaa", "rule": "unwrap", "path": "crates/x/src/lib.rs", "line": 3, "message": "`.unwrap()` \"quoted\"", "hint": "use ? \\ instead"},"#,
+            r#"    {"id": "bbbb", "rule": "float-eq", "path": "crates/y/src/a b.rs", "line": 9, "message": "msg\twith tab é", "hint": "h"}"#,
+            r#"  ]"#,
+            r#"}"#,
+        ]
+        .join("\n");
+        assert_eq!(render_report_json(&report), expected);
+        let empty = [
+            r#"{"#,
+            r#"  "schema": "dut-analyze-findings/v1","#,
+            r#"  "files_checked": 0,"#,
+            r#"  "suppressed": 0,"#,
+            r#"  "baselined": 0,"#,
+            r#"  "stale_baseline": [],"#,
+            r#"  "clean": true,"#,
+            r#"  "findings": ["#,
+            r#"  ]"#,
+            r#"}"#,
+        ]
+        .join("\n");
+        assert_eq!(render_report_json(&Report::default()), empty);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Built on the statement tree from [`crate::tree`], this module
 //! walks a function body tracking a stack of live lock guards and
 //! invokes a visitor per statement with the guards live *at that
-//! statement*. The concurrency rules in [`crate::concurrency`] are
+//! statement*. The concurrency rules in `crate::concurrency` are
 //! all phrased over this walk.
 //!
 //! Acquisition patterns recognised (receiver is the identifier

@@ -1,7 +1,7 @@
 //! A lightweight brace/statement tree on top of the lexer.
 //!
 //! The token rules in [`crate::rules`] are happy with a flat token
-//! stream, but the concurrency rules in [`crate::concurrency`] need
+//! stream, but the concurrency rules in `crate::concurrency` need
 //! to know *where* a statement lives: which block encloses it, and
 //! therefore how long a `let`-bound lock guard acquired earlier in
 //! that block stays live. This module recovers exactly that much

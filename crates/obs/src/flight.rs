@@ -22,8 +22,9 @@
 //! a dump embedding a dump embedding a dump would otherwise grow
 //! quadratically on repeated bursts.
 
+use crate::json::Json;
 use crate::sink::Sink;
-use crate::trace::{Event, Value};
+use crate::trace::Event;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
@@ -76,33 +77,22 @@ impl FlightRecorder {
         self.ring.lock().iter().cloned().collect()
     }
 
-    /// The ring serialized as one JSON array of event objects,
-    /// oldest first.
+    /// The ring as one JSON array of event objects, oldest first.
     #[must_use]
-    pub fn dump_json(&self) -> String {
-        let ring = self.ring.lock();
-        let mut out = String::with_capacity(ring.len() * 96 + 2);
-        out.push('[');
-        for (i, event) in ring.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&event.to_json_line());
-        }
-        out.push(']');
-        out
+    pub fn dump_json(&self) -> Json {
+        Json::Arr(self.ring.lock().iter().map(Event::to_json).collect())
     }
 
     /// Packages the current ring as a single `flight_dump` event,
-    /// tagged with `reason`, embedding the events as raw JSON. The
+    /// tagged with `reason`, embedding the events as an array. The
     /// caller emits it through the recorder so it reaches file sinks.
     #[must_use]
     pub fn dump_event(&self, reason: &'static str) -> Event {
-        let payload = self.dump_json();
+        let events = self.dump_json();
         Event::new(DUMP_EVENT)
             .with("reason", reason)
             .with("retained", self.len())
-            .with("events", Value::Raw(payload))
+            .with("events", events)
     }
 }
 
@@ -137,7 +127,7 @@ pub fn global() -> &'static Arc<FlightRecorder> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::{self, Json};
+    use crate::json;
 
     #[test]
     fn ring_keeps_newest_events() {
@@ -147,8 +137,8 @@ mod tests {
         }
         assert_eq!(flight.len(), 3);
         let events = flight.events();
-        assert_eq!(events[0].field("i"), Some(&Value::U64(2)));
-        assert_eq!(events[2].field("i"), Some(&Value::U64(4)));
+        assert_eq!(events[0].field("i"), Some(&Json::Uint(2)));
+        assert_eq!(events[2].field("i"), Some(&Json::Uint(4)));
     }
 
     #[test]
@@ -156,8 +146,7 @@ mod tests {
         let flight = FlightRecorder::new(8);
         flight.record(&Event::new("a").with("x", 1u64));
         flight.record(&Event::new("b").with("y", "two"));
-        let parsed = json::parse(&flight.dump_json()).unwrap();
-        let Json::Arr(items) = parsed else {
+        let Json::Arr(items) = flight.dump_json() else {
             panic!("expected array");
         };
         assert_eq!(items.len(), 2);
@@ -168,7 +157,7 @@ mod tests {
     #[test]
     fn empty_dump_is_empty_array() {
         let flight = FlightRecorder::new(4);
-        assert_eq!(flight.dump_json(), "[]");
+        assert_eq!(flight.dump_json(), Json::Arr(Vec::new()));
         assert!(flight.is_empty());
     }
 
@@ -180,8 +169,8 @@ mod tests {
         flight.record(&dump);
         assert_eq!(flight.len(), 1, "flight_dump must not re-enter the ring");
         // The dump itself is a valid event embedding the ring.
-        assert_eq!(dump.field("reason"), Some(&Value::Str("test".into())));
-        assert_eq!(dump.field("retained"), Some(&Value::U64(1)));
+        assert_eq!(dump.field("reason"), Some(&Json::from("test")));
+        assert_eq!(dump.field("retained"), Some(&Json::Uint(1)));
         let line = dump.to_json_line();
         let parsed = json::parse(&line).unwrap();
         let events = parsed.get("events").unwrap();
@@ -189,6 +178,27 @@ mod tests {
             panic!("expected embedded array");
         };
         assert_eq!(items[0].get("event").and_then(Json::as_str), Some("real"));
+    }
+
+    #[test]
+    fn dumps_keep_their_bytes() {
+        let flight = FlightRecorder::new(3);
+        for i in 0..4u64 {
+            let tick = Event::new("tick").with("i", i).with("r", 0.5);
+            flight.record(&Event {
+                ts_micros: i * 10,
+                ..tick
+            });
+        }
+        flight.record(&Event::new("named").with("s", "x\"y"));
+        assert_eq!(
+            json::to_string(&flight.dump_json()),
+            r#"[{"event":"tick","ts_us":20,"i":2,"r":0.5},{"event":"tick","ts_us":30,"i":3,"r":0.5},{"event":"named","ts_us":0,"s":"x\"y"}]"#
+        );
+        assert_eq!(
+            flight.dump_event("shed_burst").to_json_line(),
+            r#"{"event":"flight_dump","ts_us":0,"reason":"shed_burst","retained":3,"events":[{"event":"tick","ts_us":20,"i":2,"r":0.5},{"event":"tick","ts_us":30,"i":3,"r":0.5},{"event":"named","ts_us":0,"s":"x\"y"}]}"#
+        );
     }
 
     #[test]

@@ -1,16 +1,22 @@
 //! Minimal JSON reading and writing.
 //!
-//! The workspace has no serde; this module is its one JSON codec:
-//! escaping writers for the trace serializer, the serve wire and the
-//! artifacts (bench, lint findings and baselines), and a
-//! recursive-descent parser for reading them back. It parses objects,
-//! arrays, strings, finite numbers, bools and null, and rejects
+//! The workspace has no serde; this module is its one JSON reader and
+//! writer. Every artifact — trace events, the serve wire, the stats
+//! and flight replies, arrival traces, the fuzz corpus, the lint
+//! findings and baseline, the bench file — is built as a [`Json`]
+//! value and rendered by [`write()`] (or [`write_pretty`]), and read
+//! back by [`parse`], a recursive-descent parser that accepts objects,
+//! arrays, strings, finite numbers, bools and null and rejects
 //! anything malformed with a positioned error.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
-/// A parsed JSON value.
+/// An object key or string value: static names borrow, so building a
+/// reply from field names allocates nothing for them; parsed text owns.
+pub type Text = Cow<'static, str>;
+
+/// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`
@@ -24,17 +30,73 @@ pub enum Json {
     /// differential plane).
     Uint(u64),
     /// Any other number (stored as `f64`; exact for integers below
-    /// 2^53).
+    /// 2^53). Non-finite values are written as `null`.
     Num(f64),
     /// A string.
-    Str(String),
+    Str(Text),
     /// An array.
     Arr(Vec<Json>),
-    /// An object. `BTreeMap` keeps key order deterministic.
-    Obj(BTreeMap<String, Json>),
+    /// An object: members in insertion order, which is the order
+    /// [`write()`] emits. Duplicate keys are kept; [`Json::get`] reads
+    /// the last one.
+    Obj(Vec<(Text, Json)>),
+}
+
+impl From<u64> for Json {
+    fn from(v: u64) -> Self {
+        Json::Uint(v)
+    }
+}
+impl From<usize> for Json {
+    fn from(v: usize) -> Self {
+        Json::Uint(v as u64)
+    }
+}
+impl From<u32> for Json {
+    fn from(v: u32) -> Self {
+        Json::Uint(u64::from(v))
+    }
+}
+impl From<f64> for Json {
+    fn from(v: f64) -> Self {
+        Json::Num(v)
+    }
+}
+impl From<bool> for Json {
+    fn from(v: bool) -> Self {
+        Json::Bool(v)
+    }
+}
+impl From<&'static str> for Json {
+    fn from(v: &'static str) -> Self {
+        Json::Str(Cow::Borrowed(v))
+    }
+}
+impl From<String> for Json {
+    fn from(v: String) -> Self {
+        Json::Str(Cow::Owned(v))
+    }
 }
 
 impl Json {
+    /// An object of statically named members, in the given order.
+    #[must_use]
+    pub fn obj(members: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
+        Json::Obj(
+            members
+                .into_iter()
+                .map(|(key, value)| (Cow::Borrowed(key), value))
+                .collect(),
+        )
+    }
+
+    /// Appends a member to an object; a no-op on any other value.
+    pub fn push(&mut self, key: impl Into<Text>, value: impl Into<Json>) {
+        if let Json::Obj(members) = self {
+            members.push((key.into(), value.into()));
+        }
+    }
+
     /// The value as `f64`, if numeric. `Uint` values above 2^53
     /// round to the nearest representable `f64` — callers that need
     /// exact large integers use [`Self::as_u64`].
@@ -75,11 +137,20 @@ impl Json {
         }
     }
 
-    /// The value as an object, if it is one.
+    /// The value as `bool`, if a boolean.
     #[must_use]
-    pub fn as_obj(&self) -> Option<&BTreeMap<String, Json>> {
+    pub fn as_bool(&self) -> Option<bool> {
         match self {
-            Json::Obj(map) => Some(map),
+            Json::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// The members, if this is an object.
+    #[must_use]
+    pub fn as_obj(&self) -> Option<&[(Text, Json)]> {
+        match self {
+            Json::Obj(members) => Some(members),
             _ => None,
         }
     }
@@ -93,15 +164,146 @@ impl Json {
         }
     }
 
-    /// Looks up a key, if this is an object.
+    /// Looks up a key, if this is an object. With duplicate keys the
+    /// last one wins, as it would in a map filled in document order.
     #[must_use]
     pub fn get(&self, key: &str) -> Option<&Json> {
-        self.as_obj().and_then(|m| m.get(key))
+        self.as_obj()?
+            .iter()
+            .rev()
+            .find_map(|(k, v)| (k == key).then_some(v))
+    }
+
+    /// The member `key` as `u64`, if present and a non-negative integer.
+    #[must_use]
+    pub fn get_u64(&self, key: &str) -> Option<u64> {
+        self.get(key).and_then(Json::as_u64)
+    }
+
+    /// The member `key` as `f64`, if present and numeric.
+    #[must_use]
+    pub fn get_f64(&self, key: &str) -> Option<f64> {
+        self.get(key).and_then(Json::as_f64)
+    }
+
+    /// The member `key` as `&str`, if present and a string.
+    #[must_use]
+    pub fn get_str(&self, key: &str) -> Option<&str> {
+        self.get(key).and_then(Json::as_str)
+    }
+
+    /// The member `key` as `bool`, if present and a boolean.
+    #[must_use]
+    pub fn get_bool(&self, key: &str) -> Option<bool> {
+        self.get(key).and_then(Json::as_bool)
+    }
+
+    /// The member `key` read by `read` (e.g. [`Json::as_u64`]).
+    ///
+    /// # Errors
+    ///
+    /// ``missing `key` `` when it is absent or `read` rejects it.
+    pub fn need<'a, T>(
+        &'a self,
+        key: &str,
+        read: impl FnOnce(&'a Json) -> Option<T>,
+    ) -> Result<T, String> {
+        self.get(key)
+            .and_then(read)
+            .ok_or_else(|| format!("missing `{key}`"))
     }
 }
 
-/// Appends a JSON string literal (with escaping) to `out`.
-pub fn write_escaped(out: &mut String, s: &str) {
+/// The compact serialization of `node` as a new string.
+#[must_use]
+pub fn to_string(node: &Json) -> String {
+    let mut out = String::new();
+    write(&mut out, node);
+    out
+}
+
+/// Appends the compact serialization of `node` to `out`: no
+/// whitespace, object members in insertion order, strings escaped,
+/// numbers in Rust's shortest round-trip form (`Num(1.0)` writes `1`,
+/// non-finite numbers write `null`).
+///
+/// Writing is stable under a round trip, `write(parse(write(x))) ==
+/// write(x)`, but the values need not be equal: an integral `Num`
+/// writes as an integer literal, which parses back as `Uint`, and a
+/// non-finite `Num` comes back as `Null`.
+pub fn write(out: &mut String, node: &Json) {
+    write_with(out, node, ",", ":");
+}
+
+/// Appends `doc`, an object, one member per line with a two-space
+/// indent, and the array member named `rows` one element per line with
+/// a four-space indent. Every other value is written compactly with
+/// `", "` and `": "` separators. The lint findings document and
+/// baseline use this layout so that a diff reads one finding per line.
+/// A `doc` that is not an object is written compactly.
+pub fn write_pretty(out: &mut String, doc: &Json, rows: &str) {
+    let Json::Obj(members) = doc else {
+        write_with(out, doc, ", ", ": ");
+        return;
+    };
+    out.push('{');
+    for (i, (key, value)) in members.iter().enumerate() {
+        out.push_str(if i == 0 { "\n  " } else { ",\n  " });
+        write_escaped(out, key);
+        out.push_str(": ");
+        match value {
+            Json::Arr(items) if key == rows => {
+                out.push('[');
+                for (j, item) in items.iter().enumerate() {
+                    out.push_str(if j == 0 { "\n    " } else { ",\n    " });
+                    write_with(out, item, ", ", ": ");
+                }
+                out.push_str("\n  ]");
+            }
+            _ => write_with(out, value, ", ", ": "),
+        }
+    }
+    out.push_str("\n}");
+}
+
+fn write_with(out: &mut String, node: &Json, comma: &str, colon: &str) {
+    match node {
+        Json::Null => out.push_str("null"),
+        Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Json::Uint(x) => {
+            let _ = write!(out, "{x}");
+        }
+        Json::Num(x) if x.is_finite() => {
+            let _ = write!(out, "{x}");
+        }
+        Json::Num(_) => out.push_str("null"),
+        Json::Str(s) => write_escaped(out, s),
+        Json::Arr(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(comma);
+                }
+                write_with(out, item, comma, colon);
+            }
+            out.push(']');
+        }
+        Json::Obj(members) => {
+            out.push('{');
+            for (i, (key, value)) in members.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(comma);
+                }
+                write_escaped(out, key);
+                out.push_str(colon);
+                write_with(out, value, comma, colon);
+            }
+            out.push('}');
+        }
+    }
+}
+
+fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -117,52 +319,6 @@ pub fn write_escaped(out: &mut String, s: &str) {
         }
     }
     out.push('"');
-}
-
-/// Appends a JSON number to `out` (non-finite values become `null`).
-pub fn write_f64(out: &mut String, x: f64) {
-    if x.is_finite() {
-        let _ = write!(out, "{x}");
-    } else {
-        out.push_str("null");
-    }
-}
-
-/// Appends the canonical serialization of a parsed value to `out`
-/// (object keys in `BTreeMap` order, shortest-round-trip numbers).
-/// `parse(write(x)) == x` for every finite-numbered value.
-pub fn write(out: &mut String, node: &Json) {
-    match node {
-        Json::Null => out.push_str("null"),
-        Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Json::Uint(x) => {
-            let _ = write!(out, "{x}");
-        }
-        Json::Num(x) => write_f64(out, *x),
-        Json::Str(s) => write_escaped(out, s),
-        Json::Arr(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write(out, item);
-            }
-            out.push(']');
-        }
-        Json::Obj(map) => {
-            out.push('{');
-            for (i, (key, value)) in map.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_escaped(out, key);
-                out.push(':');
-                write(out, value);
-            }
-            out.push('}');
-        }
-    }
 }
 
 /// Deepest container nesting [`parse`] accepts. The parser is
@@ -240,7 +396,7 @@ impl Parser<'_> {
         match self.peek() {
             Some(b'{') => self.object(),
             Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b'"') => Ok(Json::Str(Cow::Owned(self.string()?))),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'n') => self.literal("null", Json::Null),
@@ -359,12 +515,12 @@ impl Parser<'_> {
     fn object(&mut self) -> Result<Json, String> {
         self.expect(b'{')?;
         self.enter()?;
-        let mut map = BTreeMap::new();
+        let mut members = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
             self.depth -= 1;
-            return Ok(Json::Obj(map));
+            return Ok(Json::Obj(members));
         }
         loop {
             self.skip_ws();
@@ -373,14 +529,14 @@ impl Parser<'_> {
             self.expect(b':')?;
             self.skip_ws();
             let value = self.value()?;
-            map.insert(key, value);
+            members.push((Cow::Owned(key), value));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
                     self.depth -= 1;
-                    return Ok(Json::Obj(map));
+                    return Ok(Json::Obj(members));
                 }
                 _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
             }
@@ -391,14 +547,6 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn round_trips_escapes() {
-        let mut out = String::new();
-        write_escaped(&mut out, "a\"b\\c\nd\te\u{1}f");
-        let parsed = parse(&out).unwrap();
-        assert_eq!(parsed, Json::Str("a\"b\\c\nd\te\u{1}f".into()));
-    }
 
     #[test]
     fn parses_nested_document() {
@@ -487,15 +635,50 @@ mod tests {
     }
 
     #[test]
-    fn write_round_trips() {
-        let source = r#"{"a":[1,2.5,null,true],"b":{"nested":"va\"lue"},"c":-3}"#;
-        let doc = parse(source).unwrap();
+    fn objects_keep_member_order_and_read_the_last_duplicate() {
+        let doc = parse(r#"{"b":1,"a":2,"b":3}"#).unwrap();
+        assert_eq!(doc.get_u64("b"), Some(3));
+        assert_eq!(to_string(&doc), r#"{"b":1,"a":2,"b":3}"#);
+        let mut built = Json::obj([("z", Json::from(1u64)), ("a", Json::from("x"))]);
+        built.push("m", Json::Null);
+        assert_eq!(to_string(&built), r#"{"z":1,"a":"x","m":null}"#);
+        assert_eq!(built.need("a", Json::as_u64), Err("missing `a`".to_owned()));
+    }
+
+    #[test]
+    fn integral_and_non_finite_numbers_round_trip_as_bytes_not_values() {
+        for (value, text, back) in [
+            (Json::Num(1.0), "1", Json::Uint(1)),
+            (Json::Num(f64::NAN), "null", Json::Null),
+            (Json::Num(-0.5), "-0.5", Json::Num(-0.5)),
+        ] {
+            assert_eq!(to_string(&value), text);
+            assert_eq!(parse(text).unwrap(), back);
+        }
+    }
+
+    #[test]
+    fn pretty_layout_lists_rows_one_per_line() {
+        let doc = Json::obj([
+            ("schema", Json::from("s")),
+            ("ids", Json::Arr(vec![Json::from("a"), Json::from("b")])),
+            (
+                "rows",
+                Json::Arr(vec![Json::obj([
+                    ("k", Json::from(1u64)),
+                    ("v", true.into()),
+                ])]),
+            ),
+        ]);
         let mut out = String::new();
-        write(&mut out, &doc);
-        assert_eq!(parse(&out).unwrap(), doc);
-        // Canonical form is stable under re-serialization.
-        let mut again = String::new();
-        write(&mut again, &parse(&out).unwrap());
-        assert_eq!(out, again);
+        write_pretty(&mut out, &doc, "rows");
+        assert_eq!(
+            out,
+            "{\n  \"schema\": \"s\",\n  \"ids\": [\"a\", \"b\"],\n  \"rows\": [\n    {\"k\": 1, \"v\": true}\n  ]\n}"
+        );
+        let empty = Json::obj([("rows", Json::Arr(Vec::new()))]);
+        out.clear();
+        write_pretty(&mut out, &empty, "rows");
+        assert_eq!(out, "{\n  \"rows\": [\n  ]\n}");
     }
 }

@@ -43,7 +43,7 @@ pub use recorder::{global, init_from_env, snapshot_event, Recorder, Span};
 pub use report::Report;
 pub use sink::{JsonlSink, MemorySink, Sink};
 pub use slo::{SloConfig, SloStatus};
-pub use trace::{Event, Value};
+pub use trace::Event;
 pub use window::SnapshotRing;
 
 /// Opens a span on the global recorder; the returned guard emits a
@@ -61,8 +61,8 @@ macro_rules! span {
 
 #[cfg(test)]
 mod tests {
+    use crate::json::Json;
     use crate::sink::MemorySink;
-    use crate::trace::Value;
     use std::sync::Arc;
 
     #[test]
@@ -80,12 +80,9 @@ mod tests {
         }
         let events = sink.take();
         assert_eq!(events.len(), 1);
-        assert_eq!(
-            events[0].field("name"),
-            Some(&Value::Str("unit.phase".into()))
-        );
-        assert_eq!(events[0].field("k"), Some(&Value::U64(8)));
-        assert_eq!(events[0].field("rule"), Some(&Value::Str("or".into())));
+        assert_eq!(events[0].field("name"), Some(&Json::from("unit.phase")));
+        assert_eq!(events[0].field("k"), Some(&Json::Uint(8)));
+        assert_eq!(events[0].field("rule"), Some(&Json::from("or")));
     }
 
     #[test]

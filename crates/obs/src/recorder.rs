@@ -1,9 +1,10 @@
 //! The recorder: routes events to sinks, tracks spans, and owns the
 //! enabled/verbosity fast-path flags.
 
+use crate::json::Json;
 use crate::metrics;
 use crate::sink::{JsonlSink, Sink};
-use crate::trace::{Event, Value};
+use crate::trace::Event;
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -151,14 +152,14 @@ impl Default for Recorder {
 pub struct Span {
     recorder: Recorder,
     name: &'static str,
-    fields: Vec<(&'static str, Value)>,
+    fields: Vec<(&'static str, Json)>,
     start: Instant,
 }
 
 impl Span {
     /// Attaches a field to the span's closing event.
     #[must_use]
-    pub fn with(mut self, key: &'static str, value: impl Into<Value>) -> Self {
+    pub fn with(mut self, key: &'static str, value: impl Into<Json>) -> Self {
         self.fields.push((key, value.into()));
         self
     }
@@ -181,49 +182,25 @@ impl Drop for Span {
 /// Builds the `"metrics"` event from a registry snapshot.
 #[must_use]
 pub fn snapshot_event(snapshot: &metrics::Snapshot) -> Event {
-    use std::fmt::Write as _;
-    let mut counters = String::from("{");
-    for (i, (name, value)) in snapshot.counters.iter().enumerate() {
-        if i > 0 {
-            counters.push(',');
-        }
-        let _ = write!(counters, "\"{name}\":{value}");
-    }
-    counters.push('}');
-
-    let mut gauges = String::from("{");
-    for (i, (name, value)) in snapshot.gauges.iter().enumerate() {
-        if i > 0 {
-            gauges.push(',');
-        }
-        let _ = write!(gauges, "\"{name}\":{value}");
-    }
-    gauges.push('}');
-
-    let mut histograms = String::from("{");
-    for (i, hist) in snapshot.histograms.iter().enumerate() {
-        if i > 0 {
-            histograms.push(',');
-        }
-        let _ = write!(
-            histograms,
-            "\"{}\":{{\"count\":{},\"sum\":{},\"buckets\":[",
-            hist.name, hist.count, hist.sum
-        );
-        for (j, (low, count)) in hist.buckets.iter().enumerate() {
-            if j > 0 {
-                histograms.push(',');
-            }
-            let _ = write!(histograms, "[{low},{count}]");
-        }
-        histograms.push_str("]}");
-    }
-    histograms.push('}');
-
+    let values = |named: &[(&'static str, u64)]| {
+        Json::obj(named.iter().map(|&(name, value)| (name, value.into())))
+    };
+    let histograms = snapshot.histograms.iter().map(|hist| {
+        let buckets = hist
+            .buckets
+            .iter()
+            .map(|&(low, count)| Json::Arr(vec![low.into(), count.into()]));
+        let summary = Json::obj([
+            ("count", hist.count.into()),
+            ("sum", hist.sum.into()),
+            ("buckets", Json::Arr(buckets.collect())),
+        ]);
+        (hist.name, summary)
+    });
     Event::new("metrics")
-        .with("counters", Value::Raw(counters))
-        .with("gauges", Value::Raw(gauges))
-        .with("histograms", Value::Raw(histograms))
+        .with("counters", values(&snapshot.counters))
+        .with("gauges", values(&snapshot.gauges))
+        .with("histograms", Json::obj(histograms))
 }
 
 /// Builds the one-time `clock_anchor` event binding this process's
@@ -338,15 +315,12 @@ mod tests {
         let events = sink.take();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].name, "span");
-        assert_eq!(
-            events[0].field("name"),
-            Some(&Value::Str("unit.work".into()))
-        );
-        let Some(Value::U64(us)) = events[0].field("elapsed_us") else {
+        assert_eq!(events[0].field("name"), Some(&Json::from("unit.work")));
+        let Some(Json::Uint(us)) = events[0].field("elapsed_us") else {
             panic!("missing elapsed_us");
         };
         assert!(*us >= 1_000, "elapsed {us}us");
-        assert_eq!(events[0].field("k"), Some(&Value::U64(4)));
+        assert_eq!(events[0].field("k"), Some(&Json::Uint(4)));
     }
 
     #[test]
@@ -374,10 +348,26 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_event_keeps_its_bytes() {
+        let registry = metrics::Registry::new();
+        registry.add(metrics::Counter::SamplesDrawn, 64);
+        registry.add(metrics::Counter::ServeRequests, 3);
+        registry.set_gauge(metrics::Gauge::ServeQueueDepth, 5);
+        for micros in [5, 300, 70_000] {
+            registry.observe(metrics::HistogramId::RequestMicros, micros);
+        }
+        registry.observe(metrics::HistogramId::QueueWaitMicros, 1);
+        assert_eq!(
+            snapshot_event(&registry.snapshot()).to_json_line(),
+            r#"{"event":"metrics","ts_us":0,"counters":{"net_runs":0,"samples_drawn":64,"bits_sent":0,"verdict_accept":0,"verdict_reject":0,"faults_crashed":0,"faults_messages_lost":0,"fault_retries":0,"redundant_bits":0,"byzantine_flips":0,"recovered_bits":0,"fault_timeouts":0,"trials_run":0,"trials_skipped":0,"search_probes":0,"sweep_fits":0,"histogram_draws":0,"serve_requests":3,"serve_cache_hits":0,"serve_cache_misses":0,"serve_shed":0,"serve_malformed":0,"serve_reaped":0,"serve_error_budget":0,"serve_panics_caught":0,"serve_backend_per_draw":0,"serve_backend_histogram":0,"serve_coalesced":0,"serve_tenant_shed":0,"serve_shard_passes":0,"serve_shard_parks":0,"chaos_injected":0},"gauges":{"runner_threads":0,"sampling_backend":0,"serve_queue_depth":5,"serve_connections":0},"histograms":{"trial_batch_micros":{"count":0,"sum":0,"buckets":[]},"probe_micros":{"count":0,"sum":0,"buckets":[]},"run_samples":{"count":0,"sum":0,"buckets":[]},"request_micros":{"count":3,"sum":70305,"buckets":[[4,1],[256,1],[65536,1]]},"queue_wait_micros":{"count":1,"sum":1,"buckets":[[1,1]]},"calibrate_micros":{"count":0,"sum":0,"buckets":[]},"compute_micros":{"count":0,"sum":0,"buckets":[]}}}"#
+        );
+    }
+
+    #[test]
     fn clock_anchor_carries_wall_clock() {
         let event = clock_anchor_event();
         assert_eq!(event.name, "clock_anchor");
-        let Some(Value::U64(unix)) = event.field("unix_micros") else {
+        let Some(Json::Uint(unix)) = event.field("unix_micros") else {
             panic!("missing unix_micros");
         };
         // Sanity: after 2020-01-01 in microseconds.

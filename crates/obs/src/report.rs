@@ -147,7 +147,7 @@ impl Report {
                         if key == "event" || key == "ts_us" {
                             continue;
                         }
-                        self.manifest.insert(key.clone(), display_json(val));
+                        self.manifest.insert(key.to_string(), display_json(val));
                     }
                 }
             }
@@ -181,13 +181,13 @@ impl Report {
                 if let Some(counters) = value.get("counters").and_then(Json::as_obj) {
                     self.counters = counters
                         .iter()
-                        .filter_map(|(k, v)| v.as_u64().map(|n| (k.clone(), n)))
+                        .filter_map(|(k, v)| v.as_u64().map(|n| (k.to_string(), n)))
                         .collect();
                 }
                 if let Some(gauges) = value.get("gauges").and_then(Json::as_obj) {
                     self.gauges = gauges
                         .iter()
-                        .filter_map(|(k, v)| v.as_u64().map(|n| (k.clone(), n)))
+                        .filter_map(|(k, v)| v.as_u64().map(|n| (k.to_string(), n)))
                         .collect();
                 }
                 if let Some(histograms) = value.get("histograms").and_then(Json::as_obj) {
@@ -208,7 +208,7 @@ impl Report {
                                     .collect(),
                                 _ => Vec::new(),
                             };
-                            Some((k.clone(), (count, sum, buckets)))
+                            Some((k.to_string(), (count, sum, buckets)))
                         })
                         .collect();
                 }
@@ -527,13 +527,15 @@ fn display_json(value: &Json) -> String {
                 format!("{x}")
             }
         }
-        Json::Str(s) => s.clone(),
+        Json::Str(s) => s.to_string(),
         Json::Arr(items) => {
             let inner: Vec<String> = items.iter().map(display_json).collect();
             format!("[{}]", inner.join(", "))
         }
-        Json::Obj(map) => {
-            let inner: Vec<String> = map
+        Json::Obj(members) => {
+            // Sorted by key, the last duplicate winning.
+            let sorted: BTreeMap<&str, &Json> = members.iter().map(|(k, v)| (&**k, v)).collect();
+            let inner: Vec<String> = sorted
                 .iter()
                 .map(|(k, v)| format!("{k}={}", display_json(v)))
                 .collect();

@@ -1,65 +1,7 @@
 //! Trace events and spans.
 
-use crate::json;
-
-/// A field value on a trace event.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// Unsigned integer.
-    U64(u64),
-    /// Signed integer.
-    I64(i64),
-    /// Float.
-    F64(f64),
-    /// Boolean.
-    Bool(bool),
-    /// String.
-    Str(String),
-    /// Pre-serialized JSON, embedded verbatim (for nested payloads
-    /// like metric snapshots or experiment configs).
-    Raw(String),
-}
-
-impl From<u64> for Value {
-    fn from(v: u64) -> Self {
-        Value::U64(v)
-    }
-}
-impl From<usize> for Value {
-    fn from(v: usize) -> Self {
-        Value::U64(v as u64)
-    }
-}
-impl From<u32> for Value {
-    fn from(v: u32) -> Self {
-        Value::U64(u64::from(v))
-    }
-}
-impl From<i64> for Value {
-    fn from(v: i64) -> Self {
-        Value::I64(v)
-    }
-}
-impl From<f64> for Value {
-    fn from(v: f64) -> Self {
-        Value::F64(v)
-    }
-}
-impl From<bool> for Value {
-    fn from(v: bool) -> Self {
-        Value::Bool(v)
-    }
-}
-impl From<&str> for Value {
-    fn from(v: &str) -> Self {
-        Value::Str(v.to_owned())
-    }
-}
-impl From<String> for Value {
-    fn from(v: String) -> Self {
-        Value::Str(v)
-    }
-}
+use crate::json::{self, Json};
+use std::borrow::Cow;
 
 /// One structured trace event.
 ///
@@ -72,7 +14,7 @@ pub struct Event {
     /// Microseconds since the recorder's epoch (set at emit time).
     pub ts_micros: u64,
     /// Ordered key/value fields.
-    pub fields: Vec<(&'static str, Value)>,
+    pub fields: Vec<(&'static str, Json)>,
 }
 
 impl Event {
@@ -88,53 +30,46 @@ impl Event {
 
     /// Builder-style field append.
     #[must_use]
-    pub fn with(mut self, key: &'static str, value: impl Into<Value>) -> Self {
+    pub fn with(mut self, key: &'static str, value: impl Into<Json>) -> Self {
         self.fields.push((key, value.into()));
         self
     }
 
     /// Looks up a field by key.
     #[must_use]
-    pub fn field(&self, key: &str) -> Option<&Value> {
+    pub fn field(&self, key: &str) -> Option<&Json> {
         self.fields
             .iter()
             .find_map(|(k, v)| (*k == key).then_some(v))
     }
 
+    /// The event as one JSON object: `event` and `ts_us`, then the
+    /// fields in order.
+    #[must_use]
+    pub fn to_json(&self) -> Json {
+        let head = [
+            ("event", Json::from(self.name)),
+            ("ts_us", self.ts_micros.into()),
+        ];
+        let fields = self.fields.iter().map(|(k, v)| (*k, v.clone()));
+        Json::Obj(
+            head.into_iter()
+                .chain(fields)
+                .map(|(k, v)| (Cow::Borrowed(k), v))
+                .collect(),
+        )
+    }
+
     /// Serializes to one JSON line (no trailing newline).
     #[must_use]
     pub fn to_json_line(&self) -> String {
-        let mut out = String::with_capacity(64 + self.fields.len() * 16);
-        out.push_str("{\"event\":");
-        json::write_escaped(&mut out, self.name);
-        out.push_str(",\"ts_us\":");
-        let _ = std::fmt::Write::write_fmt(&mut out, format_args!("{}", self.ts_micros));
-        for (key, value) in &self.fields {
-            out.push(',');
-            json::write_escaped(&mut out, key);
-            out.push(':');
-            match value {
-                Value::U64(v) => {
-                    let _ = std::fmt::Write::write_fmt(&mut out, format_args!("{v}"));
-                }
-                Value::I64(v) => {
-                    let _ = std::fmt::Write::write_fmt(&mut out, format_args!("{v}"));
-                }
-                Value::F64(v) => json::write_f64(&mut out, *v),
-                Value::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
-                Value::Str(s) => json::write_escaped(&mut out, s),
-                Value::Raw(raw) => out.push_str(raw),
-            }
-        }
-        out.push('}');
-        out
+        json::to_string(&self.to_json())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::Json;
 
     #[test]
     fn event_serializes_to_parseable_json() {
@@ -146,7 +81,7 @@ mod tests {
         .with("sufficient", true)
         .with("rate", 0.625)
         .with("rule", "and")
-        .with("cfg", Value::Raw("{\"n\":8}".into()));
+        .with("cfg", Json::obj([("n", 8u64.into())]));
         let line = e.to_json_line();
         let parsed = crate::json::parse(&line).unwrap();
         assert_eq!(parsed.get("event").and_then(Json::as_str), Some("probe"));
@@ -164,9 +99,48 @@ mod tests {
     }
 
     #[test]
+    fn every_field_type_renders_as_before() {
+        let e = Event {
+            ts_micros: 17,
+            ..Event::new("probe")
+        }
+        .with("u", 64u64)
+        .with("us", 7usize)
+        .with("u32", 9u32)
+        .with("f_int", 1.0)
+        .with("f", 0.625)
+        .with("f_neg", -2.5e-7)
+        .with("f_big", 1e300)
+        .with("nan", f64::NAN)
+        .with("inf", f64::INFINITY)
+        .with("b", true)
+        .with("b2", false)
+        .with("s", "a\"b\\c\nd\te\u{1}f é☃")
+        .with("owned", String::from("x"))
+        .with(
+            "cfg",
+            Json::obj([
+                ("n", 8u64.into()),
+                ("xs", Json::Arr(vec![1u64.into(), 2.5.into(), Json::Null])),
+                ("o", Json::obj([])),
+            ]),
+        );
+        let big = format!("1{}", "0".repeat(300));
+        assert_eq!(
+            e.to_json_line(),
+            format!(
+                "{{\"event\":\"probe\",\"ts_us\":17,\"u\":64,\"us\":7,\"u32\":9,\"f_int\":1,\
+                 \"f\":0.625,\"f_neg\":-0.00000025,\"f_big\":{big},\"nan\":null,\"inf\":null,\
+                 \"b\":true,\"b2\":false,\"s\":\"a\\\"b\\\\c\\nd\\te\\u0001f é☃\",\
+                 \"owned\":\"x\",\"cfg\":{{\"n\":8,\"xs\":[1,2.5,null],\"o\":{{}}}}}}"
+            )
+        );
+    }
+
+    #[test]
     fn field_lookup() {
         let e = Event::new("x").with("a", 1u64);
-        assert_eq!(e.field("a"), Some(&Value::U64(1)));
+        assert_eq!(e.field("a"), Some(&Json::Uint(1)));
         assert_eq!(e.field("b"), None);
     }
 }

@@ -5,7 +5,7 @@
 //! and threshold rules invert a Poisson tail in O(λ₀), bounded by
 //! [`MAX_LAMBDA`](crate::protocol::MAX_LAMBDA)), so the
 //! server keeps prepared testers resident, keyed by
-//! [`CacheKey`](crate::engine::CacheKey). Two properties matter under
+//! [`CacheKey`]. Two properties matter under
 //! concurrency:
 //!
 //! * **Single flight.** When N workers race on the same absent key,

@@ -26,7 +26,7 @@
 //! shows up in the response time of every arrival it held back.
 //!
 //! With `verify_offline` set, every reply is also checked for
-//! bit-identity against a local [`Engine`](crate::engine::Engine)
+//! bit-identity against a local [`Engine`]
 //! evaluating the same request — the service's determinism contract,
 //! enforced from the outside.
 

@@ -61,13 +61,13 @@ pub const MAX_K: usize = 1 << 12;
 pub const MAX_WORK: u64 = 1 << 26;
 
 /// Upper bound on `λ₀ = C(q,2)/n` for the `and` and `threshold:T`
-/// rules. Preparing either rule inverts a Poisson(λ₀) tail in O(λ₀)
-/// time, and `MAX_WORK` alone still admits `{"n":2,"q":1048576}`
-/// (λ₀ ≈ 2.7·10¹¹, hours of one worker). At this bound one
-/// preparation costs 6–8 ms at `k = 1` and 29–37 ms at `k = 4096`
-/// (the smallest node budget, `1/(4k)`) on a 2-vCPU VM: about one
-/// balanced-rule calibration. It still admits every `q` up to ≈ 370k
-/// at `n = MAX_N` and ≈ 11.6k at `n = 1024`.
+/// rules. Preparing either rule inverts a Poisson(λ₀) tail, each tail
+/// evaluation costing O(λ₀) time, and `MAX_WORK` alone still admits
+/// `{"n":2,"q":1048576}` (λ₀ ≈ 2.7·10¹¹, hours of one worker). At this
+/// bound the threshold search costs about 3 ms at both `k = 1` and
+/// `k = 4096` (the smallest node budget, `1/(4k)`): best of 5
+/// release-build calls on a 2-vCPU VM. It still admits every `q` up
+/// to ≈ 370k at `n = MAX_N` and ≈ 11.6k at `n = 1024`.
 pub const MAX_LAMBDA: u64 = 1 << 16;
 
 /// Longest request line the server will buffer, in bytes. A client
@@ -195,8 +195,7 @@ pub struct RequestMeta {
 
 fn field_usize(doc: &Json, key: &str) -> Result<usize, String> {
     let raw = doc
-        .get(key)
-        .and_then(Json::as_u64)
+        .get_u64(key)
         .ok_or_else(|| format!("`{key}` must be a non-negative integer"))?;
     usize::try_from(raw).map_err(|_| format!("`{key}` out of range"))
 }
@@ -221,7 +220,16 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
 /// Returns a message naming the first malformed or missing field;
 /// the server sends it back verbatim as `{"error":...}`.
 pub fn parse_command_meta(line: &str) -> Result<(Command, RequestMeta), String> {
-    let doc = json::parse(line)?;
+    command_from_json(&json::parse(line)?)
+}
+
+/// Reads a command and its envelope metadata from a parsed request
+/// object; [`parse_command_meta`] is this after [`json::parse`].
+///
+/// # Errors
+///
+/// Returns a message naming the first malformed or missing field.
+pub fn command_from_json(doc: &Json) -> Result<(Command, RequestMeta), String> {
     let mut meta = RequestMeta::default();
     if let Some(tenant) = doc.get("tenant") {
         let name = tenant
@@ -236,7 +244,7 @@ pub fn parse_command_meta(line: &str) -> Result<(Command, RequestMeta), String> 
         }
         meta.tenant = Some(name);
     }
-    if let Some(cmd) = doc.get("cmd").and_then(Json::as_str) {
+    if let Some(cmd) = doc.get_str("cmd") {
         return match cmd {
             "shutdown" => Ok((Command::Shutdown, meta)),
             "stats" => Ok((Command::Stats, meta)),
@@ -244,9 +252,9 @@ pub fn parse_command_meta(line: &str) -> Result<(Command, RequestMeta), String> 
             other => Err(format!("unknown cmd `{other}` (shutdown | stats | flight)")),
         };
     }
-    let n = field_usize(&doc, "n")?;
-    let k = field_usize(&doc, "k")?;
-    let q = field_usize(&doc, "q")?;
+    let n = field_usize(doc, "n")?;
+    let k = field_usize(doc, "k")?;
+    let q = field_usize(doc, "q")?;
     if n > MAX_N {
         return Err(format!("`n` exceeds the served maximum {MAX_N}"));
     }
@@ -262,22 +270,19 @@ pub fn parse_command_meta(line: &str) -> Result<(Command, RequestMeta), String> 
             "configuration too large: k*(n+q) = {work} exceeds {MAX_WORK}"
         ));
     }
-    let eps = doc
-        .get("eps")
-        .and_then(Json::as_f64)
-        .ok_or("`eps` must be a number")?;
+    let eps = doc.get_f64("eps").ok_or("`eps` must be a number")?;
     if !(eps > 0.0 && eps <= 1.0) {
         return Err(format!("`eps` must be in (0, 1], got {eps}"));
     }
     if q == 0 {
         return Err("`q` must be at least 1".into());
     }
-    let seed = doc.get("seed").and_then(Json::as_u64).unwrap_or(0);
-    let trials = doc.get("trials").and_then(Json::as_u64).unwrap_or(1);
+    let seed = doc.get_u64("seed").unwrap_or(0);
+    let trials = doc.get_u64("trials").unwrap_or(1);
     if trials == 0 || trials > MAX_TRIALS {
         return Err(format!("`trials` must be in 1..={MAX_TRIALS}"));
     }
-    let rule_spec = doc.get("rule").and_then(Json::as_str).unwrap_or("balanced");
+    let rule_spec = doc.get_str("rule").unwrap_or("balanced");
     let rule = parse_rule(rule_spec, k)?;
     if matches!(rule, Rule::And | Rule::TThreshold { .. }) {
         // λ₀ > MAX_LAMBDA exactly when C(q,2) > MAX_LAMBDA·n (q ≥ 1 here).
@@ -289,10 +294,7 @@ pub fn parse_command_meta(line: &str) -> Result<(Command, RequestMeta), String> 
             ));
         }
     }
-    let family_spec = doc
-        .get("samples")
-        .and_then(Json::as_str)
-        .unwrap_or("uniform");
+    let family_spec = doc.get_str("samples").unwrap_or("uniform");
     let family = Family::parse(family_spec).ok_or_else(|| {
         format!("unknown samples family `{family_spec}` (uniform | two-level | alternating | zipf)")
     })?;
@@ -343,21 +345,22 @@ pub fn parse_rule(spec: &str, k: usize) -> Result<Rule, String> {
 /// the load generator and tests; the server only parses.
 #[must_use]
 pub fn render_request(req: &Request) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("{");
-    let _ = write!(
-        out,
-        "\"n\":{},\"k\":{},\"q\":{},\"eps\":",
-        req.n, req.k, req.q
-    );
-    json::write_f64(&mut out, req.eps);
-    out.push_str(",\"rule\":");
-    json::write_escaped(&mut out, &rule_wire_name(req.rule));
-    out.push_str(",\"samples\":");
-    json::write_escaped(&mut out, req.family.name());
-    let _ = write!(out, ",\"seed\":{},\"trials\":{}", req.seed, req.trials);
-    out.push('}');
-    out
+    json::to_string(&request_json(req))
+}
+
+/// A request as its wire object, members in wire order.
+#[must_use]
+pub fn request_json(req: &Request) -> Json {
+    Json::obj([
+        ("n", req.n.into()),
+        ("k", req.k.into()),
+        ("q", req.q.into()),
+        ("eps", req.eps.into()),
+        ("rule", rule_wire_name(req.rule).into()),
+        ("samples", req.family.name().into()),
+        ("seed", req.seed.into()),
+        ("trials", req.trials.into()),
+    ])
 }
 
 /// The wire spelling of a rule (`Display` for `TThreshold` prints
@@ -407,24 +410,15 @@ impl Reply {
     /// Renders the reply as its wire line (no trailing newline).
     #[must_use]
     pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("{\"verdict\":");
-        json::write_escaped(&mut out, &self.verdict.to_string());
-        out.push_str(",\"p_hat\":");
-        json::write_f64(&mut out, self.p_hat);
-        out.push_str(",\"wilson_lo\":");
-        json::write_f64(&mut out, self.wilson_lo);
-        out.push_str(",\"wilson_hi\":");
-        json::write_f64(&mut out, self.wilson_hi);
-        let _ = write!(
-            out,
-            ",\"cache\":\"{}\",\"micros\":{},\"rid\":{}",
-            if self.cache_hit { "hit" } else { "miss" },
-            self.micros,
-            self.rid
-        );
-        out.push('}');
-        out
+        json::to_string(&Json::obj([
+            ("verdict", self.verdict.to_string().into()),
+            ("p_hat", self.p_hat.into()),
+            ("wilson_lo", self.wilson_lo.into()),
+            ("wilson_hi", self.wilson_hi.into()),
+            ("cache", if self.cache_hit { "hit" } else { "miss" }.into()),
+            ("micros", self.micros.into()),
+            ("rid", self.rid.into()),
+        ]))
     }
 }
 
@@ -449,33 +443,28 @@ impl ReplyLine {
     /// Returns a message if the line is not one of the reply shapes.
     pub fn parse(line: &str) -> Result<ReplyLine, String> {
         let doc = json::parse(line)?;
-        if let Some(message) = doc.get("error").and_then(Json::as_str) {
-            if doc.get("shed") == Some(&Json::Bool(true)) {
+        if let Some(message) = doc.get_str("error") {
+            if doc.get_bool("shed") == Some(true) {
                 return Ok(ReplyLine::Overloaded);
             }
             return Ok(ReplyLine::Error(message.to_owned()));
         }
-        if doc.get("ok").and_then(Json::as_str) == Some("shutdown") {
+        if doc.get_str("ok") == Some("shutdown") {
             return Ok(ReplyLine::ShutdownAck);
         }
-        let verdict = match doc.get("verdict").and_then(Json::as_str) {
+        let verdict = match doc.get_str("verdict") {
             Some("accept") => Verdict::Accept,
             Some("reject") => Verdict::Reject,
             other => return Err(format!("bad verdict field: {other:?}")),
         };
-        let num = |key: &str| -> Result<f64, String> {
-            doc.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("missing `{key}`"))
-        };
         Ok(ReplyLine::Reply(Reply {
             verdict,
-            p_hat: num("p_hat")?,
-            wilson_lo: num("wilson_lo")?,
-            wilson_hi: num("wilson_hi")?,
-            cache_hit: doc.get("cache").and_then(Json::as_str) == Some("hit"),
-            micros: doc.get("micros").and_then(Json::as_u64).unwrap_or(0),
-            rid: doc.get("rid").and_then(Json::as_u64).unwrap_or(0),
+            p_hat: doc.need("p_hat", Json::as_f64)?,
+            wilson_lo: doc.need("wilson_lo", Json::as_f64)?,
+            wilson_hi: doc.need("wilson_hi", Json::as_f64)?,
+            cache_hit: doc.get_str("cache") == Some("hit"),
+            micros: doc.get_u64("micros").unwrap_or(0),
+            rid: doc.get_u64("rid").unwrap_or(0),
         }))
     }
 }
@@ -483,7 +472,11 @@ impl ReplyLine {
 /// The line sent for a request shed at the global queue bound.
 #[must_use]
 pub fn render_overloaded() -> String {
-    "{\"error\":\"overloaded\",\"shed\":true}".to_owned()
+    json::to_string(&overloaded())
+}
+
+fn overloaded() -> Json {
+    Json::obj([("error", "overloaded".into()), ("shed", true.into())])
 }
 
 /// The line sent for a request shed by its tenant's admission quota.
@@ -491,59 +484,52 @@ pub fn render_overloaded() -> String {
 /// while letting clients distinguish quota sheds from global ones.
 #[must_use]
 pub fn render_overloaded_tenant(tenant: &str) -> String {
-    let mut out =
-        String::from("{\"error\":\"overloaded\",\"shed\":true,\"scope\":\"tenant\",\"tenant\":");
-    json::write_escaped(&mut out, tenant);
-    out.push('}');
-    out
+    let mut line = overloaded();
+    line.push("scope", "tenant");
+    line.push("tenant", tenant.to_owned());
+    json::to_string(&line)
 }
 
 /// Renders a request with a tenant envelope field; used by the load
 /// generator's tenant lanes and the trace replayer.
 #[must_use]
 pub fn render_request_tenant(req: &Request, tenant: &str) -> String {
-    let mut out = render_request(req);
-    out.pop(); // trailing '}'
-    out.push_str(",\"tenant\":");
-    json::write_escaped(&mut out, tenant);
-    out.push('}');
-    out
+    let mut line = request_json(req);
+    line.push("tenant", tenant.to_owned());
+    json::to_string(&line)
 }
 
 /// The line sent for a malformed or invalid request.
 #[must_use]
 pub fn render_error(message: &str) -> String {
-    let mut out = String::from("{\"error\":");
-    json::write_escaped(&mut out, message);
-    out.push('}');
-    out
+    json::to_string(&Json::obj([("error", message.to_owned().into())]))
 }
 
 /// The acknowledgement for a shutdown command.
 #[must_use]
 pub fn render_shutdown_ack() -> String {
-    "{\"ok\":\"shutdown\"}".to_owned()
+    json::to_string(&Json::obj([("ok", "shutdown".into())]))
 }
 
 /// The line sent when a request line exceeds [`MAX_LINE_BYTES`]; the
 /// connection is closed right after.
 #[must_use]
 pub fn render_line_too_long() -> String {
-    "{\"error\":\"line_too_long\"}".to_owned()
+    render_error("line_too_long")
 }
 
 /// The line sent when a connection exhausts its error budget; the
 /// connection is closed right after.
 #[must_use]
 pub fn render_error_budget_exhausted() -> String {
-    "{\"error\":\"error_budget_exhausted\"}".to_owned()
+    render_error("error_budget_exhausted")
 }
 
 /// The line sent when a connection is reaped for failing to complete
 /// a request line within the idle timeout.
 #[must_use]
 pub fn render_idle_timeout() -> String {
-    "{\"error\":\"idle_timeout\"}".to_owned()
+    render_error("idle_timeout")
 }
 
 #[cfg(test)]
@@ -561,35 +547,6 @@ mod tests {
             seed: 42,
             trials: 5,
         }
-    }
-
-    #[test]
-    fn request_round_trips() {
-        let req = sample_request();
-        let line = render_request(&req);
-        assert_eq!(parse_command(&line), Ok(Command::Run(req)));
-    }
-
-    #[test]
-    fn reply_round_trips_bit_identically() {
-        let reply = Reply {
-            verdict: Verdict::Accept,
-            p_hat: 2.0 / 3.0,
-            wilson_lo: 0.123_456_789_012_345_6,
-            wilson_hi: 0.999_999_999_999_999_9,
-            cache_hit: true,
-            micros: 777,
-            rid: 31,
-        };
-        let parsed = ReplyLine::parse(&reply.render()).unwrap();
-        let ReplyLine::Reply(back) = parsed else {
-            panic!("not a reply: {parsed:?}");
-        };
-        // Bit-exact floats across the wire: shortest round-trip repr.
-        assert_eq!(back.p_hat.to_bits(), reply.p_hat.to_bits());
-        assert_eq!(back.wilson_lo.to_bits(), reply.wilson_lo.to_bits());
-        assert_eq!(back.wilson_hi.to_bits(), reply.wilson_hi.to_bits());
-        assert_eq!(back, reply);
     }
 
     #[test]
@@ -720,6 +677,90 @@ mod tests {
         assert!(parse_command_meta("{\"tenant\":\"\",\"n\":64}").is_err());
         let long = format!("{{\"tenant\":\"{}\",\"n\":64}}", "x".repeat(65));
         assert!(parse_command_meta(&long).is_err());
+    }
+
+    #[test]
+    fn wire_lines_keep_their_bytes() {
+        let large = Request {
+            n: MAX_N,
+            k: 1,
+            q: 3,
+            eps: 1.0,
+            rule: Rule::Balanced,
+            family: Family::Zipf,
+            seed: 13_827_855_532_095_422_826,
+            trials: MAX_TRIALS,
+        };
+        let lines = [
+            (
+                render_request(&sample_request()),
+                r#"{"n":256,"k":8,"q":12,"eps":0.5,"rule":"threshold:2","samples":"two-level","seed":42,"trials":5}"#,
+            ),
+            (
+                render_request(&large),
+                r#"{"n":1048576,"k":1,"q":3,"eps":1,"rule":"balanced","samples":"zipf","seed":13827855532095422826,"trials":100000}"#,
+            ),
+            (
+                render_request_tenant(&sample_request(), "team-a"),
+                r#"{"n":256,"k":8,"q":12,"eps":0.5,"rule":"threshold:2","samples":"two-level","seed":42,"trials":5,"tenant":"team-a"}"#,
+            ),
+            (
+                render_request_tenant(&large, "q\"u\\o\n\u{1}é☃"),
+                r#"{"n":1048576,"k":1,"q":3,"eps":1,"rule":"balanced","samples":"zipf","seed":13827855532095422826,"trials":100000,"tenant":"q\"u\\o\n\u0001é☃"}"#,
+            ),
+            (
+                Reply {
+                    verdict: Verdict::Accept,
+                    p_hat: 2.0 / 3.0,
+                    wilson_lo: 0.123_456_789_012_345_6,
+                    wilson_hi: 0.999_999_999_999_999_9,
+                    cache_hit: true,
+                    micros: 777,
+                    rid: 31,
+                }
+                .render(),
+                r#"{"verdict":"accept","p_hat":0.6666666666666666,"wilson_lo":0.1234567890123456,"wilson_hi":0.9999999999999999,"cache":"hit","micros":777,"rid":31}"#,
+            ),
+            (
+                Reply {
+                    verdict: Verdict::Reject,
+                    p_hat: 0.0,
+                    wilson_lo: 1e-7,
+                    wilson_hi: 1.0,
+                    cache_hit: false,
+                    micros: 0,
+                    rid: u64::MAX,
+                }
+                .render(),
+                r#"{"verdict":"reject","p_hat":0,"wilson_lo":0.0000001,"wilson_hi":1,"cache":"miss","micros":0,"rid":18446744073709551615}"#,
+            ),
+            (
+                render_overloaded(),
+                r#"{"error":"overloaded","shed":true}"#,
+            ),
+            (
+                render_overloaded_tenant("team-b"),
+                r#"{"error":"overloaded","shed":true,"scope":"tenant","tenant":"team-b"}"#,
+            ),
+            (
+                render_overloaded_tenant("t\"\u{7f}\u{1f}"),
+                "{\"error\":\"overloaded\",\"shed\":true,\"scope\":\"tenant\",\"tenant\":\"t\\\"\u{7f}\\u001f\"}",
+            ),
+            (
+                render_error("nope \"quoted\"\n\ttab\u{0}"),
+                r#"{"error":"nope \"quoted\"\n\ttab\u0000"}"#,
+            ),
+            (render_shutdown_ack(), r#"{"ok":"shutdown"}"#),
+            (render_line_too_long(), r#"{"error":"line_too_long"}"#),
+            (
+                render_error_budget_exhausted(),
+                r#"{"error":"error_budget_exhausted"}"#,
+            ),
+            (render_idle_timeout(), r#"{"error":"idle_timeout"}"#),
+        ];
+        for (line, expected) in lines {
+            assert_eq!(line, expected);
+        }
     }
 
     #[test]

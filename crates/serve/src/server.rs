@@ -15,7 +15,7 @@
 //! readable where it would read a request (or drain a closing
 //! connection), writable where a reply is only partly flushed. The
 //! timeout is the nearest idle-reap, drain-window or shutdown-grace
-//! deadline, capped at [`POLL_INTERVAL`]. What the sockets cannot show
+//! deadline, capped at `POLL_INTERVAL`. What the sockets cannot show
 //! arrives through the shard's self-pipe waker: a connection handed
 //! over by the accept thread, shutdown, a worker reply that left bytes
 //! unflushed or closed the writer, and the last in-flight reply of a

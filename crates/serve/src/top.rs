@@ -152,7 +152,9 @@ pub fn render_frame(stats: &Stats, addr: &str) -> String {
 
 /// Fetches one stats reply over a fresh line on an open connection.
 fn poll_stats(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>) -> Result<Stats, String> {
-    writeln!(stream, "{{\"cmd\":\"stats\"}}").map_err(|e| format!("send stats: {e}"))?;
+    stream
+        .write_all(b"{\"cmd\":\"stats\"}\n")
+        .map_err(|e| format!("send stats: {e}"))?;
     let mut line = String::new();
     let got = reader
         .read_line(&mut line)

@@ -25,7 +25,6 @@ use dut_obs::json::{self, Json};
 use dut_simnet::{FaultPlan, GilbertElliott};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::fmt::Write as _;
 use std::time::Duration;
 
 /// Schema tag stamped into (and required from) every trace artifact.
@@ -166,25 +165,26 @@ impl Trace {
     /// event, trailing newline).
     #[must_use]
     pub fn render(&self) -> String {
+        let header = Json::obj([
+            ("schema", TRACE_SCHEMA.into()),
+            ("span_us", self.span_micros.into()),
+            ("lanes", self.lanes.into()),
+            ("requests", self.events.len().into()),
+        ]);
         let mut out = String::with_capacity(64 + self.events.len() * 48);
-        let _ = writeln!(
-            out,
-            "{{\"schema\":\"{TRACE_SCHEMA}\",\"span_us\":{},\"lanes\":{},\"requests\":{}}}",
-            self.span_micros,
-            self.lanes,
-            self.events.len()
-        );
+        json::write(&mut out, &header);
+        out.push('\n');
         for event in &self.events {
-            let _ = write!(
-                out,
-                "{{\"at_us\":{},\"lane\":{},\"index\":{},\"seed\":{}",
-                event.at_micros, event.lane, event.index, event.seed
-            );
+            let mut row = Json::obj([
+                ("at_us", event.at_micros.into()),
+                ("lane", event.lane.into()),
+                ("index", event.index.into()),
+                ("seed", event.seed.into()),
+            ]);
             if let Some(tenant) = &event.tenant {
-                out.push_str(",\"tenant\":");
-                json::write_escaped(&mut out, tenant);
+                row.push("tenant", tenant.clone());
             }
-            out.push('}');
+            json::write(&mut out, &row);
             out.push('\n');
         }
         out
@@ -201,17 +201,14 @@ impl Trace {
         let mut lines = text.lines().filter(|l| !l.trim().is_empty());
         let header = lines.next().ok_or("empty trace")?;
         let doc = json::parse(header.trim()).map_err(|e| format!("trace header: {e}"))?;
-        match doc.get("schema") {
-            Some(Json::Str(s)) if s == TRACE_SCHEMA => {}
-            Some(Json::Str(s)) => {
-                return Err(format!("trace schema is `{s}`, expected `{TRACE_SCHEMA}`"))
-            }
-            _ => return Err("trace header missing `schema`".to_owned()),
+        match doc.get_str("schema") {
+            Some(TRACE_SCHEMA) => {}
+            Some(s) => return Err(format!("trace schema is `{s}`, expected `{TRACE_SCHEMA}`")),
+            None => return Err("trace header missing `schema`".to_owned()),
         }
-        let need = |key: &str| -> Result<u64, String> {
-            doc.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("trace header missing `{key}`"))
+        let need = |key: &str| {
+            doc.need(key, Json::as_u64)
+                .map_err(|e| format!("trace header {e}"))
         };
         let span_micros = need("span_us")?;
         let lanes = need("lanes")?.max(1);
@@ -221,20 +218,16 @@ impl Trace {
         for (offset, line) in lines.enumerate() {
             let row =
                 json::parse(line.trim()).map_err(|e| format!("trace line {}: {e}", offset + 2))?;
-            let field = |key: &str| -> Result<u64, String> {
-                row.get(key)
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("trace line {} missing `{key}`", offset + 2))
+            let field = |key: &str| {
+                row.need(key, Json::as_u64)
+                    .map_err(|e| format!("trace line {} {e}", offset + 2))
             };
             let event = TraceEvent {
                 at_micros: field("at_us")?,
                 lane: field("lane")?,
                 index: field("index")?,
                 seed: field("seed")?,
-                tenant: row
-                    .get("tenant")
-                    .and_then(Json::as_str)
-                    .map(ToOwned::to_owned),
+                tenant: row.get_str("tenant").map(ToOwned::to_owned),
             };
             if event.lane >= lanes {
                 return Err(format!(
@@ -293,6 +286,19 @@ mod tests {
         let text = trace.render();
         let back = Trace::parse(&text).expect("round trip");
         assert_eq!(back, trace);
+    }
+
+    #[test]
+    fn default_trace_artifact_keeps_its_bytes() {
+        let text = generate(&TraceConfig::default()).render();
+        let fnv1a = text.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!((fnv1a, text.len()), (0x7e48_3ce0_2bcd_9400, 255_374));
+        assert!(text.starts_with(
+            "{\"schema\":\"dut-serve-trace/v1\",\"span_us\":2000000,\"lanes\":8,\"requests\":4982}\n\
+             {\"at_us\":0,\"lane\":0,\"index\":0,\"seed\":1000}\n"
+        ));
     }
 
     #[test]

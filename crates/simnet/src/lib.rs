@@ -3,8 +3,9 @@
 //! Local?* (PODC 2019):
 //!
 //! * `k` **players** each draw `q` iid samples from an unknown
-//!   distribution and send a single bit — or, in the extended model, an
-//!   `r`-bit message — to a **referee**;
+//!   distribution and send a single bit to a **referee** (the extended
+//!   `r`-bit [`Message`] model runs in `dut_testers::QuantizedSumTester`,
+//!   which experiment E6 uses);
 //! * the referee applies a **decision rule** `f : {0,1}^k → {0,1}` and
 //!   announces the verdict ([`Verdict::Accept`] / [`Verdict::Reject`]);
 //! * the paper's special rules are first-class: [`DecisionRule::And`]
@@ -63,7 +64,7 @@ pub mod topology;
 pub use bits::PackedBits;
 pub use message::Message;
 pub use network::{Network, RunOutcome, Transcript};
-pub use player::{BitPlayerAdapter, CountPlayer, MessagePlayer, Player, PlayerContext};
+pub use player::{CountPlayer, Player, PlayerContext};
 pub use rates::RateVector;
 pub use resilience::{
     byzantine_tolerance, rejection_rate, ByzantineBehavior, ByzantinePlan, FaultPlan, FaultStats,
@@ -71,5 +72,5 @@ pub use resilience::{
     ReliablePlan, ResilientNetwork, ResilientOutcome, RobustRule, TargetedLoss,
 };
 pub use rounds::{RoundAlgorithm, RoundMessage, RoundModel, RoundNetwork, RoundStats};
-pub use rule::{CustomDecisionFn, DecisionRule, MessageReferee, Verdict};
+pub use rule::{CustomDecisionFn, DecisionRule, Verdict};
 pub use topology::Topology;

@@ -1,7 +1,7 @@
 use crate::bits::PackedBits;
 use crate::message::Message;
-use crate::player::{CountPlayer, MessagePlayer, Player, PlayerContext};
-use crate::rule::{DecisionRule, MessageReferee, Verdict};
+use crate::player::{CountPlayer, Player, PlayerContext};
+use crate::rule::{DecisionRule, Verdict};
 use dut_obs::metrics::{Counter, Gauge, HistogramId};
 use dut_probability::{DualSampler, SampleBackend, Sampler};
 use dut_stats::seed::derive_seed;
@@ -320,75 +320,6 @@ impl Network {
             },
         }
     }
-
-    /// Runs the `r`-bit message protocol with an arbitrary referee.
-    pub fn run_messages<S, P, Ref, R>(
-        &self,
-        sampler: &S,
-        samples_per_player: usize,
-        player: &P,
-        referee: &Ref,
-        rng: &mut R,
-    ) -> RunOutcome
-    where
-        S: Sampler,
-        P: MessagePlayer + ?Sized,
-        Ref: MessageReferee + ?Sized,
-        R: Rng + ?Sized,
-    {
-        let shared_seed: u64 = rng.random();
-        let mut messages = Vec::with_capacity(self.num_players);
-        for player_id in 0..self.num_players {
-            let ctx = PlayerContext {
-                player_id,
-                num_players: self.num_players,
-                shared_seed,
-            };
-            let samples = sampler.sample_many(samples_per_player, rng);
-            messages.push(player.message(&ctx, &samples));
-        }
-        let verdict = referee.decide(&messages);
-        record_run(
-            verdict,
-            (samples_per_player * self.num_players) as u64,
-            messages.iter().map(|m| u64::from(m.len())).sum(),
-        );
-        RunOutcome {
-            verdict,
-            transcript: Transcript {
-                messages,
-                samples_drawn: vec![samples_per_player; self.num_players],
-                shared_seed,
-            },
-        }
-    }
-
-    /// Estimates the acceptance probability of a one-bit protocol by
-    /// running it `trials` times. Convenience for tests and calibration.
-    pub fn acceptance_rate<S, P, R>(
-        &self,
-        sampler: &S,
-        samples_per_player: usize,
-        player: &P,
-        rule: &DecisionRule,
-        trials: usize,
-        rng: &mut R,
-    ) -> f64
-    where
-        S: Sampler,
-        P: Player + ?Sized,
-        R: Rng + ?Sized,
-    {
-        assert!(trials > 0, "need at least one trial");
-        let accepted = (0..trials)
-            .filter(|_| {
-                self.run(sampler, samples_per_player, player, rule, rng)
-                    .verdict
-                    .is_accept()
-            })
-            .count();
-        accepted as f64 / trials as f64
-    }
 }
 
 #[cfg(test)]
@@ -464,36 +395,6 @@ mod tests {
         };
         net.run_with_sample_counts(&sampler, &counts, &player, &DecisionRule::And, &mut rng());
         assert_eq!(lens.into_inner(), vec![1, 5, 9]);
-    }
-
-    #[test]
-    fn message_protocol_collects_payloads() {
-        let net = Network::new(4);
-        let sampler = families::uniform(8).alias_sampler();
-        let player = |ctx: &PlayerContext, _s: &[usize]| Message::new(ctx.player_id as u32, 4);
-        let referee = |messages: &[Message]| {
-            Verdict::from_accept_bit(messages.iter().map(|m| m.bits()).sum::<u32>() == 6)
-        };
-        let out = net.run_messages(&sampler, 2, &player, &referee, &mut rng());
-        assert_eq!(out.verdict, Verdict::Accept);
-        assert_eq!(out.transcript.messages[3].bits(), 3);
-    }
-
-    #[test]
-    fn acceptance_rate_extremes() {
-        let net = Network::new(2);
-        let sampler = families::uniform(4).alias_sampler();
-        let always = |_: &PlayerContext, _: &[usize]| true;
-        let never = |_: &PlayerContext, _: &[usize]| false;
-        let mut r = rng();
-        assert_eq!(
-            net.acceptance_rate(&sampler, 1, &always, &DecisionRule::And, 50, &mut r),
-            1.0
-        );
-        assert_eq!(
-            net.acceptance_rate(&sampler, 1, &never, &DecisionRule::And, 50, &mut r),
-            0.0
-        );
     }
 
     #[test]

@@ -1,4 +1,3 @@
-use crate::message::Message;
 use dut_probability::Histogram;
 
 /// Per-player information available when deciding: identity, network
@@ -48,38 +47,9 @@ impl<F: Fn(&PlayerContext, &Histogram) -> bool> CountPlayer for F {
     }
 }
 
-/// A player in the `r`-bit message model.
-pub trait MessagePlayer {
-    /// Computes the message to send from local samples.
-    fn message(&self, ctx: &PlayerContext, samples: &[usize]) -> Message;
-}
-
-impl<F: Fn(&PlayerContext, &[usize]) -> Message> MessagePlayer for F {
-    fn message(&self, ctx: &PlayerContext, samples: &[usize]) -> Message {
-        self(ctx, samples)
-    }
-}
-
-/// Adapts any one-bit [`Player`] into the message model.
-#[derive(Debug, Clone, Copy)]
-pub struct BitPlayerAdapter<P>(pub P);
-
-impl<P: Player> MessagePlayer for BitPlayerAdapter<P> {
-    fn message(&self, ctx: &PlayerContext, samples: &[usize]) -> Message {
-        Message::from_accept_bit(self.0.accepts(ctx, samples))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    struct AlwaysAccept;
-    impl Player for AlwaysAccept {
-        fn accepts(&self, _ctx: &PlayerContext, _samples: &[usize]) -> bool {
-            true
-        }
-    }
 
     fn ctx() -> PlayerContext {
         PlayerContext {
@@ -94,20 +64,6 @@ mod tests {
         let player = |_ctx: &PlayerContext, samples: &[usize]| samples.len() < 3;
         assert!(player.accepts(&ctx(), &[1, 2]));
         assert!(!player.accepts(&ctx(), &[1, 2, 3]));
-    }
-
-    #[test]
-    fn closure_is_a_message_player() {
-        let player =
-            |_ctx: &PlayerContext, samples: &[usize]| Message::new(samples.len() as u32, 8);
-        assert_eq!(player.message(&ctx(), &[9, 9]).bits(), 2);
-    }
-
-    #[test]
-    fn adapter_wraps_bit_player() {
-        let adapted = BitPlayerAdapter(AlwaysAccept);
-        let m = adapted.message(&ctx(), &[]);
-        assert!(m.as_accept_bit());
     }
 
     #[test]

@@ -151,7 +151,7 @@ impl ResilientNetwork {
     ///
     /// Phases: `begin_run` → per-player `pre_sample` + sampling →
     /// bit computation → `corrupt` (Byzantine) → up to
-    /// [`Recovery::rounds`] transmission rounds through
+    /// `Recovery::rounds` transmission rounds through
     /// `deliver_round` → majority decoding (ties decode to *reject*,
     /// the fail-safe direction) → missing policy → decision rule.
     ///

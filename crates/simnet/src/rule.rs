@@ -1,5 +1,4 @@
 use crate::bits::PackedBits;
-use crate::message::Message;
 use std::fmt;
 use std::sync::Arc;
 
@@ -150,19 +149,6 @@ impl DecisionRule {
 impl fmt::Debug for DecisionRule {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "DecisionRule::{}", self.name())
-    }
-}
-
-/// A referee for the `r`-bit message model: any function from the vector
-/// of player messages to a verdict.
-pub trait MessageReferee {
-    /// Decides from the full message vector.
-    fn decide(&self, messages: &[Message]) -> Verdict;
-}
-
-impl<F: Fn(&[Message]) -> Verdict> MessageReferee for F {
-    fn decide(&self, messages: &[Message]) -> Verdict {
-        self(messages)
     }
 }
 

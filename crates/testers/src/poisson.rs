@@ -68,6 +68,10 @@ pub fn poisson_log_pmf(lambda: f64, k: u64) -> f64 {
 
 /// The smallest integer threshold `t` with `Pr[Poisson(λ) ≥ t] ≤ alpha`.
 ///
+/// Brackets the answer with doubling steps away from `⌈λ⌉`, then
+/// bisects, so it evaluates [`poisson_upper_tail`] O(log(|t − λ| + 1))
+/// times rather than once per integer between `⌈λ⌉` and `t`.
+///
 /// # Panics
 ///
 /// Panics if `alpha ∉ (0, 1]` or `lambda` is invalid.
@@ -78,16 +82,47 @@ pub fn poisson_threshold_for_tail(lambda: f64, alpha: f64) -> u64 {
         lambda.is_finite() && lambda >= 0.0,
         "lambda must be non-negative"
     );
-    let mut t = dut_stats::convert::ceil_to_usize(lambda) as u64;
-    // Walk down while the tail at t-1 still satisfies alpha.
-    while t > 0 && poisson_upper_tail(lambda, t - 1) <= alpha {
-        t -= 1;
+    let over = |t: u64| poisson_upper_tail(lambda, t) > alpha;
+    let start = dut_stats::convert::ceil_to_usize(lambda) as u64;
+    // `over(bad)` and `!over(good)` hold throughout.
+    let (mut bad, mut good) = if start > 0 && !over(start - 1) {
+        // Within budget below ⌈λ⌉: step down until the tail exceeds it.
+        let mut good = start - 1;
+        let mut step = 1;
+        loop {
+            if good == 0 {
+                return 0;
+            }
+            let probe = good.saturating_sub(step);
+            if over(probe) {
+                break (probe, good);
+            }
+            good = probe;
+            step *= 2;
+        }
+    } else if over(start) {
+        let mut bad = start;
+        let mut step = 1;
+        loop {
+            let probe = bad + step;
+            if !over(probe) {
+                break (bad, probe);
+            }
+            bad = probe;
+            step *= 2;
+        }
+    } else {
+        return start;
+    };
+    while good - bad > 1 {
+        let mid = bad + (good - bad) / 2;
+        if over(mid) {
+            bad = mid;
+        } else {
+            good = mid;
+        }
     }
-    // Walk up until satisfied.
-    while poisson_upper_tail(lambda, t) > alpha {
-        t += 1;
-    }
-    t
+    good
 }
 
 /// `ln(k!)` by summation for small `k` and Stirling's series for large.
@@ -162,6 +197,48 @@ mod tests {
                         "λ={lambda} α={alpha}: threshold not minimal"
                     );
                 }
+            }
+        }
+    }
+
+    /// The linear walk this search replaced: down from `⌈λ⌉` while the
+    /// tail one below is within budget, then up until it is.
+    fn walk_threshold(lambda: f64, alpha: f64) -> u64 {
+        let mut t = dut_stats::convert::ceil_to_usize(lambda) as u64;
+        while t > 0 && poisson_upper_tail(lambda, t - 1) <= alpha {
+            t -= 1;
+        }
+        while poisson_upper_tail(lambda, t) > alpha {
+            t += 1;
+        }
+        t
+    }
+
+    #[test]
+    fn threshold_search_matches_the_linear_walk() {
+        // λ from 2⁻¹⁴ (≈ 10⁻⁴) to 2¹² in half-octave
+        // steps, plus the C(q,2)/n that E2, E3 and the serve path ask
+        // for; α the node budgets T/(4k) and a few coarse levels.
+        let mut lambdas: Vec<f64> = (-28..=24).map(|j| 2f64.powf(f64::from(j) / 2.0)).collect();
+        for n in [64.0, 256.0, 1024.0, 4096.0] {
+            lambdas.extend((2..200).step_by(9).map(|q| f64::from(q * (q - 1) / 2) / n));
+        }
+        let mut alphas = vec![0.05, 0.25, 0.5, 1.0];
+        for k in (0..=12).map(|e| f64::from(1u32 << e)) {
+            alphas.extend(
+                [1.0, 2.0, 16.0]
+                    .map(|t| t / (4.0 * k))
+                    .into_iter()
+                    .filter(|&a| a <= 1.0),
+            );
+        }
+        for &lambda in &lambdas {
+            for &alpha in &alphas {
+                assert_eq!(
+                    poisson_threshold_for_tail(lambda, alpha),
+                    walk_threshold(lambda, alpha),
+                    "λ={lambda} α={alpha}"
+                );
             }
         }
     }

@@ -1323,35 +1323,34 @@ fn time_backends(
 /// the timing columns plus a provenance block (thread count and host
 /// triple).
 fn render_bench_file(entries: &[BenchEntry], smoke: bool) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("{\"schema\":");
-    dut_obs::json::write_escaped(&mut out, BENCH_SCHEMA);
-    let _ = write!(
-        out,
-        ",\"mode\":\"{}\",\"provenance\":{{\"threads\":{},\"host\":\"{}-{}\"",
-        if smoke { "smoke" } else { "full" },
-        distributed_uniformity::stats::runner::available_threads(),
-        std::env::consts::OS,
-        std::env::consts::ARCH
-    );
-    out.push_str("},\"entries\":[");
-    for (i, e) in entries.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{{\"n\":{},\"q\":{},\"per_draw_ns\":", e.n, e.q);
-        dut_obs::json::write_f64(&mut out, e.per_draw_ns);
-        out.push_str(",\"histogram_ns\":");
-        dut_obs::json::write_f64(&mut out, e.histogram_ns);
-        out.push_str(",\"auto_ns\":");
-        dut_obs::json::write_f64(&mut out, e.auto_ns);
-        out.push_str(",\"auto_backend\":");
-        dut_obs::json::write_escaped(&mut out, e.auto_backend);
-        out.push_str(",\"speedup\":");
-        dut_obs::json::write_f64(&mut out, e.speedup());
-        out.push('}');
-    }
-    out.push_str("]}\n");
+    use dut_obs::json::{self, Json};
+    let host = format!("{}-{}", std::env::consts::OS, std::env::consts::ARCH);
+    let provenance = Json::obj([
+        (
+            "threads",
+            distributed_uniformity::stats::runner::available_threads().into(),
+        ),
+        ("host", host.into()),
+    ]);
+    let rows = entries.iter().map(|e| {
+        Json::obj([
+            ("n", e.n.into()),
+            ("q", e.q.into()),
+            ("per_draw_ns", e.per_draw_ns.into()),
+            ("histogram_ns", e.histogram_ns.into()),
+            ("auto_ns", e.auto_ns.into()),
+            ("auto_backend", e.auto_backend.into()),
+            ("speedup", e.speedup().into()),
+        ])
+    });
+    let doc = Json::obj([
+        ("schema", BENCH_SCHEMA.into()),
+        ("mode", if smoke { "smoke" } else { "full" }.into()),
+        ("provenance", provenance),
+        ("entries", Json::Arr(rows.collect())),
+    ]);
+    let mut out = json::to_string(&doc);
+    out.push('\n');
     out
 }
 
@@ -1673,4 +1672,48 @@ fn cmd_advise(mut args: Args) -> Result<(), String> {
     );
     println!("rationale: {}", rec.rationale);
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bench_file_keeps_its_bytes() {
+        let entries = [
+            BenchEntry {
+                n: 100,
+                q: 1000,
+                per_draw_ns: 15_632.016_983_016_983,
+                histogram_ns: 7_067.137_946_630_484,
+                auto_ns: 6_990.626_565_295_169,
+                auto_backend: "histogram",
+            },
+            BenchEntry {
+                n: 10_000,
+                q: 1000,
+                per_draw_ns: 42_444.0,
+                histogram_ns: 1e-7,
+                auto_ns: 0.5,
+                auto_backend: "per-draw",
+            },
+        ];
+        let provenance = format!(
+            r#""provenance":{{"threads":{},"host":"{}-{}"}}"#,
+            distributed_uniformity::stats::runner::available_threads(),
+            std::env::consts::OS,
+            std::env::consts::ARCH
+        );
+        assert_eq!(
+            render_bench_file(&entries, false),
+            format!(
+                r#"{{"schema":"dut-bench-perf/v2","mode":"full",{provenance},"entries":[{{"n":100,"q":1000,"per_draw_ns":15632.016983016983,"histogram_ns":7067.137946630484,"auto_ns":6990.626565295169,"auto_backend":"histogram","speedup":2.211930360078809}},{{"n":10000,"q":1000,"per_draw_ns":42444,"histogram_ns":0.0000001,"auto_ns":0.5,"auto_backend":"per-draw","speedup":424440000000}}]}}"#
+            ) + "\n"
+        );
+        assert_eq!(
+            render_bench_file(&[], true),
+            format!(r#"{{"schema":"dut-bench-perf/v2","mode":"smoke",{provenance},"entries":[]}}"#)
+                + "\n"
+        );
+    }
 }

@@ -51,6 +51,15 @@ fn every_corpus_entry_validates() {
 }
 
 #[test]
+fn every_corpus_file_is_what_its_entry_renders() {
+    for file in corpus_files() {
+        let text = std::fs::read_to_string(&file).expect("corpus file readable");
+        let entry = Entry::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", file.display()));
+        assert_eq!(entry.render(), text, "{}", file.display());
+    }
+}
+
+#[test]
 fn every_corpus_entry_replays_clean() {
     let entries: Vec<(PathBuf, Entry)> = corpus_files()
         .into_iter()
