@@ -113,9 +113,11 @@ impl Harness {
 /// The answer is exactly `p̂_uniform ≥ 2/3 && p̂_far ≥ 2/3` over all
 /// `2·trials` of those executions, but the work stops as soon as the
 /// finished trials fix it ([`decide_two_sided`]): when one side can no
-/// longer reach 2/3, or both already have. Each side's verdict is a
-/// threshold of a fixed vector of seeded outcomes, so the bool does
-/// not depend on the thread count or schedule.
+/// longer reach 2/3, or both already have. Each next trial goes to the
+/// side that is losing, so a failing probe spends its trials on the
+/// side that fails it. Each side runs its trials in index order and
+/// its verdict is a threshold of a fixed vector of seeded outcomes, so
+/// the bool does not depend on the thread count or schedule.
 pub fn two_sided_success<F>(
     trials: u64,
     seed: u64,

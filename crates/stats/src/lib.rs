@@ -8,7 +8,8 @@
 //!    ([`seed::derive_seed`]),
 //! 2. run many trials in parallel: [`runner::decide_two_sided`] decides
 //!    whether both sides of a test reach the paper's 2/3 success rate,
-//!    stopping as soon as the finished trials fix the answer, and
+//!    running the trials of whichever side is losing and stopping as
+//!    soon as the finished trials fix the answer, and
 //!    [`runner::run_measurements`] collects one value per trial;
 //!    success counts are summarized with Wilson intervals
 //!    ([`SuccessEstimate`]),

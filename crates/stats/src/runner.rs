@@ -2,6 +2,7 @@
 
 use crate::seed::derive_seed;
 use crate::{SuccessEstimate, REQUIRED_SUCCESS};
+use dut_obs::json::Json;
 use dut_obs::metrics::{Counter, Gauge, HistogramId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -13,22 +14,27 @@ use std::time::Instant;
 /// Returns exactly the verdict of running all `2·trials` trials and
 /// counting, but usually runs far fewer.
 ///
-/// The trials of both sides are interleaved (side 0 trial 0, side 1
-/// trial 0, side 0 trial 1, …) and handed to
-/// [`available_threads`] workers, which share atomic win and loss
-/// counts per side. A side closes once its finished trials fix its
-/// verdict: at `true` when its wins alone pass, at `false` when its
-/// wins plus every unfinished trial would still fail. Work stops once
-/// either side is fixed at `false` or both are fixed at `true`.
+/// Each side keeps its own trial counter and runs its trials in index
+/// order. [`available_threads`] workers share atomic win and loss
+/// counts per side, and each worker runs the next trial of the side
+/// that is losing: the open side with the higher Laplace loss rate
+/// `(losses + 1) / (finished + 2)`, ties going to the side with fewer
+/// trials started. A side closes once its finished trials fix its
+/// verdict: at `true` when its wins alone pass (134 of 200), at
+/// `false` when its wins plus every unfinished trial would still fail
+/// (67 losses). Work stops once either side is fixed at `false` or
+/// both are fixed at `true`. A failing probe thus spends its trials
+/// on the side that fails it, and a passing one splits them about
+/// evenly.
 ///
 /// The result is exact and schedule-free: trial `i` of a side always
 /// gets the same seed, so its outcome is fixed, and at every moment
 /// `wins ≤ s ≤ trials − losses`. A side's verdict is monotone in `s`,
 /// so a bound that passes (or fails) implies the final count does
-/// too, whichever trials the threads happened to finish first. Only
-/// the number of trials run depends on the schedule; the metrics
-/// registry counts them as `trials_run`, and the ones the decision
-/// made unnecessary as `trials_skipped`.
+/// too, whichever side the workers picked and whichever trials they
+/// happened to finish first. Only the number of trials run depends
+/// on the schedule; the metrics registry counts them as `trials_run`,
+/// and the ones the decision made unnecessary as `trials_skipped`.
 ///
 /// # Panics
 ///
@@ -60,41 +66,40 @@ where
     let start = Instant::now();
     let registry = dut_obs::metrics::global();
     registry.set_gauge(Gauge::RunnerThreads, threads as u64);
+    let need = wins_needed(trials);
+    let started = [AtomicU64::new(0), AtomicU64::new(0)];
     let wins = [AtomicU64::new(0), AtomicU64::new(0)];
     let losses = [AtomicU64::new(0), AtomicU64::new(0)];
-    let next = AtomicU64::new(0);
-    let executed = AtomicU64::new(0);
-    let fixed = |side: usize| {
-        side_verdict(
-            wins[side].load(Ordering::Relaxed),
-            losses[side].load(Ordering::Relaxed),
-            trials,
-        )
+    let tallies = || {
+        [0, 1].map(|side| Tally {
+            wins: wins[side].load(Ordering::Relaxed),
+            losses: losses[side].load(Ordering::Relaxed),
+        })
     };
-    let worker = || {
-        let mut local = 0u64;
-        loop {
-            let sides = [fixed(0), fixed(1)];
-            if two_sided_verdict(sides).is_some() {
-                break;
-            }
-            let j = next.fetch_add(1, Ordering::Relaxed);
-            if j >= work {
-                break;
-            }
-            let side = usize::from(j % 2 == 1);
-            if sides[side].is_some() {
-                continue;
-            }
-            let tally = if trial(side, derive_seed(side_seeds[side], j / 2)) {
-                &wins[side]
-            } else {
-                &losses[side]
-            };
-            tally.fetch_add(1, Ordering::Relaxed);
-            local += 1;
+    let worker = || loop {
+        let tally = tallies();
+        let sides = tally.map(|t| t.verdict(trials, need));
+        if two_sided_verdict(sides).is_some() {
+            break;
         }
-        executed.fetch_add(local, Ordering::Relaxed);
+        let started_now = [0, 1].map(|side| started[side].load(Ordering::Relaxed));
+        let open = |side: usize| sides[side].is_none() && started_now[side] < trials;
+        let side = match (open(0), open(1)) {
+            (true, true) => losing_side(tally, started_now),
+            (true, false) => 0,
+            (false, true) => 1,
+            (false, false) => break,
+        };
+        let i = started[side].fetch_add(1, Ordering::Relaxed);
+        if i >= trials {
+            continue;
+        }
+        let count = if trial(side, derive_seed(side_seeds[side], i)) {
+            &wins[side]
+        } else {
+            &losses[side]
+        };
+        count.fetch_add(1, Ordering::Relaxed);
     };
     if threads == 1 {
         worker();
@@ -105,13 +110,17 @@ where
             }
         });
     }
-    let verdict = two_sided_verdict([fixed(0), fixed(1)]);
+    // Every started trial has finished, so each side's tally is its
+    // executed count.
+    let tally = tallies();
+    let verdict = two_sided_verdict(tally.map(|t| t.verdict(trials, need)));
     debug_assert!(
         verdict.is_some(),
         "every trial either ran or belongs to a side already fixed"
     );
     let verdict = verdict == Some(true);
-    let executed = executed.into_inner();
+    let by_side = tally.map(|t| t.wins + t.losses);
+    let executed = by_side[0] + by_side[1];
     registry.add(Counter::TrialsRun, executed);
     registry.add(Counter::TrialsSkipped, work - executed);
     let elapsed_us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
@@ -121,6 +130,10 @@ where
             .with("kind", "two_sided")
             .with("trials", work)
             .with("executed", executed)
+            .with(
+                "executed_by_side",
+                Json::Arr(by_side.map(Json::from).to_vec()),
+            )
             .with("threads", threads)
             .with("verdict", verdict)
             .with("elapsed_us", elapsed_us)
@@ -128,18 +141,58 @@ where
     verdict
 }
 
-/// What one side's finished trials already fix about
-/// `SuccessEstimate::new(s, trials).point() >= REQUIRED_SUCCESS`:
-/// `Some(true)` once `wins` alone passes, `Some(false)` once
-/// `trials − losses` (every unfinished trial a win) still fails,
-/// `None` while the unfinished trials can still tip it.
-fn side_verdict(wins: u64, losses: u64, trials: u64) -> Option<bool> {
-    if SuccessEstimate::new(wins, trials).point() >= REQUIRED_SUCCESS {
-        Some(true)
-    } else if SuccessEstimate::new(trials - losses, trials).point() < REQUIRED_SUCCESS {
-        Some(false)
-    } else {
-        None
+/// The fewest wins out of `trials` whose point estimate reaches
+/// `REQUIRED_SUCCESS` (134 of 200), found once per decision so that
+/// fixing a side's verdict takes integer compares only.
+fn wins_needed(trials: u64) -> u64 {
+    // Passing is monotone in the wins, and all `trials` wins pass.
+    let passes = |wins| SuccessEstimate::new(wins, trials).point() >= REQUIRED_SUCCESS;
+    let (mut lo, mut hi) = (0, trials);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if passes(mid) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    hi
+}
+
+/// One side's finished trials.
+#[derive(Clone, Copy)]
+struct Tally {
+    wins: u64,
+    losses: u64,
+}
+
+impl Tally {
+    /// What these trials already fix about the side's full count
+    /// reaching `need` wins: `Some(true)` once the wins alone do,
+    /// `Some(false)` once `trials − losses` (every unfinished trial a
+    /// win) still falls short, `None` while the unfinished trials can
+    /// still tip it.
+    fn verdict(self, trials: u64, need: u64) -> Option<bool> {
+        if self.wins >= need {
+            Some(true)
+        } else if trials - self.losses < need {
+            Some(false)
+        } else {
+            None
+        }
+    }
+}
+
+/// The side whose next trial should run: the one with the higher
+/// Laplace loss rate `(losses + 1) / (finished + 2)`, compared by
+/// cross-multiplication, then the one with fewer trials `started`,
+/// then side 0.
+fn losing_side(tally: [Tally; 2], started: [u64; 2]) -> usize {
+    let [a, b] = tally.map(|t| (u128::from(t.losses + 1), u128::from(t.wins + t.losses + 2)));
+    let by_rate = (a.0 * b.1).cmp(&(b.0 * a.1));
+    match by_rate.then(started[1].cmp(&started[0])) {
+        std::cmp::Ordering::Less => 1,
+        _ => 0,
     }
 }
 
@@ -350,6 +403,78 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Trials the early decision at `threads` runs on planted outcome
+    /// vectors, counted with a local atomic, next to its verdict.
+    fn runs_to_decide(sides: [&[bool]; 2], threads: usize) -> (bool, u64) {
+        let trials = sides[0].len() as u64;
+        let tables = [
+            planted(SIDE_SEEDS[0], sides[0]),
+            planted(SIDE_SEEDS[1], sides[1]),
+        ];
+        let calls = AtomicU64::new(0);
+        let verdict = decide_two_sided_with_threads(trials, SIDE_SEEDS, threads, |side, seed| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            tables[side][&seed]
+        });
+        (verdict, calls.into_inner())
+    }
+
+    #[test]
+    fn a_failing_completeness_side_takes_the_trials() {
+        // E3's small-T case: uniform is never accepted. Side 0 is fixed
+        // at false after 67 losses; side 1 gets at most the trials that
+        // were in flight, one per extra worker.
+        let uniform = vec![false; 200];
+        let far = vec![true; 200];
+        for threads in 1..=4 {
+            let (verdict, run) = runs_to_decide([&uniform, &far], threads);
+            assert!(!verdict);
+            assert!(
+                run <= 67 + 8,
+                "ran {run} of 400 trials at {threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn one_thread_spends_its_trials_on_the_losing_side() {
+        // Uniform passes (180/200), far fails (110/200 < 134): the
+        // verdict needs only far's 67th loss. Alternating the sides
+        // (uniform trial 0, far trial 0, uniform trial 1, …) ran 301
+        // trials on these vectors.
+        const ALTERNATING_RUNS: u64 = 301;
+        let uniform = outcomes(200, 180, 7);
+        let far = outcomes(200, 110, 8);
+        let (verdict, run) = runs_to_decide([&uniform, &far], 1);
+        assert!(!verdict);
+        assert_eq!(run, 156);
+        assert!(run < ALTERNATING_RUNS);
+    }
+
+    #[test]
+    fn the_trace_splits_executed_trials_by_side() {
+        let recorder = dut_obs::global();
+        let sink = std::sync::Arc::new(dut_obs::MemorySink::new());
+        recorder.install_sink(sink.clone());
+        recorder.set_verbose(true);
+        // 37 trials need 25 wins, so far is fixed at false by its 13th
+        // loss, after one uniform trial has opened the tie.
+        let (verdict, run) = runs_to_decide([&[true; 37], &[false; 37]], 1);
+        recorder.set_verbose(false);
+        recorder.clear_sinks();
+        assert!(!verdict);
+        let batch = sink
+            .take()
+            .into_iter()
+            .find(|e| e.name == "trial_batch" && e.field("trials") == Some(&Json::Uint(74)))
+            .expect("the decision emits a trial_batch event");
+        assert_eq!(batch.field("executed"), Some(&Json::Uint(run)));
+        assert_eq!(
+            batch.field("executed_by_side"),
+            Some(&Json::Arr(vec![Json::Uint(1), Json::Uint(13)]))
+        );
     }
 
     #[test]
