@@ -1,5 +1,6 @@
 //! Microbenchmarks for the sampling substrate: alias vs CDF samplers,
-//! hard-instance construction, and histogram statistics.
+//! hard-instance construction, histogram statistics and the collision
+//! node's draw-and-count kernel.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dut_core::probability::{empirical, families, PairedDomain, PerturbationVector, Sampler};
@@ -86,10 +87,34 @@ fn bench_statistics(c: &mut Criterion) {
     group.finish();
 }
 
+/// One collision node at E1's shapes (n = 4096, the ε = 0.5 far
+/// instance): the fused `collision_count`, which tallies each draw as it
+/// is made, against drawing a sample vector and counting it. Times are
+/// per node; divide by `q` for ns per draw.
+fn bench_collision_node(c: &mut Criterion) {
+    let mut group = c.benchmark_group("collision_node");
+    fast(&mut group);
+    let far = families::two_level(1 << 12, 0.5)
+        .expect("valid two_level")
+        .alias_sampler();
+    for &q in &[40usize, 130, 775] {
+        group.bench_with_input(BenchmarkId::new("fused", q), &q, |b, &q| {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(4);
+            b.iter(|| black_box(far.collision_count(q, &mut rng)));
+        });
+        group.bench_with_input(BenchmarkId::new("sample_many", q), &q, |b, &q| {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(4);
+            b.iter(|| black_box(empirical::collision_count_of(&far.sample_many(q, &mut rng))));
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_samplers,
     bench_hard_instance,
-    bench_statistics
+    bench_statistics,
+    bench_collision_node
 );
 criterion_main!(benches);

@@ -153,4 +153,5 @@ fn main() {
          statistics their sqrt(n): exact error control traded for a \
          quadratically worse null-side budget."
     );
+    harness.finish();
 }

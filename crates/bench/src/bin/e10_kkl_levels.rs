@@ -117,4 +117,5 @@ fn main() {
          bits with mean ~1 - 1/(3k), cannot convey their evidence \
          (Theorem 1.2)."
     );
+    harness.finish();
 }

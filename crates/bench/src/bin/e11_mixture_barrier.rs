@@ -92,4 +92,5 @@ fn main() {
          distinguish; above it the collision tester (E8) succeeds: the two \
          experiments bracket the Theta(sqrt(n)/eps^2) truth."
     );
+    harness.finish();
 }

@@ -107,4 +107,5 @@ fn main() {
         "small fixed T buys little (Theorem 1.3's message); the full gain \
          sqrt(n)/eps^2 -> sqrt(n/k)/eps^2 needs a threshold that grows with k."
     );
+    harness.finish();
 }

@@ -141,4 +141,5 @@ fn main() {
          slack between simulate-and-infer protocols and the bound."
     );
     let _ = rand::rngs::StdRng::seed_from_u64(0);
+    harness.finish();
 }

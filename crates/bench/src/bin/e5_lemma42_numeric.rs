@@ -135,4 +135,5 @@ fn main() {
     println!("worst observed/bound ratio = {:.4} at {}", worst.0, worst.1);
     assert_eq!(violations, 0, "a lemma bound was violated");
     println!("all bounds hold (every ratio <= 1).");
+    harness.finish();
 }

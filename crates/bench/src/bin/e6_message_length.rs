@@ -76,4 +76,5 @@ fn main() {
          the floor reflects the open 2^(r/2) question the paper leaves \
          ('we do not yet know whether this behavior is tight')."
     );
+    harness.finish();
 }

@@ -113,4 +113,5 @@ fn main() {
     let slope = log_log_slope(&points);
     println!("\nslope of log tau* vs log ||T||_2 = {slope:+.3} (theory: -1.0)");
     harness.save("e7_sweep_norm", &table2);
+    harness.finish();
 }

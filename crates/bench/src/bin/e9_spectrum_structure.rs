@@ -138,4 +138,5 @@ fn main() {
     }
     harness.save("e9_lemma55", &table2);
     println!("all structural claims verified.");
+    harness.finish();
 }

@@ -7,6 +7,8 @@
 
 use crate::dense::DenseDistribution;
 use crate::error::DistributionError;
+use crate::sampler::Sampler;
+use rand::Rng;
 use std::cell::RefCell;
 
 /// A histogram of samples over the domain `{0, .., n-1}`.
@@ -245,14 +247,16 @@ impl Histogram {
 /// Counts colliding pairs, `Σ_i C(c_i, 2)`, directly from a sample slice
 /// without allocating a full-domain histogram.
 ///
-/// One O(q) pass over a per-thread `u16` count table adds each sample's
-/// count so far to the total, then a second pass zeroes the entries it
-/// touched. The table is reused across calls on the same thread, grows in
-/// powers of two to cover the largest sample seen (32 KiB per thread at
-/// n = 2¹⁴) and is all-zero between calls. A sample at or above 2²⁰, or a
-/// slice longer than `u16::MAX`, sorts a copy instead (O(q log q)), which
-/// bounds the table at 2 MiB per thread and keeps any `usize` sample
+/// One O(q) pass tallies the slice in this thread's count table (see
+/// [`TABLE_BOUND`]): each sample adds its value's count so far to the
+/// total. Nothing is zeroed afterwards; the next tally on the thread
+/// simply carries a new tag. A sample at or above [`TABLE_BOUND`], or a
+/// value seen more than [`MAX_TALLY`] times, sorts a copy instead
+/// (O(q log q)), which keeps any `usize` sample and any slice length
 /// correct.
+///
+/// [`Sampler::collision_count`] gives the same number for `q` fresh
+/// draws without storing them.
 #[must_use]
 pub fn collision_count_of(samples: &[usize]) -> u64 {
     repeat_stats(samples).collisions
@@ -266,14 +270,119 @@ pub fn coincidence_count_of(samples: &[usize]) -> u64 {
     repeat_stats(samples).coincidences
 }
 
-/// Samples at or above this value take the sorting path, so the per-thread
-/// count table never exceeds 2²⁰ entries.
-const TABLE_BOUND: usize = 1 << 20;
+/// Values at or above this bound are never tallied in the count table, so
+/// it stays at most 2²⁰ entries (2 MiB) per thread.
+///
+/// The table is per-thread, so concurrent trial workers reuse theirs
+/// without locking. Each entry is one `u16`: the high bits tag the tally
+/// that last wrote it and the low bits hold that tally's count. A tally
+/// reads an entry with another tag as zero, so no tally has to zero what
+/// it touched; only when the tag wraps, once every 31 tallies, is the
+/// table cleared, and it then regrows to the values the next tallies use.
+pub const TABLE_BOUND: usize = 1 << 20;
+
+/// Bits of a count-table entry that hold the count; the other
+/// `16 − COUNT_BITS` hold the tag.
+const COUNT_BITS: u32 = 11;
+
+/// The count field of a table entry.
+const COUNT_MASK: u16 = (1 << COUNT_BITS) - 1;
+
+/// The most sights of one value a count-table entry holds (2047). A
+/// tally of at most this many samples can never overflow it.
+pub const MAX_TALLY: usize = COUNT_MASK as usize;
+
+/// The last tag before the wrap. Tags run `1..=LAST_TAG`; tag 0 is an
+/// entry written by no tally since the table was last cleared.
+const LAST_TAG: u16 = u16::MAX >> COUNT_BITS;
+
+/// One thread's count table: entries tagged by the tally that wrote them.
+struct CountTable {
+    entries: Vec<u16>,
+    /// The tag of the latest tally; 0 before the first.
+    tag: u16,
+}
+
+impl CountTable {
+    /// Starts a tally over values below `bound` (more may be added as
+    /// the tally grows the table) and returns its tag, shifted into
+    /// place. At the wrap every entry is cleared to tag 0.
+    fn open(&mut self, bound: usize) -> u16 {
+        if self.tag == LAST_TAG {
+            self.entries.clear();
+            self.tag = 0;
+        }
+        self.tag += 1;
+        if self.entries.len() < bound {
+            self.entries.resize(bound, 0);
+        }
+        self.tag << COUNT_BITS
+    }
+}
 
 thread_local! {
-    // Per-thread so concurrent trial workers reuse their table without
-    // locking; all-zero between calls.
-    static COUNTS: RefCell<Vec<u16>> = const { RefCell::new(Vec::new()) };
+    static TABLE: RefCell<CountTable> = const {
+        RefCell::new(CountTable {
+            entries: Vec::new(),
+            tag: 0,
+        })
+    };
+}
+
+/// Records one more sight in `entry` for the tally tagged `tag` and
+/// returns the sights before it: the entry's count if the tally wrote
+/// it, else 0. The count must be below [`COUNT_MASK`].
+#[inline]
+fn sight(entry: &mut u16, tag: u16) -> u16 {
+    // XOR clears a matching tag and leaves any other one above the mask.
+    let held = *entry ^ tag;
+    let count = if held <= COUNT_MASK { held } else { 0 };
+    *entry = tag | (count + 1);
+    count
+}
+
+/// The fused [`Sampler::collision_count`]: the collision count of `q`
+/// draws from `sampler`, tallied as they are drawn, so no sample vector
+/// is built. When `q > MAX_TALLY` or the support exceeds
+/// [`TABLE_BOUND`], it takes the default body instead, decided before
+/// any draw.
+#[inline]
+pub(crate) fn collision_count_drawn<S, R>(sampler: &S, q: usize, rng: &mut R) -> u64
+where
+    S: Sampler + ?Sized,
+    R: Rng + ?Sized,
+{
+    let support = sampler.support_size();
+    if q > MAX_TALLY || support > TABLE_BOUND {
+        let samples = sampler.sample_many(q, rng);
+        return collision_count_of(&samples);
+    }
+    TABLE.with(|cell| {
+        let table = &mut *cell.borrow_mut();
+        let tag = table.open(support);
+        draw_and_tally(sampler, q, rng, &mut table.entries[..support], tag)
+    })
+}
+
+/// The fused loop of [`collision_count_drawn`]. It is a function of its
+/// own, never inlined, so that `rng` and `entries` arrive as distinct
+/// `&mut` arguments: the compiler then knows a tally store cannot change
+/// the generator and keeps its state in registers for the whole loop.
+///
+/// # Panics
+///
+/// Panics if a draw is outside `entries`.
+#[inline(never)]
+fn draw_and_tally<S, R>(sampler: &S, q: usize, rng: &mut R, entries: &mut [u16], tag: u16) -> u64
+where
+    S: Sampler + ?Sized,
+    R: Rng + ?Sized,
+{
+    let mut collisions = 0u64;
+    for _ in 0..q {
+        collisions += u64::from(sight(&mut entries[sampler.sample(rng)], tag));
+    }
+    collisions
 }
 
 /// The two pair statistics of one sample slice.
@@ -285,43 +394,39 @@ struct RepeatStats {
 /// Computes [`RepeatStats`] with the per-thread count table, or by sorting
 /// when the table cannot hold the slice.
 fn repeat_stats(samples: &[usize]) -> RepeatStats {
-    if samples.len() <= usize::from(u16::MAX) {
-        if let Some(stats) = COUNTS.with(|cell| tally(&mut cell.borrow_mut(), samples)) {
-            return stats;
-        }
+    if let Some(stats) = TABLE.with(|cell| tally(&mut cell.borrow_mut(), samples)) {
+        return stats;
     }
     let mut sorted = samples.to_vec();
     sorted.sort_unstable();
     fold_sorted_repeats(sorted.windows(2).filter(|w| w[0] == w[1]).map(|w| w[0]))
 }
 
-/// Tallies `samples` (at most `u16::MAX` of them) in `counts`: each sight
-/// of a value pairs with its earlier sights. Returns `None` at the first
-/// sample at or above [`TABLE_BOUND`]. Either way `counts` is all-zero
-/// again on return.
-fn tally(counts: &mut Vec<u16>, samples: &[usize]) -> Option<RepeatStats> {
+/// Tallies `samples` in `table`: each sight of a value pairs with its
+/// earlier sights. Returns `None` at the first sample at or above
+/// [`TABLE_BOUND`] or the first value seen more than [`MAX_TALLY`] times.
+fn tally(table: &mut CountTable, samples: &[usize]) -> Option<RepeatStats> {
+    let tag = table.open(0);
     let mut stats = RepeatStats {
         collisions: 0,
         coincidences: 0,
     };
-    let mut seen = samples.len();
-    for (i, &x) in samples.iter().enumerate() {
-        if x >= counts.len() {
+    for &x in samples {
+        if x >= table.entries.len() {
             if x >= TABLE_BOUND {
-                seen = i;
-                break;
+                return None;
             }
-            counts.resize((x + 1).next_power_of_two(), 0);
+            table.entries.resize((x + 1).next_power_of_two(), 0);
         }
-        let count = &mut counts[x];
-        stats.collisions += u64::from(*count);
-        stats.coincidences += u64::from(*count != 0);
-        *count += 1;
+        let entry = &mut table.entries[x];
+        if (*entry ^ tag) == COUNT_MASK {
+            return None;
+        }
+        let count = sight(entry, tag);
+        stats.collisions += u64::from(count);
+        stats.coincidences += u64::from(count != 0);
     }
-    for &x in &samples[..seen] {
-        counts[x] = 0;
-    }
-    (seen == samples.len()).then_some(stats)
+    Some(stats)
 }
 
 /// Folds the repeated sights, in sorted order: a value drawn `c` times

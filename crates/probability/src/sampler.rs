@@ -10,8 +10,14 @@
 //! * [`CdfSampler`] — inverse-CDF with binary search: O(n) construction,
 //!   O(log n) per sample. Used as an independently-implemented oracle in
 //!   tests to cross-check the alias method.
+//!
+//! Every collision node reduces its samples to one number, their
+//! collision count. [`Sampler::collision_count`] computes it for `q`
+//! fresh draws; the alias and uniform samplers tally each draw as they
+//! make it, without building a sample vector.
 
 use crate::dense::DenseDistribution;
+use crate::empirical::{collision_count_drawn, collision_count_of};
 use rand::Rng;
 
 /// A source of iid samples from a fixed discrete distribution.
@@ -25,6 +31,20 @@ pub trait Sampler {
     /// Draws `count` iid samples into a fresh vector.
     fn sample_many<R: Rng + ?Sized>(&self, count: usize, rng: &mut R) -> Vec<usize> {
         (0..count).map(|_| self.sample(rng)).collect()
+    }
+
+    /// The number of colliding pairs, `Σ_i C(c_i, 2)`, among `q` iid
+    /// samples: the statistic of a collision node.
+    ///
+    /// Always equals [`collision_count_of`] applied to
+    /// `self.sample_many(q, rng)` and consumes the same random words;
+    /// that is this default, so a wrapper that overrides only
+    /// [`Sampler::sample_many`] is still called through it. [`AliasSampler`] and [`UniformSampler`]
+    /// override it with one fused loop that tallies each draw in the
+    /// per-thread count table of [`crate::empirical`] as it is made.
+    fn collision_count<R: Rng + ?Sized>(&self, q: usize, rng: &mut R) -> u64 {
+        let samples = self.sample_many(q, rng);
+        collision_count_of(&samples)
     }
 }
 
@@ -42,6 +62,9 @@ pub trait Sampler {
 /// a branch). The two random calls and the `u < keep` compare fix the
 /// output stream, which every q*, result CSV and fuzz corpus entry
 /// depends on; `tests/properties.rs` pins it with golden checksums.
+///
+/// [`Sampler::collision_count`] runs this draw, inlined, in a loop that
+/// tallies each sample as it is drawn.
 ///
 /// # Example
 ///
@@ -98,6 +121,7 @@ impl AliasSampler {
 }
 
 impl Sampler for AliasSampler {
+    #[inline]
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let i = rng.random_range(0..self.table.len());
         let (keep, alias) = self.table[i];
@@ -106,6 +130,10 @@ impl Sampler for AliasSampler {
 
     fn support_size(&self) -> usize {
         self.table.len()
+    }
+
+    fn collision_count<R: Rng + ?Sized>(&self, q: usize, rng: &mut R) -> u64 {
+        collision_count_drawn(self, q, rng)
     }
 }
 
@@ -174,12 +202,17 @@ impl UniformSampler {
 }
 
 impl Sampler for UniformSampler {
+    #[inline]
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         rng.random_range(0..self.n)
     }
 
     fn support_size(&self) -> usize {
         self.n
+    }
+
+    fn collision_count<R: Rng + ?Sized>(&self, q: usize, rng: &mut R) -> u64 {
+        collision_count_drawn(self, q, rng)
     }
 }
 

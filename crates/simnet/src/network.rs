@@ -158,6 +158,33 @@ impl Network {
         P: Player + ?Sized,
         R: Rng + ?Sized,
     {
+        self.run_nodes(sample_counts.to_vec(), rule, rng, |ctx, q, rng| {
+            player.accepts(ctx, &sampler.sample_many(q, rng))
+        })
+    }
+
+    /// Runs the one-bit protocol with each node's bit computed by `node`
+    /// from its context, its sample count and the run's RNG, from which
+    /// it draws its own samples. The shared seed is drawn first, then
+    /// the nodes run in player order, so `node` decides how a node
+    /// draws: [`Network::run_with_sample_counts`] hands a [`Player`] its
+    /// sample vector, while a collision node can draw straight into
+    /// [`Sampler::collision_count`] without storing its samples.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sample_counts.len() != k`.
+    pub fn run_nodes<R, F>(
+        &self,
+        sample_counts: Vec<usize>,
+        rule: &DecisionRule,
+        rng: &mut R,
+        mut node: F,
+    ) -> RunOutcome
+    where
+        R: Rng + ?Sized,
+        F: FnMut(&PlayerContext, usize, &mut R) -> bool,
+    {
         assert_eq!(
             sample_counts.len(),
             self.num_players,
@@ -172,8 +199,7 @@ impl Network {
                 num_players: self.num_players,
                 shared_seed,
             };
-            let samples = sampler.sample_many(q, rng);
-            let accept = player.accepts(&ctx, &samples);
+            let accept = node(&ctx, q, rng);
             bits.push(accept);
             messages.push(Message::from_accept_bit(accept));
         }
@@ -187,7 +213,7 @@ impl Network {
             verdict,
             transcript: Transcript {
                 messages,
-                samples_drawn: sample_counts.to_vec(),
+                samples_drawn: sample_counts,
                 shared_seed,
             },
         }

@@ -1,4 +1,3 @@
-use dut_probability::empirical::collision_count_of;
 use dut_probability::{Sampler, UniformSampler};
 use dut_simnet::{RateVector, Verdict};
 use rand::Rng;
@@ -161,8 +160,7 @@ where
         .zip(node_thresholds)
         .zip(weights)
         .map(|((&q, &threshold), &w)| {
-            let samples = sampler.sample_many(q, rng);
-            if collision_count_of(&samples) as f64 > threshold {
+            if sampler.collision_count(q, rng) as f64 > threshold {
                 w
             } else {
                 0.0

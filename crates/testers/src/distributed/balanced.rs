@@ -1,5 +1,4 @@
 use super::prepared::{lambda_uniform, PreparedThresholdTester};
-use dut_probability::empirical::collision_count_of;
 use dut_probability::{DenseDistribution, SampleBackend, Sampler, UniformSampler};
 use rand::Rng;
 
@@ -123,8 +122,7 @@ impl BalancedThresholdTester {
             SampleBackend::PerDraw => {
                 let uniform = UniformSampler::new(self.n);
                 for _ in 0..calibration_trials {
-                    let samples = uniform.sample_many(q, rng);
-                    if collision_count_of(&samples) > node_max_count {
+                    if uniform.collision_count(q, rng) > node_max_count {
                         rejects += 1;
                     }
                 }

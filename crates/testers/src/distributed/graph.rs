@@ -1,4 +1,3 @@
-use dut_probability::empirical::collision_count_of;
 use dut_probability::Sampler;
 use dut_simnet::aggregation::aggregate_sum;
 use dut_simnet::{RoundModel, RoundStats, Topology, Verdict};
@@ -92,7 +91,7 @@ impl GraphUniformityTester {
         R: Rng + ?Sized,
     {
         let counts: Vec<u64> = (0..self.topology.len())
-            .map(|_| collision_count_of(&sampler.sample_many(q, rng)))
+            .map(|_| sampler.collision_count(q, rng))
             .collect();
         let (statistic, rounds) = aggregate_sum(&self.topology, self.model, counts);
         let threshold = self.threshold(q);

@@ -1,4 +1,3 @@
-use dut_probability::empirical::collision_count_of;
 use dut_probability::{DualSampler, Histogram, SampleBackend, Sampler};
 use dut_simnet::{DecisionRule, Network, PlayerContext, RunOutcome};
 use rand::Rng;
@@ -73,17 +72,20 @@ impl PreparedThresholdTester {
     }
 
     /// Runs one execution: `k` nodes draw `q` samples each from
-    /// `sampler` and the referee counts their rejections.
+    /// `sampler`, each tallying its collisions as it draws
+    /// ([`Sampler::collision_count`]), and the referee counts their
+    /// rejections.
     pub fn run<S, R>(&self, sampler: &S, rng: &mut R) -> RunOutcome
     where
         S: Sampler,
         R: Rng + ?Sized,
     {
-        let this = *self;
-        let player = move |_ctx: &PlayerContext, samples: &[usize]| {
-            this.node_accepts(collision_count_of(samples))
-        };
-        Network::new(self.k).run(sampler, self.q, &player, &self.referee(), rng)
+        Network::new(self.k).run_nodes(
+            vec![self.q; self.k],
+            &self.referee(),
+            rng,
+            |_ctx, q, rng| self.node_accepts(sampler.collision_count(q, rng)),
+        )
     }
 
     /// Runs one execution on occupancy histograms: the node statistic

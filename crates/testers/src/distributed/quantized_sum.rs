@@ -1,4 +1,3 @@
-use dut_probability::empirical::collision_count_of;
 use dut_probability::{Sampler, UniformSampler};
 use dut_simnet::{Message, Verdict};
 use dut_stats::convert::round_to_usize;
@@ -131,10 +130,7 @@ impl QuantizedSumTester {
         R: Rng + ?Sized,
     {
         (0..self.k)
-            .map(|_| {
-                let samples = sampler.sample_many(q, rng);
-                self.encode_count(collision_count_of(&samples), q)
-            })
+            .map(|_| self.encode_count(sampler.collision_count(q, rng), q))
             .sum()
     }
 }
@@ -161,10 +157,9 @@ impl PreparedQuantizedSumTester {
         let mut messages = Vec::with_capacity(self.inner.k);
         let mut statistic = 0u64;
         for _ in 0..self.inner.k {
-            let samples = sampler.sample_many(self.q, rng);
             let code = self
                 .inner
-                .encode_count(collision_count_of(&samples), self.q);
+                .encode_count(sampler.collision_count(self.q, rng), self.q);
             statistic += code;
             let code_word =
                 u32::try_from(code).expect("encoded count is bounded by the message alphabet");
