@@ -293,14 +293,14 @@ fn collision_functions_edge_cases() {
     assert_matches_oracle(&[usize::MAX; 40]);
     assert_eq!(empirical::collision_count_of(&[3; 40]), 40 * 39 / 2);
     assert_eq!(empirical::coincidence_count_of(&[3; 40]), 39);
-    // The most equal values a `u16` count can hold, then one more, which
-    // takes the sorting path.
-    let full = vec![3; usize::from(u16::MAX)];
-    assert_eq!(empirical::collision_count_of(&full), 2_147_385_345);
-    assert_eq!(empirical::coincidence_count_of(&full), 65_534);
-    let over = vec![3; usize::from(u16::MAX) + 1];
-    assert_eq!(empirical::collision_count_of(&over), 2_147_450_880);
-    assert_eq!(empirical::coincidence_count_of(&over), 65_535);
+    // The most equal values a count-table entry can hold, then one more,
+    // which takes the sorting path.
+    let full = vec![3; empirical::MAX_TALLY];
+    assert_eq!(empirical::collision_count_of(&full), 2_094_081);
+    assert_eq!(empirical::coincidence_count_of(&full), 2_046);
+    let over = vec![3; empirical::MAX_TALLY + 1];
+    assert_eq!(empirical::collision_count_of(&over), 2_096_128);
+    assert_eq!(empirical::coincidence_count_of(&over), 2_047);
     assert_matches_oracle(&[3, 5, 3]);
 }
 

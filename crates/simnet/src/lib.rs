@@ -15,10 +15,8 @@
 //! * players may share randomness through [`PlayerContext::shared_seed`],
 //!   and the asymmetric-cost model of §6.2 (per-player sampling rates
 //!   `q_i = T_i · τ`) is supported via [`RateVector`];
-//! * beyond the star: [`topology`], [`rounds`] and [`aggregation`]
-//!   provide the LOCAL/CONGEST round-based models on arbitrary graphs
-//!   (with per-edge bandwidth enforcement), and [`resilience`] injects
-//!   message loss, crashes and adversaries to study rule robustness.
+//! * [`resilience`] injects message loss, crashes and adversaries into
+//!   the same star to study rule robustness.
 //!
 //! # Example
 //!
@@ -56,14 +54,11 @@ mod player;
 mod rates;
 mod rule;
 
-pub mod aggregation;
 pub mod resilience;
-pub mod rounds;
-pub mod topology;
 
 pub use bits::PackedBits;
 pub use message::Message;
-pub use network::{Network, RunOutcome, Transcript};
+pub use network::{record_run, Network, RunOutcome, Transcript};
 pub use player::{CountPlayer, Player, PlayerContext};
 pub use rates::RateVector;
 pub use resilience::{
@@ -71,6 +66,4 @@ pub use resilience::{
     GilbertElliott, IidFaults, MeasuredRates, MissingPolicy, PartialCrash, PreSample, Recovery,
     ReliablePlan, ResilientNetwork, ResilientOutcome, RobustRule, TargetedLoss,
 };
-pub use rounds::{RoundAlgorithm, RoundMessage, RoundModel, RoundNetwork, RoundStats};
 pub use rule::{CustomDecisionFn, DecisionRule, Verdict};
-pub use topology::Topology;

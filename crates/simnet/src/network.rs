@@ -18,7 +18,11 @@ const PARALLEL_MIN_WORK_NS: f64 = 200_000.0;
 /// at verbose trace level, emits a per-run event. Pure observation:
 /// never touches the RNG, so instrumented runs are bit-identical to
 /// uninstrumented ones.
-pub(crate) fn record_run(verdict: Verdict, samples: u64, bits: u64) {
+///
+/// [`Network`] calls it once per run; a protocol that runs its nodes
+/// outside the network calls it once per run itself, with the samples
+/// its nodes drew and the message bits they sent.
+pub fn record_run(verdict: Verdict, samples: u64, bits: u64) {
     let registry = dut_obs::metrics::global();
     registry.incr(Counter::NetRuns);
     registry.add(Counter::SamplesDrawn, samples);

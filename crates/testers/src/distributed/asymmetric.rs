@@ -1,5 +1,5 @@
 use dut_probability::{Sampler, UniformSampler};
-use dut_simnet::{RateVector, Verdict};
+use dut_simnet::{record_run, RateVector, Verdict};
 use rand::Rng;
 
 /// The asymmetric-cost protocol of §6.2: player `i` samples at rate
@@ -140,7 +140,13 @@ impl PreparedAsymmetricTester {
             &self.weights,
             rng,
         );
-        Verdict::from_accept_bit(stat <= self.referee_threshold)
+        let verdict = Verdict::from_accept_bit(stat <= self.referee_threshold);
+        record_run(
+            verdict,
+            self.sample_counts.iter().map(|&q| q as u64).sum(),
+            self.sample_counts.len() as u64,
+        );
+        verdict
     }
 }
 

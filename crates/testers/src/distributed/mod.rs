@@ -4,7 +4,6 @@
 
 mod asymmetric;
 mod balanced;
-mod graph;
 mod learning;
 mod prepared;
 mod quantized_sum;
@@ -13,7 +12,6 @@ mod t_threshold;
 
 pub use asymmetric::{AsymmetricThresholdTester, PreparedAsymmetricTester};
 pub use balanced::BalancedThresholdTester;
-pub use graph::{GraphRunOutcome, GraphUniformityTester};
 pub use learning::FourierLearner;
 pub use prepared::PreparedThresholdTester;
 pub use quantized_sum::{PreparedQuantizedSumTester, QuantizedSumOutcome, QuantizedSumTester};

@@ -1,5 +1,5 @@
 use dut_probability::{Sampler, UniformSampler};
-use dut_simnet::{Message, Verdict};
+use dut_simnet::{record_run, Message, Verdict};
 use dut_stats::convert::round_to_usize;
 use rand::Rng;
 
@@ -165,8 +165,15 @@ impl PreparedQuantizedSumTester {
                 u32::try_from(code).expect("encoded count is bounded by the message alphabet");
             messages.push(Message::new(code_word, self.inner.message_bits));
         }
+        let verdict = Verdict::from_accept_bit(statistic as f64 <= self.referee_threshold);
+        let k = self.inner.k as u64;
+        record_run(
+            verdict,
+            k * self.q as u64,
+            k * u64::from(self.inner.message_bits),
+        );
         QuantizedSumOutcome {
-            verdict: Verdict::from_accept_bit(statistic as f64 <= self.referee_threshold),
+            verdict,
             messages,
             statistic,
         }

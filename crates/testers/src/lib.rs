@@ -69,6 +69,6 @@ pub use centralized::{
     SequentialUniformityTester, UniqueElementsTester,
 };
 pub use distributed::{
-    AsymmetricThresholdTester, BalancedThresholdTester, FourierLearner, GraphUniformityTester,
-    PreparedThresholdTester, QuantizedSumTester, SingleSampleProtocol, TThresholdTester,
+    AsymmetricThresholdTester, BalancedThresholdTester, FourierLearner, PreparedThresholdTester,
+    QuantizedSumTester, SingleSampleProtocol, TThresholdTester,
 };

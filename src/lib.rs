@@ -19,7 +19,6 @@
 //! cargo run --release --example rule_comparison
 //! cargo run --release --example identity_testing
 //! cargo run --release --example lower_bound_demo
-//! cargo run --release --example congest_testing
 //! ```
 
 #![forbid(unsafe_code)]
