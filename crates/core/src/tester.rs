@@ -1,8 +1,7 @@
 use crate::config::{Rule, UniformityTesterBuilder};
 use dut_lowerbound::theory;
-use dut_probability::{DualSampler, SampleBackend, Sampler};
+use dut_probability::Sampler;
 use dut_simnet::Verdict;
-use dut_testers::centralized::CentralizedTester as _;
 use dut_testers::{
     BalancedThresholdTester, CollisionTester, PreparedThresholdTester, TThresholdTester,
 };
@@ -104,41 +103,28 @@ impl UniformityTester {
     }
 
     /// Binds the tester to a per-player sample count, performing any
-    /// required calibration with the default [`SampleBackend::Auto`]
-    /// (the cost model picks the cheaper engine for the calibration's
-    /// Monte-Carlo draws).
+    /// required calibration. The balanced rule's Monte-Carlo
+    /// calibration draws on the engine [`dut_probability::SampleBackend::Auto`]
+    /// resolves to for `(n, q)`.
     pub fn prepare<R: Rng + ?Sized>(&self, q: usize, rng: &mut R) -> PreparedUniformityTester {
-        self.prepare_with_backend(q, SampleBackend::Auto, rng)
-    }
-
-    /// [`Self::prepare`] with an explicit calibration backend. The
-    /// balanced rule's threshold calibration runs thousands of
-    /// `q`-sample draws, so on configurations where one engine is much
-    /// faster the backend choice dominates preparation time; both
-    /// engines draw exactly Multinomial(q, p) histograms, so the
-    /// calibrated thresholds are identically distributed either way.
-    pub fn prepare_with_backend<R: Rng + ?Sized>(
-        &self,
-        q: usize,
-        backend: SampleBackend,
-        rng: &mut R,
-    ) -> PreparedUniformityTester {
-        let variant =
-            match self.rule {
-                Rule::And => {
-                    PreparedVariant::Threshold(TThresholdTester::new(self.n, self.k, 1).prepare(q))
-                }
-                Rule::TThreshold { t } => {
-                    PreparedVariant::Threshold(TThresholdTester::new(self.n, self.k, t).prepare(q))
-                }
-                Rule::Balanced => PreparedVariant::Threshold(
-                    BalancedThresholdTester::new(self.n, self.k, self.epsilon)
-                        .prepare_with_backend(q, self.calibration_trials, backend, rng),
+        let variant = match self.rule {
+            Rule::And => {
+                PreparedVariant::Threshold(TThresholdTester::new(self.n, self.k, 1).prepare(q))
+            }
+            Rule::TThreshold { t } => {
+                PreparedVariant::Threshold(TThresholdTester::new(self.n, self.k, t).prepare(q))
+            }
+            Rule::Balanced => PreparedVariant::Threshold(
+                BalancedThresholdTester::new(self.n, self.k, self.epsilon).prepare(
+                    q,
+                    self.calibration_trials,
+                    rng,
                 ),
-                Rule::Centralized => {
-                    PreparedVariant::Centralized(CollisionTester::new(self.n, self.epsilon))
-                }
-            };
+            ),
+            Rule::Centralized => {
+                PreparedVariant::Centralized(CollisionTester::new(self.n, self.epsilon))
+            }
+        };
         PreparedUniformityTester { q, variant }
     }
 }
@@ -151,7 +137,9 @@ impl PreparedUniformityTester {
     }
 
     /// Runs one execution of the protocol against the given input
-    /// sampler.
+    /// sampler. Every node, and the centralized machine, draws through
+    /// the fused kernel [`Sampler::collision_count`] and decides on
+    /// that count.
     pub fn run<S, R>(&self, sampler: &S, rng: &mut R) -> Verdict
     where
         S: Sampler,
@@ -160,52 +148,10 @@ impl PreparedUniformityTester {
         match &self.variant {
             PreparedVariant::Threshold(t) => t.run(sampler, rng).verdict,
             PreparedVariant::Centralized(c) => {
-                // Centralized baseline: a single machine draws k*q samples.
-                let samples = sampler.sample_many(self.q, rng);
-                c.test(&samples)
+                let count = sampler.collision_count(self.q, rng) as f64;
+                Verdict::from_accept_bit(count <= c.threshold(self.q))
             }
         }
-    }
-
-    /// Runs one execution with every player's samples realized as an
-    /// occupancy histogram by the chosen [`SampleBackend`]. All the
-    /// rules this type prepares consume only collision counts, so the
-    /// verdict law is identical to [`Self::run`]; the histogram backend
-    /// makes each run O(n + q) per player instead of O(q log n).
-    pub fn run_dual<R>(&self, sampler: &DualSampler, backend: SampleBackend, rng: &mut R) -> Verdict
-    where
-        R: Rng + ?Sized,
-    {
-        match &self.variant {
-            PreparedVariant::Threshold(t) => t.run_counts(sampler, backend, rng).verdict,
-            PreparedVariant::Centralized(c) => {
-                let histogram = sampler.draw(backend, self.q as u64, rng);
-                c.test_histogram(&histogram)
-            }
-        }
-    }
-
-    /// Estimates the acceptance probability of [`Self::run_dual`] over
-    /// `trials` runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `trials == 0`.
-    pub fn acceptance_rate_dual<R>(
-        &self,
-        sampler: &DualSampler,
-        backend: SampleBackend,
-        trials: usize,
-        rng: &mut R,
-    ) -> f64
-    where
-        R: Rng + ?Sized,
-    {
-        assert!(trials > 0, "need at least one trial");
-        let accepts = (0..trials)
-            .filter(|_| self.run_dual(sampler, backend, rng).is_accept())
-            .count();
-        accepts as f64 / trials as f64
     }
 
     /// Estimates the acceptance probability over `trials` runs.
@@ -296,36 +242,39 @@ mod tests {
         assert!(balanced < centralized);
     }
 
-    /// Every prepared variant, both backends: uniform accepted and far
-    /// rejected at the usual 2/3 margins. Parameters mirror the
-    /// per-rule end-to-end tests above.
-    fn check_dual_rates(rule: Rule, n: usize, k: usize, eps: f64, q: Option<usize>, seed: u64) {
-        let uniform = families::uniform(n).dual_sampler();
-        let far = families::two_level(n, eps).unwrap().dual_sampler();
-        let tester = build(rule, n, k, eps);
-        let mut r = rng(seed);
-        let prepared = tester.prepare(q.unwrap_or_else(|| tester.predicted_sample_count()), &mut r);
-        for backend in SampleBackend::ALL {
-            let up = prepared.acceptance_rate_dual(&uniform, backend, 60, &mut r);
-            let fp = prepared.acceptance_rate_dual(&far, backend, 60, &mut r);
-            assert!(up > 2.0 / 3.0, "{rule:?}/{backend}: uniform rate {up}");
-            assert!(fp < 1.0 / 3.0, "{rule:?}/{backend}: far rate {fp}");
+    /// The centralized arm decides on the fused kernel's count; it must
+    /// agree with the collision tester run on the materialized samples,
+    /// seed for seed, because both consume the same random words.
+    #[test]
+    fn centralized_run_matches_the_tester_on_drawn_samples() {
+        use dut_probability::{AliasSampler, CdfSampler, UniformSampler};
+        use dut_testers::CentralizedTester;
+        let n = 256;
+        let prepared = build(Rule::Centralized, n, 1, 0.5).prepare(40, &mut rng(0));
+        let tester = CollisionTester::new(n, 0.5);
+        let far = families::two_level(n, 0.5).unwrap();
+        let alias = AliasSampler::new(&far);
+        let cdf = CdfSampler::new(&far);
+        let uniform = UniformSampler::new(n);
+        let mut verdicts = [0usize; 2];
+        for seed in 0..2_000u64 {
+            let fused = [
+                prepared.run(&alias, &mut rng(seed)),
+                prepared.run(&cdf, &mut rng(seed)),
+                prepared.run(&uniform, &mut rng(seed)),
+            ];
+            let drawn = [
+                tester.test(&alias.sample_many(40, &mut rng(seed))),
+                tester.test(&cdf.sample_many(40, &mut rng(seed))),
+                tester.test(&uniform.sample_many(40, &mut rng(seed))),
+            ];
+            assert_eq!(fused, drawn, "seed {seed}");
+            for v in fused {
+                verdicts[usize::from(v.is_accept())] += 1;
+            }
         }
-    }
-
-    #[test]
-    fn dual_backends_balanced_rates() {
-        check_dual_rates(Rule::Balanced, 1 << 10, 32, 0.5, None, 11);
-    }
-
-    #[test]
-    fn dual_backends_centralized_rates() {
-        check_dual_rates(Rule::Centralized, 1 << 10, 1, 0.5, None, 13);
-    }
-
-    #[test]
-    fn dual_backends_and_rule_rates() {
-        check_dual_rates(Rule::And, 1 << 8, 8, 0.9, Some(400), 17);
+        // Both verdicts occur, so the comparison is not vacuous.
+        assert!(verdicts.iter().all(|&c| c > 100), "{verdicts:?}");
     }
 
     #[test]

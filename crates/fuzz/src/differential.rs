@@ -7,15 +7,6 @@
 //! `(verdict, p̂, Wilson bounds)`. This plane hammers that contract
 //! with random configurations and bit-compares the paths.
 //!
-//! The per-draw and histogram sampling backends are a deliberate
-//! exception: they agree **in distribution**, not draw-for-draw (see
-//! `dut_probability::occupancy`), so cross-backend comparison uses a
-//! seeded acceptance-frequency tolerance instead of bit equality —
-//! deterministic under fixed seeds, so it can never flake. `Auto` is
-//! *not* such an exception: it is a choice between those two engines,
-//! so the auto lane ([`auto_matches_resolved`]) demands bit-identity
-//! with whatever the cost model resolved.
-//!
 //! A failing configuration is *shrunk* (halving n, q, k, trials while
 //! the failure persists) and persisted as a replayable corpus entry;
 //! findings must outlive the run that found them.
@@ -23,23 +14,10 @@
 use crate::corpus::{self, Entry};
 use dut_serve::chaos::probe_request;
 use dut_serve::client::{check_served, Served};
-use dut_serve::engine::{self, CacheKey};
 use dut_serve::protocol::{self, Request};
-use dut_stats::seed::derive_seed;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::{Path, PathBuf};
-
-/// Trials per backend in the cross-backend tolerance check.
-pub const CROSS_BACKEND_TRIALS: u64 = 64;
-
-/// Maximum allowed acceptance-frequency gap between backends over
-/// [`CROSS_BACKEND_TRIALS`] trials. Both backends sample the same
-/// distribution, so their acceptance probabilities are equal; over 64
-/// trials the observed gap concentrates well below this. Under fixed
-/// seeds the check is deterministic — it either always passes or
-/// always fails for a given configuration.
-pub const CROSS_BACKEND_MARGIN: f64 = 0.45;
 
 /// Differential-plane configuration.
 #[derive(Debug, Clone)]
@@ -54,10 +32,6 @@ pub struct DiffConfig {
     /// Where to persist shrunk failing configurations (`None`
     /// disables persistence).
     pub corpus_dir: Option<PathBuf>,
-    /// Check the cross-backend tolerance on one configuration in
-    /// this many (0 disables; the check rebuilds the tester, so it
-    /// is the expensive part of an iteration).
-    pub cross_backend_every: u64,
 }
 
 impl Default for DiffConfig {
@@ -67,7 +41,6 @@ impl Default for DiffConfig {
             seed: 1,
             addr: None,
             corpus_dir: None,
-            cross_backend_every: 4,
         }
     }
 }
@@ -89,10 +62,6 @@ pub struct DiffFailure {
 pub struct DiffReport {
     /// Configurations tested.
     pub iterations: u64,
-    /// Cross-backend tolerance checks performed.
-    pub cross_backend_checked: u64,
-    /// Auto-vs-resolved bit-identity checks performed.
-    pub auto_checked: u64,
     /// Configurations that included the served-TCP path.
     pub served_checked: u64,
     /// Path disagreements (empty = the contract held).
@@ -177,82 +146,6 @@ pub fn compare_all_paths(request: &Request, addr: Option<&str>) -> Result<(), St
     Ok(())
 }
 
-/// The cross-backend tolerance check: per-draw vs histogram
-/// acceptance frequency over [`CROSS_BACKEND_TRIALS`] seeded trials.
-///
-/// # Errors
-///
-/// Returns a description when the gap exceeds
-/// [`CROSS_BACKEND_MARGIN`] (or the tester cannot be built).
-pub fn cross_backend_agreement(request: &Request) -> Result<(), String> {
-    use dut_core::probability::SampleBackend;
-    let entry = engine::build_entry(&CacheKey::of(request)).map_err(|e| e.message.clone())?;
-    let freq = |backend: SampleBackend| -> f64 {
-        let mut accepts = 0u64;
-        for i in 0..CROSS_BACKEND_TRIALS {
-            let mut rng = StdRng::seed_from_u64(derive_seed(request.seed, i));
-            if entry
-                .prepared
-                .run_dual(&entry.sampler, backend, &mut rng)
-                .is_accept()
-            {
-                accepts += 1;
-            }
-        }
-        #[allow(clippy::cast_precision_loss)]
-        {
-            accepts as f64 / CROSS_BACKEND_TRIALS as f64
-        }
-    };
-    let per_draw = freq(SampleBackend::PerDraw);
-    let histogram = freq(SampleBackend::Histogram);
-    let gap = (per_draw - histogram).abs();
-    if gap > CROSS_BACKEND_MARGIN {
-        return Err(format!(
-            "backends disagree in distribution: per-draw {per_draw:.3} vs histogram \
-             {histogram:.3} (gap {gap:.3} > {CROSS_BACKEND_MARGIN})"
-        ));
-    }
-    Ok(())
-}
-
-/// The auto-resolution lane: `Auto` is a *choice*, not a third
-/// sampling law, so running with `Auto` must be bit-identical — same
-/// seed, same verdict, trial for trial — to running with the concrete
-/// engine the cost model resolves it to.
-///
-/// # Errors
-///
-/// Returns a description of the first diverging trial (or a tester
-/// build failure, or a leaked `Auto` from `resolve`).
-pub fn auto_matches_resolved(request: &Request) -> Result<(), String> {
-    use dut_core::probability::SampleBackend;
-    let entry = engine::build_entry(&CacheKey::of(request)).map_err(|e| e.message.clone())?;
-    let q = request.q as u64;
-    let resolved = entry.sampler.resolve(SampleBackend::Auto, q);
-    if resolved == SampleBackend::Auto {
-        return Err("resolve() returned Auto instead of a concrete engine".into());
-    }
-    for i in 0..CROSS_BACKEND_TRIALS {
-        let mut auto_rng = StdRng::seed_from_u64(derive_seed(request.seed, i));
-        let mut fixed_rng = StdRng::seed_from_u64(derive_seed(request.seed, i));
-        let auto = entry
-            .prepared
-            .run_dual(&entry.sampler, SampleBackend::Auto, &mut auto_rng);
-        let fixed = entry
-            .prepared
-            .run_dual(&entry.sampler, resolved, &mut fixed_rng);
-        if auto != fixed {
-            return Err(format!(
-                "auto diverged from its resolved engine ({}) on trial {i}: \
-                 {auto:?} vs {fixed:?}",
-                resolved.name()
-            ));
-        }
-    }
-    Ok(())
-}
-
 /// Shrinks a failing configuration: repeatedly halves `n`, `q`, `k`,
 /// and `trials` (respecting validity: a threshold rule's `t` is
 /// clamped into `1..=k`) while the failure reproduces, so the corpus
@@ -332,21 +225,7 @@ pub fn run(config: &DiffConfig) -> Result<DiffReport, String> {
         if addr.is_some() {
             report.served_checked += 1;
         }
-        let mut verdicts: Vec<String> = Vec::new();
-        if let Err(e) = compare_all_paths(&request, addr) {
-            verdicts.push(e);
-        }
-        if config.cross_backend_every > 0 && i % config.cross_backend_every == 0 {
-            report.cross_backend_checked += 1;
-            if let Err(e) = cross_backend_agreement(&request) {
-                verdicts.push(e);
-            }
-            report.auto_checked += 1;
-            if let Err(e) = auto_matches_resolved(&request) {
-                verdicts.push(e);
-            }
-        }
-        for what in verdicts {
+        if let Err(what) = compare_all_paths(&request, addr) {
             let shrunk = shrink(&request, addr);
             let corpus_file = config
                 .corpus_dir
@@ -398,33 +277,15 @@ mod tests {
         let report = run(&DiffConfig {
             iters: 4,
             seed: 5,
-            cross_backend_every: 2,
             ..DiffConfig::default()
         })
         .expect("run completes");
         assert_eq!(report.iterations, 4);
-        assert_eq!(report.cross_backend_checked, 2);
-        assert_eq!(report.auto_checked, 2);
         assert!(
             report.passed(),
             "differential failures: {:?}",
             report.failures
         );
-    }
-
-    #[test]
-    fn auto_lane_bit_identity_on_fixed_config() {
-        let request = Request {
-            n: 64,
-            k: 3,
-            q: 8,
-            eps: 0.5,
-            rule: dut_core::Rule::Balanced,
-            family: protocol::Family::Uniform,
-            seed: 11,
-            trials: 2,
-        };
-        auto_matches_resolved(&request).expect("auto runs bit-identical to its resolved engine");
     }
 
     #[test]

@@ -14,10 +14,8 @@
 //! 2. **Differential** ([`differential`]): random configurations
 //!    through every evaluation path — offline reference, fresh
 //!    engine, warm cache, served TCP — with bit-comparison of
-//!    `(verdict, p̂, Wilson bounds)`, plus a seeded tolerance check
-//!    that the per-draw and histogram sampling backends agree in
-//!    distribution. Failing configurations are shrunk and persisted
-//!    to the corpus.
+//!    `(verdict, p̂, Wilson bounds)`. Failing configurations are
+//!    shrunk and persisted to the corpus.
 //! 3. **Chaos** ([`chaos_plane`]): the hostile-client mix (slowloris,
 //!    half-open connects, mid-frame cuts, idle holds, reconnect
 //!    storms) with Gilbert-Elliott burst arrivals, against a server
@@ -117,7 +115,6 @@ pub fn smoke(config: &SmokeConfig) -> Result<SmokeReport, String> {
         seed: config.seed,
         addr: Some(addr),
         corpus_dir: config.corpus_dir.as_ref().map(|d| d.join("differential")),
-        cross_backend_every: 4,
     })?;
     handle.request_shutdown();
     handle.join();

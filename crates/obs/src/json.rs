@@ -3,11 +3,11 @@
 //! The workspace has no serde; this module is its one JSON reader and
 //! writer. Every artifact — trace events, the serve wire, the stats
 //! and flight replies, arrival traces, the fuzz corpus, the lint
-//! findings and baseline, the bench file — is built as a [`Json`]
-//! value and rendered by [`write()`] (or [`write_pretty`]), and read
-//! back by [`parse`], a recursive-descent parser that accepts objects,
-//! arrays, strings, finite numbers, bools and null and rejects
-//! anything malformed with a positioned error.
+//! findings and baseline — is built as a [`Json`] value and rendered
+//! by [`write()`] (or [`write_pretty`]), and read back by [`parse`], a
+//! recursive-descent parser that accepts objects, arrays, strings,
+//! finite numbers, bools and null and rejects anything malformed with
+//! a positioned error.
 
 use std::borrow::Cow;
 use std::fmt::Write as _;

@@ -49,9 +49,6 @@ pub enum Counter {
     SearchProbes,
     /// Scaling-law fits computed by `dut-stats::sweep`.
     SweepFits,
-    /// Occupancy histograms drawn via the conditional-binomial fast
-    /// path (one per player per run under `SampleBackend::Histogram`).
-    HistogramDraws,
     /// Verdict requests answered by `dut serve` (success or error).
     ServeRequests,
     /// Serve requests whose prepared tester came from the LRU cache.
@@ -76,11 +73,11 @@ pub enum Counter {
     /// Request evaluations that panicked and were converted into a
     /// structured `internal` error reply instead of killing a worker.
     ServePanicsCaught,
-    /// Served requests whose `Auto` backend resolved to the per-draw
-    /// engine (cost model picked O(q log n) inversion).
+    /// Served requests whose trials ran: every served trial draws
+    /// through the alias sampler's per-draw kernel.
     ServeBackendPerDraw,
-    /// Served requests whose `Auto` backend resolved to the histogram
-    /// engine (cost model picked O(n + q) stick-breaking).
+    /// Always 0: no served trial draws on the histogram engine. Kept
+    /// because the `{"cmd":"stats"}` schema still carries it.
     ServeBackendHistogram,
     /// Served requests whose cache lookup joined a prepared-tester
     /// build still in flight for another request (single flight): a
@@ -103,7 +100,7 @@ pub enum Counter {
 }
 
 impl Counter {
-    const COUNT: usize = 32;
+    const COUNT: usize = 31;
 
     /// All counters, in slot order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -123,7 +120,6 @@ impl Counter {
         Counter::TrialsSkipped,
         Counter::SearchProbes,
         Counter::SweepFits,
-        Counter::HistogramDraws,
         Counter::ServeRequests,
         Counter::ServeCacheHits,
         Counter::ServeCacheMisses,
@@ -161,7 +157,6 @@ impl Counter {
             Counter::TrialsSkipped => "trials_skipped",
             Counter::SearchProbes => "search_probes",
             Counter::SweepFits => "sweep_fits",
-            Counter::HistogramDraws => "histogram_draws",
             Counter::ServeRequests => "serve_requests",
             Counter::ServeCacheHits => "serve_cache_hits",
             Counter::ServeCacheMisses => "serve_cache_misses",
@@ -188,12 +183,6 @@ pub enum Gauge {
     /// Worker threads chosen by the most recent `run_measurements` or
     /// `decide_two_sided` call.
     RunnerThreads,
-    /// Sampling backend of the most recent count-based network run:
-    /// 1 for `SampleBackend::PerDraw`, 2 for `SampleBackend::Histogram`
-    /// (0 = no count-based run yet). Always the *resolved* engine —
-    /// `Auto` (code 3) is resolved through the cost model before the
-    /// run, so 3 appears only in configuration manifests.
-    SamplingBackend,
     /// Requests waiting in the `dut serve` dispatch queue (sampled at
     /// each enqueue/dequeue). Written only while the queue lock is
     /// held, so the published depth always matches the queue it
@@ -206,12 +195,11 @@ pub enum Gauge {
 }
 
 impl Gauge {
-    const COUNT: usize = 4;
+    const COUNT: usize = 3;
 
     /// All gauges, in slot order.
     pub const ALL: [Gauge; Gauge::COUNT] = [
         Gauge::RunnerThreads,
-        Gauge::SamplingBackend,
         Gauge::ServeQueueDepth,
         Gauge::ServeConnections,
     ];
@@ -221,7 +209,6 @@ impl Gauge {
     pub fn name(self) -> &'static str {
         match self {
             Gauge::RunnerThreads => "runner_threads",
-            Gauge::SamplingBackend => "sampling_backend",
             Gauge::ServeQueueDepth => "serve_queue_depth",
             Gauge::ServeConnections => "serve_connections",
         }

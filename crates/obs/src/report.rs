@@ -422,14 +422,6 @@ impl Report {
                     human_count(flips)
                 );
             }
-            let hist_draws = self.counter("histogram_draws");
-            if hist_draws > 0 {
-                let _ = writeln!(
-                    out,
-                    "  histogram draws  {} (conditional-binomial fast path)",
-                    human_count(hist_draws)
-                );
-            }
             let serve_requests = self.counter("serve_requests");
             let serve_shed = self.counter("serve_shed");
             if serve_requests + serve_shed > 0 {
@@ -471,17 +463,6 @@ impl Report {
             }
             if let Some(&threads) = self.gauges.get("runner_threads").filter(|&&t| t > 0) {
                 let _ = writeln!(out, "  runner threads   {threads}");
-            }
-            if let Some(&backend) = self.gauges.get("sampling_backend").filter(|&&b| b > 0) {
-                let _ = writeln!(
-                    out,
-                    "  sampling backend {}",
-                    if backend == 2 {
-                        "histogram"
-                    } else {
-                        "per-draw"
-                    }
-                );
             }
         }
 

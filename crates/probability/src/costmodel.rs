@@ -1,5 +1,12 @@
 //! Calibrated cost model behind [`SampleBackend::Auto`].
 //!
+//! The tables are frozen data that now choose only the engine of the
+//! balanced rule's Monte-Carlo calibration: every protocol run draws
+//! through [`crate::Sampler::collision_count`]. They are the values
+//! measured into the committed `BENCH_perf.json` (per-draw meant the
+//! inverse-CDF sampler then), kept as they are because the committed
+//! q\* results depend on which engine calibration draws with.
+//!
 //! Neither sampling engine dominates: the histogram fast path is O(n + q)
 //! per player while per-draw inversion is O(q log n), so the winner flips
 //! along the q/n diagonal — the committed BENCH_perf.json grid measures
@@ -80,7 +87,7 @@ fn interpolate(table: &[[f64; 3]; 3], n: f64, q: f64) -> f64 {
 /// Panics if `backend` is [`SampleBackend::Auto`] — predict concrete
 /// engines, then compare.
 #[must_use]
-pub fn predicted_draw_ns(backend: SampleBackend, n: usize, q: u64) -> f64 {
+fn predicted_draw_ns(backend: SampleBackend, n: usize, q: u64) -> f64 {
     #[allow(clippy::cast_precision_loss)]
     let (nf, qf) = (n as f64, q as f64);
     match backend {

@@ -1,5 +1,5 @@
 use crate::error::DistributionError;
-use crate::occupancy::{DualSampler, HistogramSampler};
+use crate::occupancy::HistogramSampler;
 use crate::sampler::{AliasSampler, CdfSampler};
 use crate::NORMALIZATION_TOLERANCE;
 
@@ -140,13 +140,6 @@ impl DenseDistribution {
     #[must_use]
     pub fn histogram_sampler(&self) -> HistogramSampler {
         HistogramSampler::new(self)
-    }
-
-    /// Builds a [`DualSampler`] holding both the per-draw and the
-    /// histogram engines, dispatched by [`crate::SampleBackend`].
-    #[must_use]
-    pub fn dual_sampler(&self) -> DualSampler {
-        DualSampler::new(self)
     }
 
     /// Largest point mass in the distribution.

@@ -8,7 +8,8 @@
 //! * samplers ([`AliasSampler`], [`CdfSampler`]) for drawing iid samples,
 //! * the occupancy fast path ([`occupancy`]): draws a `q`-sample
 //!   histogram directly in O(n + q) via conditional-binomial
-//!   stick-breaking, behind a [`SampleBackend`] switch,
+//!   stick-breaking; the balanced rule's calibration picks it or the
+//!   per-draw kernel through [`SampleBackend`],
 //! * statistical distances ([`distance`]): ℓ₁, total variation, ℓ₂,
 //!   KL, χ², Hellinger,
 //! * standard families ([`families`]): uniform, point mass, Zipf,
@@ -58,7 +59,7 @@ pub mod sampler;
 pub use dense::DenseDistribution;
 pub use empirical::Histogram;
 pub use error::DistributionError;
-pub use occupancy::{CountSampler, DualSampler, HistogramSampler, SampleBackend};
+pub use occupancy::{HistogramSampler, SampleBackend};
 pub use paired::{PairedDomain, PerturbationVector};
 pub use sampler::{AliasSampler, CdfSampler, Sampler, UniformSampler};
 

@@ -1,60 +1,53 @@
 //! Occupancy-histogram fast path: draw a player's `q`-sample histogram
 //! directly, without materializing the individual samples.
 //!
-//! Every local tester in this repository (AND / threshold / majority rules
-//! over collision statistics) consumes only the per-player *occupancy
-//! histogram* of its `q` samples — the order of the draws is irrelevant.
-//! The joint law of the occupancy vector is Multinomial(q, p), which can be
-//! sampled in O(n + q) expected time by stick-breaking: walk the support
-//! and draw each count from the conditional binomial
+//! A collision node consumes only the *occupancy histogram* of its `q`
+//! samples — the order of the draws is irrelevant. The joint law of the
+//! occupancy vector is Multinomial(q, p), which can be sampled in
+//! O(n + q) expected time by stick-breaking: walk the support and draw
+//! each count from the conditional binomial
 //!
 //! ```text
 //! c_i ~ Binomial(q - Σ_{j<i} c_j,  p_i / Σ_{j>=i} p_j)
 //! ```
 //!
 //! This is *exact* — the resulting histogram has the same distribution as
-//! binning `q` iid per-draw samples — so testers may switch backends
-//! without recalibration. The per-draw path remains available behind
-//! [`SampleBackend::PerDraw`] both as a correctness oracle and for
-//! consumers that need the raw sample stream (e.g. transcript-level
-//! protocols that forward sample identities).
+//! binning `q` iid per-draw samples. Protocol runs never take this path:
+//! every node draws through [`crate::Sampler::collision_count`]. The
+//! balanced rule's Monte-Carlo calibration is its one caller, where
+//! [`SampleBackend`] picks it for the `(n, q)` at which the frozen cost
+//! tables ([`crate::costmodel`]) predict it is cheaper.
 //!
 //! # Example
 //!
 //! ```
-//! use dut_probability::{DenseDistribution, SampleBackend};
+//! use dut_probability::DenseDistribution;
 //! use rand::SeedableRng;
 //!
 //! let d = DenseDistribution::uniform(16);
-//! let dual = d.dual_sampler();
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-//! let h = dual.draw(SampleBackend::Histogram, 100, &mut rng);
+//! let h = d.histogram_sampler().draw(100, &mut rng);
 //! assert_eq!(h.total(), 100);
 //! ```
 
 use crate::dense::DenseDistribution;
 use crate::empirical::Histogram;
-use crate::sampler::{AliasSampler, CdfSampler, Sampler, UniformSampler};
 use rand::Rng;
 use std::fmt;
 
-/// Which sampling engine a simulation run uses to realize each player's
-/// `q` samples.
+/// Which engine the balanced rule's calibration uses to draw a uniform
+/// node's collision count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SampleBackend {
-    /// Draw `q` individual samples by inverse-transform (binary search
-    /// on the CDF) and bin them — O(q log n) per player. The
-    /// historical default and the correctness oracle.
+    /// Draw the `q` samples one by one and tally collisions as they
+    /// come ([`crate::Sampler::collision_count`]) — O(q) per node.
     PerDraw,
     /// Draw the occupancy histogram directly via conditional-binomial
-    /// stick-breaking — O(n + q) expected per player, no sample vector.
+    /// stick-breaking — O(n + q) expected per node, no sample vector.
     Histogram,
-    /// Consult the calibrated cost model ([`crate::costmodel`]) and
-    /// take whichever concrete engine it predicts is cheaper for the
-    /// `(n, q)` at hand. The default everywhere: neither engine wins
-    /// uniformly (the bench grid has histogram at 57x on one corner
-    /// and 0.33x on another), so a fixed choice is always wrong
-    /// somewhere.
+    /// Consult the frozen cost tables ([`crate::costmodel`]) and take
+    /// whichever concrete engine they predict is cheaper for the
+    /// `(n, q)` at hand.
     #[default]
     Auto,
 }
@@ -62,10 +55,10 @@ pub enum SampleBackend {
 impl SampleBackend {
     /// The concrete engines, in presentation order. `Auto` is not a
     /// third engine — it resolves to one of these per `(n, q)` — so
-    /// equivalence tests and benches iterate this list.
+    /// equivalence tests iterate this list.
     pub const ALL: [SampleBackend; 2] = [SampleBackend::PerDraw, SampleBackend::Histogram];
 
-    /// Stable lowercase name, used in CLI flags, env vars and reports.
+    /// Stable lowercase name, used in reports and test messages.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -75,21 +68,9 @@ impl SampleBackend {
         }
     }
 
-    /// Parses a backend name as written on a CLI (`per-draw`/`perdraw`,
-    /// `histogram`/`hist`, or `auto`, case-insensitive).
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_lowercase().as_str() {
-            "per-draw" | "perdraw" | "per_draw" => Some(SampleBackend::PerDraw),
-            "histogram" | "hist" => Some(SampleBackend::Histogram),
-            "auto" => Some(SampleBackend::Auto),
-            _ => None,
-        }
-    }
-
-    /// Small integer code for the observability gauge (0 is "unset").
-    /// Runs record the *resolved* engine, so 3 only ever shows up in
-    /// configuration manifests, never in the sampling gauge.
+    /// Small stable integer code. `dut serve` mixes the resolved
+    /// engine's code into each key's calibration seed, so the codes
+    /// must never change.
     #[must_use]
     pub fn gauge_code(self) -> u64 {
         match self {
@@ -457,130 +438,6 @@ impl HistogramSampler {
     }
 }
 
-/// A source of `q`-sample occupancy histograms. Implemented natively by
-/// [`HistogramSampler`] and, by binning individual draws, by every
-/// per-draw [`Sampler`] in this crate — which lets count-consuming
-/// testers take either engine through one interface.
-pub trait CountSampler {
-    /// Draws the occupancy histogram of `q` iid samples.
-    fn draw_counts<R: Rng + ?Sized>(&self, q: u64, rng: &mut R) -> Histogram;
-
-    /// Domain size of the sampled distribution.
-    fn domain_size(&self) -> usize;
-}
-
-impl CountSampler for HistogramSampler {
-    fn draw_counts<R: Rng + ?Sized>(&self, q: u64, rng: &mut R) -> Histogram {
-        self.draw(q, rng)
-    }
-
-    fn domain_size(&self) -> usize {
-        self.support_size()
-    }
-}
-
-/// Bins `q` individual draws from a per-draw sampler into a histogram.
-fn bin_draws<S: Sampler + ?Sized, R: Rng + ?Sized>(s: &S, q: u64, rng: &mut R) -> Histogram {
-    let mut h = Histogram::new(s.support_size());
-    for _ in 0..q {
-        h.record(s.sample(rng));
-    }
-    h
-}
-
-impl CountSampler for AliasSampler {
-    fn draw_counts<R: Rng + ?Sized>(&self, q: u64, rng: &mut R) -> Histogram {
-        bin_draws(self, q, rng)
-    }
-
-    fn domain_size(&self) -> usize {
-        self.support_size()
-    }
-}
-
-impl CountSampler for CdfSampler {
-    fn draw_counts<R: Rng + ?Sized>(&self, q: u64, rng: &mut R) -> Histogram {
-        bin_draws(self, q, rng)
-    }
-
-    fn domain_size(&self) -> usize {
-        self.support_size()
-    }
-}
-
-impl CountSampler for UniformSampler {
-    fn draw_counts<R: Rng + ?Sized>(&self, q: u64, rng: &mut R) -> Histogram {
-        bin_draws(self, q, rng)
-    }
-
-    fn domain_size(&self) -> usize {
-        self.support_size()
-    }
-}
-
-/// Holds both sampling engines for one distribution and dispatches on a
-/// [`SampleBackend`], so network runs can switch per-run without
-/// rebuilding tables.
-///
-/// The per-draw engine is the inverse-transform [`CdfSampler`] — the
-/// textbook "materialize every sample" method at O(log n) per draw that
-/// the histogram path's O(n + q) claim is measured against. Protocol
-/// code that wants the fastest *per-draw* sampler (O(1) per draw after
-/// O(n) setup) should keep using [`AliasSampler`] through the plain
-/// [`Sampler`]-generic entry points.
-#[derive(Debug, Clone)]
-pub struct DualSampler {
-    per_draw: CdfSampler,
-    histogram: HistogramSampler,
-}
-
-impl DualSampler {
-    /// Builds both engines for `dist`.
-    #[must_use]
-    pub fn new(dist: &DenseDistribution) -> Self {
-        Self {
-            per_draw: CdfSampler::new(dist),
-            histogram: HistogramSampler::new(dist),
-        }
-    }
-
-    /// Domain size.
-    #[must_use]
-    pub fn support_size(&self) -> usize {
-        self.per_draw.support_size()
-    }
-
-    /// The per-draw engine, for callers that need raw sample identities.
-    #[must_use]
-    pub fn per_draw(&self) -> &CdfSampler {
-        &self.per_draw
-    }
-
-    /// The fast-path engine.
-    #[must_use]
-    pub fn histogram(&self) -> &HistogramSampler {
-        &self.histogram
-    }
-
-    /// The concrete engine `backend` resolves to for a `q`-sample draw
-    /// on this sampler's domain (`Auto` asks the cost model).
-    #[must_use]
-    pub fn resolve(&self, backend: SampleBackend, q: u64) -> SampleBackend {
-        backend.resolve(self.support_size(), q)
-    }
-
-    /// Draws the `q`-sample occupancy histogram with the chosen backend
-    /// (`Auto` resolves through the cost model first).
-    #[must_use]
-    pub fn draw<R: Rng + ?Sized>(&self, backend: SampleBackend, q: u64, rng: &mut R) -> Histogram {
-        match self.resolve(backend, q) {
-            SampleBackend::PerDraw => self.per_draw.draw_counts(q, rng),
-            SampleBackend::Histogram => self.histogram.draw(q, rng),
-            SampleBackend::Auto => unreachable!("resolve() returns a concrete engine"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -591,18 +448,10 @@ mod tests {
     }
 
     #[test]
-    fn backend_names_round_trip() {
+    fn backend_names_and_codes_are_stable() {
         for b in SampleBackend::ALL {
-            assert_eq!(SampleBackend::parse(b.name()), Some(b));
             assert_eq!(format!("{b}"), b.name());
         }
-        assert_eq!(SampleBackend::parse("hist"), Some(SampleBackend::Histogram));
-        assert_eq!(
-            SampleBackend::parse("PerDraw"),
-            Some(SampleBackend::PerDraw)
-        );
-        assert_eq!(SampleBackend::parse("nope"), None);
-        assert_eq!(SampleBackend::parse("auto"), Some(SampleBackend::Auto));
         assert_eq!(SampleBackend::default(), SampleBackend::Auto);
         assert_eq!(SampleBackend::PerDraw.gauge_code(), 1);
         assert_eq!(SampleBackend::Histogram.gauge_code(), 2);
@@ -621,22 +470,6 @@ mod tests {
         // Concrete engines resolve to themselves.
         for b in SampleBackend::ALL {
             assert_eq!(b.resolve(50, 50), b);
-        }
-    }
-
-    #[test]
-    fn auto_draw_is_bit_identical_to_its_resolved_engine() {
-        for d in [
-            DenseDistribution::uniform(1_000),
-            DenseDistribution::from_weights((1..=200).map(f64::from).collect()).unwrap(),
-        ] {
-            let dual = DualSampler::new(&d);
-            for q in [100u64, 1_000, 20_000] {
-                let resolved = dual.resolve(SampleBackend::Auto, q);
-                let via_auto = dual.draw(SampleBackend::Auto, q, &mut rng(q));
-                let direct = dual.draw(resolved, q, &mut rng(q));
-                assert_eq!(via_auto, direct, "q={q} resolved={resolved}");
-            }
         }
     }
 
@@ -845,36 +678,6 @@ mod tests {
                 (mean - expect).abs() < 6.0 * sigma,
                 "cell {i}: mean {mean} vs {expect} (sigma {sigma})"
             );
-        }
-    }
-
-    #[test]
-    fn backends_agree_in_distribution() {
-        // Same skewed target through both engines; empirical frequencies
-        // must land within 2% of each other per cell.
-        let d = DenseDistribution::from_weights(vec![1.0, 2.0, 4.0, 8.0, 16.0]).unwrap();
-        let dual = DualSampler::new(&d);
-        let q = 60_000u64;
-        let per_draw = dual.draw(SampleBackend::PerDraw, q, &mut rng(61));
-        let hist = dual.draw(SampleBackend::Histogram, q, &mut rng(67));
-        for i in 0..5 {
-            let fa = per_draw.count(i) as f64 / q as f64;
-            let fb = hist.count(i) as f64 / q as f64;
-            assert!((fa - fb).abs() < 0.02, "index {i}: {fa} vs {fb}");
-        }
-    }
-
-    #[test]
-    fn count_sampler_trait_dispatch() {
-        let d = DenseDistribution::uniform(8);
-        let mut r = rng(71);
-        let from_alias = d.alias_sampler().draw_counts(500, &mut r);
-        let from_cdf = d.cdf_sampler().draw_counts(500, &mut r);
-        let from_uniform = UniformSampler::new(8).draw_counts(500, &mut r);
-        let from_hist = d.histogram_sampler().draw_counts(500, &mut r);
-        for h in [&from_alias, &from_cdf, &from_uniform, &from_hist] {
-            assert_eq!(h.total(), 500);
-            assert_eq!(h.domain_size(), 8);
         }
     }
 }

@@ -2,8 +2,8 @@
 
 #![allow(clippy::float_cmp, clippy::cast_possible_truncation)] // test code asserts exact values
 use dut_probability::{
-    distance, empirical, families, CountSampler, DenseDistribution, Histogram, PairedDomain,
-    PerturbationVector, SampleBackend, Sampler,
+    distance, empirical, families, DenseDistribution, Histogram, PairedDomain, PerturbationVector,
+    Sampler,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -11,6 +11,15 @@ use rand::SeedableRng;
 /// The smallest sample value for which the collision functions sort a copy
 /// instead of using their per-thread count table.
 const TABLE_BOUND: usize = 1 << 20;
+
+/// The occupancy histogram of `q` draws from a per-draw sampler.
+fn bin<S: Sampler>(sampler: &S, q: u64, rng: &mut rand::rngs::StdRng) -> Histogram {
+    let mut h = Histogram::new(sampler.support_size());
+    for _ in 0..q {
+        h.record(sampler.sample(rng));
+    }
+    h
+}
 
 /// Colliding pairs by brute force: every `i < j` with equal samples.
 fn pair_count(samples: &[usize]) -> u64 {
@@ -218,11 +227,11 @@ proptest! {
 
     #[test]
     fn backends_total_is_q(d in arb_distribution(), q in 0u64..4096, seed in any::<u64>()) {
-        let dual = d.dual_sampler();
-        for backend in SampleBackend::ALL {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            prop_assert_eq!(dual.draw(backend, q, &mut rng).total(), q);
-        }
+        let cdf = d.cdf_sampler();
+        let hist = d.histogram_sampler();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        prop_assert_eq!(bin(&cdf, q, &mut rng).total(), q);
+        prop_assert_eq!(hist.draw(q, &mut rng).total(), q);
     }
 
     #[test]
@@ -234,13 +243,13 @@ proptest! {
         let weights: Vec<f64> = mask.iter().map(|&on| if on { 1.0 } else { 0.0 }).collect();
         if weights.iter().sum::<f64>() > 0.0 {
             let d = DenseDistribution::from_weights(weights).expect("some positive mass");
-            let dual = d.dual_sampler();
-            for backend in SampleBackend::ALL {
-                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-                let h = dual.draw(backend, 512, &mut rng);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let per_draw = bin(&d.cdf_sampler(), 512, &mut rng);
+            let histogram = d.histogram_sampler().draw(512, &mut rng);
+            for (engine, h) in [("per-draw", per_draw), ("histogram", histogram)] {
                 for (i, &on) in mask.iter().enumerate() {
                     if !on {
-                        prop_assert_eq!(h.count(i), 0, "{} put mass at zero cell {}", backend, i);
+                        prop_assert_eq!(h.count(i), 0, "{} put mass at zero cell {}", engine, i);
                     }
                 }
             }
@@ -257,9 +266,9 @@ proptest! {
         let cdf = d.cdf_sampler();
         let hist = d.histogram_sampler();
         let engines: [&dyn Fn(&mut rand::rngs::StdRng) -> Histogram; 3] = [
-            &|r| alias.draw_counts(q, r),
-            &|r| cdf.draw_counts(q, r),
-            &|r| hist.draw_counts(q, r),
+            &|r| bin(&alias, q, r),
+            &|r| bin(&cdf, q, r),
+            &|r| hist.draw(q, r),
         ];
         for (e, engine) in engines.iter().enumerate() {
             let reps = 8u64;

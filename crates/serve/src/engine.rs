@@ -27,7 +27,7 @@ use crate::cache::{Lookup, ShardedTesterCache};
 use crate::protocol::{Family, Reply, Request};
 use dut_core::{PreparedUniformityTester, Rule, UniformityTester};
 use dut_obs::metrics::{Counter, HistogramId};
-use dut_probability::{DualSampler, SampleBackend};
+use dut_probability::{AliasSampler, SampleBackend};
 use dut_simnet::Verdict;
 use dut_stats::seed::derive_seed2;
 use dut_stats::{seed::derive_seed, SuccessEstimate};
@@ -86,7 +86,7 @@ impl std::fmt::Display for BuildError {
 /// Identity of a prepared tester: every field that influences
 /// preparation or sampling. Epsilon enters by IEEE-754 bit pattern —
 /// two requests either share a tester exactly or not at all. The
-/// sampling engine is not a field: it is [`CacheKey::backend`], a
+/// calibration engine is not a field: it is [`CacheKey::backend`], a
 /// fixed function of `(n, q)`, so it is the same in every process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct CacheKey {
@@ -127,8 +127,10 @@ impl CacheKey {
         }
     }
 
-    /// The concrete engine every trial for this key runs on: the cost
-    /// model's pick for the key's `(n, q)`, never `Auto`.
+    /// The concrete engine the balanced rule's calibration draws on for
+    /// this key: the frozen cost tables' pick for the key's `(n, q)`,
+    /// never `Auto`. Trials do not use it; every trial draws through
+    /// the alias sampler's fused kernel.
     #[must_use]
     pub fn backend(&self) -> SampleBackend {
         SampleBackend::Auto.resolve(self.n, self.q as u64)
@@ -161,8 +163,8 @@ impl CacheKey {
     }
 
     /// Seed for the preparation/calibration RNG: a pure function of
-    /// the key and its resolved engine, so every build of this
-    /// configuration — cached, fresh, offline, in any process —
+    /// the key and its calibration engine's code, so every build of
+    /// this configuration — cached, fresh, offline, in any process —
     /// prepares the bit-identical tester.
     #[must_use]
     pub fn calibration_seed(&self) -> u64 {
@@ -175,11 +177,8 @@ impl CacheKey {
 pub struct PreparedEntry {
     /// The calibrated tester.
     pub prepared: PreparedUniformityTester,
-    /// Dual sampler for the key's input family.
-    pub sampler: DualSampler,
-    /// The resolved sampling engine every trial for this key runs on
-    /// (the cost model's pick for the key's `(n, q)`; never `Auto`).
-    pub backend: SampleBackend,
+    /// Alias sampler for the key's input family.
+    pub sampler: AliasSampler,
 }
 
 /// Builds the entry for a key from scratch (the cache-miss path and
@@ -204,13 +203,13 @@ pub fn build_entry(key: &CacheKey) -> Result<Arc<PreparedEntry>, BuildError> {
         .family
         .build(key.n, eps)
         .map_err(BuildError::permanent)?;
+    // `prepare` calibrates on the engine `Auto` resolves to, which is
+    // `key.backend()`: the engine the calibration seed names.
     let mut rng = rand::rngs::StdRng::seed_from_u64(key.calibration_seed());
-    let backend = key.backend();
-    let prepared = tester.prepare_with_backend(key.q, backend, &mut rng);
+    let prepared = tester.prepare(key.q, &mut rng);
     Ok(Arc::new(PreparedEntry {
         prepared,
-        sampler: distribution.dual_sampler(),
-        backend,
+        sampler: distribution.alias_sampler(),
     }))
 }
 
@@ -241,19 +240,16 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
     }
 }
 
-/// Runs the request's trials against a prepared entry on the entry's
-/// resolved backend (the cost model's pick for the key — this used to
-/// hardwire the histogram engine, paying up to 3x on small-q/large-n
-/// configurations where per-draw wins). Trial `i` uses
+/// Runs the request's trials against a prepared entry, one after
+/// another on the calling worker: each is one protocol run whose nodes
+/// draw through the alias sampler's fused kernel. Trial `i` uses
 /// `derive_seed(req.seed, i)`; the reply verdict is trial 0's.
 fn run_trials(entry: &PreparedEntry, req: &Request) -> (Verdict, SuccessEstimate) {
     let mut accepts = 0u64;
     let mut first = Verdict::Reject;
     for i in 0..req.trials {
         let mut rng = rand::rngs::StdRng::seed_from_u64(derive_seed(req.seed, i));
-        let verdict = entry
-            .prepared
-            .run_dual(&entry.sampler, entry.backend, &mut rng);
+        let verdict = entry.prepared.run(&entry.sampler, &mut rng);
         if i == 0 {
             first = verdict;
         }
@@ -402,10 +398,7 @@ impl Engine {
             registry.incr(Counter::ServeCoalesced);
         }
         let entry = entry.map_err(|e| e.message)?;
-        registry.incr(match entry.backend {
-            SampleBackend::PerDraw => Counter::ServeBackendPerDraw,
-            SampleBackend::Histogram | SampleBackend::Auto => Counter::ServeBackendHistogram,
-        });
+        registry.incr(Counter::ServeBackendPerDraw);
         let compute_start = Instant::now();
         let (verdict, estimate) = run_trials(&entry, req);
         let compute_micros = u64::try_from(compute_start.elapsed().as_micros()).unwrap_or(u64::MAX);
@@ -425,7 +418,6 @@ impl Engine {
                     .with("compute_us", compute_micros)
                     .with("total_us", reply.micros)
                     .with("cache", if cache_hit { "hit" } else { "miss" })
-                    .with("backend", entry.backend.name())
                     .with("verdict", verdict.to_string())
             });
         }
@@ -441,7 +433,6 @@ impl Engine {
                 .with("trials", req.trials)
                 .with("verdict", verdict.to_string())
                 .with("cache", if cache_hit { "hit" } else { "miss" })
-                .with("backend", entry.backend.name())
                 .with("micros", reply.micros)
         });
         Ok(reply)
@@ -575,28 +566,17 @@ mod tests {
     }
 
     #[test]
-    fn served_backend_is_the_cost_models_choice() {
-        // (n=10⁴, q=10³) was the 0.33x slow-path point the hardwired
-        // histogram engine kept hitting: the key must resolve per-draw.
-        let mut req = request(1);
-        req.n = 10_000;
-        req.q = 1_000;
-        assert_eq!(CacheKey::of(&req).backend(), SampleBackend::PerDraw);
-        // The flagship histogram corner stays histogram.
-        req.n = 100;
-        req.q = 10_000;
-        assert_eq!(CacheKey::of(&req).backend(), SampleBackend::Histogram);
-        // Entries store the key's resolution, and handling ticks the
-        // per-backend counter for it.
+    fn every_computed_request_counts_as_per_draw() {
+        // The calibration engine still follows the cost tables, but
+        // trials always draw through the alias kernel, so a key that
+        // calibrates on the histogram engine ticks the per-draw counter.
         let registry = dut_obs::metrics::global();
         let before = registry.counter(Counter::ServeBackendPerDraw);
-        let mut pd_req = request(5);
-        pd_req.n = 4096; // per-draw region at q=10
-        pd_req.rule = Rule::And; // calibration-free build
-        let key = CacheKey::of(&pd_req);
-        assert_eq!(key.backend(), SampleBackend::PerDraw);
-        assert_eq!(build_entry(&key).unwrap().backend, SampleBackend::PerDraw);
-        Engine::new(4).handle(&pd_req).unwrap();
+        let mut hist_req = request(5);
+        hist_req.n = 64;
+        hist_req.rule = Rule::And; // calibration-free build
+        assert_eq!(CacheKey::of(&hist_req).backend(), SampleBackend::Histogram);
+        Engine::new(4).handle(&hist_req).unwrap();
         assert!(registry.counter(Counter::ServeBackendPerDraw) > before);
     }
 

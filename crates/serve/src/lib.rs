@@ -8,8 +8,8 @@
 //! rule's thresholds once: the balanced rule's Monte-Carlo
 //! calibration, or the AND and threshold rules' Poisson tail
 //! inversion, so both are paid once per configuration), runs the
-//! verdict on the sampling engine `SampleBackend::Auto` resolves to
-//! for the request's `(n, q)`, and replies with the verdict, the
+//! request's trials through the alias sampler's fused collision
+//! kernel, and replies with the verdict, the
 //! acceptance estimate with its Wilson interval, whether the tester
 //! was cached, and the service time.
 //!

@@ -62,11 +62,13 @@ pub struct Stats {
     pub reaped: u64,
     /// Cumulative connections closed for exhausting the error budget.
     pub error_budget_closed: u64,
-    /// Cumulative requests whose resolved backend was the per-draw
-    /// engine (the cost model's pick for their `(n, q)`).
+    /// Cumulative computed requests. Every trial draws through the
+    /// alias sampler's per-draw kernel, so every computed request
+    /// counts here.
     pub backend_per_draw: u64,
-    /// Cumulative requests whose resolved backend was the histogram
-    /// engine.
+    /// Always 0: no served trial draws on the histogram engine. The
+    /// field stays in the schema until the benchmark, which reads it,
+    /// drops it.
     pub backend_histogram: u64,
     /// Cumulative shard-loop service passes since boot.
     pub shard_passes: u64,

@@ -106,18 +106,6 @@ pub fn render_frame(stats: &Stats, addr: &str) -> String {
         stats.cache_hits,
         stats.cache_misses
     );
-    let backend_total = stats.backend_per_draw + stats.backend_histogram;
-    let _ = writeln!(
-        out,
-        "backend  {} per-draw / {} histogram ({:.0}% histogram, cost-model resolved)",
-        stats.backend_per_draw,
-        stats.backend_histogram,
-        if backend_total == 0 {
-            0.0
-        } else {
-            stats.backend_histogram as f64 / backend_total as f64 * 100.0
-        },
-    );
     let _ = writeln!(
         out,
         "latency  p50 {}   p95 {}   p99 {}   (target p99 {})",
@@ -267,10 +255,10 @@ mod tests {
         assert!(frame.contains("p95 4.8ms"));
         assert!(frame.contains("p99 1.02s"));
         assert!(frame.contains("13 malformed"));
-        assert!(frame.contains("backend  40 per-draw / 960 histogram (96% histogram"));
         assert!(frame.contains("serve    16 connections   120 coalesced   3 tenant-shed"));
         assert!(frame.contains("metered 200r/3s"));
-        assert_eq!(frame.lines().count(), 9);
+        assert!(!frame.contains("backend"));
+        assert_eq!(frame.lines().count(), 8);
     }
 
     #[test]

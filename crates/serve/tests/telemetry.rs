@@ -125,17 +125,15 @@ fn flight_command_dumps_the_ring() {
 /// behind it. Its cache key is distinct from [`request`]'s, so it
 /// never shares a prepared tester with the light traffic.
 fn slow_request() -> Request {
-    // Debug builds run the trial loop roughly 6x slower; scale so the
-    // pin lasts seconds in both profiles without wasting minutes.
-    let trials = if cfg!(debug_assertions) {
-        20_000
-    } else {
-        60_000
-    };
+    // Debug builds run the trial loop roughly 8x slower; scale so the
+    // pin lasts seconds in both profiles without wasting minutes. Each
+    // trial draws k·q = 65,536 samples through the alias kernel (about
+    // 0.4 ms in release).
+    let trials = if cfg!(debug_assertions) { 800 } else { 6_000 };
     Request {
         n: 256,
-        k: 8,
-        q: 24,
+        k: 64,
+        q: 1024,
         eps: 0.5,
         rule: Rule::Balanced,
         family: Family::Uniform,

@@ -59,7 +59,7 @@ pub mod resilience;
 pub use bits::PackedBits;
 pub use message::Message;
 pub use network::{record_run, Network, RunOutcome, Transcript};
-pub use player::{CountPlayer, Player, PlayerContext};
+pub use player::{Player, PlayerContext};
 pub use rates::RateVector;
 pub use resilience::{
     byzantine_tolerance, rejection_rate, ByzantineBehavior, ByzantinePlan, FaultPlan, FaultStats,

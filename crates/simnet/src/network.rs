@@ -1,18 +1,10 @@
 use crate::bits::PackedBits;
 use crate::message::Message;
-use crate::player::{CountPlayer, Player, PlayerContext};
+use crate::player::{Player, PlayerContext};
 use crate::rule::{DecisionRule, Verdict};
-use dut_obs::metrics::{Counter, Gauge, HistogramId};
-use dut_probability::{DualSampler, SampleBackend, Sampler};
-use dut_stats::seed::derive_seed;
-use rand::{Rng, SeedableRng};
-
-/// Estimated sampling work (cost-model nanoseconds summed over all
-/// players) below which [`Network::run_counts`] stays sequential even
-/// when threads are available: spawning scoped threads costs tens of
-/// microseconds, so tiny runs — the typical served request — must not
-/// pay it.
-const PARALLEL_MIN_WORK_NS: f64 = 200_000.0;
+use dut_obs::metrics::{Counter, HistogramId};
+use dut_probability::Sampler;
+use rand::Rng;
 
 /// Records one finished execution in the global metrics registry and,
 /// at verbose trace level, emits a per-run event. Pure observation:
@@ -222,134 +214,6 @@ impl Network {
             },
         }
     }
-
-    /// Runs the one-bit protocol for count-consuming players: every
-    /// player receives its `q`-sample occupancy histogram, realized by
-    /// the chosen [`SampleBackend`] — either by binning per-draw samples
-    /// or through the O(n + q) conditional-binomial fast path
-    /// (`Auto` resolves through the cost model first). Both backends
-    /// produce Multinomial(q, p)-distributed histograms, so verdict
-    /// distributions are identical in law.
-    ///
-    /// Each player draws from its own RNG stream derived from the
-    /// caller's RNG (one seed per run, split per player with
-    /// [`derive_seed`]), which makes runs independent of player
-    /// execution order. Large runs exploit that: when the cost model
-    /// estimates enough sampling work, players are drawn data-parallel
-    /// on up to [`dut_stats::runner::available_threads`] scoped
-    /// threads, with results bit-identical to the sequential path at
-    /// any thread count.
-    pub fn run_counts<P, R>(
-        &self,
-        sampler: &DualSampler,
-        backend: SampleBackend,
-        samples_per_player: usize,
-        player: &P,
-        rule: &DecisionRule,
-        rng: &mut R,
-    ) -> RunOutcome
-    where
-        P: CountPlayer + Sync + ?Sized,
-        R: Rng + ?Sized,
-    {
-        self.run_counts_with_threads(
-            sampler,
-            backend,
-            samples_per_player,
-            player,
-            rule,
-            dut_stats::runner::available_threads(),
-            rng,
-        )
-    }
-
-    /// [`Network::run_counts`] with an explicit thread budget instead
-    /// of the process-wide [`dut_stats::runner::available_threads`]
-    /// (which memoizes `DUT_THREADS` once per process). Results are
-    /// bit-identical for every `threads` value; tests use this to
-    /// assert exactly that.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_counts_with_threads<P, R>(
-        &self,
-        sampler: &DualSampler,
-        backend: SampleBackend,
-        samples_per_player: usize,
-        player: &P,
-        rule: &DecisionRule,
-        threads: usize,
-        rng: &mut R,
-    ) -> RunOutcome
-    where
-        P: CountPlayer + Sync + ?Sized,
-        R: Rng + ?Sized,
-    {
-        let q = samples_per_player as u64;
-        let backend = sampler.resolve(backend, q);
-        let registry = dut_obs::metrics::global();
-        registry.set_gauge(Gauge::SamplingBackend, backend.gauge_code());
-        if backend == SampleBackend::Histogram {
-            registry.add(Counter::HistogramDraws, self.num_players as u64);
-        }
-        let shared_seed: u64 = rng.random();
-        // One master seed per run, split into per-player streams, so
-        // the draw for player `i` does not depend on who drew before
-        // it — the property that lets the chunked path below run
-        // players in parallel without changing any histogram.
-        let draw_base: u64 = rng.random();
-        let draw_one = |player_id: usize| -> bool {
-            let ctx = PlayerContext {
-                player_id,
-                num_players: self.num_players,
-                shared_seed,
-            };
-            let mut player_rng =
-                rand::rngs::StdRng::seed_from_u64(derive_seed(draw_base, player_id as u64));
-            let histogram = sampler.draw(backend, q, &mut player_rng);
-            player.accepts_counts(&ctx, &histogram)
-        };
-        let threads = threads.clamp(1, self.num_players);
-        #[allow(clippy::cast_precision_loss)]
-        let estimated_work_ns = self.num_players as f64
-            * dut_probability::costmodel::predicted_draw_ns(backend, sampler.support_size(), q);
-        let accepts: Vec<bool> = if threads > 1 && estimated_work_ns > PARALLEL_MIN_WORK_NS {
-            let mut accepts = vec![false; self.num_players];
-            let chunk = self.num_players.div_ceil(threads);
-            let draw_one = &draw_one;
-            std::thread::scope(|scope| {
-                for (t, out) in accepts.chunks_mut(chunk).enumerate() {
-                    let start = t * chunk;
-                    scope.spawn(move || {
-                        for (offset, slot) in out.iter_mut().enumerate() {
-                            *slot = draw_one(start + offset);
-                        }
-                    });
-                }
-            });
-            accepts
-        } else {
-            (0..self.num_players).map(draw_one).collect()
-        };
-        let mut messages = Vec::with_capacity(self.num_players);
-        let mut bits = PackedBits::with_capacity(self.num_players);
-        for &accept in &accepts {
-            bits.push(accept);
-            messages.push(Message::from_accept_bit(accept));
-        }
-        let verdict = rule.decide_packed(&bits);
-        record_run(
-            verdict,
-            (samples_per_player * self.num_players) as u64,
-            self.num_players as u64,
-        );
-        RunOutcome {
-            verdict,
-            transcript: Transcript {
-                messages,
-                samples_drawn: vec![samples_per_player; self.num_players],
-                shared_seed,
-            },
-        }
-    }
 }
 
 #[cfg(test)]
@@ -425,105 +289,6 @@ mod tests {
         };
         net.run_with_sample_counts(&sampler, &counts, &player, &DecisionRule::And, &mut rng());
         assert_eq!(lens.into_inner(), vec![1, 5, 9]);
-    }
-
-    #[test]
-    fn run_counts_on_both_backends() {
-        use dut_probability::{Histogram, SampleBackend};
-        let net = Network::new(6);
-        let dual = families::uniform(32).dual_sampler();
-        // Reject when the local histogram shows any collision: on a
-        // 32-element uniform domain with 2 samples collisions are rare,
-        // so the AND rule accepts most runs under either backend.
-        let player = |_ctx: &PlayerContext, h: &Histogram| h.collision_count() == 0;
-        for backend in SampleBackend::ALL {
-            let mut r = rng();
-            let mut accepts = 0usize;
-            for _ in 0..200 {
-                let out = net.run_counts(&dual, backend, 2, &player, &DecisionRule::And, &mut r);
-                assert_eq!(out.transcript.samples_drawn, vec![2; 6]);
-                accepts += usize::from(out.verdict.is_accept());
-            }
-            assert!(accepts > 120, "{backend}: only {accepts}/200 accepted");
-        }
-    }
-
-    #[test]
-    fn run_counts_deterministic_per_seed() {
-        use dut_probability::{Histogram, SampleBackend};
-        let net = Network::new(4);
-        let dual = families::uniform(16).dual_sampler();
-        let player = |_ctx: &PlayerContext, h: &Histogram| h.collision_count() < 2;
-        for backend in SampleBackend::ALL {
-            let a = net.run_counts(
-                &dual,
-                backend,
-                8,
-                &player,
-                &DecisionRule::Majority,
-                &mut rng(),
-            );
-            let b = net.run_counts(
-                &dual,
-                backend,
-                8,
-                &player,
-                &DecisionRule::Majority,
-                &mut rng(),
-            );
-            assert_eq!(a, b, "{backend} not deterministic per seed");
-        }
-    }
-
-    #[test]
-    fn run_counts_identical_at_any_thread_count() {
-        use dut_probability::{Histogram, SampleBackend};
-        // Enough players × samples that the work estimate crosses the
-        // parallel threshold and the threaded path actually runs.
-        let net = Network::new(64);
-        let dual = families::uniform(100).dual_sampler();
-        let player = |_ctx: &PlayerContext, h: &Histogram| h.collision_count() < 200;
-        for backend in [
-            SampleBackend::PerDraw,
-            SampleBackend::Histogram,
-            SampleBackend::Auto,
-        ] {
-            let mut outcomes = (1usize..=8).map(|threads| {
-                net.run_counts_with_threads(
-                    &dual,
-                    backend,
-                    5_000,
-                    &player,
-                    &DecisionRule::Majority,
-                    threads,
-                    &mut rng(),
-                )
-            });
-            let first = outcomes.next().unwrap();
-            for (i, out) in outcomes.enumerate() {
-                assert_eq!(first, out, "{backend}: threads=1 vs threads={}", i + 2);
-            }
-        }
-    }
-
-    #[test]
-    fn run_counts_auto_matches_its_resolved_engine() {
-        use dut_probability::{Histogram, SampleBackend};
-        let net = Network::new(8);
-        let dual = families::uniform(64).dual_sampler();
-        let player = |_ctx: &PlayerContext, h: &Histogram| h.collision_count() == 0;
-        let q = 4usize;
-        let resolved = dual.resolve(SampleBackend::Auto, q as u64);
-        let via_auto = net.run_counts(
-            &dual,
-            SampleBackend::Auto,
-            q,
-            &player,
-            &DecisionRule::And,
-            &mut rng(),
-        );
-        let direct = net.run_counts(&dual, resolved, q, &player, &DecisionRule::And, &mut rng());
-        assert_eq!(via_auto, direct);
     }
 
     #[test]

@@ -1,5 +1,3 @@
-use dut_probability::Histogram;
-
 /// Per-player information available when deciding: identity, network
 /// size, and the shared-randomness seed (the paper's lower bounds hold
 /// even with shared randomness; several protocols use it, e.g. the
@@ -25,25 +23,6 @@ pub trait Player {
 impl<F: Fn(&PlayerContext, &[usize]) -> bool> Player for F {
     fn accepts(&self, ctx: &PlayerContext, samples: &[usize]) -> bool {
         self(ctx, samples)
-    }
-}
-
-/// A player in the one-bit model that decides from its `q`-sample
-/// occupancy [`Histogram`] rather than the raw sample stream.
-///
-/// Every tester over collision statistics is naturally a `CountPlayer`:
-/// the sample order carries no information for it. Such players can run
-/// on either sampling engine via [`crate::Network::run_counts`] — in
-/// particular the O(n + q) histogram fast path, which never materializes
-/// individual samples.
-pub trait CountPlayer {
-    /// Decides whether to accept based on the local occupancy histogram.
-    fn accepts_counts(&self, ctx: &PlayerContext, histogram: &Histogram) -> bool;
-}
-
-impl<F: Fn(&PlayerContext, &Histogram) -> bool> CountPlayer for F {
-    fn accepts_counts(&self, ctx: &PlayerContext, histogram: &Histogram) -> bool {
-        self(ctx, histogram)
     }
 }
 

@@ -66,17 +66,6 @@ impl CollisionTester {
     pub fn statistic(samples: &[usize]) -> u64 {
         collision_count_of(samples)
     }
-
-    /// Tests directly from an occupancy histogram — the sufficient
-    /// statistic — so the O(n + q) sampling fast path can feed this
-    /// tester without materializing a sample vector. Identical verdict
-    /// law to [`CentralizedTester::test`] on the binned samples.
-    #[must_use]
-    pub fn test_histogram(&self, histogram: &dut_probability::Histogram) -> Verdict {
-        let count = histogram.collision_count() as f64;
-        let q = usize::try_from(histogram.total()).unwrap_or(usize::MAX);
-        Verdict::from_accept_bit(count <= self.threshold(q))
-    }
 }
 
 impl CentralizedTester for CollisionTester {

@@ -1,5 +1,5 @@
-use dut_probability::{DualSampler, Histogram, SampleBackend, Sampler};
-use dut_simnet::{DecisionRule, Network, PlayerContext, RunOutcome};
+use dut_probability::Sampler;
+use dut_simnet::{DecisionRule, Network, RunOutcome};
 use rand::Rng;
 
 /// The uniform collision rate `λ₀ = C(q,2)/n`: the expected collision
@@ -86,24 +86,5 @@ impl PreparedThresholdTester {
             rng,
             |_ctx, q, rng| self.node_accepts(sampler.collision_count(q, rng)),
         )
-    }
-
-    /// Runs one execution on occupancy histograms: the node statistic
-    /// depends only on counts, so each node's samples can be realized
-    /// by either [`SampleBackend`], in particular the O(n + q)
-    /// histogram fast path.
-    pub fn run_counts<R>(
-        &self,
-        sampler: &DualSampler,
-        backend: SampleBackend,
-        rng: &mut R,
-    ) -> RunOutcome
-    where
-        R: Rng + ?Sized,
-    {
-        let this = *self;
-        let player =
-            move |_ctx: &PlayerContext, h: &Histogram| this.node_accepts(h.collision_count());
-        Network::new(self.k).run_counts(sampler, backend, self.q, &player, &self.referee(), rng)
     }
 }

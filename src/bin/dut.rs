@@ -13,9 +13,7 @@
 
 use distributed_uniformity::advisor::{recommend, LocalityRequirement};
 use distributed_uniformity::lowerbound::theory;
-use distributed_uniformity::probability::{
-    families, DenseDistribution, DualSampler, SampleBackend,
-};
+use distributed_uniformity::probability::{families, DenseDistribution};
 use distributed_uniformity::UniformityTester;
 use rand::SeedableRng;
 use std::process::ExitCode;
@@ -35,7 +33,6 @@ COMMANDS:
     faults    render error-vs-fault-rate curves and Byzantine tolerance
     report    summarize a JSONL trace (written via DUT_TRACE=<path>)
     lint      run workspace static analysis (determinism / numeric / concurrency rules)
-    bench     time the per-draw, histogram and auto sampling backends
     serve     run the long-lived uniformity-testing TCP service
     loadgen   drive a running service at a fixed request rate
     top       live dashboard over a running service's stats
@@ -54,8 +51,6 @@ test OPTIONS:
                                                    [default: two-level]
     --q <int>         samples per player           [default: predicted]
     --trials <int>    protocol executions          [default: 200]
-    --backend <name>  per-draw | histogram | auto | both
-                      [default: the alias per-draw path the experiments use]
 
 advise OPTIONS:
     --locality <name> and | threshold:<T> | any    [default: any]
@@ -85,14 +80,6 @@ lint USAGE:
     dut lint --write-baseline <file>   capture current findings as the
                                   new baseline (schema dut-analyze-baseline/v1)
     dut lint --list-suppressions  audit every dut-lint allow with its reason
-
-bench USAGE:
-    dut bench [--smoke] [--out <file>]
-        time per-draw, histogram and the cost-model auto backend over
-        an (n, q) grid and write a dut-bench-perf/v2 baseline with
-        thread/host provenance  [default: BENCH_perf.json];
-        fails if auto trails the better fixed engine by >5% anywhere
-    dut bench --check <file>             validate a written baseline
 
 serve USAGE:
     dut serve [--addr <host:port>] [--workers <N>] [--shards <N>]
@@ -175,7 +162,7 @@ fn main() -> ExitCode {
     // DUT_TRACE=<path> traces these commands.
     let traced = matches!(
         command.as_str(),
-        "test" | "predict" | "advise" | "faults" | "lint" | "bench" | "serve" | "loadgen"
+        "test" | "predict" | "advise" | "faults" | "lint" | "serve" | "loadgen"
     );
     if traced {
         dut_obs::init_from_env();
@@ -187,7 +174,6 @@ fn main() -> ExitCode {
         "faults" => cmd_faults(args),
         "report" => cmd_report(args),
         "lint" => cmd_lint(args),
-        "bench" => cmd_bench(args),
         "serve" => cmd_serve(args),
         "loadgen" => cmd_loadgen(args),
         "top" => cmd_top(args),
@@ -372,7 +358,6 @@ fn cmd_test(mut args: Args) -> Result<(), String> {
     let rule_spec = args.value("--rule")?;
     let input_spec = args.value("--input")?;
     let q = args.get("--q")?;
-    let backend_spec = args.value("--backend")?;
     args.finish(0)?;
     let rule = dut_serve::protocol::parse_rule(rule_spec.as_deref().unwrap_or("balanced"), k)?;
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -389,33 +374,6 @@ fn cmd_test(mut args: Args) -> Result<(), String> {
     let q = q.unwrap_or_else(|| tester.predicted_sample_count());
     println!("configuration: n={n} k={k} eps={eps} rule={rule} q={q} input={input_spec}");
     let prepared = tester.prepare(q, &mut rng);
-
-    if let Some(spec) = backend_spec {
-        let backends: Vec<SampleBackend> = match spec.as_str() {
-            "both" => SampleBackend::ALL.to_vec(),
-            s => vec![SampleBackend::parse(s).ok_or_else(|| {
-                format!("unknown backend `{s}` (per-draw | histogram | auto | both)")
-            })?],
-        };
-        let target = input.dual_sampler();
-        let uniform = families::uniform(n).dual_sampler();
-        for backend in backends {
-            let accept = prepared.acceptance_rate_dual(&target, backend, trials, &mut rng);
-            println!(
-                "[{backend}] acceptance on `{input_spec}` over {trials} runs: {:.1}%",
-                100.0 * accept
-            );
-            if input_spec != "uniform" {
-                let completeness =
-                    prepared.acceptance_rate_dual(&uniform, backend, trials, &mut rng);
-                println!(
-                    "[{backend}] acceptance on uniform (completeness):      {:.1}%",
-                    100.0 * completeness
-                );
-            }
-        }
-        return Ok(());
-    }
 
     let target = input.alias_sampler();
     let accept = prepared.acceptance_rate(&target, trials, &mut rng);
@@ -869,7 +827,6 @@ fn cmd_fuzz(mut args: Args) -> Result<(), String> {
                 seed,
                 addr: Some(addr),
                 corpus_dir,
-                cross_backend_every: 4,
             });
             stop_fuzz_server(server);
             let report = result?;
@@ -970,8 +927,8 @@ fn print_protocol_report(report: &dut_fuzz::protocol_plane::ProtocolFuzzReport) 
 
 fn print_diff_report(report: &dut_fuzz::differential::DiffReport) {
     println!(
-        "differential: {} configs, {} cross-backend checks, {} served-path checks",
-        report.iterations, report.cross_backend_checked, report.served_checked
+        "differential: {} configs, {} served-path checks",
+        report.iterations, report.served_checked
     );
     for failure in &report.failures {
         eprintln!(
@@ -1087,358 +1044,7 @@ fn fuzz_replay(paths: &[String], addr: Option<String>) -> Result<(), String> {
         Err(format!("{failed} corpus entr(ies) failed to replay"))
     }
 }
-/// One measured grid point of the backend benchmark.
-struct BenchEntry {
-    n: usize,
-    q: u64,
-    per_draw_ns: f64,
-    histogram_ns: f64,
-    auto_ns: f64,
-    /// Which concrete engine the cost model resolved `Auto` to here.
-    auto_backend: &'static str,
-}
 
-impl BenchEntry {
-    fn speedup(&self) -> f64 {
-        self.per_draw_ns / self.histogram_ns
-    }
-
-    fn best_fixed_ns(&self) -> f64 {
-        self.per_draw_ns.min(self.histogram_ns)
-    }
-}
-
-/// Auto may pay dispatch overhead but must track the better fixed
-/// engine: the gate (and `--check`) fail any grid point where
-/// `auto_ns > AUTO_SLACK × min(per_draw_ns, histogram_ns)`.
-const AUTO_SLACK: f64 = 1.05;
-
-/// The JSON schema tag for the perf baseline; bump on layout changes.
-const BENCH_SCHEMA: &str = "dut-bench-perf/v2";
-
-/// `dut bench` — wall-clock comparison of the sampling backends.
-///
-/// Times [`SampleBackend::PerDraw`] (inverse-CDF, O(q log n) per draw)
-/// against [`SampleBackend::Histogram`] (stick-breaking, O(n + q)) and
-/// the cost-model-resolved `Auto` over an `(n, q)` grid on the uniform
-/// distribution, prints a table, and writes the machine-readable
-/// baseline to `BENCH_perf.json` (or `--out`). Fails if the
-/// histogram backend is slower at the largest grid point, or if Auto
-/// trails the better fixed engine by more than [`AUTO_SLACK`] anywhere
-/// — the regression gates CI runs via `--smoke`.
-///
-/// [`SampleBackend::PerDraw`]: distributed_uniformity::probability::SampleBackend
-/// [`SampleBackend::Histogram`]: distributed_uniformity::probability::SampleBackend
-fn cmd_bench(mut args: Args) -> Result<(), String> {
-    let smoke = args.switch("--smoke");
-    let out_path = args
-        .value("--out")?
-        .unwrap_or_else(|| "BENCH_perf.json".to_owned());
-    let check_path = args.value("--check")?;
-    args.finish(0)?;
-    if let Some(path) = check_path {
-        println!(
-            "{}",
-            check_bench_file(&path).map_err(|e| format!("{path}: {e}"))?
-        );
-        return Ok(());
-    }
-    // Per-engine budget per grid point (a point costs ~3x this, see
-    // `time_backends`). The smoke budget is large enough that the
-    // 5% Auto gate does not flake on a noisy shared runner.
-    let (ns, qs, budget) = if smoke {
-        (
-            vec![100usize, 1000],
-            vec![1_000u64, 10_000],
-            Duration::from_millis(100),
-        )
-    } else {
-        (
-            vec![100usize, 1_000, 10_000],
-            vec![1_000u64, 10_000, 100_000],
-            Duration::from_millis(250),
-        )
-    };
-    let mut entries = Vec::new();
-    println!("backend timing (ns per q-sample histogram draw, uniform input):");
-    println!(
-        "  {:>6} {:>7} {:>14} {:>14} {:>14} {:>8} {:>10}",
-        "n", "q", "per-draw", "histogram", "auto", "speedup", "auto-picks"
-    );
-    for &n in &ns {
-        let dual = families::uniform(n).dual_sampler();
-        for &q in &qs {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(20_190_729 ^ (n as u64) ^ q);
-            let (per_draw_ns, histogram_ns, auto_ns) = time_backends(&dual, q, budget, &mut rng);
-            let auto_backend = dual.resolve(SampleBackend::Auto, q).name();
-            let entry = BenchEntry {
-                n,
-                q,
-                per_draw_ns,
-                histogram_ns,
-                auto_ns,
-                auto_backend,
-            };
-            println!(
-                "  {:>6} {:>7} {:>14.0} {:>14.0} {:>14.0} {:>7.2}x {:>10}",
-                n,
-                q,
-                entry.per_draw_ns,
-                entry.histogram_ns,
-                entry.auto_ns,
-                entry.speedup(),
-                entry.auto_backend
-            );
-            dut_obs::global().emit_with(|| {
-                dut_obs::Event::new("bench_point")
-                    .with("n", n)
-                    .with("q", q)
-                    .with("per_draw_ns", per_draw_ns)
-                    .with("histogram_ns", histogram_ns)
-                    .with("auto_ns", auto_ns)
-                    .with("auto_backend", auto_backend)
-            });
-            entries.push(entry);
-        }
-    }
-    // Noise bursts on a shared host can poison one point's measurement
-    // window even under min-of-batches. Before gating (and before the
-    // artifact is written), any point where Auto appears to trail the
-    // better fixed engine is re-timed in a fresh window — up to twice —
-    // and every column keeps its minimum. A real Auto regression fails
-    // all three windows; a burst does not.
-    for retry in 1..=2u64 {
-        let offending: Vec<usize> = entries
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.auto_ns > AUTO_SLACK * e.best_fixed_ns())
-            .map(|(i, _)| i)
-            .collect();
-        if offending.is_empty() {
-            break;
-        }
-        for index in offending {
-            let e = &mut entries[index];
-            println!(
-                "  re-timing (n={}, q={}): auto {:.0}ns vs best {:.0}ns (attempt {retry})",
-                e.n,
-                e.q,
-                e.auto_ns,
-                e.best_fixed_ns()
-            );
-            let dual = families::uniform(e.n).dual_sampler();
-            let mut rng =
-                rand::rngs::StdRng::seed_from_u64(20_190_729 ^ (e.n as u64) ^ e.q ^ (retry << 32));
-            let (per_draw_ns, histogram_ns, auto_ns) = time_backends(&dual, e.q, budget, &mut rng);
-            e.per_draw_ns = e.per_draw_ns.min(per_draw_ns);
-            e.histogram_ns = e.histogram_ns.min(histogram_ns);
-            e.auto_ns = e.auto_ns.min(auto_ns);
-        }
-    }
-    let json = render_bench_file(&entries, smoke);
-    std::fs::write(&out_path, json).map_err(|e| format!("cannot write {out_path}: {e}"))?;
-    println!("[baseline written to {out_path}]");
-    let largest = entries.last().expect("grid is never empty");
-    if largest.speedup() <= 1.0 {
-        return Err(format!(
-            "histogram backend slower than per-draw at the largest grid point \
-             (n={}, q={}: {:.0}ns vs {:.0}ns)",
-            largest.n, largest.q, largest.histogram_ns, largest.per_draw_ns
-        ));
-    }
-    let trailing: Vec<String> = entries
-        .iter()
-        .filter(|e| e.auto_ns > AUTO_SLACK * e.best_fixed_ns())
-        .map(|e| {
-            format!(
-                "auto backend trails the better fixed engine at (n={}, q={}): \
-                 {:.0}ns vs best {:.0}ns (limit {AUTO_SLACK}x)",
-                e.n,
-                e.q,
-                e.auto_ns,
-                e.best_fixed_ns()
-            )
-        })
-        .collect();
-    if trailing.is_empty() {
-        Ok(())
-    } else {
-        Err(trailing.join("\n"))
-    }
-}
-
-/// Wall-clock nanoseconds per `draw` of `q` samples for per-draw,
-/// histogram, and auto — in that order — timed together at one grid
-/// point.
-///
-/// The three engines are interleaved in round-robin batches (so host
-/// drift — frequency scaling, a noisy neighbour — hits all of them,
-/// not whichever happened to run in the bad window), and each engine
-/// reports its fastest batch mean. Timing noise on a shared host is
-/// one-sided: preemption only ever slows a batch down, so the minimum
-/// batch mean is a far more stable estimate than the global mean.
-fn time_backends(
-    dual: &DualSampler,
-    q: u64,
-    budget: std::time::Duration,
-    rng: &mut rand::rngs::StdRng,
-) -> (f64, f64, f64) {
-    const BACKENDS: [SampleBackend; 3] = [
-        SampleBackend::PerDraw,
-        SampleBackend::Histogram,
-        SampleBackend::Auto,
-    ];
-    let mut sink = 0u64;
-    for backend in BACKENDS {
-        for _ in 0..2 {
-            sink = sink.wrapping_add(dual.draw(backend, q, rng).collision_count());
-        }
-    }
-    // `budget` is the per-engine budget; a round times each engine for
-    // one ~budget/16 batch, so the whole point costs ~3x budget and
-    // each engine's minimum is taken over ~16 batches.
-    let batch_budget = budget / 16;
-    let total_budget = budget * 3;
-    let start = std::time::Instant::now();
-    let mut best = [f64::INFINITY; 3];
-    let mut rounds = 0u32;
-    while rounds < 3 || (start.elapsed() < total_budget && rounds < 64) {
-        for (slot, &backend) in BACKENDS.iter().enumerate() {
-            let batch_start = std::time::Instant::now();
-            let mut reps = 0u32;
-            while reps < 1 || (batch_start.elapsed() < batch_budget && reps < 20_000) {
-                sink = sink.wrapping_add(dual.draw(backend, q, rng).collision_count());
-                reps += 1;
-            }
-            best[slot] =
-                best[slot].min(batch_start.elapsed().as_secs_f64() * 1e9 / f64::from(reps));
-        }
-        rounds += 1;
-    }
-    std::hint::black_box(sink);
-    (best[0], best[1], best[2])
-}
-
-/// Serializes the measured grid as the `dut-bench-perf/v2` document:
-/// the timing columns plus a provenance block (thread count and host
-/// triple).
-fn render_bench_file(entries: &[BenchEntry], smoke: bool) -> String {
-    use dut_obs::json::{self, Json};
-    let host = format!("{}-{}", std::env::consts::OS, std::env::consts::ARCH);
-    let provenance = Json::obj([
-        (
-            "threads",
-            distributed_uniformity::stats::runner::available_threads().into(),
-        ),
-        ("host", host.into()),
-    ]);
-    let rows = entries.iter().map(|e| {
-        Json::obj([
-            ("n", e.n.into()),
-            ("q", e.q.into()),
-            ("per_draw_ns", e.per_draw_ns.into()),
-            ("histogram_ns", e.histogram_ns.into()),
-            ("auto_ns", e.auto_ns.into()),
-            ("auto_backend", e.auto_backend.into()),
-            ("speedup", e.speedup().into()),
-        ])
-    });
-    let doc = Json::obj([
-        ("schema", BENCH_SCHEMA.into()),
-        ("mode", if smoke { "smoke" } else { "full" }.into()),
-        ("provenance", provenance),
-        ("entries", Json::Arr(rows.collect())),
-    ]);
-    let mut out = json::to_string(&doc);
-    out.push('\n');
-    out
-}
-
-/// Validates a `dut-bench-perf/v2` baseline: schema tag, provenance,
-/// entry fields, internal consistency of the recorded speedups, and
-/// the Auto gate (`auto_ns ≤ AUTO_SLACK × min(fixed)` at every grid
-/// point).
-fn check_bench_file(path: &str) -> Result<String, String> {
-    use dut_obs::json::Json;
-    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    let doc = dut_obs::json::parse(&text)?;
-    let schema = doc
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or("missing `schema`")?;
-    if schema != BENCH_SCHEMA {
-        return Err(format!("schema `{schema}` is not `{BENCH_SCHEMA}`"));
-    }
-    let provenance = doc
-        .get("provenance")
-        .ok_or("baseline missing `provenance`")?;
-    let threads = provenance
-        .get("threads")
-        .and_then(Json::as_f64)
-        .ok_or("provenance missing `threads`")?;
-    if threads < 1.0 {
-        return Err(format!("provenance thread count {threads} is not >= 1"));
-    }
-    provenance
-        .get("host")
-        .and_then(Json::as_str)
-        .ok_or("provenance missing `host`")?;
-    let entries = doc
-        .get("entries")
-        .and_then(Json::as_arr)
-        .ok_or("missing `entries` array")?;
-    let mut last_speedup = None;
-    for (i, entry) in entries.iter().enumerate() {
-        let field = |key: &str| -> Result<f64, String> {
-            entry
-                .get(key)
-                .and_then(Json::as_f64)
-                .filter(|v| v.is_finite() && *v > 0.0)
-                .ok_or_else(|| format!("entry {i}: missing or non-positive `{key}`"))
-        };
-        let per_draw = field("per_draw_ns")?;
-        let histogram = field("histogram_ns")?;
-        let speedup = field("speedup")?;
-        field("n")?;
-        field("q")?;
-        let implied = per_draw / histogram;
-        if (speedup - implied).abs() > 0.01 * implied {
-            return Err(format!(
-                "entry {i}: recorded speedup {speedup:.3} disagrees with \
-                 per_draw_ns/histogram_ns = {implied:.3}"
-            ));
-        }
-        let auto = field("auto_ns")?;
-        let auto_backend = entry
-            .get("auto_backend")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("entry {i}: missing `auto_backend`"))?;
-        if SampleBackend::parse(auto_backend).is_none_or(|b| b == SampleBackend::Auto) {
-            return Err(format!(
-                "entry {i}: `auto_backend` is `{auto_backend}`, not a concrete engine"
-            ));
-        }
-        let best = per_draw.min(histogram);
-        if auto > AUTO_SLACK * best {
-            return Err(format!(
-                "entry {i}: auto_ns {auto:.0} exceeds {AUTO_SLACK}x the better \
-                 fixed engine ({best:.0}ns)"
-            ));
-        }
-        last_speedup = Some(speedup);
-    }
-    let last_speedup = last_speedup.ok_or("`entries` is empty")?;
-    if last_speedup <= 1.0 {
-        return Err(format!(
-            "histogram backend slower at the largest grid point (speedup {last_speedup:.2}x)"
-        ));
-    }
-    Ok(format!(
-        "ok: {} v2 entries, largest-point speedup {last_speedup:.2}x, \
-         auto within slack everywhere",
-        entries.len()
-    ))
-}
 /// `dut faults` — graceful-degradation curves and Byzantine tolerance.
 ///
 /// Sweeps a fault model's intensity and prints the measured two-sided
@@ -1672,48 +1278,4 @@ fn cmd_advise(mut args: Args) -> Result<(), String> {
     );
     println!("rationale: {}", rec.rationale);
     Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bench_file_keeps_its_bytes() {
-        let entries = [
-            BenchEntry {
-                n: 100,
-                q: 1000,
-                per_draw_ns: 15_632.016_983_016_983,
-                histogram_ns: 7_067.137_946_630_484,
-                auto_ns: 6_990.626_565_295_169,
-                auto_backend: "histogram",
-            },
-            BenchEntry {
-                n: 10_000,
-                q: 1000,
-                per_draw_ns: 42_444.0,
-                histogram_ns: 1e-7,
-                auto_ns: 0.5,
-                auto_backend: "per-draw",
-            },
-        ];
-        let provenance = format!(
-            r#""provenance":{{"threads":{},"host":"{}-{}"}}"#,
-            distributed_uniformity::stats::runner::available_threads(),
-            std::env::consts::OS,
-            std::env::consts::ARCH
-        );
-        assert_eq!(
-            render_bench_file(&entries, false),
-            format!(
-                r#"{{"schema":"dut-bench-perf/v2","mode":"full",{provenance},"entries":[{{"n":100,"q":1000,"per_draw_ns":15632.016983016983,"histogram_ns":7067.137946630484,"auto_ns":6990.626565295169,"auto_backend":"histogram","speedup":2.211930360078809}},{{"n":10000,"q":1000,"per_draw_ns":42444,"histogram_ns":0.0000001,"auto_ns":0.5,"auto_backend":"per-draw","speedup":424440000000}}]}}"#
-            ) + "\n"
-        );
-        assert_eq!(
-            render_bench_file(&[], true),
-            format!(r#"{{"schema":"dut-bench-perf/v2","mode":"smoke",{provenance},"entries":[]}}"#)
-                + "\n"
-        );
-    }
 }

@@ -88,11 +88,17 @@ fn hard_family_input_works() {
 
 #[test]
 fn unknown_command_fails_with_usage_hint() {
-    let out = dut().args(["frobnicate"]).output().expect("binary runs");
-    assert!(!out.status.success());
-    let err = String::from_utf8(out.stderr).expect("utf8");
-    assert!(err.contains("unknown command"));
-    assert!(err.contains("dut help"));
+    // `bench` timed the second sampling engine, which is gone.
+    for command in ["frobnicate", "bench"] {
+        let out = dut().args([command]).output().expect("binary runs");
+        assert!(!out.status.success());
+        let err = String::from_utf8(out.stderr).expect("utf8");
+        assert!(
+            err.contains(&format!("unknown command `{command}`")),
+            "{err}"
+        );
+        assert!(err.contains("dut help"));
+    }
 }
 
 #[test]
@@ -216,8 +222,6 @@ fn malformed_flags_fail_naming_the_flag() {
         (&["top", "--bogus"], "--bogus"),
         (&["fuzz", "--iters", "abc"], "--iters"),
         (&["fuzz", "--bogus"], "--bogus"),
-        (&["bench", "--bogus"], "--bogus"),
-        (&["bench", "--out"], "--out"),
         (&["lint", "--format"], "--format"),
         (&["lint", "--format", "yaml"], "--format"),
         (&["lint", "--bogus"], "--bogus"),
@@ -270,7 +274,9 @@ fn unknown_flags_are_rejected_with_the_command_usage() {
         // `Auto` is a fixed function of (n, q): no startup probe
         // rescales the cost model.
         (&["serve", "--probe"], "--probe"),
-        (&["bench", "--probe"], "--probe"),
+        // Every protocol run draws through the alias kernel; there is
+        // no second engine to pick.
+        (&["test", "--backend", "both"], "--backend"),
     ];
     for (args, flag) in cases {
         let (ok, err) = run_dut(args);
@@ -284,7 +290,6 @@ fn unknown_flags_are_rejected_with_the_command_usage() {
         let section = match args[0] {
             "loadgen" => "loadgen USAGE:",
             "serve" => "serve USAGE:",
-            "bench" => "bench USAGE:",
             _ => "COMMON OPTIONS",
         };
         assert!(err.contains(section), "{err}");
