@@ -378,12 +378,6 @@ impl HistogramSampler {
         }
     }
 
-    /// Domain size.
-    #[must_use]
-    pub fn support_size(&self) -> usize {
-        self.probs.len()
-    }
-
     /// Draws the occupancy histogram of `q` iid samples.
     ///
     /// Exact: the returned histogram is Multinomial(q, p)-distributed,

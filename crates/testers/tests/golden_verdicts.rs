@@ -2,10 +2,11 @@
 //!
 //! Each rule runs 1,000 seeded executions, alternating a uniform and a
 //! far input, through `run` (alias sampler). Every outcome's verdict
-//! and reject count is folded into an FNV-1a checksum. The pinned values were recorded
-//! before the AND, `T`-threshold and balanced rules were merged into
-//! one prepared type, so a change that moves any RNG call or any node
-//! or referee decision of these rules fails here.
+//! and reject count is folded into an FNV-1a checksum. The pinned
+//! values were recorded before the AND, `T`-threshold and balanced
+//! rules were merged into one prepared type, so a change that moves
+//! any RNG call or any node or referee decision of these rules fails
+//! here.
 
 use dut_probability::families;
 use dut_simnet::RunOutcome;
@@ -20,9 +21,6 @@ const Q: usize = 40;
 const EPS: f64 = 0.75;
 const RUNS: u64 = 1000;
 
-/// `(checksum, accepts)` over the runs.
-type Sums = (u64, u64);
-
 fn fold((hash, accepts): (u64, u64), out: &RunOutcome) -> (u64, u64) {
     let accept = u64::from(out.verdict.is_accept());
     let word = (out.transcript.reject_count() as u64) << 1 | accept;
@@ -32,7 +30,8 @@ fn fold((hash, accepts): (u64, u64), out: &RunOutcome) -> (u64, u64) {
     )
 }
 
-fn sums(prepared: &PreparedThresholdTester, seed: u64) -> Sums {
+/// `(checksum, accepts)` over the runs.
+fn sums(prepared: &PreparedThresholdTester, seed: u64) -> (u64, u64) {
     let uniform = families::uniform(N);
     let far = families::two_level(N, EPS).expect("valid far instance");
     let alias = [uniform.alias_sampler(), far.alias_sampler()];

@@ -14,7 +14,7 @@
 
 #![allow(clippy::cast_precision_loss)] // counts are far below 2^53
 use distributed_uniformity::probability::{
-    families, DenseDistribution, Histogram, SampleBackend, Sampler, UniformSampler,
+    families, DenseDistribution, SampleBackend, Sampler, UniformSampler,
 };
 use distributed_uniformity::testers::BalancedThresholdTester;
 use rand::SeedableRng;
@@ -42,18 +42,8 @@ fn two_sample_chi2(a: &[u64], b: &[u64]) -> (f64, usize) {
     (stat, occupied.saturating_sub(1))
 }
 
-/// The occupancy histogram of `q` alias draws, binned one by one.
-fn binned_alias_draws(dist: &DenseDistribution, q: u64, rng: &mut rand::rngs::StdRng) -> Histogram {
-    let alias = dist.alias_sampler();
-    let mut h = Histogram::new(dist.support_size());
-    for _ in 0..q {
-        h.record(alias.sample(rng));
-    }
-    h
-}
-
-/// Per-cell totals of `reps` occupancy histograms, drawn per draw
-/// (binned alias samples) or by stick-breaking.
+/// Per-cell totals of `reps` occupancy histograms of `q` samples,
+/// drawn per draw (alias samples) or by stick-breaking.
 fn accumulated_counts(
     dist: &DenseDistribution,
     backend: SampleBackend,
@@ -61,16 +51,20 @@ fn accumulated_counts(
     reps: u64,
     seed: u64,
 ) -> Vec<u64> {
-    let histogram = dist.histogram_sampler();
     let mut r = rng(seed);
     let mut totals = vec![0u64; dist.support_size()];
-    for _ in 0..reps {
-        let h = match backend {
-            SampleBackend::Histogram => histogram.draw(q, &mut r),
-            _ => binned_alias_draws(dist, q, &mut r),
-        };
-        for (i, t) in totals.iter_mut().enumerate() {
-            *t += h.count(i);
+    if backend == SampleBackend::Histogram {
+        let histogram = dist.histogram_sampler();
+        for _ in 0..reps {
+            let h = histogram.draw(q, &mut r);
+            for (i, t) in totals.iter_mut().enumerate() {
+                *t += h.count(i);
+            }
+        }
+    } else {
+        let alias = dist.alias_sampler();
+        for _ in 0..reps * q {
+            totals[alias.sample(&mut r)] += 1;
         }
     }
     totals
