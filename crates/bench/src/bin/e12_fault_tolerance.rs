@@ -20,14 +20,14 @@
 //! ```
 
 use dut_bench::Harness;
-use dut_core::probability::empirical::collision_count_of;
-use dut_core::probability::families;
+use dut_core::probability::{families, Sampler};
 use dut_core::simnet::{
     byzantine_tolerance, rejection_rate, ByzantinePlan, DecisionRule, FaultPlan, GilbertElliott,
     IidFaults, MissingPolicy, PlayerContext, Recovery, ResilientNetwork,
 };
 use dut_core::stats::table::Table;
 use dut_core::testers::TThresholdTester;
+use rand::rngs::StdRng;
 
 const N: usize = 256;
 const K: usize = 16;
@@ -39,10 +39,14 @@ const Q_STRONG: usize = 100;
 const Q_SCARCE: usize = 40;
 
 /// The collision-counting node of the T-threshold protocol, calibrated
-/// for referee threshold `t` at `(N, K, q)`.
-fn node_player(t: usize, q: usize) -> impl Fn(&PlayerContext, &[usize]) -> bool {
+/// for referee threshold `t` at `(N, K, q)`, drawing from `sampler`.
+fn node<S: Sampler>(
+    sampler: &S,
+    t: usize,
+    q: usize,
+) -> impl Fn(&PlayerContext, usize, &mut StdRng) -> bool + '_ {
     let threshold = TThresholdTester::new(N, K, t).node_threshold(q);
-    move |_ctx: &PlayerContext, samples: &[usize]| collision_count_of(samples) < threshold
+    move |_ctx, q, rng| sampler.collision_count(q, rng) < threshold
 }
 
 fn policy_name(policy: MissingPolicy) -> &'static str {
@@ -127,32 +131,29 @@ fn main() {
         for &(rule_name, ref rule, rule_t) in rules {
             for policy in policies {
                 let net = ResilientNetwork::new(K, policy);
-                let player = node_player(rule_t, Q_SCARCE);
                 for &rate in *rates {
                     let s = next_stream();
                     let mut plan_u = mk_plan(rate);
                     let on_uniform = rejection_rate(
                         &net,
-                        &uniform,
                         Q_SCARCE,
-                        &player,
                         rule,
                         plan_u.as_mut(),
                         trials,
                         harness.seed,
                         s,
+                        node(&uniform, rule_t, Q_SCARCE),
                     );
                     let mut plan_f = mk_plan(rate);
                     let on_far = rejection_rate(
                         &net,
-                        &far,
                         Q_SCARCE,
-                        &player,
                         rule,
                         plan_f.as_mut(),
                         trials,
                         harness.seed,
                         s + 500,
+                        node(&far, rule_t, Q_SCARCE),
                     );
                     degradation.push_row(vec![
                         (*model_name).to_owned(),
@@ -193,20 +194,18 @@ fn main() {
         "retries/run".into(),
     ]);
     let loss = 0.7;
-    let player = node_player(1, Q_SCARCE);
     for &(name, recovery) in recoveries {
         let net = ResilientNetwork::new(K, MissingPolicy::AssumeAccept).with_recovery(recovery);
         let mut plan = IidFaults::loss_only(loss);
         let measured = rejection_rate(
             &net,
-            &far,
             Q_SCARCE,
-            &player,
             &DecisionRule::And,
             &mut plan,
             trials,
             harness.seed,
             next_stream(),
+            node(&far, 1, Q_SCARCE),
         );
         println!("{name}: detection = {:.3}", measured.rejection_rate);
         recovery_table.push_row(vec![
@@ -227,10 +226,8 @@ fn main() {
         "flipper errors (uniform, t = 0, 1, ...)".into(),
     ]);
     for &(rule_name, ref rule, rule_t) in rules {
-        let predicted =
-            byzantine_tolerance(rule, K).expect("named rules have a threshold equivalent");
+        let predicted = byzantine_tolerance(rule, K);
         let scan_to = (predicted + 2).min(K);
-        let player = node_player(rule_t, Q_STRONG);
         let mut errors = Vec::new();
         let mut measured: Option<usize> = None;
         for flippers in 0..=scan_to {
@@ -238,14 +235,13 @@ fn main() {
             let mut plan = ByzantinePlan::flippers(flippers);
             let err = rejection_rate(
                 &net,
-                &uniform,
                 Q_STRONG,
-                &player,
                 rule,
                 &mut plan,
                 trials,
                 harness.seed,
                 next_stream(),
+                node(&uniform, rule_t, Q_STRONG),
             )
             .error_on_uniform();
             errors.push(format!("{err:.2}"));

@@ -37,8 +37,8 @@ use dut_simnet::Verdict;
 use std::fmt;
 
 /// Most trials a single request may ask for. It bounds a request's
-/// trial count, not its time: with [`MAX_WORK`]'s slowest trial, a
-/// request at this bound would hold its worker for about two days.
+/// trial count, not its time: [`MAX_REQUEST_WORK`] bounds how long the
+/// request may hold its worker.
 pub const MAX_TRIALS: u64 = 100_000;
 
 /// Largest domain size a served request may name. A prepared tester
@@ -64,9 +64,20 @@ pub const MAX_K: usize = 1 << 12;
 /// trial of `n = 256, q = 2²⁰, k = 63` (uniform input) took 1.8 s,
 /// and `n = 32, q = 2²⁰, k = 63` took 1.4 s (best of 3, release
 /// build, 2-vCPU VM). With `q ≤ 4096` a trial stays under 0.2 s. A
-/// request's trials run one after another on one worker, so a
-/// request may hold it for `trials` times that.
+/// request's trials run one after another on one worker, so
+/// [`MAX_REQUEST_WORK`] bounds their sum.
 pub const MAX_WORK: u64 = 1 << 26;
+
+/// Upper bound on `trials·k·(n+q)`, the work of a whole request.
+/// [`MAX_TRIALS`] and [`MAX_WORK`] alone admit a request that holds its
+/// worker for about two days. At this bound the slowest trials are 32
+/// of `n = 256, q = 2²⁰, k = 63` (balanced rule, uniform input): 20.7 s
+/// of one worker with the key's tester already cached. The slowest
+/// request on a cold cache is 32 trials of `n = q = 2²⁰, k = 32`:
+/// 33.7 s, of which about 21 s is the key's one-time calibration
+/// (one request each against `dut serve --workers 1`, release build,
+/// 2-vCPU VM).
+pub const MAX_REQUEST_WORK: u64 = 1 << 31;
 
 /// Upper bound on `λ₀ = C(q,2)/n` for the `and` and `threshold:T`
 /// rules. Preparing either rule inverts a Poisson(λ₀) tail, each tail
@@ -289,6 +300,12 @@ pub fn command_from_json(doc: &Json) -> Result<(Command, RequestMeta), String> {
     let trials = doc.get_u64("trials").unwrap_or(1);
     if trials == 0 || trials > MAX_TRIALS {
         return Err(format!("`trials` must be in 1..={MAX_TRIALS}"));
+    }
+    let request_work = trials.saturating_mul(work);
+    if request_work > MAX_REQUEST_WORK {
+        return Err(format!(
+            "request too large: trials*k*(n+q) = {request_work} exceeds {MAX_REQUEST_WORK}"
+        ));
     }
     let rule_spec = doc.get_str("rule").unwrap_or("balanced");
     let rule = parse_rule(rule_spec, k)?;
@@ -649,6 +666,24 @@ mod tests {
             .contains("too large"));
         assert!(parse_command(&at(513, "threshold:1")).is_err());
         assert!(parse_command(&at(513, "balanced")).is_ok());
+    }
+
+    #[test]
+    fn request_work_is_bounded_by_trials_times_trial_work() {
+        // k·(n+q) = 2¹⁶, so 2¹⁵ trials sit exactly at MAX_REQUEST_WORK.
+        let with_trials = |trials: u64| {
+            format!("{{\"n\":32768,\"k\":1,\"q\":32768,\"eps\":0.5,\"trials\":{trials}}}")
+        };
+        assert_eq!(MAX_REQUEST_WORK, (1 << 16) * (1 << 15));
+        assert!(parse_command(&with_trials(1 << 15)).is_ok());
+        let err = parse_command(&with_trials((1 << 15) + 1)).unwrap_err();
+        assert!(
+            err.contains(&format!(
+                "trials*k*(n+q) = {}",
+                MAX_REQUEST_WORK + (1 << 16)
+            )),
+            "{err}"
+        );
     }
 
     #[test]

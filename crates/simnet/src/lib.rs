@@ -8,10 +8,13 @@
 //!   which experiment E6 uses);
 //! * the referee applies a **decision rule** `f : {0,1}^k → {0,1}` and
 //!   announces the verdict ([`Verdict::Accept`] / [`Verdict::Reject`]);
-//! * the paper's special rules are first-class: [`DecisionRule::And`]
-//!   (the local rule — reject if *any* player rejects), the `T`-threshold
-//!   rule (reject if at least `T` players reject), majority, and
-//!   arbitrary custom rules;
+//! * every node is a closure `(ctx, q, rng) -> bool` that draws its own
+//!   `q` samples from `rng` and returns its accept bit; the reliable
+//!   star ([`Network::run_nodes`]) and the fault-injected one
+//!   ([`ResilientNetwork::run`]) take the same closure;
+//! * the referee's rules are the paper's: [`DecisionRule::And`] (the
+//!   local rule — reject if *any* player rejects), the `T`-threshold
+//!   rule (reject if at least `T` players reject), and majority;
 //! * players may share randomness through [`PlayerContext::shared_seed`],
 //!   and the asymmetric-cost model of §6.2 (per-player sampling rates
 //!   `q_i = T_i · τ`) is supported via [`RateVector`];
@@ -21,22 +24,17 @@
 //! # Example
 //!
 //! ```
-//! use dut_simnet::{DecisionRule, Network, Player, PlayerContext, Verdict};
+//! use dut_simnet::{DecisionRule, Network, Verdict};
 //! use dut_probability::{families, Sampler};
 //! use rand::SeedableRng;
-//!
-//! /// A player that rejects when it sees a repeated sample.
-//! struct CollisionPlayer;
-//! impl Player for CollisionPlayer {
-//!     fn accepts(&self, _ctx: &PlayerContext, samples: &[usize]) -> bool {
-//!         dut_probability::empirical::collision_count_of(samples) == 0
-//!     }
-//! }
 //!
 //! let network = Network::new(8);
 //! let sampler = families::uniform(1 << 14).alias_sampler();
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-//! let outcome = network.run(&sampler, 4, &CollisionPlayer, &DecisionRule::And, &mut rng);
+//! // Each node draws 4 samples and rejects when it sees a repeat.
+//! let outcome = network.run_nodes(vec![4; 8], &DecisionRule::And, &mut rng, |_ctx, q, rng| {
+//!     sampler.collision_count(q, rng) == 0
+//! });
 //! // 8 players, 4 samples each from a large uniform domain: collisions
 //! // are rare, so the AND rule almost surely accepts.
 //! assert_eq!(outcome.verdict, Verdict::Accept);
@@ -47,7 +45,6 @@
 // Tests assert exact constructed values and index with small literals.
 #![cfg_attr(test, allow(clippy::float_cmp, clippy::cast_possible_truncation))]
 
-mod bits;
 mod message;
 mod network;
 mod player;
@@ -56,14 +53,13 @@ mod rule;
 
 pub mod resilience;
 
-pub use bits::PackedBits;
 pub use message::Message;
 pub use network::{record_run, Network, RunOutcome, Transcript};
-pub use player::{Player, PlayerContext};
+pub use player::PlayerContext;
 pub use rates::RateVector;
 pub use resilience::{
     byzantine_tolerance, rejection_rate, ByzantineBehavior, ByzantinePlan, FaultPlan, FaultStats,
     GilbertElliott, IidFaults, MeasuredRates, MissingPolicy, PartialCrash, PreSample, Recovery,
-    ReliablePlan, ResilientNetwork, ResilientOutcome, RobustRule, TargetedLoss,
+    ReliablePlan, ResilientNetwork, ResilientOutcome, TargetedLoss,
 };
-pub use rule::{CustomDecisionFn, DecisionRule, Verdict};
+pub use rule::{DecisionRule, Verdict};

@@ -29,16 +29,6 @@ impl Message {
         Self { bits, len }
     }
 
-    /// A one-bit message from an accept flag (`1` = accept, as in the
-    /// paper's convention where the referee computes AND of the bits).
-    #[must_use]
-    pub fn from_accept_bit(accept: bool) -> Self {
-        Self {
-            bits: u32::from(accept),
-            len: 1,
-        }
-    }
-
     /// The payload.
     #[must_use]
     pub fn bits(&self) -> u32 {
@@ -56,17 +46,6 @@ impl Message {
     pub fn is_empty(&self) -> bool {
         false
     }
-
-    /// Interprets a one-bit message as an accept flag.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the message is longer than one bit.
-    #[must_use]
-    pub fn as_accept_bit(&self) -> bool {
-        assert_eq!(self.len, 1, "not a one-bit message");
-        self.bits == 1
-    }
 }
 
 impl fmt::Display for Message {
@@ -80,12 +59,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn roundtrip_accept_bit() {
-        assert!(Message::from_accept_bit(true).as_accept_bit());
-        assert!(!Message::from_accept_bit(false).as_accept_bit());
-    }
-
-    #[test]
     fn new_validates_payload() {
         let m = Message::new(0b101, 3);
         assert_eq!(m.bits(), 5);
@@ -96,7 +69,7 @@ mod tests {
     #[test]
     fn display_pads_to_length() {
         assert_eq!(Message::new(0b01, 4).to_string(), "0001");
-        assert_eq!(Message::from_accept_bit(true).to_string(), "1");
+        assert_eq!(Message::new(1, 1).to_string(), "1");
     }
 
     #[test]
@@ -115,11 +88,5 @@ mod tests {
     #[should_panic(expected = "1..=32")]
     fn zero_length_panics() {
         let _ = Message::new(0, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "not a one-bit")]
-    fn as_accept_bit_needs_one_bit() {
-        let _ = Message::new(0, 2).as_accept_bit();
     }
 }

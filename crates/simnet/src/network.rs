@@ -1,9 +1,6 @@
-use crate::bits::PackedBits;
-use crate::message::Message;
-use crate::player::{Player, PlayerContext};
+use crate::player::PlayerContext;
 use crate::rule::{DecisionRule, Verdict};
 use dut_obs::metrics::{Counter, HistogramId};
-use dut_probability::Sampler;
 use rand::Rng;
 
 /// Records one finished execution in the global metrics registry and,
@@ -35,9 +32,9 @@ pub fn record_run(verdict: Verdict, samples: u64, bits: u64) {
 
 /// A simultaneous-message network of `k` sampling players and a referee.
 ///
-/// One [`Network::run`] call simulates a single execution of a protocol:
-/// every player draws its samples from the (common, unknown) input
-/// distribution, computes its bit/message, and the referee decides.
+/// One [`Network::run_nodes`] call simulates a single execution of a
+/// protocol: every player draws its samples from the (common, unknown)
+/// input distribution, computes its bit, and the referee decides.
 ///
 /// The network itself is stateless and reusable; all randomness comes
 /// from the caller-provided RNG (sample draws) and from
@@ -61,8 +58,11 @@ pub struct RunOutcome {
 /// many samples it consumed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Transcript {
-    /// Message sent by each player.
-    pub messages: Vec<Message>,
+    /// The accept bits the referee counted (`true` = accept): one per
+    /// player, except that a fault-injected run under
+    /// [`MissingPolicy::Exclude`](crate::MissingPolicy::Exclude) keeps
+    /// only the players it heard.
+    pub accept_bits: Vec<bool>,
     /// Number of samples each player drew.
     pub samples_drawn: Vec<usize>,
     /// The shared-randomness seed used in this execution.
@@ -70,24 +70,10 @@ pub struct Transcript {
 }
 
 impl Transcript {
-    /// The accept bits, when every message is one bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any message is longer than one bit.
-    #[must_use]
-    pub fn accept_bits(&self) -> Vec<bool> {
-        self.messages.iter().map(Message::as_accept_bit).collect()
-    }
-
-    /// Number of players that rejected (one-bit messages only).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any message is longer than one bit.
+    /// Number of players that rejected.
     #[must_use]
     pub fn reject_count(&self) -> usize {
-        self.accept_bits().iter().filter(|&&b| !b).count()
+        self.accept_bits.iter().filter(|&&b| !b).count()
     }
 
     /// Total samples drawn across all players.
@@ -115,57 +101,13 @@ impl Network {
         self.num_players
     }
 
-    /// Runs the one-bit protocol: every player draws `samples_per_player`
-    /// samples, all players run the same (anonymous) decision function,
-    /// and the referee applies `rule`.
-    pub fn run<S, P, R>(
-        &self,
-        sampler: &S,
-        samples_per_player: usize,
-        player: &P,
-        rule: &DecisionRule,
-        rng: &mut R,
-    ) -> RunOutcome
-    where
-        S: Sampler,
-        P: Player + ?Sized,
-        R: Rng + ?Sized,
-    {
-        let qs = vec![samples_per_player; self.num_players];
-        self.run_with_sample_counts(sampler, &qs, player, rule, rng)
-    }
-
-    /// Runs the one-bit protocol with per-player sample counts (the
-    /// asymmetric-cost model of §6.2).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sample_counts.len() != k`.
-    pub fn run_with_sample_counts<S, P, R>(
-        &self,
-        sampler: &S,
-        sample_counts: &[usize],
-        player: &P,
-        rule: &DecisionRule,
-        rng: &mut R,
-    ) -> RunOutcome
-    where
-        S: Sampler,
-        P: Player + ?Sized,
-        R: Rng + ?Sized,
-    {
-        self.run_nodes(sample_counts.to_vec(), rule, rng, |ctx, q, rng| {
-            player.accepts(ctx, &sampler.sample_many(q, rng))
-        })
-    }
-
     /// Runs the one-bit protocol with each node's bit computed by `node`
     /// from its context, its sample count and the run's RNG, from which
-    /// it draws its own samples. The shared seed is drawn first, then
-    /// the nodes run in player order, so `node` decides how a node
-    /// draws: [`Network::run_with_sample_counts`] hands a [`Player`] its
-    /// sample vector, while a collision node can draw straight into
-    /// [`Sampler::collision_count`] without storing its samples.
+    /// it draws its own samples; a collision node draws straight into
+    /// [`dut_probability::Sampler::collision_count`] without storing
+    /// them. The shared seed is drawn first, then the nodes run in
+    /// player order. Per-player sample counts give the asymmetric-cost
+    /// model of §6.2.
     ///
     /// # Panics
     ///
@@ -187,19 +129,19 @@ impl Network {
             "need one sample count per player"
         );
         let shared_seed: u64 = rng.random();
-        let mut messages = Vec::with_capacity(self.num_players);
-        let mut bits = PackedBits::with_capacity(self.num_players);
-        for (player_id, &q) in sample_counts.iter().enumerate() {
-            let ctx = PlayerContext {
-                player_id,
-                num_players: self.num_players,
-                shared_seed,
-            };
-            let accept = node(&ctx, q, rng);
-            bits.push(accept);
-            messages.push(Message::from_accept_bit(accept));
-        }
-        let verdict = rule.decide_packed(&bits);
+        let accept_bits: Vec<bool> = sample_counts
+            .iter()
+            .enumerate()
+            .map(|(player_id, &q)| {
+                let ctx = PlayerContext {
+                    player_id,
+                    num_players: self.num_players,
+                    shared_seed,
+                };
+                node(&ctx, q, rng)
+            })
+            .collect();
+        let verdict = rule.decide(&accept_bits);
         record_run(
             verdict,
             sample_counts.iter().map(|&q| q as u64).sum(),
@@ -208,7 +150,7 @@ impl Network {
         RunOutcome {
             verdict,
             transcript: Transcript {
-                messages,
+                accept_bits,
                 samples_drawn: sample_counts,
                 shared_seed,
             },
@@ -219,28 +161,33 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dut_probability::families;
+    use dut_probability::{families, Sampler};
     use rand::SeedableRng;
 
     fn rng() -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(42)
     }
 
-    struct AcceptIfSmall;
-    impl Player for AcceptIfSmall {
-        fn accepts(&self, _ctx: &PlayerContext, samples: &[usize]) -> bool {
-            samples.iter().all(|&s| s < 8)
-        }
+    /// A node that accepts iff every one of its samples is below 8.
+    fn accept_if_small<S: Sampler>(
+        sampler: &S,
+    ) -> impl FnMut(&PlayerContext, usize, &mut rand::rngs::StdRng) -> bool + '_ {
+        |_ctx, q, rng| sampler.sample_many(q, rng).iter().all(|&s| s < 8)
     }
 
     #[test]
-    fn run_draws_right_sample_counts() {
+    fn run_records_bits_and_sample_counts() {
         let net = Network::new(5);
         let sampler = families::uniform(16).alias_sampler();
-        let out = net.run(&sampler, 3, &AcceptIfSmall, &DecisionRule::And, &mut rng());
+        let out = net.run_nodes(
+            vec![3; 5],
+            &DecisionRule::And,
+            &mut rng(),
+            accept_if_small(&sampler),
+        );
         assert_eq!(out.transcript.samples_drawn, vec![3; 5]);
         assert_eq!(out.transcript.total_samples(), 15);
-        assert_eq!(out.transcript.messages.len(), 5);
+        assert_eq!(out.transcript.accept_bits.len(), 5);
     }
 
     #[test]
@@ -248,57 +195,55 @@ mod tests {
         let net = Network::new(4);
         // All mass on small elements: every player accepts.
         let low = families::uniform_on_prefix(16, 4).unwrap().alias_sampler();
-        let out = net.run(&low, 5, &AcceptIfSmall, &DecisionRule::And, &mut rng());
+        let out = net.run_nodes(
+            vec![5; 4],
+            &DecisionRule::And,
+            &mut rng(),
+            accept_if_small(&low),
+        );
         assert_eq!(out.verdict, Verdict::Accept);
         assert_eq!(out.transcript.reject_count(), 0);
 
         // All mass on large elements: every player rejects.
         let hi = families::point_mass(16, 12).unwrap().alias_sampler();
-        let out = net.run(&hi, 5, &AcceptIfSmall, &DecisionRule::And, &mut rng());
+        let out = net.run_nodes(
+            vec![5; 4],
+            &DecisionRule::And,
+            &mut rng(),
+            accept_if_small(&hi),
+        );
         assert_eq!(out.verdict, Verdict::Reject);
         assert_eq!(out.transcript.reject_count(), 4);
     }
 
     #[test]
-    fn per_player_contexts_have_distinct_ids() {
+    fn nodes_see_their_ids_counts_and_one_shared_seed() {
         let net = Network::new(3);
-        let sampler = families::uniform(4).alias_sampler();
-        let seen = parking_lot::Mutex::new(Vec::new());
-        let player = |ctx: &PlayerContext, _s: &[usize]| {
-            seen.lock().push((ctx.player_id, ctx.shared_seed));
-            true
-        };
-        net.run(&sampler, 1, &player, &DecisionRule::And, &mut rng());
-        let seen = seen.into_inner();
-        assert_eq!(seen.len(), 3);
-        assert_eq!(seen[0].0, 0);
-        assert_eq!(seen[2].0, 2);
-        // Shared seed identical across players.
-        assert!(seen.iter().all(|&(_, s)| s == seen[0].1));
-    }
-
-    #[test]
-    fn asymmetric_counts_respected() {
-        let net = Network::new(3);
-        let sampler = families::uniform(4).alias_sampler();
-        let counts = [1usize, 5, 9];
-        let lens = parking_lot::Mutex::new(Vec::new());
-        let player = |_ctx: &PlayerContext, s: &[usize]| {
-            lens.lock().push(s.len());
-            true
-        };
-        net.run_with_sample_counts(&sampler, &counts, &player, &DecisionRule::And, &mut rng());
-        assert_eq!(lens.into_inner(), vec![1, 5, 9]);
+        let mut seen = Vec::new();
+        let out = net.run_nodes(
+            vec![1, 5, 9],
+            &DecisionRule::And,
+            &mut rng(),
+            |ctx, q, _| {
+                seen.push((ctx.player_id, q, ctx.shared_seed));
+                true
+            },
+        );
+        assert_eq!(
+            seen.iter().map(|&(id, q, _)| (id, q)).collect::<Vec<_>>(),
+            vec![(0, 1), (1, 5), (2, 9)]
+        );
+        assert!(seen
+            .iter()
+            .all(|&(_, _, s)| s == out.transcript.shared_seed));
     }
 
     #[test]
     fn shared_seed_changes_between_runs() {
         let net = Network::new(1);
-        let sampler = families::uniform(2).alias_sampler();
-        let player = |_: &PlayerContext, _: &[usize]| true;
         let mut r = rng();
-        let a = net.run(&sampler, 1, &player, &DecisionRule::And, &mut r);
-        let b = net.run(&sampler, 1, &player, &DecisionRule::And, &mut r);
+        let a = net.run_nodes(vec![1], &DecisionRule::And, &mut r, |_, _, _| true);
+        let b = net.run_nodes(vec![1], &DecisionRule::And, &mut r, |_, _, _| true);
         assert_ne!(a.transcript.shared_seed, b.transcript.shared_seed);
     }
 
@@ -311,9 +256,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "one sample count per player")]
     fn mismatched_counts_panic() {
-        let net = Network::new(2);
-        let sampler = families::uniform(2).alias_sampler();
-        let player = |_: &PlayerContext, _: &[usize]| true;
-        net.run_with_sample_counts(&sampler, &[1], &player, &DecisionRule::And, &mut rng());
+        let _ = Network::new(2).run_nodes(vec![1], &DecisionRule::And, &mut rng(), |_, _, _| true);
     }
 }

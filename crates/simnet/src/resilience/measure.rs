@@ -4,9 +4,8 @@
 
 use super::network::ResilientNetwork;
 use super::plan::FaultPlan;
-use crate::player::Player;
+use crate::player::PlayerContext;
 use crate::rule::DecisionRule;
-use dut_probability::Sampler;
 use dut_stats::seed::derive_seed2;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -41,7 +40,8 @@ impl MeasuredRates {
     }
 }
 
-/// Runs `trials` independent executions of the protocol and measures
+/// Runs `trials` independent executions of the protocol, each player's
+/// bit computed by `node` as in [`ResilientNetwork::run`], and measures
 /// verdict and cost rates.
 ///
 /// Trial `t` runs with an RNG seeded by
@@ -59,21 +59,19 @@ impl MeasuredRates {
 ///
 /// Panics if `trials == 0`.
 #[allow(clippy::too_many_arguments)]
-pub fn rejection_rate<S, P, F>(
+pub fn rejection_rate<F, N>(
     network: &ResilientNetwork,
-    sampler: &S,
     samples_per_player: usize,
-    player: &P,
     rule: &DecisionRule,
     plan: &mut F,
     trials: usize,
     master_seed: u64,
     plan_stream: u64,
+    mut node: N,
 ) -> MeasuredRates
 where
-    S: Sampler,
-    P: Player + ?Sized,
     F: FaultPlan + ?Sized,
+    N: FnMut(&PlayerContext, usize, &mut StdRng) -> bool,
 {
     assert!(trials > 0, "need at least one trial");
     let mut rejects = 0usize;
@@ -81,7 +79,7 @@ where
     let mut retries = 0u64;
     for t in 0..trials {
         let mut rng = StdRng::seed_from_u64(derive_seed2(master_seed, plan_stream, t as u64));
-        let out = network.run(sampler, samples_per_player, player, rule, plan, &mut rng);
+        let out = network.run(samples_per_player, rule, plan, &mut rng, &mut node);
         if out.verdict.is_reject() {
             rejects += 1;
         }
@@ -100,31 +98,24 @@ where
 mod tests {
     use super::super::plan::{IidFaults, ReliablePlan};
     use super::*;
-    use crate::player::PlayerContext;
     use crate::MissingPolicy;
-    use dut_probability::families;
 
-    struct AlwaysReject;
-    impl Player for AlwaysReject {
-        fn accepts(&self, _: &PlayerContext, _: &[usize]) -> bool {
-            false
-        }
+    fn always_reject(_: &PlayerContext, _: usize, _: &mut StdRng) -> bool {
+        false
     }
 
     #[test]
     fn rates_on_extremes() {
         let net = ResilientNetwork::new(4, MissingPolicy::AssumeAccept);
-        let sampler = families::uniform(8).alias_sampler();
         let m = rejection_rate(
             &net,
-            &sampler,
             1,
-            &AlwaysReject,
             &DecisionRule::And,
             &mut ReliablePlan,
             20,
             7,
             0,
+            always_reject,
         );
         assert!((m.rejection_rate - 1.0).abs() < f64::EPSILON);
         assert!((m.error_on_far() - 0.0).abs() < f64::EPSILON);
@@ -137,20 +128,18 @@ mod tests {
         // always-rejecting player can only lose alarms as the rate
         // grows, so the measured rejection rate is nonincreasing.
         let net = ResilientNetwork::new(6, MissingPolicy::AssumeAccept);
-        let sampler = families::uniform(8).alias_sampler();
         let mut last = f64::INFINITY;
         for step in 0..=5 {
             let mut plan = IidFaults::loss_only(f64::from(step) * 0.2);
             let m = rejection_rate(
                 &net,
-                &sampler,
                 1,
-                &AlwaysReject,
                 &DecisionRule::And,
                 &mut plan,
                 40,
                 99,
                 3,
+                always_reject,
             );
             assert!(
                 m.rejection_rate <= last + f64::EPSILON,

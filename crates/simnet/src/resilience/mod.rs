@@ -17,8 +17,7 @@
 //!   transcript-aware targeted dropper ([`TargetedLoss`]).
 //! * **Recovery** ([`recovery`], [`robust`]): repetition coding and
 //!   ack/retry retransmission ([`Recovery`]) with referee-side
-//!   majority decoding, plus closed-form threshold recalibration
-//!   ([`RobustRule`]) and the Byzantine-tolerance bound
+//!   majority decoding, plus the closed-form Byzantine-tolerance bound
 //!   ([`byzantine_tolerance`]).
 //! * **Measurement** ([`network`], [`measure`]): [`ResilientNetwork`]
 //!   runs the protocol under a plan with full fault accounting
@@ -44,4 +43,4 @@ pub use measure::{rejection_rate, MeasuredRates};
 pub use network::{FaultStats, MissingPolicy, ResilientNetwork, ResilientOutcome};
 pub use plan::{FaultPlan, IidFaults, PartialCrash, PreSample, ReliablePlan};
 pub use recovery::Recovery;
-pub use robust::{byzantine_tolerance, threshold_equivalent, RobustRule};
+pub use robust::{byzantine_tolerance, threshold_equivalent};

@@ -4,12 +4,10 @@
 
 use super::plan::FaultPlan;
 use super::recovery::Recovery;
-use crate::message::Message;
 use crate::network::{record_run, Transcript};
-use crate::player::{Player, PlayerContext};
+use crate::player::PlayerContext;
 use crate::rule::{DecisionRule, Verdict};
 use dut_obs::metrics::Counter;
-use dut_probability::Sampler;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -88,8 +86,9 @@ pub struct ResilientOutcome {
 ///
 /// Each run derives three independent streams from the caller's RNG:
 /// the shared-randomness seed, a *sampling* stream and a *fault*
-/// stream. Sampling always draws `q` values per player from its own
-/// stream (truncating for partial crashes), so the samples a player
+/// stream. The node closure runs on the sampling stream for every
+/// player, crashed ones included (their bit is discarded and only the
+/// prefix they drew before crashing is charged), so the samples a player
 /// would see are identical across fault models, rates and recovery
 /// settings for a fixed caller RNG state — fault sweeps are paired
 /// experiments by construction (see the [`plan`](super::plan) module
@@ -147,30 +146,32 @@ impl ResilientNetwork {
         self.recovery
     }
 
-    /// Runs one execution of the one-bit protocol under `plan`.
+    /// Runs one execution of the one-bit protocol under `plan`, with
+    /// each player's bit computed by `node` as in
+    /// [`Network::run_nodes`](crate::Network::run_nodes): from its
+    /// context, its sample count `samples_per_player` and the sampling
+    /// stream, from which it draws its own samples.
     ///
-    /// Phases: `begin_run` → per-player `pre_sample` + sampling →
-    /// bit computation → `corrupt` (Byzantine) → up to
-    /// `Recovery::rounds` transmission rounds through
-    /// `deliver_round` → majority decoding (ties decode to *reject*,
-    /// the fail-safe direction) → missing policy → decision rule.
+    /// Phases: `begin_run` → per-player `pre_sample` + node call →
+    /// `corrupt` (Byzantine) → up to `Recovery::rounds` transmission
+    /// rounds through `deliver_round` → majority decoding (ties decode
+    /// to *reject*, the fail-safe direction) → missing policy →
+    /// decision rule.
     ///
     /// If every bit is missing under [`MissingPolicy::Exclude`] the
     /// referee accepts (it has no evidence to act on).
-    pub fn run<S, P, F, R>(
+    pub fn run<F, R, N>(
         &self,
-        sampler: &S,
         samples_per_player: usize,
-        player: &P,
         rule: &DecisionRule,
         plan: &mut F,
         rng: &mut R,
+        mut node: N,
     ) -> ResilientOutcome
     where
-        S: Sampler,
-        P: Player + ?Sized,
         F: FaultPlan + ?Sized,
         R: Rng + ?Sized,
+        N: FnMut(&PlayerContext, usize, &mut StdRng) -> bool,
     {
         let k = self.num_players;
         let q = samples_per_player;
@@ -181,20 +182,21 @@ impl ResilientNetwork {
 
         plan.begin_run(k, &mut fault_rng);
 
-        // Phase 1: sampling and bit computation. The sample stream
-        // always advances by exactly q per player.
+        // Phase 1: bit computation. Every player's node runs on the
+        // sample stream, so the stream advances the same whatever the
+        // plan; a crashed player's bit is discarded.
         let mut bits: Vec<Option<bool>> = Vec::with_capacity(k);
         let mut samples_drawn = Vec::with_capacity(k);
         for player_id in 0..k {
             let pre = plan.pre_sample(player_id, q, &mut fault_rng);
-            let samples = sampler.sample_many(q, &mut sample_rng);
+            let ctx = PlayerContext {
+                player_id,
+                num_players: k,
+                shared_seed,
+            };
+            let accept = node(&ctx, q, &mut sample_rng);
             if pre.sends {
-                let ctx = PlayerContext {
-                    player_id,
-                    num_players: k,
-                    shared_seed,
-                };
-                bits.push(Some(player.accepts(&ctx, &samples)));
+                bits.push(Some(accept));
                 samples_drawn.push(q);
             } else {
                 bits.push(None);
@@ -279,14 +281,10 @@ impl ResilientNetwork {
             stats.delivered_bits,
         );
 
-        let messages = effective
-            .iter()
-            .map(|&b| Message::from_accept_bit(b))
-            .collect();
         ResilientOutcome {
             verdict,
             transcript: Transcript {
-                messages,
+                accept_bits: effective,
                 samples_drawn,
                 shared_seed,
             },
@@ -299,41 +297,33 @@ impl ResilientNetwork {
 mod tests {
     use super::super::plan::{IidFaults, PartialCrash, ReliablePlan};
     use super::*;
-    use dut_probability::families;
+    use dut_probability::{families, Sampler};
     use rand::SeedableRng;
 
     fn rng(seed: u64) -> StdRng {
         StdRng::seed_from_u64(seed)
     }
 
-    struct AlwaysAccept;
-    impl Player for AlwaysAccept {
-        fn accepts(&self, _: &PlayerContext, _: &[usize]) -> bool {
-            true
-        }
+    fn always_accept(_: &PlayerContext, _: usize, _: &mut StdRng) -> bool {
+        true
     }
 
-    struct AlwaysReject;
-    impl Player for AlwaysReject {
-        fn accepts(&self, _: &PlayerContext, _: &[usize]) -> bool {
-            false
-        }
+    fn always_reject(_: &PlayerContext, _: usize, _: &mut StdRng) -> bool {
+        false
     }
 
     #[test]
     fn reliable_plan_is_faithful() {
         let net = ResilientNetwork::new(6, MissingPolicy::Exclude);
-        let sampler = families::uniform(8).alias_sampler();
         let out = net.run(
-            &sampler,
             3,
-            &AlwaysReject,
             &DecisionRule::And,
             &mut ReliablePlan,
             &mut rng(1),
+            always_reject,
         );
         assert!(out.verdict.is_reject());
-        assert_eq!(out.transcript.messages.len(), 6);
+        assert_eq!(out.transcript.accept_bits.len(), 6);
         assert_eq!(out.transcript.total_samples(), 18);
         assert_eq!(
             out.faults,
@@ -347,18 +337,10 @@ mod tests {
     #[test]
     fn total_loss_accepts_under_exclude() {
         let net = ResilientNetwork::new(4, MissingPolicy::Exclude);
-        let sampler = families::uniform(8).alias_sampler();
         let mut plan = IidFaults::loss_only(1.0);
-        let out = net.run(
-            &sampler,
-            2,
-            &AlwaysReject,
-            &DecisionRule::And,
-            &mut plan,
-            &mut rng(2),
-        );
+        let out = net.run(2, &DecisionRule::And, &mut plan, &mut rng(2), always_reject);
         assert!(out.verdict.is_accept());
-        assert_eq!(out.transcript.messages.len(), 0);
+        assert_eq!(out.transcript.accept_bits.len(), 0);
         assert_eq!(out.faults.lost, 4);
         assert_eq!(out.faults.delivered_bits, 0);
         // Lost messages still consumed samples.
@@ -371,18 +353,10 @@ mod tests {
         // essentially always get at least one through.
         let net = ResilientNetwork::new(8, MissingPolicy::AssumeAccept)
             .with_recovery(Recovery::Repetition { copies: 9 });
-        let sampler = families::uniform(8).alias_sampler();
         let mut r = rng(3);
         for _ in 0..30 {
             let mut plan = IidFaults::loss_only(0.6);
-            let out = net.run(
-                &sampler,
-                1,
-                &AlwaysReject,
-                &DecisionRule::And,
-                &mut plan,
-                &mut r,
-            );
+            let out = net.run(1, &DecisionRule::And, &mut plan, &mut r, always_reject);
             assert!(out.verdict.is_reject());
             // Redundancy was delivered and charged.
             assert!(out.faults.redundant_bits > 0);
@@ -395,15 +369,13 @@ mod tests {
     fn ack_retry_spends_only_on_losses() {
         let net = ResilientNetwork::new(8, MissingPolicy::AssumeAccept)
             .with_recovery(Recovery::AckRetry { max_attempts: 5 });
-        let sampler = families::uniform(8).alias_sampler();
         // No faults: one attempt each, no retries, no redundancy.
         let out = net.run(
-            &sampler,
             1,
-            &AlwaysAccept,
             &DecisionRule::And,
             &mut ReliablePlan,
             &mut rng(4),
+            always_accept,
         );
         assert_eq!(out.faults.retries, 0);
         assert_eq!(out.faults.redundant_bits, 0);
@@ -414,19 +386,11 @@ mod tests {
     fn ack_retry_recovers_lost_bits_and_counts_them() {
         let net = ResilientNetwork::new(16, MissingPolicy::AssumeAccept)
             .with_recovery(Recovery::AckRetry { max_attempts: 12 });
-        let sampler = families::uniform(8).alias_sampler();
         let mut r = rng(5);
         let mut saw_recovery = false;
         for _ in 0..20 {
             let mut plan = IidFaults::loss_only(0.5);
-            let out = net.run(
-                &sampler,
-                1,
-                &AlwaysReject,
-                &DecisionRule::And,
-                &mut plan,
-                &mut r,
-            );
+            let out = net.run(1, &DecisionRule::And, &mut plan, &mut r, always_reject);
             assert!(out.verdict.is_reject());
             if out.faults.recovered > 0 {
                 saw_recovery = true;
@@ -443,16 +407,8 @@ mod tests {
     fn timeouts_fire_when_recovery_budget_exhausted() {
         let net = ResilientNetwork::new(4, MissingPolicy::AssumeAccept)
             .with_recovery(Recovery::AckRetry { max_attempts: 3 });
-        let sampler = families::uniform(8).alias_sampler();
         let mut plan = IidFaults::loss_only(1.0);
-        let out = net.run(
-            &sampler,
-            1,
-            &AlwaysReject,
-            &DecisionRule::And,
-            &mut plan,
-            &mut rng(6),
-        );
+        let out = net.run(1, &DecisionRule::And, &mut plan, &mut rng(6), always_reject);
         assert_eq!(out.faults.timeouts, 4);
         assert_eq!(out.faults.lost, 12);
         assert_eq!(out.faults.retries, 8);
@@ -463,15 +419,13 @@ mod tests {
     #[test]
     fn partial_crash_charges_sample_prefix() {
         let net = ResilientNetwork::new(10, MissingPolicy::Exclude);
-        let sampler = families::uniform(8).alias_sampler();
         let mut plan = PartialCrash::new(1.0);
         let out = net.run(
-            &sampler,
             10,
-            &AlwaysAccept,
             &DecisionRule::And,
             &mut plan,
             &mut rng(7),
+            always_accept,
         );
         assert_eq!(out.faults.crashed, 10);
         // Prefixes are strictly below q but the budget is still charged.
@@ -481,27 +435,29 @@ mod tests {
 
     #[test]
     fn sample_stream_is_isolated_from_faults() {
-        // Same caller RNG state, wildly different fault plans: the
-        // shared seed and each player's sample budget positions must
-        // coincide, so runs are paired.
+        // Same caller RNG state, wildly different fault plans: every
+        // player, crashed or not, must draw the same samples, so runs
+        // are paired.
         let sampler = families::uniform(64).alias_sampler();
-        let reliable = ResilientNetwork::new(8, MissingPolicy::Exclude).run(
-            &sampler,
-            4,
-            &AlwaysAccept,
-            &DecisionRule::And,
-            &mut ReliablePlan,
-            &mut rng(8),
-        );
-        let mut lossy = IidFaults::loss_only(0.9);
-        let faulty = ResilientNetwork::new(8, MissingPolicy::Exclude).run(
-            &sampler,
-            4,
-            &AlwaysAccept,
-            &DecisionRule::And,
-            &mut lossy,
-            &mut rng(8),
-        );
+        let record = |plan: &mut dyn FaultPlan| {
+            let mut counts = Vec::new();
+            let out = ResilientNetwork::new(8, MissingPolicy::Exclude).run(
+                12,
+                &DecisionRule::And,
+                plan,
+                &mut rng(8),
+                |_ctx, q, rng| {
+                    counts.push(sampler.collision_count(q, rng));
+                    true
+                },
+            );
+            (out, counts)
+        };
+        let (reliable, reliable_counts) = record(&mut ReliablePlan);
+        let (faulty, faulty_counts) = record(&mut IidFaults::new(0.5, 0.9));
+        assert!(faulty.faults.crashed > 0, "no player crashed");
+        assert_eq!(reliable_counts.len(), 8);
+        assert_eq!(reliable_counts, faulty_counts);
         assert_eq!(
             reliable.transcript.shared_seed,
             faulty.transcript.shared_seed
@@ -533,14 +489,12 @@ mod tests {
         }
         let net = ResilientNetwork::new(1, MissingPolicy::Exclude)
             .with_recovery(Recovery::Repetition { copies: 2 });
-        let sampler = families::uniform(8).alias_sampler();
         let out = net.run(
-            &sampler,
             1,
-            &AlwaysAccept,
             &DecisionRule::And,
             &mut AlternatingCorruption { round: 0 },
             &mut rng(9),
+            always_accept,
         );
         assert!(out.verdict.is_reject());
     }
@@ -551,17 +505,15 @@ mod tests {
     #[test]
     fn fault_free_matches_reliable_network() {
         let net = ResilientNetwork::new(8, MissingPolicy::AssumeAccept);
-        let sampler = families::uniform(16).alias_sampler();
         let out = net.run(
-            &sampler,
             2,
-            &AlwaysReject,
             &DecisionRule::And,
             &mut IidFaults::new(0.0, 0.0),
             &mut rng(1),
+            always_reject,
         );
         assert!(out.verdict.is_reject());
-        assert_eq!(out.transcript.messages.len(), 8);
+        assert_eq!(out.transcript.accept_bits.len(), 8);
     }
 
     #[test]
@@ -569,23 +521,15 @@ mod tests {
         // One rejecting player among 8 accepting ones; 50% loss.
         // Whenever ITS message is lost, the alarm vanishes.
         let net = ResilientNetwork::new(8, MissingPolicy::AssumeAccept);
-        let sampler = families::uniform(16).alias_sampler();
-        let one_rejector = |ctx: &PlayerContext, _: &[usize]| ctx.player_id != 3;
+        let one_rejector = |ctx: &PlayerContext, _: usize, _: &mut StdRng| ctx.player_id != 3;
         let mut plan = IidFaults::new(0.0, 0.5);
         let mut r = rng(2);
         let trials = 400;
         let rejected = (0..trials)
             .filter(|_| {
-                net.run(
-                    &sampler,
-                    1,
-                    &one_rejector,
-                    &DecisionRule::And,
-                    &mut plan,
-                    &mut r,
-                )
-                .verdict
-                .is_reject()
+                net.run(1, &DecisionRule::And, &mut plan, &mut r, one_rejector)
+                    .verdict
+                    .is_reject()
             })
             .count();
         // Alarm survives only when the message survives: ~50%.
@@ -596,7 +540,6 @@ mod tests {
     #[test]
     fn assume_reject_is_fail_safe_but_noisy() {
         let net = ResilientNetwork::new(8, MissingPolicy::AssumeReject);
-        let sampler = families::uniform(16).alias_sampler();
         let mut plan = IidFaults::new(0.0, 0.5);
         let mut r = rng(3);
         // All players accept, but losses turn into rejects: AND almost
@@ -604,16 +547,9 @@ mod tests {
         let trials = 200;
         let rejected = (0..trials)
             .filter(|_| {
-                net.run(
-                    &sampler,
-                    1,
-                    &AlwaysAccept,
-                    &DecisionRule::And,
-                    &mut plan,
-                    &mut r,
-                )
-                .verdict
-                .is_reject()
+                net.run(1, &DecisionRule::And, &mut plan, &mut r, always_accept)
+                    .verdict
+                    .is_reject()
             })
             .count();
         assert!(rejected > trials * 9 / 10, "rejected {rejected}/{trials}");
@@ -622,34 +558,30 @@ mod tests {
     #[test]
     fn exclude_policy_shrinks_the_vote() {
         let net = ResilientNetwork::new(10, MissingPolicy::Exclude);
-        let sampler = families::uniform(16).alias_sampler();
         let mut r = rng(4);
         let out = net.run(
-            &sampler,
             1,
-            &AlwaysAccept,
             &DecisionRule::Majority,
             &mut IidFaults::new(0.5, 0.0),
             &mut r,
+            always_accept,
         );
-        assert!(out.transcript.messages.len() < 10);
+        assert!(out.transcript.accept_bits.len() < 10);
         assert!(out.verdict.is_accept());
     }
 
     #[test]
     fn total_silence_accepts_under_exclude() {
         let net = ResilientNetwork::new(4, MissingPolicy::Exclude);
-        let sampler = families::uniform(4).alias_sampler();
         let out = net.run(
-            &sampler,
             1,
-            &AlwaysReject,
             &DecisionRule::And,
             &mut IidFaults::new(1.0, 0.0),
             &mut rng(5),
+            always_reject,
         );
         assert!(out.verdict.is_accept());
-        assert_eq!(out.transcript.messages.len(), 0);
+        assert_eq!(out.transcript.accept_bits.len(), 0);
         // Crashed players drew no samples.
         assert_eq!(out.transcript.total_samples(), 0);
     }
@@ -660,7 +592,6 @@ mod tests {
         // losses consume samples but drop the bit. Under AssumeReject
         // every fault of either kind turns into a reject vote.
         let net = ResilientNetwork::new(12, MissingPolicy::AssumeReject);
-        let sampler = families::uniform(16).alias_sampler();
         let mut plan = IidFaults::new(0.3, 0.3);
         let mut r = rng(6);
         let trials = 300;
@@ -668,14 +599,7 @@ mod tests {
         let mut zero_sample_players = 0usize;
         let mut partial_sample_runs = 0usize;
         for _ in 0..trials {
-            let out = net.run(
-                &sampler,
-                2,
-                &AlwaysAccept,
-                &DecisionRule::And,
-                &mut plan,
-                &mut r,
-            );
+            let out = net.run(2, &DecisionRule::And, &mut plan, &mut r, always_accept);
             if out.verdict.is_reject() {
                 rejected += 1;
             }
@@ -689,7 +613,7 @@ mod tests {
             // Lost messages consumed samples without being counted in
             // the vote: transcript shows fewer messages than sampling
             // players.
-            if out.transcript.messages.len() < 12 - zeros {
+            if out.transcript.accept_bits.len() < 12 - zeros {
                 partial_sample_runs += 1;
             }
         }
@@ -706,27 +630,19 @@ mod tests {
     #[test]
     fn combined_faults_with_exclude_shrink_transcript() {
         let net = ResilientNetwork::new(12, MissingPolicy::Exclude);
-        let sampler = families::uniform(16).alias_sampler();
         let mut plan = IidFaults::new(0.4, 0.4);
         let mut r = rng(7);
         let mut saw_shrunk_vote = false;
         for _ in 0..50 {
-            let out = net.run(
-                &sampler,
-                1,
-                &AlwaysAccept,
-                &DecisionRule::Majority,
-                &mut plan,
-                &mut r,
-            );
+            let out = net.run(1, &DecisionRule::Majority, &mut plan, &mut r, always_accept);
             let crashes = out
                 .transcript
                 .samples_drawn
                 .iter()
                 .filter(|&&q| q == 0)
                 .count();
-            assert!(out.transcript.messages.len() <= 12 - crashes);
-            if out.transcript.messages.len() < 12 - crashes {
+            assert!(out.transcript.accept_bits.len() <= 12 - crashes);
+            if out.transcript.accept_bits.len() < 12 - crashes {
                 saw_shrunk_vote = true; // a non-crashed player's message was lost
             }
         }

@@ -1,10 +1,4 @@
-use crate::bits::PackedBits;
 use std::fmt;
-use std::sync::Arc;
-
-/// A shared, thread-safe decision function over the players' accept
-/// bits — the payload of [`DecisionRule::Custom`].
-pub type CustomDecisionFn = Arc<dyn Fn(&[bool]) -> Verdict + Send + Sync>;
 
 /// The referee's final decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -58,15 +52,14 @@ impl fmt::Display for Verdict {
 /// * [`DecisionRule::Threshold`] — reject iff at least `min_rejects`
 ///   players reject (Theorem 1.3 for small thresholds; with a calibrated
 ///   threshold this achieves the optimal bound of Theorem 1.1);
-/// * [`DecisionRule::Majority`] — reject iff more than half reject;
-/// * [`DecisionRule::Or`] — reject iff *every* player rejects;
-/// * [`DecisionRule::Custom`] — an arbitrary function of the bit vector.
+/// * [`DecisionRule::Majority`] — reject iff more than half reject.
+///   Unlike a fixed threshold it scales with the number of bits it is
+///   given, so under [`MissingPolicy::Exclude`](crate::MissingPolicy::Exclude)
+///   it votes on the bits the referee heard.
 #[derive(Clone)]
 pub enum DecisionRule {
     /// Reject iff at least one player rejects (`f = AND` of accept bits).
     And,
-    /// Reject iff every player rejects (`f = OR` of accept bits).
-    Or,
     /// Reject iff at least `min_rejects` players reject.
     Threshold {
         /// Minimal number of rejecting players that triggers rejection.
@@ -74,12 +67,11 @@ pub enum DecisionRule {
     },
     /// Reject iff strictly more than half of the players reject.
     Majority,
-    /// An arbitrary decision function of the accept-bit vector.
-    Custom(CustomDecisionFn),
 }
 
 impl DecisionRule {
-    /// Applies the rule to a vector of accept bits (`true` = accept).
+    /// Applies the rule to a vector of accept bits (`true` = accept),
+    /// which it reads only through its rejection count.
     ///
     /// # Panics
     ///
@@ -92,44 +84,14 @@ impl DecisionRule {
             !bits.is_empty(),
             "decision rule needs at least one player bit"
         );
-        if let DecisionRule::Custom(f) = self {
-            return f(bits);
-        }
         let rejects = bits.iter().filter(|&&b| !b).count();
-        self.decide_from_rejects(rejects, bits.len())
-    }
-
-    /// Applies the rule to a bit-packed transcript. The built-in rules
-    /// only need the rejection count, which packed words answer via
-    /// `popcount`; [`DecisionRule::Custom`] unpacks to its slice form.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`DecisionRule::decide`].
-    #[must_use]
-    pub fn decide_packed(&self, bits: &PackedBits) -> Verdict {
-        assert!(
-            !bits.is_empty(),
-            "decision rule needs at least one player bit"
-        );
-        if let DecisionRule::Custom(f) = self {
-            return f(&bits.to_bools());
-        }
-        self.decide_from_rejects(bits.count_zeros(), bits.len())
-    }
-
-    /// The built-in rules as a function of `(rejects, k)` alone.
-    /// Callers have already dispatched [`DecisionRule::Custom`].
-    fn decide_from_rejects(&self, rejects: usize, num_players: usize) -> Verdict {
         match self {
             DecisionRule::And => Verdict::from_accept_bit(rejects == 0),
-            DecisionRule::Or => Verdict::from_accept_bit(rejects < num_players),
             DecisionRule::Threshold { min_rejects } => {
                 assert!(*min_rejects > 0, "threshold rule needs min_rejects >= 1");
                 Verdict::from_accept_bit(rejects < *min_rejects)
             }
-            DecisionRule::Majority => Verdict::from_accept_bit(2 * rejects <= num_players),
-            DecisionRule::Custom(_) => unreachable!("Custom is dispatched before counting"),
+            DecisionRule::Majority => Verdict::from_accept_bit(2 * rejects <= bits.len()),
         }
     }
 
@@ -138,10 +100,8 @@ impl DecisionRule {
     pub fn name(&self) -> String {
         match self {
             DecisionRule::And => "and".to_owned(),
-            DecisionRule::Or => "or".to_owned(),
             DecisionRule::Threshold { min_rejects } => format!("threshold({min_rejects})"),
             DecisionRule::Majority => "majority".to_owned(),
-            DecisionRule::Custom(_) => "custom".to_owned(),
         }
     }
 }
@@ -161,12 +121,6 @@ mod tests {
         assert_eq!(DecisionRule::And.decide(&[true, true]), Verdict::Accept);
         assert_eq!(DecisionRule::And.decide(&[true, false]), Verdict::Reject);
         assert_eq!(DecisionRule::And.decide(&[false, false]), Verdict::Reject);
-    }
-
-    #[test]
-    fn or_rejects_only_unanimously() {
-        assert_eq!(DecisionRule::Or.decide(&[false, true]), Verdict::Accept);
-        assert_eq!(DecisionRule::Or.decide(&[false, false]), Verdict::Reject);
     }
 
     #[test]
@@ -195,57 +149,6 @@ mod tests {
             DecisionRule::Majority.decide(&[true, false, false]),
             Verdict::Reject
         );
-    }
-
-    #[test]
-    fn custom_rule_applies_closure() {
-        // Parity rule: reject iff an odd number of players reject.
-        let rule = DecisionRule::Custom(Arc::new(|bits: &[bool]| {
-            let rejects = bits.iter().filter(|&&b| !b).count();
-            Verdict::from_accept_bit(rejects % 2 == 0)
-        }));
-        assert_eq!(rule.decide(&[false, true]), Verdict::Reject);
-        assert_eq!(rule.decide(&[false, false]), Verdict::Accept);
-        assert_eq!(rule.name(), "custom");
-    }
-
-    #[test]
-    fn decide_packed_agrees_with_slice_form() {
-        let rules = [
-            DecisionRule::And,
-            DecisionRule::Or,
-            DecisionRule::Threshold { min_rejects: 2 },
-            DecisionRule::Majority,
-            DecisionRule::Custom(Arc::new(|bits: &[bool]| {
-                let rejects = bits.iter().filter(|&&b| !b).count();
-                Verdict::from_accept_bit(rejects % 2 == 0)
-            })),
-        ];
-        // Every bit pattern over 5 players, plus a >64-player transcript
-        // to cross the packed word boundary.
-        for rule in &rules {
-            for pattern in 0u32..32 {
-                let bits: Vec<bool> = (0..5).map(|i| pattern & (1 << i) != 0).collect();
-                let packed = PackedBits::from_bools(&bits);
-                assert_eq!(
-                    rule.decide(&bits),
-                    rule.decide_packed(&packed),
-                    "rule {} on {bits:?}",
-                    rule.name()
-                );
-            }
-            let long: Vec<bool> = (0..100).map(|i| i % 7 != 0).collect();
-            assert_eq!(
-                rule.decide(&long),
-                rule.decide_packed(&PackedBits::from_bools(&long))
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one player")]
-    fn decide_packed_empty_panics() {
-        let _ = DecisionRule::And.decide_packed(&PackedBits::new());
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Property-based tests for the network model and decision rules.
 
 #![allow(clippy::float_cmp, clippy::cast_possible_truncation)] // test code asserts exact values
-use dut_simnet::{DecisionRule, Message, Network, PlayerContext, RateVector, Verdict};
+use dut_probability::Sampler;
+use dut_simnet::{DecisionRule, Message, Network, RateVector, Verdict};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -37,15 +38,6 @@ proptest! {
         prop_assert_eq!(
             DecisionRule::And.decide(&bits),
             DecisionRule::Threshold { min_rejects: 1 }.decide(&bits)
-        );
-    }
-
-    #[test]
-    fn or_equals_threshold_k(bits in prop::collection::vec(prop::bool::ANY, 1..20)) {
-        let k = bits.len();
-        prop_assert_eq!(
-            DecisionRule::Or.decide(&bits),
-            DecisionRule::Threshold { min_rejects: k }.decide(&bits)
         );
     }
 
@@ -99,32 +91,15 @@ proptest! {
     ) {
         let net = Network::new(k);
         let sampler = dut_probability::families::uniform(8).alias_sampler();
-        let player = move |_ctx: &PlayerContext, samples: &[usize]| {
-            samples.iter().sum::<usize>() >= accept_threshold
-        };
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let out = net.run(&sampler, q, &player, &DecisionRule::Majority, &mut rng);
-        prop_assert_eq!(out.transcript.messages.len(), k);
+        let out = net.run_nodes(vec![q; k], &DecisionRule::Majority, &mut rng, |_ctx, q, rng| {
+            sampler.sample_many(q, rng).iter().sum::<usize>() >= accept_threshold
+        });
+        prop_assert_eq!(out.transcript.accept_bits.len(), k);
         prop_assert_eq!(out.transcript.total_samples(), k * q);
         // Verdict must equal re-applying the rule to the transcript bits.
-        let replay = DecisionRule::Majority.decide(&out.transcript.accept_bits());
+        let replay = DecisionRule::Majority.decide(&out.transcript.accept_bits);
         prop_assert_eq!(out.verdict, replay);
     }
 
-    #[test]
-    fn custom_rule_sees_exact_bits(k in 1usize..10, seed in any::<u64>()) {
-        use std::sync::Arc;
-        let net = Network::new(k);
-        let sampler = dut_probability::families::uniform(4).alias_sampler();
-        // Player accepts iff its id is even.
-        let player = |ctx: &PlayerContext, _s: &[usize]| ctx.player_id.is_multiple_of(2);
-        let expected_rejects = k / 2; // odd ids reject
-        let rule = DecisionRule::Custom(Arc::new(move |bits: &[bool]| {
-            let rejects = bits.iter().filter(|&&b| !b).count();
-            Verdict::from_accept_bit(rejects == expected_rejects)
-        }));
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let out = net.run(&sampler, 1, &player, &rule, &mut rng);
-        prop_assert_eq!(out.verdict, Verdict::Accept);
-    }
 }

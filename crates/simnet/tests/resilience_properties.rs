@@ -2,18 +2,20 @@
 //! invariants and fault accounting.
 
 #![allow(clippy::float_cmp, clippy::cast_possible_truncation)] // test code asserts exact values
-use dut_probability::families;
 use dut_simnet::{
     DecisionRule, IidFaults, MissingPolicy, Network, PlayerContext, ReliablePlan, ResilientNetwork,
     Verdict,
 };
 use proptest::prelude::*;
+use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// A deterministic player whose bit depends only on its id, so runs
 /// are comparable across policies and fault rates.
-fn mask_player(reject_mask: u32) -> impl Fn(&PlayerContext, &[usize]) -> bool {
-    move |ctx: &PlayerContext, _s: &[usize]| (reject_mask >> (ctx.player_id % 32)) & 1 == 0
+fn mask_player(reject_mask: u32) -> impl Fn(&PlayerContext, usize, &mut StdRng) -> bool {
+    move |ctx: &PlayerContext, _q: usize, _rng: &mut StdRng| {
+        (reject_mask >> (ctx.player_id % 32)) & 1 == 0
+    }
 }
 
 proptest! {
@@ -29,11 +31,10 @@ proptest! {
         // the transcript length must equal the delivered-copy count —
         // the accounting invariant behind the bits_sent fix.
         let net = ResilientNetwork::new(k, MissingPolicy::Exclude);
-        let sampler = families::uniform(16).alias_sampler();
         let mut plan = IidFaults::new(f64::from(crash_milli) / 1000.0, f64::from(loss_milli) / 1000.0);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let out = net.run(&sampler, 2, &mask_player(reject_mask), &DecisionRule::Majority, &mut plan, &mut rng);
-        prop_assert_eq!(out.transcript.messages.len() as u64, out.faults.delivered_bits);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let out = net.run(2, &DecisionRule::Majority, &mut plan, &mut rng, mask_player(reject_mask));
+        prop_assert_eq!(out.transcript.accept_bits.len() as u64, out.faults.delivered_bits);
         // And the books balance: every surviving player's copy was
         // either delivered or lost.
         let senders = k as u64 - out.faults.crashed;
@@ -54,10 +55,9 @@ proptest! {
         let (lo, hi) = (lo_milli.min(hi_milli), lo_milli.max(hi_milli));
         let run_at = |milli: u32| -> Verdict {
             let net = ResilientNetwork::new(k, MissingPolicy::AssumeReject);
-            let sampler = families::uniform(16).alias_sampler();
             let mut plan = IidFaults::loss_only(f64::from(milli) / 1000.0);
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            net.run(&sampler, 2, &mask_player(reject_mask), &DecisionRule::And, &mut plan, &mut rng)
+            let mut rng = StdRng::seed_from_u64(seed);
+            net.run(2, &DecisionRule::And, &mut plan, &mut rng, mask_player(reject_mask))
                 .verdict
         };
         let at_lo = run_at(lo);
@@ -76,28 +76,27 @@ proptest! {
     ) {
         // With nothing missing the three policies are the same
         // function, and all match the reliable network's verdict.
-        let sampler = families::uniform(16).alias_sampler();
         let player = mask_player(reject_mask);
         let verdict_under = |policy: MissingPolicy| -> Verdict {
             let net = ResilientNetwork::new(k, policy);
             let mut plan = IidFaults::new(0.0, 0.0);
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            net.run(&sampler, 2, &player, &DecisionRule::Majority, &mut plan, &mut rng)
+            let mut rng = StdRng::seed_from_u64(seed);
+            net.run(2, &DecisionRule::Majority, &mut plan, &mut rng, &player)
                 .verdict
         };
         let exclude = verdict_under(MissingPolicy::Exclude);
         prop_assert_eq!(verdict_under(MissingPolicy::AssumeAccept), exclude);
         prop_assert_eq!(verdict_under(MissingPolicy::AssumeReject), exclude);
 
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut rng = StdRng::seed_from_u64(seed);
         let reliable = Network::new(k)
-            .run(&sampler, 2, &player, &DecisionRule::Majority, &mut rng);
+            .run_nodes(vec![2; k], &DecisionRule::Majority, &mut rng, &player);
         prop_assert_eq!(reliable.verdict, exclude);
 
         // The reliable plan agrees too, and reports a clean fault log.
         let net = ResilientNetwork::new(k, MissingPolicy::Exclude);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let out = net.run(&sampler, 2, &player, &DecisionRule::Majority, &mut ReliablePlan, &mut rng);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let out = net.run(2, &DecisionRule::Majority, &mut ReliablePlan, &mut rng, &player);
         prop_assert_eq!(out.verdict, exclude);
         prop_assert_eq!(out.faults.crashed + out.faults.lost + out.faults.byzantine_flips, 0);
     }

@@ -1053,6 +1053,7 @@ fn fuzz_replay(paths: &[String], addr: Option<String>) -> Result<(), String> {
 /// each rule absorbs before its error crosses 1/3 (predicted:
 /// `t < min(T, k − T + 1)`, so AND breaks at `t = 1`).
 fn cmd_faults(mut args: Args) -> Result<(), String> {
+    use distributed_uniformity::probability::Sampler;
     use distributed_uniformity::simnet::{
         byzantine_tolerance, rejection_rate, ByzantinePlan, DecisionRule, FaultPlan,
         GilbertElliott, IidFaults, MissingPolicy, Recovery, ResilientNetwork, TargetedLoss,
@@ -1114,12 +1115,6 @@ fn cmd_faults(mut args: Args) -> Result<(), String> {
         .map_err(|e| e.to_string())?
         .alias_sampler();
     let network = ResilientNetwork::new(k, policy).with_recovery(recovery);
-    let node_player = |rule_t: usize| {
-        let threshold = TThresholdTester::new(n, k, rule_t).node_threshold(q);
-        move |_ctx: &distributed_uniformity::simnet::PlayerContext, samples: &[usize]| {
-            distributed_uniformity::probability::empirical::collision_count_of(samples) < threshold
-        }
-    };
 
     // Each measurement gets its own fault-randomness stream, derived
     // deterministically from its position, so output is reproducible.
@@ -1127,16 +1122,17 @@ fn cmd_faults(mut args: Args) -> Result<(), String> {
     let mut measure =
         |rule: &DecisionRule, rule_t: usize, plan: &mut dyn FaultPlan, far_side: bool| {
             stream += 1;
+            let sampler = if far_side { &far } else { &uniform };
+            let threshold = TThresholdTester::new(n, k, rule_t).node_threshold(q);
             let rates = rejection_rate(
                 &network,
-                if far_side { &far } else { &uniform },
                 q,
-                &node_player(rule_t),
                 rule,
                 plan,
                 trials,
                 seed,
                 stream,
+                |_ctx, q, rng| sampler.collision_count(q, rng) < threshold,
             );
             if far_side {
                 rates.error_on_far()
@@ -1198,7 +1194,7 @@ fn cmd_faults(mut args: Args) -> Result<(), String> {
     println!("byzantine tolerance (bit-flippers until two-sided error ≥ 1/3):");
     println!("  rule          predicted  measured");
     for (rule, rule_t) in [(DecisionRule::And, 1), (thr_rule.clone(), t)] {
-        let predicted = byzantine_tolerance(&rule, k).unwrap_or(0);
+        let predicted = byzantine_tolerance(&rule, k);
         let scan_to = (predicted + 2).min(k);
         let mut measured = None;
         for flippers in 0..=scan_to {

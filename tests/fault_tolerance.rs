@@ -3,18 +3,21 @@
 //! consequence of the locality trade-off.
 
 #![allow(clippy::float_cmp, clippy::cast_possible_truncation)] // test code asserts exact values
-use distributed_uniformity::probability::families;
+use distributed_uniformity::probability::{families, Sampler};
 use distributed_uniformity::simnet::{
     DecisionRule, IidFaults, MissingPolicy, PlayerContext, ResilientNetwork,
 };
 use distributed_uniformity::testers::TThresholdTester;
+use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Node function matching the AND-rule tester's local test.
-fn node_player(threshold: u64) -> impl Fn(&PlayerContext, &[usize]) -> bool {
-    move |_ctx: &PlayerContext, samples: &[usize]| {
-        distributed_uniformity::probability::empirical::collision_count_of(samples) < threshold
-    }
+/// Node function matching the AND-rule tester's local test, drawing
+/// from `sampler`.
+fn node<S: Sampler>(
+    sampler: &S,
+    threshold: u64,
+) -> impl Fn(&PlayerContext, usize, &mut StdRng) -> bool + '_ {
+    move |_ctx, q, rng| sampler.collision_count(q, rng) < threshold
 }
 
 #[test]
@@ -31,13 +34,13 @@ fn and_rule_loses_alarms_to_message_loss() {
     let tester = TThresholdTester::new(n, k, 1);
 
     let detection = |q: usize, loss: f64, seed: u64| -> f64 {
-        let player = node_player(tester.node_threshold(q));
+        let player = node(&far, tester.node_threshold(q));
         let net = ResilientNetwork::new(k, MissingPolicy::AssumeAccept);
         let mut plan = IidFaults::new(0.0, loss);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut rng = StdRng::seed_from_u64(seed);
         (0..trials)
             .filter(|_| {
-                net.run(&far, q, &player, &DecisionRule::And, &mut plan, &mut rng)
+                net.run(q, &DecisionRule::And, &mut plan, &mut rng, &player)
                     .verdict
                     .is_reject()
             })
@@ -75,22 +78,15 @@ fn majority_rule_robust_to_moderate_loss() {
     let trials = 120;
     let far = families::point_mass(n, 0).unwrap().alias_sampler();
     // Every node sees massive collisions on a point mass and rejects.
-    let player = node_player(1);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+    let player = node(&far, 1);
+    let mut rng = StdRng::seed_from_u64(3);
     let net = ResilientNetwork::new(k, MissingPolicy::AssumeAccept);
     let mut plan = IidFaults::new(0.1, 0.3);
     let detected = (0..trials)
         .filter(|_| {
-            net.run(
-                &far,
-                q,
-                &player,
-                &DecisionRule::Majority,
-                &mut plan,
-                &mut rng,
-            )
-            .verdict
-            .is_reject()
+            net.run(q, &DecisionRule::Majority, &mut plan, &mut rng, &player)
+                .verdict
+                .is_reject()
         })
         .count();
     // Theory: each alarm survives crash and loss w.p. 0.9 · 0.7 = 0.63,
@@ -113,22 +109,15 @@ fn assume_reject_trades_false_alarms_for_safety() {
     let q = 40;
     let trials = 150;
     let uniform = families::uniform(n).alias_sampler();
-    let player = node_player(u64::MAX); // local test never rejects
-    let mut rng = rand::rngs::StdRng::seed_from_u64(4);
+    let player = node(&uniform, u64::MAX); // local test never rejects
+    let mut rng = StdRng::seed_from_u64(4);
     let net = ResilientNetwork::new(k, MissingPolicy::AssumeReject);
     let mut plan = IidFaults::new(0.0, 0.05);
     let false_alarms = (0..trials)
         .filter(|_| {
-            net.run(
-                &uniform,
-                q,
-                &player,
-                &DecisionRule::And,
-                &mut plan,
-                &mut rng,
-            )
-            .verdict
-            .is_reject()
+            net.run(q, &DecisionRule::And, &mut plan, &mut rng, &player)
+                .verdict
+                .is_reject()
         })
         .count() as f64
         / f64::from(trials as u32);
@@ -153,22 +142,17 @@ fn exclude_policy_preserves_two_sided_guarantee_under_crashes() {
     // Midpoint local bit, as the balanced tester uses.
     let lambda = (q * (q - 1)) as f64 / 2.0 / n as f64;
     let midpoint = lambda * (1.0 + eps * eps / 2.0);
-    let player = move |_ctx: &PlayerContext, samples: &[usize]| {
-        (distributed_uniformity::probability::empirical::collision_count_of(samples) as f64)
-            <= midpoint
-    };
     let net = ResilientNetwork::new(k, MissingPolicy::Exclude);
     let mut plan = IidFaults::new(0.25, 0.0);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+    let mut rng = StdRng::seed_from_u64(5);
     let ok = (0..trials)
         .filter(|_| {
             net.run(
-                &uniform,
                 q,
-                &player,
                 &DecisionRule::Majority,
                 &mut plan,
                 &mut rng,
+                |_ctx, q, rng| uniform.collision_count(q, rng) as f64 <= midpoint,
             )
             .verdict
             .is_accept()
@@ -178,12 +162,11 @@ fn exclude_policy_preserves_two_sided_guarantee_under_crashes() {
     let alarm = (0..trials)
         .filter(|_| {
             net.run(
-                &far,
                 q,
-                &player,
                 &DecisionRule::Majority,
                 &mut plan,
                 &mut rng,
+                |_ctx, q, rng| far.collision_count(q, rng) as f64 <= midpoint,
             )
             .verdict
             .is_reject()

@@ -88,10 +88,14 @@ fn writing_is_stable_under_parse_and_written_trees_round_trip() {
 
 fn request(rng: &mut StdRng) -> Request {
     let k = rng.random_range(1..=64_usize);
+    let n = rng.random_range(2..=4096);
+    let q = rng.random_range(1..=64);
+    // Every admitted trial count: the request's total work is bounded.
+    let max_trials = protocol::MAX_TRIALS.min(protocol::MAX_REQUEST_WORK / (k * (n + q)) as u64);
     Request {
-        n: rng.random_range(2..=4096),
+        n,
         k,
-        q: rng.random_range(1..=64),
+        q,
         eps: 1.0 - rng.random::<f64>(),
         rule: match rng.random_range(0..4) {
             0 => Rule::And,
@@ -103,7 +107,7 @@ fn request(rng: &mut StdRng) -> Request {
         },
         family: Family::ALL[rng.random_range(0..Family::ALL.len())],
         seed: rng.random(),
-        trials: rng.random_range(1..=protocol::MAX_TRIALS),
+        trials: rng.random_range(1..=max_trials),
     }
 }
 

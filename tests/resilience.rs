@@ -6,12 +6,13 @@
 
 #![allow(clippy::float_cmp, clippy::cast_possible_truncation)] // test code asserts exact values
 use distributed_uniformity::obs::metrics::{global, Counter};
-use distributed_uniformity::probability::families;
+use distributed_uniformity::probability::{families, Sampler};
 use distributed_uniformity::simnet::{
     byzantine_tolerance, rejection_rate, ByzantinePlan, DecisionRule, FaultPlan, GilbertElliott,
     IidFaults, MissingPolicy, PlayerContext, Recovery, ResilientNetwork, TargetedLoss,
 };
 use distributed_uniformity::testers::TThresholdTester;
+use rand::rngs::StdRng;
 
 const N: usize = 256;
 const K: usize = 16;
@@ -27,12 +28,14 @@ const Q_STRONG: usize = 100;
 const Q_SCARCE: usize = 40;
 
 /// The collision-counting node of the T-threshold protocol, calibrated
-/// for referee threshold `t` at (N, K, q).
-fn node_player(t: usize, q: usize) -> impl Fn(&PlayerContext, &[usize]) -> bool {
+/// for referee threshold `t` at (N, K, q), drawing from `sampler`.
+fn node<S: Sampler>(
+    sampler: &S,
+    t: usize,
+    q: usize,
+) -> impl Fn(&PlayerContext, usize, &mut StdRng) -> bool + '_ {
     let threshold = TThresholdTester::new(N, K, t).node_threshold(q);
-    move |_ctx: &PlayerContext, samples: &[usize]| {
-        distributed_uniformity::probability::empirical::collision_count_of(samples) < threshold
-    }
+    move |_ctx, q, rng| sampler.collision_count(q, rng) < threshold
 }
 
 #[test]
@@ -48,24 +51,23 @@ fn one_byzantine_flipper_breaks_and_but_not_calibrated_threshold() {
 
     // Predicted tolerance: And (T=1) tolerates zero Byzantine players;
     // Threshold{4} on 16 players tolerates min(3, 12) = 3 ≥ 1.
-    assert_eq!(byzantine_tolerance(&DecisionRule::And, K), Some(0));
+    assert_eq!(byzantine_tolerance(&DecisionRule::And, K), 0);
     assert_eq!(
         byzantine_tolerance(&DecisionRule::Threshold { min_rejects: t }, K),
-        Some(3)
+        3
     );
 
     let measure = |rule: &DecisionRule, rule_t: usize, sampler: &_, stream: u64| {
         let mut plan = ByzantinePlan::flippers(1);
         rejection_rate(
             &net,
-            sampler,
             Q_STRONG,
-            &node_player(rule_t, Q_STRONG),
             rule,
             &mut plan,
             TRIALS,
             MASTER_SEED,
             stream,
+            node(sampler, rule_t, Q_STRONG),
         )
     };
 
@@ -108,7 +110,6 @@ fn error_curves_are_monotone_under_iid_and_bursty_loss() {
     // loss.
     let far = families::two_level(N, EPS).unwrap().alias_sampler();
     let net = ResilientNetwork::new(K, MissingPolicy::AssumeAccept);
-    let player = node_player(1, Q_SCARCE);
 
     let sweep = |rates: &[f64], mk: &dyn Fn(f64) -> Box<dyn FaultPlan>| {
         rates
@@ -117,14 +118,13 @@ fn error_curves_are_monotone_under_iid_and_bursty_loss() {
                 let mut plan = mk(rate);
                 rejection_rate(
                     &net,
-                    &far,
                     Q_SCARCE,
-                    &player,
                     &DecisionRule::And,
                     plan.as_mut(),
                     TRIALS,
                     MASTER_SEED,
                     7,
+                    node(&far, 1, Q_SCARCE),
                 )
                 .error_on_far()
             })
@@ -158,7 +158,6 @@ fn recovery_restores_and_detection_and_is_charged_to_the_budget() {
     // redundant copy they deliver is charged to the communication
     // budget (bits_sent) and surfaced through the new counters.
     let far = families::two_level(N, EPS).unwrap().alias_sampler();
-    let player = node_player(1, Q_SCARCE);
     let loss = 0.7;
 
     let detect = |recovery: Recovery| {
@@ -166,14 +165,13 @@ fn recovery_restores_and_detection_and_is_charged_to_the_budget() {
         let mut plan = IidFaults::loss_only(loss);
         rejection_rate(
             &net,
-            &far,
             Q_SCARCE,
-            &player,
             &DecisionRule::And,
             &mut plan,
             TRIALS,
             MASTER_SEED,
             11,
+            node(&far, 1, Q_SCARCE),
         )
     };
 
@@ -234,34 +232,31 @@ fn targeted_adversary_beats_iid_loss_at_the_same_budget() {
     // adversary exploits.
     let far = families::two_level(N, EPS).unwrap().alias_sampler();
     let net = ResilientNetwork::new(K, MissingPolicy::AssumeAccept);
-    let player = node_player(1, Q_SCARCE);
     let budget = 3;
 
     let mut targeted = TargetedLoss::alarm_silencer(budget);
     let targeted_detection = rejection_rate(
         &net,
-        &far,
         Q_SCARCE,
-        &player,
         &DecisionRule::And,
         &mut targeted,
         TRIALS,
         MASTER_SEED,
         13,
+        node(&far, 1, Q_SCARCE),
     )
     .rejection_rate;
 
     let mut iid = IidFaults::loss_only(budget as f64 / K as f64);
     let iid_detection = rejection_rate(
         &net,
-        &far,
         Q_SCARCE,
-        &player,
         &DecisionRule::And,
         &mut iid,
         TRIALS,
         MASTER_SEED,
         13,
+        node(&far, 1, Q_SCARCE),
     )
     .rejection_rate;
 
@@ -276,14 +271,13 @@ fn targeted_adversary_beats_iid_loss_at_the_same_budget() {
     let mut silencer = TargetedLoss::alarm_silencer(1);
     let thr_detection = rejection_rate(
         &net,
-        &far,
         Q_STRONG,
-        &node_player(4, Q_STRONG),
         &rule,
         &mut silencer,
         TRIALS,
         MASTER_SEED,
         17,
+        node(&far, 4, Q_STRONG),
     )
     .rejection_rate;
     assert!(
