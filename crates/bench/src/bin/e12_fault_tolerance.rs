@@ -23,7 +23,7 @@ use dut_bench::Harness;
 use dut_core::probability::{families, Sampler};
 use dut_core::simnet::{
     byzantine_tolerance, rejection_rate, ByzantinePlan, DecisionRule, FaultPlan, GilbertElliott,
-    IidFaults, MissingPolicy, PlayerContext, Recovery, ResilientNetwork,
+    IidFaults, MissingPolicy, Recovery, ResilientNetwork,
 };
 use dut_core::stats::table::Table;
 use dut_core::testers::TThresholdTester;
@@ -44,9 +44,9 @@ fn node<S: Sampler>(
     sampler: &S,
     t: usize,
     q: usize,
-) -> impl Fn(&PlayerContext, usize, &mut StdRng) -> bool + '_ {
+) -> impl Fn(usize, usize, &mut StdRng) -> bool + '_ {
     let threshold = TThresholdTester::new(N, K, t).node_threshold(q);
-    move |_ctx, q, rng| sampler.collision_count(q, rng) < threshold
+    move |_, q, rng| sampler.collision_count(q, rng) < threshold
 }
 
 fn policy_name(policy: MissingPolicy) -> &'static str {

@@ -29,7 +29,7 @@ fn minimal_tau(n: usize, eps: f64, rates: RateVector, harness: &Harness, stream:
             derive_seed(probe_seed, 1),
             &uniform,
             &far,
-            |s, r| prepared.run(s, r).is_accept(),
+            |s, r| prepared.run(s, r).verdict.is_accept(),
         )
     })
     .minimal

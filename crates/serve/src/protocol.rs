@@ -59,24 +59,33 @@ pub const MAX_K: usize = 1 << 12;
 
 /// Upper bound on `k·(n+q)`: the alias table is O(n) and every trial
 /// draws `k·q` samples. Individually legal n, q, k can still multiply
-/// into hours of worker time; this cap bounds one trial to about two
-/// seconds. The slowest admitted trial is at the largest `q`: one
-/// trial of `n = 256, q = 2²⁰, k = 63` (uniform input) took 1.8 s,
-/// and `n = 32, q = 2²⁰, k = 63` took 1.4 s (best of 3, release
-/// build, 2-vCPU VM). With `q ≤ 4096` a trial stays under 0.2 s. A
+/// into hours of worker time; this cap bounds one trial to about a
+/// second. The slowest admitted trial is at the largest `q`: one trial
+/// of `n = 256, q = 2²⁰, k = 63` (balanced rule, uniform input) took
+/// 0.97–1.22 s per trial on a warm cache (method under
+/// [`MAX_REQUEST_WORK`]). With `q ≤ 4096` a trial stays under 0.2 s. A
 /// request's trials run one after another on one worker, so
 /// [`MAX_REQUEST_WORK`] bounds their sum.
 pub const MAX_WORK: u64 = 1 << 26;
 
 /// Upper bound on `trials·k·(n+q)`, the work of a whole request.
 /// [`MAX_TRIALS`] and [`MAX_WORK`] alone admit a request that holds its
-/// worker for about two days. At this bound the slowest trials are 32
-/// of `n = 256, q = 2²⁰, k = 63` (balanced rule, uniform input): 20.7 s
-/// of one worker with the key's tester already cached. The slowest
-/// request on a cold cache is 32 trials of `n = q = 2²⁰, k = 32`:
-/// 33.7 s, of which about 21 s is the key's one-time calibration
-/// (one request each against `dut serve --workers 1`, release build,
-/// 2-vCPU VM).
+/// worker for days. At this bound the slowest trials are 32 of
+/// `n = 256, q = 2²⁰, k = 63` (balanced rule, uniform input): 34.8 s of
+/// one worker (1.09 s per trial) with the key's tester already cached;
+/// single-trial and 3-trial requests of that key took 0.97–1.22 s per
+/// trial. The slowest request on a cold cache is 32 trials of
+/// `n = q = 2²⁰, k = 32`: 50.7 s, against 0.50 s for one more trial of
+/// the then-cached key, so about 35 s of it is the key's one-time
+/// calibration.
+///
+/// Method: release build, `dut serve --workers 1` on a 2-vCPU VM on a
+/// shared host, no other build or benchmark running, one client
+/// connection on the same VM sending one request at a time and timing
+/// each reply's wall clock.
+/// The VM's speed drifts between sessions: the same 32-trial request
+/// has also taken 20.7 s (0.65 s per trial), so read these as about a
+/// second per trial and under a minute per request.
 pub const MAX_REQUEST_WORK: u64 = 1 << 31;
 
 /// Upper bound on `λ₀ = C(q,2)/n` for the `and` and `threshold:T`

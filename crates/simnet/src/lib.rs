@@ -3,20 +3,25 @@
 //! Local?* (PODC 2019):
 //!
 //! * `k` **players** each draw `q` iid samples from an unknown
-//!   distribution and send a single bit to a **referee** (the extended
-//!   `r`-bit [`Message`] model runs in `dut_testers::QuantizedSumTester`,
-//!   which experiment E6 uses);
-//! * the referee applies a **decision rule** `f : {0,1}^k → {0,1}` and
-//!   announces the verdict ([`Verdict::Accept`] / [`Verdict::Reject`]);
-//! * every node is a closure `(ctx, q, rng) -> bool` that draws its own
-//!   `q` samples from `rng` and returns its accept bit; the reliable
-//!   star ([`Network::run_nodes`]) and the fault-injected one
-//!   ([`ResilientNetwork::run`]) take the same closure;
-//! * the referee's rules are the paper's: [`DecisionRule::And`] (the
-//!   local rule — reject if *any* player rejects), the `T`-threshold
-//!   rule (reject if at least `T` players reject), and majority;
-//! * players may share randomness through [`PlayerContext::shared_seed`],
-//!   and the asymmetric-cost model of §6.2 (per-player sampling rates
+//!   distribution and send an `r`-bit message to a **referee**, which
+//!   announces the verdict ([`Verdict::Accept`] / [`Verdict::Reject`]).
+//!   The paper's main results use `r = 1`; the `r`-bit protocols of
+//!   Theorem 6.4 and \[ACT18\] are `dut_testers::QuantizedSumTester`
+//!   (experiment E6) and `dut_testers::SingleSampleProtocol` (E4);
+//! * every node is a closure `(player, q, rng) -> M` that draws its own
+//!   `q` samples from `rng` and returns its message, and the referee is
+//!   a closure `&[M] -> Verdict`. [`Network::run_nodes`] runs them and
+//!   counts the run once in the metrics registry; every protocol in the
+//!   workspace runs its nodes through it;
+//! * the one-bit referee rules are the paper's: [`DecisionRule::And`]
+//!   (the local rule — reject if *any* player rejects), the
+//!   `T`-threshold rule (reject if at least `T` players reject), and
+//!   majority. The fault-injected star ([`ResilientNetwork::run`])
+//!   takes the same one-bit node closure;
+//! * the network draws no shared randomness: a protocol that uses it
+//!   draws its own seed from the run's RNG before its nodes run (the
+//!   single-sample protocol's shared partition);
+//! * the asymmetric-cost model of §6.2 (per-player sampling rates
 //!   `q_i = T_i · τ`) is supported via [`RateVector`];
 //! * [`resilience`] injects message loss, crashes and adversaries into
 //!   the same star to study rule robustness.
@@ -32,9 +37,13 @@
 //! let sampler = families::uniform(1 << 14).alias_sampler();
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 //! // Each node draws 4 samples and rejects when it sees a repeat.
-//! let outcome = network.run_nodes(vec![4; 8], &DecisionRule::And, &mut rng, |_ctx, q, rng| {
-//!     sampler.collision_count(q, rng) == 0
-//! });
+//! let outcome = network.run_nodes(
+//!     vec![4; 8],
+//!     1,
+//!     &mut rng,
+//!     |_player, q, rng| sampler.collision_count(q, rng) == 0,
+//!     |bits| DecisionRule::And.decide(bits),
+//! );
 //! // 8 players, 4 samples each from a large uniform domain: collisions
 //! // are rare, so the AND rule almost surely accepts.
 //! assert_eq!(outcome.verdict, Verdict::Accept);
@@ -45,17 +54,13 @@
 // Tests assert exact constructed values and index with small literals.
 #![cfg_attr(test, allow(clippy::float_cmp, clippy::cast_possible_truncation))]
 
-mod message;
 mod network;
-mod player;
 mod rates;
 mod rule;
 
 pub mod resilience;
 
-pub use message::Message;
-pub use network::{record_run, Network, RunOutcome, Transcript};
-pub use player::PlayerContext;
+pub use network::{Network, RunOutcome, Transcript};
 pub use rates::RateVector;
 pub use resilience::{
     byzantine_tolerance, rejection_rate, ByzantineBehavior, ByzantinePlan, FaultPlan, FaultStats,

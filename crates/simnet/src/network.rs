@@ -1,5 +1,4 @@
-use crate::player::PlayerContext;
-use crate::rule::{DecisionRule, Verdict};
+use crate::rule::Verdict;
 use dut_obs::metrics::{Counter, HistogramId};
 use rand::Rng;
 
@@ -8,10 +7,11 @@ use rand::Rng;
 /// never touches the RNG, so instrumented runs are bit-identical to
 /// uninstrumented ones.
 ///
-/// [`Network`] calls it once per run; a protocol that runs its nodes
-/// outside the network calls it once per run itself, with the samples
-/// its nodes drew and the message bits they sent.
-pub fn record_run(verdict: Verdict, samples: u64, bits: u64) {
+/// The two star loops, [`Network::run_nodes`] and
+/// [`ResilientNetwork::run`](crate::ResilientNetwork::run), are its only
+/// callers, once per run each, so every protocol's runs, samples and
+/// message bits are counted in one place.
+pub(crate) fn record_run(verdict: Verdict, samples: u64, bits: u64) {
     let registry = dut_obs::metrics::global();
     registry.incr(Counter::NetRuns);
     registry.add(Counter::SamplesDrawn, samples);
@@ -34,12 +34,13 @@ pub fn record_run(verdict: Verdict, samples: u64, bits: u64) {
 ///
 /// One [`Network::run_nodes`] call simulates a single execution of a
 /// protocol: every player draws its samples from the (common, unknown)
-/// input distribution, computes its bit, and the referee decides.
+/// input distribution and computes its message, and the referee
+/// decides on the messages.
 ///
 /// The network itself is stateless and reusable; all randomness comes
-/// from the caller-provided RNG (sample draws) and from
-/// [`PlayerContext::shared_seed`] (shared randomness), which is drawn
-/// fresh from the RNG on every run.
+/// from the caller-provided RNG. It draws no shared randomness: a
+/// protocol that uses some (the single-sample protocol's shared
+/// partition) draws its own seed before it runs its nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Network {
     num_players: usize,
@@ -47,39 +48,40 @@ pub struct Network {
 
 /// The result of one protocol execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RunOutcome {
+pub struct RunOutcome<M> {
     /// The referee's verdict.
     pub verdict: Verdict,
-    /// The execution transcript (player bits and sample counts).
-    pub transcript: Transcript,
+    /// The execution transcript (messages and sample counts).
+    pub transcript: Transcript<M>,
 }
 
 /// The observable record of one execution: what each player sent and how
 /// many samples it consumed.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Transcript {
-    /// The accept bits the referee counted (`true` = accept): one per
-    /// player, except that a fault-injected run under
+pub struct Transcript<M> {
+    /// The messages the referee decided on: one per player, except that
+    /// a fault-injected run under
     /// [`MissingPolicy::Exclude`](crate::MissingPolicy::Exclude) keeps
-    /// only the players it heard.
-    pub accept_bits: Vec<bool>,
+    /// only the players it heard. One-bit protocols send accept bits
+    /// (`true` = accept).
+    pub messages: Vec<M>,
     /// Number of samples each player drew.
     pub samples_drawn: Vec<usize>,
-    /// The shared-randomness seed used in this execution.
-    pub shared_seed: u64,
 }
 
-impl Transcript {
-    /// Number of players that rejected.
-    #[must_use]
-    pub fn reject_count(&self) -> usize {
-        self.accept_bits.iter().filter(|&&b| !b).count()
-    }
-
+impl<M> Transcript<M> {
     /// Total samples drawn across all players.
     #[must_use]
     pub fn total_samples(&self) -> usize {
         self.samples_drawn.iter().sum()
+    }
+}
+
+impl Transcript<bool> {
+    /// Number of players that rejected.
+    #[must_use]
+    pub fn reject_count(&self) -> usize {
+        self.messages.iter().filter(|&&b| !b).count()
     }
 }
 
@@ -101,58 +103,54 @@ impl Network {
         self.num_players
     }
 
-    /// Runs the one-bit protocol with each node's bit computed by `node`
-    /// from its context, its sample count and the run's RNG, from which
-    /// it draws its own samples; a collision node draws straight into
-    /// [`dut_probability::Sampler::collision_count`] without storing
-    /// them. The shared seed is drawn first, then the nodes run in
-    /// player order. Per-player sample counts give the asymmetric-cost
-    /// model of §6.2.
+    /// Runs one execution. The nodes run in player order: `node` gets
+    /// the player's index, its sample count and the run's RNG, draws
+    /// its own samples from the RNG (a collision node draws straight
+    /// into [`dut_probability::Sampler::collision_count`] without
+    /// storing them) and returns its `message_bits`-bit message. Then
+    /// `referee` decides on the `k` messages. Per-player sample counts
+    /// give the asymmetric-cost model of §6.2.
+    ///
+    /// The run is counted once in the metrics registry, with `Σq`
+    /// samples and `k·message_bits` bits sent.
     ///
     /// # Panics
     ///
     /// Panics if `sample_counts.len() != k`.
-    pub fn run_nodes<R, F>(
+    pub fn run_nodes<M, R, N, D>(
         &self,
         sample_counts: Vec<usize>,
-        rule: &DecisionRule,
+        message_bits: u8,
         rng: &mut R,
-        mut node: F,
-    ) -> RunOutcome
+        mut node: N,
+        referee: D,
+    ) -> RunOutcome<M>
     where
         R: Rng + ?Sized,
-        F: FnMut(&PlayerContext, usize, &mut R) -> bool,
+        N: FnMut(usize, usize, &mut R) -> M,
+        D: FnOnce(&[M]) -> Verdict,
     {
         assert_eq!(
             sample_counts.len(),
             self.num_players,
             "need one sample count per player"
         );
-        let shared_seed: u64 = rng.random();
-        let accept_bits: Vec<bool> = sample_counts
+        let messages: Vec<M> = sample_counts
             .iter()
             .enumerate()
-            .map(|(player_id, &q)| {
-                let ctx = PlayerContext {
-                    player_id,
-                    num_players: self.num_players,
-                    shared_seed,
-                };
-                node(&ctx, q, rng)
-            })
+            .map(|(player, &q)| node(player, q, rng))
             .collect();
-        let verdict = rule.decide(&accept_bits);
+        let verdict = referee(&messages);
         record_run(
             verdict,
             sample_counts.iter().map(|&q| q as u64).sum(),
-            self.num_players as u64,
+            self.num_players as u64 * u64::from(message_bits),
         );
         RunOutcome {
             verdict,
             transcript: Transcript {
-                accept_bits,
+                messages,
                 samples_drawn: sample_counts,
-                shared_seed,
             },
         }
     }
@@ -161,33 +159,34 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rule::DecisionRule;
     use dut_probability::{families, Sampler};
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn rng() -> rand::rngs::StdRng {
-        rand::rngs::StdRng::seed_from_u64(42)
+    fn rng() -> StdRng {
+        StdRng::seed_from_u64(42)
     }
 
     /// A node that accepts iff every one of its samples is below 8.
     fn accept_if_small<S: Sampler>(
         sampler: &S,
-    ) -> impl FnMut(&PlayerContext, usize, &mut rand::rngs::StdRng) -> bool + '_ {
-        |_ctx, q, rng| sampler.sample_many(q, rng).iter().all(|&s| s < 8)
+    ) -> impl FnMut(usize, usize, &mut StdRng) -> bool + '_ {
+        |_, q, rng| sampler.sample_many(q, rng).iter().all(|&s| s < 8)
+    }
+
+    fn and(bits: &[bool]) -> Verdict {
+        DecisionRule::And.decide(bits)
     }
 
     #[test]
     fn run_records_bits_and_sample_counts() {
         let net = Network::new(5);
         let sampler = families::uniform(16).alias_sampler();
-        let out = net.run_nodes(
-            vec![3; 5],
-            &DecisionRule::And,
-            &mut rng(),
-            accept_if_small(&sampler),
-        );
+        let out = net.run_nodes(vec![3; 5], 1, &mut rng(), accept_if_small(&sampler), and);
         assert_eq!(out.transcript.samples_drawn, vec![3; 5]);
         assert_eq!(out.transcript.total_samples(), 15);
-        assert_eq!(out.transcript.accept_bits.len(), 5);
+        assert_eq!(out.transcript.messages.len(), 5);
     }
 
     #[test]
@@ -195,56 +194,40 @@ mod tests {
         let net = Network::new(4);
         // All mass on small elements: every player accepts.
         let low = families::uniform_on_prefix(16, 4).unwrap().alias_sampler();
-        let out = net.run_nodes(
-            vec![5; 4],
-            &DecisionRule::And,
-            &mut rng(),
-            accept_if_small(&low),
-        );
+        let out = net.run_nodes(vec![5; 4], 1, &mut rng(), accept_if_small(&low), and);
         assert_eq!(out.verdict, Verdict::Accept);
         assert_eq!(out.transcript.reject_count(), 0);
 
         // All mass on large elements: every player rejects.
         let hi = families::point_mass(16, 12).unwrap().alias_sampler();
-        let out = net.run_nodes(
-            vec![5; 4],
-            &DecisionRule::And,
-            &mut rng(),
-            accept_if_small(&hi),
-        );
+        let out = net.run_nodes(vec![5; 4], 1, &mut rng(), accept_if_small(&hi), and);
         assert_eq!(out.verdict, Verdict::Reject);
         assert_eq!(out.transcript.reject_count(), 4);
     }
 
     #[test]
-    fn nodes_see_their_ids_counts_and_one_shared_seed() {
+    fn referee_sees_every_node_message_in_player_order() {
         let net = Network::new(3);
-        let mut seen = Vec::new();
+        let mut heard = Vec::new();
         let out = net.run_nodes(
             vec![1, 5, 9],
-            &DecisionRule::And,
+            4,
             &mut rng(),
-            |ctx, q, _| {
-                seen.push((ctx.player_id, q, ctx.shared_seed));
-                true
+            |player, q, _| (player, q),
+            |messages| {
+                heard = messages.to_vec();
+                Verdict::Accept
             },
         );
-        assert_eq!(
-            seen.iter().map(|&(id, q, _)| (id, q)).collect::<Vec<_>>(),
-            vec![(0, 1), (1, 5), (2, 9)]
-        );
-        assert!(seen
-            .iter()
-            .all(|&(_, _, s)| s == out.transcript.shared_seed));
+        assert_eq!(heard, vec![(0, 1), (1, 5), (2, 9)]);
+        assert_eq!(out.transcript.messages, heard);
     }
 
     #[test]
-    fn shared_seed_changes_between_runs() {
-        let net = Network::new(1);
+    fn network_draws_no_randomness_of_its_own() {
         let mut r = rng();
-        let a = net.run_nodes(vec![1], &DecisionRule::And, &mut r, |_, _, _| true);
-        let b = net.run_nodes(vec![1], &DecisionRule::And, &mut r, |_, _, _| true);
-        assert_ne!(a.transcript.shared_seed, b.transcript.shared_seed);
+        let _ = Network::new(4).run_nodes(vec![2; 4], 1, &mut r, |_, _, _| true, and);
+        assert_eq!(r.random::<u64>(), rng().random::<u64>());
     }
 
     #[test]
@@ -256,6 +239,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "one sample count per player")]
     fn mismatched_counts_panic() {
-        let _ = Network::new(2).run_nodes(vec![1], &DecisionRule::And, &mut rng(), |_, _, _| true);
+        let _ = Network::new(2).run_nodes(vec![1], 1, &mut rng(), |_, _, _| true, and);
     }
 }

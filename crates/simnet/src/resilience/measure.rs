@@ -4,7 +4,6 @@
 
 use super::network::ResilientNetwork;
 use super::plan::FaultPlan;
-use crate::player::PlayerContext;
 use crate::rule::DecisionRule;
 use dut_stats::seed::derive_seed2;
 use rand::rngs::StdRng;
@@ -71,7 +70,7 @@ pub fn rejection_rate<F, N>(
 ) -> MeasuredRates
 where
     F: FaultPlan + ?Sized,
-    N: FnMut(&PlayerContext, usize, &mut StdRng) -> bool,
+    N: FnMut(usize, usize, &mut StdRng) -> bool,
 {
     assert!(trials > 0, "need at least one trial");
     let mut rejects = 0usize;
@@ -100,7 +99,7 @@ mod tests {
     use super::*;
     use crate::MissingPolicy;
 
-    fn always_reject(_: &PlayerContext, _: usize, _: &mut StdRng) -> bool {
+    fn always_reject(_: usize, _: usize, _: &mut StdRng) -> bool {
         false
     }
 

@@ -5,7 +5,6 @@
 use super::plan::FaultPlan;
 use super::recovery::Recovery;
 use crate::network::{record_run, Transcript};
-use crate::player::PlayerContext;
 use crate::rule::{DecisionRule, Verdict};
 use dut_obs::metrics::Counter;
 use rand::rngs::StdRng;
@@ -73,7 +72,7 @@ pub struct ResilientOutcome {
     pub verdict: Verdict,
     /// The effective transcript the referee decided on (after missing
     /// policy and majority decoding).
-    pub transcript: Transcript,
+    pub transcript: Transcript<bool>,
     /// Fault and recovery accounting for this execution.
     pub faults: FaultStats,
 }
@@ -84,15 +83,17 @@ pub struct ResilientOutcome {
 ///
 /// # Randomness
 ///
-/// Each run derives three independent streams from the caller's RNG:
-/// the shared-randomness seed, a *sampling* stream and a *fault*
-/// stream. The node closure runs on the sampling stream for every
-/// player, crashed ones included (their bit is discarded and only the
-/// prefix they drew before crashing is charged), so the samples a player
-/// would see are identical across fault models, rates and recovery
-/// settings for a fixed caller RNG state — fault sweeps are paired
-/// experiments by construction (see the [`plan`](super::plan) module
-/// docs for the coupling discipline on the fault side).
+/// Each run discards one word of the caller's RNG, then seeds two
+/// independent streams from it: a *sampling* stream and a *fault*
+/// stream. (The discarded word was once a shared seed that no node
+/// read; skipping it keeps every committed fault sweep's streams.) The
+/// node closure runs on the sampling stream for every player, crashed
+/// ones included (their bit is discarded and only the prefix they drew
+/// before crashing is charged), so the samples a player would see are
+/// identical across fault models, rates and recovery settings for a
+/// fixed caller RNG state — fault sweeps are paired experiments by
+/// construction (see the [`plan`](super::plan) module docs for the
+/// coupling discipline on the fault side).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResilientNetwork {
     num_players: usize,
@@ -149,8 +150,8 @@ impl ResilientNetwork {
     /// Runs one execution of the one-bit protocol under `plan`, with
     /// each player's bit computed by `node` as in
     /// [`Network::run_nodes`](crate::Network::run_nodes): from its
-    /// context, its sample count `samples_per_player` and the sampling
-    /// stream, from which it draws its own samples.
+    /// player index, its sample count `samples_per_player` and the
+    /// sampling stream, from which it draws its own samples.
     ///
     /// Phases: `begin_run` → per-player `pre_sample` + node call →
     /// `corrupt` (Byzantine) → up to `Recovery::rounds` transmission
@@ -171,11 +172,11 @@ impl ResilientNetwork {
     where
         F: FaultPlan + ?Sized,
         R: Rng + ?Sized,
-        N: FnMut(&PlayerContext, usize, &mut StdRng) -> bool,
+        N: FnMut(usize, usize, &mut StdRng) -> bool,
     {
         let k = self.num_players;
         let q = samples_per_player;
-        let shared_seed: u64 = rng.random();
+        let _: u64 = rng.random();
         let mut sample_rng = StdRng::seed_from_u64(rng.random());
         let mut fault_rng = StdRng::seed_from_u64(rng.random());
         let mut stats = FaultStats::default();
@@ -189,12 +190,7 @@ impl ResilientNetwork {
         let mut samples_drawn = Vec::with_capacity(k);
         for player_id in 0..k {
             let pre = plan.pre_sample(player_id, q, &mut fault_rng);
-            let ctx = PlayerContext {
-                player_id,
-                num_players: k,
-                shared_seed,
-            };
-            let accept = node(&ctx, q, &mut sample_rng);
+            let accept = node(player_id, q, &mut sample_rng);
             if pre.sends {
                 bits.push(Some(accept));
                 samples_drawn.push(q);
@@ -284,9 +280,8 @@ impl ResilientNetwork {
         ResilientOutcome {
             verdict,
             transcript: Transcript {
-                accept_bits: effective,
+                messages: effective,
                 samples_drawn,
-                shared_seed,
             },
             faults: stats,
         }
@@ -304,11 +299,11 @@ mod tests {
         StdRng::seed_from_u64(seed)
     }
 
-    fn always_accept(_: &PlayerContext, _: usize, _: &mut StdRng) -> bool {
+    fn always_accept(_: usize, _: usize, _: &mut StdRng) -> bool {
         true
     }
 
-    fn always_reject(_: &PlayerContext, _: usize, _: &mut StdRng) -> bool {
+    fn always_reject(_: usize, _: usize, _: &mut StdRng) -> bool {
         false
     }
 
@@ -323,7 +318,7 @@ mod tests {
             always_reject,
         );
         assert!(out.verdict.is_reject());
-        assert_eq!(out.transcript.accept_bits.len(), 6);
+        assert_eq!(out.transcript.messages.len(), 6);
         assert_eq!(out.transcript.total_samples(), 18);
         assert_eq!(
             out.faults,
@@ -340,7 +335,7 @@ mod tests {
         let mut plan = IidFaults::loss_only(1.0);
         let out = net.run(2, &DecisionRule::And, &mut plan, &mut rng(2), always_reject);
         assert!(out.verdict.is_accept());
-        assert_eq!(out.transcript.accept_bits.len(), 0);
+        assert_eq!(out.transcript.messages.len(), 0);
         assert_eq!(out.faults.lost, 4);
         assert_eq!(out.faults.delivered_bits, 0);
         // Lost messages still consumed samples.
@@ -446,22 +441,18 @@ mod tests {
                 &DecisionRule::And,
                 plan,
                 &mut rng(8),
-                |_ctx, q, rng| {
+                |_, q, rng| {
                     counts.push(sampler.collision_count(q, rng));
                     true
                 },
             );
             (out, counts)
         };
-        let (reliable, reliable_counts) = record(&mut ReliablePlan);
+        let (_, reliable_counts) = record(&mut ReliablePlan);
         let (faulty, faulty_counts) = record(&mut IidFaults::new(0.5, 0.9));
         assert!(faulty.faults.crashed > 0, "no player crashed");
         assert_eq!(reliable_counts.len(), 8);
         assert_eq!(reliable_counts, faulty_counts);
-        assert_eq!(
-            reliable.transcript.shared_seed,
-            faulty.transcript.shared_seed
-        );
     }
 
     #[test]
@@ -513,7 +504,7 @@ mod tests {
             always_reject,
         );
         assert!(out.verdict.is_reject());
-        assert_eq!(out.transcript.accept_bits.len(), 8);
+        assert_eq!(out.transcript.messages.len(), 8);
     }
 
     #[test]
@@ -521,7 +512,7 @@ mod tests {
         // One rejecting player among 8 accepting ones; 50% loss.
         // Whenever ITS message is lost, the alarm vanishes.
         let net = ResilientNetwork::new(8, MissingPolicy::AssumeAccept);
-        let one_rejector = |ctx: &PlayerContext, _: usize, _: &mut StdRng| ctx.player_id != 3;
+        let one_rejector = |player: usize, _: usize, _: &mut StdRng| player != 3;
         let mut plan = IidFaults::new(0.0, 0.5);
         let mut r = rng(2);
         let trials = 400;
@@ -566,7 +557,7 @@ mod tests {
             &mut r,
             always_accept,
         );
-        assert!(out.transcript.accept_bits.len() < 10);
+        assert!(out.transcript.messages.len() < 10);
         assert!(out.verdict.is_accept());
     }
 
@@ -581,7 +572,7 @@ mod tests {
             always_reject,
         );
         assert!(out.verdict.is_accept());
-        assert_eq!(out.transcript.accept_bits.len(), 0);
+        assert_eq!(out.transcript.messages.len(), 0);
         // Crashed players drew no samples.
         assert_eq!(out.transcript.total_samples(), 0);
     }
@@ -613,7 +604,7 @@ mod tests {
             // Lost messages consumed samples without being counted in
             // the vote: transcript shows fewer messages than sampling
             // players.
-            if out.transcript.accept_bits.len() < 12 - zeros {
+            if out.transcript.messages.len() < 12 - zeros {
                 partial_sample_runs += 1;
             }
         }
@@ -641,8 +632,8 @@ mod tests {
                 .iter()
                 .filter(|&&q| q == 0)
                 .count();
-            assert!(out.transcript.accept_bits.len() <= 12 - crashes);
-            if out.transcript.accept_bits.len() < 12 - crashes {
+            assert!(out.transcript.messages.len() <= 12 - crashes);
+            if out.transcript.messages.len() < 12 - crashes {
                 saw_shrunk_vote = true; // a non-crashed player's message was lost
             }
         }

@@ -2,7 +2,7 @@
 
 #![allow(clippy::float_cmp, clippy::cast_possible_truncation)] // test code asserts exact values
 use dut_probability::Sampler;
-use dut_simnet::{DecisionRule, Message, Network, RateVector, Verdict};
+use dut_simnet::{DecisionRule, Network, RateVector, Verdict};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -53,15 +53,6 @@ proptest! {
     }
 
     #[test]
-    fn message_roundtrip(bits in 0u32..1024, extra in 0u8..6) {
-        let len = 10 + extra; // always enough bits for the payload
-        let m = Message::new(bits, len);
-        prop_assert_eq!(m.bits(), bits);
-        prop_assert_eq!(m.len(), len);
-        prop_assert_eq!(m.to_string().len(), len as usize);
-    }
-
-    #[test]
     fn rate_vector_norms_consistent(rates in prop::collection::vec(0.1f64..10.0, 1..20)) {
         let rv = RateVector::new(rates.clone());
         // l2 <= l1 <= sqrt(k) * l2 (standard norm inequalities).
@@ -92,13 +83,17 @@ proptest! {
         let net = Network::new(k);
         let sampler = dut_probability::families::uniform(8).alias_sampler();
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let out = net.run_nodes(vec![q; k], &DecisionRule::Majority, &mut rng, |_ctx, q, rng| {
-            sampler.sample_many(q, rng).iter().sum::<usize>() >= accept_threshold
-        });
-        prop_assert_eq!(out.transcript.accept_bits.len(), k);
+        let out = net.run_nodes(
+            vec![q; k],
+            1,
+            &mut rng,
+            |_, q, rng| sampler.sample_many(q, rng).iter().sum::<usize>() >= accept_threshold,
+            |bits| DecisionRule::Majority.decide(bits),
+        );
+        prop_assert_eq!(out.transcript.messages.len(), k);
         prop_assert_eq!(out.transcript.total_samples(), k * q);
         // Verdict must equal re-applying the rule to the transcript bits.
-        let replay = DecisionRule::Majority.decide(&out.transcript.accept_bits);
+        let replay = DecisionRule::Majority.decide(&out.transcript.messages);
         prop_assert_eq!(out.verdict, replay);
     }
 

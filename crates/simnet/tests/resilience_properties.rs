@@ -3,8 +3,7 @@
 
 #![allow(clippy::float_cmp, clippy::cast_possible_truncation)] // test code asserts exact values
 use dut_simnet::{
-    DecisionRule, IidFaults, MissingPolicy, Network, PlayerContext, ReliablePlan, ResilientNetwork,
-    Verdict,
+    DecisionRule, IidFaults, MissingPolicy, Network, ReliablePlan, ResilientNetwork, Verdict,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -12,10 +11,8 @@ use rand::SeedableRng;
 
 /// A deterministic player whose bit depends only on its id, so runs
 /// are comparable across policies and fault rates.
-fn mask_player(reject_mask: u32) -> impl Fn(&PlayerContext, usize, &mut StdRng) -> bool {
-    move |ctx: &PlayerContext, _q: usize, _rng: &mut StdRng| {
-        (reject_mask >> (ctx.player_id % 32)) & 1 == 0
-    }
+fn mask_player(reject_mask: u32) -> impl Fn(usize, usize, &mut StdRng) -> bool {
+    move |player: usize, _q: usize, _rng: &mut StdRng| (reject_mask >> (player % 32)) & 1 == 0
 }
 
 proptest! {
@@ -34,7 +31,7 @@ proptest! {
         let mut plan = IidFaults::new(f64::from(crash_milli) / 1000.0, f64::from(loss_milli) / 1000.0);
         let mut rng = StdRng::seed_from_u64(seed);
         let out = net.run(2, &DecisionRule::Majority, &mut plan, &mut rng, mask_player(reject_mask));
-        prop_assert_eq!(out.transcript.accept_bits.len() as u64, out.faults.delivered_bits);
+        prop_assert_eq!(out.transcript.messages.len() as u64, out.faults.delivered_bits);
         // And the books balance: every surviving player's copy was
         // either delivered or lost.
         let senders = k as u64 - out.faults.crashed;
@@ -89,8 +86,13 @@ proptest! {
         prop_assert_eq!(verdict_under(MissingPolicy::AssumeReject), exclude);
 
         let mut rng = StdRng::seed_from_u64(seed);
-        let reliable = Network::new(k)
-            .run_nodes(vec![2; k], &DecisionRule::Majority, &mut rng, &player);
+        let reliable = Network::new(k).run_nodes(
+            vec![2; k],
+            1,
+            &mut rng,
+            &player,
+            |bits| DecisionRule::Majority.decide(bits),
+        );
         prop_assert_eq!(reliable.verdict, exclude);
 
         // The reliable plan agrees too, and reports a clean fault log.

@@ -1,11 +1,12 @@
 use dut_probability::{Sampler, UniformSampler};
-use dut_simnet::{record_run, RateVector, Verdict};
+use dut_simnet::{Network, RateVector, RunOutcome, Verdict};
 use rand::Rng;
 
 /// The asymmetric-cost protocol of §6.2: player `i` samples at rate
 /// `T_i`, so a time budget `τ` gives it `q_i = max(1, ⌊T_i·τ⌋)`
-/// samples. Every player sends the balanced above-mean collision bit
-/// for *its own* `q_i`.
+/// samples. Every player sends the balanced collision bit for *its
+/// own* `q_i`: it accepts iff its collision count is at most
+/// `t_i = λ₀ᵢ·(1 + ε²/2)`.
 ///
 /// The referee (which may apply **any** function of the bits) uses a
 /// weighted vote: player `i`'s rejection counts with weight
@@ -28,7 +29,6 @@ pub struct AsymmetricThresholdTester {
 /// An [`AsymmetricThresholdTester`] calibrated for a fixed time budget.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PreparedAsymmetricTester {
-    n: usize,
     sample_counts: Vec<usize>,
     node_thresholds: Vec<f64>,
     weights: Vec<f64>,
@@ -92,25 +92,31 @@ impl AsymmetricThresholdTester {
             .map(|&q| (q * q.saturating_sub(1)) as f64 / 2.0 / self.n as f64 * midpoint)
             .collect();
         let weights: Vec<f64> = node_thresholds.iter().map(|l| l.sqrt()).collect();
+        let mut prepared = PreparedAsymmetricTester {
+            sample_counts,
+            node_thresholds,
+            weights,
+            referee_threshold: 0.0,
+        };
         // Calibrate the weighted rejection statistic under uniform.
         let uniform = UniformSampler::new(self.n);
         let mut sum = 0.0f64;
         let mut sum_sq = 0.0f64;
         for _ in 0..calibration_trials {
-            let stat =
-                weighted_rejections(&uniform, &sample_counts, &node_thresholds, &weights, rng);
+            let bits: Vec<bool> = prepared
+                .sample_counts
+                .iter()
+                .enumerate()
+                .map(|(player, &q)| prepared.node_accepts(&uniform, player, q, rng))
+                .collect();
+            let stat = prepared.statistic(&bits);
             sum += stat;
             sum_sq += stat * stat;
         }
         let mean = sum / calibration_trials as f64;
         let var = (sum_sq / calibration_trials as f64 - mean * mean).max(0.0);
-        PreparedAsymmetricTester {
-            n: self.n,
-            sample_counts,
-            node_thresholds,
-            weights,
-            referee_threshold: mean + 1.3 * var.sqrt(),
-        }
+        prepared.referee_threshold = mean + 1.3 * var.sqrt();
+        prepared
     }
 }
 
@@ -127,52 +133,44 @@ impl PreparedAsymmetricTester {
         self.referee_threshold
     }
 
-    /// Runs one execution.
-    pub fn run<S, R>(&self, sampler: &S, rng: &mut R) -> Verdict
+    /// The referee's statistic on the players' accept bits: the summed
+    /// weight `Σ w_i` of the players that rejected.
+    #[must_use]
+    pub fn statistic(&self, accept_bits: &[bool]) -> f64 {
+        accept_bits
+            .iter()
+            .zip(&self.weights)
+            .map(|(&accept, &w)| if accept { 0.0 } else { w })
+            .sum()
+    }
+
+    /// Runs one execution on [`Network::run_nodes`]: player `i` draws
+    /// its `q_i` samples and sends its accept bit, and the referee
+    /// accepts iff the weighted rejections stay at most the calibrated
+    /// threshold.
+    pub fn run<S, R>(&self, sampler: &S, rng: &mut R) -> RunOutcome<bool>
     where
         S: Sampler,
         R: Rng + ?Sized,
     {
-        let stat = weighted_rejections(
-            sampler,
-            &self.sample_counts,
-            &self.node_thresholds,
-            &self.weights,
+        Network::new(self.sample_counts.len()).run_nodes(
+            self.sample_counts.clone(),
+            1,
             rng,
-        );
-        let verdict = Verdict::from_accept_bit(stat <= self.referee_threshold);
-        record_run(
-            verdict,
-            self.sample_counts.iter().map(|&q| q as u64).sum(),
-            self.sample_counts.len() as u64,
-        );
-        verdict
+            |player, q, rng| self.node_accepts(sampler, player, q, rng),
+            |bits| Verdict::from_accept_bit(self.statistic(bits) <= self.referee_threshold),
+        )
     }
-}
 
-fn weighted_rejections<S, R>(
-    sampler: &S,
-    sample_counts: &[usize],
-    node_thresholds: &[f64],
-    weights: &[f64],
-    rng: &mut R,
-) -> f64
-where
-    S: Sampler,
-    R: Rng + ?Sized,
-{
-    sample_counts
-        .iter()
-        .zip(node_thresholds)
-        .zip(weights)
-        .map(|((&q, &threshold), &w)| {
-            if sampler.collision_count(q, rng) as f64 > threshold {
-                w
-            } else {
-                0.0
-            }
-        })
-        .sum()
+    /// Player `player`'s bit: accept iff its collision count at `q`
+    /// samples is at most its threshold.
+    fn node_accepts<S, R>(&self, sampler: &S, player: usize, q: usize, rng: &mut R) -> bool
+    where
+        S: Sampler,
+        R: Rng + ?Sized,
+    {
+        sampler.collision_count(q, rng) as f64 <= self.node_thresholds[player]
+    }
 }
 
 #[cfg(test)]
@@ -189,7 +187,7 @@ mod tests {
     ) -> f64 {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         (0..trials)
-            .filter(|_| p.run(sampler, &mut rng).is_accept())
+            .filter(|_| p.run(sampler, &mut rng).verdict.is_accept())
             .count() as f64
             / trials as f64
     }

@@ -83,6 +83,12 @@ impl FourierLearner {
 
     /// Runs the protocol once and returns the referee's estimate of the
     /// input distribution.
+    ///
+    /// Unlike the testers, it runs its nodes outside
+    /// [`Network::run_nodes`](dut_simnet::Network::run_nodes): that loop's
+    /// referee returns a verdict, and this referee returns a
+    /// distribution, so its runs are not counted in the metrics
+    /// registry.
     pub fn learn<S, R>(&self, sampler: &S, rng: &mut R) -> DenseDistribution
     where
         S: Sampler,

@@ -14,6 +14,6 @@ pub use asymmetric::{AsymmetricThresholdTester, PreparedAsymmetricTester};
 pub use balanced::BalancedThresholdTester;
 pub use learning::FourierLearner;
 pub use prepared::PreparedThresholdTester;
-pub use quantized_sum::{PreparedQuantizedSumTester, QuantizedSumOutcome, QuantizedSumTester};
-pub use single_sample::{SingleSampleOutcome, SingleSampleProtocol};
+pub use quantized_sum::{PreparedQuantizedSumTester, QuantizedSumTester};
+pub use single_sample::SingleSampleProtocol;
 pub use t_threshold::TThresholdTester;

@@ -65,26 +65,29 @@ impl PreparedThresholdTester {
         collisions <= self.node_max_count
     }
 
-    fn referee(&self) -> DecisionRule {
-        DecisionRule::Threshold {
-            min_rejects: self.referee_min_rejects,
-        }
-    }
-
-    /// Runs one execution: `k` nodes draw `q` samples each from
-    /// `sampler`, each tallying its collisions as it draws
-    /// ([`Sampler::collision_count`]), and the referee counts their
-    /// rejections.
-    pub fn run<S, R>(&self, sampler: &S, rng: &mut R) -> RunOutcome
+    /// Runs one execution on [`Network::run_nodes`]: `k` nodes draw `q`
+    /// samples each from `sampler`, each tallying its collisions as it
+    /// draws ([`Sampler::collision_count`]) and sending its accept bit,
+    /// and the referee counts their rejections.
+    pub fn run<S, R>(&self, sampler: &S, rng: &mut R) -> RunOutcome<bool>
     where
         S: Sampler,
         R: Rng + ?Sized,
     {
+        // The network once drew a shared seed here that no node read.
+        // Skipping the word keeps every committed q*, golden verdict and
+        // served reply as it was recorded; regenerating those artifacts
+        // can drop it.
+        let _: u64 = rng.random();
+        let referee = DecisionRule::Threshold {
+            min_rejects: self.referee_min_rejects,
+        };
         Network::new(self.k).run_nodes(
             vec![self.q; self.k],
-            &self.referee(),
+            1,
             rng,
-            |_ctx, q, rng| self.node_accepts(sampler.collision_count(q, rng)),
+            |_, q, rng| self.node_accepts(sampler.collision_count(q, rng)),
+            |bits| referee.decide(bits),
         )
     }
 }

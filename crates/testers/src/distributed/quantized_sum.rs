@@ -1,5 +1,5 @@
 use dut_probability::{Sampler, UniformSampler};
-use dut_simnet::{record_run, Message, Verdict};
+use dut_simnet::{Network, RunOutcome, Verdict};
 use dut_stats::convert::round_to_usize;
 use rand::Rng;
 
@@ -31,17 +31,6 @@ pub struct PreparedQuantizedSumTester {
     inner: QuantizedSumTester,
     q: usize,
     referee_threshold: f64,
-}
-
-/// The outcome of one quantized-sum protocol run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuantizedSumOutcome {
-    /// The referee's verdict.
-    pub verdict: Verdict,
-    /// The quantized messages the nodes sent.
-    pub messages: Vec<Message>,
-    /// The summed statistic the referee computed.
-    pub statistic: u64,
 }
 
 impl QuantizedSumTester {
@@ -111,7 +100,8 @@ impl QuantizedSumTester {
         let mut sum = 0.0f64;
         let mut sum_sq = 0.0f64;
         for _ in 0..calibration_trials {
-            let stat = self.statistic(&uniform, q, rng) as f64;
+            let codes: Vec<u64> = (0..self.k).map(|_| self.node(&uniform, q, rng)).collect();
+            let stat = statistic(&codes) as f64;
             sum += stat;
             sum_sq += stat * stat;
         }
@@ -124,15 +114,19 @@ impl QuantizedSumTester {
         }
     }
 
-    fn statistic<S, R>(&self, sampler: &S, q: usize, rng: &mut R) -> u64
+    /// One node's message: its collision count at `q` samples, encoded.
+    fn node<S, R>(&self, sampler: &S, q: usize, rng: &mut R) -> u64
     where
         S: Sampler,
         R: Rng + ?Sized,
     {
-        (0..self.k)
-            .map(|_| self.encode_count(sampler.collision_count(q, rng), q))
-            .sum()
+        self.encode_count(sampler.collision_count(q, rng), q)
     }
+}
+
+/// The referee's statistic: the sum of the nodes' codes.
+fn statistic(codes: &[u64]) -> u64 {
+    codes.iter().sum()
 }
 
 impl PreparedQuantizedSumTester {
@@ -148,35 +142,22 @@ impl PreparedQuantizedSumTester {
         self.q
     }
 
-    /// Runs one execution.
-    pub fn run<S, R>(&self, sampler: &S, rng: &mut R) -> QuantizedSumOutcome
+    /// Runs one execution on [`Network::run_nodes`]: each of the `k`
+    /// nodes sends its `r`-bit code, and the referee accepts iff the
+    /// codes sum to at most the calibrated threshold.
+    pub fn run<S, R>(&self, sampler: &S, rng: &mut R) -> RunOutcome<u64>
     where
         S: Sampler,
         R: Rng + ?Sized,
     {
-        let mut messages = Vec::with_capacity(self.inner.k);
-        let mut statistic = 0u64;
-        for _ in 0..self.inner.k {
-            let code = self
-                .inner
-                .encode_count(sampler.collision_count(self.q, rng), self.q);
-            statistic += code;
-            let code_word =
-                u32::try_from(code).expect("encoded count is bounded by the message alphabet");
-            messages.push(Message::new(code_word, self.inner.message_bits));
-        }
-        let verdict = Verdict::from_accept_bit(statistic as f64 <= self.referee_threshold);
-        let k = self.inner.k as u64;
-        record_run(
-            verdict,
-            k * self.q as u64,
-            k * u64::from(self.inner.message_bits),
-        );
-        QuantizedSumOutcome {
-            verdict,
-            messages,
-            statistic,
-        }
+        let k = self.inner.k;
+        Network::new(k).run_nodes(
+            vec![self.q; k],
+            self.inner.message_bits,
+            rng,
+            |_, q, rng| self.inner.node(sampler, q, rng),
+            |codes| Verdict::from_accept_bit(statistic(codes) as f64 <= self.referee_threshold),
+        )
     }
 }
 
@@ -275,7 +256,8 @@ mod tests {
         let prepared = tester.prepare(12, 50, &mut rng);
         let point = families::point_mass(n, 0).unwrap().alias_sampler();
         let out = prepared.run(&point, &mut rng);
-        assert!(out.messages.iter().all(|m| m.len() == 2 && m.bits() <= 3));
+        assert_eq!(out.transcript.messages.len(), 8);
+        assert!(out.transcript.messages.iter().all(|&code| code <= 3));
         assert!(out.verdict.is_reject());
     }
 

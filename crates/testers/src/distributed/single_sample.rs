@@ -1,6 +1,6 @@
 use dut_probability::empirical::collision_count_of;
 use dut_probability::Sampler;
-use dut_simnet::{Message, Verdict};
+use dut_simnet::{Network, RunOutcome, Verdict};
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
@@ -21,19 +21,6 @@ pub struct SingleSampleProtocol {
     n: usize,
     message_bits: u8,
     epsilon: f64,
-}
-
-/// The outcome of one single-sample protocol run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SingleSampleOutcome {
-    /// The referee's verdict.
-    pub verdict: Verdict,
-    /// The `ℓ`-bit messages the nodes sent.
-    pub messages: Vec<Message>,
-    /// The bucket-collision statistic the referee computed.
-    pub statistic: u64,
-    /// The referee's rejection threshold.
-    pub threshold: f64,
 }
 
 impl SingleSampleProtocol {
@@ -91,33 +78,30 @@ impl SingleSampleProtocol {
                 + self.epsilon * self.epsilon / (2.0 * self.n as f64))
     }
 
-    /// Runs the protocol with `k` nodes: builds the shared random
-    /// partition, draws one sample per node, and has the referee test
-    /// the bucket indices.
-    pub fn run<S, R>(&self, sampler: &S, k: usize, rng: &mut R) -> SingleSampleOutcome
+    /// Runs the protocol with `k` nodes: draws the shared seed and
+    /// builds its partition, then runs the nodes on
+    /// [`Network::run_nodes`]. Each node draws one sample and sends its
+    /// `ℓ`-bit bucket index, and the referee accepts iff the bucket
+    /// collisions stay at most [`Self::referee_threshold`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k < 2`.
+    pub fn run<S, R>(&self, sampler: &S, k: usize, rng: &mut R) -> RunOutcome<usize>
     where
         S: Sampler,
         R: Rng + ?Sized,
     {
         assert!(k >= 2, "need at least two nodes for a collision test");
-        let shared_seed: u64 = rng.random();
-        let bucket_of = self.shared_partition(shared_seed);
-        let mut buckets = Vec::with_capacity(k);
-        let mut messages = Vec::with_capacity(k);
-        for _ in 0..k {
-            let sample = sampler.sample(rng);
-            let bucket = bucket_of[sample] as u32;
-            buckets.push(bucket as usize);
-            messages.push(Message::new(bucket, self.message_bits));
-        }
-        let statistic = collision_count_of(&buckets);
+        let bucket_of = self.shared_partition(rng.random());
         let threshold = self.referee_threshold(k);
-        SingleSampleOutcome {
-            verdict: Verdict::from_accept_bit(statistic as f64 <= threshold),
-            messages,
-            statistic,
-            threshold,
-        }
+        Network::new(k).run_nodes(
+            vec![1; k],
+            self.message_bits,
+            rng,
+            |_, _, rng| usize::from(bucket_of[sampler.sample(rng)]),
+            |buckets| Verdict::from_accept_bit(collision_count_of(buckets) as f64 <= threshold),
+        )
     }
 
     /// The balanced partition defined by the shared seed: a vector
@@ -209,9 +193,9 @@ mod tests {
         let uniform = families::uniform(64).alias_sampler();
         let mut rng = rand::rngs::StdRng::seed_from_u64(117);
         let out = proto.run(&uniform, 10, &mut rng);
-        assert_eq!(out.messages.len(), 10);
-        assert!(out.messages.iter().all(|m| m.len() == 3));
-        assert!(out.messages.iter().all(|m| m.bits() < 8));
+        assert_eq!(out.transcript.messages.len(), 10);
+        assert_eq!(out.transcript.samples_drawn, vec![1; 10]);
+        assert!(out.transcript.messages.iter().all(|&bucket| bucket < 8));
     }
 
     #[test]

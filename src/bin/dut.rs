@@ -1132,7 +1132,7 @@ fn cmd_faults(mut args: Args) -> Result<(), String> {
                 trials,
                 seed,
                 stream,
-                |_ctx, q, rng| sampler.collision_count(q, rng) < threshold,
+                |_, q, rng| sampler.collision_count(q, rng) < threshold,
             );
             if far_side {
                 rates.error_on_far()

@@ -154,7 +154,7 @@ fn transcripts_expose_player_bits() {
     let mut r = rng(6);
     let point = families::point_mass(n, 0).unwrap().alias_sampler();
     let out = t.run(&point, &mut r);
-    assert_eq!(out.transcript.accept_bits.len(), 8);
+    assert_eq!(out.transcript.messages.len(), 8);
     assert_eq!(out.transcript.reject_count(), 8);
     assert_eq!(out.transcript.total_samples(), 8 * 40);
     assert!(out.verdict.is_reject());

@@ -4,9 +4,7 @@
 
 #![allow(clippy::float_cmp, clippy::cast_possible_truncation)] // test code asserts exact values
 use distributed_uniformity::probability::{families, Sampler};
-use distributed_uniformity::simnet::{
-    DecisionRule, IidFaults, MissingPolicy, PlayerContext, ResilientNetwork,
-};
+use distributed_uniformity::simnet::{DecisionRule, IidFaults, MissingPolicy, ResilientNetwork};
 use distributed_uniformity::testers::TThresholdTester;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -16,8 +14,8 @@ use rand::SeedableRng;
 fn node<S: Sampler>(
     sampler: &S,
     threshold: u64,
-) -> impl Fn(&PlayerContext, usize, &mut StdRng) -> bool + '_ {
-    move |_ctx, q, rng| sampler.collision_count(q, rng) < threshold
+) -> impl Fn(usize, usize, &mut StdRng) -> bool + '_ {
+    move |_, q, rng| sampler.collision_count(q, rng) < threshold
 }
 
 #[test]

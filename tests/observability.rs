@@ -6,7 +6,7 @@
 use distributed_uniformity::obs;
 use distributed_uniformity::probability::families;
 use distributed_uniformity::stats::runner::run_measurements;
-use distributed_uniformity::{simnet, testers, Rule, UniformityTester};
+use distributed_uniformity::{Rule, UniformityTester};
 use rand::SeedableRng;
 use std::process::Command;
 use std::sync::Arc;
@@ -67,24 +67,11 @@ fn instrumentation_does_not_perturb_determinism() {
 
 #[test]
 fn metrics_registry_counts_protocol_activity() {
+    // Exact per-protocol counts are pinned in `run_accounting.rs`; this
+    // checks the counters through a registry snapshot.
     let registry = obs::metrics::global();
-    // E6's quantized sum (4 nodes x 16 samples, 3-bit messages) and E7's
-    // asymmetric rates (8 + 16 + 2 samples, one bit per node) run their
-    // nodes outside `Network` and count each run themselves.
-    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-    let quantized = testers::QuantizedSumTester::new(64, 4, 3).prepare(16, 4, &mut rng);
-    let rates = simnet::RateVector::new(vec![1.0, 2.0, 0.25]);
-    let asymmetric =
-        testers::AsymmetricThresholdTester::new(64, rates, 0.5).prepare(8.0, 4, &mut rng);
-    assert_eq!(asymmetric.sample_counts(), &[8, 16, 2]);
-    let uniform = families::uniform(64).alias_sampler();
-
     let before = registry.snapshot();
     let outcomes = run_measurements(8, 7, accepted);
-    for _ in 0..5 {
-        let _ = quantized.run(&uniform, &mut rng);
-        let _ = asymmetric.run(&uniform, &mut rng);
-    }
     let after = registry.snapshot();
 
     let delta = |name: &str| {
@@ -99,15 +86,14 @@ fn metrics_registry_counts_protocol_activity() {
     // Other tests in this binary run protocols concurrently, so the
     // deltas are lower bounds, not exact counts.
     assert!(
-        delta("net_runs") >= 8 + 5 + 5,
+        delta("net_runs") >= 8,
         "net_runs delta {}",
         delta("net_runs")
     );
-    // 4 players x 16 samples per AND run, 4 x 16 per E6 run and
-    // 8 + 16 + 2 per E7 run.
-    assert!(delta("samples_drawn") >= 8 * 64 + 5 * 64 + 5 * 26);
-    assert!(delta("bits_sent") >= 8 * 4 + 5 * 4 * 3 + 5 * 3);
-    assert!(delta("verdict_accept") + delta("verdict_reject") >= 8 + 5 + 5);
+    // 4 players x 16 samples, one bit each, per AND run.
+    assert!(delta("samples_drawn") >= 8 * 64);
+    assert!(delta("bits_sent") >= 8 * 4);
+    assert!(delta("verdict_accept") + delta("verdict_reject") >= 8);
     assert!(delta("trials_run") >= 8);
     assert_eq!(outcomes.len(), 8);
 }

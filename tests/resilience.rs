@@ -9,7 +9,7 @@ use distributed_uniformity::obs::metrics::{global, Counter};
 use distributed_uniformity::probability::{families, Sampler};
 use distributed_uniformity::simnet::{
     byzantine_tolerance, rejection_rate, ByzantinePlan, DecisionRule, FaultPlan, GilbertElliott,
-    IidFaults, MissingPolicy, PlayerContext, Recovery, ResilientNetwork, TargetedLoss,
+    IidFaults, MissingPolicy, Recovery, ResilientNetwork, TargetedLoss,
 };
 use distributed_uniformity::testers::TThresholdTester;
 use rand::rngs::StdRng;
@@ -33,9 +33,9 @@ fn node<S: Sampler>(
     sampler: &S,
     t: usize,
     q: usize,
-) -> impl Fn(&PlayerContext, usize, &mut StdRng) -> bool + '_ {
+) -> impl Fn(usize, usize, &mut StdRng) -> bool + '_ {
     let threshold = TThresholdTester::new(N, K, t).node_threshold(q);
-    move |_ctx, q, rng| sampler.collision_count(q, rng) < threshold
+    move |_, q, rng| sampler.collision_count(q, rng) < threshold
 }
 
 #[test]
