@@ -189,7 +189,7 @@ pub fn git_describe() -> String {
 }
 
 /// Re-exported for binaries.
-pub use dut_core::stats::sweep::{geometric_grid, log_log_slope, r_squared};
+pub use dut_core::stats::sweep::log_log_slope;
 
 #[cfg(test)]
 mod tests {

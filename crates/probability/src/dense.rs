@@ -141,39 +141,6 @@ impl DenseDistribution {
     pub fn histogram_sampler(&self) -> HistogramSampler {
         HistogramSampler::new(self)
     }
-
-    /// Largest point mass in the distribution.
-    #[must_use]
-    pub fn max_prob(&self) -> f64 {
-        self.probs.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// Number of elements carrying non-zero mass.
-    #[must_use]
-    pub fn effective_support(&self) -> usize {
-        self.probs.iter().filter(|&&p| p > 0.0).count()
-    }
-
-    /// Shannon entropy in bits.
-    #[must_use]
-    pub fn entropy_bits(&self) -> f64 {
-        self.probs
-            .iter()
-            .filter(|&&p| p > 0.0)
-            .map(|&p| -p * p.log2())
-            .sum()
-    }
-
-    /// Returns the conditional distribution on a subset of the domain.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DistributionError::NotNormalized`] if the subset carries no
-    /// mass, or [`DistributionError::EmptySupport`] if `subset` is empty.
-    pub fn condition_on(&self, subset: &[usize]) -> Result<Self, DistributionError> {
-        let weights: Vec<f64> = subset.iter().map(|&i| self.probs[i]).collect();
-        Self::from_weights(weights)
-    }
 }
 
 impl AsRef<[f64]> for DenseDistribution {
@@ -242,34 +209,6 @@ mod tests {
     fn uniform_collision_probability_is_one_over_n() {
         let d = DenseDistribution::uniform(64);
         assert!((d.collision_probability() - 1.0 / 64.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn entropy_of_uniform_is_log_n() {
-        let d = DenseDistribution::uniform(16);
-        assert!((d.entropy_bits() - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn entropy_of_point_mass_is_zero() {
-        let d = DenseDistribution::new(vec![0.0, 1.0, 0.0]).unwrap();
-        assert_eq!(d.entropy_bits(), 0.0);
-        assert_eq!(d.effective_support(), 1);
-        assert_eq!(d.max_prob(), 1.0);
-    }
-
-    #[test]
-    fn condition_on_renormalizes() {
-        let d = DenseDistribution::new(vec![0.1, 0.2, 0.3, 0.4]).unwrap();
-        let c = d.condition_on(&[1, 3]).unwrap();
-        assert!((c.prob(0) - 0.2 / 0.6).abs() < 1e-12);
-        assert!((c.prob(1) - 0.4 / 0.6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn condition_on_zero_mass_subset_fails() {
-        let d = DenseDistribution::new(vec![0.0, 1.0]).unwrap();
-        assert!(d.condition_on(&[0]).is_err());
     }
 
     #[test]

@@ -1,11 +1,9 @@
 //! Statistical distances and divergences between discrete distributions.
 //!
-//! All binary functions panic if the two distributions have different
-//! support sizes; use [`checked_l1_distance`] and friends for the fallible
-//! variants when domain sizes are not statically known to agree.
+//! [`l1_distance`] and [`kl_divergence`] panic if the two distributions
+//! have different support sizes.
 
 use crate::dense::DenseDistribution;
-use crate::error::DistributionError;
 
 /// ℓ₁ distance `Σ |p_i − q_i|`. The paper's farness notion: a distribution
 /// is ε-far from uniform when its ℓ₁ distance from uniform is at least ε.
@@ -21,32 +19,6 @@ pub fn l1_distance(p: &DenseDistribution, q: &DenseDistribution) -> f64 {
         .zip(q.probs())
         .map(|(a, b)| (a - b).abs())
         .sum()
-}
-
-/// Total variation distance, `½ · ℓ₁`.
-///
-/// # Panics
-///
-/// Panics if the support sizes differ.
-#[must_use]
-pub fn total_variation(p: &DenseDistribution, q: &DenseDistribution) -> f64 {
-    0.5 * l1_distance(p, q)
-}
-
-/// ℓ₂ distance `sqrt(Σ (p_i − q_i)²)`.
-///
-/// # Panics
-///
-/// Panics if the support sizes differ.
-#[must_use]
-pub fn l2_distance(p: &DenseDistribution, q: &DenseDistribution) -> f64 {
-    assert_same_domain(p, q);
-    p.probs()
-        .iter()
-        .zip(q.probs())
-        .map(|(a, b)| (a - b) * (a - b))
-        .sum::<f64>()
-        .sqrt()
 }
 
 /// Kullback–Leibler divergence `D(p ‖ q) = Σ p_i · log₂(p_i / q_i)` in bits.
@@ -70,50 +42,6 @@ pub fn kl_divergence(p: &DenseDistribution, q: &DenseDistribution) -> f64 {
         total += a * (a / b).log2();
     }
     total.max(0.0)
-}
-
-/// χ² divergence `Σ (p_i − q_i)² / q_i`.
-///
-/// Returns `f64::INFINITY` when `p` puts mass where `q` does not.
-///
-/// # Panics
-///
-/// Panics if the support sizes differ.
-#[must_use]
-pub fn chi_squared_divergence(p: &DenseDistribution, q: &DenseDistribution) -> f64 {
-    assert_same_domain(p, q);
-    let mut total = 0.0;
-    for (&a, &b) in p.probs().iter().zip(q.probs()) {
-        if b <= 0.0 {
-            if a > 0.0 {
-                return f64::INFINITY;
-            }
-            continue;
-        }
-        let d = a - b;
-        total += d * d / b;
-    }
-    total
-}
-
-/// Hellinger distance `sqrt(½ Σ (√p_i − √q_i)²)`, always in `[0, 1]`.
-///
-/// # Panics
-///
-/// Panics if the support sizes differ.
-#[must_use]
-pub fn hellinger_distance(p: &DenseDistribution, q: &DenseDistribution) -> f64 {
-    assert_same_domain(p, q);
-    let s: f64 = p
-        .probs()
-        .iter()
-        .zip(q.probs())
-        .map(|(a, b)| {
-            let d = a.sqrt() - b.sqrt();
-            d * d
-        })
-        .sum();
-    (0.5 * s).sqrt()
 }
 
 /// KL divergence between two Bernoulli random variables with success
@@ -157,107 +85,6 @@ pub fn bernoulli_kl_chi2_bound(alpha: f64, beta: f64) -> f64 {
     (alpha - beta) * (alpha - beta) / (var * std::f64::consts::LN_2)
 }
 
-/// Fallible variant of [`l1_distance`].
-///
-/// # Errors
-///
-/// Returns [`DistributionError::DomainMismatch`] if support sizes differ.
-pub fn checked_l1_distance(
-    p: &DenseDistribution,
-    q: &DenseDistribution,
-) -> Result<f64, DistributionError> {
-    check_same_domain(p, q)?;
-    Ok(l1_distance(p, q))
-}
-
-/// Fallible variant of [`kl_divergence`].
-///
-/// # Errors
-///
-/// Returns [`DistributionError::DomainMismatch`] if support sizes differ.
-pub fn checked_kl_divergence(
-    p: &DenseDistribution,
-    q: &DenseDistribution,
-) -> Result<f64, DistributionError> {
-    check_same_domain(p, q)?;
-    Ok(kl_divergence(p, q))
-}
-
-fn check_same_domain(
-    p: &DenseDistribution,
-    q: &DenseDistribution,
-) -> Result<(), DistributionError> {
-    if p.support_size() != q.support_size() {
-        return Err(DistributionError::DomainMismatch {
-            left: p.support_size(),
-            right: q.support_size(),
-        });
-    }
-    Ok(())
-}
-
-/// Jensen–Shannon divergence in bits:
-/// `JS(p, q) = ½·D(p ‖ m) + ½·D(q ‖ m)` with `m = (p+q)/2`.
-/// Always finite and in `[0, 1]`.
-///
-/// # Panics
-///
-/// Panics if the support sizes differ.
-#[must_use]
-pub fn jensen_shannon_divergence(p: &DenseDistribution, q: &DenseDistribution) -> f64 {
-    assert_same_domain(p, q);
-    let term = |a: f64, m: f64| -> f64 {
-        if a <= 0.0 {
-            0.0
-        } else {
-            a * (a / m).log2()
-        }
-    };
-    let mut total = 0.0;
-    for (&a, &b) in p.probs().iter().zip(q.probs()) {
-        let m = 0.5 * (a + b);
-        if m > 0.0 {
-            total += 0.5 * term(a, m) + 0.5 * term(b, m);
-        }
-    }
-    total.clamp(0.0, 1.0)
-}
-
-/// Rényi divergence of order `alpha` in bits,
-/// `D_α(p ‖ q) = (1/(α−1))·log₂ Σ p_i^α q_i^{1−α}`.
-///
-/// `α = 2` is the χ²-adjacent order used in Ingster-style arguments;
-/// `α → 1` recovers KL (not handled here — call [`kl_divergence`]).
-/// Returns `f64::INFINITY` on support violations.
-///
-/// # Panics
-///
-/// Panics if the support sizes differ, or `alpha ≤ 0` or `alpha == 1`.
-#[must_use]
-pub fn renyi_divergence(p: &DenseDistribution, q: &DenseDistribution, alpha: f64) -> f64 {
-    assert_same_domain(p, q);
-    assert!(
-        alpha > 0.0 && (alpha - 1.0).abs() > 1e-12,
-        "alpha must be positive and != 1"
-    );
-    let mut total = 0.0f64;
-    for (&a, &b) in p.probs().iter().zip(q.probs()) {
-        if a <= 0.0 {
-            continue;
-        }
-        if b <= 0.0 {
-            // p^alpha * q^{1-alpha}: infinite for alpha > 1; zero
-            // contribution for alpha < 1.
-            if alpha > 1.0 {
-                return f64::INFINITY;
-            }
-            continue;
-        }
-        total += a.powf(alpha) * b.powf(1.0 - alpha);
-    }
-    (total.log2() / (alpha - 1.0)).max(0.0)
-}
-
 fn assert_same_domain(p: &DenseDistribution, q: &DenseDistribution) {
     assert_eq!(
         p.support_size(),
@@ -285,18 +112,6 @@ mod tests {
         let p = dist(&[1.0, 0.0]);
         let q = dist(&[0.0, 1.0]);
         assert!((l1_distance(&p, &q) - 2.0).abs() < 1e-15);
-        assert!((total_variation(&p, &q) - 1.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn l2_vs_l1_inequalities() {
-        let p = dist(&[0.1, 0.2, 0.3, 0.4]);
-        let q = DenseDistribution::uniform(4);
-        let l1 = l1_distance(&p, &q);
-        let l2 = l2_distance(&p, &q);
-        let n = 4.0f64;
-        assert!(l2 <= l1 + 1e-15);
-        assert!(l1 <= n.sqrt() * l2 + 1e-15);
     }
 
     #[test]
@@ -319,22 +134,6 @@ mod tests {
         let p = dist(&[1.0, 0.0]);
         let q = dist(&[0.5, 0.5]);
         assert!((kl_divergence(&p, &q) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn chi_squared_matches_hand_computation() {
-        let p = dist(&[0.6, 0.4]);
-        let q = dist(&[0.5, 0.5]);
-        // (0.1)^2/0.5 * 2 = 0.04
-        assert!((chi_squared_divergence(&p, &q) - 0.04).abs() < 1e-12);
-    }
-
-    #[test]
-    fn hellinger_in_unit_interval() {
-        let p = dist(&[1.0, 0.0]);
-        let q = dist(&[0.0, 1.0]);
-        assert!((hellinger_distance(&p, &q) - 1.0).abs() < 1e-12);
-        assert_eq!(hellinger_distance(&p, &p), 0.0);
     }
 
     #[test]
@@ -364,17 +163,6 @@ mod tests {
     }
 
     #[test]
-    fn checked_variants_detect_mismatch() {
-        let p = dist(&[0.5, 0.5]);
-        let q = DenseDistribution::uniform(4);
-        assert!(matches!(
-            checked_l1_distance(&p, &q),
-            Err(DistributionError::DomainMismatch { left: 2, right: 4 })
-        ));
-        assert!(checked_kl_divergence(&p, &p).is_ok());
-    }
-
-    #[test]
     #[should_panic(expected = "share a domain")]
     fn panicking_variant_panics_on_mismatch() {
         let p = dist(&[0.5, 0.5]);
@@ -383,58 +171,11 @@ mod tests {
     }
 
     #[test]
-    fn jensen_shannon_properties() {
-        let p = dist(&[1.0, 0.0]);
-        let q = dist(&[0.0, 1.0]);
-        // Disjoint supports: JS = 1 bit.
-        assert!((jensen_shannon_divergence(&p, &q) - 1.0).abs() < 1e-12);
-        assert_eq!(jensen_shannon_divergence(&p, &p), 0.0);
-        // Symmetry.
-        let a = dist(&[0.7, 0.3]);
-        let b = dist(&[0.4, 0.6]);
-        assert!(
-            (jensen_shannon_divergence(&a, &b) - jensen_shannon_divergence(&b, &a)).abs() < 1e-12
-        );
-    }
-
-    #[test]
-    fn renyi_order_two_matches_chi2_formula() {
-        // D_2(p||q) = log2(1 + chi^2(p, q)).
-        let p = dist(&[0.6, 0.4]);
-        let q = dist(&[0.5, 0.5]);
-        let d2 = renyi_divergence(&p, &q, 2.0);
-        let chi2 = chi_squared_divergence(&p, &q);
-        assert!((d2 - (1.0 + chi2).log2()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn renyi_monotone_in_alpha() {
-        let p = dist(&[0.8, 0.2]);
-        let q = dist(&[0.5, 0.5]);
-        let d_half = renyi_divergence(&p, &q, 0.5);
-        let d2 = renyi_divergence(&p, &q, 2.0);
-        let d4 = renyi_divergence(&p, &q, 4.0);
-        assert!(d_half <= d2 + 1e-12);
-        assert!(d2 <= d4 + 1e-12);
-        // KL sits between order 1/2 and order 2.
-        let kl = kl_divergence(&p, &q);
-        assert!(d_half <= kl + 1e-12 && kl <= d2 + 1e-12);
-    }
-
-    #[test]
-    fn renyi_support_violation() {
-        let p = dist(&[0.5, 0.5]);
-        let q = dist(&[1.0, 0.0]);
-        assert!(renyi_divergence(&p, &q, 2.0).is_infinite());
-        assert!(renyi_divergence(&p, &q, 0.5).is_finite());
-    }
-
-    #[test]
     fn pinsker_inequality_spot_check() {
         // TV <= sqrt(KL_nats / 2); KL in bits * ln2 = nats.
         let p = dist(&[0.8, 0.2]);
         let q = dist(&[0.5, 0.5]);
-        let tv = total_variation(&p, &q);
+        let tv = l1_distance(&p, &q) / 2.0;
         let kl_nats = kl_divergence(&p, &q) * std::f64::consts::LN_2;
         assert!(tv <= (kl_nats / 2.0).sqrt() + 1e-12);
     }

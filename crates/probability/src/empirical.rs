@@ -138,12 +138,6 @@ impl Histogram {
         self.counts.iter().filter(|&&c| c == 1).count()
     }
 
-    /// Number of distinct elements observed.
-    #[must_use]
-    pub fn distinct_count(&self) -> usize {
-        self.counts.iter().filter(|&&c| c > 0).count()
-    }
-
     /// Pearson's χ² statistic against a reference distribution, using the
     /// "collision-corrected" form `Σ ((c_i − q·p_i)² − c_i) / (q·p_i)` from
     /// the identity-testing literature (mean zero under the reference).
@@ -186,25 +180,6 @@ impl Histogram {
         DenseDistribution::from_weights(self.counts.iter().map(|&c| c as f64).collect())
     }
 
-    /// Laplace (add-`alpha`) smoothed empirical distribution.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `alpha` is negative or not finite, or if
-    /// `alpha == 0` and no samples were recorded.
-    pub fn smoothed_distribution(
-        &self,
-        alpha: f64,
-    ) -> Result<DenseDistribution, DistributionError> {
-        if !alpha.is_finite() || alpha < 0.0 {
-            return Err(DistributionError::InvalidParameter {
-                name: "alpha",
-                value: alpha,
-            });
-        }
-        DenseDistribution::from_weights(self.counts.iter().map(|&c| c as f64 + alpha).collect())
-    }
-
     /// ℓ₁ distance between the empirical distribution and a reference.
     ///
     /// # Panics
@@ -224,23 +199,6 @@ impl Histogram {
             .enumerate()
             .map(|(i, &c)| (c as f64 / q - reference.prob(i)).abs())
             .sum()
-    }
-
-    /// Merges another histogram into this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the domain sizes differ.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(
-            self.domain_size(),
-            other.domain_size(),
-            "histograms must share a domain"
-        );
-        for (a, &b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.total += other.total;
     }
 }
 
@@ -489,10 +447,9 @@ mod tests {
     }
 
     #[test]
-    fn singleton_and_distinct_counts() {
+    fn singleton_count_matches_definition() {
         let h = Histogram::from_samples(5, &[0, 1, 1, 4]);
         assert_eq!(h.singleton_count(), 2);
-        assert_eq!(h.distinct_count(), 3);
     }
 
     #[test]
@@ -506,15 +463,6 @@ mod tests {
     fn empirical_distribution_of_empty_fails() {
         let h = Histogram::new(2);
         assert!(h.empirical_distribution().is_err());
-    }
-
-    #[test]
-    fn smoothed_distribution_covers_unseen() {
-        let h = Histogram::from_samples(3, &[0]);
-        let d = h.smoothed_distribution(1.0).unwrap();
-        assert!(d.prob(1) > 0.0);
-        assert!((d.prob(0) - 2.0 / 4.0).abs() < 1e-15);
-        assert!(h.smoothed_distribution(-1.0).is_err());
     }
 
     #[test]
@@ -538,15 +486,6 @@ mod tests {
         let h = Histogram::from_samples(2, &[0, 0]);
         let u = DenseDistribution::uniform(2);
         assert!((h.l1_to(&u) - 1.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = Histogram::from_samples(3, &[0, 1]);
-        let b = Histogram::from_samples(3, &[1, 2]);
-        a.merge(&b);
-        assert_eq!(a.counts(), &[1, 2, 1]);
-        assert_eq!(a.total(), 4);
     }
 
     #[test]

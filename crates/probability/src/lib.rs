@@ -10,8 +10,8 @@
 //!   histogram directly in O(n + q) via conditional-binomial
 //!   stick-breaking; the balanced rule's calibration picks it or the
 //!   per-draw kernel through [`SampleBackend`],
-//! * statistical distances ([`distance`]): ℓ₁, total variation, ℓ₂,
-//!   KL, χ², Hellinger,
+//! * statistical distances ([`distance`]): ℓ₁ (the paper's farness
+//!   notion) and KL, plus the Bernoulli KL and its Fact 6.3 bound,
 //! * standard families ([`families`]): uniform, point mass, Zipf,
 //!   two-level ε-far instances, mixtures,
 //! * the paper's hard instances ([`paired`]): the Paninski perturbation
@@ -53,7 +53,6 @@ pub mod families;
 pub mod moments;
 pub mod occupancy;
 pub mod paired;
-pub mod profile;
 pub mod sampler;
 
 pub use dense::DenseDistribution;

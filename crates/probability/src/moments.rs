@@ -16,58 +16,12 @@ pub fn expected_collisions(dist: &DenseDistribution, q: u64) -> f64 {
     pair_count(q) as f64 * dist.collision_probability()
 }
 
-/// Variance of the collision count of `q` iid samples from `dist`.
-///
-/// With `C = Σ_{i<j} 1[s_i = s_j]`, writing `m2 = ‖p‖₂² = Σ p_i²` and
-/// `m3 = Σ p_i³`:
-///
-/// ```text
-/// Var[C] = C(q,2) · (m2 − m2²)  +  6·C(q,3) · (m3 − m2²)
-/// ```
-///
-/// (pairs sharing no index are independent; pairs sharing one index
-/// covary through `m3`).
-#[must_use]
-pub fn collision_variance(dist: &DenseDistribution, q: u64) -> f64 {
-    let m2: f64 = dist.collision_probability();
-    let m3: f64 = dist.probs().iter().map(|p| p * p * p).sum();
-    let pairs = pair_count(q) as f64;
-    let triples = if q >= 3 {
-        (q * (q - 1) * (q - 2) / 6) as f64
-    } else {
-        0.0
-    };
-    pairs * (m2 - m2 * m2) + 6.0 * triples * (m3 - m2 * m2)
-}
-
-/// Minimal collision probability of any distribution ε-far (ℓ₁) from
-/// uniform on `n` elements: `(1 + ε²) / n`.
-///
-/// Follows from `‖μ‖₂² = 1/n + ‖μ − U‖₂²` and `‖v‖₂² ≥ ‖v‖₁²/n`.
-#[must_use]
-pub fn far_collision_probability_lower_bound(n: usize, epsilon: f64) -> f64 {
-    (1.0 + epsilon * epsilon) / n as f64
-}
-
 /// The natural decision threshold of a collision tester distinguishing
 /// collision probability `1/n` from `(1+ε²)/n`: the midpoint
 /// `C(q,2)·(1 + ε²/2)/n`.
 #[must_use]
 pub fn collision_midpoint_threshold(n: usize, epsilon: f64, q: u64) -> f64 {
     pair_count(q) as f64 * (1.0 + epsilon * epsilon / 2.0) / n as f64
-}
-
-/// Expected coincidence count (`q` minus distinct) of `q` iid samples:
-/// `q − Σ_i (1 − (1 − p_i)^q) = q − n + Σ_i (1 − p_i)^q`.
-#[must_use]
-pub fn expected_coincidences(dist: &DenseDistribution, q: u64) -> f64 {
-    let q_f = q as f64;
-    let expected_distinct: f64 = dist
-        .probs()
-        .iter()
-        .map(|&p| 1.0 - (1.0 - p).powf(q_f))
-        .sum();
-    q_f - expected_distinct
 }
 
 #[cfg(test)]
@@ -99,34 +53,16 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(77);
         let q = 30u64;
         let trials = 4000;
-        let mean: f64 = (0..trials)
-            .map(|_| collision_count_of(&s.sample_many(q as usize, &mut rng)) as f64)
-            .sum::<f64>()
-            / trials as f64;
-        let expected = expected_collisions(&d, q);
-        let sd = (collision_variance(&d, q) / trials as f64).sqrt();
-        assert!(
-            (mean - expected).abs() < 6.0 * sd + 1e-9,
-            "mean={mean} expected={expected} sd={sd}"
-        );
-    }
-
-    #[test]
-    fn monte_carlo_matches_collision_variance() {
-        let d = families::uniform(20);
-        let s = d.alias_sampler();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(78);
-        let q = 15u64;
-        let trials = 8000;
         let xs: Vec<f64> = (0..trials)
             .map(|_| collision_count_of(&s.sample_many(q as usize, &mut rng)) as f64)
             .collect();
         let mean = xs.iter().sum::<f64>() / trials as f64;
         let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (trials - 1) as f64;
-        let predicted = collision_variance(&d, q);
+        let expected = expected_collisions(&d, q);
+        let sd = (var / trials as f64).sqrt();
         assert!(
-            (var - predicted).abs() / predicted < 0.15,
-            "var={var} predicted={predicted}"
+            (mean - expected).abs() < 6.0 * sd + 1e-9,
+            "mean={mean} expected={expected} sd={sd}"
         );
     }
 
@@ -136,7 +72,7 @@ mod tests {
         let n = 64;
         let eps = 0.4;
         let d = families::two_level(n, eps).unwrap();
-        let lb = far_collision_probability_lower_bound(n, eps);
+        let lb = (1.0 + eps * eps) / n as f64;
         assert!((d.collision_probability() - lb).abs() < 1e-12);
     }
 
@@ -150,30 +86,5 @@ mod tests {
         let t = collision_midpoint_threshold(n, eps, q);
         assert!(expected_collisions(&u, q) < t);
         assert!(expected_collisions(&far, q) > t);
-    }
-
-    #[test]
-    fn expected_coincidences_point_mass() {
-        let d = families::point_mass(4, 0).unwrap();
-        // All q samples identical: q - 1 coincidences.
-        assert!((expected_coincidences(&d, 7) - 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn expected_coincidences_monte_carlo() {
-        let d = families::uniform(30);
-        let s = d.alias_sampler();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(79);
-        let q = 12;
-        let trials = 5000;
-        let mean: f64 = (0..trials)
-            .map(|_| crate::empirical::coincidence_count_of(&s.sample_many(q, &mut rng)) as f64)
-            .sum::<f64>()
-            / trials as f64;
-        let expected = expected_coincidences(&d, q as u64);
-        assert!(
-            (mean - expected).abs() < 0.15,
-            "mean={mean} expected={expected}"
-        );
     }
 }

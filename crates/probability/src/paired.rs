@@ -105,17 +105,6 @@ impl PairedDomain {
         (x, s)
     }
 
-    /// The index matched to `index`: same cube point, opposite sign.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index is out of range.
-    #[must_use]
-    pub fn matched_index(&self, index: usize) -> usize {
-        assert!(index < self.universe_size(), "index {index} out of range");
-        index ^ 1
-    }
-
     /// Builds the distribution `ν_z` for perturbation `z` and proximity `ε`.
     ///
     /// # Errors
@@ -197,23 +186,6 @@ impl PerturbationVector {
         v
     }
 
-    /// Builds from explicit signs (`+1` / `-1`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `signs` is empty or contains a value other than ±1.
-    #[must_use]
-    pub fn from_signs(signs: &[i8]) -> Self {
-        let mut v = Self::all_plus(signs.len());
-        for (i, &s) in signs.iter().enumerate() {
-            assert!(s == 1 || s == -1, "sign at {i} must be +1 or -1, got {s}");
-            if s == -1 {
-                v.bits[i / 64] |= 1 << (i % 64);
-            }
-        }
-        v
-    }
-
     /// Builds the vector indexed by an integer: bit `i` of `code` gives the
     /// sign of vertex `i` (`1` ↦ `-1`). Useful for exhaustively enumerating
     /// all `2^{2^ℓ}` vectors when `2^ℓ ≤ 64`.
@@ -266,23 +238,6 @@ impl PerturbationVector {
             1
         }
     }
-
-    /// Flips the sign of vertex `x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is out of range.
-    pub fn flip(&mut self, x: u32) {
-        let i = x as usize;
-        assert!(i < self.len, "vertex {x} out of range");
-        self.bits[i / 64] ^= 1 << (i % 64);
-    }
-
-    /// Number of `-1` entries.
-    #[must_use]
-    pub fn minus_count(&self) -> usize {
-        self.bits.iter().map(|w| w.count_ones() as usize).sum()
-    }
 }
 
 #[cfg(test)]
@@ -297,19 +252,6 @@ mod tests {
         for idx in 0..dom.universe_size() {
             let (x, s) = dom.decode(idx);
             assert_eq!(dom.encode(x, s), idx);
-        }
-    }
-
-    #[test]
-    fn matched_index_flips_sign_only() {
-        let dom = PairedDomain::new(3);
-        for idx in 0..dom.universe_size() {
-            let m = dom.matched_index(idx);
-            let (x1, s1) = dom.decode(idx);
-            let (x2, s2) = dom.decode(m);
-            assert_eq!(x1, x2);
-            assert_eq!(s1, -s2);
-            assert_eq!(dom.matched_index(m), idx);
         }
     }
 
@@ -331,7 +273,7 @@ mod tests {
     fn perturbed_pairs_sum_to_two_over_n() {
         // Mass added on (x,+1) is removed from (x,-1): pairs stay balanced.
         let dom = PairedDomain::new(2);
-        let z = PerturbationVector::from_signs(&[1, -1, -1, 1]);
+        let z = PerturbationVector::from_code(dom.cube_size(), 0b0110);
         let nu = dom.perturbed_distribution(&z, 0.5).unwrap();
         let n = dom.universe_size() as f64;
         for x in 0..dom.cube_size() as u32 {
@@ -379,34 +321,16 @@ mod tests {
     }
 
     #[test]
-    fn from_signs_and_sign_agree() {
-        let z = PerturbationVector::from_signs(&[1, -1, 1, -1, -1]);
-        assert_eq!(z.sign(0), 1);
-        assert_eq!(z.sign(1), -1);
-        assert_eq!(z.sign(4), -1);
-        assert_eq!(z.minus_count(), 3);
-        assert_eq!(z.len(), 5);
-        assert!(!z.is_empty());
-    }
-
-    #[test]
     fn from_code_enumerates_distinct_vectors() {
         let a = PerturbationVector::from_code(4, 0b0101);
         assert_eq!(a.sign(0), -1);
         assert_eq!(a.sign(1), 1);
         assert_eq!(a.sign(2), -1);
         assert_eq!(a.sign(3), 1);
+        assert_eq!(a.len(), 4);
+        assert!(!a.is_empty());
         let b = PerturbationVector::from_code(4, 0b0110);
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn flip_is_involutive() {
-        let mut z = PerturbationVector::all_plus(70);
-        z.flip(65);
-        assert_eq!(z.sign(65), -1);
-        z.flip(65);
-        assert_eq!(z.sign(65), 1);
     }
 
     #[test]
@@ -414,15 +338,15 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
         let z = PerturbationVector::random(5, &mut rng);
         // Equality with a reconstruction from signs must hold.
-        let signs: Vec<i8> = (0..5).map(|i| z.sign(i)).collect();
-        assert_eq!(PerturbationVector::from_signs(&signs), z);
+        let code = (0..5).filter(|&x| z.sign(x) == -1).map(|x| 1 << x).sum();
+        assert_eq!(PerturbationVector::from_code(5, code), z);
     }
 
     #[test]
     fn random_is_roughly_balanced() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(100);
         let z = PerturbationVector::random(4096, &mut rng);
-        let minus = z.minus_count();
+        let minus = (0..4096).filter(|&x| z.sign(x) == -1).count();
         assert!(minus > 1700 && minus < 2400, "minus count = {minus}");
     }
 

@@ -130,20 +130,6 @@ proptest! {
     }
 
     #[test]
-    fn hellinger_bounded((p, q) in arb_pair()) {
-        let h = distance::hellinger_distance(&p, &q);
-        prop_assert!((0.0..=1.0 + 1e-12).contains(&h));
-    }
-
-    #[test]
-    fn tv_dominates_hellinger_squared((p, q) in arb_pair()) {
-        // h^2 <= tv (standard inequality).
-        let h = distance::hellinger_distance(&p, &q);
-        let tv = distance::total_variation(&p, &q);
-        prop_assert!(h * h <= tv + 1e-9);
-    }
-
-    #[test]
     fn sampler_emits_in_range(d in arb_distribution(), seed in any::<u64>()) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let s = d.alias_sampler();

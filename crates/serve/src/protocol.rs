@@ -86,6 +86,16 @@ pub const MAX_WORK: u64 = 1 << 26;
 /// The VM's speed drifts between sessions: the same 32-trial request
 /// has also taken 20.7 s (0.65 s per trial), so read these as about a
 /// second per trial and under a minute per request.
+///
+/// The bound does not cover a balanced-rule cache miss's calibration:
+/// preparing the key runs 800 uniform nodes of `q` draws each, whatever
+/// the request's `trials`. One trial of `n = q = 2²⁰, k = 32, ε = 0.5`
+/// on a cold cache took 43.1–51.3 s (four fresh servers, same method),
+/// against 0.68–0.95 s for a second trial of the then-cached key, so
+/// 42–50 s of a worker goes to calibration; a cold 32-trial request of
+/// that key took 66.2 s. An exact null law for the node's collision
+/// count (ROADMAP item 2) would replace that Monte Carlo and remove
+/// this cost.
 pub const MAX_REQUEST_WORK: u64 = 1 << 31;
 
 /// Upper bound on `λ₀ = C(q,2)/n` for the `and` and `threshold:T`

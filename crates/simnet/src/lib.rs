@@ -63,8 +63,8 @@ pub mod resilience;
 pub use network::{Network, RunOutcome, Transcript};
 pub use rates::RateVector;
 pub use resilience::{
-    byzantine_tolerance, rejection_rate, ByzantineBehavior, ByzantinePlan, FaultPlan, FaultStats,
-    GilbertElliott, IidFaults, MeasuredRates, MissingPolicy, PartialCrash, PreSample, Recovery,
-    ReliablePlan, ResilientNetwork, ResilientOutcome, TargetedLoss,
+    byzantine_tolerance, rejection_rate, ByzantinePlan, FaultPlan, FaultStats, GilbertElliott,
+    IidFaults, MeasuredRates, MissingPolicy, PartialCrash, PreSample, Recovery, ReliablePlan,
+    ResilientNetwork, ResilientOutcome, TargetedLoss,
 };
 pub use rule::{DecisionRule, Verdict};

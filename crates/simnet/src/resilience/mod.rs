@@ -13,7 +13,8 @@
 //! * **Fault models** ([`plan`], [`channel`], [`adversary`]): iid
 //!   loss/crashes ([`IidFaults`]), crash-with-partial-samples
 //!   ([`PartialCrash`]), bursty Gilbert–Elliott loss
-//!   ([`GilbertElliott`]), Byzantine players ([`ByzantinePlan`]) and a
+//!   ([`GilbertElliott`]), bit-flipping Byzantine players
+//!   ([`ByzantinePlan`]) and a
 //!   transcript-aware targeted dropper ([`TargetedLoss`]).
 //! * **Recovery** ([`recovery`], [`robust`]): repetition coding and
 //!   ack/retry retransmission ([`Recovery`]) with referee-side
@@ -37,7 +38,7 @@ pub mod plan;
 pub mod recovery;
 pub mod robust;
 
-pub use adversary::{ByzantineBehavior, ByzantinePlan, TargetedLoss};
+pub use adversary::{ByzantinePlan, TargetedLoss};
 pub use channel::GilbertElliott;
 pub use measure::{rejection_rate, MeasuredRates};
 pub use network::{FaultStats, MissingPolicy, ResilientNetwork, ResilientOutcome};

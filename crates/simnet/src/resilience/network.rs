@@ -135,12 +135,6 @@ impl ResilientNetwork {
         self.num_players
     }
 
-    /// The missing-bit policy.
-    #[must_use]
-    pub fn missing_policy(&self) -> MissingPolicy {
-        self.missing_policy
-    }
-
     /// The recovery mechanism.
     #[must_use]
     pub fn recovery(&self) -> Recovery {
@@ -464,9 +458,6 @@ mod tests {
             round: usize,
         }
         impl FaultPlan for AlternatingCorruption {
-            fn label(&self) -> String {
-                "alternating".to_owned()
-            }
             fn deliver_round(
                 &mut self,
                 bits: &[Option<bool>],
@@ -641,12 +632,6 @@ mod tests {
             saw_shrunk_vote,
             "40% loss never dropped a message in 50 runs"
         );
-    }
-
-    #[test]
-    fn crash_probability_validated() {
-        let m = IidFaults::new(0.1, 0.2);
-        assert!((m.crash_probability() - 0.1).abs() < 1e-15);
     }
 
     #[test]

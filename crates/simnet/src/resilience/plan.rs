@@ -66,9 +66,6 @@ impl PreSample {
 /// ([`ByzantinePlan`](super::ByzantinePlan),
 /// [`TargetedLoss`](super::TargetedLoss)).
 pub trait FaultPlan {
-    /// Short identifier for tables, manifests, and CSV rows.
-    fn label(&self) -> String;
-
     /// Called once at the start of every execution, before any player
     /// acts; stateful channels re-draw their initial state here.
     fn begin_run(&mut self, k: usize, rng: &mut StdRng) {
@@ -94,8 +91,12 @@ pub trait FaultPlan {
     /// player `i` transmits this round (`None`: crashed, or not
     /// retransmitting). Returns one entry per player: `Some(v)` — a
     /// copy carrying `v` reached the referee; `None` — lost (or
-    /// nothing was sent). Must preserve length.
-    fn deliver_round(&mut self, bits: &[Option<bool>], rng: &mut StdRng) -> Vec<Option<bool>>;
+    /// nothing was sent). Must preserve length. The default delivers
+    /// every copy.
+    fn deliver_round(&mut self, bits: &[Option<bool>], rng: &mut StdRng) -> Vec<Option<bool>> {
+        let _ = rng;
+        bits.to_vec()
+    }
 }
 
 /// The fault-free plan: every player is healthy and every message is
@@ -103,15 +104,7 @@ pub trait FaultPlan {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReliablePlan;
 
-impl FaultPlan for ReliablePlan {
-    fn label(&self) -> String {
-        "reliable".to_owned()
-    }
-
-    fn deliver_round(&mut self, bits: &[Option<bool>], _rng: &mut StdRng) -> Vec<Option<bool>> {
-        bits.to_vec()
-    }
-}
+impl FaultPlan for ReliablePlan {}
 
 fn assert_probability(p: f64, what: &str) {
     assert!((0.0..=1.0).contains(&p), "{what} probability out of range");
@@ -144,19 +137,9 @@ impl IidFaults {
     pub fn loss_only(loss: f64) -> Self {
         Self::new(0.0, loss)
     }
-
-    /// Crash probability.
-    #[must_use]
-    pub fn crash_probability(&self) -> f64 {
-        self.crash
-    }
 }
 
 impl FaultPlan for IidFaults {
-    fn label(&self) -> String {
-        format!("iid(crash={},loss={})", self.crash, self.loss)
-    }
-
     fn pre_sample(&mut self, _player_id: usize, q: usize, rng: &mut StdRng) -> PreSample {
         // Unconditional draw: see the module docs on coupling.
         let u: f64 = rng.random();
@@ -200,19 +183,9 @@ impl PartialCrash {
         assert_probability(crash, "crash");
         Self { crash }
     }
-
-    /// Crash probability.
-    #[must_use]
-    pub fn crash_probability(&self) -> f64 {
-        self.crash
-    }
 }
 
 impl FaultPlan for PartialCrash {
-    fn label(&self) -> String {
-        format!("partial-crash({})", self.crash)
-    }
-
     fn pre_sample(&mut self, _player_id: usize, q: usize, rng: &mut StdRng) -> PreSample {
         let u: f64 = rng.random();
         // Drawn unconditionally so the fault stream has a fixed shape.
@@ -222,10 +195,6 @@ impl FaultPlan for PartialCrash {
         } else {
             PreSample::healthy(q)
         }
-    }
-
-    fn deliver_round(&mut self, bits: &[Option<bool>], _rng: &mut StdRng) -> Vec<Option<bool>> {
-        bits.to_vec()
     }
 }
 

@@ -15,7 +15,7 @@
 //!    ([`SuccessEstimate`]),
 //! 3. binary-search the minimal per-player sample count `q*` at which a
 //!    tester reaches that guarantee ([`search::minimal_sufficient`]),
-//! 4. sweep a parameter grid, fit log-log slopes ([`sweep`]) and render
+//! 4. fit log-log slopes over a parameter sweep ([`sweep`]) and render
 //!    Markdown/CSV tables ([`table`]).
 //!
 //! # Example

@@ -254,23 +254,6 @@ where
     values
 }
 
-/// Mean and sample standard deviation of a value slice.
-///
-/// # Panics
-///
-/// Panics if `values` is empty.
-#[must_use]
-pub fn mean_and_sd(values: &[f64]) -> (f64, f64) {
-    assert!(!values.is_empty(), "need at least one value");
-    let n = values.len() as f64;
-    let mean = values.iter().sum::<f64>() / n;
-    if values.len() == 1 {
-        return (mean, 0.0);
-    }
-    let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / (n - 1.0);
-    (mean, var.sqrt())
-}
-
 /// Worker count for trial batches: the `DUT_THREADS` env var when set
 /// to a positive integer (clamped to at least 1), otherwise the
 /// machine's available parallelism.
@@ -496,15 +479,6 @@ mod tests {
         assert_eq!(v.len(), 64);
         // Spot check ordering: value i must equal trial(derive_seed(5, i)).
         assert_eq!(v[10], (crate::seed::derive_seed(5, 10) % 100) as f64);
-    }
-
-    #[test]
-    fn mean_and_sd_basic() {
-        let (m, s) = mean_and_sd(&[1.0, 2.0, 3.0]);
-        assert!((m - 2.0).abs() < 1e-12);
-        assert!((s - 1.0).abs() < 1e-12);
-        let (m1, s1) = mean_and_sd(&[5.0]);
-        assert_eq!((m1, s1), (5.0, 0.0));
     }
 
     #[test]

@@ -1,32 +1,9 @@
-//! Parameter sweeps and scaling-law fits.
+//! Scaling-law fits.
 //!
 //! The reproduction criterion for an asymptotic statement like
 //! `q* = Θ(√(n/k)/ε²)` is the *slope* of `log q*` against `log k`,
 //! `log n`, or `log ε`: we sweep a geometric grid and fit a line by least
 //! squares.
-
-/// A geometric grid `start, start·factor, start·factor², ..` (`count`
-/// points), rounded to integers and deduplicated.
-///
-/// # Panics
-///
-/// Panics if `start == 0`, `factor <= 1`, or `count == 0`.
-#[must_use]
-pub fn geometric_grid(start: usize, factor: f64, count: usize) -> Vec<usize> {
-    assert!(start >= 1, "grid must start at 1 or above");
-    assert!(factor > 1.0 && factor.is_finite(), "factor must exceed 1");
-    assert!(count >= 1, "grid needs at least one point");
-    let mut grid = Vec::with_capacity(count);
-    let mut value = start as f64;
-    for _ in 0..count {
-        let rounded = crate::convert::round_to_usize(value);
-        if grid.last() != Some(&rounded) {
-            grid.push(rounded);
-        }
-        value *= factor;
-    }
-    grid
-}
 
 /// Least-squares fit of `y = a + b·x`; returns `(a, b)`.
 ///
@@ -75,35 +52,9 @@ pub fn log_log_slope(points: &[(f64, f64)]) -> f64 {
     linear_fit(&logs).1
 }
 
-/// Coefficient of determination R² of a linear fit on the given points.
-///
-/// # Panics
-///
-/// Panics if fewer than two points, degenerate `x`, or zero variance in `y`.
-#[must_use]
-pub fn r_squared(points: &[(f64, f64)]) -> f64 {
-    let (a, b) = linear_fit(points);
-    let mean_y: f64 = points.iter().map(|p| p.1).sum::<f64>() / points.len() as f64;
-    let ss_tot: f64 = points.iter().map(|p| (p.1 - mean_y).powi(2)).sum();
-    assert!(ss_tot > 0.0, "y values are constant");
-    let ss_res: f64 = points.iter().map(|p| (p.1 - (a + b * p.0)).powi(2)).sum();
-    1.0 - ss_res / ss_tot
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn geometric_grid_doubles() {
-        assert_eq!(geometric_grid(1, 2.0, 5), vec![1, 2, 4, 8, 16]);
-    }
-
-    #[test]
-    fn geometric_grid_dedups_slow_growth() {
-        let g = geometric_grid(1, 1.2, 10);
-        assert!(g.windows(2).all(|w| w[0] < w[1]), "{g:?}");
-    }
 
     #[test]
     fn linear_fit_recovers_exact_line() {
@@ -123,15 +74,6 @@ mod tests {
             })
             .collect();
         assert!((log_log_slope(&pts) + 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn r_squared_perfect_and_noisy() {
-        let exact: Vec<(f64, f64)> = (0..10).map(|i| (i as f64, 2.0 * i as f64)).collect();
-        assert!((r_squared(&exact) - 1.0).abs() < 1e-12);
-        let noisy = vec![(0.0, 0.0), (1.0, 3.0), (2.0, 1.0), (3.0, 5.0)];
-        let r2 = r_squared(&noisy);
-        assert!(r2 < 1.0 && r2 > 0.0);
     }
 
     #[test]

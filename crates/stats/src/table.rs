@@ -52,11 +52,6 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Appends a row of floats, formatted with `precision` decimals.
-    pub fn push_row_f64(&mut self, cells: &[f64], precision: usize) {
-        self.push_row(cells.iter().map(|c| format!("{c:.precision$}")).collect());
-    }
-
     /// Number of data rows.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -161,13 +156,6 @@ mod tests {
         let mut t = Table::new(vec!["q".into()]);
         t.push_row(vec!["say \"hi\"".into()]);
         assert!(t.to_csv().contains("\"say \"\"hi\"\"\""));
-    }
-
-    #[test]
-    fn push_row_f64_formats() {
-        let mut t = Table::new(vec!["x".into(), "y".into()]);
-        t.push_row_f64(&[1.23456, 2.0], 3);
-        assert!(t.to_markdown().contains("| 1.235 | 2.000 |"));
     }
 
     #[test]

@@ -70,29 +70,6 @@ impl SuccessEstimate {
         let half = (z / denom) * ((p * (1.0 - p) / n) + z2 / (4.0 * n * n)).sqrt();
         ((center - half).max(0.0), (center + half).min(1.0))
     }
-
-    /// Merges two independent estimates of the same quantity.
-    #[must_use]
-    pub fn merged(&self, other: &SuccessEstimate) -> SuccessEstimate {
-        SuccessEstimate {
-            successes: self.successes + other.successes,
-            trials: self.trials + other.trials,
-        }
-    }
-
-    /// Whether the success probability is confidently at least
-    /// `threshold` (lower Wilson bound above it).
-    #[must_use]
-    pub fn confidently_at_least(&self, threshold: f64, z: f64) -> bool {
-        self.wilson_lower(z) >= threshold
-    }
-
-    /// Whether the success probability is confidently below `threshold`
-    /// (upper Wilson bound below it).
-    #[must_use]
-    pub fn confidently_below(&self, threshold: f64, z: f64) -> bool {
-        self.wilson_upper(z) < threshold
-    }
 }
 
 #[cfg(test)]
@@ -138,25 +115,6 @@ mod tests {
         let e = SuccessEstimate::new(3, 4);
         assert!((e.wilson_lower(0.0) - 0.75).abs() < 1e-12);
         assert!((e.wilson_upper(0.0) - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merged_pools_counts() {
-        let a = SuccessEstimate::new(3, 10);
-        let b = SuccessEstimate::new(7, 10);
-        let m = a.merged(&b);
-        assert_eq!(m.successes(), 10);
-        assert_eq!(m.trials(), 20);
-        assert!((m.point() - 0.5).abs() < 1e-15);
-    }
-
-    #[test]
-    fn confidence_predicates() {
-        let strong = SuccessEstimate::new(950, 1000);
-        assert!(strong.confidently_at_least(0.9, 2.0));
-        assert!(!strong.confidently_below(0.9, 2.0));
-        let weak = SuccessEstimate::new(100, 1000);
-        assert!(weak.confidently_below(2.0 / 3.0, 2.0));
     }
 
     #[test]

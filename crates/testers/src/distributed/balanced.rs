@@ -232,7 +232,9 @@ mod tests {
         let prepared = tester.prepare(20, 500, &mut rng);
         assert!(prepared.referee_min_rejects() >= 1);
         assert!(prepared.referee_min_rejects() <= 16);
-        assert_eq!(prepared.sample_count(), 20);
+        let uniform = families::uniform(256).alias_sampler();
+        let out = prepared.run(&uniform, &mut rand::rngs::StdRng::seed_from_u64(109));
+        assert_eq!(out.transcript.samples_drawn, vec![20; 16]);
         // n = q = 17, ε = 0.5: λ₀ = 8 and λ₀·(1 + ε²/2) = 9 exactly. A
         // count equal to the integral midpoint accepts; one more rejects.
         let edge = BalancedThresholdTester::new(17, 4, 0.5).prepare(17, 10, &mut rng);

@@ -125,15 +125,6 @@ impl FourierLearner {
         DenseDistribution::from_weights(weights)
             .expect("reconstruction always keeps positive total mass")
     }
-
-    /// The predicted ℓ₁ error scale `√(n²/(k·q))` of this protocol
-    /// (capped at 2, the diameter of the simplex).
-    #[must_use]
-    pub fn predicted_l1_error(&self) -> f64 {
-        ((self.n * self.n) as f64 / (self.k * self.q) as f64)
-            .sqrt()
-            .min(2.0)
-    }
 }
 
 #[cfg(test)]
@@ -229,15 +220,6 @@ mod tests {
         assert_eq!(est.support_size(), 8);
         let sum: f64 = est.probs().iter().sum();
         assert!((sum - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn predicted_error_scales() {
-        let a = FourierLearner::new(64, 10_000, 4, 8).predicted_l1_error();
-        let b = FourierLearner::new(64, 40_000, 4, 8).predicted_l1_error();
-        assert!((a / b - 2.0).abs() < 1e-9);
-        // The prediction is capped at the simplex diameter.
-        assert_eq!(FourierLearner::new(64, 1, 1, 8).predicted_l1_error(), 2.0);
     }
 
     #[test]

@@ -53,12 +53,6 @@ impl PreparedThresholdTester {
         self.referee_min_rejects
     }
 
-    /// The per-node sample count the thresholds are fixed for.
-    #[must_use]
-    pub fn sample_count(&self) -> usize {
-        self.q
-    }
-
     /// The node's local decision on its collision count.
     #[must_use]
     pub(super) fn node_accepts(&self, collisions: u64) -> bool {

@@ -136,12 +136,6 @@ impl PreparedQuantizedSumTester {
         self.referee_threshold
     }
 
-    /// The per-node sample count.
-    #[must_use]
-    pub fn sample_count(&self) -> usize {
-        self.q
-    }
-
     /// Runs one execution on [`Network::run_nodes`]: each of the `k`
     /// nodes sends its `r`-bit code, and the referee accepts iff the
     /// codes sum to at most the calibrated threshold.

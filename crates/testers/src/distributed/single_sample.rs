@@ -29,13 +29,13 @@ impl SingleSampleProtocol {
     ///
     /// # Panics
     ///
-    /// Panics unless `2^ℓ` divides `n`, `1 ≤ ℓ ≤ 20`, and
-    /// `epsilon ∈ (0, 1]`.
+    /// Panics unless `2^ℓ` divides `n`, `1 ≤ ℓ ≤ 16` (a bucket index
+    /// is stored as a `u16`), and `epsilon ∈ (0, 1]`.
     #[must_use]
     pub fn new(n: usize, message_bits: u8, epsilon: f64) -> Self {
         assert!(
-            (1..=20).contains(&message_bits),
-            "message length must be 1..=20 bits"
+            (1..=16).contains(&message_bits),
+            "message length must be 1..=16 bits"
         );
         let m = 1usize << message_bits;
         assert!(
@@ -210,6 +210,23 @@ mod tests {
     #[should_panic(expected = "must divide")]
     fn bucket_count_must_divide_domain() {
         let _ = SingleSampleProtocol::new(100, 3, 0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "message length must be 1..=16 bits")]
+    fn rejects_seventeen_bit_messages() {
+        let _ = SingleSampleProtocol::new(1 << 17, 17, 0.5);
+    }
+
+    #[test]
+    fn sixteen_bit_messages_run() {
+        let n = 1 << 16;
+        let proto = SingleSampleProtocol::new(n, 16, 0.5);
+        let uniform = families::uniform(n).alias_sampler();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(121);
+        let out = proto.run(&uniform, 4, &mut rng);
+        assert_eq!(out.transcript.messages.len(), 4);
+        assert!(out.transcript.messages.iter().all(|&bucket| bucket < n));
     }
 
     #[test]

@@ -222,7 +222,9 @@ mod tests {
         let prepared = tester.prepare(50);
         assert_eq!(prepared.node_max_count(), tester.node_threshold(50) - 1);
         assert_eq!(prepared.referee_min_rejects(), 3);
-        assert_eq!(prepared.sample_count(), 50);
+        let uniform = families::uniform(1 << 10).alias_sampler();
+        let out = prepared.run(&uniform, &mut rand::rngs::StdRng::seed_from_u64(5));
+        assert_eq!(out.transcript.samples_drawn, vec![50; 16]);
         // q < 2: no collision is possible, and the count 0 accepts.
         assert!(tester.prepare(1).node_accepts(0));
     }
