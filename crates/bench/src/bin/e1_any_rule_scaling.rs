@@ -20,7 +20,7 @@ fn measure_q_star(n: usize, k: usize, eps: f64, harness: &Harness, stream: u64) 
     q_star(2, 1 << 17, |q| {
         let probe_seed = dut_core::stats::seed::derive_seed2(harness.seed, stream, q as u64);
         let mut rng = rand::rngs::StdRng::seed_from_u64(probe_seed);
-        let prepared = tester.prepare(q, 800, &mut rng);
+        let prepared = tester.prepare(q, BalancedThresholdTester::CALIBRATION_TRIALS, &mut rng);
         two_sided_success(
             harness.trials,
             dut_core::stats::seed::derive_seed(probe_seed, 1),

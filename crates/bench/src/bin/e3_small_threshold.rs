@@ -87,7 +87,7 @@ fn main() {
     let q_opt = q_star(2, 1 << 14, |q| {
         let probe_seed = derive_seed2(harness.seed, 2990, q as u64);
         let mut rng = rand::rngs::StdRng::seed_from_u64(probe_seed);
-        let prepared = balanced.prepare(q, 800, &mut rng);
+        let prepared = balanced.prepare(q, BalancedThresholdTester::CALIBRATION_TRIALS, &mut rng);
         two_sided_success(
             harness.trials,
             derive_seed(probe_seed, 1),

@@ -92,7 +92,6 @@ pub struct UniformityTesterBuilder {
     players: usize,
     epsilon: f64,
     rule: Rule,
-    calibration_trials: usize,
 }
 
 impl Default for UniformityTesterBuilder {
@@ -102,7 +101,6 @@ impl Default for UniformityTesterBuilder {
             players: 1,
             epsilon: 0.5,
             rule: Rule::Balanced,
-            calibration_trials: 800,
         }
     }
 }
@@ -143,14 +141,6 @@ impl UniformityTesterBuilder {
         self
     }
 
-    /// Sets the Monte-Carlo budget used when the balanced rule
-    /// calibrates its referee threshold (default 800).
-    #[must_use]
-    pub fn calibration_trials(mut self, trials: usize) -> Self {
-        self.calibration_trials = trials;
-        self
-    }
-
     /// Validates and builds the tester.
     ///
     /// # Errors
@@ -171,13 +161,11 @@ impl UniformityTesterBuilder {
                 return Err(ConfigError::BadThreshold { t, k: self.players });
             }
         }
-        let calibration_trials = self.calibration_trials.max(1);
         Ok(UniformityTester::from_parts(
             self.domain_size,
             self.players,
             self.epsilon,
             self.rule,
-            calibration_trials,
         ))
     }
 }

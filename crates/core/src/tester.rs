@@ -22,7 +22,6 @@ pub struct UniformityTester {
     k: usize,
     epsilon: f64,
     rule: Rule,
-    calibration_trials: usize,
 }
 
 /// A [`UniformityTester`] bound to a specific per-player sample count,
@@ -47,19 +46,12 @@ impl UniformityTester {
         UniformityTesterBuilder::new()
     }
 
-    pub(crate) fn from_parts(
-        n: usize,
-        k: usize,
-        epsilon: f64,
-        rule: Rule,
-        calibration_trials: usize,
-    ) -> Self {
+    pub(crate) fn from_parts(n: usize, k: usize, epsilon: f64, rule: Rule) -> Self {
         Self {
             n,
             k,
             epsilon,
             rule,
-            calibration_trials,
         }
     }
 
@@ -117,7 +109,7 @@ impl UniformityTester {
             Rule::Balanced => PreparedVariant::Threshold(
                 BalancedThresholdTester::new(self.n, self.k, self.epsilon).prepare(
                     q,
-                    self.calibration_trials,
+                    BalancedThresholdTester::CALIBRATION_TRIALS,
                     rng,
                 ),
             ),
@@ -130,12 +122,6 @@ impl UniformityTester {
 }
 
 impl PreparedUniformityTester {
-    /// The per-player sample count this instance is bound to.
-    #[must_use]
-    pub fn sample_count(&self) -> usize {
-        self.q
-    }
-
     /// Runs one execution of the protocol against the given input
     /// sampler. Every node, and the centralized machine, draws through
     /// the fused kernel [`Sampler::collision_count`] and decides on
@@ -284,8 +270,5 @@ mod tests {
         assert_eq!(t.players(), 8);
         assert_eq!(t.rule(), Rule::TThreshold { t: 2 });
         assert!((t.epsilon() - 0.25).abs() < 1e-15);
-        let mut r = rng(7);
-        let p = t.prepare(10, &mut r);
-        assert_eq!(p.sample_count(), 10);
     }
 }

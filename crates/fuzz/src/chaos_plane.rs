@@ -18,30 +18,18 @@ use std::time::Duration;
 pub struct ChaosPlaneConfig {
     /// How long to keep injecting.
     pub duration: Duration,
-    /// Concurrent chaos lanes.
-    pub lanes: usize,
-    /// Mean hostile fraction (Gilbert-Elliott mean; clamped to the
-    /// channel's 0.375 ceiling downstream).
-    pub rate: f64,
     /// Master seed.
     pub seed: u64,
 }
 
-impl Default for ChaosPlaneConfig {
-    fn default() -> Self {
-        ChaosPlaneConfig {
-            duration: Duration::from_millis(800),
-            lanes: 3,
-            rate: 0.3,
-            seed: 1,
-        }
-    }
-}
-
-/// Idle timeout for the fuzz-owned server. The hold duration is 5x
-/// this, so every idle-forever and slowloris client is reaped
-/// mid-run; the margin keeps the plane deterministic on slow CI.
-const CHAOS_IDLE_TIMEOUT: Duration = Duration::from_millis(150);
+/// Idle timeout for the fuzz-owned server: a fifth of the mix's
+/// [`chaos::HOLD`], so every idle-forever and slowloris client is
+/// reaped mid-run; the margin keeps the plane deterministic on slow
+/// CI.
+const CHAOS_IDLE_TIMEOUT: Duration = match chaos::HOLD.checked_div(5) {
+    Some(timeout) => timeout,
+    None => Duration::ZERO,
+};
 
 /// Runs the chaos mix against a fresh in-process server and returns
 /// the underlying report.
@@ -61,10 +49,7 @@ pub fn run(config: &ChaosPlaneConfig) -> Result<ChaosReport, String> {
     let report = chaos::run(&ChaosConfig {
         addr: handle.local_addr().to_string(),
         duration: config.duration,
-        lanes: config.lanes,
-        rate: config.rate,
         seed: config.seed,
-        hold: CHAOS_IDLE_TIMEOUT * 5,
     });
     handle.request_shutdown();
     handle.join();
@@ -79,8 +64,6 @@ mod tests {
     fn chaos_plane_survives_a_short_burst() {
         let report = run(&ChaosPlaneConfig {
             duration: Duration::from_millis(400),
-            lanes: 2,
-            rate: 0.3,
             seed: 2,
         })
         .expect("plane runs");

@@ -120,8 +120,6 @@ pub fn smoke(config: &SmokeConfig) -> Result<SmokeReport, String> {
     handle.join();
     let chaos = chaos_plane::run(&chaos_plane::ChaosPlaneConfig {
         duration: config.chaos_duration,
-        lanes: 3,
-        rate: 0.3,
         seed: config.seed,
     })?;
     Ok(SmokeReport {

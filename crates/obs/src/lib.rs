@@ -42,7 +42,7 @@ pub use flight::FlightRecorder;
 pub use recorder::{global, init_from_env, snapshot_event, Recorder, Span};
 pub use report::Report;
 pub use sink::{JsonlSink, MemorySink, Sink};
-pub use slo::{SloConfig, SloStatus};
+pub use slo::SloStatus;
 pub use trace::Event;
 pub use window::SnapshotRing;
 

@@ -22,28 +22,14 @@ use crate::metrics::{
     bucket_high, bucket_index, Counter, HistogramId, HistogramSnapshot, Snapshot,
 };
 
-/// Configured service-level objectives for the serve plane.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SloConfig {
-    /// p99 latency target in microseconds: 99% of requests should
-    /// complete faster than this.
-    pub p99_target_micros: u64,
-    /// Maximum acceptable fraction of arrivals shed for overload.
-    pub max_shed_rate: f64,
-    /// Burn-rate multiple above which a window is considered burning
-    /// (1.0 = spending budget exactly at the sustainable rate).
-    pub burn_threshold: f64,
-}
-
-impl Default for SloConfig {
-    fn default() -> SloConfig {
-        SloConfig {
-            p99_target_micros: 250_000,
-            max_shed_rate: 0.05,
-            burn_threshold: 2.0,
-        }
-    }
-}
+/// p99 latency target in microseconds: 99% of requests should
+/// complete faster than this.
+pub const P99_TARGET_MICROS: u64 = 250_000;
+/// Maximum acceptable fraction of arrivals shed for overload.
+pub const MAX_SHED_RATE: f64 = 0.05;
+/// Burn-rate multiple above which a window is considered burning
+/// (1.0 = spending budget exactly at the sustainable rate).
+pub const BURN_THRESHOLD: f64 = 2.0;
 
 /// Error-budget burn rates measured over one window.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -106,22 +92,22 @@ pub fn fraction_above(hist: &HistogramSnapshot, threshold: u64) -> f64 {
 
 /// Burn rates for one windowed snapshot delta.
 #[must_use]
-pub fn window_burn(delta: &Snapshot, config: &SloConfig) -> WindowBurn {
+pub fn window_burn(delta: &Snapshot) -> WindowBurn {
     let latency_burn = delta
         .histogram(HistogramId::RequestMicros)
         .map_or(0.0, |hist| {
             // p99 objective → 1% error budget.
-            fraction_above(hist, config.p99_target_micros) / 0.01
+            fraction_above(hist, P99_TARGET_MICROS) / 0.01
         });
     let served = delta.counter(Counter::ServeRequests);
     let shed = delta.counter(Counter::ServeShed);
     let arrivals = served + shed;
-    let shed_burn = if arrivals == 0 || config.max_shed_rate <= 0.0 {
+    let shed_burn = if arrivals == 0 {
         0.0
     } else {
         #[allow(clippy::cast_precision_loss)]
         let shed_frac = shed as f64 / arrivals as f64;
-        shed_frac / config.max_shed_rate
+        shed_frac / MAX_SHED_RATE
     };
     WindowBurn {
         latency_burn,
@@ -132,10 +118,10 @@ pub fn window_burn(delta: &Snapshot, config: &SloConfig) -> WindowBurn {
 /// Evaluates the SLO over a short and a long windowed delta. A
 /// breach requires the burn threshold to be exceeded in both windows.
 #[must_use]
-pub fn evaluate(short: &Snapshot, long: &Snapshot, config: &SloConfig) -> SloStatus {
-    let short = window_burn(short, config);
-    let long = window_burn(long, config);
-    let over = |burn: f64| burn > config.burn_threshold;
+pub fn evaluate(short: &Snapshot, long: &Snapshot) -> SloStatus {
+    let short = window_burn(short);
+    let long = window_burn(long);
+    let over = |burn: f64| burn > BURN_THRESHOLD;
     SloStatus {
         short,
         long,
@@ -171,9 +157,8 @@ mod tests {
 
     #[test]
     fn healthy_service_does_not_breach() {
-        let config = SloConfig::default();
         let snap = snapshot_with(100, 0, &[1_000; 100]);
-        let status = evaluate(&snap, &snap, &config);
+        let status = evaluate(&snap, &snap);
         assert!(status.healthy());
         assert!(status.short.latency_burn.abs() < 1e-9);
         assert!(status.short.shed_burn.abs() < 1e-9);
@@ -181,10 +166,9 @@ mod tests {
 
     #[test]
     fn sustained_slow_requests_breach_latency() {
-        let config = SloConfig::default();
         // Every request blows the 250 ms target → burn 100×.
         let snap = snapshot_with(10, 0, &[2_000_000; 10]);
-        let status = evaluate(&snap, &snap, &config);
+        let status = evaluate(&snap, &snap);
         assert!(status.latency_breach);
         assert!(!status.shed_breach);
         assert!(status.short.latency_burn > 50.0);
@@ -192,35 +176,32 @@ mod tests {
 
     #[test]
     fn breach_requires_both_windows() {
-        let config = SloConfig::default();
         let bad = snapshot_with(10, 0, &[2_000_000; 10]);
         let good = snapshot_with(1000, 0, &[1_000; 100]);
         // Short spike, calm long window: no alert.
-        assert!(evaluate(&bad, &good, &config).healthy());
+        assert!(evaluate(&bad, &good).healthy());
         // Old incident, now recovered: no alert.
-        assert!(evaluate(&good, &bad, &config).healthy());
+        assert!(evaluate(&good, &bad).healthy());
     }
 
     #[test]
     fn shed_burst_breaches_shed_budget() {
-        let config = SloConfig::default();
         // Half the arrivals shed against a 5% budget → burn 10×.
         let snap = snapshot_with(50, 50, &[1_000; 50]);
-        let status = evaluate(&snap, &snap, &config);
+        let status = evaluate(&snap, &snap);
         assert!(status.shed_breach);
         assert!((status.short.shed_burn - 10.0).abs() < 1e-9);
     }
 
     #[test]
     fn empty_window_is_healthy() {
-        let config = SloConfig::default();
         let empty = Registry::new().snapshot();
-        let status = evaluate(&empty, &empty, &config);
+        let status = evaluate(&empty, &empty);
         assert!(status.healthy());
         // A gauge-only snapshot is also quiet.
         let reg = Registry::new();
         reg.set_gauge(Gauge::ServeQueueDepth, 5);
-        let status = evaluate(&reg.snapshot(), &empty, &config);
+        let status = evaluate(&reg.snapshot(), &empty);
         assert!(status.healthy());
     }
 }

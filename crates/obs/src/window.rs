@@ -99,9 +99,16 @@ impl SnapshotRing {
     /// The delta over (at most) the trailing `window_micros`, ending
     /// now: a live snapshot of `registry` minus the newest stored
     /// snapshot at or before `now_micros − window_micros`. Returns
-    /// the delta and the actual span it covers in microseconds (which
-    /// is shorter than requested early in the process lifetime, and
-    /// never longer than the ring's reach).
+    /// the delta and the span it covers in microseconds: shorter than
+    /// requested early in the process lifetime or past the ring's
+    /// reach, and never longer than `window_micros`.
+    ///
+    /// After an idle spell no snapshot sits near the cutoff, and the
+    /// base is older than it. The idle epochs add no events, so the
+    /// span stays capped at the window rather than folding the idle
+    /// time into every rate. What remains is a one-epoch error: events
+    /// in the base snapshot's own epoch, after it was taken and before
+    /// the cutoff, still count towards the window.
     #[must_use]
     pub fn window(
         &self,
@@ -125,11 +132,11 @@ impl SnapshotRing {
         match base {
             Some(base) => WindowedDelta {
                 delta: live.delta(&base.snapshot),
-                span_micros: now_micros.saturating_sub(base.at_micros),
+                span_micros: now_micros.saturating_sub(base.at_micros).min(window_micros),
             },
             None => WindowedDelta {
                 delta: live,
-                span_micros: now_micros,
+                span_micros: now_micros.min(window_micros),
             },
         }
     }
@@ -236,6 +243,28 @@ mod tests {
         // Whereas a since-boot-sized window still sees everything.
         let all = ring.window(&reg, 20 * SEC, 60 * SEC);
         assert_eq!(all.delta.counter(Counter::ServeShed), 55);
+    }
+
+    #[test]
+    fn idle_time_before_the_window_does_not_dilute_its_rate() {
+        let ring = SnapshotRing::new(SEC, 128);
+        let reg = Registry::new();
+        // One request at t=1s, then 20 s idle, then 100 req/s for 5 s
+        // with a capture at the start of every epoch.
+        reg.add(Counter::ServeRequests, 1);
+        assert!(ring.maybe_capture(&reg, SEC));
+        for t in 21..26u64 {
+            assert!(ring.maybe_capture(&reg, t * SEC));
+            reg.add(Counter::ServeRequests, 100);
+            reg.add(Counter::ServeShed, 10);
+        }
+        // The base snapshot is the t=1s one, 25 s before now; the
+        // trailing 10 s window holds the 500 recent requests.
+        let w = ring.window(&reg, 26 * SEC, 10 * SEC);
+        assert_eq!(w.delta.counter(Counter::ServeRequests), 500);
+        assert_eq!(w.span_micros, 10 * SEC);
+        assert!((w.rate_per_sec(Counter::ServeRequests) - 50.0).abs() < 1e-9);
+        assert!((w.rate_per_sec(Counter::ServeShed) - 5.0).abs() < 1e-9);
     }
 
     #[test]

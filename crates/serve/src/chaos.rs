@@ -22,7 +22,6 @@
 
 use crate::client::{check_served, Served};
 use crate::protocol::{self, Request};
-use crate::stats::Stats;
 use dut_obs::metrics::Counter;
 use dut_simnet::{FaultPlan, GilbertElliott};
 use rand::rngs::StdRng;
@@ -31,6 +30,20 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+/// Concurrent chaos lanes.
+const LANES: usize = 3;
+
+/// Mean fraction of actions that are hostile: the Gilbert-Elliott mean
+/// loss rate (bursts make the instantaneous rate swing). It must stay
+/// at or below the bursty channel's ceiling of 0.375, the bad state's
+/// stationary mass (see `GilbertElliott::bursty_with_mean_loss`).
+const RATE: f64 = 0.3;
+
+/// How long idle-forever and slowloris clients hold their socket. A
+/// server whose idle timeout is comfortably shorter exercises the
+/// reaper; a longer one exercises patience.
+pub const HOLD: Duration = Duration::from_millis(750);
+
 /// Chaos-run configuration.
 #[derive(Debug, Clone)]
 pub struct ChaosConfig {
@@ -38,32 +51,8 @@ pub struct ChaosConfig {
     pub addr: String,
     /// How long to keep injecting.
     pub duration: Duration,
-    /// Concurrent chaos lanes.
-    pub lanes: usize,
-    /// Mean fraction of actions that are hostile (the Gilbert-Elliott
-    /// mean loss rate; bursts make the instantaneous rate swing).
-    /// Clamped to the channel's bursty ceiling of 0.375 — above the
-    /// bad state's stationary mass the model cannot deliver the mean.
-    pub rate: f64,
     /// Master seed; every lane derives its own stream from it.
     pub seed: u64,
-    /// How long idle-forever / slowloris clients hold their socket.
-    /// Keep this comfortably above the server's idle timeout to
-    /// exercise the reaper, or below it to exercise patience.
-    pub hold: Duration,
-}
-
-impl Default for ChaosConfig {
-    fn default() -> Self {
-        ChaosConfig {
-            addr: "127.0.0.1:7979".to_owned(),
-            duration: Duration::from_secs(2),
-            lanes: 4,
-            rate: 0.3,
-            seed: 7,
-            hold: Duration::from_millis(750),
-        }
-    }
 }
 
 /// The hostile behaviors a lane can perform. `COUNT`/`ALL` follow the
@@ -123,8 +112,6 @@ pub struct ChaosReport {
     pub final_probe_ok: bool,
     /// The final `{"cmd":"stats"}` reply parsed.
     pub final_stats_ok: bool,
-    /// Post-run server stats, when the final poll succeeded.
-    pub final_stats: Option<Stats>,
 }
 
 impl ChaosReport {
@@ -186,7 +173,7 @@ pub fn probe_request() -> Request {
 /// best-effort: a hostile client gets no guarantees, and connect
 /// failures (a shedding server writes its overloaded line and closes)
 /// are part of the scenery.
-fn attack(addr: &str, kind: Attack, hold: Duration, rng: &mut StdRng) {
+fn attack(addr: &str, kind: Attack, rng: &mut StdRng) {
     dut_obs::metrics::global().incr(Counter::ChaosInjected);
     match kind {
         Attack::Slowloris => {
@@ -200,7 +187,7 @@ fn attack(addr: &str, kind: Attack, hold: Duration, rng: &mut StdRng) {
             // bytes keep arriving the whole time.
             let started = Instant::now();
             let mut i = 0usize;
-            while started.elapsed() < hold {
+            while started.elapsed() < HOLD {
                 if stream.write_all(&bytes[i..=i]).is_err() {
                     return; // reaped mid-drip: mission accomplished
                 }
@@ -228,7 +215,7 @@ fn attack(addr: &str, kind: Attack, hold: Duration, rng: &mut StdRng) {
             let Ok(stream) = TcpStream::connect(addr) else {
                 return;
             };
-            std::thread::sleep(hold);
+            std::thread::sleep(HOLD);
             drop(stream);
         }
         Attack::ReconnectStorm => {
@@ -258,9 +245,7 @@ fn lane_loop(config: &ChaosConfig, lane: u64, start: Instant) -> LaneTally {
     // Lane seeds come from the same split-mix derivation the engine
     // uses for trial seeds, so lanes are decorrelated but replayable.
     let mut rng = StdRng::seed_from_u64(dut_stats::seed::derive_seed(config.seed, lane));
-    // 0.375 is the bursty channel's stationary bad-state mass; see
-    // `GilbertElliott::bursty_with_mean_loss` (it panics above that).
-    let mut channel = GilbertElliott::bursty_with_mean_loss(config.rate.clamp(0.0, 0.375));
+    let mut channel = GilbertElliott::bursty_with_mean_loss(RATE);
     channel.begin_run(1, &mut rng);
     while start.elapsed() < config.duration {
         // A dropped delivery = a hostile action this step.
@@ -268,7 +253,7 @@ fn lane_loop(config: &ChaosConfig, lane: u64, start: Instant) -> LaneTally {
         if hostile {
             let kind = Attack::ALL[rng.random_range(0..Attack::ALL.len())];
             tally.attacks[Attack::ALL.iter().position(|&a| a == kind).unwrap_or(0)] += 1;
-            attack(&config.addr, kind, config.hold, &mut rng);
+            attack(&config.addr, kind, &mut rng);
         } else {
             tally.probes_sent += 1;
             match check_served(&config.addr, &probe_request()) {
@@ -298,10 +283,9 @@ pub fn run(config: &ChaosConfig) -> Result<ChaosReport, String> {
         }
         Err(e) => return Err(format!("server not healthy before chaos: {e}")),
     }
-    let lanes = config.lanes.max(1);
     let start = Instant::now();
     let tallies: Vec<LaneTally> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..lanes)
+        let handles: Vec<_> = (0..LANES)
             .map(|lane| scope.spawn(move || lane_loop(config, lane as u64, start)))
             .collect();
         handles.into_iter().filter_map(|h| h.join().ok()).collect()
@@ -322,13 +306,7 @@ pub fn run(config: &ChaosConfig) -> Result<ChaosReport, String> {
         check_served(&config.addr, &probe_request()),
         Ok(Served::Exact)
     );
-    match crate::loadgen::fetch_stats(&config.addr) {
-        Ok(stats) => {
-            report.final_stats_ok = true;
-            report.final_stats = Some(stats);
-        }
-        Err(_) => report.final_stats_ok = false,
-    }
+    report.final_stats_ok = crate::loadgen::fetch_stats(&config.addr).is_ok();
     Ok(report)
 }
 
@@ -374,7 +352,8 @@ mod tests {
     fn unreachable_server_fails_fast() {
         let config = ChaosConfig {
             addr: "127.0.0.1:1".to_owned(),
-            ..ChaosConfig::default()
+            duration: Duration::from_secs(2),
+            seed: 7,
         };
         assert!(run(&config).is_err());
     }

@@ -29,7 +29,10 @@
 //!    stays parked) instead of queueing without limit or silently
 //!    dropping connections. Per-tenant token buckets shed over-quota
 //!    tenants before the queue, and a higher-priority arrival may
-//!    evict a queued lower-priority request at the cap.
+//!    evict a queued lower-priority request at the cap. The tenant
+//!    table holds one row per configured quota (tenant names must be
+//!    distinct) and never grows on client input, so the stats reply
+//!    lists only configured tenants.
 //! 3. **Observability.** Requests, cache hits/misses (and the hits
 //!    that joined a build in flight), shed requests (global and per
 //!    tenant), parked connections, queue depth, and per-request phase
@@ -66,6 +69,6 @@ pub use chaos::{ChaosConfig, ChaosReport};
 pub use engine::Engine;
 pub use loadgen::{LoadgenConfig, LoadgenReport};
 pub use protocol::{Command, Reply, Request};
-pub use server::{ServeConfig, ServerHandle, TenantPolicy, TenantQuota};
+pub use server::{ServeConfig, ServerHandle, TenantQuota};
 pub use stats::Stats;
 pub use trace::{Trace, TraceConfig};

@@ -34,11 +34,13 @@
 //! even when workers finish out of order.
 //!
 //! Admission is two-tier. A per-tenant token bucket (see
-//! [`TenantPolicy`]) sheds over-quota tenants before their requests
+//! [`TenantQuota`]) sheds over-quota tenants before their requests
 //! ever reach the queue, with the shed scoped to the tenant on the
-//! wire (`"scope":"tenant"`). Above the global queue cap, an incoming
-//! higher-priority request may evict the lowest-priority queued
-//! request instead of being shed itself.
+//! wire (`"scope":"tenant"`). The tenant table holds one row per
+//! configured quota and never grows: a request naming any other
+//! tenant is admitted at priority 0 and not tracked. Above the global
+//! queue cap, an incoming higher-priority request may evict the
+//! lowest-priority queued request instead of being shed itself.
 //!
 //! Shutdown is cooperative. A `{"cmd":"shutdown"}` request flips a
 //! flag and wakes every parked thread; the accept thread stops
@@ -52,7 +54,6 @@ use crate::poll::{PollFd, Waker, POLLIN, POLLOUT};
 use crate::protocol::{self, Command};
 use crate::stats;
 use dut_obs::metrics::{Counter, Gauge, HistogramId};
-use dut_obs::slo::SloConfig;
 use parking_lot::Mutex as PlMutex;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
@@ -110,21 +111,6 @@ pub struct TenantQuota {
     pub priority: u8,
 }
 
-/// Multi-tenant admission policy: defaults applied to tenants with no
-/// explicit [`TenantQuota`]. The all-zero default means "no tenancy":
-/// every request is admitted without touching the tenant table.
-#[derive(Debug, Clone, Default)]
-pub struct TenantPolicy {
-    /// Default sustained rate for unlisted tenants (0 = unlimited).
-    pub default_rate: f64,
-    /// Default burst for unlisted tenants.
-    pub default_burst: f64,
-    /// Default priority for unlisted tenants.
-    pub default_priority: u8,
-    /// Explicit per-tenant quotas.
-    pub quotas: Vec<TenantQuota>,
-}
-
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -139,8 +125,6 @@ pub struct ServeConfig {
     /// One request in this many emits a sampled `serve_trace` event
     /// (0 disables sampling).
     pub trace_sample: u64,
-    /// Service-level objectives evaluated by `{"cmd":"stats"}`.
-    pub slo: SloConfig,
     /// A connection that completes no request line for this long is
     /// reaped (covers both idle-forever clients and slowloris drips
     /// that send bytes but never a newline).
@@ -157,8 +141,11 @@ pub struct ServeConfig {
     pub shards: usize,
     /// Independent prepared-tester cache shards.
     pub cache_shards: usize,
-    /// Multi-tenant admission policy.
-    pub tenancy: TenantPolicy,
+    /// Per-tenant admission quotas, one per distinct tenant name
+    /// ([`start`] rejects a name given twice). Requests with no
+    /// tenant field are charged to [`DEFAULT_TENANT`]; a request whose
+    /// tenant has no quota is admitted at priority 0 and not tracked.
+    pub tenancy: Vec<TenantQuota>,
 }
 
 impl Default for ServeConfig {
@@ -169,13 +156,12 @@ impl Default for ServeConfig {
             cache_cap: 32,
             queue_cap: 64,
             trace_sample: crate::engine::DEFAULT_TRACE_SAMPLE,
-            slo: SloConfig::default(),
             idle_timeout: Duration::from_secs(30),
             error_budget: 64,
             max_line_bytes: protocol::MAX_LINE_BYTES,
             shards: 2,
             cache_shards: crate::engine::DEFAULT_CACHE_SHARDS,
-            tenancy: TenantPolicy::default(),
+            tenancy: Vec::new(),
         }
     }
 }
@@ -216,6 +202,20 @@ struct ConnWriter {
 }
 
 impl ConnWriter {
+    fn new(stream: TcpStream, error_budget: u32) -> ConnWriter {
+        ConnWriter {
+            stream,
+            next_release: 0,
+            ready: BTreeMap::new(),
+            out: Vec::new(),
+            errors_released: 0,
+            error_budget,
+            closing: false,
+            write_shut: false,
+            dead: false,
+        }
+    }
+
     /// Moves every consecutively-sequenced reply from the reorder
     /// buffer into the output buffer, applying the close-after and
     /// error-budget contracts in release order (so "N errors, then
@@ -305,6 +305,15 @@ struct Conn {
 }
 
 impl Conn {
+    fn new(write_half: TcpStream, error_budget: u32, waker: Arc<Waker>) -> Conn {
+        Conn {
+            writer: PlMutex::new(ConnWriter::new(write_half, error_budget)),
+            inflight: AtomicU64::new(0),
+            draining: AtomicBool::new(false),
+            waker,
+        }
+    }
+
     /// Submits the reply for sequence `seq` and opportunistically
     /// flushes. Called from workers and from the shard itself; safe
     /// to call after the connection started closing (the reply is
@@ -426,87 +435,85 @@ struct Job {
     enqueued_at: Instant,
 }
 
-/// One tenant's token bucket and ledger.
-struct TenantState {
-    tokens: f64,
-    last_refill: Instant,
+/// One configured tenant's quota, token bucket and ledger.
+struct TenantRow {
     rate: f64,
     burst: f64,
     priority: u8,
+    bucket: PlMutex<TenantBucket>,
+}
+
+struct TenantBucket {
+    tokens: f64,
+    last_refill: Instant,
     admitted: u64,
     shed: u64,
 }
 
-/// The tenant table. Requests with no tenant field are charged to
-/// [`DEFAULT_TENANT`]; when the policy is the all-zero default the
-/// admit path is lock-free.
+/// The tenant table: one row per configured quota, built once at
+/// start and never grown. Requests with no tenant field are looked up
+/// under [`DEFAULT_TENANT`]; a name with no row is admitted at
+/// priority 0 without taking a lock.
 struct Tenants {
-    policy: TenantPolicy,
-    states: PlMutex<BTreeMap<String, TenantState>>,
+    rows: BTreeMap<String, TenantRow>,
 }
 
 impl Tenants {
-    fn new(policy: TenantPolicy) -> Tenants {
-        Tenants {
-            policy,
-            states: PlMutex::new(BTreeMap::new()),
+    /// Builds the table, rejecting a tenant name configured twice.
+    fn new(quotas: &[TenantQuota]) -> Result<Tenants, String> {
+        let now = Instant::now();
+        let mut rows = BTreeMap::new();
+        for quota in quotas {
+            let burst = quota.burst.max(1.0);
+            let row = TenantRow {
+                rate: quota.rate,
+                burst,
+                priority: quota.priority,
+                bucket: PlMutex::new(TenantBucket {
+                    tokens: burst,
+                    last_refill: now,
+                    admitted: 0,
+                    shed: 0,
+                }),
+            };
+            if rows.insert(quota.name.clone(), row).is_some() {
+                return Err(format!("tenant `{}` is configured twice", quota.name));
+            }
         }
-    }
-
-    fn inert(&self) -> bool {
-        self.policy.default_rate <= 0.0 && self.policy.quotas.is_empty()
+        Ok(Tenants { rows })
     }
 
     /// Admission decision for one request: `(admitted, priority)`.
     fn admit(&self, tenant: Option<&str>) -> (bool, u8) {
-        if tenant.is_none() && self.inert() {
-            return (true, self.policy.default_priority);
-        }
-        let name = tenant.unwrap_or(DEFAULT_TENANT);
-        let mut states = self.states.lock();
-        let state = states.entry(name.to_owned()).or_insert_with(|| {
-            let quota = self.policy.quotas.iter().find(|q| q.name == name);
-            let (rate, burst, priority) = match quota {
-                Some(q) => (q.rate, q.burst, q.priority),
-                None => (
-                    self.policy.default_rate,
-                    self.policy.default_burst,
-                    self.policy.default_priority,
-                ),
-            };
-            TenantState {
-                tokens: burst.max(1.0),
-                last_refill: Instant::now(),
-                rate,
-                burst: burst.max(1.0),
-                priority,
-                admitted: 0,
-                shed: 0,
-            }
-        });
-        if state.rate > 0.0 {
+        let Some(row) = self.rows.get(tenant.unwrap_or(DEFAULT_TENANT)) else {
+            return (true, 0);
+        };
+        let mut bucket = row.bucket.lock();
+        if row.rate > 0.0 {
             let now = Instant::now();
-            let elapsed = now.duration_since(state.last_refill).as_secs_f64();
-            state.tokens = (state.tokens + elapsed * state.rate).min(state.burst);
-            state.last_refill = now;
-            if state.tokens < 1.0 {
-                state.shed += 1;
-                return (false, state.priority);
+            let elapsed = now.duration_since(bucket.last_refill).as_secs_f64();
+            bucket.tokens = (bucket.tokens + elapsed * row.rate).min(row.burst);
+            bucket.last_refill = now;
+            if bucket.tokens < 1.0 {
+                bucket.shed += 1;
+                return (false, row.priority);
             }
-            state.tokens -= 1.0;
+            bucket.tokens -= 1.0;
         }
-        state.admitted += 1;
-        (true, state.priority)
+        bucket.admitted += 1;
+        (true, row.priority)
     }
 
     fn snapshot(&self) -> Vec<stats::TenantStat> {
-        self.states
-            .lock()
+        self.rows
             .iter()
-            .map(|(name, state)| stats::TenantStat {
-                name: name.clone(),
-                requests: state.admitted,
-                shed: state.shed,
+            .map(|(name, row)| {
+                let bucket = row.bucket.lock();
+                stats::TenantStat {
+                    name: name.clone(),
+                    requests: bucket.admitted,
+                    shed: bucket.shed,
+                }
             })
             .collect()
     }
@@ -525,7 +532,6 @@ struct Shared {
     available: Condvar,
     shutdown: AtomicBool,
     queue_cap: usize,
-    slo: SloConfig,
     /// Consecutive shed requests since the last admission; crossing
     /// [`SHED_BURST_THRESHOLD`] dumps the flight recorder once per
     /// burst (the compare-exchange in [`streak_shed`] makes the
@@ -544,6 +550,38 @@ struct Shared {
 }
 
 impl Shared {
+    /// The state every server thread shares, before any thread starts.
+    fn new(config: &ServeConfig) -> Result<Shared, String> {
+        let waker = || Waker::new().map_err(|e| format!("cannot create waker: {e}"));
+        let shards = (0..config.shards.max(1))
+            .map(|_| {
+                Ok(Mailbox {
+                    inbox: PlMutex::new(Vec::new()),
+                    waker: Arc::new(waker()?),
+                })
+            })
+            .collect::<Result<Vec<_>, String>>()?;
+        Ok(Shared {
+            engine: Engine::with_options(
+                config.cache_cap,
+                config.trace_sample,
+                config.cache_shards.max(1),
+            ),
+            queue: Mutex::new(VecDeque::new()),
+            available: Condvar::new(),
+            shutdown: AtomicBool::new(false),
+            queue_cap: config.queue_cap.max(1),
+            shed_streak: AtomicU64::new(0),
+            idle_timeout: config.idle_timeout.max(POLL_INTERVAL),
+            error_budget: config.error_budget,
+            max_line_bytes: config.max_line_bytes.max(1),
+            shards,
+            accept_waker: waker()?,
+            tenants: Tenants::new(&config.tenancy)?,
+            conn_count: AtomicU64::new(0),
+        })
+    }
+
     /// Locks the request queue, recovering from poisoning (a
     /// panicking worker must not wedge the whole server).
     fn lock_queue(&self) -> MutexGuard<'_, VecDeque<Job>> {
@@ -632,6 +670,7 @@ impl ServerHandle {
 ///
 /// Returns the bind/configuration error message.
 pub fn start(config: &ServeConfig) -> Result<ServerHandle, String> {
+    let shared = Arc::new(Shared::new(config)?);
     let listener =
         TcpListener::bind(&config.addr).map_err(|e| format!("cannot bind {}: {e}", config.addr))?;
     listener
@@ -647,36 +686,7 @@ pub fn start(config: &ServeConfig) -> Result<ServerHandle, String> {
         dut_obs::global()
             .install_sink(Arc::clone(dut_obs::flight::global()) as Arc<dyn dut_obs::Sink>);
     });
-    let shards = config.shards.max(1);
-    let waker = || Waker::new().map_err(|e| format!("cannot create waker: {e}"));
-    let mailboxes = (0..shards)
-        .map(|_| {
-            Ok(Mailbox {
-                inbox: PlMutex::new(Vec::new()),
-                waker: Arc::new(waker()?),
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let shared = Arc::new(Shared {
-        engine: Engine::with_options(
-            config.cache_cap,
-            config.trace_sample,
-            config.cache_shards.max(1),
-        ),
-        queue: Mutex::new(VecDeque::new()),
-        available: Condvar::new(),
-        shutdown: AtomicBool::new(false),
-        queue_cap: config.queue_cap.max(1),
-        slo: config.slo,
-        shed_streak: AtomicU64::new(0),
-        idle_timeout: config.idle_timeout.max(POLL_INTERVAL),
-        error_budget: config.error_budget,
-        max_line_bytes: config.max_line_bytes.max(1),
-        shards: mailboxes,
-        accept_waker: waker()?,
-        tenants: Tenants::new(config.tenancy.clone()),
-        conn_count: AtomicU64::new(0),
-    });
+    let shards = shared.shards.len();
     let workers = config.workers.max(1);
     let mut threads = Vec::with_capacity(workers + shards + 1);
     for worker in 0..workers {
@@ -793,22 +803,11 @@ fn hand_off(shared: &Shared, stream: TcpStream, shard: usize) {
         return;
     };
     let mailbox = &shared.shards[shard];
-    let conn = Arc::new(Conn {
-        writer: PlMutex::new(ConnWriter {
-            stream: write_half,
-            next_release: 0,
-            ready: BTreeMap::new(),
-            out: Vec::new(),
-            errors_released: 0,
-            error_budget: shared.error_budget,
-            closing: false,
-            write_shut: false,
-            dead: false,
-        }),
-        inflight: AtomicU64::new(0),
-        draining: AtomicBool::new(false),
-        waker: Arc::clone(&mailbox.waker),
-    });
+    let conn = Arc::new(Conn::new(
+        write_half,
+        shared.error_budget,
+        Arc::clone(&mailbox.waker),
+    ));
     conn_opened(shared);
     mailbox.inbox.lock().push(NewConn { stream, conn });
     mailbox.waker.wake();
@@ -1120,7 +1119,7 @@ fn handle_line(shared: &Shared, conn: &Arc<Conn>, seq: u64, line: &str) {
 /// Current stats with the live tenant table attached.
 fn render_stats(shared: &Shared) -> String {
     let cached = u64::try_from(shared.engine.cached_testers()).unwrap_or(u64::MAX);
-    let mut gathered = stats::gather(cached, &shared.slo);
+    let mut gathered = stats::gather(cached);
     gathered.tenants = shared.tenants.snapshot();
     gathered.render()
 }
@@ -1233,6 +1232,7 @@ fn process_job(shared: &Shared, job: &Job) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{BufRead, BufReader};
 
     #[test]
     fn streak_crossing_fires_exactly_once_per_burst() {
@@ -1291,17 +1291,7 @@ mod tests {
         let client = TcpStream::connect(addr).expect("connect");
         let (server_side, _peer) = listener.accept().expect("accept");
         server_side.set_nonblocking(true).expect("nonblocking");
-        let mut writer = ConnWriter {
-            stream: server_side,
-            next_release: 0,
-            ready: BTreeMap::new(),
-            out: Vec::new(),
-            errors_released: 0,
-            error_budget: 0,
-            closing: false,
-            write_shut: false,
-            dead: false,
-        };
+        let mut writer = ConnWriter::new(server_side, 0);
         for (seq, text) in [(2u64, "third"), (0, "first")] {
             writer.ready.insert(
                 seq,
@@ -1334,17 +1324,7 @@ mod tests {
         let client = TcpStream::connect(addr).expect("connect");
         let (server_side, _peer) = listener.accept().expect("accept");
         server_side.set_nonblocking(true).expect("nonblocking");
-        let mut writer = ConnWriter {
-            stream: server_side,
-            next_release: 0,
-            ready: BTreeMap::new(),
-            out: Vec::new(),
-            errors_released: 0,
-            error_budget: 2,
-            closing: false,
-            write_shut: false,
-            dead: false,
-        };
+        let mut writer = ConnWriter::new(server_side, 2);
         for seq in 0..3u64 {
             writer.ready.insert(
                 seq,
@@ -1371,19 +1351,19 @@ mod tests {
         drop(client);
     }
 
+    fn quota(name: &str, rate: f64, burst: f64, priority: u8) -> TenantQuota {
+        TenantQuota {
+            name: name.to_owned(),
+            rate,
+            burst,
+            priority,
+        }
+    }
+
     #[test]
     fn tenant_bucket_sheds_only_the_over_quota_tenant() {
-        let tenants = Tenants::new(TenantPolicy {
-            default_rate: 0.0,
-            default_burst: 0.0,
-            default_priority: 1,
-            quotas: vec![TenantQuota {
-                name: "metered".to_owned(),
-                rate: 0.001, // effectively no refill within the test
-                burst: 3.0,
-                priority: 2,
-            }],
-        });
+        // A rate of 0.001/s effectively never refills within the test.
+        let tenants = Tenants::new(&[quota("metered", 0.001, 3.0, 2)]).unwrap();
         let mut metered_ok = 0;
         let mut metered_shed = 0;
         for _ in 0..10 {
@@ -1398,26 +1378,130 @@ mod tests {
         assert_eq!(metered_ok, 3, "burst capacity admits exactly the bucket");
         assert_eq!(metered_shed, 7);
         for _ in 0..10 {
-            let (admitted, _) = tenants.admit(Some("open"));
-            assert!(admitted, "unlisted tenant with rate 0 is unlimited");
+            let (admitted, priority) = tenants.admit(Some("open"));
+            assert!(admitted, "an unlisted tenant is never metered");
+            assert_eq!(priority, 0);
         }
         let snapshot = tenants.snapshot();
-        let metered = snapshot.iter().find(|t| t.name == "metered").expect("row");
-        assert_eq!((metered.requests, metered.shed), (3, 7));
-        let open = snapshot.iter().find(|t| t.name == "open").expect("row");
-        assert_eq!((open.requests, open.shed), (10, 0));
+        assert_eq!(snapshot.len(), 1, "only the configured tenant has a row");
+        assert_eq!(
+            (
+                snapshot[0].name.as_str(),
+                snapshot[0].requests,
+                snapshot[0].shed
+            ),
+            ("metered", 3, 7)
+        );
     }
 
     #[test]
-    fn inert_policy_admits_without_touching_the_table() {
-        let tenants = Tenants::new(TenantPolicy::default());
-        let (admitted, _) = tenants.admit(None);
-        assert!(admitted);
-        assert!(tenants.snapshot().is_empty(), "fast path bypasses the map");
-        // A named tenant is still tracked even under the inert policy
-        // so stats can attribute traffic.
-        let (admitted, _) = tenants.admit(Some("named"));
-        assert!(admitted);
-        assert_eq!(tenants.snapshot().len(), 1);
+    fn unconfigured_tenant_names_add_no_rows() {
+        let empty = Tenants::new(&[]).unwrap();
+        assert_eq!(empty.admit(None), (true, 0));
+        for i in 0..1_000 {
+            assert_eq!(empty.admit(Some(&format!("client-{i}"))), (true, 0));
+        }
+        assert!(empty.snapshot().is_empty(), "no quota, no rows");
+
+        let configured = Tenants::new(&[quota("metered", 0.0, 0.0, 3)]).unwrap();
+        assert_eq!(configured.admit(Some("stranger")), (true, 0));
+        assert_eq!(configured.admit(None), (true, 0));
+        assert_eq!(configured.admit(Some("metered")), (true, 3));
+        let names: Vec<String> = configured.snapshot().into_iter().map(|t| t.name).collect();
+        assert_eq!(names, ["metered"], "an unlisted name gets no row");
+    }
+
+    /// A connection whose replies arrive on the returned client
+    /// socket.
+    fn test_conn(shared: &Shared) -> (Arc<Conn>, BufReader<TcpStream>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (server_side, _peer) = listener.accept().expect("accept");
+        server_side.set_nonblocking(true).expect("nonblocking");
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        let waker = Arc::clone(&shared.shards[0].waker);
+        (
+            Arc::new(Conn::new(server_side, 0, waker)),
+            BufReader::new(client),
+        )
+    }
+
+    fn job(conn: &Arc<Conn>, seq: u64, priority: u8) -> Job {
+        Job {
+            conn: Arc::clone(conn),
+            seq,
+            req: crate::chaos::probe_request(),
+            priority,
+            enqueued_at: Instant::now(),
+        }
+    }
+
+    /// The queue as `(connection, seq, priority)`, connections named
+    /// by their index in `conns`.
+    fn queued(shared: &Shared, conns: &[&Arc<Conn>]) -> Vec<(usize, u64, u8)> {
+        shared
+            .lock_queue()
+            .iter()
+            .map(|job| {
+                let conn = conns
+                    .iter()
+                    .position(|c| Arc::ptr_eq(c, &job.conn))
+                    .expect("known connection");
+                (conn, job.seq, job.priority)
+            })
+            .collect()
+    }
+
+    fn read_line(client: &mut BufReader<TcpStream>) -> String {
+        let mut line = String::new();
+        client.read_line(&mut line).expect("reply line");
+        line.trim_end().to_owned()
+    }
+
+    #[test]
+    fn higher_priority_request_evicts_the_lowest_priority_queued_one() {
+        let shared = Shared::new(&ServeConfig {
+            queue_cap: 2,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let (a, mut a_client) = test_conn(&shared);
+        let (b, _b_client) = test_conn(&shared);
+        enqueue_request(&shared, job(&a, 0, 1));
+        enqueue_request(&shared, job(&a, 1, 0));
+        enqueue_request(&shared, job(&b, 0, 2));
+        assert_eq!(
+            queued(&shared, &[&a, &b]),
+            [(0, 0, 1), (1, 0, 2)],
+            "the priority-0 request made room"
+        );
+        // The evictee's shed line waits in its own slot, behind the
+        // still-queued seq 0, and releases right after it.
+        assert!(a.writer.lock().out.is_empty());
+        a.submit(0, "first".to_owned(), false, false);
+        assert_eq!(read_line(&mut a_client), "first");
+        assert_eq!(read_line(&mut a_client), protocol::render_overloaded());
+        assert_eq!(a.inflight.load(Ordering::SeqCst), 1, "seq 1 retired");
+    }
+
+    #[test]
+    fn equal_priorities_never_preempt() {
+        let shared = Shared::new(&ServeConfig {
+            queue_cap: 2,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let (a, _a_client) = test_conn(&shared);
+        let (c, mut c_client) = test_conn(&shared);
+        enqueue_request(&shared, job(&a, 0, 1));
+        enqueue_request(&shared, job(&a, 1, 1));
+        enqueue_request(&shared, job(&c, 0, 1));
+        enqueue_request(&shared, job(&c, 1, 0));
+        assert_eq!(queued(&shared, &[&a, &c]), [(0, 0, 1), (0, 1, 1)]);
+        assert_eq!(read_line(&mut c_client), protocol::render_overloaded());
+        assert_eq!(read_line(&mut c_client), protocol::render_overloaded());
+        assert_eq!(c.inflight.load(Ordering::SeqCst), 0, "both sheds retired");
     }
 }

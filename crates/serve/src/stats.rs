@@ -3,7 +3,7 @@
 //!
 //! Built server-side by [`gather`] from the global metrics registry,
 //! the windowed [`SnapshotRing`](dut_obs::window::SnapshotRing), and
-//! the configured [`SloConfig`]; parsed client-side by
+//! the SLO targets in [`dut_obs::slo`]; parsed client-side by
 //! [`Stats::parse`] (the `dut top` dashboard and the loadgen's
 //! `--stats-check` both consume it). All numbers cross the wire
 //! through shortest-round-trip `f64` formatting, so a parsed reply
@@ -11,7 +11,7 @@
 
 use dut_obs::json::{self, Json};
 use dut_obs::metrics::{Counter, Gauge, HistogramId, Snapshot};
-use dut_obs::slo::{self, SloConfig};
+use dut_obs::slo;
 
 /// Short burn-rate / quantile window: the "still happening" signal.
 pub const SHORT_WINDOW_MICROS: u64 = 10 * 1_000_000;
@@ -108,12 +108,14 @@ pub struct Stats {
     pub shed_burn_short: f64,
     /// Shed-budget burn over the long window.
     pub shed_burn_long: f64,
-    /// Configured p99 latency target, microseconds.
+    /// The p99 latency target, microseconds
+    /// ([`slo::P99_TARGET_MICROS`]).
     pub p99_target_micros: u64,
-    /// Configured shed-rate budget.
+    /// The shed-rate budget ([`slo::MAX_SHED_RATE`]).
     pub max_shed_rate: f64,
-    /// Per-tenant admission rows (empty when tenancy is unused; the
-    /// wire object is omitted entirely in that case).
+    /// One admission row per configured tenant quota (empty when no
+    /// quota is configured; the wire object is omitted entirely in
+    /// that case).
     pub tenants: Vec<TenantStat>,
 }
 
@@ -125,14 +127,14 @@ fn hist_quantile(delta: &Snapshot, id: HistogramId, p: f64) -> f64 {
 /// ring. Ticks the ring first so an idle server still rolls its
 /// epochs forward (otherwise windows would only advance under load).
 #[must_use]
-pub fn gather(cached_testers: u64, slo_config: &SloConfig) -> Stats {
+pub fn gather(cached_testers: u64) -> Stats {
     let registry = dut_obs::metrics::global();
     let now = dut_obs::global().now_micros();
     let ring = dut_obs::window::global();
     ring.maybe_capture(registry, now);
     let short = ring.window(registry, now, SHORT_WINDOW_MICROS);
     let long = ring.window(registry, now, LONG_WINDOW_MICROS);
-    let status = slo::evaluate(&short.delta, &long.delta, slo_config);
+    let status = slo::evaluate(&short.delta, &long.delta);
     let hits = short.delta.counter(Counter::ServeCacheHits);
     let misses = short.delta.counter(Counter::ServeCacheMisses);
     #[allow(clippy::cast_precision_loss)]
@@ -176,8 +178,8 @@ pub fn gather(cached_testers: u64, slo_config: &SloConfig) -> Stats {
         latency_burn_long: status.long.latency_burn,
         shed_burn_short: status.short.shed_burn,
         shed_burn_long: status.long.shed_burn,
-        p99_target_micros: slo_config.p99_target_micros,
-        max_shed_rate: slo_config.max_shed_rate,
+        p99_target_micros: slo::P99_TARGET_MICROS,
+        max_shed_rate: slo::MAX_SHED_RATE,
         // The tenant table lives in the server, not the registry; the
         // caller attaches its snapshot.
         tenants: Vec::new(),
@@ -468,7 +470,7 @@ mod tests {
     fn gather_reads_the_global_registry() {
         let registry = dut_obs::metrics::global();
         registry.incr(Counter::ServeRequests);
-        let stats = gather(2, &SloConfig::default());
+        let stats = gather(2);
         assert!(stats.requests >= 1);
         assert_eq!(stats.cached_testers, 2);
         assert_eq!(stats.p99_target_micros, 250_000);

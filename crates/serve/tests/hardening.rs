@@ -240,10 +240,7 @@ fn chaos_mix_does_not_take_down_the_server() {
     let report = chaos::run(&ChaosConfig {
         addr: handle.local_addr().to_string(),
         duration: Duration::from_millis(800),
-        lanes: 3,
-        rate: 0.3,
         seed: 1,
-        hold: Duration::from_millis(750),
     })
     .expect("chaos runs");
     assert!(

@@ -310,7 +310,7 @@ fn tenant_quota_sheds_only_the_over_quota_tenant() {
         queue_cap: 64,
         ..ServeConfig::default()
     };
-    config.tenancy.quotas.push(TenantQuota {
+    config.tenancy.push(TenantQuota {
         name: "metered".to_owned(),
         rate: 0.001,
         burst: 3.0,
@@ -385,6 +385,69 @@ fn tenant_quota_sheds_only_the_over_quota_tenant() {
     drop(metered_reader);
     drop(free_writer);
     drop(free_reader);
+    send_shutdown(&addr);
+    handle.join();
+}
+
+/// Sends 1,000 requests, each naming a tenant of its own, and returns
+/// the stats reply that follows them on the same connection.
+fn stats_after_distinct_tenants(addr: std::net::SocketAddr) -> String {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    // Windows of 50 keep the pipeline under the queue cap.
+    for window in 0..20u64 {
+        for i in 0..50 {
+            let id = window * 50 + i;
+            let wire = render_request_tenant(&request(id, 900 + id), &format!("client-{id}"));
+            writeln!(writer, "{wire}").expect("send");
+        }
+        for _ in 0..50 {
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("reply");
+            assert!(
+                matches!(ReplyLine::parse(line.trim()), Ok(ReplyLine::Reply(_))),
+                "an unconfigured tenant is never shed: {line}"
+            );
+        }
+    }
+    writeln!(writer, "{{\"cmd\":\"stats\"}}").expect("stats send");
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("stats reply");
+    line
+}
+
+/// The tenant table holds only configured tenants: client-chosen
+/// names neither grow it nor the stats reply.
+#[test]
+fn unconfigured_tenant_names_add_no_stats_rows() {
+    let handle = start_server(2, 64);
+    let addr = handle.local_addr();
+    let line = stats_after_distinct_tenants(addr);
+    assert!(!line.contains("\"tenants\""), "no quota, no rows: {line}");
+    assert!(Stats::parse(line.trim()).expect("stats").tenants.is_empty());
+    send_shutdown(&addr);
+    handle.join();
+
+    let mut config = ServeConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        workers: 2,
+        ..ServeConfig::default()
+    };
+    config.tenancy.push(TenantQuota {
+        name: "metered".to_owned(),
+        rate: 0.0,
+        burst: 0.0,
+        priority: 1,
+    });
+    let handle = server::start(&config).expect("server starts");
+    let addr = handle.local_addr();
+    let stats = Stats::parse(stats_after_distinct_tenants(addr).trim()).expect("stats");
+    let names: Vec<&str> = stats.tenants.iter().map(|t| t.name.as_str()).collect();
+    assert_eq!(names, ["metered"], "an unlisted name gets no row");
     send_shutdown(&addr);
     handle.join();
 }

@@ -37,8 +37,6 @@ pub struct SequentialOutcome {
     pub verdict: Verdict,
     /// Samples actually consumed.
     pub samples_used: usize,
-    /// The final log-likelihood ratio.
-    pub log_likelihood_ratio: f64,
     /// Whether a boundary was hit (false = budget exhausted).
     pub stopped_early: bool,
 }
@@ -116,7 +114,6 @@ impl SequentialUniformityTester {
                 return SequentialOutcome {
                     verdict: Verdict::Reject,
                     samples_used: 2 * pairs,
-                    log_likelihood_ratio: llr,
                     stopped_early: true,
                 };
             }
@@ -124,7 +121,6 @@ impl SequentialUniformityTester {
                 return SequentialOutcome {
                     verdict: Verdict::Accept,
                     samples_used: 2 * pairs,
-                    log_likelihood_ratio: llr,
                     stopped_early: true,
                 };
             }
@@ -132,7 +128,6 @@ impl SequentialUniformityTester {
         SequentialOutcome {
             verdict: Verdict::from_accept_bit(llr < 0.0),
             samples_used: 2 * pairs,
-            log_likelihood_ratio: llr,
             stopped_early: false,
         }
     }

@@ -70,6 +70,11 @@ impl BalancedThresholdTester {
         dut_stats::convert::ceil_to_usize(q).max(2)
     }
 
+    /// The Monte-Carlo budget that the `dut-core` facade (behind
+    /// `dut test` and the served testers) and E1–E3 pass to
+    /// [`Self::prepare`].
+    pub const CALIBRATION_TRIALS: usize = 800;
+
     /// Calibrates the referee threshold for `q` samples per node by
     /// simulating `calibration_trials` single nodes under the uniform
     /// distribution.

@@ -98,8 +98,10 @@ serve USAGE:
         each worker answers one request at a time, and requests for
         one configuration share its prepared tester through the
         single-flight cache (a request that finds the build in flight
-        waits for it and counts as coalesced); --tenant (repeatable)
-        adds a per-tenant token-bucket quota with a shed priority;
+        waits for it and counts as coalesced); --tenant (repeatable,
+        names distinct) adds a per-tenant token-bucket quota with a
+        shed priority, and stats rows list only those tenants (a
+        request without a tenant field counts as `default`);
         hardening: connections with no completed line for
         --idle-timeout are reaped (default 30s), lines past
         --max-line-bytes get {\"error\":\"line_too_long\"} then close,
@@ -520,7 +522,7 @@ fn cmd_serve(mut args: Args) -> Result<(), String> {
         config.error_budget = budget;
     }
     for spec in args.values("--tenant")? {
-        config.tenancy.quotas.push(parse_tenant_quota(&spec)?);
+        config.tenancy.push(parse_tenant_quota(&spec)?);
     }
     args.finish(0)?;
     let handle = dut_serve::server::start(&config)?;
@@ -836,22 +838,17 @@ fn cmd_fuzz(mut args: Args) -> Result<(), String> {
         Some("chaos") => {
             let report = match addr {
                 // An external server keeps its own idle timeout; the
-                // mix holds idle clients for the default `hold`.
+                // mix holds idle clients for `chaos::HOLD`.
                 Some(addr) => {
                     println!("fuzz: attacking {addr}");
                     dut_serve::chaos::run(&dut_serve::chaos::ChaosConfig {
                         addr,
                         duration,
-                        lanes: 3,
-                        rate: 0.3,
                         seed,
-                        ..dut_serve::chaos::ChaosConfig::default()
                     })
                 }
                 None => dut_fuzz::chaos_plane::run(&dut_fuzz::chaos_plane::ChaosPlaneConfig {
                     duration,
-                    lanes: 3,
-                    rate: 0.3,
                     seed,
                 }),
             }?;

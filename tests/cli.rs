@@ -396,6 +396,62 @@ fn served_replies_match_offline_across_processes() {
 }
 
 #[test]
+fn serve_rejects_a_tenant_named_twice() {
+    let (ok, err) = run_dut(&[
+        "serve",
+        "--addr",
+        "127.0.0.1:0",
+        "--tenant",
+        "a:1:1:0",
+        "--tenant",
+        "a:2:2:0",
+    ]);
+    assert!(!ok, "a repeated --tenant name must fail");
+    assert!(err.contains("`a`"), "the error names the tenant: {err}");
+}
+
+/// `--tenant default:…` meters the requests that carry no tenant
+/// field, and the stats reply lists that one configured row.
+#[test]
+fn default_tenant_quota_meters_requests_without_a_tenant_field() {
+    use dut_serve::protocol::{render_request, ReplyLine};
+    use dut_serve::stats::Stats;
+    use std::io::{BufRead, Write};
+    let server = Server::start(&["--tenant", "default:0.001:2:0"]);
+    let stream = std::net::TcpStream::connect(&server.addr).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("timeout");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = std::io::BufReader::new(stream);
+    let mut replies = Vec::new();
+    for _ in 0..4 {
+        let wire = render_request(&dut_serve::chaos::probe_request());
+        writeln!(writer, "{wire}").expect("send");
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("reply");
+        replies.push(match ReplyLine::parse(line.trim()) {
+            Ok(ReplyLine::Reply(_)) => "served",
+            Ok(ReplyLine::Overloaded) if line.contains("\"scope\":\"tenant\"") => "shed",
+            other => panic!("unexpected reply: {other:?}"),
+        });
+    }
+    writeln!(writer, "{{\"cmd\":\"stats\"}}").expect("stats send");
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("stats reply");
+    drop((writer, reader));
+    server.stop();
+    assert_eq!(replies, ["served", "served", "shed", "shed"]);
+    let stats = Stats::parse(line.trim()).expect("stats");
+    let rows: Vec<(&str, u64, u64)> = stats
+        .tenants
+        .iter()
+        .map(|t| (t.name.as_str(), t.requests, t.shed))
+        .collect();
+    assert_eq!(rows, [("default", 2, 2)]);
+}
+
+#[test]
 fn fuzz_chaos_plane_attacks_an_external_server() {
     let server = Server::start(&["--idle-timeout", "0.15"]);
     let addr = server.addr.clone();
