@@ -90,17 +90,24 @@ fn bench_statistics(c: &mut Criterion) {
 /// One collision node at E1's shapes (n = 4096, the ε = 0.5 far
 /// instance): the fused `collision_count`, which tallies each draw as it
 /// is made, against drawing a sample vector and counting it. Times are
-/// per node; divide by `q` for ns per draw.
+/// per node; divide by `q` for ns per draw. `fused_uniform` is the fused
+/// kernel on the uniform side of every q* probe, whose alias table is
+/// the identity and is not stored.
 fn bench_collision_node(c: &mut Criterion) {
     let mut group = c.benchmark_group("collision_node");
     fast(&mut group);
     let far = families::two_level(1 << 12, 0.5)
         .expect("valid two_level")
         .alias_sampler();
+    let uniform = families::uniform(1 << 12).alias_sampler();
     for &q in &[40usize, 130, 775] {
         group.bench_with_input(BenchmarkId::new("fused", q), &q, |b, &q| {
             let mut rng = rand::rngs::StdRng::seed_from_u64(4);
             b.iter(|| black_box(far.collision_count(q, &mut rng)));
+        });
+        group.bench_with_input(BenchmarkId::new("fused_uniform", q), &q, |b, &q| {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(4);
+            b.iter(|| black_box(uniform.collision_count(q, &mut rng)));
         });
         group.bench_with_input(BenchmarkId::new("sample_many", q), &q, |b, &q| {
             let mut rng = rand::rngs::StdRng::seed_from_u64(4);

@@ -5,8 +5,10 @@
 //! * [`AliasSampler`] — Vose's alias method: O(n) construction, O(1) per
 //!   sample. This is what the protocol simulations use, since they draw
 //!   millions of samples from a fixed distribution. Its table packs each
-//!   column's `(keep, alias)` pair into one entry, and a draw picks the
-//!   column or its alias with a conditional move rather than a branch.
+//!   column's `(threshold, alias)` pair into one entry, and a draw picks
+//!   the column or its alias with an integer compare and a conditional
+//!   move rather than a branch. A table whose every column keeps itself
+//!   (any `uniform(n)`) is not stored at all: its draws do no lookup.
 //! * [`CdfSampler`] — inverse-CDF with binary search: O(n) construction,
 //!   O(log n) per sample. Used as an independently-implemented oracle in
 //!   tests to cross-check the alias method.
@@ -50,21 +52,31 @@ pub trait Sampler {
 
 /// Vose's alias method: constant-time sampling from a discrete distribution.
 ///
-/// The table holds one `(keep, alias)` pair per column, so a draw reads a
-/// single entry: it picks a column `i` uniformly, draws `u` in `[0, 1)`,
-/// and returns `i` if `u < keep` and `alias` otherwise.
+/// A draw picks a column `i` uniformly with `random_range(0..n)`, then
+/// takes one more word `w` and returns `i` if `u < keep` and `alias`
+/// otherwise, where `u = (w >> 11) · 2⁻⁵³` is the `[0, 1)` double that
+/// `random::<f64>()` makes of `w`. Since `u` is a multiple of 2⁻⁵³, the
+/// draw compares integers instead: the table stores each column's
+/// threshold `T = ⌈keep · 2⁵³⌉`, and `u < keep` exactly when
+/// `w >> 11 < T`. A column that always keeps itself has `T = 2⁵³`.
+///
+/// When every scaled probability `p · n` falls on the same side of 1, as
+/// it does for every `uniform(n)`, Vose's pairing loop never runs and
+/// every column keeps itself. Then there is no table: a draw takes its
+/// column and discards the second word without a lookup or a compare.
 ///
 /// The choice goes through [`std::hint::select_unpredictable`], not an
 /// `if`. On a far instance such as `two_level(n, ε)` half the columns have
 /// `keep < 1`, so the outcome is a coin flip and a branch mispredicts on
 /// about every other draw; the hint makes LLVM emit a conditional move
 /// instead (a plain `if`, or a hand-written mask select, compiles back to
-/// a branch). The two random calls and the `u < keep` compare fix the
-/// output stream, which every q*, result CSV and fuzz corpus entry
-/// depends on; `tests/properties.rs` pins it with golden checksums.
+/// a branch). The two random words per draw and the `u < keep` outcome
+/// fix the output stream, which every q*, result CSV and fuzz corpus
+/// entry depends on; `tests/properties.rs` pins it with golden checksums.
 ///
 /// [`Sampler::collision_count`] runs this draw, inlined, in a loop that
-/// tallies each sample as it is drawn.
+/// tallies each sample as it is drawn; the table's shape is resolved once
+/// per call, not per draw.
 ///
 /// # Example
 ///
@@ -80,8 +92,30 @@ pub trait Sampler {
 /// ```
 #[derive(Debug, Clone)]
 pub struct AliasSampler {
-    /// Column `i` keeps `i` with probability `keep`, else yields `alias`.
-    table: Vec<(f64, usize)>,
+    /// Number of columns.
+    n: usize,
+    /// Column `i` keeps `i` when `w >> 11 < threshold`, else yields
+    /// `alias`. Empty when every column keeps itself.
+    table: Vec<(u64, usize)>,
+}
+
+/// The threshold of a column that always keeps itself: every `w >> 11`
+/// is below 2⁵³.
+const ALWAYS_KEEP: u64 = 1 << 53;
+
+/// `⌈keep · 2⁵³⌉`, the number of 53-bit draws `m` with `m · 2⁻⁵³ < keep`;
+/// 0 for `keep ≤ 0`.
+///
+/// Scaling by 2⁵³ is exact, and below 2⁵³ so is the round trip through
+/// an integer, so a product with a fractional part is exactly one whose
+/// truncation converts back below it. No libm call, and `i64` rather
+/// than `u64` because x86-64 converts signed integers in one instruction.
+#[inline]
+#[allow(clippy::cast_possible_truncation)] // |truncated| ≤ 2⁵³ for |keep| ≤ 1
+fn threshold(keep: f64) -> u64 {
+    let scaled = keep * ALWAYS_KEEP as f64;
+    let truncated = scaled as i64;
+    u64::try_from(truncated + i64::from((truncated as f64) < scaled)).unwrap_or(0)
 }
 
 impl AliasSampler {
@@ -89,7 +123,15 @@ impl AliasSampler {
     #[must_use]
     pub fn new(dist: &DenseDistribution) -> Self {
         let n = dist.support_size();
-        let mut table = vec![(0.0f64, 0usize); n];
+        // When every scaled probability falls on one side of 1, the pairing
+        // loop below would not run: every column keeps itself.
+        let small_column = |p: &f64| (p * n as f64) < 1.0;
+        if dist.probs().iter().all(small_column) || !dist.probs().iter().any(small_column) {
+            return Self {
+                n,
+                table: Vec::new(),
+            };
+        }
         // Scaled probabilities: mean 1.
         let mut scaled: Vec<f64> = dist.probs().iter().map(|p| p * n as f64).collect();
         let mut small: Vec<usize> = Vec::with_capacity(n);
@@ -101,10 +143,11 @@ impl AliasSampler {
                 large.push(i);
             }
         }
+        let mut table = vec![(0u64, 0usize); n];
         while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
             small.pop();
             large.pop();
-            table[s] = (scaled[s], l);
+            table[s] = (threshold(scaled[s]), l);
             scaled[l] = (scaled[l] + scaled[s]) - 1.0;
             if scaled[l] < 1.0 {
                 small.push(l);
@@ -114,26 +157,65 @@ impl AliasSampler {
         }
         // Whatever is left is numerically 1.
         for &i in large.iter().chain(small.iter()) {
-            table[i] = (1.0, i);
+            table[i] = (ALWAYS_KEEP, i);
         }
-        Self { table }
+        Self { n, table }
     }
 }
 
 impl Sampler for AliasSampler {
     #[inline]
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let i = rng.random_range(0..self.table.len());
-        let (keep, alias) = self.table[i];
-        std::hint::select_unpredictable(rng.random::<f64>() < keep, i, alias)
+        if self.table.is_empty() {
+            Identity(self.n).sample(rng)
+        } else {
+            Paired(&self.table).sample(rng)
+        }
     }
 
     fn support_size(&self) -> usize {
-        self.table.len()
+        self.n
     }
 
     fn collision_count<R: Rng + ?Sized>(&self, q: usize, rng: &mut R) -> u64 {
-        collision_count_drawn(self, q, rng)
+        if self.table.is_empty() {
+            collision_count_drawn(&Identity(self.n), q, rng)
+        } else {
+            collision_count_drawn(&Paired(&self.table), q, rng)
+        }
+    }
+}
+
+/// The draw of an alias table whose every column keeps itself.
+struct Identity(usize);
+
+impl Sampler for Identity {
+    #[inline]
+    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+        let i = rng.random_range(0..self.0);
+        // The keep word: spent, so the stream matches a stored table's.
+        rng.next_u64();
+        i
+    }
+
+    fn support_size(&self) -> usize {
+        self.0
+    }
+}
+
+/// The draw of an alias table with paired columns.
+struct Paired<'a>(&'a [(u64, usize)]);
+
+impl Sampler for Paired<'_> {
+    #[inline]
+    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+        let i = rng.random_range(0..self.0.len());
+        let (threshold, alias) = self.0[i];
+        std::hint::select_unpredictable((rng.next_u64() >> 11) < threshold, i, alias)
+    }
+
+    fn support_size(&self) -> usize {
+        self.0.len()
     }
 }
 
@@ -334,6 +416,59 @@ mod tests {
         }
     }
 
+    /// Vose's construction with `f64` keeps, as [`AliasSampler::new`]
+    /// pairs columns before it converts each keep to a threshold.
+    fn reference_table(dist: &DenseDistribution) -> (Vec<f64>, Vec<usize>) {
+        let n = dist.support_size();
+        let mut prob = vec![0.0; n];
+        let mut alias = vec![0; n];
+        let mut scaled: Vec<f64> = dist.probs().iter().map(|p| p * n as f64).collect();
+        let (mut small, mut large): (Vec<usize>, Vec<usize>) =
+            (0..n).partition(|&i| scaled[i] < 1.0);
+        while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
+            small.pop();
+            large.pop();
+            (prob[s], alias[s]) = (scaled[s], l);
+            scaled[l] = (scaled[l] + scaled[s]) - 1.0;
+            if scaled[l] < 1.0 {
+                small.push(l);
+            } else {
+                large.push(l);
+            }
+        }
+        for i in large.into_iter().chain(small) {
+            (prob[i], alias[i]) = (1.0, i);
+        }
+        (prob, alias)
+    }
+
+    /// A sampler over a hand-built `(keep, alias)` table, each keep
+    /// converted by [`threshold`] as [`AliasSampler::new`] converts it.
+    fn from_keeps(columns: &[(f64, usize)]) -> AliasSampler {
+        AliasSampler {
+            n: columns.len(),
+            table: columns
+                .iter()
+                .map(|&(keep, alias)| (threshold(keep), alias))
+                .collect(),
+        }
+    }
+
+    /// Asserts that `sampler` and the float reference over `(prob, alias)`
+    /// draw the same 2,000 values and end in the same generator state.
+    fn assert_matches_reference(sampler: &AliasSampler, prob: &[f64], alias: &[usize], seed: u64) {
+        let mut sampler_rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut reference_rng = sampler_rng.clone();
+        for draw in 0..2_000 {
+            assert_eq!(
+                sampler.sample(&mut sampler_rng),
+                reference_draw(prob, alias, &mut reference_rng),
+                "seed {seed}, draw {draw}"
+            );
+        }
+        assert_eq!(sampler_rng, reference_rng, "seed {seed}: streams diverged");
+    }
+
     /// The keep values at the edges of the `u < keep` compare: never keep,
     /// always keep, and the largest double below 1.
     const EDGE_KEEPS: [f64; 3] = [0.0, 1.0, 1.0 - f64::EPSILON / 2.0];
@@ -343,7 +478,7 @@ mod tests {
         for seed in 0..40u64 {
             let mut gen = rand::rngs::StdRng::seed_from_u64(seed);
             let n = gen.random_range(1..64usize);
-            let table: Vec<(f64, usize)> = (0..n)
+            let columns: Vec<(f64, usize)> = (0..n)
                 .map(|_| {
                     let keep = match gen.random_range(0..4u8) {
                         3 => gen.random::<f64>(),
@@ -352,20 +487,69 @@ mod tests {
                     (keep, gen.random_range(0..n))
                 })
                 .collect();
-            let prob: Vec<f64> = table.iter().map(|&(keep, _)| keep).collect();
-            let alias: Vec<usize> = table.iter().map(|&(_, alias)| alias).collect();
-            let sampler = AliasSampler { table };
-            let mut packed_rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x5eed);
-            let mut reference_rng = packed_rng.clone();
-            for draw in 0..2_000 {
-                assert_eq!(
-                    sampler.sample(&mut packed_rng),
-                    reference_draw(&prob, &alias, &mut reference_rng),
-                    "seed {seed}, draw {draw}"
-                );
-            }
-            assert_eq!(packed_rng, reference_rng, "seed {seed}: streams diverged");
+            let prob: Vec<f64> = columns.iter().map(|&(keep, _)| keep).collect();
+            let alias: Vec<usize> = columns.iter().map(|&(_, alias)| alias).collect();
+            assert_matches_reference(&from_keeps(&columns), &prob, &alias, seed ^ 0x5eed);
         }
+    }
+
+    #[test]
+    fn vose_tables_of_real_families_match_the_float_reference() {
+        let uniforms = (1..=64)
+            .chain([1000, 4095, 4096])
+            .map(DenseDistribution::uniform);
+        let others = [
+            crate::families::two_level(4096, 0.5).unwrap(),
+            crate::families::two_level(1000, 0.3).unwrap(),
+            crate::families::zipf(4096, 1.0).unwrap(),
+            crate::families::point_mass(64, 17).unwrap(),
+            crate::families::uniform_on_prefix(4096, 1000).unwrap(),
+        ];
+        // Zipf's tiny keeps are not multiples of 2⁻⁵³: their thresholds
+        // round up.
+        let (zipf_keeps, _) = reference_table(&others[2]);
+        assert!(zipf_keeps
+            .iter()
+            .any(|&keep| (keep * ALWAYS_KEEP as f64).fract() > 0.0));
+        for (seed, dist) in (0u64..).zip(uniforms.chain(others)) {
+            let (prob, alias) = reference_table(&dist);
+            let sampler = dist.alias_sampler();
+            // Exactly the tables whose every column keeps itself are elided.
+            let identity = prob
+                .iter()
+                .zip(&alias)
+                .enumerate()
+                .all(|(i, (&p, &a))| p >= 1.0 && a == i);
+            assert_eq!(sampler.table.is_empty(), identity, "seed {seed}");
+            assert_matches_reference(&sampler, &prob, &alias, seed);
+            // The fused kernel draws the same stream.
+            let mut fused_rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut drawn_rng = fused_rng.clone();
+            let drawn = sampler.sample_many(233, &mut drawn_rng);
+            assert_eq!(
+                sampler.collision_count(233, &mut fused_rng),
+                collision_count_of(&drawn),
+                "seed {seed}"
+            );
+            assert_eq!(fused_rng, drawn_rng, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn uniform_tables_are_not_stored() {
+        // Equal columns all fall on one side of 1: at n = 49 every
+        // `p · n` rounds below 1, elsewhere to exactly 1.
+        for n in (1..=64).chain([1000, 4095, 4096, 16384]) {
+            assert!(
+                DenseDistribution::uniform(n)
+                    .alias_sampler()
+                    .table
+                    .is_empty(),
+                "n {n}"
+            );
+        }
+        let far = crate::families::two_level(4096, 0.5).unwrap();
+        assert_eq!(far.alias_sampler().table.len(), 4096);
     }
 
     #[test]
@@ -373,9 +557,7 @@ mod tests {
         // Four columns, so `random_range(0..4)` maps word `j << 62` to
         // column `j`. Column 3 keeps with probability 1, and no `u < 1`
         // can reach its alias.
-        let sampler = AliasSampler {
-            table: vec![(EDGE_KEEPS[0], 2), (0.5, 3), (EDGE_KEEPS[2], 0), (1.0, 1)],
-        };
+        let sampler = from_keeps(&[(EDGE_KEEPS[0], 2), (0.5, 3), (EDGE_KEEPS[2], 0), (1.0, 1)]);
         let column = |j: usize| (j as u64) << 62;
         // `u = (w >> 11) · 2⁻⁵³`, so these words plant u = 0, 0.5 and
         // 1 − 2⁻⁵³ exactly: each equals its column's keep.
@@ -392,6 +574,38 @@ mod tests {
         for word in [0, 1 << 63, u64::MAX] {
             let mut rng = PlantedRng(vec![column(3), word], 0);
             assert_eq!(sampler.sample(&mut rng), 3);
+        }
+    }
+
+    #[test]
+    fn planted_words_either_side_of_the_threshold_match_the_float_compare() {
+        // Column 0 keeps with `keep`, else yields column 1, which always
+        // keeps itself; word 0 makes `random_range(0..2)` pick column 0.
+        assert_eq!(threshold(0.0), 0);
+        assert_eq!(threshold(-0.0), 0);
+        assert_eq!(threshold(1.0), ALWAYS_KEEP);
+        let keeps = [
+            0.3,
+            2f64.powi(-60),
+            f64::from_bits(3),
+            1.0 - f64::EPSILON / 2.0,
+        ];
+        for keep in keeps {
+            assert!(keep > 0.0 && keep < 1.0);
+            let t = threshold(keep);
+            let sampler = from_keeps(&[(keep, 1), (1.0, 1)]);
+            for (m, kept) in [(t - 1, true), (t, false)] {
+                let word = m << 11;
+                let mut rng = PlantedRng(vec![0, word], 0);
+                let mut reference_rng = PlantedRng(vec![0, word], 0);
+                let expected = usize::from(!kept);
+                assert_eq!(
+                    reference_draw(&[keep, 1.0], &[1, 1], &mut reference_rng),
+                    expected,
+                    "the float compare, keep {keep:e}, m {m}"
+                );
+                assert_eq!(sampler.sample(&mut rng), expected, "keep {keep:e}, m {m}");
+            }
         }
     }
 

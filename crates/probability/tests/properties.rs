@@ -355,10 +355,12 @@ fn alias_stream_checksum(dist: &DenseDistribution, count: usize) -> u64 {
 }
 
 /// The alias draw stream is part of the bit-identity contract: every q*,
-/// every `results/*.csv` and the fuzz corpus depend on it. These checksums
-/// were recorded from the two-array sampler (`prob`/`alias`) that predates
-/// the packed `(keep, alias)` table, so any change to which random calls a
-/// draw makes, or to the `u < keep` compare, fails here.
+/// every `results/*.csv` and the fuzz corpus depend on it. The two-level
+/// and `uniform(4096)` checksums were recorded from the two-array sampler
+/// (`prob`/`alias`) that predates the packed table; the Zipf and
+/// `uniform(1000)` ones from the packed table that still compared
+/// `u < keep` in `f64`. Any change to which random words a draw takes, or
+/// to which side of a keep a word falls, fails here.
 #[test]
 fn alias_draw_streams_match_golden_checksums() {
     let far = families::two_level(4096, 0.5).unwrap();
@@ -368,4 +370,24 @@ fn alias_draw_streams_match_golden_checksums() {
         alias_stream_checksum(&uniform, 10_000),
         0x851f_112b_abe0_9212
     );
+    let zipf = families::zipf(4096, 1.0).unwrap();
+    assert_eq!(alias_stream_checksum(&zipf, 10_000), 0xae1f_93a8_4ad8_ada0);
+    let uniform = families::uniform(1000);
+    assert_eq!(
+        alias_stream_checksum(&uniform, 10_000),
+        0x9e86_4c4f_968f_f094
+    );
+}
+
+/// The fused collision kernel draws the same stream: FNV-1a over 1,000
+/// collision counts of `uniform(4096)` at `q = 233`, one generator for all.
+/// Recorded from the sampler that compared `u < keep` in `f64`.
+#[test]
+fn alias_collision_stream_matches_golden_checksum() {
+    let sampler = families::uniform(4096).alias_sampler();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(20_190_729);
+    let checksum = (0..1_000).fold(0xcbf2_9ce4_8422_2325_u64, |h, _| {
+        (h ^ sampler.collision_count(233, &mut rng)).wrapping_mul(0x0100_0000_01b3)
+    });
+    assert_eq!(checksum, 0x3378_37dc_7a07_db18);
 }

@@ -350,7 +350,7 @@ fn tenant_quota_sheds_only_the_over_quota_tenant() {
         ["served", "served", "served", "shed", "shed", "shed"]
     );
 
-    // An unlisted tenant rides the unlimited default and never sheds.
+    // An unlisted tenant has no quota: it is not metered and never sheds.
     let free = TcpStream::connect(addr).expect("free connect");
     free.set_read_timeout(Some(Duration::from_secs(10)))
         .expect("timeout");
