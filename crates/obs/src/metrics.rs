@@ -93,6 +93,10 @@ pub enum Counter {
     /// instead of sweeping again at once. A saturated shard rarely
     /// parks; an idle one parks once per wake.
     ServeShardParks,
+    /// Cache hits `dut serve` answered on the shard thread that framed
+    /// them instead of queueing them for a worker: a subset of
+    /// `serve_cache_hits`.
+    ServeInline,
     /// Hostile client actions injected by `dut fuzz --plane chaos`
     /// (slowloris writes, half-open connects, mid-frame disconnects,
     /// reconnect storms, garbage frames, …).
@@ -100,7 +104,7 @@ pub enum Counter {
 }
 
 impl Counter {
-    const COUNT: usize = 31;
+    const COUNT: usize = 32;
 
     /// All counters, in slot order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -134,6 +138,7 @@ impl Counter {
         Counter::ServeTenantShed,
         Counter::ServeShardPasses,
         Counter::ServeShardParks,
+        Counter::ServeInline,
         Counter::ChaosInjected,
     ];
 
@@ -171,6 +176,7 @@ impl Counter {
             Counter::ServeTenantShed => "serve_tenant_shed",
             Counter::ServeShardPasses => "serve_shard_passes",
             Counter::ServeShardParks => "serve_shard_parks",
+            Counter::ServeInline => "serve_inline",
             Counter::ChaosInjected => "chaos_injected",
         }
     }
@@ -230,9 +236,11 @@ pub enum HistogramId {
     /// reply write).
     RequestMicros,
     /// Microseconds a *request* waited in the `dut serve` dispatch
-    /// queue between parse and worker pickup (the queue phase). Before
-    /// the request-level scheduler this recorded whole-connection
-    /// queueing, which inflated the p99 by the connection's lifetime.
+    /// queue between parse and worker pickup (the queue phase). Only
+    /// queued requests count: a cache hit answered inline on its shard
+    /// never queued and records nothing here. Before the request-level
+    /// scheduler this recorded whole-connection queueing, which
+    /// inflated the p99 by the connection's lifetime.
     QueueWaitMicros,
     /// Microseconds spent preparing (calibrating) a tester on a
     /// `dut serve` cache miss (the calibrate phase).

@@ -21,7 +21,10 @@
 //!   count how often single flight saved a build.
 //!
 //! This is the only place the server shares a prepared tester between
-//! requests: each request takes one lookup.
+//! requests: each request takes one lookup. A worker takes it through
+//! [`ShardedTesterCache::get_or_build`]; a shard answering a small
+//! hit inline takes it through [`ShardedTesterCache::get_ready`],
+//! which never inserts, builds or waits.
 //!
 //! Eviction is least-recently-used by a monotonic touch tick. Evicted
 //! entries stay alive for whoever still holds their `Arc`; builds
@@ -40,7 +43,7 @@ use std::sync::{Arc, OnceLock};
 /// are served, so the next request for the key retries the build —
 /// one bad calibration must not pin a configuration to failure for
 /// the key's whole cache lifetime.
-type BuildResult = Result<Arc<PreparedEntry>, BuildError>;
+pub(crate) type BuildResult = Result<Arc<PreparedEntry>, BuildError>;
 
 /// How one lookup was answered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,6 +173,24 @@ impl TesterCache {
         }
         (result, lookup)
     }
+
+    /// The finished build for `key`, if it is resident: a prepared
+    /// entry or a cached permanent error. One lock and one LRU touch.
+    /// An absent key, a build still in flight and a transient error
+    /// (about to be evicted for a retry) all return `None` and leave
+    /// the map as it was. A `Some` counts as a [`Lookup::Hit`].
+    pub fn get_ready(&self, key: &CacheKey) -> Option<BuildResult> {
+        let mut guard = self.state.lock();
+        let state = &mut *guard;
+        let slot = state.map.get_mut(key)?;
+        let result = slot.cell.once.get()?;
+        if matches!(result, Err(e) if e.transient) {
+            return None;
+        }
+        state.tick += 1;
+        slot.last_used = state.tick;
+        Some(result.clone())
+    }
 }
 
 /// N independent single-flight LRU shards behind one facade.
@@ -237,6 +258,11 @@ impl ShardedTesterCache {
         F: FnOnce(&CacheKey) -> BuildResult,
     {
         self.shard(key).get_or_build(key, build)
+    }
+
+    /// Peeks `key` on its shard; see [`TesterCache::get_ready`].
+    pub fn get_ready(&self, key: &CacheKey) -> Option<BuildResult> {
+        self.shard(key).get_ready(key)
     }
 }
 
@@ -338,6 +364,70 @@ mod tests {
             assert!(second_lookup.is_hit(), "a join counts as a hit");
         });
         assert_eq!(builds.load(std::sync::atomic::Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn get_ready_serves_finished_builds_and_never_inserts() {
+        let cache = TesterCache::new(4);
+        let good = key(64, 1);
+        let bad = key(0, 1);
+        assert!(cache.get_ready(&good).is_none());
+        assert!(cache.is_empty(), "a peek at an absent key inserts nothing");
+        let _ = cache.get_or_build(&good, build_entry);
+        let _ = cache.get_or_build(&bad, build_entry);
+        assert!(matches!(cache.get_ready(&good), Some(Ok(_))));
+        assert!(
+            matches!(cache.get_ready(&bad), Some(Err(e)) if !e.transient),
+            "a cached permanent error is a finished build"
+        );
+        // A transient error still resident (its evicting lookup has not
+        // taken the lock yet) is about to be retried, not served.
+        let flaky = key(64, 2);
+        let cell = Arc::new(EntryCell::default());
+        let _ = cell.once.set(Err(BuildError::transient("fell over")));
+        cache
+            .state
+            .lock()
+            .map
+            .insert(flaky, Slot { cell, last_used: 0 });
+        assert!(cache.get_ready(&flaky).is_none());
+    }
+
+    #[test]
+    fn get_ready_skips_a_build_in_flight() {
+        let cache = TesterCache::new(4);
+        let k = key(64, 7);
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let (cache, k) = (&cache, &k);
+        std::thread::scope(|scope| {
+            let build = scope.spawn(move || {
+                cache.get_or_build(k, |kk| {
+                    started_tx.send(()).expect("test is listening");
+                    release_rx.recv().expect("test releases the build");
+                    build_entry(kk)
+                })
+            });
+            started_rx.recv().expect("build started");
+            assert!(cache.get_ready(k).is_none(), "no waiting on a build");
+            release_tx.send(()).expect("build is waiting");
+            let (built, lookup) = build.join().expect("no panic");
+            assert!(built.is_ok());
+            assert_eq!(lookup, Lookup::Miss);
+        });
+        assert!(cache.get_ready(k).is_some());
+    }
+
+    #[test]
+    fn get_ready_touches_the_lru() {
+        let cache = TesterCache::new(2);
+        let (a, b, c) = (key(64, 1), key(64, 2), key(64, 3));
+        let _ = cache.get_or_build(&a, build_entry);
+        let _ = cache.get_or_build(&b, build_entry);
+        assert!(cache.get_ready(&a).is_some());
+        let _ = cache.get_or_build(&c, build_entry);
+        assert!(cache.get_ready(&b).is_none(), "b was the coldest");
+        assert!(cache.get_ready(&a).is_some(), "the peek kept a warm");
     }
 
     #[test]

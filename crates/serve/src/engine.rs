@@ -1,9 +1,11 @@
 //! Request evaluation: cache resolution, trial runs, reply assembly.
 //!
-//! Every request takes one path, [`Engine::handle_queued`]: one
-//! lookup in the single-flight tester cache (the only place requests
-//! share a prepared tester), its own trials, and its own service-time
-//! clock.
+//! Every request takes one lookup in the single-flight tester cache
+//! (the only place requests share a prepared tester), then its own
+//! trials and its own service-time clock. A worker looks up through
+//! [`Engine::handle_queued`], which builds on a miss; a shard answering
+//! a small cached hit inline looks up through [`Engine::handle_cached`],
+//! which never builds. Both finish in the same code.
 //!
 //! The engine is deliberately separable from the TCP server — the
 //! load generator instantiates a second engine locally and requires
@@ -23,7 +25,7 @@
 //! `derive_seed(request.seed, trial_index)` exactly as the offline
 //! runner derives it.
 
-use crate::cache::{Lookup, ShardedTesterCache};
+use crate::cache::{BuildResult, Lookup, ShardedTesterCache};
 use crate::protocol::{Family, Reply, Request};
 use dut_core::{PreparedUniformityTester, Rule, UniformityTester};
 use dut_obs::metrics::{Counter, HistogramId};
@@ -361,11 +363,8 @@ impl Engine {
     /// (`calibrate_micros` observed inside the build), a hit reuses it,
     /// and a hit that found the build still in flight for another
     /// request also ticks `serve_coalesced`, so
-    /// `hits + misses == requests` stays exact. The request records
-    /// its own service time in `request_micros` (and in the reply's
-    /// `micros`) and its trial time in `compute_micros`, gets a
-    /// process-unique `rid`, and ticks the windowed-metrics ring;
-    /// sampled traces carry its queue wait.
+    /// `hits + misses == requests` stays exact. Everything after the
+    /// lookup is shared with [`Engine::handle_cached`].
     ///
     /// Trials run with the request's own seed on a tester that is a
     /// pure function of its key, so the reply is bit-identical to
@@ -386,6 +385,49 @@ impl Engine {
             registry.observe(HistogramId::CalibrateMicros, calibrate_micros);
             built
         });
+        self.answer(
+            req,
+            entry,
+            lookup,
+            start,
+            queue_wait_micros,
+            calibrate_micros,
+        )
+    }
+
+    /// Answers a request whose key already has a finished build in
+    /// the cache (a prepared tester or a cached permanent error), or
+    /// returns `None` and leaves the cache as it was. This is the
+    /// shard's inline path: it never builds, never waits on a build
+    /// in flight, and never queued, so it observes no queue wait. It
+    /// counts as a cache hit and then ticks `serve_inline`, so
+    /// `inline <= hits`.
+    pub fn handle_cached(&self, req: &Request) -> Option<Result<Reply, String>> {
+        let start = Instant::now();
+        let entry = self.cache.get_ready(&CacheKey::of(req))?;
+        let answer = self.answer(req, entry, Lookup::Hit, start, 0, 0);
+        dut_obs::metrics::global().incr(Counter::ServeInline);
+        Some(answer)
+    }
+
+    /// Everything after the cache lookup, shared by the worker and
+    /// the inline path: the `requests`, hit/miss and coalesced
+    /// counters, the trials, the reply with its service time in
+    /// `request_micros` (and the reply's `micros`) and its trial time
+    /// in `compute_micros`, a process-unique `rid`, the
+    /// windowed-metrics tick, and the sampled `serve_trace` event with
+    /// the phases the lookup already spent. `start` is when the
+    /// request's service began, before its lookup.
+    fn answer(
+        &self,
+        req: &Request,
+        entry: BuildResult,
+        lookup: Lookup,
+        start: Instant,
+        queue_wait_micros: u64,
+        calibrate_micros: u64,
+    ) -> Result<Reply, String> {
+        let registry = dut_obs::metrics::global();
         let rid = self.next_rid.fetch_add(1, Ordering::Relaxed) + 1;
         registry.incr(Counter::ServeRequests);
         let cache_hit = lookup.is_hit();

@@ -482,6 +482,12 @@ pub fn check_consistency(pre: &Stats, post: &Stats, report: &LoadgenReport) -> V
             "cache lookups ({hits} hits + {misses} misses) != {served} requests served"
         ));
     }
+    let inline = post.inline.saturating_sub(pre.inline);
+    if inline > hits {
+        failures.push(format!(
+            "{inline} inline answers exceed the {hits} cache hits they are a subset of"
+        ));
+    }
     if post.shed.saturating_sub(pre.shed) < report.shed {
         failures.push(format!(
             "server counted {} sheds but loadgen received {} overloaded replies",
@@ -871,5 +877,15 @@ mod tests {
         };
         let failures = check_consistency(&pre, &bad_cache, &report);
         assert!(failures.iter().any(|f| f.contains("cache lookups")));
+        // Inline answers are cache hits: at most as many as the hits.
+        let inline = |n: u64| Stats {
+            inline: 5 + n,
+            ..post.clone()
+        };
+        let pre = Stats { inline: 5, ..pre };
+        assert!(check_consistency(&pre, &inline(74), &report).is_empty());
+        let failures = check_consistency(&pre, &inline(75), &report);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("75 inline"), "{failures:?}");
     }
 }

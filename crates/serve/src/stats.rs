@@ -56,6 +56,9 @@ pub struct Stats {
     pub cache_hits: u64,
     /// Cumulative tester-cache misses since boot.
     pub cache_misses: u64,
+    /// Cumulative cache hits answered on the shard thread that framed
+    /// them, never queued for a worker (a subset of `cache_hits`).
+    pub inline: u64,
     /// Cumulative malformed lines (unparseable or over the byte cap).
     pub malformed: u64,
     /// Cumulative connections reaped for idleness / slowloris drips.
@@ -154,6 +157,7 @@ pub fn gather(cached_testers: u64) -> Stats {
         tenant_shed: registry.counter(Counter::ServeTenantShed),
         cache_hits: registry.counter(Counter::ServeCacheHits),
         cache_misses: registry.counter(Counter::ServeCacheMisses),
+        inline: registry.counter(Counter::ServeInline),
         malformed: registry.counter(Counter::ServeMalformed),
         reaped: registry.counter(Counter::ServeReaped),
         error_budget_closed: registry.counter(Counter::ServeErrorBudget),
@@ -207,6 +211,7 @@ impl Stats {
             ("tenant_shed", self.tenant_shed.into()),
             ("cache_hits", self.cache_hits.into()),
             ("cache_misses", self.cache_misses.into()),
+            ("inline", self.inline.into()),
             ("malformed", self.malformed.into()),
             ("reaped", self.reaped.into()),
             ("error_budget_closed", self.error_budget_closed.into()),
@@ -294,6 +299,7 @@ impl Stats {
             tenant_shed: cumulative.get_u64("tenant_shed").unwrap_or_default(),
             cache_hits: cumulative.get_u64("cache_hits").unwrap_or_default(),
             cache_misses: cumulative.get_u64("cache_misses").unwrap_or_default(),
+            inline: cumulative.get_u64("inline").unwrap_or_default(),
             malformed: cumulative.get_u64("malformed").unwrap_or_default(),
             reaped: cumulative.get_u64("reaped").unwrap_or_default(),
             error_budget_closed: cumulative
@@ -343,6 +349,7 @@ mod tests {
             tenant_shed: 2,
             cache_hits: 950,
             cache_misses: 50,
+            inline: 900,
             malformed: 11,
             reaped: 2,
             error_budget_closed: 1,
@@ -425,7 +432,7 @@ mod tests {
         let mut stats = sample();
         assert_eq!(
             stats.render(),
-            r#"{"stats":{"uptime_us":12345678,"queue_depth":3,"connections":17,"cached_testers":4,"cumulative":{"requests":1000,"shed":7,"coalesced":120,"tenant_shed":2,"cache_hits":950,"cache_misses":50,"malformed":11,"reaped":2,"error_budget_closed":1,"backend_per_draw":40,"backend_histogram":960,"shard_passes":2150,"shard_parks":1990},"window":{"span_us":10000000,"req_per_sec":99.5,"shed_per_sec":0.25,"hit_ratio":0.95,"p50_us":210,"p95_us":480.5,"p99_us":1024,"queue_wait_p99_us":88,"calibrate_p99_us":45000,"compute_p99_us":333},"slo":{"healthy":false,"latency_breach":true,"shed_breach":false,"latency_burn_short":3.5,"latency_burn_long":2.5,"shed_burn_short":0.4,"shed_burn_long":0.1,"p99_target_us":250000,"max_shed_rate":0.05}}}"#
+            r#"{"stats":{"uptime_us":12345678,"queue_depth":3,"connections":17,"cached_testers":4,"cumulative":{"requests":1000,"shed":7,"coalesced":120,"tenant_shed":2,"cache_hits":950,"cache_misses":50,"inline":900,"malformed":11,"reaped":2,"error_budget_closed":1,"backend_per_draw":40,"backend_histogram":960,"shard_passes":2150,"shard_parks":1990},"window":{"span_us":10000000,"req_per_sec":99.5,"shed_per_sec":0.25,"hit_ratio":0.95,"p50_us":210,"p95_us":480.5,"p99_us":1024,"queue_wait_p99_us":88,"calibrate_p99_us":45000,"compute_p99_us":333},"slo":{"healthy":false,"latency_breach":true,"shed_breach":false,"latency_burn_short":3.5,"latency_burn_long":2.5,"shed_burn_short":0.4,"shed_burn_long":0.1,"p99_target_us":250000,"max_shed_rate":0.05}}}"#
         );
         stats.tenants = vec![
             TenantStat {
@@ -441,7 +448,7 @@ mod tests {
         ];
         assert_eq!(
             stats.render(),
-            r#"{"stats":{"uptime_us":12345678,"queue_depth":3,"connections":17,"cached_testers":4,"cumulative":{"requests":1000,"shed":7,"coalesced":120,"tenant_shed":2,"cache_hits":950,"cache_misses":50,"malformed":11,"reaped":2,"error_budget_closed":1,"backend_per_draw":40,"backend_histogram":960,"shard_passes":2150,"shard_parks":1990},"window":{"span_us":10000000,"req_per_sec":99.5,"shed_per_sec":0.25,"hit_ratio":0.95,"p50_us":210,"p95_us":480.5,"p99_us":1024,"queue_wait_p99_us":88,"calibrate_p99_us":45000,"compute_p99_us":333},"slo":{"healthy":false,"latency_breach":true,"shed_breach":false,"latency_burn_short":3.5,"latency_burn_long":2.5,"shed_burn_short":0.4,"shed_burn_long":0.1,"p99_target_us":250000,"max_shed_rate":0.05},"tenants":{"alpha":{"requests":40,"shed":0},"metered":{"requests":10,"shed":5}}}}"#
+            r#"{"stats":{"uptime_us":12345678,"queue_depth":3,"connections":17,"cached_testers":4,"cumulative":{"requests":1000,"shed":7,"coalesced":120,"tenant_shed":2,"cache_hits":950,"cache_misses":50,"inline":900,"malformed":11,"reaped":2,"error_budget_closed":1,"backend_per_draw":40,"backend_histogram":960,"shard_passes":2150,"shard_parks":1990},"window":{"span_us":10000000,"req_per_sec":99.5,"shed_per_sec":0.25,"hit_ratio":0.95,"p50_us":210,"p95_us":480.5,"p99_us":1024,"queue_wait_p99_us":88,"calibrate_p99_us":45000,"compute_p99_us":333},"slo":{"healthy":false,"latency_breach":true,"shed_breach":false,"latency_burn_short":3.5,"latency_burn_long":2.5,"shed_burn_short":0.4,"shed_burn_long":0.1,"p99_target_us":250000,"max_shed_rate":0.05},"tenants":{"alpha":{"requests":40,"shed":0},"metered":{"requests":10,"shed":5}}}}"#
         );
         use dut_obs::{Event, FlightRecorder, Sink as _};
         let flight = FlightRecorder::new(3);

@@ -100,10 +100,11 @@ pub fn render_frame(stats: &Stats, addr: &str) -> String {
     );
     let _ = writeln!(
         out,
-        "cache    hit ratio {:.1}%   testers resident {}   lifetime {} hits / {} misses",
+        "cache    hit ratio {:.1}%   testers resident {}   lifetime {} hits ({} inline) / {} misses",
         stats.hit_ratio * 100.0,
         stats.cached_testers,
         stats.cache_hits,
+        stats.inline,
         stats.cache_misses
     );
     let _ = writeln!(
@@ -208,6 +209,7 @@ mod tests {
             tenant_shed: 3,
             cache_hits: 950,
             cache_misses: 50,
+            inline: 900,
             malformed: 13,
             reaped: 2,
             error_budget_closed: 1,
@@ -257,6 +259,7 @@ mod tests {
         assert!(frame.contains("13 malformed"));
         assert!(frame.contains("serve    16 connections   120 coalesced   3 tenant-shed"));
         assert!(frame.contains("metered 200r/3s"));
+        assert!(frame.contains("lifetime 950 hits (900 inline) / 50 misses"));
         assert!(!frame.contains("backend"));
         assert_eq!(frame.lines().count(), 8);
     }

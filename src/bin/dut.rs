@@ -92,10 +92,12 @@ serve USAGE:
         metrics + SLO) and {\"cmd\":\"flight\"} (flight-recorder dump)
         [defaults: 127.0.0.1:7979, 4 workers, 2 shards, 32 cached
         testers in 8 cache shards, 64 queued requests, 1-in-64 trace
-        sampling]; --shards event loops park persistent connections
-        and dispatch complete request lines to the worker pool (queue
+        sampling]; --shards event loops park persistent connections,
+        answer a request themselves when its tester is already built
+        and it draws at most 1024 samples over all its trials, and
+        dispatch every other request line to the worker pool (queue
         depth and shed decisions count requests, not connections);
-        each worker answers one request at a time, and requests for
+        each worker answers one queued request at a time, and requests for
         one configuration share its prepared tester through the
         single-flight cache (a request that finds the build in flight
         waits for it and counts as coalesced); --tenant (repeatable,

@@ -162,6 +162,7 @@ fn stats_round_trip() {
             tenant_shed: u(),
             cache_hits: u(),
             cache_misses: u(),
+            inline: u(),
             malformed: u(),
             reaped: u(),
             error_budget_closed: u(),
