@@ -11,7 +11,7 @@
 //! diff, not for matching.
 
 use crate::findings::Finding;
-use dut_obs::json::{self, Json};
+use dut_obs::json::{self, Json, Value};
 
 /// Schema tag of the baseline file.
 pub const SCHEMA: &str = "dut-analyze-baseline/v1";
@@ -56,7 +56,7 @@ pub fn parse(text: &str) -> Result<Baseline, String> {
         ));
     }
     let mut entries = Vec::new();
-    for item in doc.get("findings").and_then(Json::as_arr).unwrap_or(&[]) {
+    for item in doc.get("findings").and_then(Value::as_arr).unwrap_or(&[]) {
         let text = |k: &str| item.get_str(k).unwrap_or("").to_owned();
         let id = text("id");
         if id.is_empty() {

@@ -390,23 +390,24 @@ fn f(shared: &S, registry: &R) {
 
     #[test]
     fn json_report_parses_back() {
-        use dut_obs::json::Json;
+        use dut_obs::json::Value;
         let report = lint_sources(&[(
             "crates/x/src/lib.rs",
             "fn f(o: Option<u8>) -> u8 { o.unwrap() }",
         )]);
-        let doc = dut_obs::json::parse(&render_report_json(&report)).expect("valid json");
+        let rendered = render_report_json(&report);
+        let doc = dut_obs::json::parse(&rendered).expect("valid json");
         assert_eq!(
-            doc.get("schema").and_then(Json::as_str),
+            doc.get("schema").and_then(Value::as_str),
             Some("dut-analyze-findings/v1")
         );
         let findings = doc
             .get("findings")
-            .and_then(Json::as_arr)
+            .and_then(Value::as_arr)
             .expect("findings");
         assert_eq!(findings.len(), 1);
         assert_eq!(
-            findings[0].get("rule").and_then(Json::as_str),
+            findings[0].get("rule").and_then(Value::as_str),
             Some("unwrap")
         );
     }

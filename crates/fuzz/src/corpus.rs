@@ -17,7 +17,7 @@
 //! identity.
 
 use crate::client;
-use dut_obs::json::{self, Json};
+use dut_obs::json::{self, Json, Value};
 use dut_serve::chaos::probe_request;
 use dut_serve::client::{check_served, Served};
 use dut_serve::engine::{self, Engine};
@@ -241,7 +241,7 @@ impl Entry {
             .get_str("plane")
             .and_then(Plane::parse)
             .ok_or("missing or unknown `plane` (protocol | differential)")?;
-        let name = doc.need("name", Json::as_str)?.to_owned();
+        let name = doc.need("name", Value::as_str)?.to_owned();
         let expect = doc
             .get_str("expect")
             .and_then(Expect::parse)

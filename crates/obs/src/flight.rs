@@ -127,7 +127,7 @@ pub fn global() -> &'static Arc<FlightRecorder> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
+    use crate::json::{self, Value};
 
     #[test]
     fn ring_keeps_newest_events() {
@@ -174,10 +174,10 @@ mod tests {
         let line = dump.to_json_line();
         let parsed = json::parse(&line).unwrap();
         let events = parsed.get("events").unwrap();
-        let Json::Arr(items) = events else {
+        let Value::Arr(items) = events else {
             panic!("expected embedded array");
         };
-        assert_eq!(items[0].get("event").and_then(Json::as_str), Some("real"));
+        assert_eq!(items[0].get("event").and_then(Value::as_str), Some("real"));
     }
 
     #[test]

@@ -7,18 +7,19 @@
 //! by [`write()`] (or [`write_pretty`]), and read back by [`parse`], a
 //! recursive-descent parser that accepts objects, arrays, strings,
 //! finite numbers, bools and null and rejects anything malformed with
-//! a positioned error.
+//! a positioned error. A parsed document is a [`Value`] that borrows
+//! every string and key without an escape from its input, so reading a
+//! request line allocates little beyond its containers.
 
 use std::borrow::Cow;
 use std::fmt::Write as _;
 
-/// An object key or string value: static names borrow, so building a
-/// reply from field names allocates nothing for them; parsed text owns.
-pub type Text = Cow<'static, str>;
-
-/// A JSON value.
+/// A JSON value. Strings and object keys are `Cow<'a, str>`: a parsed
+/// document borrows them from its input (an escaped string owns its
+/// decoded text), and a built one borrows its static field names, so
+/// building a reply allocates nothing for them.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Json {
+pub enum Value<'a> {
     /// `null`
     Null,
     /// `true` / `false`
@@ -33,14 +34,18 @@ pub enum Json {
     /// 2^53). Non-finite values are written as `null`.
     Num(f64),
     /// A string.
-    Str(Text),
+    Str(Cow<'a, str>),
     /// An array.
-    Arr(Vec<Json>),
+    Arr(Vec<Value<'a>>),
     /// An object: members in insertion order, which is the order
-    /// [`write()`] emits. Duplicate keys are kept; [`Json::get`] reads
-    /// the last one.
-    Obj(Vec<(Text, Json)>),
+    /// [`write()`] emits. Duplicate keys are kept; [`Value::get`]
+    /// reads the last one.
+    Obj(Vec<(Cow<'a, str>, Value<'a>)>),
 }
+
+/// A value that borrows only `'static` text: what every builder and
+/// artifact writer makes.
+pub type Json = Value<'static>;
 
 impl From<u64> for Json {
     fn from(v: u64) -> Self {
@@ -91,12 +96,14 @@ impl Json {
     }
 
     /// Appends a member to an object; a no-op on any other value.
-    pub fn push(&mut self, key: impl Into<Text>, value: impl Into<Json>) {
+    pub fn push(&mut self, key: impl Into<Cow<'static, str>>, value: impl Into<Json>) {
         if let Json::Obj(members) = self {
             members.push((key.into(), value.into()));
         }
     }
+}
 
+impl<'a> Value<'a> {
     /// The value as `f64`, if numeric. `Uint` values above 2^53
     /// round to the nearest representable `f64` — callers that need
     /// exact large integers use [`Self::as_u64`].
@@ -104,8 +111,8 @@ impl Json {
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             #[allow(clippy::cast_precision_loss)]
-            Json::Uint(x) => Some(*x as f64),
-            Json::Num(x) => Some(*x),
+            Value::Uint(x) => Some(*x as f64),
+            Value::Num(x) => Some(*x),
             _ => None,
         }
     }
@@ -116,14 +123,14 @@ impl Json {
     #[must_use]
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Uint(x) => Some(*x),
+            Value::Uint(x) => Some(*x),
             #[allow(
                 clippy::cast_possible_truncation,
                 clippy::cast_sign_loss,
                 clippy::float_cmp
             )]
             // dut-lint: allow(float-eq): fract() of an integral f64 is exactly +0.0 — this is an exact integrality test, an epsilon would accept non-integers
-            Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 => Some(*x as u64),
+            Value::Num(x) if *x >= 0.0 && x.fract() == 0.0 => Some(*x as u64),
             _ => None,
         }
     }
@@ -132,7 +139,7 @@ impl Json {
     #[must_use]
     pub fn as_str(&self) -> Option<&str> {
         match self {
-            Json::Str(s) => Some(s),
+            Value::Str(s) => Some(s),
             _ => None,
         }
     }
@@ -141,25 +148,25 @@ impl Json {
     #[must_use]
     pub fn as_bool(&self) -> Option<bool> {
         match self {
-            Json::Bool(b) => Some(*b),
+            Value::Bool(b) => Some(*b),
             _ => None,
         }
     }
 
     /// The members, if this is an object.
     #[must_use]
-    pub fn as_obj(&self) -> Option<&[(Text, Json)]> {
+    pub fn as_obj(&self) -> Option<&[(Cow<'a, str>, Value<'a>)]> {
         match self {
-            Json::Obj(members) => Some(members),
+            Value::Obj(members) => Some(members),
             _ => None,
         }
     }
 
     /// The value as an array, if it is one.
     #[must_use]
-    pub fn as_arr(&self) -> Option<&[Json]> {
+    pub fn as_arr(&self) -> Option<&[Value<'a>]> {
         match self {
-            Json::Arr(items) => Some(items),
+            Value::Arr(items) => Some(items),
             _ => None,
         }
     }
@@ -167,7 +174,7 @@ impl Json {
     /// Looks up a key, if this is an object. With duplicate keys the
     /// last one wins, as it would in a map filled in document order.
     #[must_use]
-    pub fn get(&self, key: &str) -> Option<&Json> {
+    pub fn get(&self, key: &str) -> Option<&Value<'a>> {
         self.as_obj()?
             .iter()
             .rev()
@@ -177,36 +184,36 @@ impl Json {
     /// The member `key` as `u64`, if present and a non-negative integer.
     #[must_use]
     pub fn get_u64(&self, key: &str) -> Option<u64> {
-        self.get(key).and_then(Json::as_u64)
+        self.get(key).and_then(Value::as_u64)
     }
 
     /// The member `key` as `f64`, if present and numeric.
     #[must_use]
     pub fn get_f64(&self, key: &str) -> Option<f64> {
-        self.get(key).and_then(Json::as_f64)
+        self.get(key).and_then(Value::as_f64)
     }
 
     /// The member `key` as `&str`, if present and a string.
     #[must_use]
     pub fn get_str(&self, key: &str) -> Option<&str> {
-        self.get(key).and_then(Json::as_str)
+        self.get(key).and_then(Value::as_str)
     }
 
     /// The member `key` as `bool`, if present and a boolean.
     #[must_use]
     pub fn get_bool(&self, key: &str) -> Option<bool> {
-        self.get(key).and_then(Json::as_bool)
+        self.get(key).and_then(Value::as_bool)
     }
 
-    /// The member `key` read by `read` (e.g. [`Json::as_u64`]).
+    /// The member `key` read by `read` (e.g. [`Value::as_u64`]).
     ///
     /// # Errors
     ///
     /// ``missing `key` `` when it is absent or `read` rejects it.
-    pub fn need<'a, T>(
-        &'a self,
+    pub fn need<'s, T>(
+        &'s self,
         key: &str,
-        read: impl FnOnce(&'a Json) -> Option<T>,
+        read: impl FnOnce(&'s Value<'a>) -> Option<T>,
     ) -> Result<T, String> {
         self.get(key)
             .and_then(read)
@@ -214,10 +221,14 @@ impl Json {
     }
 }
 
+/// Bytes [`to_string`] reserves up front: a served reply line is about
+/// 150, so one allocation holds it.
+const LINE_CAPACITY: usize = 256;
+
 /// The compact serialization of `node` as a new string.
 #[must_use]
-pub fn to_string(node: &Json) -> String {
-    let mut out = String::new();
+pub fn to_string(node: &Value<'_>) -> String {
+    let mut out = String::with_capacity(LINE_CAPACITY);
     write(&mut out, node);
     out
 }
@@ -231,7 +242,7 @@ pub fn to_string(node: &Json) -> String {
 /// write(x)`, but the values need not be equal: an integral `Num`
 /// writes as an integer literal, which parses back as `Uint`, and a
 /// non-finite `Num` comes back as `Null`.
-pub fn write(out: &mut String, node: &Json) {
+pub fn write(out: &mut String, node: &Value<'_>) {
     write_with(out, node, ",", ":");
 }
 
@@ -241,8 +252,8 @@ pub fn write(out: &mut String, node: &Json) {
 /// `", "` and `": "` separators. The lint findings document and
 /// baseline use this layout so that a diff reads one finding per line.
 /// A `doc` that is not an object is written compactly.
-pub fn write_pretty(out: &mut String, doc: &Json, rows: &str) {
-    let Json::Obj(members) = doc else {
+pub fn write_pretty(out: &mut String, doc: &Value<'_>, rows: &str) {
+    let Value::Obj(members) = doc else {
         write_with(out, doc, ", ", ": ");
         return;
     };
@@ -252,7 +263,7 @@ pub fn write_pretty(out: &mut String, doc: &Json, rows: &str) {
         write_escaped(out, key);
         out.push_str(": ");
         match value {
-            Json::Arr(items) if key == rows => {
+            Value::Arr(items) if key == rows => {
                 out.push('[');
                 for (j, item) in items.iter().enumerate() {
                     out.push_str(if j == 0 { "\n    " } else { ",\n    " });
@@ -266,19 +277,17 @@ pub fn write_pretty(out: &mut String, doc: &Json, rows: &str) {
     out.push_str("\n}");
 }
 
-fn write_with(out: &mut String, node: &Json, comma: &str, colon: &str) {
+fn write_with(out: &mut String, node: &Value<'_>, comma: &str, colon: &str) {
     match node {
-        Json::Null => out.push_str("null"),
-        Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Json::Uint(x) => {
+        Value::Null => out.push_str("null"),
+        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Value::Uint(x) => write_uint(out, *x),
+        Value::Num(x) if x.is_finite() => {
             let _ = write!(out, "{x}");
         }
-        Json::Num(x) if x.is_finite() => {
-            let _ = write!(out, "{x}");
-        }
-        Json::Num(_) => out.push_str("null"),
-        Json::Str(s) => write_escaped(out, s),
-        Json::Arr(items) => {
+        Value::Num(_) => out.push_str("null"),
+        Value::Str(s) => write_escaped(out, s),
+        Value::Arr(items) => {
             out.push('[');
             for (i, item) in items.iter().enumerate() {
                 if i > 0 {
@@ -288,7 +297,7 @@ fn write_with(out: &mut String, node: &Json, comma: &str, colon: &str) {
             }
             out.push(']');
         }
-        Json::Obj(members) => {
+        Value::Obj(members) => {
             out.push('{');
             for (i, (key, value)) in members.iter().enumerate() {
                 if i > 0 {
@@ -303,21 +312,49 @@ fn write_with(out: &mut String, node: &Json, comma: &str, colon: &str) {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Appends `x` in decimal, the bytes `{x}` formats to, without going
+/// through `core::fmt`.
+fn write_uint(out: &mut String, mut x: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        #[allow(clippy::cast_possible_truncation)] // x % 10 < 10
+        let digit = (x % 10) as u8;
+        digits[at] = b'0' + digit;
+        x /= 10;
+        if x == 0 {
+            break;
         }
     }
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
+}
+
+/// Appends `s` as a quoted JSON string. Runs of bytes that need no
+/// escape are copied as one slice; every byte that does is ASCII, so
+/// each run ends on a character boundary.
+fn write_escaped(out: &mut String, s: &str) {
+    out.push('"');
+    let mut run = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        let escape = match byte {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{byte:04x}");
+        } else {
+            out.push_str(escape);
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -329,37 +366,40 @@ fn write_escaped(out: &mut String, s: &str) {
 /// writes (traces nest 2–3 deep).
 pub const MAX_DEPTH: usize = 64;
 
-/// Parses one JSON document from `input`.
+/// Parses one JSON document from `input`. Strings and keys without an
+/// escape borrow from `input`; a string with an escape owns its
+/// decoded text. `\u` escapes decode UTF-16: a high surrogate followed
+/// by a low one is their one character, any other surrogate U+FFFD.
 ///
 /// # Errors
 ///
 /// Returns a message with the byte offset of the first syntax error,
 /// if trailing non-whitespace follows the document, or if containers
 /// nest deeper than [`MAX_DEPTH`].
-pub fn parse(input: &str) -> Result<Json, String> {
+pub fn parse(input: &str) -> Result<Value<'_>, String> {
     let mut p = Parser {
-        bytes: input.as_bytes(),
+        input,
         pos: 0,
         depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != input.len() {
         return Err(format!("trailing garbage at byte {}", p.pos));
     }
     Ok(value)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    input: &'a str,
     pos: usize,
     depth: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.input.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -392,21 +432,21 @@ impl Parser<'_> {
         Ok(())
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    fn value(&mut self) -> Result<Value<'a>, String> {
         match self.peek() {
             Some(b'{') => self.object(),
             Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(Cow::Owned(self.string()?))),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
+            Some(b'"') => Ok(Value::Str(self.string()?)),
+            Some(b't') => self.literal("true", Value::Bool(true)),
+            Some(b'f') => self.literal("false", Value::Bool(false)),
+            Some(b'n') => self.literal("null", Value::Null),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
     }
 
-    fn literal(&mut self, text: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
+    fn literal(&mut self, text: &str, value: Value<'a>) -> Result<Value<'a>, String> {
+        if self.input[self.pos..].starts_with(text) {
             self.pos += text.len();
             Ok(value)
         } else {
@@ -414,7 +454,7 @@ impl Parser<'_> {
         }
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    fn number(&mut self) -> Result<Value<'a>, String> {
         let start = self.pos;
         while matches!(
             self.peek(),
@@ -422,71 +462,117 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| format!("invalid utf8 in number at byte {start}"))?;
+        // Only ASCII bytes were consumed, so both ends are boundaries.
+        let text = &self.input[start..self.pos];
         // Plain digit runs stay exact: `f64` cannot represent every
         // u64 above 2^53, and seeds ride this wire.
         if text.bytes().all(|b| b.is_ascii_digit()) {
             if let Ok(v) = text.parse::<u64>() {
-                return Ok(Json::Uint(v));
+                return Ok(Value::Uint(v));
             }
         }
         text.parse::<f64>()
-            .map(Json::Num)
+            .map(Value::Num)
             .map_err(|_| format!("bad number `{text}` at byte {start}"))
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    /// Reads a string. Each run of bytes up to the next `"` or `\` is
+    /// taken as one slice of the input, so the scan is linear in the
+    /// string's length; both bytes are ASCII, so every run ends on a
+    /// character boundary. A string without an escape borrows its one
+    /// run.
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let mut decoded: Option<String> = None;
         loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
+            let rest = &self.input.as_bytes()[self.pos..];
+            let len = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or("unterminated string")?;
+            let run = &self.input[self.pos..self.pos + len];
+            self.pos += len;
+            if rest[len] == b'"' {
+                self.pos += 1;
+                return Ok(match decoded {
+                    None => Cow::Borrowed(run),
+                    Some(mut text) => {
+                        text.push_str(run);
+                        Cow::Owned(text)
                     }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (1–4 bytes).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| format!("invalid utf8 at byte {}", self.pos))?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                });
             }
+            let text = decoded.get_or_insert_with(String::new);
+            text.push_str(run);
+            self.escape(text)?;
         }
     }
 
-    fn array(&mut self) -> Result<Json, String> {
+    /// Decodes the escape whose `\` is at `self.pos` onto `out` and
+    /// moves past it.
+    fn escape(&mut self, out: &mut String) -> Result<(), String> {
+        self.pos += 1;
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'u') => {
+                let code = self.hex4(self.pos + 1)?;
+                self.pos += 4;
+                let low = if (0xD800..0xDC00).contains(&code) {
+                    self.low_surrogate()
+                } else {
+                    None
+                };
+                match low {
+                    Some(low) => {
+                        // The low half's `\uXXXX` follows: skip to its
+                        // last digit.
+                        self.pos += 6;
+                        let scalar = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                        char::from_u32(scalar).unwrap_or('\u{fffd}')
+                    }
+                    None => char::from_u32(code).unwrap_or('\u{fffd}'),
+                }
+            }
+            _ => return Err(format!("bad escape at byte {}", self.pos)),
+        };
+        out.push(c);
+        self.pos += 1;
+        Ok(())
+    }
+
+    /// The four hex digits of a `\u` escape starting at byte `at`.
+    fn hex4(&self, at: usize) -> Result<u32, String> {
+        let hex = self
+            .input
+            .as_bytes()
+            .get(at..at + 4)
+            .ok_or("truncated \\u escape")?;
+        std::str::from_utf8(hex)
+            .ok()
+            .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+            .ok_or_else(|| "bad \\u escape".to_owned())
+    }
+
+    /// The code unit of a `\u` low surrogate right after the last hex
+    /// digit at `self.pos`, if one is there. Reads without consuming:
+    /// anything else is left for the next escape to read or reject.
+    fn low_surrogate(&self) -> Option<u32> {
+        let next = self.input.as_bytes().get(self.pos + 1..self.pos + 3)?;
+        if next != b"\\u" {
+            return None;
+        }
+        let code = self.hex4(self.pos + 3).ok()?;
+        (0xDC00..0xE000).contains(&code).then_some(code)
+    }
+
+    fn array(&mut self) -> Result<Value<'a>, String> {
         self.expect(b'[')?;
         self.enter()?;
         let mut items = Vec::new();
@@ -494,7 +580,7 @@ impl Parser<'_> {
         if self.peek() == Some(b']') {
             self.pos += 1;
             self.depth -= 1;
-            return Ok(Json::Arr(items));
+            return Ok(Value::Arr(items));
         }
         loop {
             self.skip_ws();
@@ -505,23 +591,24 @@ impl Parser<'_> {
                 Some(b']') => {
                     self.pos += 1;
                     self.depth -= 1;
-                    return Ok(Json::Arr(items));
+                    return Ok(Value::Arr(items));
                 }
                 _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
             }
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
+    fn object(&mut self) -> Result<Value<'a>, String> {
         self.expect(b'{')?;
         self.enter()?;
-        let mut members = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
             self.depth -= 1;
-            return Ok(Json::Obj(members));
+            return Ok(Value::Obj(Vec::new()));
         }
+        // A request line has eight members: one allocation holds them.
+        let mut members = Vec::with_capacity(8);
         loop {
             self.skip_ws();
             let key = self.string()?;
@@ -529,14 +616,14 @@ impl Parser<'_> {
             self.expect(b':')?;
             self.skip_ws();
             let value = self.value()?;
-            members.push((Cow::Owned(key), value));
+            members.push((key, value));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
                     self.depth -= 1;
-                    return Ok(Json::Obj(members));
+                    return Ok(Value::Obj(members));
                 }
                 _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
             }
@@ -626,6 +713,201 @@ mod tests {
         );
         // One past u64::MAX falls back to f64 rather than erroring.
         assert!(parse("18446744073709551616").unwrap().as_f64().is_some());
+    }
+
+    /// Today's string reader before the linear scan, kept as the
+    /// reference the run-at-a-time reader must agree with: it takes one
+    /// character at a time by validating the whole rest of the input,
+    /// which is quadratic. Escapes decode through the same
+    /// [`Parser::escape`].
+    fn reference_string(p: &mut Parser<'_>) -> Result<String, String> {
+        p.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            match p.peek() {
+                None => return Err("unterminated string".into()),
+                Some(b'"') => {
+                    p.pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => p.escape(&mut out)?,
+                Some(_) => {
+                    let rest = std::str::from_utf8(&p.input.as_bytes()[p.pos..])
+                        .map_err(|_| format!("invalid utf8 at byte {}", p.pos))?;
+                    let c = rest.chars().next().ok_or("unterminated string")?;
+                    out.push(c);
+                    p.pos += c.len_utf8();
+                }
+            }
+        }
+    }
+
+    /// Both readers on `input` (which starts with the opening quote):
+    /// each one's string and where it stopped, or its error.
+    fn both_readers(input: &str) -> [Result<(String, usize), String>; 2] {
+        let fresh = || Parser {
+            input,
+            pos: 0,
+            depth: 0,
+        };
+        let mut linear = fresh();
+        let got = linear.string().map(|s| (s.into_owned(), linear.pos));
+        let mut reference = fresh();
+        let want = reference_string(&mut reference).map(|s| (s, reference.pos));
+        [got, want]
+    }
+
+    /// Pieces of string bodies: plain text, 2-, 3- and 4-byte UTF-8,
+    /// raw control bytes, every escape, surrogate halves and pairs,
+    /// and the malformed escapes.
+    const PIECES: [&str; 28] = [
+        "a",
+        "plain text ",
+        "é",
+        "☃",
+        "😀",
+        "\u{0}",
+        "\u{1f}",
+        "\u{7f}",
+        "\t",
+        "\\\"",
+        "\\\\",
+        "\\/",
+        "\\n",
+        "\\r",
+        "\\t",
+        "\\b",
+        "\\f",
+        "\\u00e9",
+        "\\u0000",
+        "\\ud83d\\ude00",
+        "\\ud83d",
+        "\\ude00",
+        "\\u12",
+        "\\uzzzz",
+        "\\u+041",
+        "\\x",
+        "\\",
+        "\"",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn linear_reader_agrees_with_the_reference(
+            picks in proptest::prop::collection::vec(0..PIECES.len(), 0..24),
+            closed in proptest::prop::bool::ANY,
+        ) {
+            let mut input = String::from("\"");
+            for &i in &picks {
+                input.push_str(PIECES[i]);
+            }
+            if closed {
+                input.push('"');
+            }
+            let [linear, reference] = both_readers(&input);
+            proptest::prop_assert_eq!(linear, reference, "{:?}", input);
+        }
+
+        #[test]
+        fn written_strings_parse_back_equal(
+            picks in proptest::prop::collection::vec(0..PIECES.len(), 0..24),
+        ) {
+            // The pieces taken as text, not as escapes: every byte of
+            // them must survive a write and a parse.
+            let text: String = picks.iter().map(|&i| PIECES[i]).collect();
+            let written = to_string(&Value::Str(Cow::Borrowed(&text)));
+            proptest::prop_assert_eq!(parse(&written), Ok(Value::Str(Cow::Borrowed(&text))));
+        }
+    }
+
+    #[test]
+    fn string_errors_keep_their_messages_and_offsets() {
+        for (input, message) in [
+            (r#"{"a":"xyz"#, "unterminated string"),
+            (r#"{"a":"é\"#, "bad escape at byte 9"),
+            (r#"{"a":"\q"}"#, "bad escape at byte 7"),
+            (r#"{"a":"\u12"}"#, "bad \\u escape"),
+            (r#"{"a":"\u12"#, "truncated \\u escape"),
+            (r#"{"a":"\uzzzz"}"#, "bad \\u escape"),
+            (r#"{"a":"\ud83d\u00"#, "truncated \\u escape"),
+            (r#"{"a" "b"}"#, "expected `:` at byte 5"),
+            (r#"{a:1}"#, "expected `\"` at byte 1"),
+        ] {
+            assert_eq!(parse(input), Err(message.to_owned()), "{input}");
+        }
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_and_lone_halves_do_not() {
+        let decoded = |text: &str| parse(text).map(|v| v.as_str().map(str::to_owned));
+        assert_eq!(decoded(r#""😀""#), Ok(Some("😀".to_owned())));
+        assert_eq!(decoded(r#""x😀y""#), Ok(Some("x😀y".to_owned())));
+        // A lone half, either way round.
+        assert_eq!(decoded(r#""\ud83d""#), Ok(Some("\u{fffd}".to_owned())));
+        assert_eq!(decoded(r#""\ude00x""#), Ok(Some("\u{fffd}x".to_owned())));
+        assert_eq!(decoded(r#""\ud83dA""#), Ok(Some("\u{fffd}A".to_owned())));
+        // Reversed: each half alone.
+        assert_eq!(
+            decoded(r#""\ude00\ud83d""#),
+            Ok(Some("\u{fffd}\u{fffd}".to_owned()))
+        );
+    }
+
+    #[test]
+    fn strings_without_escapes_borrow_from_the_input() {
+        let line = r#"{"cmd":"stats","tenant":"a\"b"}"#;
+        let doc = parse(line).unwrap();
+        let members = doc.as_obj().unwrap();
+        assert!(members
+            .iter()
+            .all(|(key, _)| matches!(key, Cow::Borrowed(_))));
+        assert!(matches!(
+            doc.get("cmd"),
+            Some(Value::Str(Cow::Borrowed("stats")))
+        ));
+        assert!(matches!(doc.get("tenant"), Some(Value::Str(Cow::Owned(s))) if s == "a\"b"));
+    }
+
+    #[test]
+    fn a_long_string_member_parses_in_linear_time() {
+        // 4 MiB of text with an escape and a multi-byte character in
+        // every 4 KiB. The character-at-a-time reader revalidated the
+        // rest of the input per character: hours at this size in a
+        // debug build.
+        let chunk = format!("{}\\n\\u00e9☃", "x".repeat(4096 - 11));
+        let body = chunk.repeat(1024);
+        let line = format!(r#"{{"n":1,"pad":"{body}"}}"#);
+        let started = std::time::Instant::now();
+        let doc = parse(&line).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(
+            doc.get_str("pad").map(str::len),
+            Some((4096 - 11 + 6) * 1024)
+        );
+        assert!(
+            elapsed < std::time::Duration::from_secs(5),
+            "4 MiB string took {elapsed:?}"
+        );
+    }
+
+    #[test]
+    fn unsigned_integers_write_as_display_does() {
+        for x in [
+            0,
+            1,
+            9,
+            10,
+            99,
+            100,
+            12_345,
+            u64::from(u32::MAX),
+            u64::MAX - 1,
+            u64::MAX,
+        ] {
+            assert_eq!(to_string(&Json::Uint(x)), x.to_string());
+        }
     }
 
     #[test]

@@ -329,12 +329,13 @@ mod tests {
         registry.add(metrics::Counter::SamplesDrawn, 7);
         registry.observe(metrics::HistogramId::RunSamples, 7);
         let event = snapshot_event(&registry.snapshot());
-        let parsed = crate::json::parse(&event.to_json_line()).unwrap();
+        let line = event.to_json_line();
+        let parsed = crate::json::parse(&line).unwrap();
         assert_eq!(
             parsed
                 .get("counters")
                 .and_then(|c| c.get("samples_drawn"))
-                .and_then(crate::json::Json::as_u64),
+                .and_then(crate::json::Value::as_u64),
             Some(7)
         );
         let hist = parsed
@@ -342,7 +343,7 @@ mod tests {
             .and_then(|h| h.get("run_samples"))
             .unwrap();
         assert_eq!(
-            hist.get("count").and_then(crate::json::Json::as_u64),
+            hist.get("count").and_then(crate::json::Value::as_u64),
             Some(1)
         );
     }

@@ -1,7 +1,7 @@
 //! Trace aggregation: turns a JSONL trace into a human-readable
 //! profile (`dut report <trace.jsonl>`).
 
-use crate::json::{self, Json};
+use crate::json::{self, Value};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -131,13 +131,13 @@ impl Report {
         Ok(report)
     }
 
-    fn ingest(&mut self, value: &Json) {
-        let Some(event) = value.get("event").and_then(Json::as_str) else {
+    fn ingest(&mut self, value: &Value<'_>) {
+        let Some(event) = value.get("event").and_then(Value::as_str) else {
             self.malformed_lines += 1;
             return;
         };
         self.events += 1;
-        if let Some(ts) = value.get("ts_us").and_then(Json::as_u64) {
+        if let Some(ts) = value.get("ts_us").and_then(Value::as_u64) {
             self.last_ts_micros = self.last_ts_micros.max(ts);
         }
         match event {
@@ -154,53 +154,56 @@ impl Report {
             "span" => {
                 let name = value
                     .get("name")
-                    .and_then(Json::as_str)
+                    .and_then(Value::as_str)
                     .unwrap_or("<unnamed>");
-                let elapsed = value.get("elapsed_us").and_then(Json::as_u64).unwrap_or(0);
+                let elapsed = value.get("elapsed_us").and_then(Value::as_u64).unwrap_or(0);
                 let stats = self.spans.entry(name.to_owned()).or_default();
                 stats.count += 1;
                 stats.total_micros += elapsed;
             }
             "probe" => {
                 self.probes.push(ProbeRecord {
-                    search_id: value.get("search_id").and_then(Json::as_u64).unwrap_or(0),
-                    value: value.get("value").and_then(Json::as_u64).unwrap_or(0),
-                    sufficient: matches!(value.get("sufficient"), Some(Json::Bool(true))),
-                    elapsed_micros: value.get("elapsed_us").and_then(Json::as_u64).unwrap_or(0),
+                    search_id: value.get("search_id").and_then(Value::as_u64).unwrap_or(0),
+                    value: value.get("value").and_then(Value::as_u64).unwrap_or(0),
+                    sufficient: matches!(value.get("sufficient"), Some(Value::Bool(true))),
+                    elapsed_micros: value.get("elapsed_us").and_then(Value::as_u64).unwrap_or(0),
                 });
             }
             "search_done" => {
                 self.searches.push(SearchRecord {
-                    search_id: value.get("search_id").and_then(Json::as_u64).unwrap_or(0),
-                    minimal: value.get("minimal").and_then(Json::as_u64).unwrap_or(0),
-                    evaluations: value.get("evaluations").and_then(Json::as_u64).unwrap_or(0),
-                    saturated: matches!(value.get("saturated"), Some(Json::Bool(true))),
+                    search_id: value.get("search_id").and_then(Value::as_u64).unwrap_or(0),
+                    minimal: value.get("minimal").and_then(Value::as_u64).unwrap_or(0),
+                    evaluations: value
+                        .get("evaluations")
+                        .and_then(Value::as_u64)
+                        .unwrap_or(0),
+                    saturated: matches!(value.get("saturated"), Some(Value::Bool(true))),
                 });
             }
             "metrics" => {
-                if let Some(counters) = value.get("counters").and_then(Json::as_obj) {
+                if let Some(counters) = value.get("counters").and_then(Value::as_obj) {
                     self.counters = counters
                         .iter()
                         .filter_map(|(k, v)| v.as_u64().map(|n| (k.to_string(), n)))
                         .collect();
                 }
-                if let Some(gauges) = value.get("gauges").and_then(Json::as_obj) {
+                if let Some(gauges) = value.get("gauges").and_then(Value::as_obj) {
                     self.gauges = gauges
                         .iter()
                         .filter_map(|(k, v)| v.as_u64().map(|n| (k.to_string(), n)))
                         .collect();
                 }
-                if let Some(histograms) = value.get("histograms").and_then(Json::as_obj) {
+                if let Some(histograms) = value.get("histograms").and_then(Value::as_obj) {
                     self.histograms = histograms
                         .iter()
                         .filter_map(|(k, v)| {
                             let count = v.get("count")?.as_u64()?;
                             let sum = v.get("sum")?.as_u64()?;
                             let buckets = match v.get("buckets") {
-                                Some(Json::Arr(pairs)) => pairs
+                                Some(Value::Arr(pairs)) => pairs
                                     .iter()
                                     .filter_map(|p| match p {
-                                        Json::Arr(pair) if pair.len() == 2 => {
+                                        Value::Arr(pair) if pair.len() == 2 => {
                                             Some((pair[0].as_u64()?, pair[1].as_u64()?))
                                         }
                                         _ => None,
@@ -215,9 +218,12 @@ impl Report {
             }
             "clock_anchor" => {
                 self.anchor = Some(ClockAnchor {
-                    unix_micros: value.get("unix_micros").and_then(Json::as_u64).unwrap_or(0),
-                    ts_micros: value.get("ts_us").and_then(Json::as_u64).unwrap_or(0),
-                    pid: value.get("pid").and_then(Json::as_u64).unwrap_or(0),
+                    unix_micros: value
+                        .get("unix_micros")
+                        .and_then(Value::as_u64)
+                        .unwrap_or(0),
+                    ts_micros: value.get("ts_us").and_then(Value::as_u64).unwrap_or(0),
+                    pid: value.get("pid").and_then(Value::as_u64).unwrap_or(0),
                 });
             }
             "net_run" => self.net_runs += 1,
@@ -495,12 +501,12 @@ impl Report {
 }
 
 #[allow(clippy::float_cmp)]
-fn display_json(value: &Json) -> String {
+fn display_json(value: &Value<'_>) -> String {
     match value {
-        Json::Null => "null".into(),
-        Json::Bool(b) => b.to_string(),
-        Json::Uint(x) => x.to_string(),
-        Json::Num(x) => {
+        Value::Null => "null".into(),
+        Value::Bool(b) => b.to_string(),
+        Value::Uint(x) => x.to_string(),
+        Value::Num(x) => {
             // dut-lint: allow(float-eq): fract() of an integral f64 is exactly +0.0 — exact integrality test picking the display format
             if x.fract() == 0.0 && x.abs() < 9e15 {
                 format!("{x:.0}")
@@ -508,14 +514,15 @@ fn display_json(value: &Json) -> String {
                 format!("{x}")
             }
         }
-        Json::Str(s) => s.to_string(),
-        Json::Arr(items) => {
+        Value::Str(s) => s.to_string(),
+        Value::Arr(items) => {
             let inner: Vec<String> = items.iter().map(display_json).collect();
             format!("[{}]", inner.join(", "))
         }
-        Json::Obj(members) => {
+        Value::Obj(members) => {
             // Sorted by key, the last duplicate winning.
-            let sorted: BTreeMap<&str, &Json> = members.iter().map(|(k, v)| (&**k, v)).collect();
+            let sorted: BTreeMap<&str, &Value<'_>> =
+                members.iter().map(|(k, v)| (&**k, v)).collect();
             let inner: Vec<String> = sorted
                 .iter()
                 .map(|(k, v)| format!("{k}={}", display_json(v)))

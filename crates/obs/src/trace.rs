@@ -70,6 +70,7 @@ impl Event {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Value;
 
     #[test]
     fn event_serializes_to_parseable_json() {
@@ -84,16 +85,16 @@ mod tests {
         .with("cfg", Json::obj([("n", 8u64.into())]));
         let line = e.to_json_line();
         let parsed = crate::json::parse(&line).unwrap();
-        assert_eq!(parsed.get("event").and_then(Json::as_str), Some("probe"));
-        assert_eq!(parsed.get("ts_us").and_then(Json::as_u64), Some(17));
-        assert_eq!(parsed.get("value").and_then(Json::as_u64), Some(64));
+        assert_eq!(parsed.get("event").and_then(Value::as_str), Some("probe"));
+        assert_eq!(parsed.get("ts_us").and_then(Value::as_u64), Some(17));
+        assert_eq!(parsed.get("value").and_then(Value::as_u64), Some(64));
         assert_eq!(parsed.get("sufficient"), Some(&Json::Bool(true)));
-        assert_eq!(parsed.get("rate").and_then(Json::as_f64), Some(0.625));
+        assert_eq!(parsed.get("rate").and_then(Value::as_f64), Some(0.625));
         assert_eq!(
             parsed
                 .get("cfg")
                 .and_then(|c| c.get("n"))
-                .and_then(Json::as_u64),
+                .and_then(Value::as_u64),
             Some(8)
         );
     }

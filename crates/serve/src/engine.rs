@@ -411,13 +411,14 @@ impl Engine {
     }
 
     /// Everything after the cache lookup, shared by the worker and
-    /// the inline path: the `requests`, hit/miss and coalesced
-    /// counters, the trials, the reply with its service time in
+    /// the inline path: the trials, the reply with its service time in
     /// `request_micros` (and the reply's `micros`) and its trial time
-    /// in `compute_micros`, a process-unique `rid`, the
-    /// windowed-metrics tick, and the sampled `serve_trace` event with
-    /// the phases the lookup already spent. `start` is when the
-    /// request's service began, before its lookup.
+    /// in `compute_micros`, a process-unique `rid`, the `requests`,
+    /// hit/miss and coalesced counters once the answer (or the build
+    /// error) exists, so a stats reader never counts a request still
+    /// computing, the windowed-metrics tick, and the sampled
+    /// `serve_trace` event with the phases the lookup already spent.
+    /// `start` is when the request's service began, before its lookup.
     fn answer(
         &self,
         req: &Request,
@@ -429,23 +430,21 @@ impl Engine {
     ) -> Result<Reply, String> {
         let registry = dut_obs::metrics::global();
         let rid = self.next_rid.fetch_add(1, Ordering::Relaxed) + 1;
-        registry.incr(Counter::ServeRequests);
         let cache_hit = lookup.is_hit();
-        registry.incr(if cache_hit {
-            Counter::ServeCacheHits
-        } else {
-            Counter::ServeCacheMisses
-        });
-        if lookup == Lookup::Joined {
-            registry.incr(Counter::ServeCoalesced);
-        }
-        let entry = entry.map_err(|e| e.message)?;
+        let entry = match entry {
+            Ok(entry) => entry,
+            Err(e) => {
+                count_answered(lookup);
+                return Err(e.message);
+            }
+        };
         registry.incr(Counter::ServeBackendPerDraw);
         let compute_start = Instant::now();
         let (verdict, estimate) = run_trials(&entry, req);
         let compute_micros = u64::try_from(compute_start.elapsed().as_micros()).unwrap_or(u64::MAX);
         registry.observe(HistogramId::ComputeMicros, compute_micros);
         let reply = assemble(verdict, &estimate, cache_hit, start, rid);
+        count_answered(lookup);
         registry.observe(HistogramId::RequestMicros, reply.micros);
         // Tick the windowed-metrics ring; at most one snapshot per
         // epoch actually captures, so this is a relaxed load + compare
@@ -460,7 +459,7 @@ impl Engine {
                     .with("compute_us", compute_micros)
                     .with("total_us", reply.micros)
                     .with("cache", if cache_hit { "hit" } else { "miss" })
-                    .with("verdict", verdict.to_string())
+                    .with("verdict", verdict.as_str())
             });
         }
         dut_obs::global().emit_verbose_with(|| {
@@ -473,11 +472,27 @@ impl Engine {
                 .with("samples", req.family.name())
                 .with("seed", req.seed)
                 .with("trials", req.trials)
-                .with("verdict", verdict.to_string())
+                .with("verdict", verdict.as_str())
                 .with("cache", if cache_hit { "hit" } else { "miss" })
                 .with("micros", reply.micros)
         });
         Ok(reply)
+    }
+}
+
+/// Counts one answered request: `requests`, a hit or a miss, and a
+/// join of a build in flight as `coalesced` too, so
+/// `hits + misses == requests` stays exact.
+fn count_answered(lookup: Lookup) {
+    let registry = dut_obs::metrics::global();
+    registry.incr(Counter::ServeRequests);
+    registry.incr(if lookup.is_hit() {
+        Counter::ServeCacheHits
+    } else {
+        Counter::ServeCacheMisses
+    });
+    if lookup == Lookup::Joined {
+        registry.incr(Counter::ServeCoalesced);
     }
 }
 

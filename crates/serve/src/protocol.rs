@@ -31,7 +31,7 @@
 //! the loadgen's offline-agreement check depends on this.
 
 use dut_core::Rule;
-use dut_obs::json::{self, Json};
+use dut_obs::json::{self, Json, Value};
 use dut_probability::{families, DenseDistribution};
 use dut_simnet::Verdict;
 use std::fmt;
@@ -231,7 +231,7 @@ pub struct RequestMeta {
     pub tenant: Option<String>,
 }
 
-fn field_usize(doc: &Json, key: &str) -> Result<usize, String> {
+fn field_usize(doc: &Value<'_>, key: &str) -> Result<usize, String> {
     let raw = doc
         .get_u64(key)
         .ok_or_else(|| format!("`{key}` must be a non-negative integer"))?;
@@ -267,7 +267,7 @@ pub fn parse_command_meta(line: &str) -> Result<(Command, RequestMeta), String> 
 /// # Errors
 ///
 /// Returns a message naming the first malformed or missing field.
-pub fn command_from_json(doc: &Json) -> Result<(Command, RequestMeta), String> {
+pub fn command_from_json(doc: &Value<'_>) -> Result<(Command, RequestMeta), String> {
     let mut meta = RequestMeta::default();
     if let Some(tenant) = doc.get("tenant") {
         let name = tenant
@@ -455,7 +455,7 @@ impl Reply {
     #[must_use]
     pub fn render(&self) -> String {
         json::to_string(&Json::obj([
-            ("verdict", self.verdict.to_string().into()),
+            ("verdict", self.verdict.as_str().into()),
             ("p_hat", self.p_hat.into()),
             ("wilson_lo", self.wilson_lo.into()),
             ("wilson_hi", self.wilson_hi.into()),
@@ -471,7 +471,8 @@ impl Reply {
 pub enum ReplyLine {
     /// A completed test.
     Reply(Reply),
-    /// The server shed this connection at the accept queue.
+    /// The server shed this request (at the global queue bound or by
+    /// its tenant's quota); the connection stays parked for the next.
     Overloaded,
     /// The request was rejected with a message.
     Error(String),
@@ -503,9 +504,9 @@ impl ReplyLine {
         };
         Ok(ReplyLine::Reply(Reply {
             verdict,
-            p_hat: doc.need("p_hat", Json::as_f64)?,
-            wilson_lo: doc.need("wilson_lo", Json::as_f64)?,
-            wilson_hi: doc.need("wilson_hi", Json::as_f64)?,
+            p_hat: doc.need("p_hat", Value::as_f64)?,
+            wilson_lo: doc.need("wilson_lo", Value::as_f64)?,
+            wilson_hi: doc.need("wilson_hi", Value::as_f64)?,
             cache_hit: doc.get_str("cache") == Some("hit"),
             micros: doc.get_u64("micros").unwrap_or(0),
             rid: doc.get_u64("rid").unwrap_or(0),

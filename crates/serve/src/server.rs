@@ -244,55 +244,62 @@ impl ConnWriter {
         }
     }
 
-    /// Files the reply for `seq` in the reorder buffer and releases
-    /// what is now in order. Returns `false` (dropping the reply) once
-    /// the connection is closing or dead: the close-after line already
-    /// won.
+    /// Files the reply for `seq` and releases what is now in order: a
+    /// reply whose turn it is goes straight to the output buffer, and
+    /// only one that arrives early waits in the reorder buffer.
+    /// Returns `false` (dropping the reply) once the connection is
+    /// closing or dead: the close-after line already won.
     fn accept(&mut self, seq: u64, text: String, is_error: bool, close_after: bool) -> bool {
         if self.dead || self.closing {
             return false;
         }
-        self.ready.insert(
-            seq,
-            Line {
-                text,
-                is_error,
-                close_after,
-            },
-        );
-        self.release();
+        let line = Line {
+            text,
+            is_error,
+            close_after,
+        };
+        if seq == self.next_release {
+            self.emit(&line);
+            self.release();
+        } else {
+            self.ready.insert(seq, line);
+        }
         true
     }
 
     /// Moves every consecutively-sequenced reply from the reorder
-    /// buffer into the output buffer, applying the close-after and
-    /// error-budget contracts in release order (so "N errors, then
-    /// the budget notice, then EOF" holds exactly even when workers
-    /// finish out of order).
+    /// buffer into the output buffer.
     fn release(&mut self) {
         while !self.closing && !self.dead {
             let Some(line) = self.ready.remove(&self.next_release) else {
                 break;
             };
-            self.next_release += 1;
-            self.out.extend_from_slice(line.text.as_bytes());
-            self.out.push(b'\n');
-            if line.close_after {
+            self.emit(&line);
+        }
+    }
+
+    /// Appends the next reply in sequence to the output buffer,
+    /// applying the close-after and error-budget contracts in release
+    /// order (so "N errors, then the budget notice, then EOF" holds
+    /// exactly even when workers finish out of order).
+    fn emit(&mut self, line: &Line) {
+        self.next_release += 1;
+        self.out.extend_from_slice(line.text.as_bytes());
+        self.out.push(b'\n');
+        if line.close_after {
+            self.closing = true;
+            self.ready.clear();
+            return;
+        }
+        if line.is_error {
+            self.errors_released = self.errors_released.saturating_add(1);
+            if self.error_budget > 0 && self.errors_released >= self.error_budget {
+                dut_obs::metrics::global().incr(Counter::ServeErrorBudget);
+                self.out
+                    .extend_from_slice(protocol::render_error_budget_exhausted().as_bytes());
+                self.out.push(b'\n');
                 self.closing = true;
                 self.ready.clear();
-                break;
-            }
-            if line.is_error {
-                self.errors_released = self.errors_released.saturating_add(1);
-                if self.error_budget > 0 && self.errors_released >= self.error_budget {
-                    dut_obs::metrics::global().incr(Counter::ServeErrorBudget);
-                    self.out
-                        .extend_from_slice(protocol::render_error_budget_exhausted().as_bytes());
-                    self.out.push(b'\n');
-                    self.closing = true;
-                    self.ready.clear();
-                    break;
-                }
             }
         }
     }
@@ -1060,10 +1067,11 @@ fn step_conn(
 }
 
 /// Frames and answers every complete request line buffered on the
-/// connection. A partial trailing line stays buffered (or trips the
-/// line cap). Three hostile-client defenses live here and in
-/// [`step_conn`], all with explicit final replies so a
-/// well-meaning-but-buggy client can diagnose itself: the line cap,
+/// connection. Lines are slices of the read buffer, and the consumed
+/// prefix is drained once at the end. A partial trailing line stays
+/// buffered (or trips the line cap). Three hostile-client defenses
+/// live here and in [`step_conn`], all with explicit final replies so
+/// a well-meaning-but-buggy client can diagnose itself: the line cap,
 /// the idle reap, and (enforced at release time by [`ConnWriter`])
 /// the error budget. Ends with one flush of whatever the lines
 /// released (the replies of hits answered inline) and returns the
@@ -1073,27 +1081,35 @@ fn process_pending(
     reader: &mut ConnReader,
     inline_budget: &mut u64,
 ) -> WriterStatus {
+    // Taken out so its lines can be read while the reader is borrowed
+    // mutably to answer them.
+    let mut pending = std::mem::take(&mut reader.pending);
+    let mut consumed = 0;
     loop {
         if reader.muted || reader.conn.is_closing() {
-            reader.pending.clear();
+            consumed = pending.len();
             break;
         }
-        let Some(newline) = reader.pending.iter().position(|&b| b == b'\n') else {
+        let Some(len) = pending[consumed..].iter().position(|&b| b == b'\n') else {
             break;
         };
-        let line: Vec<u8> = reader.pending.drain(..=newline).collect();
+        let line = &pending[consumed..=consumed + len];
+        consumed += len + 1;
         reader.last_line_at = Instant::now();
         if line.len() > shared.max_line_bytes {
             mute_with_notice(reader, protocol::render_line_too_long());
+            consumed = pending.len();
             break;
         }
-        let text = String::from_utf8_lossy(&line);
+        let text = String::from_utf8_lossy(line);
         let text = text.trim();
         if text.is_empty() {
             continue;
         }
         answer_parsed(shared, reader, text, inline_budget);
     }
+    pending.drain(..consumed);
+    reader.pending = pending;
     if reader.pending.len() > shared.max_line_bytes {
         // A line still has no newline but already blew the cap: stop
         // buffering it.

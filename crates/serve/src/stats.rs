@@ -9,7 +9,7 @@
 //! through shortest-round-trip `f64` formatting, so a parsed reply
 //! reproduces the server's values exactly.
 
-use dut_obs::json::{self, Json};
+use dut_obs::json::{self, Json, Value};
 use dut_obs::metrics::{Counter, Gauge, HistogramId, Snapshot};
 use dut_obs::slo;
 
@@ -279,7 +279,7 @@ impl Stats {
         let slo = stats.get("slo").ok_or("missing `slo`")?;
         let tenants = stats
             .get("tenants")
-            .and_then(Json::as_obj)
+            .and_then(Value::as_obj)
             .unwrap_or_default()
             .iter()
             .map(|(name, row)| TenantStat {
@@ -389,7 +389,7 @@ mod tests {
             doc.get("stats")
                 .and_then(|s| s.get("cumulative"))
                 .and_then(|c| c.get("requests"))
-                .and_then(Json::as_u64),
+                .and_then(Value::as_u64),
             Some(1_000)
         );
     }
@@ -422,7 +422,7 @@ mod tests {
                 .and_then(|s| s.get("tenants"))
                 .and_then(|t| t.get("metered"))
                 .and_then(|m| m.get("shed"))
-                .and_then(Json::as_u64),
+                .and_then(Value::as_u64),
             Some(5)
         );
     }

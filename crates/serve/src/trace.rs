@@ -21,7 +21,7 @@
 //!   peak), the classic day/night load shape compressed into the
 //!   trace duration.
 
-use dut_obs::json::{self, Json};
+use dut_obs::json::{self, Json, Value};
 use dut_simnet::{FaultPlan, GilbertElliott};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -207,7 +207,7 @@ impl Trace {
             None => return Err("trace header missing `schema`".to_owned()),
         }
         let need = |key: &str| {
-            doc.need(key, Json::as_u64)
+            doc.need(key, Value::as_u64)
                 .map_err(|e| format!("trace header {e}"))
         };
         let span_micros = need("span_us")?;
@@ -219,7 +219,7 @@ impl Trace {
             let row =
                 json::parse(line.trim()).map_err(|e| format!("trace line {}: {e}", offset + 2))?;
             let field = |key: &str| {
-                row.need(key, Json::as_u64)
+                row.need(key, Value::as_u64)
                     .map_err(|e| format!("trace line {} {e}", offset + 2))
             };
             let event = TraceEvent {

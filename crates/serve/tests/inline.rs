@@ -6,7 +6,7 @@
 //! finishes a flush the socket could not take whole.
 
 use dut_core::Rule;
-use dut_obs::metrics::HistogramId;
+use dut_obs::metrics::{Counter, HistogramId};
 use dut_serve::engine;
 use dut_serve::loadgen;
 use dut_serve::protocol::{render_request, Family, ReplyLine, Request};
@@ -179,6 +179,45 @@ fn one_shard_answers_a_hit_while_its_worker_computes_a_miss() {
         "the miss finished before the hit was answered"
     );
     assert_offline(&read_line(&mut a_reader), &slow_miss());
+    stop(handle);
+}
+
+#[test]
+fn a_request_counts_as_answered_only_once_its_reply_exists() {
+    let _serial = serial();
+    let handle = start(ServeConfig::default());
+    let registry = dut_obs::metrics::global();
+    let trials_started = || registry.counter(Counter::ServeBackendPerDraw);
+    let before = stats(&handle);
+    let started_before = trials_started();
+    let (mut stream, mut reader) = connect(&handle);
+    writeln!(stream, "{}", render_request(&slow_miss())).expect("send");
+    // The miss's key is built and its trials have begun: they run for
+    // about half a second from here.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while trials_started() == started_before {
+        assert!(
+            Instant::now() < deadline,
+            "the miss never started its trials"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let during = stats(&handle);
+    assert!(
+        nothing_readable(&stream),
+        "the miss finished before stats were read"
+    );
+    assert_eq!(
+        (during.requests, during.cache_misses),
+        (before.requests, before.cache_misses),
+        "a request still computing was counted as answered"
+    );
+    assert_offline(&read_line(&mut reader), &slow_miss());
+    let after = stats(&handle);
+    assert_eq!(after.requests - before.requests, 1);
+    assert_eq!(after.cache_misses - before.cache_misses, 1);
+    assert_eq!(after.cache_hits, before.cache_hits);
+    assert!(after.inline <= after.cache_hits, "inline <= hits");
     stop(handle);
 }
 

@@ -105,10 +105,10 @@ fn flight_command_dumps_the_ring() {
     let doc = dut_obs::json::parse(&reply).expect("flight reply is JSON");
     let retained = doc
         .get("retained")
-        .and_then(dut_obs::json::Json::as_u64)
+        .and_then(dut_obs::json::Value::as_u64)
         .expect("retained count");
     let events = match doc.get("flight") {
-        Some(dut_obs::json::Json::Arr(items)) => items.len() as u64,
+        Some(dut_obs::json::Value::Arr(items)) => items.len() as u64,
         other => panic!("flight is not an array: {other:?}"),
     };
     assert_eq!(retained, events);

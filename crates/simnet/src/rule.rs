@@ -31,14 +31,20 @@ impl Verdict {
             Verdict::Reject
         }
     }
+
+    /// The verdict's name, `accept` or `reject`, as `Display` writes it.
+    #[must_use]
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Verdict::Accept => "accept",
+            Verdict::Reject => "reject",
+        }
+    }
 }
 
 impl fmt::Display for Verdict {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Verdict::Accept => write!(f, "accept"),
-            Verdict::Reject => write!(f, "reject"),
-        }
+        f.write_str(self.as_str())
     }
 }
 
