@@ -1,6 +1,6 @@
 //! Microbenchmarks for the sampling substrate: alias vs CDF samplers,
-//! hard-instance construction, histogram statistics and the collision
-//! node's draw-and-count kernel.
+//! hard-instance construction, histogram statistics, the collision
+//! node's draw-and-count kernel and the histogram engine's calibration.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dut_core::probability::{empirical, families, PairedDomain, PerturbationVector, Sampler};
@@ -117,11 +117,51 @@ fn bench_collision_node(c: &mut Criterion) {
     group.finish();
 }
 
+/// One balanced-rule calibration on the histogram engine: 800 uniform
+/// nodes at `(n, q)`, counted by binning each node's histogram
+/// (`draw(..).collision_count()`) against the allocation-free collision
+/// walk, whose cutoff table is built inside the timed calibration.
+/// The walk keeps a table while `n · q` is at most 2¹²: (256, 16) is
+/// the largest n = 256 shape with one, and the last three walk without.
+fn bench_histogram_calibration(c: &mut Criterion) {
+    let mut group = c.benchmark_group("histogram_calibration");
+    fast(&mut group);
+    for &(n, q) in &[
+        (64usize, 8u64),
+        (256, 16),
+        (256, 32),
+        (256, 128),
+        (1000, 1000),
+    ] {
+        let sampler = families::uniform(n).histogram_sampler();
+        let shape = format!("{n}x{q}");
+        group.bench_with_input(BenchmarkId::new("draw", &shape), &q, |b, &q| {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+            b.iter(|| {
+                (0..800)
+                    .map(|_| sampler.draw(q, &mut rng).collision_count())
+                    .sum::<u64>()
+            });
+        });
+        group.bench_with_input(BenchmarkId::new("walk", &shape), &q, |b, &q| {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+            b.iter(|| {
+                let mut walk = sampler.collision_walk(q);
+                (0..800)
+                    .map(|_| walk.collision_count(&mut rng))
+                    .sum::<u64>()
+            });
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_samplers,
     bench_hard_instance,
     bench_statistics,
-    bench_collision_node
+    bench_collision_node,
+    bench_histogram_calibration
 );
 criterion_main!(benches);

@@ -60,8 +60,9 @@ pub fn two_level(n: usize, epsilon: f64) -> Result<DenseDistribution, Distributi
     let half = n / 2;
     let hi = (1.0 + epsilon) / n as f64;
     let lo = (1.0 - epsilon) / n as f64;
-    let mut probs = vec![hi; half];
-    probs.extend(std::iter::repeat_n(lo, half));
+    let mut probs = Vec::with_capacity(n);
+    probs.resize(half, hi);
+    probs.resize(n, lo);
     DenseDistribution::new(probs)
 }
 

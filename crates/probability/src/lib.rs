@@ -58,7 +58,7 @@ pub mod sampler;
 pub use dense::DenseDistribution;
 pub use empirical::Histogram;
 pub use error::DistributionError;
-pub use occupancy::{HistogramSampler, SampleBackend};
+pub use occupancy::{CollisionWalk, HistogramSampler, SampleBackend};
 pub use paired::{PairedDomain, PerturbationVector};
 pub use sampler::{AliasSampler, CdfSampler, Sampler, UniformSampler};
 

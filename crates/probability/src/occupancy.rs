@@ -16,7 +16,9 @@
 //! every node draws through [`crate::Sampler::collision_count`]. The
 //! balanced rule's Monte-Carlo calibration is its one caller, where
 //! [`SampleBackend`] picks it for the `(n, q)` at which the frozen cost
-//! tables ([`crate::costmodel`]) predict it is cheaper.
+//! tables ([`crate::costmodel`]) predict it is cheaper. It counts each
+//! node with a [`CollisionWalk`], which takes the same walk and words
+//! as [`HistogramSampler::draw`] but keeps no histogram.
 //!
 //! # Example
 //!
@@ -317,6 +319,23 @@ struct Cell {
     take_pows: [f64; POW_TABLE_BITS as usize],
 }
 
+impl Cell {
+    /// `(1 - conditional)^m`: BINV's `pmf0` on the direct branch.
+    fn keep_pmf0(&self, m: u64) -> f64 {
+        if m < POW_TABLE_MAX {
+            pow_from_table(&self.keep_pows, m)
+        } else {
+            (m as f64 * self.ln_keep).exp()
+        }
+    }
+
+    /// Whether `Binomial(m, conditional)` takes BINV's direct branch:
+    /// an unmirrored cell whose mean is below the small-mean cutoff.
+    fn is_direct(&self, m: u64) -> bool {
+        self.conditional <= 0.5 && m as f64 * self.conditional < 30.0
+    }
+}
+
 /// A sampler that draws the full `q`-sample occupancy [`Histogram`] in one
 /// O(n + q) pass via conditional-binomial stick-breaking.
 ///
@@ -408,18 +427,12 @@ impl HistogramSampler {
     /// precomputed tables when the (possibly mirrored) mean is in BINV
     /// range, the general sampler otherwise.
     fn conditional_binomial<R: Rng + ?Sized>(&self, m: u64, cell: &Cell, rng: &mut R) -> u64 {
+        if cell.is_direct(m) {
+            let u = rng.random::<f64>();
+            return binv_from_zero(m, cell.ratio, cell.keep_pmf0(m), u);
+        }
         let mf = m as f64;
-        if cell.conditional <= 0.5 {
-            if mf * cell.conditional < 30.0 {
-                let u = rng.random::<f64>();
-                let pmf0 = if m < POW_TABLE_MAX {
-                    pow_from_table(&cell.keep_pows, m)
-                } else {
-                    (mf * cell.ln_keep).exp()
-                };
-                return binv_from_zero(m, cell.ratio, pmf0, u);
-            }
-        } else if mf * (1.0 - cell.conditional) < 30.0 {
+        if cell.conditional > 0.5 && mf * (1.0 - cell.conditional) < 30.0 {
             let u = rng.random::<f64>();
             let pmf0 = if m < POW_TABLE_MAX {
                 pow_from_table(&cell.take_pows, m)
@@ -429,6 +442,182 @@ impl HistogramSampler {
             return m - binv_from_zero(m, cell.mirror_ratio, pmf0, u);
         }
         binomial(m, cell.conditional, rng)
+    }
+
+    /// A walk that draws the collision count `Σ C(cᵢ, 2)` of `q`-sample
+    /// histograms without building them; see [`CollisionWalk`].
+    #[must_use]
+    pub fn collision_walk(&self, q: u64) -> CollisionWalk<'_> {
+        let entries = usize::try_from(q)
+            .ok()
+            .and_then(|q| q.checked_mul(self.probs.len()))
+            .filter(|&entries| entries <= CollisionWalk::MAX_TABLE_ENTRIES)
+            .unwrap_or(0);
+        CollisionWalk {
+            sampler: self,
+            q,
+            steps: vec![[UNFILLED; 2]; entries],
+        }
+    }
+}
+
+/// What the collision walk does at one `(cell, remaining m)`, as
+/// `[zero_end, one_end]`. On BINV's direct branch these are the numbers
+/// of 53-bit words that draw `c = 0` and `c <= 1`: a word `w` draws
+/// `c = 0` when `w >> 11 < zero_end` and `c = 1` when
+/// `zero_end <= w >> 11 < one_end`. Any other step has a marker above
+/// [`MAX_WORDS`] as its `zero_end`. All-zero is a table entry not yet
+/// filled, so the table is allocated zeroed and pages the walk never
+/// visits are never touched.
+type Step = [u64; 2];
+
+/// A table entry not yet computed (a real `zero_end` is at least 1).
+const UNFILLED: u64 = 0;
+/// The largest real `zero_end`, `2⁵³ + 1`: `pmf0 <= 1`.
+const MAX_WORDS: u64 = (1 << 53) + 1;
+/// A zero-mass cell: `c = 0`, no word drawn.
+const EMPTY: u64 = u64::MAX;
+/// A cell drawn as [`HistogramSampler::draw`] draws it: mirrored,
+/// large-mean, or any cell of a walk without a table.
+const DRAW: u64 = u64::MAX - 1;
+
+/// The step at cell `i` of `sampler` with `m` samples left, for any
+/// cell before the last positive one.
+///
+/// On the direct branch the bounds come from the `pmf0` and first pmf
+/// step [`binv_from_zero`] computes. With `u = (w >> 11) · 2⁻⁵³`, BINV
+/// returns 0 exactly when `u <= pmf0`, and 1 exactly when
+/// `pmf0 < u <= pmf0 + p1`: its chunked walk re-walks the first term
+/// whenever `u` lies below the chunk's end, which is at least
+/// `pmf0 + p1`.
+fn step(sampler: &HistogramSampler, i: usize, m: u64) -> Step {
+    if sampler.probs[i] <= 0.0 {
+        return [EMPTY; 2];
+    }
+    let cell = &sampler.cells[i];
+    if !cell.is_direct(m) {
+        return [DRAW; 2];
+    }
+    let pmf0 = cell.keep_pmf0(m);
+    // BINV's first step is `pmf0 · (ratio · m / 1)`; dividing by one is
+    // exact, so this is the same product.
+    let p1 = pmf0 * (cell.ratio * m as f64);
+    [words_at_most(pmf0), words_at_most(pmf0 + p1)]
+}
+
+/// The step at cell `i` when the walk keeps no table: skip a zero-mass
+/// cell, draw any other as [`HistogramSampler::draw`] does.
+fn untabled_step(sampler: &HistogramSampler, i: usize) -> Step {
+    [if sampler.probs[i] <= 0.0 { EMPTY } else { DRAW }; 2]
+}
+
+/// `⌊x · 2⁵³⌋ + 1` for `0 <= x <= 2`: the number of 53-bit words `k`
+/// with `k · 2⁻⁵³ <= x`. Scaling by 2⁵³ is exact and the product is at
+/// most 2⁵⁴, so truncating it through `i64` is its floor.
+#[allow(clippy::cast_possible_truncation)] // 0 ≤ x · 2⁵³ ≤ 2⁵⁴
+fn words_at_most(x: f64) -> u64 {
+    // dut-lint: allow(lossy-cast): x · 2⁵³ is an exact non-negative product of at most 2⁵⁴, so the truncating cast is its floor
+    u64::try_from((x * (1u64 << 53) as f64) as i64).unwrap_or(0) + 1
+}
+
+/// Draws the collision count of `q`-sample histograms from one
+/// [`HistogramSampler`]: the stick-breaking walk of
+/// [`HistogramSampler::draw`], tallying `Σ C(cᵢ, 2)` as it goes instead
+/// of storing counts.
+///
+/// It visits the same cells and consumes the same generator words, in
+/// the same order, as `draw(q, rng)`, and returns exactly
+/// `draw(q, rng).collision_count()`. On BINV's direct branch it keeps,
+/// per `(cell, remaining m)`, the integer cutoffs for `c = 0` and
+/// `c = 1` (filled the first time the pair is visited), so most cells
+/// cost one integer compare; every other word, and every mirrored or
+/// large-mean cell, takes the same inversion as `draw`. The table holds
+/// `q · n` entries when that is at most [`Self::MAX_TABLE_ENTRIES`];
+/// above it each visit computes `pmf0` as `draw` does. A node allocates
+/// nothing.
+///
+/// ```
+/// use dut_probability::DenseDistribution;
+/// use rand::SeedableRng;
+///
+/// let sampler = DenseDistribution::uniform(64).histogram_sampler();
+/// let mut walk = sampler.collision_walk(8);
+/// let mut a = rand::rngs::StdRng::seed_from_u64(7);
+/// let mut b = a.clone();
+/// for _ in 0..100 {
+///     assert_eq!(walk.collision_count(&mut a), sampler.draw(8, &mut b).collision_count());
+/// }
+/// assert_eq!(a, b);
+/// ```
+#[derive(Debug, Clone)]
+pub struct CollisionWalk<'a> {
+    sampler: &'a HistogramSampler,
+    q: u64,
+    /// Entry `(m - 1) · n + i` holds cell `i`'s step with `m` samples
+    /// left; empty above the cap.
+    steps: Vec<Step>,
+}
+
+impl CollisionWalk<'_> {
+    /// The most `(cell, m)` entries a walk keeps: a walk with `q · n`
+    /// above it keeps none. At 16 bytes an entry the largest table is
+    /// 64 KiB; tables of 2¹³ and 2¹⁴ entries raised qstar-e1's peak RSS
+    /// (EXPERIMENTS A14).
+    pub const MAX_TABLE_ENTRIES: usize = 1 << 12;
+
+    /// Draws one node's collision count.
+    pub fn collision_count<R: Rng + ?Sized>(&mut self, rng: &mut R) -> u64 {
+        let sampler = self.sampler;
+        let n = sampler.probs.len();
+        let mut remaining = self.q;
+        let mut pairs = 0u64;
+        // The offset of row `m - 1`, recomputed whenever `m` changes.
+        let mut row = self.row(remaining, n);
+        for i in 0..sampler.last_nonzero {
+            if remaining == 0 {
+                return pairs;
+            }
+            let [zero_end, one_end] = match row.and_then(|row| self.steps.get_mut(row + i)) {
+                Some(entry) => {
+                    if entry[0] == UNFILLED {
+                        *entry = step(sampler, i, remaining);
+                    }
+                    *entry
+                }
+                None => untabled_step(sampler, i),
+            };
+            let c = if zero_end <= MAX_WORDS {
+                let word = rng.next_u64() >> 11;
+                if word < zero_end {
+                    continue;
+                }
+                if word < one_end {
+                    1
+                } else {
+                    // `Rng::random::<f64>` of the same word.
+                    let u = word as f64 * (1.0 / (1u64 << 53) as f64);
+                    let cell = &sampler.cells[i];
+                    binv_from_zero(remaining, cell.ratio, cell.keep_pmf0(remaining), u)
+                }
+            } else if zero_end == EMPTY {
+                continue;
+            } else {
+                sampler.conditional_binomial(remaining, &sampler.cells[i], rng)
+            };
+            pairs += c * c.saturating_sub(1) / 2;
+            remaining -= c;
+            row = self.row(remaining, n);
+        }
+        // The last positive cell takes every remaining sample.
+        pairs + remaining * remaining.saturating_sub(1) / 2
+    }
+
+    /// The table offset of row `m - 1`, if the table holds one.
+    fn row(&self, m: u64, n: usize) -> Option<usize> {
+        if self.steps.is_empty() || m == 0 {
+            return None;
+        }
+        usize::try_from(m - 1).ok().map(|row| row * n)
     }
 }
 

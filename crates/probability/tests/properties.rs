@@ -2,8 +2,8 @@
 
 #![allow(clippy::float_cmp, clippy::cast_possible_truncation)] // test code asserts exact values
 use dut_probability::{
-    distance, empirical, families, DenseDistribution, Histogram, PairedDomain, PerturbationVector,
-    Sampler,
+    distance, empirical, families, CollisionWalk, DenseDistribution, Histogram, PairedDomain,
+    PerturbationVector, Sampler,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -274,6 +274,142 @@ proptest! {
                     ((t as f64) - m * p).abs() <= 6.0 * sigma + 1e-9,
                     "engine {} cell {}: {} vs mean {}", e, i, t, m * p
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn collision_walk_matches_draw_on_any_law(
+        d in arb_distribution(),
+        q in 0u64..600,
+        seed in any::<u64>(),
+    ) {
+        assert_walk_matches_draw(&d, q, 64, seed);
+    }
+}
+
+/// Asserts that `nodes` successive collision-walk counts of `q`-sample
+/// histograms equal `draw(q, ..).collision_count()` and leave the
+/// generator where `draw` leaves it.
+fn assert_walk_matches_draw(d: &DenseDistribution, q: u64, nodes: usize, seed: u64) {
+    let hist = d.histogram_sampler();
+    let mut walk = hist.collision_walk(q);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut reference = rng.clone();
+    for node in 0..nodes {
+        assert_eq!(
+            walk.collision_count(&mut rng),
+            hist.draw(q, &mut reference).collision_count(),
+            "q={q} node {node}"
+        );
+        assert_eq!(rng, reference, "q={q}: generator after node {node}");
+    }
+}
+
+#[test]
+fn collision_walk_matches_draw_on_every_branch() {
+    let cap = CollisionWalk::MAX_TABLE_ENTRIES as u64;
+    // Zero-mass cells, leading, inner and trailing, with and without
+    // the table.
+    let holes = DenseDistribution::new(vec![0.0, 0.2, 0.0, 0.3, 0.0, 0.5, 0.0]).unwrap();
+    assert_walk_matches_draw(&holes, 40, 5_000, 1);
+    assert_walk_matches_draw(&holes, 1_000, 2_000, 1);
+    // A mirrored cell: cell 1 keeps 0.8 / 0.9 of what remains.
+    let mirrored = DenseDistribution::new(vec![0.1, 0.8, 0.05, 0.05]).unwrap();
+    assert_walk_matches_draw(&mirrored, 12, 5_000, 2);
+    assert_walk_matches_draw(&mirrored, 500, 2_000, 3);
+    assert_walk_matches_draw(&mirrored, 2_000, 2_000, 3);
+    // Means of 30 and more take the general sampler.
+    assert_walk_matches_draw(&families::uniform(8), 1_000, 2_000, 4);
+    // m >= 128 computes `pmf0` with `exp`. uniform(32) keeps its table
+    // up to q = 128 and none from q = 129; so does uniform(100) up to
+    // q = 40 and from q = 41.
+    assert_eq!((cap / 32, cap / 100), (128, 40));
+    for q in [127, 128, 129, 1_000] {
+        assert_walk_matches_draw(&families::uniform(32), q, 2_000, 5 + q);
+    }
+    for q in [40, 41, 150] {
+        assert_walk_matches_draw(&families::uniform(100), q, 2_000, 5 + q);
+    }
+    // The shapes the balanced rule calibrates on the histogram engine.
+    for (n, q) in [(64, 8), (256, 16), (256, 32), (256, 128), (1000, 1000)] {
+        assert_walk_matches_draw(&families::uniform(n), q, 2_000, 6 + q);
+    }
+    assert_walk_matches_draw(&families::zipf(300, 1.1).unwrap(), 200, 2_000, 7);
+    assert_walk_matches_draw(&families::uniform(5), 0, 10, 8);
+}
+
+/// Replays `words` first, then a seeded generator's stream.
+#[derive(Debug, Clone, PartialEq)]
+struct PlantedRng {
+    words: Vec<u64>,
+    next: usize,
+    tail: rand::rngs::StdRng,
+}
+
+impl PlantedRng {
+    fn new(words: Vec<u64>) -> Self {
+        Self {
+            words,
+            next: 0,
+            tail: rand::rngs::StdRng::seed_from_u64(99),
+        }
+    }
+}
+
+impl rand::RngCore for PlantedRng {
+    fn next_u32(&mut self) -> u32 {
+        (self.next_u64() >> 32) as u32
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        let word = self.words.get(self.next).copied();
+        self.next += 1;
+        word.unwrap_or_else(|| self.tail.next_u64())
+    }
+}
+
+#[test]
+fn collision_walk_decides_planted_words_at_the_cutoffs_as_draw_does() {
+    // Cell 0 is on BINV's direct branch in each shape: its chunked walk
+    // (m >= 4), its one-term tail (m < 4), the `exp` power (m >= 128)
+    // with and without the walk's table.
+    for (n, q) in [(3usize, 5u64), (3, 2), (3, 1), (32, 128), (1000, 1000)] {
+        let hist = families::uniform(n).histogram_sampler();
+        // Cell 0's count when the first word's top 53 bits are `k`.
+        let first = |k: u64| hist.draw(q, &mut PlantedRng::new(vec![k << 11])).count(0);
+        // The largest k whose count is at most `c`, by bisection.
+        let last_at_most = |c: u64| {
+            let (mut lo, mut hi) = (0u64, 1u64 << 53);
+            while hi - lo > 1 {
+                let mid = lo + (hi - lo) / 2;
+                if first(mid) <= c {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            lo
+        };
+        let (t0, t1) = (last_at_most(0), last_at_most(1));
+        assert_eq!(first(t0), 0, "n={n} q={q}");
+        assert_eq!(first(t0 + 1), 1, "n={n} q={q}");
+        assert_eq!(first(t1), 1, "n={n} q={q}");
+        let mut walk = hist.collision_walk(q);
+        for k in [t0, t0 + 1, t1, t1 + 1] {
+            if k >= 1 << 53 {
+                continue;
+            }
+            // The low 11 bits never decide.
+            for word in [k << 11, k << 11 | 0x7ff] {
+                let mut rng = PlantedRng::new(vec![word]);
+                let mut reference = rng.clone();
+                assert_eq!(
+                    walk.collision_count(&mut rng),
+                    hist.draw(q, &mut reference).collision_count(),
+                    "n={n} q={q} k={k}"
+                );
+                assert_eq!(rng, reference, "n={n} q={q} k={k}");
             }
         }
     }

@@ -206,24 +206,22 @@ fn half_closed_client_gets_its_slow_reply_then_eof() {
 }
 
 /// Bytes a loopback connection absorbs (send buffer plus receive
-/// window) before a nonblocking write would block, measured on this
-/// host the way the server writes: small replies, nodelay.
+/// window) before a nonblocking write would block, measured the way
+/// the server flushes: large nonblocking writes, nodelay, until the
+/// first `WouldBlock`, with no pause for the kernel to grow its
+/// buffers.
 fn loopback_capacity() -> usize {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
     let (server_side, _peer) = listener.accept().expect("accept");
     server_side.set_nodelay(true).expect("nodelay");
     server_side.set_nonblocking(true).expect("nonblocking");
-    let chunk = [b'x'; 256];
+    let chunk = vec![b'x'; OUTBUF_CAP];
     let mut total = 0;
-    let mut stalls = 0;
-    while stalls < 20 {
+    loop {
         match (&server_side).write(&chunk) {
             Ok(n) => total += n,
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                stalls += 1;
-                std::thread::sleep(Duration::from_millis(10));
-            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
             Err(e) => panic!("probe write failed: {e}"),
         }
     }

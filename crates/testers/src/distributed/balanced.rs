@@ -134,9 +134,9 @@ impl BalancedThresholdTester {
             }
             SampleBackend::Histogram => {
                 let uniform = DenseDistribution::uniform(self.n).histogram_sampler();
+                let mut walk = uniform.collision_walk(q as u64);
                 for _ in 0..calibration_trials {
-                    let h = uniform.draw(q as u64, rng);
-                    if h.collision_count() > node_max_count {
+                    if walk.collision_count(rng) > node_max_count {
                         rejects += 1;
                     }
                 }
@@ -156,7 +156,7 @@ impl BalancedThresholdTester {
 mod tests {
     use super::*;
     use dut_probability::families;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn acceptance_rate<S: Sampler>(
         prepared: &PreparedThresholdTester,
@@ -246,6 +246,53 @@ mod tests {
         assert_eq!(edge.node_max_count(), 9);
         assert!(edge.node_accepts(9));
         assert!(!edge.node_accepts(10));
+    }
+
+    #[test]
+    fn histogram_calibrations_are_pinned() {
+        // Recorded before calibration switched from `draw(..)
+        // .collision_count()` to the histogram sampler's collision walk:
+        // (n, k, q) -> (node_max_count, referee_min_rejects, the
+        // generator's next word after 800 nodes). The first row is the
+        // serve set-up key (n = 64, k = 8, q = 8) under its calibration
+        // seed, on the engine `Auto` resolves to; the others force the
+        // histogram engine with and without the walk's cutoff table
+        // (at most 2¹² entries, q·n), with and without its `exp`
+        // branch (m >= 128).
+        let seed = 0xccbc_df03_507f_a56a;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let setup = BalancedThresholdTester::new(64, 8, 0.5).prepare(8, 800, &mut rng);
+        assert_eq!(SampleBackend::Auto.resolve(64, 8), SampleBackend::Histogram);
+        assert_eq!(
+            (
+                setup.node_max_count(),
+                setup.referee_min_rejects(),
+                rng.next_u64()
+            ),
+            (0, 5, 0x229a_6dfe_5157_4a14)
+        );
+        for ((n, k, q), pinned) in [
+            ((256, 32, 32), (2, 13, 0x8c87_ec7f_3b0b_67ee)),
+            ((100, 4, 20), (2, 3, 0x7a55_ae05_bacd_cdbd)),
+            ((1000, 8, 1000), (561, 1, 0x7e9c_fdea_92d3_f478)),
+            ((256, 8, 128), (35, 4, 0x85ba_f790_0e36_c0e5)),
+            ((32, 4, 128), (285, 1, 0xe626_4e83_0db0_8bbb)),
+            ((256, 16, 16), (0, 8, 0x27a8_17f4_cb01_95b1)),
+            ((64, 8, 64), (35, 4, 0x4eca_351b_0d10_4885)),
+        ] {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let p = BalancedThresholdTester::new(n, k, 0.5).prepare_with_backend(
+                q,
+                800,
+                SampleBackend::Histogram,
+                &mut rng,
+            );
+            assert_eq!(
+                (p.node_max_count(), p.referee_min_rejects(), rng.next_u64()),
+                pinned,
+                "n={n} k={k} q={q}"
+            );
+        }
     }
 
     #[test]
