@@ -13,9 +13,8 @@
 //! cargo run --release -p dut-bench --bin a1_tester_ablation
 //! ```
 
-use dut_bench::{q_star, two_sided_success, workload, Harness};
+use dut_bench::{workload, Harness};
 use dut_core::probability::Sampler;
-use dut_core::stats::seed::derive_seed2;
 use dut_core::stats::table::Table;
 use dut_core::testers::centralized::CentralizedTester;
 use dut_core::testers::{
@@ -31,14 +30,11 @@ fn measure<T: CentralizedTester + Sync>(
     harness: &Harness,
     stream: u64,
 ) -> usize {
-    let (uniform, far) = workload(n, eps);
-    q_star(2, 1 << 19, |q| {
-        let probe_seed = derive_seed2(harness.seed, stream, q as u64);
-        two_sided_success(harness.trials, probe_seed, &uniform, &far, |s, r| {
-            tester.test(&s.sample_many(q, r)).is_accept()
+    harness
+        .search(n, eps, stream, 1 << 19, |q| {
+            move |s, r| tester.test(&s.sample_many(q, r)).is_accept()
         })
-    })
-    .minimal
+        .minimal
 }
 
 fn main() {

@@ -9,43 +9,11 @@
 //! cargo run --release -p dut-bench --bin e2_and_rule_cost
 //! ```
 
-use dut_bench::{log_log_slope, q_star, two_sided_success, workload, Harness};
+use dut_bench::{log_log_slope, two_sided_success, workload, Harness};
 use dut_core::lowerbound::theory;
-use dut_core::stats::seed::{derive_seed, derive_seed2};
+use dut_core::stats::seed::derive_seed;
 use dut_core::stats::table::Table;
 use dut_core::testers::{BalancedThresholdTester, TThresholdTester};
-use rand::SeedableRng;
-
-fn q_star_and(n: usize, k: usize, eps: f64, harness: &Harness, stream: u64) -> usize {
-    let (uniform, far) = workload(n, eps);
-    let tester = TThresholdTester::new(n, k, 1);
-    q_star(2, 1 << 15, |q| {
-        let probe_seed = derive_seed2(harness.seed, stream, q as u64);
-        let prepared = tester.prepare(q);
-        two_sided_success(harness.trials, probe_seed, &uniform, &far, |s, r| {
-            prepared.run(s, r).verdict.is_accept()
-        })
-    })
-    .minimal
-}
-
-fn q_star_balanced(n: usize, k: usize, eps: f64, harness: &Harness, stream: u64) -> usize {
-    let (uniform, far) = workload(n, eps);
-    let tester = BalancedThresholdTester::new(n, k, eps);
-    q_star(2, 1 << 15, |q| {
-        let probe_seed = derive_seed2(harness.seed, stream, q as u64);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(probe_seed);
-        let prepared = tester.prepare(q, BalancedThresholdTester::CALIBRATION_TRIALS, &mut rng);
-        two_sided_success(
-            harness.trials,
-            derive_seed(probe_seed, 1),
-            &uniform,
-            &far,
-            |s, r| prepared.run(s, r).verdict.is_accept(),
-        )
-    })
-    .minimal
-}
 
 fn main() {
     let harness = Harness::from_env();
@@ -66,8 +34,21 @@ fn main() {
     let mut balanced_points = Vec::new();
     for (i, &k) in ks.iter().enumerate() {
         let _span = dut_obs::span!("e2.sweep_k", k = k, n = n, eps = eps);
-        let q_and = q_star_and(n, k, eps, &harness, 400 + i as u64);
-        let q_bal = q_star_balanced(n, k, eps, &harness, 500 + i as u64);
+        let and = TThresholdTester::new(n, k, 1);
+        let q_and = harness
+            .search(n, eps, 400 + i as u64, 1 << 15, |q| {
+                let prepared = and.prepare(q);
+                move |s, r| prepared.run(s, r).verdict.is_accept()
+            })
+            .minimal;
+        let balanced = BalancedThresholdTester::new(n, k, eps);
+        let q_bal = harness
+            .search_calibrated(n, eps, 500 + i as u64, 1 << 15, |q, rng| {
+                let prepared =
+                    balanced.prepare(q, BalancedThresholdTester::CALIBRATION_TRIALS, rng);
+                move |s, r| prepared.run(s, r).verdict.is_accept()
+            })
+            .minimal;
         println!("k = {k}: AND q* = {q_and}, balanced q* = {q_bal}");
         and_points.push((k as f64, q_and as f64));
         balanced_points.push((k as f64, q_bal as f64));

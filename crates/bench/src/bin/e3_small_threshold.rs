@@ -12,33 +12,10 @@
 //! cargo run --release -p dut-bench --bin e3_small_threshold
 //! ```
 
-use dut_bench::{q_star, two_sided_success, workload, Harness};
+use dut_bench::Harness;
 use dut_core::lowerbound::theory;
-use dut_core::stats::seed::{derive_seed, derive_seed2};
 use dut_core::stats::table::Table;
 use dut_core::testers::{BalancedThresholdTester, TThresholdTester};
-use rand::SeedableRng;
-
-fn q_star_for_budget(
-    n: usize,
-    k: usize,
-    t: usize,
-    budget: f64,
-    eps: f64,
-    harness: &Harness,
-    stream: u64,
-) -> usize {
-    let (uniform, far) = workload(n, eps);
-    let tester = TThresholdTester::new(n, k, t).with_node_false_positive_budget(budget);
-    q_star(2, 1 << 14, |q| {
-        let probe_seed = derive_seed2(harness.seed, stream, q as u64);
-        let prepared = tester.prepare(q);
-        two_sided_success(harness.trials, probe_seed, &uniform, &far, |s, r| {
-            prepared.run(s, r).verdict.is_accept()
-        })
-    })
-    .minimal
-}
 
 fn main() {
     let harness = Harness::from_env();
@@ -63,7 +40,14 @@ fn main() {
         let mut best = (usize::MAX, 0.0f64);
         for (j, &beta) in [0.125f64, 0.25, 0.5, 1.0, 2.0, 4.0].iter().enumerate() {
             let budget = (beta * t as f64 / k as f64).clamp(1e-6, 0.45);
-            let q = q_star_for_budget(n, k, t, budget, eps, &harness, 2000 + (i * 10 + j) as u64);
+            let tester = TThresholdTester::new(n, k, t).with_node_false_positive_budget(budget);
+            let stream = 2000 + (i * 10 + j) as u64;
+            let q = harness
+                .search(n, eps, stream, 1 << 14, |q| {
+                    let prepared = tester.prepare(q);
+                    move |s, r| prepared.run(s, r).verdict.is_accept()
+                })
+                .minimal;
             if q < best.0 {
                 best = (q, budget);
             }
@@ -83,20 +67,12 @@ fn main() {
 
     // Optimal reference: the calibrated balanced protocol.
     let balanced = BalancedThresholdTester::new(n, k, eps);
-    let (uniform, far) = workload(n, eps);
-    let q_opt = q_star(2, 1 << 14, |q| {
-        let probe_seed = derive_seed2(harness.seed, 2990, q as u64);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(probe_seed);
-        let prepared = balanced.prepare(q, BalancedThresholdTester::CALIBRATION_TRIALS, &mut rng);
-        two_sided_success(
-            harness.trials,
-            derive_seed(probe_seed, 1),
-            &uniform,
-            &far,
-            |s, r| prepared.run(s, r).verdict.is_accept(),
-        )
-    })
-    .minimal;
+    let q_opt = harness
+        .search_calibrated(n, eps, 2990, 1 << 14, |q, rng| {
+            let prepared = balanced.prepare(q, BalancedThresholdTester::CALIBRATION_TRIALS, rng);
+            move |s, r| prepared.run(s, r).verdict.is_accept()
+        })
+        .minimal;
     println!("\ncalibrated balanced referee (T grows with k): q* = {q_opt}");
     harness.save("e3_threshold_sweep", &table);
 

@@ -10,13 +10,12 @@
 //! cargo run --release -p dut-bench --bin e4_single_sample
 //! ```
 
-use dut_bench::{log_log_slope, q_star, two_sided_success, workload, Harness};
+use dut_bench::{log_log_slope, q_star, Harness};
 use dut_core::lowerbound::theory;
 use dut_core::probability::{distance, families};
 use dut_core::stats::seed::derive_seed2;
 use dut_core::stats::table::Table;
 use dut_core::testers::{FourierLearner, SingleSampleProtocol};
-use rand::SeedableRng;
 
 fn minimal_k(
     proto: &SingleSampleProtocol,
@@ -25,14 +24,11 @@ fn minimal_k(
     harness: &Harness,
     stream: u64,
 ) -> usize {
-    let (uniform, far) = workload(n, eps);
-    q_star(2, 1 << 20, |k| {
-        let probe_seed = derive_seed2(harness.seed, stream, k as u64);
-        two_sided_success(harness.trials, probe_seed, &uniform, &far, |s, r| {
-            proto.run(s, k, r).verdict.is_accept()
+    harness
+        .search(n, eps, stream, 1 << 20, |k| {
+            move |s, r| proto.run(s, k, r).verdict.is_accept()
         })
-    })
-    .minimal
+        .minimal
 }
 
 fn main() {
@@ -140,6 +136,5 @@ fn main() {
          bound requires; the gap in the q-exponent (-1 vs -2) is the known \
          slack between simulate-and-infer protocols and the bound."
     );
-    let _ = rand::rngs::StdRng::seed_from_u64(0);
     harness.finish();
 }

@@ -10,12 +10,10 @@
 //! cargo run --release -p dut-bench --bin e6_message_length
 //! ```
 
-use dut_bench::{q_star, two_sided_success, workload, Harness};
+use dut_bench::Harness;
 use dut_core::lowerbound::theory;
-use dut_core::stats::seed::{derive_seed, derive_seed2};
 use dut_core::stats::table::Table;
 use dut_core::testers::QuantizedSumTester;
-use rand::SeedableRng;
 
 fn main() {
     let harness = Harness::from_env();
@@ -24,7 +22,6 @@ fn main() {
     let k = 32;
     let eps = 0.5;
     println!("# E6 — message length (n = {n}, k = {k}, eps = {eps})\n");
-    let (uniform, far) = workload(n, eps);
 
     let mut table = Table::new(vec![
         "message bits r".into(),
@@ -36,19 +33,12 @@ fn main() {
     let mut prev_q = usize::MAX;
     for (i, &r) in [1u8, 2, 4, 8].iter().enumerate() {
         let tester = QuantizedSumTester::new(n, k, r);
-        let q = q_star(2, 1 << 15, |q| {
-            let probe_seed = derive_seed2(harness.seed, 1000 + i as u64, q as u64);
-            let mut rng = rand::rngs::StdRng::seed_from_u64(probe_seed);
-            let prepared = tester.prepare(q, 800, &mut rng);
-            two_sided_success(
-                harness.trials,
-                derive_seed(probe_seed, 1),
-                &uniform,
-                &far,
-                |s, rg| prepared.run(s, rg).verdict.is_accept(),
-            )
-        })
-        .minimal;
+        let q = harness
+            .search_calibrated(n, eps, 1000 + i as u64, 1 << 15, |q, rng| {
+                let prepared = tester.prepare(q, 800, rng);
+                move |s, r| prepared.run(s, r).verdict.is_accept()
+            })
+            .minimal;
         let floor = theory::theorem_6_4(n, k, eps, u32::from(r));
         println!("r = {r}: q* = {q} (floor {floor:.0})");
         table.push_row(vec![

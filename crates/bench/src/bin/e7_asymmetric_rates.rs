@@ -10,29 +10,19 @@
 //! cargo run --release -p dut-bench --bin e7_asymmetric_rates
 //! ```
 
-use dut_bench::{log_log_slope, q_star, two_sided_success, workload, Harness};
+use dut_bench::{log_log_slope, Harness};
 use dut_core::simnet::RateVector;
-use dut_core::stats::seed::{derive_seed, derive_seed2};
 use dut_core::stats::table::Table;
 use dut_core::testers::AsymmetricThresholdTester;
-use rand::SeedableRng;
 
 fn minimal_tau(n: usize, eps: f64, rates: RateVector, harness: &Harness, stream: u64) -> usize {
-    let (uniform, far) = workload(n, eps);
     let tester = AsymmetricThresholdTester::new(n, rates, eps);
-    q_star(2, 1 << 15, |tau| {
-        let probe_seed = derive_seed2(harness.seed, stream, tau as u64);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(probe_seed);
-        let prepared = tester.prepare(tau as f64, 600, &mut rng);
-        two_sided_success(
-            harness.trials,
-            derive_seed(probe_seed, 1),
-            &uniform,
-            &far,
-            |s, r| prepared.run(s, r).verdict.is_accept(),
-        )
-    })
-    .minimal
+    harness
+        .search_calibrated(n, eps, stream, 1 << 15, |tau, rng| {
+            let prepared = tester.prepare(tau as f64, 600, rng);
+            move |s, r| prepared.run(s, r).verdict.is_accept()
+        })
+        .minimal
 }
 
 fn main() {

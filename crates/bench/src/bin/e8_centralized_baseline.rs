@@ -6,30 +6,25 @@
 //! cargo run --release -p dut-bench --bin e8_centralized_baseline
 //! ```
 
-use dut_bench::{log_log_slope, q_star, two_sided_success, workload, Harness};
+use dut_bench::{log_log_slope, Harness};
 use dut_core::lowerbound::{divergence, theory};
 use dut_core::probability::Sampler;
-use dut_core::stats::seed::derive_seed2;
 use dut_core::stats::table::Table;
 use dut_core::testers::centralized::CentralizedTester;
 use dut_core::testers::{CollisionTester, PaninskiTester};
 
 fn measure<T: CentralizedTester + Sync>(
-    make: impl Fn() -> T,
+    tester: &T,
     n: usize,
     eps: f64,
     harness: &Harness,
     stream: u64,
 ) -> usize {
-    let (uniform, far) = workload(n, eps);
-    let tester = make();
-    q_star(2, 1 << 18, |q| {
-        let probe_seed = derive_seed2(harness.seed, stream, q as u64);
-        two_sided_success(harness.trials, probe_seed, &uniform, &far, |s, r| {
-            tester.test(&s.sample_many(q, r)).is_accept()
+    harness
+        .search(n, eps, stream, 1 << 18, |q| {
+            move |s, r| tester.test(&s.sample_many(q, r)).is_accept()
         })
-    })
-    .minimal
+        .minimal
 }
 
 fn main() {
@@ -52,14 +47,14 @@ fn main() {
     for (i, &n) in [1usize << 8, 1 << 10, 1 << 12, 1 << 14].iter().enumerate() {
         let _span = dut_obs::span!("e8.sweep_n", n = n, eps = eps);
         let qc = measure(
-            || CollisionTester::new(n, eps),
+            &CollisionTester::new(n, eps),
             n,
             eps,
             &harness,
             1300 + i as u64,
         );
         let qp = measure(
-            || PaninskiTester::new(n, eps),
+            &PaninskiTester::new(n, eps),
             n,
             eps,
             &harness,
@@ -94,13 +89,7 @@ fn main() {
     let mut pts_e = Vec::new();
     for (i, &e) in [0.25f64, 0.35, 0.5, 0.7, 1.0].iter().enumerate() {
         let _span = dut_obs::span!("e8.sweep_eps", eps = e, n = n);
-        let qc = measure(
-            || CollisionTester::new(n, e),
-            n,
-            e,
-            &harness,
-            1400 + i as u64,
-        );
+        let qc = measure(&CollisionTester::new(n, e), n, e, &harness, 1400 + i as u64);
         println!("eps = {e}: q* = {qc}");
         pts_e.push((e, qc as f64));
         table_e.push_row(vec![

@@ -1,4 +1,5 @@
-//! Shared experiment plumbing for the E1–E11 reproduction binaries.
+//! Shared experiment plumbing for the E1–E12 and A1 reproduction
+//! binaries.
 //!
 //! Every binary follows the same pattern:
 //!
@@ -6,7 +7,7 @@
 //!    ([`Harness::from_env`]: `DUT_TRIALS`, `DUT_SEED`, `DUT_RESULTS`),
 //! 2. measure — usually the minimal per-player sample count `q*` at
 //!    which a protocol reaches the paper's two-sided 2/3 guarantee
-//!    ([`q_star`]),
+//!    ([`Harness::search`], [`Harness::search_calibrated`]),
 //! 3. print a Markdown table next to the paper's prediction and write
 //!    the same rows as CSV under the results directory
 //!    ([`Harness::save`]).
@@ -19,7 +20,7 @@
 use dut_core::probability::AliasSampler;
 use dut_core::stats::runner::decide_two_sided;
 use dut_core::stats::search::{minimal_sufficient, SearchResult};
-use dut_core::stats::seed::derive_seed;
+use dut_core::stats::seed::{derive_seed, derive_seed2};
 use dut_core::stats::table::Table;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -39,17 +40,16 @@ pub struct Harness {
 impl Harness {
     /// Reads the configuration from the environment and, when
     /// `DUT_TRACE` names a file, installs the JSONL trace sink.
+    ///
+    /// A `DUT_TRIALS` or `DUT_SEED` that is set but is not a positive
+    /// integer ends the process: falling back to the default would
+    /// rerun the committed experiment under a mistyped seed and look
+    /// like a perfect replication.
     #[must_use]
     pub fn from_env() -> Self {
+        let trials = positive_env("DUT_TRIALS", 200);
+        let seed = positive_env("DUT_SEED", 20_190_729);
         dut_obs::init_from_env();
-        let trials = std::env::var("DUT_TRIALS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(200);
-        let seed = std::env::var("DUT_SEED")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(20_190_729);
         let results_dir = std::env::var("DUT_RESULTS")
             .map(PathBuf::from)
             .unwrap_or_else(|_| PathBuf::from("results"));
@@ -98,6 +98,87 @@ impl Harness {
         let path = self.results_dir.join(format!("{name}.csv"));
         table.write_csv(&path).expect("failed to write results CSV");
         println!("[csv written to {}]", path.display());
+    }
+
+    /// Finds the minimal resource value `r` in `[2, max]` (a sample
+    /// count, a node count or a time budget) at which a protocol passes
+    /// [`two_sided_success`] on [`workload`]`(n, epsilon)`. `at(r)`
+    /// prepares the protocol, drawing no randomness, and returns its
+    /// `accepts(sampler, rng)`, which runs it once.
+    ///
+    /// The probe at `r` has seed `derive_seed2(self.seed, stream, r)`,
+    /// and its trials take that probe seed.
+    pub fn search<A: Fn(&AliasSampler, &mut StdRng) -> bool + Sync>(
+        &self,
+        n: usize,
+        epsilon: f64,
+        stream: u64,
+        max: usize,
+        mut at: impl FnMut(usize) -> A,
+    ) -> SearchResult {
+        self.probe_search(n, epsilon, stream, max, false, |r, _| at(r))
+    }
+
+    /// [`Harness::search`] for a protocol whose preparation draws
+    /// randomness, such as a Monte-Carlo-calibrated referee threshold:
+    /// `at(r, rng)` prepares on `StdRng::seed_from_u64(probe_seed)`,
+    /// and the trials take `derive_seed(probe_seed, 1)`.
+    ///
+    /// Why two seed rules: here the probe seed already drives the
+    /// calibration stream, so the trials take a seed one step away. A
+    /// protocol that draws nothing while preparing has no such stream,
+    /// and its searches were recorded with the probe seed itself.
+    /// Every committed q\* depends on its search's rule.
+    pub fn search_calibrated<A: Fn(&AliasSampler, &mut StdRng) -> bool + Sync>(
+        &self,
+        n: usize,
+        epsilon: f64,
+        stream: u64,
+        max: usize,
+        at: impl FnMut(usize, &mut StdRng) -> A,
+    ) -> SearchResult {
+        self.probe_search(n, epsilon, stream, max, true, at)
+    }
+
+    /// The one q\* probe behind [`Harness::search`] and
+    /// [`Harness::search_calibrated`].
+    fn probe_search<A: Fn(&AliasSampler, &mut StdRng) -> bool + Sync>(
+        &self,
+        n: usize,
+        epsilon: f64,
+        stream: u64,
+        max: usize,
+        calibrated: bool,
+        mut at: impl FnMut(usize, &mut StdRng) -> A,
+    ) -> SearchResult {
+        let (uniform, far) = workload(n, epsilon);
+        q_star(2, max, |r| {
+            let probe_seed = derive_seed2(self.seed, stream, r as u64);
+            let accepts = at(r, &mut StdRng::seed_from_u64(probe_seed));
+            let trial_seed = if calibrated {
+                derive_seed(probe_seed, 1)
+            } else {
+                probe_seed
+            };
+            two_sided_success(self.trials, trial_seed, &uniform, &far, accepts)
+        })
+    }
+}
+
+/// Reads `name` from the environment as a positive decimal integer,
+/// or `default` when it is unset. Any other value ends the process
+/// with status 2 and a message naming the variable and the value.
+fn positive_env(name: &str, default: u64) -> u64 {
+    let Some(value) = std::env::var_os(name) else {
+        return default;
+    };
+    match value.to_str().and_then(|v| v.parse().ok()) {
+        Some(v) if v > 0 => v,
+        _ => {
+            let value = value.to_string_lossy();
+            eprintln!("error: {name}={value} is not a positive integer");
+            std::process::exit(2)
+        }
     }
 }
 
