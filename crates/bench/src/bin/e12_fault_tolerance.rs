@@ -16,7 +16,7 @@
 //!    bit-flipping players, next to the predicted `min(T-1, k-T)`.
 //!
 //! ```bash
-//! cargo run --release -p dut-bench --bin e12_fault_tolerance [-- --smoke]
+//! cargo run --release -p dut-bench --bin e12_fault_tolerance
 //! ```
 
 use dut_bench::Harness;
@@ -61,16 +61,8 @@ fn policy_name(policy: MissingPolicy) -> &'static str {
 fn main() {
     let harness = Harness::from_env();
     harness.emit_manifest("e12_fault_tolerance");
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let trials = if smoke {
-        20
-    } else {
-        usize::try_from(harness.trials).expect("trials fits usize")
-    };
-    println!(
-        "# E12 — fault tolerance (n = {N}, k = {K}, eps = {EPS}, trials = {trials}{})\n",
-        if smoke { ", smoke" } else { "" }
-    );
+    let trials = usize::try_from(harness.trials).expect("trials fits usize");
+    println!("# E12 — fault tolerance (n = {N}, k = {K}, eps = {EPS}, trials = {trials})\n");
 
     let uniform = families::uniform(N).alias_sampler();
     let far = families::two_level(N, EPS)
@@ -84,18 +76,10 @@ fn main() {
 
     // --- 1. degradation curves: rate x model x rule x policy ---
     println!("## graceful degradation under message loss\n");
-    let iid_rates: &[f64] = if smoke {
-        &[0.0, 0.2, 0.4]
-    } else {
-        &[0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
-    };
+    let iid_rates: &[f64] = &[0.0, 0.1, 0.2, 0.3, 0.4, 0.5];
     // The bursty channel's mean loss tops out at its stationary
     // bad-state probability (~0.375).
-    let ge_rates: &[f64] = if smoke {
-        &[0.0, 0.2, 0.37]
-    } else {
-        &[0.0, 0.1, 0.2, 0.3, 0.37]
-    };
+    let ge_rates: &[f64] = &[0.0, 0.1, 0.2, 0.3, 0.37];
     type PlanMaker = Box<dyn Fn(f64) -> Box<dyn FaultPlan>>;
     let models: Vec<(&str, &[f64], PlanMaker)> = vec![
         (
@@ -172,21 +156,13 @@ fn main() {
 
     // --- 2. recovery at heavy loss ---
     println!("## recovery at 70% iid loss (AND rule, scarce alarms)\n");
-    let recoveries: &[(&str, Recovery)] = if smoke {
-        &[
-            ("none", Recovery::None),
-            ("repeat:3", Recovery::Repetition { copies: 3 }),
-            ("ack:3", Recovery::AckRetry { max_attempts: 3 }),
-        ]
-    } else {
-        &[
-            ("none", Recovery::None),
-            ("repeat:3", Recovery::Repetition { copies: 3 }),
-            ("repeat:5", Recovery::Repetition { copies: 5 }),
-            ("ack:3", Recovery::AckRetry { max_attempts: 3 }),
-            ("ack:5", Recovery::AckRetry { max_attempts: 5 }),
-        ]
-    };
+    let recoveries: &[(&str, Recovery)] = &[
+        ("none", Recovery::None),
+        ("repeat:3", Recovery::Repetition { copies: 3 }),
+        ("repeat:5", Recovery::Repetition { copies: 5 }),
+        ("ack:3", Recovery::AckRetry { max_attempts: 3 }),
+        ("ack:5", Recovery::AckRetry { max_attempts: 5 }),
+    ];
     let mut recovery_table = Table::new(vec![
         "recovery".into(),
         "detection (far)".into(),

@@ -278,17 +278,6 @@ mod tests {
     use dut_core::probability::Sampler as _;
 
     #[test]
-    fn harness_defaults() {
-        // Do not set env vars (tests may run in parallel); defaults only.
-        let h = Harness {
-            trials: 200,
-            seed: 1,
-            results_dir: PathBuf::from("results"),
-        };
-        assert_eq!(h.trials, 200);
-    }
-
-    #[test]
     fn two_sided_success_separates() {
         let (uniform, far) = workload(64, 1.0);
         // A "protocol" with 12 samples and a collision test.

@@ -35,16 +35,6 @@ pub fn powi_exp(exponent: u64) -> i32 {
     i32::try_from(exponent).expect("exponent fits an i32")
 }
 
-/// 64-bit variant of [`chi`] for wide domains.
-#[must_use]
-pub fn chi64(s: u64, x: u64) -> i8 {
-    if (s & x).count_ones().is_multiple_of(2) {
-        1
-    } else {
-        -1
-    }
-}
-
 /// Iterator over all subsets of `{0,..,n-1}` of a fixed size, as bitmasks
 /// in increasing numeric order (Gosper's hack).
 ///
@@ -101,20 +91,6 @@ impl Iterator for SubsetsOfSize {
         };
         Some(v)
     }
-}
-
-/// Iterator over all non-empty subsets of a given bitmask, in increasing
-/// numeric order.
-pub fn nonempty_subsets_of(mask: u64) -> impl Iterator<Item = u64> {
-    // Standard submask enumeration, collected in reverse then reordered.
-    let mut subs = Vec::new();
-    let mut s = mask;
-    while s != 0 {
-        subs.push(s);
-        s = (s - 1) & mask;
-    }
-    subs.reverse();
-    subs.into_iter()
 }
 
 /// Binomial coefficient `C(n, k)` as `u128`, exact for the sizes used here.
@@ -194,15 +170,6 @@ mod tests {
     }
 
     #[test]
-    fn chi64_matches_chi() {
-        for s in 0..32u32 {
-            for x in 0..32u32 {
-                assert_eq!(chi(s, x), chi64(u64::from(s), u64::from(x)));
-            }
-        }
-    }
-
-    #[test]
     fn subsets_of_size_counts_binomially() {
         for n in 0..=8u32 {
             for k in 0..=n {
@@ -228,13 +195,6 @@ mod tests {
         let subsets: Vec<u64> = subsets_of_size(6, 3).collect();
         assert!(subsets.iter().all(|s| s.count_ones() == 3));
         assert!(subsets.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn nonempty_subsets_enumeration() {
-        let subs: Vec<u64> = nonempty_subsets_of(0b101).collect();
-        assert_eq!(subs, vec![0b001, 0b100, 0b101]);
-        assert_eq!(nonempty_subsets_of(0).count(), 0);
     }
 
     #[test]

@@ -169,16 +169,6 @@ pub fn a_r_moment_monte_carlo<R: Rng + ?Sized>(
     (mean, (var / f64::from(trials)).sqrt())
 }
 
-/// Exact `E_x[a_r(x)] = C(q, 2r) · |X_{2r}| / D^q` via the interchange of
-/// summation used in Section 5.1.
-#[must_use]
-pub fn a_r_mean_exact(cube_size: u64, q: u64, r: u64) -> f64 {
-    let subsets = binomial(q, 2 * r) as f64;
-    let even = even_word_count(cube_size, 2 * r) as f64;
-    // |X_{2r}| / D^q = even_words(2r) / D^{2r}.
-    subsets * even / (cube_size as f64).powi(crate::character::powi_exp(2 * r))
-}
-
 /// The Lemma 5.5 moment bound on `E_x[a_r(x)^m]`:
 /// `(4m)^{2mr} · (q/√(n/2))^{2mr}` when `q ≥ √(n/2)`, and
 /// `(4m)^{2mr} · (q/√(n/2))^{2r}` when `q < √(n/2)`.
@@ -197,6 +187,12 @@ pub fn a_r_moment_bound(cube_size: u64, q: u64, r: u32, m: u32) -> f64 {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+
+    /// `E_x[a_r(x)] = C(q, 2r) · |X_{2r}| / D^q`, the interchange of
+    /// summation used in Section 5.1.
+    fn a_r_mean(d: u64, q: u64, r: u64) -> f64 {
+        binomial(q, 2 * r) as f64 * x_s_count_exact(d, q, 2 * r) as f64 / (d as f64).powi(q as i32)
+    }
 
     #[test]
     fn empty_subset_is_evenly_covered() {
@@ -322,7 +318,7 @@ mod tests {
     }
 
     #[test]
-    fn a_r_mean_exact_matches_enumeration() {
+    fn a_r_mean_interchange_matches_enumeration() {
         // Enumerate all x in D^q and average a_r(x).
         let d = 3u32;
         let q = 4u32;
@@ -339,7 +335,7 @@ mod tests {
             sum += a_r_count(&xs, r);
         }
         let mean = sum as f64 / total as f64;
-        let predicted = a_r_mean_exact(d.into(), q.into(), r.into());
+        let predicted = a_r_mean(d.into(), q.into(), r.into());
         assert!(
             (mean - predicted).abs() < 1e-12,
             "mean={mean} predicted={predicted}"
@@ -353,7 +349,7 @@ mod tests {
         for d in [4u64, 8, 16] {
             for q in 2..=8u64 {
                 for r in 1..=(q / 2) {
-                    let mean = a_r_mean_exact(d, q, r);
+                    let mean = a_r_mean(d, q, r);
                     let bound = ((q * q) as f64 / d as f64).powi(r as i32);
                     assert!(
                         mean <= bound * (1.0 + 1e-9),
@@ -405,7 +401,7 @@ mod tests {
     fn monte_carlo_moment_agrees_with_exact_mean() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(99);
         let (est, se) = a_r_moment_monte_carlo(8, 6, 1, 1, 4000, &mut rng);
-        let exact = a_r_mean_exact(8, 6, 1);
+        let exact = a_r_mean(8, 6, 1);
         assert!(
             (est - exact).abs() < 5.0 * se + 1e-9,
             "est={est} exact={exact} se={se}"

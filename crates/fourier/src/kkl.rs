@@ -5,7 +5,7 @@
 //! player bit carries very little low-level spectral weight, hence very
 //! little information about the samples.
 
-use crate::{BooleanFunction, Spectrum};
+use crate::BooleanFunction;
 
 /// The right-hand side of Lemma 5.4: `δ^{-r} · μ^{2/(1+δ)}`.
 ///
@@ -82,14 +82,6 @@ pub fn check_level_inequality(f: &BooleanFunction, r: u32, delta: f64) -> LevelC
         bound: level_inequality_bound(mu, r, delta),
         mu,
     }
-}
-
-/// The weight profile of a spectrum: `(level, weight)` for every level.
-#[must_use]
-pub fn level_profile(spec: &Spectrum) -> Vec<(u32, f64)> {
-    (0..=spec.num_vars())
-        .map(|r| (r, spec.level_weight(r)))
-        .collect()
 }
 
 #[cfg(test)]
@@ -178,14 +170,6 @@ mod tests {
         let balanced = check_level_inequality(&BooleanFunction::dictator(8, 0), 1, 1.0);
         let biased = check_level_inequality(&BooleanFunction::and_all(8), 1, 1.0);
         assert!(biased.observed < balanced.observed / 100.0);
-    }
-
-    #[test]
-    fn level_profile_sums_to_total() {
-        let f = BooleanFunction::majority(5);
-        let spec = f.spectrum();
-        let total: f64 = level_profile(&spec).iter().map(|(_, w)| w).sum();
-        assert!((total - spec.total_weight()).abs() < 1e-12);
     }
 
     #[test]

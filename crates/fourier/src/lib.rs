@@ -13,9 +13,8 @@
 //!   weights,
 //! * characters and subset iteration ([`character`]),
 //! * the KKL level inequality, Lemma 5.4 ([`kkl`]),
-//! * the noise operator and influences ([`noise`]),
 //! * restrictions ([`restriction`]) — the paper's `G_x(s) = G(x, s)`
-//!   operation and random restrictions,
+//!   operation,
 //! * even-cover combinatorics ([`evencover`]): the sets `X_S`, the counts
 //!   `a_r(x)`, exact even-word counting, and the bounds of Proposition 5.2
 //!   and Lemma 5.5.
@@ -50,7 +49,6 @@ mod spectrum;
 pub mod character;
 pub mod evencover;
 pub mod kkl;
-pub mod noise;
 pub mod restriction;
 pub mod transform;
 

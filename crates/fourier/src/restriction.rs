@@ -4,11 +4,9 @@
 //! and study the restricted function `G_x(s) = G(x, s)` of the signs
 //! alone (Lemma 4.1 onward). This module provides that operation in
 //! general: fix any subset of coordinates to constants and obtain the
-//! function on the remaining ones, plus the random-restriction sampler
-//! used throughout Boolean analysis.
+//! function on the remaining ones.
 
 use crate::BooleanFunction;
-use rand::Rng;
 
 /// A partial assignment: which coordinates are fixed, and to what.
 ///
@@ -34,34 +32,6 @@ impl Restriction {
         Self { mask, values }
     }
 
-    /// The empty restriction (nothing fixed).
-    #[must_use]
-    pub fn empty() -> Self {
-        Self { mask: 0, values: 0 }
-    }
-
-    /// A uniformly random restriction that fixes each coordinate
-    /// independently with probability `1 − rho` (so `rho` is the
-    /// survival probability, as in the random-restriction literature).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rho ∉ [0, 1]`.
-    pub fn random<R: Rng + ?Sized>(num_vars: u32, rho: f64, rng: &mut R) -> Self {
-        assert!((0.0..=1.0).contains(&rho), "rho out of range");
-        let mut mask = 0u32;
-        let mut values = 0u32;
-        for i in 0..num_vars {
-            if rng.random::<f64>() >= rho {
-                mask |= 1 << i;
-                if rng.random::<bool>() {
-                    values |= 1 << i;
-                }
-            }
-        }
-        Self { mask, values }
-    }
-
     /// The fixed-coordinate mask.
     #[must_use]
     pub fn mask(&self) -> u32 {
@@ -72,12 +42,6 @@ impl Restriction {
     #[must_use]
     pub fn values(&self) -> u32 {
         self.values
-    }
-
-    /// Number of fixed coordinates.
-    #[must_use]
-    pub fn fixed_count(&self) -> u32 {
-        self.mask.count_ones()
     }
 }
 
@@ -124,22 +88,6 @@ pub fn restrict(f: &BooleanFunction, restriction: Restriction) -> BooleanFunctio
     BooleanFunction::from_values(values)
 }
 
-/// The expectation of `f` over a random completion of a restriction —
-/// `E[f | fixed coordinates]`.
-///
-/// # Panics
-///
-/// Panics if the restriction references out-of-range coordinates.
-#[must_use]
-pub fn conditional_mean(f: &BooleanFunction, restriction: Restriction) -> f64 {
-    let m = f.num_vars();
-    let full = if m == 32 { u32::MAX } else { (1u32 << m) - 1 };
-    if restriction.mask() == full {
-        return f.eval(restriction.values());
-    }
-    restrict(f, restriction).mean()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,43 +131,23 @@ mod tests {
     }
 
     #[test]
-    fn conditional_means_average_to_total_mean() {
+    fn restricted_means_average_to_total_mean() {
         // E[f] = E over the fixed value of E[f | fixed].
         let mut rng = rand::rngs::StdRng::seed_from_u64(23);
         let f = BooleanFunction::random(6, 0.4, &mut rng);
         for i in 0..6u32 {
             let mask = 1u32 << i;
-            let a = conditional_mean(&f, Restriction::new(mask, 0));
-            let b = conditional_mean(&f, Restriction::new(mask, mask));
+            let a = restrict(&f, Restriction::new(mask, 0)).mean();
+            let b = restrict(&f, Restriction::new(mask, mask)).mean();
             assert!(((a + b) / 2.0 - f.mean()).abs() < 1e-12, "coordinate {i}");
         }
     }
 
     #[test]
-    fn full_restriction_reads_point_value() {
-        let f = BooleanFunction::parity(3, 0b111);
-        let full = Restriction::new(0b111, 0b101);
-        assert_eq!(conditional_mean(&f, full), f.eval(0b101));
-    }
-
-    #[test]
     fn empty_restriction_is_identity() {
         let f = BooleanFunction::majority(5);
-        let g = restrict(&f, Restriction::empty());
+        let g = restrict(&f, Restriction::new(0, 0));
         assert_eq!(g, f);
-    }
-
-    #[test]
-    fn random_restriction_respects_rho() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(29);
-        let mut fixed_total = 0u32;
-        let draws = 2000;
-        for _ in 0..draws {
-            fixed_total += Restriction::random(10, 0.7, &mut rng).fixed_count();
-        }
-        // Expected fixed per draw: 10 * 0.3 = 3.
-        let mean = f64::from(fixed_total) / f64::from(draws);
-        assert!((mean - 3.0).abs() < 0.2, "mean fixed {mean}");
     }
 
     #[test]

@@ -101,32 +101,6 @@ impl Spectrum {
             .map(|(_, c)| c * c)
             .sum()
     }
-
-    /// Weight at levels `0..=r` (including the empty set).
-    #[must_use]
-    pub fn low_level_weight_with_mean(&self, r: u32) -> f64 {
-        self.low_level_weight(r) + self.mean() * self.mean()
-    }
-
-    /// The subset with the largest |coefficient| among non-empty subsets,
-    /// with its coefficient. Returns `None` for single-coefficient tables.
-    #[must_use]
-    pub fn heaviest_nonempty(&self) -> Option<(u32, f64)> {
-        self.coeffs
-            .iter()
-            .enumerate()
-            .skip(1)
-            .max_by(|a, b| a.1.abs().total_cmp(&b.1.abs()))
-            .map(|(s, &c)| (crate::character::mask(s), c))
-    }
-
-    /// Inverts back to the value table (inverse WHT).
-    #[must_use]
-    pub fn to_values(&self) -> Vec<f64> {
-        let mut values = self.coeffs.clone();
-        crate::transform::walsh_hadamard(&mut values);
-        values
-    }
 }
 
 #[cfg(test)]
@@ -191,24 +165,6 @@ mod tests {
             (spec.low_level_weight(m) - spec.variance()).abs() < 1e-12,
             "all non-empty levels = variance"
         );
-        assert!((spec.low_level_weight_with_mean(m) - spec.total_weight()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn heaviest_nonempty_of_parity() {
-        let spec = BooleanFunction::parity(5, 0b10101).spectrum();
-        let (s, c) = spec.heaviest_nonempty().expect("nonempty");
-        assert_eq!(s, 0b10101);
-        assert!((c + 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn to_values_roundtrip() {
-        let f = BooleanFunction::threshold(5, 3);
-        let values = f.spectrum().to_values();
-        for (a, b) in values.iter().zip(f.values()) {
-            assert!((a - b).abs() < 1e-12);
-        }
     }
 
     #[test]

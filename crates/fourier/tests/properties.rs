@@ -121,13 +121,4 @@ proptest! {
         // The empty subset is trivially evenly covered: a_0(x) = 1.
         prop_assert_eq!(a_r_count(&xs, 0), 1);
     }
-
-    #[test]
-    fn noise_stability_bounds(f in arb_boolean_function(), rho_i in 0u32..=10) {
-        let rho = f64::from(rho_i) / 10.0;
-        let spec = f.spectrum();
-        let stab = dut_fourier::noise::noise_stability(&spec, rho);
-        prop_assert!(stab >= spec.mean() * spec.mean() - 1e-9);
-        prop_assert!(stab <= spec.total_weight() + 1e-9);
-    }
 }

@@ -23,6 +23,7 @@ use dut_serve::client::{check_served, Served};
 use dut_serve::engine::{self, Engine};
 use dut_serve::protocol::{self, Command, ReplyLine, Request};
 use std::fmt::Write as _;
+use std::path::{Path, PathBuf};
 
 /// Schema tag stamped into (and required from) every corpus entry.
 pub const SCHEMA: &str = "dut-fuzz-corpus/v1";
@@ -354,6 +355,44 @@ impl Entry {
         crate::differential::compare_local_paths(&request)
             .map_err(|e| format!("corpus `{}`: {e}", self.name))
     }
+}
+
+/// Expands corpus paths into the `.json` files they hold, directories
+/// recursively with their children in sorted order (`dut fuzz --check`,
+/// `dut fuzz --replay` and `tests/corpus_replay.rs`).
+///
+/// # Errors
+///
+/// Fails when `paths` is empty, a directory cannot be read, or no
+/// `.json` file is found.
+pub fn collect_files<P: AsRef<Path>>(paths: &[P]) -> Result<Vec<PathBuf>, String> {
+    fn walk(path: &Path, files: &mut Vec<PathBuf>) -> Result<(), String> {
+        if path.is_dir() {
+            let mut children: Vec<PathBuf> = std::fs::read_dir(path)
+                .map_err(|e| format!("cannot read {}: {e}", path.display()))?
+                .filter_map(Result::ok)
+                .map(|e| e.path())
+                .collect();
+            children.sort();
+            for child in children {
+                walk(&child, files)?;
+            }
+        } else if path.extension().is_some_and(|ext| ext == "json") {
+            files.push(path.to_path_buf());
+        }
+        Ok(())
+    }
+    if paths.is_empty() {
+        return Err("no corpus files or directories given".into());
+    }
+    let mut files = Vec::new();
+    for path in paths {
+        walk(path.as_ref(), &mut files)?;
+    }
+    if files.is_empty() {
+        return Err("no .json corpus files found".into());
+    }
+    Ok(files)
 }
 
 /// Validates one corpus file body (`dut fuzz --check`).

@@ -3,9 +3,8 @@
 //!
 //! For parameters where `n^q` (sample tuples) and `2^{2^ℓ}`
 //! (perturbation vectors) are enumerable, every quantity in the paper's
-//! lemmas is computed *exactly*: these exact values validate the
-//! Monte-Carlo estimators of [`crate::montecarlo`] and make the lemma
-//! checks in [`crate::lemmas`] airtight on small instances.
+//! lemmas is computed *exactly*, which makes the lemma checks in
+//! [`crate::lemmas`] airtight on small instances.
 
 use crate::player::{PairedSample, PlayerFunction};
 use dut_probability::{PairedDomain, PerturbationVector};

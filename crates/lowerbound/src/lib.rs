@@ -13,15 +13,16 @@
 //! * [`exact`] — exact computation of `μ(G)`, `ν_z(G)`,
 //!   `E_z[ν_z(G)]` and `E_z[(ν_z(G) − μ(G))²]` by full enumeration of
 //!   sample tuples and perturbation vectors (small parameters);
-//! * [`montecarlo`] — unbiased Monte-Carlo estimators of the same
-//!   quantities for larger parameters;
+//! * [`lemma41`] — Lemma 4.1's Fourier expansion of `ν_z(G) − μ(G)`,
+//!   evaluated from restricted spectra;
 //! * [`lemmas`] — right-hand sides of Lemma 4.2, 4.3, 4.4 and 5.1 and
-//!   checkers that compare them against the exact/estimated left-hand
-//!   sides;
+//!   checkers that compare them against the exact left-hand sides;
 //! * [`claim31`] — numeric verification of Claim 3.1 (the product
 //!   expansion of `ν_z^q`) and of the even-cover spectrum structure;
 //! * [`divergence`] — the KL-budget argument of Section 6.1
 //!   (Fact 6.2/6.3, equations (9)–(13));
+//! * [`mixture`] — the exact mixture `E_z[ν_z^q]` and its TV and χ²
+//!   distance from `uniform^q` (the centralized √n barrier);
 //! * [`theory`] — every theorem's predicted sample complexity as a
 //!   formula, used by the benchmark tables.
 //!
@@ -50,6 +51,5 @@ pub mod exact;
 pub mod lemma41;
 pub mod lemmas;
 pub mod mixture;
-pub mod montecarlo;
 pub mod player;
 pub mod theory;

@@ -148,12 +148,19 @@ pub fn tv_mixture_uniform_monte_carlo<R: Rng + ?Sized>(
     for _ in 0..trials {
         tuple.clear();
         for _ in 0..q {
-            tuple.push(crate::montecarlo::sample_uniform(dom, rng));
+            tuple.push(sample_uniform(dom, rng));
         }
         let ratio = mixture_likelihood_ratio(epsilon, &tuple);
         acc += (1.0 - ratio).max(0.0);
     }
     acc / f64::from(trials)
+}
+
+/// Draws one sample from the uniform distribution on the paired domain.
+fn sample_uniform<R: Rng + ?Sized>(dom: &PairedDomain, rng: &mut R) -> PairedSample {
+    let x = dut_fourier::character::mask(rng.random_range(0..dom.cube_size()));
+    let s = if rng.random::<bool>() { 1 } else { -1 };
+    (x, s)
 }
 
 /// The exact Ingster χ² divergence `χ²(E_z[ν_z^q], uniform^q)`.
@@ -257,9 +264,7 @@ mod tests {
         let count = 1u64 << dom.cube_size();
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         for _ in 0..50 {
-            let tuple: Vec<PairedSample> = (0..q)
-                .map(|_| crate::montecarlo::sample_uniform(&dom, &mut rng))
-                .collect();
+            let tuple: Vec<PairedSample> = (0..q).map(|_| sample_uniform(&dom, &mut rng)).collect();
             let mut brute = 0.0f64;
             for code in 0..count {
                 let z = PerturbationVector::from_code(dom.cube_size(), code);
@@ -384,13 +389,23 @@ mod tests {
         // n^{-q} underflows far before q = 600; the ratio must not.
         let dom = PairedDomain::new(9);
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-        let tuple: Vec<PairedSample> = (0..600)
-            .map(|_| crate::montecarlo::sample_uniform(&dom, &mut rng))
-            .collect();
+        let tuple: Vec<PairedSample> = (0..600).map(|_| sample_uniform(&dom, &mut rng)).collect();
         let ratio = mixture_likelihood_ratio(0.5, &tuple);
         assert!(ratio.is_finite() && ratio > 0.0, "ratio = {ratio}");
         let mc = tv_mixture_uniform_monte_carlo(&dom, 600, 0.5, 500, &mut rng);
         assert!(mc > 0.0 && mc <= 1.0, "tv = {mc}");
+    }
+
+    #[test]
+    fn uniform_sampler_covers_domain() {
+        let dom = PairedDomain::new(2);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(33);
+        let mut seen = std::collections::HashSet::new();
+        for _ in 0..1000 {
+            let (x, s) = sample_uniform(&dom, &mut rng);
+            seen.insert(dom.encode(x, s));
+        }
+        assert_eq!(seen.len(), dom.universe_size());
     }
 
     #[test]

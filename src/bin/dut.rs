@@ -330,30 +330,24 @@ fn parse_input(
     eps: f64,
     rng: &mut rand::rngs::StdRng,
 ) -> Result<DenseDistribution, String> {
-    match spec {
-        "uniform" => Ok(families::uniform(n)),
-        "two-level" => families::two_level(n, eps).map_err(|e| e.to_string()),
-        "alternating" => families::alternating(n, eps).map_err(|e| e.to_string()),
-        "zipf" => families::zipf(n, 1.0).map_err(|e| e.to_string()),
-        "hard" => {
-            // A random member of the paper's nu_z family; requires a
-            // power-of-two domain of size >= 4.
-            if !n.is_power_of_two() || n < 4 {
-                return Err("the hard family needs a power-of-two domain >= 4".into());
-            }
-            let ell = n.trailing_zeros() - 1;
-            let dom = distributed_uniformity::probability::PairedDomain::new(ell);
-            let z = distributed_uniformity::probability::PerturbationVector::random(
-                dom.cube_size(),
-                rng,
-            );
-            dom.perturbed_distribution(&z, eps)
-                .map_err(|e| e.to_string())
-        }
-        other => Err(format!(
-            "unknown input `{other}` (uniform | two-level | alternating | zipf | hard)"
-        )),
+    if let Some(family) = dut_serve::protocol::Family::parse(spec) {
+        return family.build(n, eps);
     }
+    if spec != "hard" {
+        return Err(format!(
+            "unknown input `{spec}` (uniform | two-level | alternating | zipf | hard)"
+        ));
+    }
+    // A random member of the paper's nu_z family; requires a
+    // power-of-two domain of size >= 4.
+    if !n.is_power_of_two() || n < 4 {
+        return Err("the hard family needs a power-of-two domain >= 4".into());
+    }
+    let ell = n.trailing_zeros() - 1;
+    let dom = distributed_uniformity::probability::PairedDomain::new(ell);
+    let z = distributed_uniformity::probability::PerturbationVector::random(dom.cube_size(), rng);
+    dom.perturbed_distribution(&z, eps)
+        .map_err(|e| e.to_string())
 }
 
 fn cmd_test(mut args: Args) -> Result<(), String> {
@@ -940,45 +934,9 @@ fn print_diff_report(report: &dut_fuzz::differential::DiffReport) {
     }
 }
 
-/// Expands files and directories (recursively) into sorted `.json`
-/// corpus file paths.
-fn collect_corpus_files(
-    path: &std::path::Path,
-    files: &mut Vec<std::path::PathBuf>,
-) -> Result<(), String> {
-    if path.is_dir() {
-        let mut children: Vec<std::path::PathBuf> = std::fs::read_dir(path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?
-            .filter_map(Result::ok)
-            .map(|e| e.path())
-            .collect();
-        children.sort();
-        for child in children {
-            collect_corpus_files(&child, files)?;
-        }
-    } else if path.extension().is_some_and(|ext| ext == "json") {
-        files.push(path.to_path_buf());
-    }
-    Ok(())
-}
-
-fn load_corpus(paths: &[String]) -> Result<Vec<std::path::PathBuf>, String> {
-    if paths.is_empty() {
-        return Err("no corpus files or directories given".into());
-    }
-    let mut files = Vec::new();
-    for p in paths {
-        collect_corpus_files(std::path::Path::new(p), &mut files)?;
-    }
-    if files.is_empty() {
-        return Err("no .json corpus files found".into());
-    }
-    Ok(files)
-}
-
 /// `dut fuzz --check` — schema-validate corpus entries.
 fn fuzz_check(paths: &[String]) -> Result<(), String> {
-    let files = load_corpus(paths)?;
+    let files = dut_fuzz::corpus::collect_files(paths)?;
     let mut bad = 0u64;
     for file in &files {
         if let Err(message) = std::fs::read_to_string(file)
@@ -1004,7 +962,7 @@ fn fuzz_check(paths: &[String]) -> Result<(), String> {
 /// `dut fuzz --replay` — re-fire corpus entries as assertions.
 fn fuzz_replay(paths: &[String], addr: Option<String>) -> Result<(), String> {
     let mut entries = Vec::new();
-    for file in &load_corpus(paths)? {
+    for file in &dut_fuzz::corpus::collect_files(paths)? {
         let entry = std::fs::read_to_string(file)
             .map_err(|e| e.to_string())
             .and_then(|text| dut_fuzz::corpus::Entry::parse(&text))

@@ -480,6 +480,24 @@ fn fuzz_chaos_plane_attacks_an_external_server() {
 }
 
 #[test]
+fn fuzz_check_rejects_a_directory_without_corpus_files() {
+    let dir = std::env::temp_dir().join(format!("dut_cli_empty_corpus_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let out = dut()
+        .args(["fuzz", "--check"])
+        .arg(&dir)
+        .output()
+        .expect("binary runs");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("no .json corpus files found"),
+        "stderr: {stderr}"
+    );
+}
+
+#[test]
 fn trace_replay_honours_stats_check_and_pipeline() {
     let dir = std::env::temp_dir().join(format!("dut_cli_trace_replay_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");

@@ -18,28 +18,7 @@ fn corpus_root() -> PathBuf {
 }
 
 fn corpus_files() -> Vec<PathBuf> {
-    fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
-        let mut children: Vec<PathBuf> = std::fs::read_dir(dir)
-            .expect("corpus directory readable")
-            .filter_map(Result::ok)
-            .map(|e| e.path())
-            .collect();
-        children.sort();
-        for child in children {
-            if child.is_dir() {
-                walk(&child, out);
-            } else if child.extension().is_some_and(|ext| ext == "json") {
-                out.push(child);
-            }
-        }
-    }
-    let mut files = Vec::new();
-    walk(&corpus_root(), &mut files);
-    assert!(
-        !files.is_empty(),
-        "tests/corpus must contain at least one entry"
-    );
-    files
+    corpus::collect_files(&[corpus_root()]).expect("tests/corpus holds at least one entry")
 }
 
 #[test]
