@@ -1,6 +1,5 @@
 //! Findings and the aggregate lint report.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// One rule violation at a source location.
@@ -16,16 +15,10 @@ pub struct Finding {
     pub message: String,
     /// How to fix it.
     pub hint: &'static str,
-    /// Stable identifier: an FNV-1a hash of (rule, path, message,
-    /// occurrence index), assigned by [`Report::finalize`]. Line
-    /// numbers are deliberately excluded so IDs — and therefore the
-    /// committed baseline — survive unrelated line drift in the file.
-    pub id: String,
 }
 
 impl Finding {
-    /// A finding with an empty id (assigned later by
-    /// [`Report::finalize`]).
+    /// A finding of `rule` at `path:line`.
     #[must_use]
     pub fn new(
         path: &str,
@@ -40,7 +33,6 @@ impl Finding {
             rule,
             message,
             hint,
-            id: String::new(),
         }
     }
 }
@@ -56,24 +48,6 @@ impl fmt::Display for Finding {
     }
 }
 
-/// 64-bit FNV-1a over a sequence of parts (a `0xff` separator keeps
-/// `("ab","c")` distinct from `("a","bc")`).
-#[must_use]
-pub fn fnv1a64(parts: &[&str]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |b: u8| {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for part in parts {
-        for b in part.bytes() {
-            eat(b);
-        }
-        eat(0xff);
-    }
-    h
-}
-
 /// The result of linting a set of files.
 #[derive(Debug, Default)]
 pub struct Report {
@@ -83,74 +57,19 @@ pub struct Report {
     pub files_checked: usize,
     /// Suppressions that matched a finding (justified exceptions).
     pub suppressed: usize,
-    /// Findings absorbed by the committed baseline (see
-    /// [`Report::apply_baseline`]).
-    pub baselined: usize,
-    /// Baseline ids that no longer match any finding — the baseline
-    /// is stale and must be regenerated (the ratchet only turns one
-    /// way).
-    pub stale_baseline: Vec<String>,
 }
 
 impl Report {
-    /// True when the tree is lint-clean: no active findings and no
-    /// stale baseline entries.
+    /// True when the tree is lint-clean: no unsuppressed findings.
     #[must_use]
     pub fn is_clean(&self) -> bool {
-        self.findings.is_empty() && self.stale_baseline.is_empty()
+        self.findings.is_empty()
     }
 
     /// Sorts findings into reporting order.
     pub fn sort(&mut self) {
         self.findings
             .sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-    }
-
-    /// Sorts and assigns stable ids. Identical (rule, path, message)
-    /// triples are disambiguated by occurrence index in line order,
-    /// so the N-th `.unwrap()` in a file keeps its id as long as the
-    /// ones before it stay put.
-    pub fn finalize(&mut self) {
-        self.sort();
-        let mut seen: BTreeMap<(String, String, String), u32> = BTreeMap::new();
-        for f in &mut self.findings {
-            let key = (f.rule.to_owned(), f.path.clone(), f.message.clone());
-            let occ = seen.entry(key).or_insert(0);
-            let hash = fnv1a64(&[f.rule, &f.path, &f.message, &occ.to_string()]);
-            f.id = format!("{hash:016x}");
-            *occ += 1;
-        }
-    }
-
-    /// Splits findings against a set of baseline ids: known findings
-    /// are counted as `baselined` and removed from the active list;
-    /// baseline ids that matched nothing are recorded as stale.
-    /// Requires [`Report::finalize`] to have run.
-    pub fn apply_baseline(&mut self, baseline_ids: &[String]) {
-        let known: std::collections::BTreeSet<&str> =
-            baseline_ids.iter().map(String::as_str).collect();
-        let present: std::collections::BTreeSet<String> = self
-            .findings
-            .iter()
-            .filter(|f| known.contains(f.id.as_str()))
-            .map(|f| f.id.clone())
-            .collect();
-        let mut kept = Vec::with_capacity(self.findings.len());
-        let mut baselined = 0;
-        for f in self.findings.drain(..) {
-            if known.contains(f.id.as_str()) {
-                baselined += 1;
-            } else {
-                kept.push(f);
-            }
-        }
-        self.findings = kept;
-        self.baselined = baselined;
-        self.stale_baseline = baseline_ids
-            .iter()
-            .filter(|id| !present.contains(*id))
-            .cloned()
-            .collect();
     }
 }
 
@@ -162,12 +81,6 @@ impl fmt::Display for Report {
         if !self.findings.is_empty() {
             writeln!(f)?;
         }
-        for id in &self.stale_baseline {
-            writeln!(
-                f,
-                "stale baseline entry {id}: finding no longer present — regenerate with `dut lint --write-baseline`"
-            )?;
-        }
         write!(
             f,
             "dut lint: {} file{} checked, {} finding{}, {} suppressed",
@@ -176,21 +89,7 @@ impl fmt::Display for Report {
             self.findings.len(),
             if self.findings.len() == 1 { "" } else { "s" },
             self.suppressed,
-        )?;
-        if self.baselined > 0 || !self.stale_baseline.is_empty() {
-            write!(
-                f,
-                ", {} baselined, {} stale baseline entr{}",
-                self.baselined,
-                self.stale_baseline.len(),
-                if self.stale_baseline.len() == 1 {
-                    "y"
-                } else {
-                    "ies"
-                },
-            )?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -220,12 +119,11 @@ mod tests {
     fn report_sorts_and_summarizes() {
         let mut report = Report {
             findings: vec![
-                finding("b.rs", 2, "unwrap", "m"),
-                finding("a.rs", 9, "unwrap", "m"),
+                finding("b.rs", 2, "float-eq", "m"),
+                finding("a.rs", 9, "float-eq", "m"),
             ],
             files_checked: 2,
             suppressed: 1,
-            ..Report::default()
         };
         report.sort();
         assert_eq!(report.findings[0].path, "a.rs");
@@ -233,53 +131,5 @@ mod tests {
         assert!(report
             .to_string()
             .contains("2 files checked, 2 findings, 1 suppressed"));
-    }
-
-    #[test]
-    fn finalize_assigns_stable_line_independent_ids() {
-        let mut a = Report {
-            findings: vec![finding("a.rs", 5, "unwrap", "m")],
-            ..Report::default()
-        };
-        let mut b = Report {
-            findings: vec![finding("a.rs", 50, "unwrap", "m")],
-            ..Report::default()
-        };
-        a.finalize();
-        b.finalize();
-        assert_eq!(a.findings[0].id, b.findings[0].id);
-        assert_eq!(a.findings[0].id.len(), 16);
-    }
-
-    #[test]
-    fn duplicate_findings_get_distinct_ids() {
-        let mut r = Report {
-            findings: vec![
-                finding("a.rs", 1, "unwrap", "m"),
-                finding("a.rs", 2, "unwrap", "m"),
-            ],
-            ..Report::default()
-        };
-        r.finalize();
-        assert_ne!(r.findings[0].id, r.findings[1].id);
-    }
-
-    #[test]
-    fn baseline_absorbs_known_and_reports_stale() {
-        let mut r = Report {
-            findings: vec![
-                finding("a.rs", 1, "unwrap", "m"),
-                finding("a.rs", 2, "float-eq", "n"),
-            ],
-            ..Report::default()
-        };
-        r.finalize();
-        let known = r.findings[0].id.clone();
-        r.apply_baseline(&[known, "deadbeefdeadbeef".to_owned()]);
-        assert_eq!(r.baselined, 1);
-        assert_eq!(r.findings.len(), 1);
-        assert_eq!(r.findings[0].rule, "float-eq");
-        assert_eq!(r.stale_baseline, vec!["deadbeefdeadbeef".to_owned()]);
-        assert!(!r.is_clean());
     }
 }

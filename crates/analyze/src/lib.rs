@@ -1,42 +1,32 @@
-//! `dut-analyze`: workspace static analysis for the distributed
-//! uniformity testing repo (the `dut lint` subcommand).
+//! `dut-analyze`: the `dut lint` checks that clippy cannot express.
 //!
 //! Every claim this repo makes about the Meir–Minzer–Oshman bounds
-//! rests on simulations being reproducible and numerically sound: an
-//! unseeded RNG, a `HashMap`-ordered reduction, or a float `==` in a
-//! verdict path silently invalidates a scaling-law fit. This crate
-//! enforces those invariants mechanically, on every commit:
+//! rests on simulations being reproducible and numerically sound. The
+//! workspace `[lints]` table and `clippy.toml` enforce most of that
+//! (no wall clock, no hash-ordered collections, no `partial_cmp`, no
+//! lossy casts, no `.unwrap()`/`.expect()` or printing in library
+//! code, and a reason on every `#[allow]`). This crate checks the rest:
 //!
-//! * **determinism** — no OS entropy (`thread_rng`, `from_entropy`),
-//!   no wall-clock branching (`SystemTime::now`), no randomized
-//!   iteration order (`HashMap`/`HashSet`) in non-test code;
-//! * **numeric soundness** — no float `==`/`!=` against literals, no
-//!   `partial_cmp` (use `total_cmp`), no silent float→int `as` casts
-//!   in probability/stats, no `.unwrap()`/`.expect()` in library code;
-//! * **structure** — every bench experiment emits a dut-obs run
-//!   manifest; library crates never print (output goes through obs or
-//!   returned values);
+//! * **float-eq** — no `==`/`!=` against a float literal or an
+//!   `f64::` constant in library code. Clippy's `float_cmp` skips
+//!   comparisons with `0.0` and the infinities;
 //! * **concurrency** — no opposite-order nested lock acquisitions
 //!   anywhere in the workspace (`lock-order`), writes to
 //!   `guarded_by`-annotated symbols only while the named guard is
 //!   live (`guarded-by`), no presence check in one lock region acted
 //!   on in another (`check-then-act`), and no atomic load→store
-//!   read-modify-write (`atomic-rmw`).
+//!   read-modify-write (`atomic-rmw`);
+//! * **bad-suppression** — every `// dut-lint:` marker parses, names
+//!   one of these rules, and carries a reason.
 //!
 //! The environment is offline, so there is no `syn`: analysis runs on
 //! a small comment- and string-aware lexer ([`lexer`]), with a
 //! brace/statement tree ([`tree`]) and a lock-region model ([`locks`])
-//! layered on top for the concurrency pass. Rules are heuristic where
-//! a lexer must be (see each rule's docs); the workspace `[lints]`
-//! table promotes the matching clippy lints (`float_cmp`,
-//! `unwrap_used`, `cast_possible_truncation`) to deny so the
-//! type-aware and token-aware passes agree.
+//! layered on top for the concurrency pass.
 //!
 //! Findings print as `file:line: [rule] message` plus a fix hint, and
-//! any unsuppressed finding makes `dut lint` exit nonzero; `--format
-//! json` emits the same findings machine-readably with stable ids,
-//! and `--baseline analyze-baseline.json` ratchets pre-existing debt
-//! (see [`baseline`]). Justified exceptions are annotated inline:
+//! any unsuppressed finding makes `dut lint` exit nonzero. Justified
+//! exceptions are annotated inline:
 //!
 //! ```text
 //! // dut-lint: allow(float-eq): boolean tables hold exact 0.0/1.0
@@ -53,10 +43,15 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// Tests assert exact constructed values and index with small literals.
-#![cfg_attr(test, allow(clippy::float_cmp, clippy::cast_possible_truncation))]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::float_cmp,
+        clippy::cast_possible_truncation,
+        reason = "tests assert exact constructed values and index with small literals"
+    )
+)]
 
-pub mod baseline;
 mod concurrency;
 pub mod findings;
 pub mod lexer;
@@ -67,15 +62,14 @@ pub mod tree;
 pub mod walk;
 
 pub use findings::{Finding, Report};
-pub use rules::{FileOutcome, RuleInfo, RULES};
+pub use rules::{FileOutcome, RULES};
 pub use source::{classify, FileKind, GuardedBy, SourceFile};
 
 use std::path::Path;
 
 /// Lints a set of parsed files as one workspace: per-file token and
-/// concurrency rules, then the cross-file lock-order pass, then id
-/// assignment. This is the core the CLI, the single-file helpers, and
-/// the tests all share.
+/// concurrency rules, then the cross-file lock-order pass. This is the
+/// core the CLI, the single-file helpers, and the tests all share.
 #[must_use]
 pub fn lint_files(files: &[SourceFile]) -> Report {
     // Pass 1: collect every guarded_by annotation (they scope
@@ -116,7 +110,7 @@ pub fn lint_files(files: &[SourceFile]) -> Report {
         }
     }
 
-    report.finalize();
+    report.sort();
     report
 }
 
@@ -196,88 +190,9 @@ pub fn lint_sources(sources: &[(&str, &str)]) -> Report {
     lint_files(&files)
 }
 
-/// One `// dut-lint: allow(...)` occurrence, for `--list-suppressions`.
-#[derive(Debug, Clone)]
-pub struct SuppressionRecord {
-    /// Workspace-relative path.
-    pub path: String,
-    /// Line the comment sits on.
-    pub line: u32,
-    /// The suppressed rule.
-    pub rule: String,
-    /// The stated reason.
-    pub reason: String,
-}
-
-/// Collects every suppression in the workspace, for audit.
-///
-/// # Errors
-///
-/// Returns an error when the tree cannot be walked or read.
-pub fn list_suppressions(root: &Path) -> Result<Vec<SuppressionRecord>, String> {
-    let files = load_workspace(root)?;
-    let mut out = Vec::new();
-    for file in &files {
-        for s in &file.suppressions {
-            out.push(SuppressionRecord {
-                path: file.path.clone(),
-                line: s.comment_line,
-                rule: s.rule.clone(),
-                reason: s.reason.clone(),
-            });
-        }
-    }
-    out.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
-    Ok(out)
-}
-
-/// Renders the rule table (for `dut lint --rules`).
-#[must_use]
-pub fn rules_table() -> String {
-    use std::fmt::Write;
-    let mut out = String::from("rule                   family        summary\n");
-    for rule in RULES {
-        let _ = writeln!(out, "{:<22} {:<13} {}", rule.id, rule.family, rule.summary);
-    }
-    out
-}
-
-/// Renders a report as the machine-readable findings document
-/// (`dut lint --format json`, schema `dut-analyze-findings/v1`).
-#[must_use]
-pub fn render_report_json(report: &Report) -> String {
-    use dut_obs::json::{self, Json};
-    let stale = report.stale_baseline.iter().map(|id| id.clone().into());
-    let rows = report.findings.iter().map(|f| {
-        let mut row = baseline::finding_json(f);
-        row.push("hint", f.hint);
-        row
-    });
-    let doc = Json::obj([
-        ("schema", "dut-analyze-findings/v1".into()),
-        ("files_checked", report.files_checked.into()),
-        ("suppressed", report.suppressed.into()),
-        ("baselined", report.baselined.into()),
-        ("stale_baseline", Json::Arr(stale.collect())),
-        ("clean", report.is_clean().into()),
-        ("findings", Json::Arr(rows.collect())),
-    ]);
-    let mut out = String::new();
-    json::write_pretty(&mut out, &doc, "findings");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn rules_table_lists_every_rule() {
-        let table = rules_table();
-        for rule in RULES {
-            assert!(table.contains(rule.id), "missing {}", rule.id);
-        }
-    }
 
     #[test]
     fn cross_file_guarded_by_is_enforced_via_lint_sources() {
@@ -301,114 +216,5 @@ fn f(shared: &S, registry: &R) {
         assert_eq!(report.findings.len(), 1);
         assert_eq!(report.findings[0].rule, "guarded-by");
         assert_eq!(report.findings[0].path, "crates/serve/src/server.rs");
-        assert!(!report.findings[0].id.is_empty());
-    }
-
-    #[test]
-    fn findings_documents_keep_their_bytes() {
-        let finding = |path: &str, line, rule, message: &str, hint, id: &str| {
-            let mut f = Finding::new(path, line, rule, message.to_owned(), hint);
-            f.id = id.to_owned();
-            f
-        };
-        let findings = vec![
-            finding(
-                "crates/x/src/lib.rs",
-                3,
-                "unwrap",
-                "`.unwrap()` \"quoted\"",
-                "use ? \\ instead",
-                "aaaa",
-            ),
-            finding(
-                "crates/y/src/a b.rs",
-                9,
-                "float-eq",
-                "msg\twith tab é",
-                "h",
-                "bbbb",
-            ),
-        ];
-        let expected = [
-            r#"{"#,
-            r#"  "schema": "dut-analyze-baseline/v1","#,
-            r#"  "findings": ["#,
-            r#"    {"id": "aaaa", "rule": "unwrap", "path": "crates/x/src/lib.rs", "line": 3, "message": "`.unwrap()` \"quoted\""},"#,
-            r#"    {"id": "bbbb", "rule": "float-eq", "path": "crates/y/src/a b.rs", "line": 9, "message": "msg\twith tab é"}"#,
-            r#"  ]"#,
-            r#"}"#,
-        ]
-        .join("\n");
-        assert_eq!(baseline::render(&findings), expected);
-        let empty = [
-            r#"{"#,
-            r#"  "schema": "dut-analyze-baseline/v1","#,
-            r#"  "findings": ["#,
-            r#"  ]"#,
-            r#"}"#,
-        ]
-        .join("\n");
-        assert_eq!(baseline::render(&[]), empty);
-        let report = Report {
-            findings,
-            files_checked: 12,
-            suppressed: 3,
-            baselined: 1,
-            stale_baseline: vec!["cccc".to_owned(), "dd\"d".to_owned()],
-        };
-        let expected = [
-            r#"{"#,
-            r#"  "schema": "dut-analyze-findings/v1","#,
-            r#"  "files_checked": 12,"#,
-            r#"  "suppressed": 3,"#,
-            r#"  "baselined": 1,"#,
-            r#"  "stale_baseline": ["cccc", "dd\"d"],"#,
-            r#"  "clean": false,"#,
-            r#"  "findings": ["#,
-            r#"    {"id": "aaaa", "rule": "unwrap", "path": "crates/x/src/lib.rs", "line": 3, "message": "`.unwrap()` \"quoted\"", "hint": "use ? \\ instead"},"#,
-            r#"    {"id": "bbbb", "rule": "float-eq", "path": "crates/y/src/a b.rs", "line": 9, "message": "msg\twith tab é", "hint": "h"}"#,
-            r#"  ]"#,
-            r#"}"#,
-        ]
-        .join("\n");
-        assert_eq!(render_report_json(&report), expected);
-        let empty = [
-            r#"{"#,
-            r#"  "schema": "dut-analyze-findings/v1","#,
-            r#"  "files_checked": 0,"#,
-            r#"  "suppressed": 0,"#,
-            r#"  "baselined": 0,"#,
-            r#"  "stale_baseline": [],"#,
-            r#"  "clean": true,"#,
-            r#"  "findings": ["#,
-            r#"  ]"#,
-            r#"}"#,
-        ]
-        .join("\n");
-        assert_eq!(render_report_json(&Report::default()), empty);
-    }
-
-    #[test]
-    fn json_report_parses_back() {
-        use dut_obs::json::Value;
-        let report = lint_sources(&[(
-            "crates/x/src/lib.rs",
-            "fn f(o: Option<u8>) -> u8 { o.unwrap() }",
-        )]);
-        let rendered = render_report_json(&report);
-        let doc = dut_obs::json::parse(&rendered).expect("valid json");
-        assert_eq!(
-            doc.get("schema").and_then(Value::as_str),
-            Some("dut-analyze-findings/v1")
-        );
-        let findings = doc
-            .get("findings")
-            .and_then(Value::as_arr)
-            .expect("findings");
-        assert_eq!(findings.len(), 1);
-        assert_eq!(
-            findings[0].get("rule").and_then(Value::as_str),
-            Some("unwrap")
-        );
     }
 }

@@ -88,7 +88,10 @@ pub fn walk_fn(
     );
 }
 
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the recursive walk threads the lock state through every nested block"
+)]
 fn walk_block(
     tokens: &[Token],
     block: &Block,

@@ -1,102 +1,22 @@
-//! The rule set: determinism, numeric soundness, and structure.
+//! The token rules: float-eq and bad-suppression.
 //!
-//! Every rule works on the token stream of one [`SourceFile`] — no
-//! type information. Where a check is necessarily heuristic (e.g.
-//! float comparisons are only detected against float literals or
-//! `f64::` constants), the limitation is documented on the rule.
+//! Both work on the token stream of one [`SourceFile`], with no type
+//! information. The concurrency rules live in the private
+//! `concurrency` module. Every other determinism and numeric check is
+//! a clippy lint in the workspace `[lints]` table.
 
 use crate::findings::Finding;
 use crate::lexer::{Token, TokenKind};
 use crate::source::{FileKind, SourceFile};
 
-/// Rule metadata, surfaced by `dut lint --rules` and the README.
-#[derive(Debug, Clone, Copy)]
-pub struct RuleInfo {
-    /// Stable identifier used in findings and suppressions.
-    pub id: &'static str,
-    /// Rule family: `determinism`, `numeric`, or `structure`.
-    pub family: &'static str,
-    /// One-line description.
-    pub summary: &'static str,
-}
-
-/// All rules, in reporting order.
-pub const RULES: &[RuleInfo] = &[
-    RuleInfo {
-        id: "nondet-rng",
-        family: "determinism",
-        summary: "bans thread_rng/from_entropy/SystemTime::now — every run must derive from the master seed",
-    },
-    RuleInfo {
-        id: "unordered-collection",
-        family: "determinism",
-        summary: "flags HashMap/HashSet in non-test code — iteration order feeding results or messages must be deterministic",
-    },
-    RuleInfo {
-        id: "float-eq",
-        family: "numeric",
-        summary: "flags ==/!= against float literals or f64:: constants in library code",
-    },
-    RuleInfo {
-        id: "partial-cmp",
-        family: "numeric",
-        summary: "flags partial_cmp on floats — use f64::total_cmp, which is total and panic-free",
-    },
-    RuleInfo {
-        id: "lossy-cast",
-        family: "numeric",
-        summary: "flags float-to-integer `as` casts in probability/stats code (silent saturation)",
-    },
-    RuleInfo {
-        id: "unwrap",
-        family: "numeric",
-        summary: "bans .unwrap()/.expect() in library code — propagate a Result, or suppress with the invariant as the reason",
-    },
-    RuleInfo {
-        id: "lock-order",
-        family: "concurrency",
-        summary: "flags cycles in the workspace acquired-while-held lock graph (deadlock risk), citing both acquisition sites",
-    },
-    RuleInfo {
-        id: "guarded-by",
-        family: "concurrency",
-        summary: "symbols annotated `// dut-lint: guarded_by(<lock>)` may only be written while that lock's guard is live",
-    },
-    RuleInfo {
-        id: "check-then-act",
-        family: "concurrency",
-        summary: "flags a contains_key/get/is_some check whose dependent insert/set lands in a different lock region of the same lock",
-    },
-    RuleInfo {
-        id: "atomic-rmw",
-        family: "concurrency",
-        summary: "flags an atomic store whose operand derives from an earlier load of the same atomic — use fetch_*/compare_exchange",
-    },
-    RuleInfo {
-        id: "println",
-        family: "structure",
-        summary: "bans println!/print!/eprintln!/eprint!/dbg! in library crates — output goes through dut-obs or returned values",
-    },
-    RuleInfo {
-        id: "missing-manifest",
-        family: "structure",
-        summary: "every bench experiment binary must emit a dut-obs run manifest",
-    },
-    RuleInfo {
-        id: "bad-suppression",
-        family: "structure",
-        summary: "dut-lint suppression comments must parse and carry a reason",
-    },
-];
-
-/// Integer types a float `as` cast can silently truncate into.
-const INT_TYPES: &[&str] = &[
-    "usize", "u8", "u16", "u32", "u64", "u128", "isize", "i8", "i16", "i32", "i64", "i128",
-];
-
-/// Float methods whose result is still a float at cast time.
-const FLOAT_PRODUCERS: &[&str] = &[
-    "round", "floor", "ceil", "trunc", "sqrt", "abs", "exp", "ln",
+/// Every rule id, the names `// dut-lint: allow(<rule>)` accepts.
+pub const RULES: &[&str] = &[
+    "float-eq",
+    "lock-order",
+    "guarded-by",
+    "check-then-act",
+    "atomic-rmw",
+    "bad-suppression",
 ];
 
 /// Outcome of checking one file.
@@ -108,24 +28,24 @@ pub struct FileOutcome {
     pub suppressed: usize,
 }
 
-/// Runs the token and structure rules on `file`, returning raw
-/// (pre-dedup, pre-suppression) findings. The concurrency rules live
-/// in [`crate::concurrency`]; [`crate::lint_files`] combines both and
-/// applies suppressions.
+/// Runs the token rules on `file`, returning raw (pre-dedup,
+/// pre-suppression) findings. [`crate::lint_files`] adds the
+/// concurrency rules and applies suppressions.
 #[must_use]
 pub(crate) fn raw_findings(file: &SourceFile) -> Vec<Finding> {
     let mut raw: Vec<Finding> = Vec::new();
     if file.kind == FileKind::Excluded {
         return raw;
     }
-    scan_tokens(file, &mut raw);
-    check_manifest(file, &mut raw);
+    if file.kind == FileKind::Library {
+        float_eq(file, &mut raw);
+    }
 
     // Malformed suppressions are findings themselves and cannot be
     // suppressed.
     for (line, problem) in &file.malformed {
-        raw.push(finding(
-            file,
+        raw.push(Finding::new(
+            &file.path,
             *line,
             "bad-suppression",
             problem.clone(),
@@ -135,154 +55,23 @@ pub(crate) fn raw_findings(file: &SourceFile) -> Vec<Finding> {
     raw
 }
 
-fn finding(
-    file: &SourceFile,
-    line: u32,
-    rule: &'static str,
-    message: String,
-    hint: &'static str,
-) -> Finding {
-    Finding::new(&file.path, line, rule, message, hint)
-}
-
-/// Token-stream rules, one linear pass.
-fn scan_tokens(file: &SourceFile, out: &mut Vec<Finding>) {
+/// float-eq: `==`/`!=` with a float literal or an `f64::`/`f32::`
+/// constant on either side, in library code outside tests. Clippy's
+/// `float_cmp` skips comparisons with `0.0` and the infinities, which
+/// are exactly the degenerate-mass checks this rule exists for.
+fn float_eq(file: &SourceFile, out: &mut Vec<Finding>) {
     let tokens = &file.tokens;
-    let in_library = file.kind == FileKind::Library;
-    let in_numeric_crate =
-        file.path.starts_with("crates/probability/") || file.path.starts_with("crates/stats/");
     for (i, token) in tokens.iter().enumerate() {
-        if file.is_test_line(token.line) {
-            continue;
-        }
-        let line = token.line;
-
-        // --- determinism -------------------------------------------------
-        if token.kind == TokenKind::Ident {
-            match token.text.as_str() {
-                "thread_rng" | "from_entropy" => out.push(finding(
-                    file,
-                    line,
-                    "nondet-rng",
-                    format!("`{}` draws OS entropy; runs become unreproducible", token.text),
-                    "seed a StdRng from the experiment's master seed (stats::seed::derive_seed)",
-                )),
-                "SystemTime" if matches!(tokens.get(i + 2), Some(t) if t.is_ident("now")) => out
-                    .push(finding(
-                        file,
-                        line,
-                        "nondet-rng",
-                        "`SystemTime::now` makes behavior depend on the wall clock".to_owned(),
-                        "derive timing-free logic from the seed; for span timing use dut-obs",
-                    )),
-                "HashMap" | "HashSet" => out.push(finding(
-                    file,
-                    line,
-                    "unordered-collection",
-                    format!(
-                        "`{}` iterates in randomized order; anything derived from it is nondeterministic",
-                        token.text
-                    ),
-                    "use BTreeMap/BTreeSet, or sort before iterating",
-                )),
-                _ => {}
-            }
-        }
-
-        // Rules below only apply to library code.
-        if !in_library {
-            continue;
-        }
-
-        // --- numeric soundness -------------------------------------------
-        if token.is_punct("==") || token.is_punct("!=") {
-            if float_operand(tokens, i) {
-                out.push(finding(
-                    file,
-                    line,
-                    "float-eq",
-                    format!("float compared with `{}`", token.text),
-                    "compare with an epsilon, a non-equality bound (`<= 0.0`), or f64::total_cmp",
-                ));
-            }
-        } else if token.is_punct(".") {
-            match tokens.get(i + 1) {
-                Some(t) if t.is_ident("partial_cmp") => out.push(finding(
-                    file,
-                    line,
-                    "partial-cmp",
-                    "`partial_cmp` on floats panics or misorders on NaN".to_owned(),
-                    "use f64::total_cmp (total order, no unwrap/expect needed)",
-                )),
-                Some(t)
-                    if t.is_ident("unwrap")
-                        && matches!(tokens.get(i + 2), Some(t) if t.is_punct("("))
-                        && matches!(tokens.get(i + 3), Some(t) if t.is_punct(")")) =>
-                {
-                    out.push(finding(
-                        file,
-                        line,
-                        "unwrap",
-                        "`.unwrap()` in library code hides the panic condition".to_owned(),
-                        "propagate a Result, or suppress with the invariant as the reason",
-                    ));
-                }
-                Some(t)
-                    if t.is_ident("expect")
-                        && matches!(tokens.get(i + 2), Some(t) if t.is_punct("("))
-                        // `Option::expect`/`Result::expect` take a &str
-                        // message. A char or byte literal argument
-                        // (`self.expect(b'"')?`) is some other method
-                        // that happens to share the name.
-                        && !matches!(tokens.get(i + 3),
-                            Some(t) if t.kind == TokenKind::Str && t.text.starts_with('\'')) =>
-                {
-                    out.push(finding(
-                        file,
-                        line,
-                        "unwrap",
-                        "`.expect()` in library code still panics on the error path".to_owned(),
-                        "propagate a Result, or suppress with the invariant as the reason",
-                    ));
-                }
-                _ => {}
-            }
-        } else if token.is_ident("as")
-            && in_numeric_crate
-            && matches!(tokens.get(i + 1), Some(t) if t.kind == TokenKind::Ident && INT_TYPES.contains(&t.text.as_str()))
-            && float_cast_source(tokens, i)
+        if (token.is_punct("==") || token.is_punct("!="))
+            && !file.is_test_line(token.line)
+            && float_operand(tokens, i)
         {
-            out.push(finding(
-                file,
-                line,
-                "lossy-cast",
-                format!(
-                    "float-to-`{}` `as` cast silently saturates and truncates",
-                    tokens[i + 1].text
-                ),
-                "bound the value first and document why the cast is exact, then suppress",
-            ));
-        }
-
-        // --- structure ---------------------------------------------------
-        if token.kind == TokenKind::Ident
-            && matches!(
-                token.text.as_str(),
-                "println" | "print" | "eprintln" | "eprint" | "dbg"
-            )
-            && matches!(tokens.get(i + 1), Some(t) if t.is_punct("!"))
-        {
-            let stream = if token.text.starts_with('e') || token.text == "dbg" {
-                "stderr"
-            } else {
-                "stdout"
-            };
-            out.push(finding(
-                file,
-                line,
-                "println",
-                format!("`{}!` in a library crate writes to {stream}", token.text),
-                "return the value, or emit a dut-obs event/metric",
+            out.push(Finding::new(
+                &file.path,
+                token.line,
+                "float-eq",
+                format!("float compared with `{}`", token.text),
+                "compare with an epsilon, a non-equality bound (`<= 0.0`), or f64::total_cmp",
             ));
         }
     }
@@ -290,8 +79,8 @@ fn scan_tokens(file: &SourceFile, out: &mut Vec<Finding>) {
 
 /// Whether either operand of the comparison at `i` is a float literal
 /// or an `f64::`/`f32::` associated constant. (Comparisons between two
-/// float *variables* are invisible to a lexer — clippy's `float_cmp`,
-/// promoted to deny in the workspace lints, covers those.)
+/// float *variables* are invisible to a lexer; clippy's `float_cmp`
+/// covers those.)
 fn float_operand(tokens: &[Token], i: usize) -> bool {
     if i > 0 && tokens[i - 1].kind == TokenKind::Float {
         return true;
@@ -310,60 +99,6 @@ fn float_operand(tokens: &[Token], i: usize) -> bool {
     }
 }
 
-/// Whether the expression before an `as` token (at `i`) is visibly a
-/// float: a float literal, or a call of a float-producing method like
-/// `.round()`.
-fn float_cast_source(tokens: &[Token], i: usize) -> bool {
-    if i == 0 {
-        return false;
-    }
-    let prev = &tokens[i - 1];
-    if prev.kind == TokenKind::Float {
-        return true;
-    }
-    if !prev.is_punct(")") {
-        return false;
-    }
-    // Walk back over the matching parens, then expect `.method`.
-    let mut depth = 0usize;
-    let mut j = i - 1;
-    loop {
-        if tokens[j].is_punct(")") {
-            depth += 1;
-        } else if tokens[j].is_punct("(") {
-            depth -= 1;
-            if depth == 0 {
-                break;
-            }
-        }
-        if j == 0 {
-            return false;
-        }
-        j -= 1;
-    }
-    j >= 2
-        && tokens[j - 1].kind == TokenKind::Ident
-        && FLOAT_PRODUCERS.contains(&tokens[j - 1].text.as_str())
-        && tokens[j - 2].is_punct(".")
-}
-
-/// Structure rule: every bench experiment binary opens a dut-obs run
-/// manifest (`Harness::emit_manifest`) so traces are attributable.
-fn check_manifest(file: &SourceFile, out: &mut Vec<Finding>) {
-    if !file.path.starts_with("crates/bench/src/bin/") {
-        return;
-    }
-    if !file.tokens.iter().any(|t| t.is_ident("emit_manifest")) {
-        out.push(finding(
-            file,
-            1,
-            "missing-manifest",
-            "experiment binary never emits a dut-obs run manifest".to_owned(),
-            "call harness.emit_manifest(\"<experiment>\") at the top of main()",
-        ));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -374,29 +109,6 @@ mod tests {
 
     fn rule_ids(outcome: &FileOutcome) -> Vec<&'static str> {
         outcome.findings.iter().map(|f| f.rule).collect()
-    }
-
-    #[test]
-    fn detects_thread_rng_and_system_time() {
-        let out = lint(
-            "crates/x/src/lib.rs",
-            "fn f() {\n let mut r = rand::thread_rng();\n let t = SystemTime::now();\n}",
-        );
-        assert_eq!(rule_ids(&out), vec!["nondet-rng", "nondet-rng"]);
-    }
-
-    #[test]
-    fn detects_hash_collections_outside_tests_only() {
-        let src = "\
-use std::collections::HashMap;
-#[cfg(test)]
-mod tests {
-    use std::collections::HashSet;
-}
-";
-        let out = lint("crates/x/src/lib.rs", src);
-        assert_eq!(rule_ids(&out), vec!["unordered-collection"]);
-        assert_eq!(out.findings[0].line, 1);
     }
 
     #[test]
@@ -420,135 +132,18 @@ mod tests {
     }
 
     #[test]
-    fn detects_partial_cmp_and_unwrap() {
-        let out = lint(
-            "crates/x/src/lib.rs",
-            "fn f(v: &mut [f64]) { v.sort_by(|a, b| a.partial_cmp(b).unwrap()); }",
-        );
-        assert_eq!(rule_ids(&out), vec!["partial-cmp", "unwrap"]);
-    }
-
-    #[test]
-    fn expect_is_flagged_like_unwrap() {
-        let out = lint(
-            "crates/x/src/lib.rs",
-            "fn f(o: Option<u8>) -> u8 { o.expect(\"always present\") }",
-        );
-        assert_eq!(rule_ids(&out), vec!["unwrap"]);
-        assert!(out.findings[0].message.contains(".expect()"));
-        // Binaries may expect; test code may expect.
-        assert!(lint(
-            "src/bin/dut.rs",
-            "fn f(o: Option<u8>) -> u8 { o.expect(\"cli invariant\") }"
-        )
-        .findings
-        .is_empty());
+    fn float_eq_only_in_library_code_outside_tests() {
+        let src = "fn f(v: f64) -> bool { v == 0.0 }";
+        assert!(lint("src/bin/dut.rs", src).findings.is_empty());
+        assert!(lint("crates/bench/src/lib.rs", src).findings.is_empty());
         let test_src = "\
 #[cfg(test)]
 mod tests {
     #[test]
-    fn t() { Some(1u8).expect(\"test code may panic\"); }
+    fn t() { assert!(0.5 * 2.0 == 1.0); }
 }
 ";
         assert!(lint("crates/x/src/lib.rs", test_src).findings.is_empty());
-    }
-
-    #[test]
-    fn expect_err_and_expect_fields_are_not_flagged() {
-        // `.expect_err(` is a different method; a bare `expect` ident
-        // without a call is not a finding either.
-        let out = lint(
-            "crates/x/src/lib.rs",
-            "fn f(r: Result<u8, u8>) -> u8 { let expect = 1; r.expect_err(\"inverted\") + expect }",
-        );
-        assert!(out.findings.is_empty());
-    }
-
-    #[test]
-    fn expect_with_byte_literal_is_a_different_method() {
-        // dut-obs's JSON scanner has `fn expect(&mut self, b: u8) ->
-        // Result<…>`; `self.expect(b'"')?` must not read as
-        // Option::expect (whose message is always a string).
-        let out = lint(
-            "crates/obs/src/lib.rs",
-            "fn obj(&mut self) -> Result<(), String> { self.expect(b'{')?; self.expect(':')?; Ok(()) }",
-        );
-        assert!(out.findings.is_empty(), "got {:?}", out.findings);
-    }
-
-    #[test]
-    fn unwrap_or_is_not_unwrap() {
-        let out = lint(
-            "crates/x/src/lib.rs",
-            "fn f(o: Option<u8>) -> u8 { o.unwrap_or(0) }",
-        );
-        assert!(out.findings.is_empty());
-    }
-
-    #[test]
-    fn lossy_cast_only_in_numeric_crates() {
-        let src = "fn f(v: f64) -> usize { v.round() as usize }";
-        assert_eq!(
-            rule_ids(&lint("crates/stats/src/sweep.rs", src)),
-            vec!["lossy-cast"]
-        );
-        assert_eq!(
-            rule_ids(&lint("crates/probability/src/dense.rs", src)),
-            vec!["lossy-cast"]
-        );
-        assert!(lint("crates/simnet/src/rates.rs", src).findings.is_empty());
-        // Integer-to-integer casts are not this rule's business.
-        let int_src = "fn f(v: u64) -> usize { v as usize }";
-        assert!(lint("crates/stats/src/sweep.rs", int_src)
-            .findings
-            .is_empty());
-    }
-
-    #[test]
-    fn println_banned_in_libraries_allowed_in_bins() {
-        let src = "fn f() { println!(\"x\"); }";
-        assert_eq!(rule_ids(&lint("crates/x/src/lib.rs", src)), vec!["println"]);
-        assert!(lint("src/bin/dut.rs", src).findings.is_empty());
-        assert!(lint("crates/bench/src/bin/e1_foo.rs", src)
-            .findings
-            .iter()
-            .all(|f| f.rule != "println"));
-    }
-
-    #[test]
-    fn eprintln_and_dbg_banned_in_libraries() {
-        let src = "\
-fn f(x: u64) -> u64 {
-    eprintln!(\"warning: {x}\");
-    eprint!(\"partial\");
-    dbg!(x)
-}
-";
-        let out = lint("crates/x/src/lib.rs", src);
-        assert_eq!(rule_ids(&out), vec!["println", "println", "println"]);
-        assert!(out.findings.iter().all(|f| f.message.contains("stderr")));
-        assert!(lint("src/bin/dut.rs", src).findings.is_empty());
-    }
-
-    #[test]
-    fn debug_format_is_not_dbg_macro() {
-        // `dbg` as a plain path segment or variable is fine; only the
-        // macro invocation prints.
-        let src = "fn f() { let dbg = 1; let _ = dbg + 1; }";
-        assert!(lint("crates/x/src/lib.rs", src).findings.is_empty());
-    }
-
-    #[test]
-    fn manifest_required_for_bench_bins() {
-        let out = lint("crates/bench/src/bin/e1_foo.rs", "fn main() {}");
-        assert_eq!(rule_ids(&out), vec!["missing-manifest"]);
-        let out = lint(
-            "crates/bench/src/bin/e1_foo.rs",
-            "fn main() { let h = Harness::from_env(); h.emit_manifest(\"e1\"); }",
-        );
-        assert!(out.findings.is_empty());
-        // Non-bench bins don't need a manifest.
-        assert!(lint("src/bin/dut.rs", "fn main() {}").findings.is_empty());
     }
 
     #[test]
@@ -572,10 +167,12 @@ fn f(v: f64) -> bool { v == 1.0 }
     }
 
     #[test]
-    fn rules_table_is_consistent() {
-        assert!(RULES.iter().all(|r| !r.summary.is_empty()));
-        let mut ids: Vec<_> = RULES.iter().map(|r| r.id).collect();
-        ids.dedup();
-        assert_eq!(ids.len(), RULES.len());
+    fn suppressing_an_unknown_rule_is_a_finding() {
+        // `dut lint` has no `unwrap` rule (clippy's `unwrap_used` checks
+        // unwraps), so this marker would silence nothing.
+        let src = "// dut-lint: allow(unwrap): always present\nfn f(o: Option<u8>) -> u8 { o.unwrap() }\n";
+        let out = lint("crates/x/src/lib.rs", src);
+        assert_eq!(rule_ids(&out), vec!["bad-suppression"]);
+        assert!(out.findings[0].message.contains("unknown rule"));
     }
 }

@@ -2,18 +2,17 @@
 //! region detection, and `// dut-lint: allow(...)` suppressions.
 
 use crate::lexer::{lex, Lexed, LineComment, Token, TokenKind};
+use crate::rules::RULES;
 use std::collections::BTreeSet;
 
 /// What kind of code a file holds; rules scope themselves by kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileKind {
     /// A library crate source file (`crates/*/src/**`, root `src/`).
-    /// The full rule set applies.
+    /// Every rule applies.
     Library,
-    /// An experiment binary or the bench harness (`crates/bench/**`).
-    /// Prints results by contract, so output rules are relaxed.
-    Experiment,
-    /// A CLI binary (`src/bin/**`). Output rules are relaxed.
+    /// A binary or the bench harness (`src/bin/**`,
+    /// `crates/bench/**`): only the concurrency rules apply.
     Binary,
     /// Integration tests, fixtures, vendored shims, build output —
     /// not linted.
@@ -33,10 +32,7 @@ pub fn classify(path: &str) -> FileKind {
     if in_any("vendor") || in_any("target") || in_any("tests") || in_any("examples") {
         return FileKind::Excluded;
     }
-    if p.starts_with("crates/bench/") {
-        return FileKind::Experiment;
-    }
-    if in_any("bin") {
+    if p.starts_with("crates/bench/") || in_any("bin") {
         return FileKind::Binary;
     }
     if p.starts_with("crates/") || p.starts_with("src/") {
@@ -52,8 +48,6 @@ pub struct Suppression {
     pub rule: String,
     /// The mandatory justification (may be empty — then reported).
     pub reason: String,
-    /// Line the comment sits on.
-    pub comment_line: u32,
     /// Line whose findings it suppresses (the same line for trailing
     /// comments, the next code line for standalone ones).
     pub target_line: u32,
@@ -71,8 +65,6 @@ pub struct GuardedBy {
     pub symbol: String,
     /// Line of the annotated declaration.
     pub decl_line: u32,
-    /// Line the comment sits on.
-    pub comment_line: u32,
 }
 
 impl GuardedBy {
@@ -256,17 +248,22 @@ fn parse_markers(lexed: &Lexed) -> (Vec<Suppression>, Vec<GuardedBy>, Vec<(u32, 
         };
         if rest.starts_with("guarded_by") {
             match parse_guarded_by(rest, lexed, target_line) {
-                Ok(mut ann) => {
-                    ann.comment_line = comment.line;
-                    anns.push(ann);
-                }
+                Ok(ann) => anns.push(ann),
                 Err(problem) => bad.push((comment.line, problem)),
             }
             continue;
         }
         match parse_allow(rest) {
             Ok((rule, reason)) => {
-                if reason.is_empty() {
+                if !RULES.contains(&rule.as_str()) {
+                    bad.push((
+                        comment.line,
+                        format!(
+                            "suppression names unknown rule `{rule}` — `dut lint` rules are {}",
+                            RULES.join(", ")
+                        ),
+                    ));
+                } else if reason.is_empty() {
                     bad.push((
                         comment.line,
                         format!("suppression of `{rule}` is missing its reason — write `// dut-lint: allow({rule}): <why this is sound>`"),
@@ -275,7 +272,6 @@ fn parse_markers(lexed: &Lexed) -> (Vec<Suppression>, Vec<GuardedBy>, Vec<(u32, 
                 ok.push(Suppression {
                     rule,
                     reason,
-                    comment_line: comment.line,
                     target_line,
                 });
             }
@@ -317,7 +313,6 @@ fn parse_guarded_by(rest: &str, lexed: &Lexed, target_line: u32) -> Result<Guard
         lock: lock.to_owned(),
         symbol: symbol.to_owned(),
         decl_line: target_line,
-        comment_line: 0,
     })
 }
 
@@ -366,9 +361,9 @@ mod tests {
         assert_eq!(classify("src/bin/dut.rs"), FileKind::Binary);
         assert_eq!(
             classify("crates/bench/src/bin/e1_any_rule_scaling.rs"),
-            FileKind::Experiment
+            FileKind::Binary
         );
-        assert_eq!(classify("crates/bench/src/lib.rs"), FileKind::Experiment);
+        assert_eq!(classify("crates/bench/src/lib.rs"), FileKind::Binary);
         assert_eq!(
             classify("crates/simnet/tests/properties.rs"),
             FileKind::Excluded
@@ -425,16 +420,16 @@ let trailing = w == 0.0; // dut-lint: allow(float-eq): mass is exactly zero here
         assert!(file.is_suppressed("float-eq", 2));
         assert!(file.is_suppressed("float-eq", 3));
         assert!(!file.is_suppressed("float-eq", 1));
-        assert!(!file.is_suppressed("unwrap", 2));
+        assert!(!file.is_suppressed("atomic-rmw", 2));
         assert!(file.malformed.is_empty());
     }
 
     #[test]
     fn suppression_without_reason_is_malformed() {
-        let src = "// dut-lint: allow(unwrap)\nlet x = opt.unwrap();\n";
+        let src = "// dut-lint: allow(float-eq)\nlet x = v == 1.0;\n";
         let file = SourceFile::parse("crates/x/src/lib.rs", src);
         assert_eq!(file.malformed.len(), 1);
-        assert!(!file.is_suppressed("unwrap", 2));
+        assert!(!file.is_suppressed("float-eq", 2));
     }
 
     #[test]
@@ -473,7 +468,7 @@ pub static DEPTH: AtomicU64 = AtomicU64::new(0);
 
     #[test]
     fn garbled_suppression_is_malformed() {
-        let src = "// dut-lint: alow(unwrap): typo in keyword\nlet x = 1;\n";
+        let src = "// dut-lint: alow(float-eq): typo in keyword\nlet x = 1;\n";
         let file = SourceFile::parse("crates/x/src/lib.rs", src);
         assert_eq!(file.malformed.len(), 1);
     }

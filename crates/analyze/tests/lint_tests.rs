@@ -4,29 +4,16 @@
 //! under `tests/fixtures/{bad,good}/<stem>.rs`. The bad snippet must
 //! produce exactly its rule's finding; the good snippet must lint
 //! clean. The self-test then lints the real workspace and asserts it
-//! is clean modulo the committed `analyze-baseline.json` — the same
-//! gate CI runs via `dut lint --baseline analyze-baseline.json`.
+//! is clean — the same gate CI runs via `dut lint`.
 
 use dut_analyze::rules::FileOutcome;
-use dut_analyze::{baseline, lint_source, lint_workspace};
+use dut_analyze::{lint_source, lint_workspace};
 use std::path::Path;
 
 /// Maps a fixture stem to (rule id, virtual path). The path controls
-/// file-kind classification: lossy-cast only fires in probability and
-/// stats sources, missing-manifest only in bench experiment binaries.
+/// file-kind classification: float-eq only fires in library code.
 const CASES: &[(&str, &str, &str)] = &[
-    ("nondet_rng", "nondet-rng", "crates/simnet/src/fixture.rs"),
-    (
-        "unordered_collection",
-        "unordered-collection",
-        "crates/simnet/src/fixture.rs",
-    ),
     ("float_eq", "float-eq", "crates/probability/src/fixture.rs"),
-    ("partial_cmp", "partial-cmp", "crates/stats/src/fixture.rs"),
-    ("lossy_cast", "lossy-cast", "crates/stats/src/fixture.rs"),
-    ("unwrap", "unwrap", "crates/testers/src/fixture.rs"),
-    ("expect", "unwrap", "crates/testers/src/fixture.rs"),
-    ("println", "println", "crates/fourier/src/fixture.rs"),
     ("lock_order", "lock-order", "crates/serve/src/fixture.rs"),
     ("guarded_by", "guarded-by", "crates/serve/src/fixture.rs"),
     ("gauge_race", "guarded-by", "crates/serve/src/fixture.rs"),
@@ -36,11 +23,6 @@ const CASES: &[(&str, &str, &str)] = &[
         "crates/testers/src/fixture.rs",
     ),
     ("atomic_rmw", "atomic-rmw", "crates/obs/src/fixture.rs"),
-    (
-        "missing_manifest",
-        "missing-manifest",
-        "crates/bench/src/bin/e0_fixture.rs",
-    ),
     (
         "bad_suppression",
         "bad-suppression",
@@ -97,8 +79,7 @@ fn every_good_fixture_lints_clean() {
 fn bad_fixtures_trigger_only_their_rule_family() {
     // The corpus is curated: a bad fixture may not drag in unrelated
     // findings, or a rule regression could hide behind another rule's
-    // hit. (bad/missing_manifest.rs is an Experiment file, where the
-    // output rules are relaxed by design.)
+    // hit.
     for &(stem, rule, path) in CASES {
         let outcome = lint_fixture("bad", stem, path);
         for f in &outcome.findings {
@@ -144,26 +125,24 @@ fn suppression_round_trip() {
 #[test]
 fn fixture_corpus_is_complete() {
     // At least one bad/good snippet pair per registered rule — adding
-    // a rule without fixtures fails here. (Some rules have several
-    // stems: `unwrap` covers both `.unwrap()` and `.expect()`, and
-    // `guarded-by` also carries the PR 6 gauge-race regression shape.)
-    for rule in dut_analyze::RULES {
+    // a rule without fixtures fails here. (`guarded-by` also carries
+    // the serve queue-depth gauge-race regression shape.)
+    for &rule in dut_analyze::RULES {
         assert!(
-            CASES.iter().any(|&(_, r, _)| r == rule.id),
-            "rule `{}` has no fixture pair",
-            rule.id
+            CASES.iter().any(|&(_, r, _)| r == rule),
+            "rule `{rule}` has no fixture pair"
         );
     }
     for &(stem, rule, _) in CASES {
         assert!(
-            dut_analyze::RULES.iter().any(|r| r.id == rule),
+            dut_analyze::RULES.contains(&rule),
             "fixture {stem} names unregistered rule `{rule}`"
         );
     }
 }
 
 #[test]
-fn workspace_lints_clean_modulo_baseline() {
+fn workspace_lints_clean() {
     // CARGO_MANIFEST_DIR = <root>/crates/analyze.
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
@@ -174,33 +153,20 @@ fn workspace_lints_clean_modulo_baseline() {
         "not a workspace root: {}",
         root.display()
     );
-    let mut report = lint_workspace(root).expect("workspace walk succeeds");
+    let report = lint_workspace(root).expect("workspace walk succeeds");
     assert!(
         report.files_checked > 50,
         "suspiciously few files checked: {}",
         report.files_checked
     );
-    // Same gate CI runs: new findings beyond the committed baseline
-    // fail, and so do baseline entries that no longer match anything
-    // (the ratchet only tightens).
-    let baseline_path = root.join("analyze-baseline.json");
-    let raw = std::fs::read_to_string(&baseline_path)
-        .unwrap_or_else(|e| panic!("missing {}: {e}", baseline_path.display()));
-    let baseline = baseline::parse(&raw).expect("committed baseline parses");
-    report.apply_baseline(&baseline.ids());
     assert!(
-        report.findings.is_empty(),
-        "workspace has findings beyond the baseline; fix or `dut lint --write-baseline`:\n{}",
+        report.is_clean(),
+        "workspace has dut lint findings:\n{}",
         report
             .findings
             .iter()
             .map(ToString::to_string)
             .collect::<Vec<_>>()
             .join("\n")
-    );
-    assert!(
-        report.stale_baseline.is_empty(),
-        "stale baseline entries (finding fixed — remove from analyze-baseline.json): {:?}",
-        report.stale_baseline
     );
 }

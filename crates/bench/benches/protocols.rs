@@ -2,6 +2,11 @@
 //! run (all players sample, bits are sent, the referee decides) per
 //! iteration, at the paper-predicted sample counts.
 
+#![allow(
+    clippy::expect_used,
+    reason = "a benchmark fixture that cannot be built ends the run"
+)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dut_core::probability::families;
 use dut_core::testers::{

@@ -2,6 +2,11 @@
 //! hard-instance construction, histogram statistics, the collision
 //! node's draw-and-count kernel and the histogram engine's calibration.
 
+#![allow(
+    clippy::expect_used,
+    reason = "a benchmark fixture that cannot be built ends the run"
+)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dut_core::probability::{empirical, families, PairedDomain, PerturbationVector, Sampler};
 use rand::SeedableRng;

@@ -1,6 +1,11 @@
 //! Benchmarks for single tester decisions: how long one verdict takes
 //! for each centralized tester at its recommended sample count.
 
+#![allow(
+    clippy::expect_used,
+    reason = "a benchmark fixture that cannot be built ends the run"
+)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dut_core::probability::{families, Sampler};
 use dut_core::testers::centralized::CentralizedTester;

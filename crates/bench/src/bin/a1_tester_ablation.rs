@@ -13,6 +13,12 @@
 //! cargo run --release -p dut-bench --bin a1_tester_ablation
 //! ```
 
+#![allow(
+    clippy::print_stdout,
+    clippy::expect_used,
+    reason = "an experiment binary prints its tables, and a broken setup invariant ends the run"
+)]
+
 use dut_bench::{workload, Harness};
 use dut_core::probability::Sampler;
 use dut_core::stats::table::Table;

@@ -11,6 +11,11 @@
 //! cargo run --release -p dut-bench --bin e10_kkl_levels
 //! ```
 
+#![allow(
+    clippy::print_stdout,
+    reason = "an experiment binary prints its tables"
+)]
+
 use dut_bench::Harness;
 use dut_core::fourier::kkl;
 use dut_core::fourier::BooleanFunction;

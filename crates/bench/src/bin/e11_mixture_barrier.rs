@@ -12,6 +12,12 @@
 //! cargo run --release -p dut-bench --bin e11_mixture_barrier
 //! ```
 
+#![allow(
+    clippy::print_stdout,
+    clippy::expect_used,
+    reason = "an experiment binary prints its tables, and a broken setup invariant ends the run"
+)]
+
 use dut_bench::{log_log_slope, Harness};
 use dut_core::lowerbound::mixture;
 use dut_core::probability::PairedDomain;

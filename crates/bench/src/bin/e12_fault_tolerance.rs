@@ -19,6 +19,12 @@
 //! cargo run --release -p dut-bench --bin e12_fault_tolerance
 //! ```
 
+#![allow(
+    clippy::print_stdout,
+    clippy::expect_used,
+    reason = "an experiment binary prints its tables, and a broken setup invariant ends the run"
+)]
+
 use dut_bench::Harness;
 use dut_core::probability::{families, Sampler};
 use dut_core::simnet::{
@@ -57,7 +63,10 @@ fn policy_name(policy: MissingPolicy) -> &'static str {
     }
 }
 
-#[allow(clippy::too_many_lines)]
+#[allow(
+    clippy::too_many_lines,
+    reason = "main runs the degradation, recovery and Byzantine sweeps in order, as the log prints them"
+)]
 fn main() {
     let harness = Harness::from_env();
     harness.emit_manifest("e12_fault_tolerance");

@@ -8,6 +8,11 @@
 //! cargo run --release -p dut-bench --bin e1_any_rule_scaling
 //! ```
 
+#![allow(
+    clippy::print_stdout,
+    reason = "an experiment binary prints its tables"
+)]
+
 use dut_bench::{log_log_slope, Harness};
 use dut_core::lowerbound::theory;
 use dut_core::stats::table::Table;

@@ -9,6 +9,11 @@
 //! cargo run --release -p dut-bench --bin e2_and_rule_cost
 //! ```
 
+#![allow(
+    clippy::print_stdout,
+    reason = "an experiment binary prints its tables"
+)]
+
 use dut_bench::{log_log_slope, two_sided_success, workload, Harness};
 use dut_core::lowerbound::theory;
 use dut_core::stats::seed::derive_seed;

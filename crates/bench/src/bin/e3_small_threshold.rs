@@ -12,6 +12,12 @@
 //! cargo run --release -p dut-bench --bin e3_small_threshold
 //! ```
 
+#![allow(
+    clippy::print_stdout,
+    clippy::expect_used,
+    reason = "an experiment binary prints its tables, and a broken setup invariant ends the run"
+)]
+
 use dut_bench::Harness;
 use dut_core::lowerbound::theory;
 use dut_core::stats::table::Table;

@@ -10,6 +10,12 @@
 //! cargo run --release -p dut-bench --bin e4_single_sample
 //! ```
 
+#![allow(
+    clippy::print_stdout,
+    clippy::expect_used,
+    reason = "an experiment binary prints its tables, and a broken setup invariant ends the run"
+)]
+
 use dut_bench::{log_log_slope, q_star, Harness};
 use dut_core::lowerbound::theory;
 use dut_core::probability::{distance, families};

@@ -16,6 +16,11 @@
 //! cargo run --release -p dut-bench --bin e5_lemma42_numeric
 //! ```
 
+#![allow(
+    clippy::print_stdout,
+    reason = "an experiment binary prints its tables"
+)]
+
 use dut_bench::Harness;
 use dut_core::lowerbound::{exact, lemmas, player};
 use dut_core::probability::PairedDomain;

@@ -10,6 +10,11 @@
 //! cargo run --release -p dut-bench --bin e6_message_length
 //! ```
 
+#![allow(
+    clippy::print_stdout,
+    reason = "an experiment binary prints its tables"
+)]
+
 use dut_bench::Harness;
 use dut_core::lowerbound::theory;
 use dut_core::stats::table::Table;

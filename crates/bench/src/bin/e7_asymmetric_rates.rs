@@ -10,6 +10,11 @@
 //! cargo run --release -p dut-bench --bin e7_asymmetric_rates
 //! ```
 
+#![allow(
+    clippy::print_stdout,
+    reason = "an experiment binary prints its tables"
+)]
+
 use dut_bench::{log_log_slope, Harness};
 use dut_core::simnet::RateVector;
 use dut_core::stats::table::Table;

@@ -6,6 +6,11 @@
 //! cargo run --release -p dut-bench --bin e8_centralized_baseline
 //! ```
 
+#![allow(
+    clippy::print_stdout,
+    reason = "an experiment binary prints its tables"
+)]
+
 use dut_bench::{log_log_slope, Harness};
 use dut_core::lowerbound::{divergence, theory};
 use dut_core::probability::Sampler;

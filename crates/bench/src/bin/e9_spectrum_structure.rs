@@ -12,6 +12,12 @@
 //! cargo run --release -p dut-bench --bin e9_spectrum_structure
 //! ```
 
+#![allow(
+    clippy::print_stdout,
+    clippy::expect_used,
+    reason = "an experiment binary prints its tables, and a broken setup invariant ends the run"
+)]
+
 use dut_bench::Harness;
 use dut_core::fourier::evencover;
 use dut_core::lowerbound::claim31;

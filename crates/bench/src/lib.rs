@@ -14,8 +14,20 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// Tests assert exact constructed values and index with small literals.
-#![cfg_attr(test, allow(clippy::float_cmp, clippy::cast_possible_truncation))]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::float_cmp,
+        clippy::cast_possible_truncation,
+        reason = "tests assert exact constructed values and index with small literals"
+    )
+)]
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::expect_used,
+    reason = "the harness prints each experiment's tables and warnings, and a results CSV it cannot write ends the run"
+)]
 
 use dut_core::probability::AliasSampler;
 use dut_core::stats::runner::decide_two_sided;

@@ -20,6 +20,10 @@ pub fn chi(s: u32, x: u32) -> i8 {
 ///
 /// Panics if `index` does not fit in a `u32`.
 #[must_use]
+#[expect(
+    clippy::expect_used,
+    reason = "documented panic: cube indices are below 2^num_vars, far below 2^32"
+)]
 pub fn mask(index: usize) -> u32 {
     u32::try_from(index).expect("cube index fits a u32 bitmask")
 }
@@ -31,6 +35,10 @@ pub fn mask(index: usize) -> u32 {
 ///
 /// Panics if `exponent` exceeds `i32::MAX`.
 #[must_use]
+#[expect(
+    clippy::expect_used,
+    reason = "documented panic: subset sizes are far below i32::MAX"
+)]
 pub fn powi_exp(exponent: u64) -> i32 {
     i32::try_from(exponent).expect("exponent fits an i32")
 }
@@ -105,6 +113,10 @@ pub fn binomial(n: u64, k: u64) -> u128 {
     }
     let k = k.min(n - k);
     let mut result: u128 = 1;
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic: u128 overflow lies beyond the sizes any experiment uses"
+    )]
     for i in 0..k {
         result = result
             .checked_mul(u128::from(n - i))
@@ -119,6 +131,10 @@ pub fn binomial(n: u64, k: u64) -> u128 {
 pub fn double_factorial(n: u64) -> u128 {
     let mut result: u128 = 1;
     let mut i = n;
+    #[expect(
+        clippy::expect_used,
+        reason = "n!! overflows u128 only beyond the sizes any experiment uses"
+    )]
     while i >= 2 {
         result = result
             .checked_mul(u128::from(i))

@@ -54,6 +54,10 @@ pub fn is_evenly_covered(xs: &[u32], subset: u64) -> bool {
 /// Panics if `alphabet_size == 0`, or if `D^len` would overflow `i128`
 /// (the computation needs `len·log₂(D) ≤ 126`).
 #[must_use]
+#[expect(
+    clippy::expect_used,
+    reason = "the sum counts even words, so the final quotient is non-negative"
+)]
 pub fn even_word_count(alphabet_size: u64, len: u64) -> u128 {
     assert!(alphabet_size >= 1, "alphabet must be non-empty");
     assert!(
@@ -70,11 +74,20 @@ pub fn even_word_count(alphabet_size: u64, len: u64) -> u128 {
     }
     let d = alphabet_size as i128;
     let mut total: i128 = 0;
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic: the asserted len·log₂(D) <= 126 keeps the signed sum inside i128"
+    )]
     for j in 0..=alphabet_size {
         let base = d - 2 * j as i128;
+        #[expect(
+            clippy::expect_used,
+            reason = "the asserts bound len <= 24 and len·log₂(D) <= 126, so len fits a u32 and |D − 2j|^len fits an i128"
+        )]
         let pow = base
             .checked_pow(u32::try_from(len).expect("len is asserted <= 24"))
             .expect("even_word_count overflow");
+        #[expect(clippy::expect_used, reason = "D <= 64, so C(D, j) fits an i128")]
         let coef = i128::try_from(binomial(alphabet_size, j)).expect("binomial fits i128");
         total = total
             .checked_add(coef * pow)
@@ -100,6 +113,10 @@ pub fn x_s_count_exact(cube_size: u64, q: u64, subset_size: u64) -> u128 {
     let free = q - subset_size;
     let even = even_word_count(cube_size, subset_size);
     let mut result = even;
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic on overflow, beyond the guarded domain sizes"
+    )]
     for _ in 0..free {
         result = result
             .checked_mul(u128::from(cube_size))

@@ -179,7 +179,10 @@ impl BooleanFunction {
 
     /// True if every value is `0.0` or `1.0`.
     #[must_use]
-    #[allow(clippy::float_cmp)]
+    #[allow(
+        clippy::float_cmp,
+        reason = "membership in {0.0, 1.0} is an exact predicate"
+    )]
     pub fn is_boolean(&self) -> bool {
         // dut-lint: allow(float-eq): membership in {0.0, 1.0} is an exact predicate — both values are representable and an epsilon band would accept non-boolean functions
         self.values.iter().all(|&v| v == 0.0 || v == 1.0)

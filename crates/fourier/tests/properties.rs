@@ -1,6 +1,10 @@
 //! Property-based tests for the Boolean-analysis substrate.
 
-#![allow(clippy::float_cmp, clippy::cast_possible_truncation)] // test code asserts exact values
+#![allow(
+    clippy::float_cmp,
+    clippy::cast_possible_truncation,
+    reason = "test code asserts exact values"
+)]
 use dut_fourier::character::{binomial, chi, double_factorial, subsets_of_size};
 use dut_fourier::evencover::{
     a_r_count, even_word_count, is_evenly_covered, x_s_count_bound, x_s_count_exact,

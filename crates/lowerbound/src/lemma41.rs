@@ -43,6 +43,10 @@ pub fn restricted_spectra(g: &TableFunction) -> Vec<Spectrum> {
             let mut values = 0u32;
             let mut c = code;
             for i in 0..dut_fourier::character::mask(q) {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "c % cube < cube = 2^ℓ, which fits a u32"
+                )]
                 let x = u32::try_from(c % cube).expect("cube digit fits a u32");
                 c /= cube;
                 let cube_mask = (1u32 << ell) - 1;
@@ -81,6 +85,10 @@ pub fn lemma_4_1_rhs(g: &TableFunction, z: &PerturbationVector, epsilon: f64) ->
         let mut digits = Vec::with_capacity(q);
         let mut c = code as u64;
         for _ in 0..q {
+            #[expect(
+                clippy::expect_used,
+                reason = "c % cube < cube = 2^ℓ, which fits a u32"
+            )]
             digits.push(u32::try_from(c % cube).expect("cube digit fits a u32"));
             c /= cube;
         }

@@ -400,7 +400,7 @@ mod tests {
     fn uniform_sampler_covers_domain() {
         let dom = PairedDomain::new(2);
         let mut rng = rand::rngs::StdRng::seed_from_u64(33);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..1000 {
             let (x, s) = sample_uniform(&dom, &mut rng);
             seen.insert(dom.encode(x, s));

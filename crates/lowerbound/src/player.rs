@@ -301,7 +301,7 @@ mod tests {
     fn encode_all_tuples_distinct() {
         let dom = PairedDomain::new(2);
         let q = 2;
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for a in 0..dom.universe_size() {
             for b in 0..dom.universe_size() {
                 let (xa, sa) = dom.decode(a);

@@ -2,7 +2,11 @@
 //! inequalities as universally-quantified properties over random
 //! player functions and parameters.
 
-#![allow(clippy::float_cmp, clippy::cast_possible_truncation)] // test code asserts exact values
+#![allow(
+    clippy::float_cmp,
+    clippy::cast_possible_truncation,
+    reason = "test code asserts exact values"
+)]
 use dut_lowerbound::{claim31, exact, lemmas, player, theory};
 use dut_probability::{PairedDomain, PerturbationVector};
 use proptest::prelude::*;

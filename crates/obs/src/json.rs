@@ -2,12 +2,11 @@
 //!
 //! The workspace has no serde; this module is its one JSON reader and
 //! writer. Every artifact — trace events, the serve wire, the stats
-//! and flight replies, arrival traces, the fuzz corpus, the lint
-//! findings and baseline — is built as a [`Json`] value and rendered
-//! by [`write()`] (or [`write_pretty`]), and read back by [`parse`], a
-//! recursive-descent parser that accepts objects, arrays, strings,
-//! finite numbers, bools and null and rejects anything malformed with
-//! a positioned error. A parsed document is a [`Value`] that borrows
+//! and flight replies, arrival traces, the fuzz corpus — is built as a
+//! [`Json`] value and rendered by [`write()`], and read back by
+//! [`parse`], a recursive-descent parser that accepts objects, arrays,
+//! strings, finite numbers, bools and null and rejects anything
+//! malformed with a positioned error. A parsed document is a [`Value`] that borrows
 //! every string and key without an escape from its input, so reading a
 //! request line allocates little beyond its containers.
 
@@ -110,7 +109,10 @@ impl<'a> Value<'a> {
     #[must_use]
     pub fn as_f64(&self) -> Option<f64> {
         match self {
-            #[allow(clippy::cast_precision_loss)]
+            #[allow(
+                clippy::cast_precision_loss,
+                reason = "a JSON number above 2^53 rounds to the nearest f64 in every reader"
+            )]
             Value::Uint(x) => Some(*x as f64),
             Value::Num(x) => Some(*x),
             _ => None,
@@ -127,7 +129,8 @@ impl<'a> Value<'a> {
             #[allow(
                 clippy::cast_possible_truncation,
                 clippy::cast_sign_loss,
-                clippy::float_cmp
+                clippy::float_cmp,
+                reason = "an integral non-negative f64 casts exactly, and one past u64::MAX saturates"
             )]
             // dut-lint: allow(float-eq): fract() of an integral f64 is exactly +0.0 — this is an exact integrality test, an epsilon would accept non-integers
             Value::Num(x) if *x >= 0.0 && x.fract() == 0.0 => Some(*x as u64),
@@ -246,37 +249,6 @@ pub fn write(out: &mut String, node: &Value<'_>) {
     write_with(out, node, ",", ":");
 }
 
-/// Appends `doc`, an object, one member per line with a two-space
-/// indent, and the array member named `rows` one element per line with
-/// a four-space indent. Every other value is written compactly with
-/// `", "` and `": "` separators. The lint findings document and
-/// baseline use this layout so that a diff reads one finding per line.
-/// A `doc` that is not an object is written compactly.
-pub fn write_pretty(out: &mut String, doc: &Value<'_>, rows: &str) {
-    let Value::Obj(members) = doc else {
-        write_with(out, doc, ", ", ": ");
-        return;
-    };
-    out.push('{');
-    for (i, (key, value)) in members.iter().enumerate() {
-        out.push_str(if i == 0 { "\n  " } else { ",\n  " });
-        write_escaped(out, key);
-        out.push_str(": ");
-        match value {
-            Value::Arr(items) if key == rows => {
-                out.push('[');
-                for (j, item) in items.iter().enumerate() {
-                    out.push_str(if j == 0 { "\n    " } else { ",\n    " });
-                    write_with(out, item, ", ", ": ");
-                }
-                out.push_str("\n  ]");
-            }
-            _ => write_with(out, value, ", ", ": "),
-        }
-    }
-    out.push_str("\n}");
-}
-
 fn write_with(out: &mut String, node: &Value<'_>, comma: &str, colon: &str) {
     match node {
         Value::Null => out.push_str("null"),
@@ -319,7 +291,7 @@ fn write_uint(out: &mut String, mut x: u64) {
     let mut at = digits.len();
     loop {
         at -= 1;
-        #[allow(clippy::cast_possible_truncation)] // x % 10 < 10
+        #[allow(clippy::cast_possible_truncation, reason = "x % 10 < 10")]
         let digit = (x % 10) as u8;
         digits[at] = b'0' + digit;
         x /= 10;
@@ -937,30 +909,5 @@ mod tests {
             assert_eq!(to_string(&value), text);
             assert_eq!(parse(text).unwrap(), back);
         }
-    }
-
-    #[test]
-    fn pretty_layout_lists_rows_one_per_line() {
-        let doc = Json::obj([
-            ("schema", Json::from("s")),
-            ("ids", Json::Arr(vec![Json::from("a"), Json::from("b")])),
-            (
-                "rows",
-                Json::Arr(vec![Json::obj([
-                    ("k", Json::from(1u64)),
-                    ("v", true.into()),
-                ])]),
-            ),
-        ]);
-        let mut out = String::new();
-        write_pretty(&mut out, &doc, "rows");
-        assert_eq!(
-            out,
-            "{\n  \"schema\": \"s\",\n  \"ids\": [\"a\", \"b\"],\n  \"rows\": [\n    {\"k\": 1, \"v\": true}\n  ]\n}"
-        );
-        let empty = Json::obj([("rows", Json::Arr(Vec::new()))]);
-        out.clear();
-        write_pretty(&mut out, &empty, "rows");
-        assert_eq!(out, "{\n  \"rows\": [\n  ]\n}");
     }
 }

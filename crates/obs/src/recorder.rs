@@ -214,7 +214,10 @@ pub fn snapshot_event(snapshot: &metrics::Snapshot) -> Event {
 /// shared wall-clock axis: `wall = ts_us + (unix_micros − anchor.ts_us)`.
 #[must_use]
 pub fn clock_anchor_event() -> Event {
-    // dut-lint: allow(nondet-rng): the anchor's entire purpose is to record the wall clock — it binds deterministic trace time to real time for cross-process alignment and feeds no experiment logic
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the anchor's entire purpose is to record the wall clock — it binds deterministic trace time to real time for cross-process alignment and feeds no experiment logic"
+    )]
     let unix_micros = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(0, |d| u64::try_from(d.as_micros()).unwrap_or(u64::MAX));
@@ -255,8 +258,11 @@ pub fn init_from_env() -> Option<String> {
                     recorder.emit(clock_anchor_event());
                     Some(path)
                 }
+                #[allow(
+                    clippy::print_stderr,
+                    reason = "the trace sink itself failed to open, so no obs channel exists to carry this diagnostic — stderr is the fallback of last resort"
+                )]
                 Err(error) => {
-                    // dut-lint: allow(println): the trace sink itself failed to open, so no obs channel exists to carry this diagnostic — stderr is the fallback of last resort
                     eprintln!("warning: cannot open DUT_TRACE file `{path}`: {error}");
                     None
                 }

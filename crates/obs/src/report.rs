@@ -478,7 +478,10 @@ impl Report {
                 if *count == 0 {
                     continue;
                 }
-                #[allow(clippy::cast_precision_loss)]
+                #[allow(
+                    clippy::cast_precision_loss,
+                    reason = "counts and microsecond totals stay far below 2^53, where u64 to f64 is exact"
+                )]
                 let mean = *sum as f64 / *count as f64;
                 let _ = writeln!(
                     out,
@@ -500,7 +503,10 @@ impl Report {
     }
 }
 
-#[allow(clippy::float_cmp)]
+#[allow(
+    clippy::float_cmp,
+    reason = "fract() of an integral f64 is exactly +0.0"
+)]
 fn display_json(value: &Value<'_>) -> String {
     match value {
         Value::Null => "null".into(),
@@ -534,7 +540,10 @@ fn display_json(value: &Value<'_>) -> String {
 
 /// `1234567` → `1.23M`-style counts.
 fn human_count(n: u64) -> String {
-    #[allow(clippy::cast_precision_loss)]
+    #[allow(
+        clippy::cast_precision_loss,
+        reason = "display-only scaling of a count"
+    )]
     let x = n as f64;
     if n < 10_000 {
         n.to_string()
@@ -549,7 +558,10 @@ fn human_count(n: u64) -> String {
 
 /// Microseconds → human time.
 fn human_micros(us: u64) -> String {
-    #[allow(clippy::cast_precision_loss)]
+    #[allow(
+        clippy::cast_precision_loss,
+        reason = "display-only scaling of a duration"
+    )]
     let x = us as f64;
     if us < 1_000 {
         format!("{us} µs")

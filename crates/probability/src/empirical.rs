@@ -67,6 +67,10 @@ impl Histogram {
     #[must_use]
     pub fn from_counts(counts: Vec<u64>) -> Self {
         assert!(!counts.is_empty(), "histogram needs a non-empty domain");
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic: the counts are one draw's occupancy, whose total is a u64 sample count"
+        )]
         let total = counts
             .iter()
             .try_fold(0u64, |acc, &c| acc.checked_add(c))

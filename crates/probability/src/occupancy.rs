@@ -223,8 +223,11 @@ fn binv_from_zero(n: u64, ratio: f64, pmf0: f64, u: f64) -> u64 {
 /// Each pmf is derived from its neighbour by an exact ratio; the mode pmf
 /// comes from `ln_choose`. Expected O(√np) terms examined.
 fn binomial_from_mode(n: u64, p: f64, u: f64) -> u64 {
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    // dut-lint: allow(lossy-cast): (n+1)p is a non-negative integer-floor bounded by n+1 ≤ 2^53 in every workspace workload, where the cast is exact
+    #[allow(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "(n+1)p is a non-negative integer-floor bounded by n+1 ≤ 2^53 in every workspace workload, where the cast is exact"
+    )]
     let mode = (((n + 1) as f64) * p).floor().min(n as f64) as u64;
     let pmf_mode =
         (ln_choose(n, mode) + mode as f64 * p.ln() + (n - mode) as f64 * (-p).ln_1p()).exp();
@@ -386,6 +389,10 @@ impl HistogramSampler {
                 }
             })
             .collect();
+        #[expect(
+            clippy::expect_used,
+            reason = "a DenseDistribution always carries positive mass"
+        )]
         let last_nonzero = probs
             .iter()
             .rposition(|&p| p > 0.0)
@@ -514,9 +521,11 @@ fn untabled_step(sampler: &HistogramSampler, i: usize) -> Step {
 /// `⌊x · 2⁵³⌋ + 1` for `0 <= x <= 2`: the number of 53-bit words `k`
 /// with `k · 2⁻⁵³ <= x`. Scaling by 2⁵³ is exact and the product is at
 /// most 2⁵⁴, so truncating it through `i64` is its floor.
-#[allow(clippy::cast_possible_truncation)] // 0 ≤ x · 2⁵³ ≤ 2⁵⁴
+#[allow(
+    clippy::cast_possible_truncation,
+    reason = "x · 2⁵³ is an exact non-negative product of at most 2⁵⁴, so the truncating cast is its floor"
+)]
 fn words_at_most(x: f64) -> u64 {
-    // dut-lint: allow(lossy-cast): x · 2⁵³ is an exact non-negative product of at most 2⁵⁴, so the truncating cast is its floor
     u64::try_from((x * (1u64 << 53) as f64) as i64).unwrap_or(0) + 1
 }
 

@@ -100,6 +100,10 @@ impl PairedDomain {
     #[must_use]
     pub fn decode(&self, index: usize) -> (u32, i8) {
         assert!(index < self.universe_size(), "index {index} out of range");
+        #[expect(
+            clippy::expect_used,
+            reason = "the asserted index < universe_size = 2^(ℓ+1) with ℓ ≤ MAX_ELL keeps index / 2 a u32 cube point"
+        )]
         let x = u32::try_from(index / 2).expect("universe index fits a u32 cube point");
         let s = if index.is_multiple_of(2) { 1 } else { -1 };
         (x, s)

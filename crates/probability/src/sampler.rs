@@ -111,7 +111,10 @@ const ALWAYS_KEEP: u64 = 1 << 53;
 /// truncation converts back below it. No libm call, and `i64` rather
 /// than `u64` because x86-64 converts signed integers in one instruction.
 #[inline]
-#[allow(clippy::cast_possible_truncation)] // |truncated| ≤ 2⁵³ for |keep| ≤ 1
+#[allow(
+    clippy::cast_possible_truncation,
+    reason = "|truncated| ≤ 2⁵³ for |keep| ≤ 1"
+)]
 fn threshold(keep: f64) -> u64 {
     let scaled = keep * ALWAYS_KEEP as f64;
     let truncated = scaled as i64;

@@ -1,6 +1,14 @@
 //! Property-based tests for the probability substrate.
 
-#![allow(clippy::float_cmp, clippy::cast_possible_truncation)] // test code asserts exact values
+#![allow(
+    clippy::float_cmp,
+    clippy::cast_possible_truncation,
+    reason = "test code asserts exact values"
+)]
+#![allow(
+    clippy::expect_used,
+    reason = "test helpers outside #[test] fns fail the test on a broken fixture"
+)]
 use dut_probability::{
     distance, empirical, families, CollisionWalk, DenseDistribution, Histogram, PairedDomain,
     PerturbationVector, Sampler,

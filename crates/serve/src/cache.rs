@@ -248,7 +248,10 @@ impl ShardedTesterCache {
     /// The shard responsible for `key`.
     fn shard(&self, key: &CacheKey) -> &TesterCache {
         let route = key.fields_hash() % self.shards.len() as u64;
-        #[allow(clippy::cast_possible_truncation)]
+        #[allow(
+            clippy::cast_possible_truncation,
+            reason = "route is below shards.len(), so it fits a usize"
+        )]
         &self.shards[route as usize]
     }
 

@@ -91,6 +91,10 @@ impl std::fmt::Display for BuildError {
 /// calibration engine is not a field: it is [`CacheKey::backend`], a
 /// fixed function of `(n, q)`, so it is the same in every process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the derived partial_cmp compares integer and enum fields, never a float"
+)]
 pub struct CacheKey {
     /// Domain size.
     pub n: usize,

@@ -7,7 +7,10 @@
 //! waker fires, or a timeout passes. The server (and so this module)
 //! is unix-only.
 
-#![allow(unsafe_code)]
+#![allow(
+    unsafe_code,
+    reason = "poll(2) is a foreign call; this module is the crate's only unsafe code"
+)]
 
 use std::ffi::{c_int, c_short};
 use std::io::{self, ErrorKind, Read, Write};

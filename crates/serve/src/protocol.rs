@@ -118,6 +118,10 @@ pub const MAX_LINE_BYTES: usize = 64 * 1024;
 /// an arbitrary distribution) keeps cache keys small and totally
 /// ordered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the derived partial_cmp compares unit variants, never a float"
+)]
 pub enum Family {
     /// The uniform distribution on `[n]`.
     Uniform,

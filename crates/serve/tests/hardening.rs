@@ -3,6 +3,11 @@
 //! containment, and the full chaos mix — each followed by proof that
 //! the service plane still answers honest requests bit-exactly.
 
+#![allow(
+    clippy::expect_used,
+    reason = "test helpers outside #[test] fns fail the test on a broken fixture"
+)]
+
 use dut_serve::chaos::{self, ChaosConfig};
 use dut_serve::protocol::{self, render_request, ReplyLine};
 use dut_serve::server::{self, ServeConfig};

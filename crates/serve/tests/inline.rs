@@ -5,6 +5,11 @@
 //! the independence from busy workers, and the `POLLOUT` path that
 //! finishes a flush the socket could not take whole.
 
+#![allow(
+    clippy::expect_used,
+    reason = "test helpers outside #[test] fns fail the test on a broken fixture"
+)]
+
 use dut_core::Rule;
 use dut_obs::metrics::{Counter, HistogramId};
 use dut_serve::engine;

@@ -8,6 +8,11 @@
 //! percentiles these assertions read. A separate binary is a separate
 //! process and a clean registry.
 
+#![allow(
+    clippy::expect_used,
+    reason = "test helpers outside #[test] fns fail the test on a broken fixture"
+)]
+
 use dut_serve::server::{self, ServeConfig};
 use dut_serve::trace::{self, TraceConfig};
 use dut_serve::{loadgen, Trace};

@@ -3,6 +3,11 @@
 //! graceful shutdown — all against a real server on a loopback
 //! socket.
 
+#![allow(
+    clippy::expect_used,
+    reason = "test helpers outside #[test] fns fail the test on a broken fixture"
+)]
+
 use dut_core::Rule;
 use dut_serve::engine;
 use dut_serve::protocol::{render_request, render_request_tenant, Family, ReplyLine, Request};

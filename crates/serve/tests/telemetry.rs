@@ -7,6 +7,11 @@
 //! deltas) serializes on [`TRAFFIC`]; pure protocol tests and the
 //! renderer tests stay parallel.
 
+#![allow(
+    clippy::expect_used,
+    reason = "test helpers outside #[test] fns fail the test on a broken fixture"
+)]
+
 use dut_core::Rule;
 use dut_serve::protocol::{render_request, Family, ReplyLine, Request};
 use dut_serve::server::{self, ServeConfig, SHED_BURST_THRESHOLD};

@@ -5,6 +5,11 @@
 //! of a half-closed connection, and a socket turning writable again
 //! after the client stopped reading.
 
+#![allow(
+    clippy::expect_used,
+    reason = "test helpers outside #[test] fns fail the test on a broken fixture"
+)]
+
 use dut_core::Rule;
 use dut_serve::loadgen;
 use dut_serve::protocol::{self, render_request, Family, ReplyLine, Request};

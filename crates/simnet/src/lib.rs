@@ -51,8 +51,14 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// Tests assert exact constructed values and index with small literals.
-#![cfg_attr(test, allow(clippy::float_cmp, clippy::cast_possible_truncation))]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::float_cmp,
+        clippy::cast_possible_truncation,
+        reason = "tests assert exact constructed values and index with small literals"
+    )
+)]
 
 mod network;
 mod rates;

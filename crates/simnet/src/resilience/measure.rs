@@ -57,7 +57,10 @@ impl MeasuredRates {
 /// # Panics
 ///
 /// Panics if `trials == 0`.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the E12 sweeps vary every one of these measurement parameters"
+)]
 pub fn rejection_rate<F, N>(
     network: &ResilientNetwork,
     samples_per_player: usize,

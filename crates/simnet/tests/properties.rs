@@ -1,6 +1,10 @@
 //! Property-based tests for the network model and decision rules.
 
-#![allow(clippy::float_cmp, clippy::cast_possible_truncation)] // test code asserts exact values
+#![allow(
+    clippy::float_cmp,
+    clippy::cast_possible_truncation,
+    reason = "test code asserts exact values"
+)]
 use dut_probability::Sampler;
 use dut_simnet::{DecisionRule, Network, RateVector, Verdict};
 use proptest::prelude::*;

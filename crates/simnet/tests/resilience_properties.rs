@@ -1,7 +1,11 @@
 //! Property-based tests for the resilience layer's missing-policy
 //! invariants and fault accounting.
 
-#![allow(clippy::float_cmp, clippy::cast_possible_truncation)] // test code asserts exact values
+#![allow(
+    clippy::float_cmp,
+    clippy::cast_possible_truncation,
+    reason = "test code asserts exact values"
+)]
 use dut_simnet::{
     DecisionRule, IidFaults, MissingPolicy, Network, ReliablePlan, ResilientNetwork, Verdict,
 };

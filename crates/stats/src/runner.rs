@@ -303,13 +303,13 @@ mod tests {
     use proptest::prelude::*;
     use rand::seq::SliceRandom;
     use rand::SeedableRng;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     const SIDE_SEEDS: [u64; 2] = [0xA11CE, 0xB0B];
 
     /// One side's planted outcomes, keyed by the seed trial `i` gets,
     /// so a lookup also checks that the runner hands out those seeds.
-    fn planted(side_seed: u64, outcomes: &[bool]) -> HashMap<u64, bool> {
+    fn planted(side_seed: u64, outcomes: &[bool]) -> BTreeMap<u64, bool> {
         (0u64..)
             .zip(outcomes)
             .map(|(i, &ok)| (derive_seed(side_seed, i), ok))

@@ -31,7 +31,7 @@ pub fn derive_seed2(master: u64, a: u64, b: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn deterministic() {
@@ -48,7 +48,7 @@ mod tests {
 
     #[test]
     fn no_collisions_on_a_grid() {
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         for master in 0..8u64 {
             for stream in 0..256u64 {
                 assert!(seen.insert(derive_seed(master, stream)));

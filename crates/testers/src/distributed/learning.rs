@@ -60,6 +60,10 @@ impl FourierLearner {
     /// The character assigned to node `j` under the given shared seed:
     /// a pseudorandom non-zero element of the dual group.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "characters are u32 bitmasks, so the offset is below the u32-sized dual group"
+    )]
     pub fn assigned_character(&self, shared_seed: u64, node: usize) -> u32 {
         let offset = derive_seed(shared_seed, node as u64) % (self.n as u64 - 1).max(1);
         1 + u32::try_from(offset).expect("character index is below the u32-sized dual group")
@@ -67,6 +71,10 @@ impl FourierLearner {
 
     /// Quantizes `v ∈ [-1, 1]` to the message alphabet.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "t is clamped to [0, levels] and levels is a u32"
+    )]
     pub fn quantize(&self, v: f64) -> u32 {
         let levels = (1u32 << self.message_bits) - 1;
         let t = (v.clamp(-1.0, 1.0) + 1.0) / 2.0 * f64::from(levels);
@@ -89,6 +97,10 @@ impl FourierLearner {
     /// referee returns a verdict, and this referee returns a
     /// distribution, so its runs are not counted in the metrics
     /// registry.
+    #[expect(
+        clippy::expect_used,
+        reason = "reconstruction always keeps positive total mass: the empty character's coefficient is 1"
+    )]
     pub fn learn<S, R>(&self, sampler: &S, rng: &mut R) -> DenseDistribution
     where
         S: Sampler,
@@ -102,6 +114,10 @@ impl FourierLearner {
             let a = self.assigned_character(shared_seed, node);
             let mut acc = 0.0f64;
             for _ in 0..self.q {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the learner's domain is indexed by u32 characters, so every sample fits a u32"
+                )]
                 let sample = u32::try_from(sampler.sample(rng)).expect("domain element fits a u32");
                 acc += f64::from(chi(a, sample));
             }

@@ -113,6 +113,10 @@ impl SingleSampleProtocol {
         let per_bucket = self.n / m;
         let mut assignment: Vec<u16> = (0..m)
             .flat_map(|b| {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "b < bucket_count() <= 2^16, since messages are at most 16 bits"
+                )]
                 let bucket = u16::try_from(b).expect("bucket count fits a u16");
                 std::iter::repeat_n(bucket, per_bucket)
             })

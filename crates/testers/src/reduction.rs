@@ -165,6 +165,10 @@ impl IdentityToUniformityReduction {
                 weights[self.block_offsets[i] + b] = per_bucket;
             }
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "kept mass is positive for any input distribution"
+        )]
         let out = DenseDistribution::from_weights(weights)
             .expect("kept mass is positive for any input distribution");
         (out, 1.0 - kept_mass)

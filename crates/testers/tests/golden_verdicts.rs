@@ -11,6 +11,11 @@
 //! `Network::run_nodes`. A change that moves any RNG call or any node
 //! or referee decision of these protocols fails here.
 
+#![allow(
+    clippy::expect_used,
+    reason = "test helpers outside #[test] fns fail the test on a broken fixture"
+)]
+
 use dut_probability::empirical::collision_count_of;
 use dut_probability::{families, AliasSampler};
 use dut_simnet::{RateVector, RunOutcome};

@@ -1,6 +1,14 @@
 //! Property-based tests for the tester library.
 
-#![allow(clippy::float_cmp, clippy::cast_possible_truncation)] // test code asserts exact values
+#![allow(
+    clippy::float_cmp,
+    clippy::cast_possible_truncation,
+    reason = "test code asserts exact values"
+)]
+#![allow(
+    clippy::expect_used,
+    reason = "test helpers outside #[test] fns fail the test on a broken fixture"
+)]
 use dut_probability::{families, DenseDistribution, Sampler};
 use dut_testers::centralized::CentralizedTester;
 use dut_testers::poisson::{poisson_threshold_for_tail, poisson_upper_tail};

@@ -6,6 +6,8 @@
 //! cargo run --release --example identity_testing
 //! ```
 
+#![allow(clippy::print_stdout, reason = "an example prints its walkthrough")]
+
 use distributed_uniformity::probability::{distance, families, DenseDistribution};
 use distributed_uniformity::testers::centralized::CentralizedTester;
 use distributed_uniformity::testers::reduction::IdentityToUniformityReduction;

@@ -6,6 +6,12 @@
 //! cargo run --release --example lower_bound_demo
 //! ```
 
+#![allow(
+    clippy::print_stdout,
+    clippy::expect_used,
+    reason = "an example prints its walkthrough, and a broken setup invariant ends it"
+)]
+
 use distributed_uniformity::fourier::evencover;
 use distributed_uniformity::lowerbound::{
     divergence, exact, lemmas,

@@ -5,6 +5,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
+#![allow(clippy::print_stdout, reason = "an example prints its walkthrough")]
+
 use distributed_uniformity::probability::families;
 use distributed_uniformity::{Rule, UniformityTester};
 use rand::SeedableRng;

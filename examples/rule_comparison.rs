@@ -6,6 +6,12 @@
 //! cargo run --release --example rule_comparison
 //! ```
 
+#![allow(
+    clippy::print_stdout,
+    clippy::expect_used,
+    reason = "an example prints its walkthrough, and a broken setup invariant ends it"
+)]
+
 use distributed_uniformity::probability::families;
 use distributed_uniformity::stats::search::minimal_sufficient;
 use distributed_uniformity::stats::table::Table;

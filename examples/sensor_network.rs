@@ -15,6 +15,8 @@
 //! cargo run --release --example sensor_network
 //! ```
 
+#![allow(clippy::print_stdout, reason = "an example prints its walkthrough")]
+
 use distributed_uniformity::probability::families;
 use distributed_uniformity::testers::{BalancedThresholdTester, TThresholdTester};
 use rand::SeedableRng;

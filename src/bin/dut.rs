@@ -11,6 +11,12 @@
 //! dut advise --n 4096 --k 64 --eps 0.5 --locality any
 //! ```
 
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "the CLI writes its results to stdout and its errors to stderr"
+)]
+
 use distributed_uniformity::advisor::{recommend, LocalityRequirement};
 use distributed_uniformity::lowerbound::theory;
 use distributed_uniformity::probability::{families, DenseDistribution};
@@ -70,16 +76,9 @@ report USAGE:
         anchors place all events on one shared wall-clock axis
 
 lint USAGE:
-    dut lint [workspace-root]     lint the workspace (default: cwd)
-    dut lint --rules              list rule IDs and what they enforce
-    dut lint --format json        machine-readable findings (stable ids,
-                                  schema dut-analyze-findings/v1)
-    dut lint --baseline <file>    ratchet mode: findings in the committed
-                                  baseline pass, new findings fail, stale
-                                  baseline entries fail
-    dut lint --write-baseline <file>   capture current findings as the
-                                  new baseline (schema dut-analyze-baseline/v1)
-    dut lint --list-suppressions  audit every dut-lint allow with its reason
+    dut lint [workspace-root]     the float-eq and concurrency rules clippy
+                                  cannot express (default root: cwd);
+                                  exits 1 on any unsuppressed finding
 
 serve USAGE:
     dut serve [--addr <host:port>] [--workers <N>] [--shards <N>]
@@ -408,82 +407,28 @@ fn cmd_test(mut args: Args) -> Result<(), String> {
 /// Fails on any unsuppressed finding, so CI can gate on it. The pass
 /// runs under a `lint.workspace` span and emits a `lint_summary`
 /// event, so `dut report` shows analysis cost next to experiment cost.
-fn cmd_lint(mut args: Args) -> Result<(), String> {
-    let rules = args.switch("--rules");
-    let list_suppressions = args.switch("--list-suppressions");
-    let format = args.value("--format")?;
-    let baseline_path = args.value("--baseline")?;
-    let write_baseline = args.value("--write-baseline")?;
-    let root = args.finish(1)?.pop();
-    if rules {
-        print!("{}", dut_analyze::rules_table());
-        return Ok(());
-    }
-    let json = match format.as_deref() {
-        None | Some("text") => false,
-        Some("json") => true,
-        Some(other) => return Err(format!("--format takes `text` or `json`, got `{other}`")),
-    };
-    let root = match root {
+fn cmd_lint(args: Args) -> Result<(), String> {
+    let root = match args.finish(1)?.pop() {
         Some(dir) => std::path::PathBuf::from(dir),
         None => std::env::current_dir().map_err(|e| format!("cannot resolve cwd: {e}"))?,
     };
-
-    if list_suppressions {
-        let records = dut_analyze::list_suppressions(&root)?;
-        for r in &records {
-            println!("{}:{}: allow({}): {}", r.path, r.line, r.rule, r.reason);
-        }
-        println!("dut lint: {} suppression(s) on file", records.len());
-        return Ok(());
-    }
-
-    // Baseline file contents are read before the (slow) lint pass so
-    // a malformed baseline fails fast.
-    let baseline = baseline_path
-        .map(|path| {
-            std::fs::read_to_string(&path)
-                .map_err(|e| format!("cannot read baseline {path}: {e}"))
-                .and_then(|text| dut_analyze::baseline::parse(&text))
-        })
-        .transpose()?;
-    let mut report = {
+    let report = {
         let _span = dut_obs::span!("lint.workspace");
         dut_analyze::lint_workspace(&root)?
     };
-    if let Some(path) = &write_baseline {
-        let rendered = dut_analyze::baseline::render(&report.findings);
-        std::fs::write(path, rendered).map_err(|e| format!("cannot write baseline {path}: {e}"))?;
-        println!(
-            "dut lint: wrote baseline {path} ({} finding{})",
-            report.findings.len(),
-            if report.findings.len() == 1 { "" } else { "s" },
-        );
-        return Ok(());
-    }
-    if let Some(baseline) = &baseline {
-        report.apply_baseline(&baseline.ids());
-    }
     dut_obs::global().emit_with(|| {
         dut_obs::Event::new("lint_summary")
             .with("files", report.files_checked as u64)
             .with("findings", report.findings.len() as u64)
             .with("suppressed", report.suppressed as u64)
-            .with("baselined", report.baselined as u64)
-            .with("stale_baseline", report.stale_baseline.len() as u64)
     });
-    if json {
-        println!("{}", dut_analyze::render_report_json(&report));
-    } else {
-        println!("{report}");
-    }
+    println!("{report}");
     if report.is_clean() {
         Ok(())
     } else {
         Err(format!(
-            "lint is not clean: {} finding(s), {} stale baseline entr(ies)",
-            report.findings.len(),
-            report.stale_baseline.len()
+            "lint is not clean: {} finding(s)",
+            report.findings.len()
         ))
     }
 }

@@ -22,7 +22,13 @@
 //! ```
 
 #![forbid(unsafe_code)]
-// Tests assert exact constructed values and index with small literals.
-#![cfg_attr(test, allow(clippy::float_cmp, clippy::cast_possible_truncation))]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::float_cmp,
+        clippy::cast_possible_truncation,
+        reason = "tests assert exact constructed values and index with small literals"
+    )
+)]
 
 pub use dut_core::*;

@@ -1,6 +1,14 @@
 //! Smoke tests for the `dut` command-line binary.
 
-#![allow(clippy::float_cmp, clippy::cast_possible_truncation)] // test code asserts exact values
+#![allow(
+    clippy::float_cmp,
+    clippy::cast_possible_truncation,
+    reason = "test code asserts exact values"
+)]
+#![allow(
+    clippy::expect_used,
+    reason = "test helpers outside #[test] fns fail the test on a broken fixture"
+)]
 use std::process::Command;
 
 fn dut() -> Command {
@@ -222,8 +230,6 @@ fn malformed_flags_fail_naming_the_flag() {
         (&["top", "--bogus"], "--bogus"),
         (&["fuzz", "--iters", "abc"], "--iters"),
         (&["fuzz", "--bogus"], "--bogus"),
-        (&["lint", "--format"], "--format"),
-        (&["lint", "--format", "yaml"], "--format"),
         (&["lint", "--bogus"], "--bogus"),
         (&["report"], "dut report <trace.jsonl>"),
     ];
@@ -239,14 +245,24 @@ fn malformed_flags_fail_naming_the_flag() {
 }
 
 #[test]
-fn lint_rules_lists_rules() {
-    let out = dut()
-        .args(["lint", "--rules"])
-        .output()
-        .expect("binary runs");
-    assert!(out.status.success());
-    let text = String::from_utf8(out.stdout).expect("utf8");
-    assert!(text.contains("float-eq"), "{text}");
+fn lint_rejects_removed_flags() {
+    // `dut lint` takes only a root. An old baseline or JSON flag must
+    // fail loudly, so a script written for it cannot pass by accident.
+    for args in [
+        &["lint", "--baseline", "x"][..],
+        &["lint", "--write-baseline", "x"],
+        &["lint", "--format", "json"],
+        &["lint", "--rules"],
+        &["lint", "--list-suppressions"],
+    ] {
+        let (ok, err) = run_dut(args);
+        assert!(!ok, "`dut {}` should fail", args.join(" "));
+        assert!(
+            err.contains(&format!("unknown flag `{}`", args[1])),
+            "`dut {}`: {err}",
+            args.join(" ")
+        );
+    }
 }
 
 #[test]

@@ -9,6 +9,11 @@
 //! offline / fresh-engine / cached-engine paths and demand bit
 //! identity.
 
+#![allow(
+    clippy::expect_used,
+    reason = "test helpers outside #[test] fns fail the test on a broken fixture"
+)]
+
 use dut_fuzz::corpus::{self, Entry, Plane};
 use dut_serve::server::{self, ServeConfig};
 use std::path::{Path, PathBuf};

@@ -2,7 +2,11 @@
 //! paper's own hard instances (the `ν_z` family), across decision
 //! rules.
 
-#![allow(clippy::float_cmp, clippy::cast_possible_truncation)] // test code asserts exact values
+#![allow(
+    clippy::float_cmp,
+    clippy::cast_possible_truncation,
+    reason = "test code asserts exact values"
+)]
 use distributed_uniformity::probability::{families, PairedDomain, PerturbationVector};
 use distributed_uniformity::{Rule, UniformityTester};
 use rand::SeedableRng;

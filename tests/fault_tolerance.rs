@@ -2,7 +2,11 @@
 //! rules when the network is unreliable — the systems-facing
 //! consequence of the locality trade-off.
 
-#![allow(clippy::float_cmp, clippy::cast_possible_truncation)] // test code asserts exact values
+#![allow(
+    clippy::float_cmp,
+    clippy::cast_possible_truncation,
+    reason = "test code asserts exact values"
+)]
 use distributed_uniformity::probability::{families, Sampler};
 use distributed_uniformity::simnet::{DecisionRule, IidFaults, MissingPolicy, ResilientNetwork};
 use distributed_uniformity::testers::TThresholdTester;

@@ -8,8 +8,6 @@
 //! gives back the same value. Each typed artifact then parses back to
 //! the value it was rendered from.
 
-use dut_analyze::baseline;
-use dut_analyze::findings::Finding;
 use dut_core::{Rule, Verdict};
 use dut_fuzz::corpus::{self, Entry, Expect};
 use dut_obs::json::{self, Json};
@@ -265,52 +263,5 @@ fn corpus_entries_round_trip() {
         let text = entry.render();
         assert_eq!(Entry::parse(&text).as_ref(), Ok(&entry));
         corpus::validate(&text).unwrap();
-    }
-}
-
-#[test]
-fn baselines_round_trip() {
-    let mut rng = StdRng::seed_from_u64(0x155);
-    let rules = ["unwrap", "float-eq", "lock-order"];
-    for _ in 0..CASES / 3 {
-        let findings: Vec<Finding> = (0..rng.random_range(0..5))
-            .map(|_| {
-                let mut f = Finding::new(
-                    &text(&mut rng, 12),
-                    rng.random(),
-                    rules[rng.random_range(0..rules.len())],
-                    text(&mut rng, 20),
-                    "hint",
-                );
-                f.id = format!("{:016x}", rng.random::<u64>());
-                f
-            })
-            .collect();
-        let back = baseline::parse(&baseline::render(&findings)).unwrap();
-        let fields = |e: &baseline::BaselineEntry| {
-            (
-                e.id.clone(),
-                e.rule.clone(),
-                e.path.clone(),
-                e.line,
-                e.message.clone(),
-            )
-        };
-        let expected: Vec<_> = findings
-            .iter()
-            .map(|f| {
-                (
-                    f.id.clone(),
-                    f.rule.to_owned(),
-                    f.path.clone(),
-                    f.line,
-                    f.message.clone(),
-                )
-            })
-            .collect();
-        assert_eq!(
-            back.entries.iter().map(fields).collect::<Vec<_>>(),
-            expected
-        );
     }
 }

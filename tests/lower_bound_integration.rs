@@ -2,7 +2,11 @@
 //! protocols: the quantities the proofs reason about, measured on the
 //! actual player functions the testers deploy.
 
-#![allow(clippy::float_cmp, clippy::cast_possible_truncation)] // test code asserts exact values
+#![allow(
+    clippy::float_cmp,
+    clippy::cast_possible_truncation,
+    reason = "test code asserts exact values"
+)]
 use distributed_uniformity::lowerbound::{divergence, exact, lemmas, player::PairedSample};
 use distributed_uniformity::probability::{empirical, PairedDomain, PerturbationVector};
 use distributed_uniformity::testers::TThresholdTester;

@@ -2,7 +2,15 @@
 //! observer (bit-identical results instrumented or not), and a JSONL
 //! trace must round-trip through the `dut report` analyzer.
 
-#![allow(clippy::float_cmp, clippy::cast_possible_truncation)] // test code asserts exact values
+#![allow(
+    clippy::float_cmp,
+    clippy::cast_possible_truncation,
+    reason = "test code asserts exact values"
+)]
+#![allow(
+    clippy::expect_used,
+    reason = "test helpers outside #[test] fns fail the test on a broken fixture"
+)]
 use distributed_uniformity::obs;
 use distributed_uniformity::probability::families;
 use distributed_uniformity::stats::runner::run_measurements;

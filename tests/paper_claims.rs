@@ -1,7 +1,11 @@
 //! Cross-cutting checks of the paper's headline claims, at test-suite
 //! scale (the full-scale versions are the E1–E11 benchmark binaries).
 
-#![allow(clippy::float_cmp, clippy::cast_possible_truncation)] // test code asserts exact values
+#![allow(
+    clippy::float_cmp,
+    clippy::cast_possible_truncation,
+    reason = "test code asserts exact values"
+)]
 use distributed_uniformity::lowerbound::{mixture, theory};
 use distributed_uniformity::probability::{families, PairedDomain};
 use distributed_uniformity::testers::reduction::IdentityToUniformityReduction;

@@ -4,7 +4,11 @@
 //! breaks the AND rule outright, while a calibrated threshold rule
 //! keeps two-sided error below 1/3 at the same `k`, `q`, `ε`.
 
-#![allow(clippy::float_cmp, clippy::cast_possible_truncation)] // test code asserts exact values
+#![allow(
+    clippy::float_cmp,
+    clippy::cast_possible_truncation,
+    reason = "test code asserts exact values"
+)]
 use distributed_uniformity::obs::metrics::{global, Counter};
 use distributed_uniformity::probability::{families, Sampler};
 use distributed_uniformity::simnet::{
