@@ -13,7 +13,9 @@
 //!    repetition and ack/retry at heavy loss, in the scarce-alarm
 //!    regime where the AND rule's single alarm is load-bearing.
 //! 3. **Byzantine tolerance** — measured break point in the number of
-//!    bit-flipping players, next to the predicted `min(T-1, k-T)`.
+//!    bit-flipping players (one less than the first count whose
+//!    two-sided error exceeds 1/3), next to the predicted
+//!    `min(T-1, k-T)`.
 //!
 //! ```bash
 //! cargo run --release -p dut-bench --bin e12_fault_tolerance
@@ -26,14 +28,13 @@
 )]
 
 use dut_bench::Harness;
-use dut_core::probability::{families, Sampler};
+use dut_core::probability::families;
 use dut_core::simnet::{
-    byzantine_tolerance, rejection_rate, ByzantinePlan, DecisionRule, FaultPlan, GilbertElliott,
-    IidFaults, MissingPolicy, Recovery, ResilientNetwork,
+    byzantine_tolerance, measured_byzantine_tolerance, rejection_rate, ByzantinePlan, FaultPlan,
+    GilbertElliott, IidFaults, MissingPolicy, Recovery, ResilientNetwork,
 };
 use dut_core::stats::table::Table;
 use dut_core::testers::TThresholdTester;
-use rand::rngs::StdRng;
 
 const N: usize = 256;
 const K: usize = 16;
@@ -44,17 +45,6 @@ const Q_STRONG: usize = 100;
 /// regime where faults bite hardest.
 const Q_SCARCE: usize = 40;
 
-/// The collision-counting node of the T-threshold protocol, calibrated
-/// for referee threshold `t` at `(N, K, q)`, drawing from `sampler`.
-fn node<S: Sampler>(
-    sampler: &S,
-    t: usize,
-    q: usize,
-) -> impl Fn(usize, usize, &mut StdRng) -> bool + '_ {
-    let threshold = TThresholdTester::new(N, K, t).node_threshold(q);
-    move |_, q, rng| sampler.collision_count(q, rng) < threshold
-}
-
 fn policy_name(policy: MissingPolicy) -> &'static str {
     match policy {
         MissingPolicy::AssumeAccept => "assume-accept",
@@ -63,10 +53,6 @@ fn policy_name(policy: MissingPolicy) -> &'static str {
     }
 }
 
-#[allow(
-    clippy::too_many_lines,
-    reason = "main runs the degradation, recovery and Byzantine sweeps in order, as the log prints them"
-)]
 fn main() {
     let harness = Harness::from_env();
     harness.emit_manifest("e12_fault_tolerance");
@@ -102,9 +88,9 @@ fn main() {
             Box::new(|r| Box::new(GilbertElliott::bursty_with_mean_loss(r))),
         ),
     ];
-    let rules: &[(&str, DecisionRule, usize)] = &[
-        ("and", DecisionRule::And, 1),
-        ("thr4", DecisionRule::Threshold { min_rejects: 4 }, 4),
+    let rules = [
+        ("and", TThresholdTester::new(N, K, 1)),
+        ("thr4", TThresholdTester::new(N, K, 4)),
     ];
     let policies = [
         MissingPolicy::AssumeAccept,
@@ -121,37 +107,24 @@ fn main() {
         "bits/run".into(),
     ]);
     for (model_name, rates, mk_plan) in &models {
-        for &(rule_name, ref rule, rule_t) in rules {
+        for (rule_name, tester) in &rules {
+            let prepared = tester.prepare(Q_SCARCE);
             for policy in policies {
                 let net = ResilientNetwork::new(K, policy);
                 for &rate in *rates {
                     let s = next_stream();
                     let mut plan_u = mk_plan(rate);
-                    let on_uniform = rejection_rate(
-                        &net,
-                        Q_SCARCE,
-                        rule,
-                        plan_u.as_mut(),
-                        trials,
-                        harness.seed,
-                        s,
-                        node(&uniform, rule_t, Q_SCARCE),
-                    );
+                    let on_uniform = rejection_rate(trials, harness.seed, s, |rng| {
+                        prepared.run_faulty(&net, plan_u.as_mut(), &uniform, rng)
+                    });
                     let mut plan_f = mk_plan(rate);
-                    let on_far = rejection_rate(
-                        &net,
-                        Q_SCARCE,
-                        rule,
-                        plan_f.as_mut(),
-                        trials,
-                        harness.seed,
-                        s + 500,
-                        node(&far, rule_t, Q_SCARCE),
-                    );
+                    let on_far = rejection_rate(trials, harness.seed, s + 500, |rng| {
+                        prepared.run_faulty(&net, plan_f.as_mut(), &far, rng)
+                    });
                     degradation.push_row(vec![
                         (*model_name).to_owned(),
                         format!("{rate:.2}"),
-                        rule_name.to_owned(),
+                        (*rule_name).to_owned(),
                         policy_name(policy).to_owned(),
                         format!("{:.3}", on_uniform.error_on_uniform()),
                         format!("{:.3}", on_far.error_on_far()),
@@ -179,19 +152,13 @@ fn main() {
         "retries/run".into(),
     ]);
     let loss = 0.7;
+    let and_rule = TThresholdTester::new(N, K, 1).prepare(Q_SCARCE);
     for &(name, recovery) in recoveries {
         let net = ResilientNetwork::new(K, MissingPolicy::AssumeAccept).with_recovery(recovery);
         let mut plan = IidFaults::loss_only(loss);
-        let measured = rejection_rate(
-            &net,
-            Q_SCARCE,
-            &DecisionRule::And,
-            &mut plan,
-            trials,
-            harness.seed,
-            next_stream(),
-            node(&far, 1, Q_SCARCE),
-        );
+        let measured = rejection_rate(trials, harness.seed, next_stream(), |rng| {
+            and_rule.run_faulty(&net, &mut plan, &far, rng)
+        });
         println!("{name}: detection = {:.3}", measured.rejection_rate);
         recovery_table.push_row(vec![
             name.to_owned(),
@@ -210,37 +177,33 @@ fn main() {
         "measured".into(),
         "flipper errors (uniform, t = 0, 1, ...)".into(),
     ]);
-    for &(rule_name, ref rule, rule_t) in rules {
-        let predicted = byzantine_tolerance(rule, K);
+    let net = ResilientNetwork::new(K, MissingPolicy::AssumeAccept);
+    for (rule_name, tester) in &rules {
+        let prepared = tester.prepare(Q_STRONG);
+        let predicted = byzantine_tolerance(&prepared.referee(), K);
         let scan_to = (predicted + 2).min(K);
         let mut errors = Vec::new();
-        let mut measured: Option<usize> = None;
         for flippers in 0..=scan_to {
-            let net = ResilientNetwork::new(K, MissingPolicy::AssumeAccept);
-            let mut plan = ByzantinePlan::flippers(flippers);
-            let err = rejection_rate(
-                &net,
-                Q_STRONG,
-                rule,
-                &mut plan,
-                trials,
-                harness.seed,
-                next_stream(),
-                node(&uniform, rule_t, Q_STRONG),
-            )
-            .error_on_uniform();
-            errors.push(format!("{err:.2}"));
-            if err > 1.0 / 3.0 && measured.is_none() {
-                measured = Some(flippers.saturating_sub(1));
-            }
+            let s = next_stream();
+            let measure = |sampler, stream| {
+                let mut plan = ByzantinePlan::flippers(flippers);
+                rejection_rate(trials, harness.seed, stream, |rng| {
+                    prepared.run_faulty(&net, &mut plan, sampler, rng)
+                })
+            };
+            let err_uniform = measure(&uniform, s).error_on_uniform();
+            let err_far = measure(&far, s + 500).error_on_far();
+            errors.push((err_uniform, err_far));
         }
-        let measured_cell = measured.map_or_else(|| format!(">={scan_to}"), |m| m.to_string());
+        let measured_cell = measured_byzantine_tolerance(&errors)
+            .map_or_else(|| format!(">={scan_to}"), |m| m.to_string());
+        let uniform_errors: Vec<String> = errors.iter().map(|(u, _)| format!("{u:.2}")).collect();
         println!("{rule_name}: predicted {predicted}, measured {measured_cell}");
         byz.push_row(vec![
-            rule_name.to_owned(),
+            (*rule_name).to_owned(),
             predicted.to_string(),
             measured_cell,
-            errors.join(" "),
+            uniform_errors.join(" "),
         ]);
     }
     harness.save("e12_byzantine", &byz);

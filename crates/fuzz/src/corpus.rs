@@ -465,7 +465,7 @@ mod tests {
 
     #[test]
     fn bit_identity_holds_for_a_small_config() {
-        let request = crate::differential::ConfigGen::new(3).request();
+        let request = crate::gen::FrameGen::new(3).valid_request();
         bit_identity(&request).expect("paths agree");
     }
 }

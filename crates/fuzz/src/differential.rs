@@ -12,11 +12,10 @@
 //! findings must outlive the run that found them.
 
 use crate::corpus::{self, Entry};
+use crate::gen::FrameGen;
 use dut_serve::chaos::probe_request;
 use dut_serve::client::{check_served, Served};
-use dut_serve::protocol::{self, Request};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use dut_serve::protocol::Request;
 use std::path::{Path, PathBuf};
 
 /// Differential-plane configuration.
@@ -73,52 +72,6 @@ impl DiffReport {
     #[must_use]
     pub fn passed(&self) -> bool {
         self.failures.is_empty()
-    }
-}
-
-/// Seeded random request-configuration generator, kept within the
-/// served limits so failures are always about *agreement*, not
-/// validation.
-#[derive(Debug)]
-pub struct ConfigGen {
-    rng: StdRng,
-}
-
-impl ConfigGen {
-    /// A generator whose output sequence is a function of `seed`.
-    #[must_use]
-    pub fn new(seed: u64) -> ConfigGen {
-        ConfigGen {
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-
-    /// The next random configuration.
-    pub fn request(&mut self) -> Request {
-        let n = 1usize << self.rng.random_range(1..9); // 2..=256
-        let k = self.rng.random_range(1..=6);
-        let q = self.rng.random_range(1..=32);
-        let eps_choices = [0.25, 0.5, 0.75, 0.9, 1.0];
-        let eps = eps_choices[self.rng.random_range(0..eps_choices.len())];
-        let rule = match self.rng.random_range(0..4u32) {
-            0 => dut_core::Rule::And,
-            1 => dut_core::Rule::Balanced,
-            2 => dut_core::Rule::Centralized,
-            _ => dut_core::Rule::TThreshold {
-                t: self.rng.random_range(1..=k),
-            },
-        };
-        let family = protocol::Family::ALL[self.rng.random_range(0..protocol::Family::ALL.len())];
-        Request {
-            n,
-            k,
-            q,
-            eps,
-            rule,
-            family,
-            seed: self.rng.random(),
-            trials: self.rng.random_range(1..=4),
-        }
     }
 }
 
@@ -216,10 +169,10 @@ pub fn run(config: &DiffConfig) -> Result<DiffReport, String> {
             .and_then(Served::answered)
             .map_err(|e| format!("server not healthy before differential run: {e}"))?;
     }
-    let mut gen = ConfigGen::new(config.seed);
+    let mut gen = FrameGen::new(config.seed);
     let mut report = DiffReport::default();
     for i in 0..config.iters {
-        let request = gen.request();
+        let request = gen.valid_request();
         report.iterations += 1;
         let addr = config.addr.as_deref();
         if addr.is_some() {
@@ -244,21 +197,13 @@ pub fn run(config: &DiffConfig) -> Result<DiffReport, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn config_gen_is_deterministic() {
-        let mut a = ConfigGen::new(9);
-        let mut b = ConfigGen::new(9);
-        for _ in 0..20 {
-            assert_eq!(a.request(), b.request());
-        }
-    }
+    use dut_serve::protocol;
 
     #[test]
     fn generated_configs_are_servable() {
-        let mut gen = ConfigGen::new(4);
+        let mut gen = FrameGen::new(4);
         for _ in 0..20 {
-            let request = gen.request();
+            let request = gen.valid_request();
             let line = protocol::render_request(&request);
             match protocol::parse_command(&line) {
                 Ok(protocol::Command::Run(parsed)) => {

@@ -126,7 +126,9 @@ impl FrameGen {
 
     /// A random *valid* request within the served limits. Small
     /// domains keep fuzz iterations cheap; the limit probes are the
-    /// [`Mutation::HugeNumeric`] class's job.
+    /// [`Mutation::HugeNumeric`] class's job. The differential plane
+    /// draws its configurations here too, so its failures are about
+    /// agreement, not validation.
     pub fn valid_request(&mut self) -> Request {
         let n = 1usize << self.rng.random_range(1..9); // 2..=256
         let k = self.rng.random_range(1..=6);

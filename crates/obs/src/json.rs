@@ -109,10 +109,6 @@ impl<'a> Value<'a> {
     #[must_use]
     pub fn as_f64(&self) -> Option<f64> {
         match self {
-            #[allow(
-                clippy::cast_precision_loss,
-                reason = "a JSON number above 2^53 rounds to the nearest f64 in every reader"
-            )]
             Value::Uint(x) => Some(*x as f64),
             Value::Num(x) => Some(*x),
             _ => None,
@@ -128,7 +124,6 @@ impl<'a> Value<'a> {
             Value::Uint(x) => Some(*x),
             #[allow(
                 clippy::cast_possible_truncation,
-                clippy::cast_sign_loss,
                 clippy::float_cmp,
                 reason = "an integral non-negative f64 casts exactly, and one past u64::MAX saturates"
             )]
@@ -246,10 +241,6 @@ pub fn to_string(node: &Value<'_>) -> String {
 /// writes as an integer literal, which parses back as `Uint`, and a
 /// non-finite `Num` comes back as `Null`.
 pub fn write(out: &mut String, node: &Value<'_>) {
-    write_with(out, node, ",", ":");
-}
-
-fn write_with(out: &mut String, node: &Value<'_>, comma: &str, colon: &str) {
     match node {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -263,9 +254,9 @@ fn write_with(out: &mut String, node: &Value<'_>, comma: &str, colon: &str) {
             out.push('[');
             for (i, item) in items.iter().enumerate() {
                 if i > 0 {
-                    out.push_str(comma);
+                    out.push(',');
                 }
-                write_with(out, item, comma, colon);
+                write(out, item);
             }
             out.push(']');
         }
@@ -273,11 +264,11 @@ fn write_with(out: &mut String, node: &Value<'_>, comma: &str, colon: &str) {
             out.push('{');
             for (i, (key, value)) in members.iter().enumerate() {
                 if i > 0 {
-                    out.push_str(comma);
+                    out.push(',');
                 }
                 write_escaped(out, key);
-                out.push_str(colon);
-                write_with(out, value, comma, colon);
+                out.push(':');
+                write(out, value);
             }
             out.push('}');
         }

@@ -328,8 +328,6 @@ pub fn quantile_from_buckets(buckets: &[(u64, u64)], count: u64, sum: u64, p: f6
         return 0.0;
     }
     #[allow(
-        clippy::cast_precision_loss,
-        clippy::cast_sign_loss,
         clippy::cast_possible_truncation,
         reason = "the rank is clamped to [1, count], so the ceiling is a small non-negative integer"
     )]
@@ -338,16 +336,8 @@ pub fn quantile_from_buckets(buckets: &[(u64, u64)], count: u64, sum: u64, p: f6
         if *n > 0 {
             // Single-bucket data: the mean is inside the bucket by
             // construction and exact when all observations are equal.
-            #[allow(
-                clippy::cast_precision_loss,
-                reason = "counts and microsecond totals stay far below 2^53, where u64 to f64 is exact"
-            )]
             let mean = sum as f64 / *n as f64;
             let index = bucket_index(*low);
-            #[allow(
-                clippy::cast_precision_loss,
-                reason = "bucket bounds are microsecond values far below 2^53"
-            )]
             return mean.clamp(*low as f64, bucket_high(index) as f64);
         }
     }
@@ -363,23 +353,11 @@ pub fn quantile_from_buckets(buckets: &[(u64, u64)], count: u64, sum: u64, p: f6
             // to the bucket midpoints (rank r of n sits at fraction
             // (r - 1/2) / n), so the estimate never touches the next
             // bucket's low edge and stays monotone across buckets.
-            #[allow(
-                clippy::cast_precision_loss,
-                reason = "counts and microsecond totals stay far below 2^53, where u64 to f64 is exact"
-            )]
             let frac = ((target - seen) as f64 - 0.5) / n as f64;
-            #[allow(
-                clippy::cast_precision_loss,
-                reason = "bucket bounds are microsecond values far below 2^53"
-            )]
             return lo as f64 + frac * (hi - lo) as f64;
         }
         seen += n;
     }
-    #[allow(
-        clippy::cast_precision_loss,
-        reason = "bucket bounds are microsecond values far below 2^53"
-    )]
     buckets.last().map_or(0.0, |&(low, _)| low as f64)
 }
 

@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Snapshot of one histogram: (count, sum, non-empty buckets as
-/// (upper-bound, count) pairs).
+/// (bucket-low, count) pairs).
 pub type HistogramSnapshot = (u64, u64, Vec<(u64, u64)>);
 
 /// Aggregated statistics for one span name.
@@ -478,16 +478,14 @@ impl Report {
                 if *count == 0 {
                     continue;
                 }
-                #[allow(
-                    clippy::cast_precision_loss,
-                    reason = "counts and microsecond totals stay far below 2^53, where u64 to f64 is exact"
-                )]
                 let mean = *sum as f64 / *count as f64;
                 let _ = writeln!(
                     out,
                     "  {name:<20} count={count} mean={mean:.1} p50≈{:.1} max_bucket≈{}",
                     crate::metrics::quantile_from_buckets(buckets, *count, *sum, 0.5),
-                    buckets.last().map_or(0, |b| b.0),
+                    buckets.last().map_or(0, |&(low, _)| {
+                        crate::metrics::bucket_high(crate::metrics::bucket_index(low))
+                    }),
                 );
             }
         }
@@ -540,10 +538,6 @@ fn display_json(value: &Value<'_>) -> String {
 
 /// `1234567` → `1.23M`-style counts.
 fn human_count(n: u64) -> String {
-    #[allow(
-        clippy::cast_precision_loss,
-        reason = "display-only scaling of a count"
-    )]
     let x = n as f64;
     if n < 10_000 {
         n.to_string()
@@ -558,10 +552,6 @@ fn human_count(n: u64) -> String {
 
 /// Microseconds → human time.
 fn human_micros(us: u64) -> String {
-    #[allow(
-        clippy::cast_precision_loss,
-        reason = "display-only scaling of a duration"
-    )]
     let x = us as f64;
     if us < 1_000 {
         format!("{us} µs")
@@ -990,5 +980,16 @@ mod tests {
         let text = report.render();
         let expected = format!("p50≈{:.1} ", snapshot.quantile(0.5));
         assert!(text.contains(&expected), "want {expected:?} in {text}");
+    }
+
+    #[test]
+    fn max_bucket_is_the_upper_edge_of_the_highest_bucket() {
+        // 1000 lands in the bucket [512, 1023]; the report names its
+        // upper edge, which bounds every observation from above.
+        let registry = crate::metrics::Registry::new();
+        registry.observe(crate::metrics::HistogramId::RequestMicros, 1000);
+        let trace = snapshot_event(&registry.snapshot()).to_json_line();
+        let text = Report::from_jsonl(&trace).unwrap().render();
+        assert!(text.contains("max_bucket≈1023\n"), "{text}");
     }
 }

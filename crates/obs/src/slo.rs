@@ -76,10 +76,6 @@ pub fn fraction_above(hist: &HistogramSnapshot, threshold: u64) -> f64 {
             continue;
         }
         let high = bucket_high(bucket_index(low));
-        #[allow(
-            clippy::cast_precision_loss,
-            reason = "counts and microsecond totals stay far below 2^53, where u64 to f64 is exact"
-        )]
         if low > threshold {
             above += n as f64;
         } else if high > threshold {
@@ -88,10 +84,6 @@ pub fn fraction_above(hist: &HistogramSnapshot, threshold: u64) -> f64 {
             above += n as f64 * frac;
         }
     }
-    #[allow(
-        clippy::cast_precision_loss,
-        reason = "counts and microsecond totals stay far below 2^53, where u64 to f64 is exact"
-    )]
     let count = hist.count as f64;
     (above / count).clamp(0.0, 1.0)
 }
@@ -111,10 +103,6 @@ pub fn window_burn(delta: &Snapshot) -> WindowBurn {
     let shed_burn = if arrivals == 0 {
         0.0
     } else {
-        #[allow(
-            clippy::cast_precision_loss,
-            reason = "counts and microsecond totals stay far below 2^53, where u64 to f64 is exact"
-        )]
         let shed_frac = shed as f64 / arrivals as f64;
         shed_frac / MAX_SHED_RATE
     };

@@ -178,15 +178,7 @@ impl WindowedDelta {
         if self.span_micros == 0 {
             return 0.0;
         }
-        #[allow(
-            clippy::cast_precision_loss,
-            reason = "counts and microsecond totals stay far below 2^53, where u64 to f64 is exact"
-        )]
         let events = self.delta.counter(counter) as f64;
-        #[allow(
-            clippy::cast_precision_loss,
-            reason = "counts and microsecond totals stay far below 2^53, where u64 to f64 is exact"
-        )]
         let secs = self.span_micros as f64 / 1e6;
         events / secs
     }

@@ -46,7 +46,6 @@ proptest! {
         // buckets: [low of smallest, high of largest].
         let min_low = values.iter().map(|&v| bucket_low(bucket_index(v))).min().unwrap();
         let max_high = values.iter().map(|&v| bucket_high(bucket_index(v))).max().unwrap();
-        #[allow(clippy::cast_precision_loss, reason = "bucket bounds are far below 2^53")]
         {
             prop_assert!(q >= min_low as f64 - 1e-9, "q={q} below {min_low}");
             prop_assert!(q <= max_high as f64 + 1e-9, "q={q} above {max_high}");
@@ -65,7 +64,6 @@ proptest! {
             h.record(value);
         }
         let q = h.quantile(p);
-        #[allow(clippy::cast_precision_loss, reason = "generated values are far below 2^53")]
         let expected = value as f64;
         prop_assert!((q - expected).abs() < 1e-6, "q={q} expected={expected}");
     }

@@ -88,10 +88,6 @@ fn interpolate(table: &[[f64; 3]; 3], n: f64, q: f64) -> f64 {
 /// engines, then compare.
 #[must_use]
 fn predicted_draw_ns(backend: SampleBackend, n: usize, q: u64) -> f64 {
-    #[allow(
-        clippy::cast_precision_loss,
-        reason = "domain sizes and sample counts are far below 2^53"
-    )]
     let (nf, qf) = (n as f64, q as f64);
     match backend {
         SampleBackend::PerDraw => interpolate(&PER_DRAW_NS, nf, qf),

@@ -225,7 +225,6 @@ fn binv_from_zero(n: u64, ratio: f64, pmf0: f64, u: f64) -> u64 {
 fn binomial_from_mode(n: u64, p: f64, u: f64) -> u64 {
     #[allow(
         clippy::cast_possible_truncation,
-        clippy::cast_sign_loss,
         reason = "(n+1)p is a non-negative integer-floor bounded by n+1 ≤ 2^53 in every workspace workload, where the cast is exact"
     )]
     let mode = (((n + 1) as f64) * p).floor().min(n as f64) as u64;

@@ -298,7 +298,6 @@ fn percentile(sorted: &[u64], p: usize) -> u64 {
 }
 
 /// Folds a run's tally into the final report (sorts each clock once).
-#[allow(clippy::cast_precision_loss, reason = "reply counts → rps display")]
 fn finish_report(total: Tally, elapsed: Duration) -> LoadgenReport {
     let sorted = |clock: fn(&ReplyTimes) -> u64| {
         let mut micros: Vec<u64> = total.latencies.iter().map(clock).collect();
@@ -509,10 +508,6 @@ pub fn check_consistency(pre: &Stats, post: &Stats, report: &LoadgenReport) -> V
     // (Under the old connection-pinned dispatch this number was the
     // whole-connection queue time and blew past the target on
     // perfectly healthy runs.)
-    #[allow(
-        clippy::cast_precision_loss,
-        reason = "a p99 target in microseconds is far below 2^53"
-    )]
     let target = post.p99_target_micros as f64;
     if post.shed.saturating_sub(pre.shed) == 0
         && served > 0

@@ -140,10 +140,6 @@ pub fn gather(cached_testers: u64) -> Stats {
     let status = slo::evaluate(&short.delta, &long.delta);
     let hits = short.delta.counter(Counter::ServeCacheHits);
     let misses = short.delta.counter(Counter::ServeCacheMisses);
-    #[allow(
-        clippy::cast_precision_loss,
-        reason = "counts and microsecond totals stay far below 2^53, where u64 to f64 is exact"
-    )]
     let hit_ratio = if hits + misses == 0 {
         0.0
     } else {

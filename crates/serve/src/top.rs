@@ -59,7 +59,6 @@ fn fmt_micros(us: f64) -> String {
 
 /// Renders one dashboard frame (multi-line, trailing newline).
 #[must_use]
-#[allow(clippy::cast_precision_loss, reason = "display-only µs→s scaling")]
 pub fn render_frame(stats: &Stats, addr: &str) -> String {
     let mut out = String::with_capacity(512);
     let slo = if stats.slo_healthy {

@@ -117,15 +117,10 @@ pub fn generate(config: &TraceConfig) -> Trace {
     let mut events = Vec::new();
     let mut at = 0.0_f64;
     let mut index = 0u64;
-    #[allow(
-        clippy::cast_precision_loss,
-        reason = "a trace span in microseconds is far below 2^53"
-    )]
     let span = span_micros as f64;
     while at < span {
         #[allow(
             clippy::cast_possible_truncation,
-            clippy::cast_sign_loss,
             reason = "at is non-negative and below the span, which fits a u64"
         )]
         let at_micros = at as u64;
@@ -145,10 +140,6 @@ pub fn generate(config: &TraceConfig) -> Trace {
         // One Gilbert–Elliott step per arrival: a "lost" round is the
         // bad state, and bad-state arrivals crowd together.
         let bursty = channel.deliver_round(&[Some(true)], &mut rng)[0].is_none();
-        #[allow(
-            clippy::cast_precision_loss,
-            reason = "request rates are far below 2^53"
-        )]
         let base_gap = 1_000_000.0 / rps as f64;
         let swing = if config.diurnal {
             diurnal_factor(at / span)

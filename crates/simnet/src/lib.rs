@@ -17,7 +17,9 @@
 //!   (the local rule — reject if *any* player rejects), the
 //!   `T`-threshold rule (reject if at least `T` players reject), and
 //!   majority. The fault-injected star ([`ResilientNetwork::run`])
-//!   takes the same one-bit node closure;
+//!   takes the same one-bit node closure, and the threshold testers
+//!   run their own node and referee on it
+//!   (`dut_testers::PreparedThresholdTester::run_faulty`);
 //! * the network draws no shared randomness: a protocol that uses it
 //!   draws its own seed from the run's RNG before its nodes run (the
 //!   single-sample protocol's shared partition);
@@ -69,8 +71,8 @@ pub mod resilience;
 pub use network::{Network, RunOutcome, Transcript};
 pub use rates::RateVector;
 pub use resilience::{
-    byzantine_tolerance, rejection_rate, ByzantinePlan, FaultPlan, FaultStats, GilbertElliott,
-    IidFaults, MeasuredRates, MissingPolicy, PartialCrash, PreSample, Recovery, ReliablePlan,
-    ResilientNetwork, ResilientOutcome, TargetedLoss,
+    byzantine_tolerance, measured_byzantine_tolerance, rejection_rate, ByzantinePlan, FaultPlan,
+    FaultStats, GilbertElliott, IidFaults, MeasuredRates, MissingPolicy, PartialCrash, PreSample,
+    Recovery, ReliablePlan, ResilientNetwork, ResilientOutcome, TargetedLoss,
 };
 pub use rule::{DecisionRule, Verdict};

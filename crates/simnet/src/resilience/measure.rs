@@ -2,9 +2,7 @@
 //! protocol under a fault plan, with per-trial seed derivation so that
 //! sweeps over fault rates reuse identical trial randomness.
 
-use super::network::ResilientNetwork;
-use super::plan::FaultPlan;
-use crate::rule::DecisionRule;
+use super::network::ResilientOutcome;
 use dut_stats::seed::derive_seed2;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -39,9 +37,11 @@ impl MeasuredRates {
     }
 }
 
-/// Runs `trials` independent executions of the protocol, each player's
-/// bit computed by `node` as in [`ResilientNetwork::run`], and measures
-/// verdict and cost rates.
+/// Runs `trials` independent executions of the protocol, each one call
+/// of `run` on its own RNG, and measures verdict and cost rates. `run`
+/// is a prepared tester's `run_faulty`, or
+/// [`ResilientNetwork::run`](super::ResilientNetwork::run) with a node
+/// of the caller's.
 ///
 /// Trial `t` runs with an RNG seeded by
 /// `derive_seed2(master_seed, plan_stream, t)`: for a fixed
@@ -57,31 +57,19 @@ impl MeasuredRates {
 /// # Panics
 ///
 /// Panics if `trials == 0`.
-#[allow(
-    clippy::too_many_arguments,
-    reason = "the E12 sweeps vary every one of these measurement parameters"
-)]
-pub fn rejection_rate<F, N>(
-    network: &ResilientNetwork,
-    samples_per_player: usize,
-    rule: &DecisionRule,
-    plan: &mut F,
+pub fn rejection_rate(
     trials: usize,
     master_seed: u64,
     plan_stream: u64,
-    mut node: N,
-) -> MeasuredRates
-where
-    F: FaultPlan + ?Sized,
-    N: FnMut(usize, usize, &mut StdRng) -> bool,
-{
+    mut run: impl FnMut(&mut StdRng) -> ResilientOutcome,
+) -> MeasuredRates {
     assert!(trials > 0, "need at least one trial");
     let mut rejects = 0usize;
     let mut delivered = 0u64;
     let mut retries = 0u64;
     for t in 0..trials {
         let mut rng = StdRng::seed_from_u64(derive_seed2(master_seed, plan_stream, t as u64));
-        let out = network.run(samples_per_player, rule, plan, &mut rng, &mut node);
+        let out = run(&mut rng);
         if out.verdict.is_reject() {
             rejects += 1;
         }
@@ -100,7 +88,7 @@ where
 mod tests {
     use super::super::plan::{IidFaults, ReliablePlan};
     use super::*;
-    use crate::MissingPolicy;
+    use crate::{DecisionRule, MissingPolicy, ResilientNetwork};
 
     fn always_reject(_: usize, _: usize, _: &mut StdRng) -> bool {
         false
@@ -109,16 +97,9 @@ mod tests {
     #[test]
     fn rates_on_extremes() {
         let net = ResilientNetwork::new(4, MissingPolicy::AssumeAccept);
-        let m = rejection_rate(
-            &net,
-            1,
-            &DecisionRule::And,
-            &mut ReliablePlan,
-            20,
-            7,
-            0,
-            always_reject,
-        );
+        let m = rejection_rate(20, 7, 0, |rng| {
+            net.run(1, &DecisionRule::And, &mut ReliablePlan, rng, always_reject)
+        });
         assert!((m.rejection_rate - 1.0).abs() < f64::EPSILON);
         assert!((m.error_on_far() - 0.0).abs() < f64::EPSILON);
         assert!((m.mean_delivered_bits - 4.0).abs() < f64::EPSILON);
@@ -133,16 +114,9 @@ mod tests {
         let mut last = f64::INFINITY;
         for step in 0..=5 {
             let mut plan = IidFaults::loss_only(f64::from(step) * 0.2);
-            let m = rejection_rate(
-                &net,
-                1,
-                &DecisionRule::And,
-                &mut plan,
-                40,
-                99,
-                3,
-                always_reject,
-            );
+            let m = rejection_rate(40, 99, 3, |rng| {
+                net.run(1, &DecisionRule::And, &mut plan, rng, always_reject)
+            });
             assert!(
                 m.rejection_rate <= last + f64::EPSILON,
                 "rate rose from {last} to {} at step {step}",

@@ -19,12 +19,13 @@
 //! * **Recovery** ([`recovery`], [`robust`]): repetition coding and
 //!   ack/retry retransmission ([`Recovery`]) with referee-side
 //!   majority decoding, plus the closed-form Byzantine-tolerance bound
-//!   ([`byzantine_tolerance`]).
+//!   ([`byzantine_tolerance`]) and the break-point rule that reads it
+//!   off measured errors ([`measured_byzantine_tolerance`]).
 //! * **Measurement** ([`network`], [`measure`]): [`ResilientNetwork`]
 //!   runs the protocol under a plan with full fault accounting
 //!   ([`FaultStats`], surfaced through `dut report`), and
 //!   [`rejection_rate`] produces paired, per-trial-coupled degradation
-//!   curves.
+//!   curves from one run closure per trial.
 //!
 //! Everything is deterministic given the caller's RNG; see the
 //! [`plan`] module docs for the coupling discipline that makes
@@ -44,4 +45,4 @@ pub use measure::{rejection_rate, MeasuredRates};
 pub use network::{FaultStats, MissingPolicy, ResilientNetwork, ResilientOutcome};
 pub use plan::{FaultPlan, IidFaults, PartialCrash, PreSample, ReliablePlan};
 pub use recovery::Recovery;
-pub use robust::{byzantine_tolerance, threshold_equivalent};
+pub use robust::{byzantine_tolerance, measured_byzantine_tolerance, threshold_equivalent};

@@ -19,7 +19,6 @@ const MAX_EXACT: f64 = 9_007_199_254_740_992.0;
 pub fn round_to_usize(value: f64) -> usize {
     #[allow(
         clippy::cast_possible_truncation,
-        clippy::cast_sign_loss,
         reason = "input is clamped to [0, 2^53] where the cast is exact; this fn is the workspace's one sanctioned float→usize conversion"
     )]
     let converted = value.round().clamp(0.0, MAX_EXACT) as usize;

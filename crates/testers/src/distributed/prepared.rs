@@ -1,5 +1,7 @@
 use dut_probability::Sampler;
-use dut_simnet::{DecisionRule, Network, RunOutcome};
+use dut_simnet::{
+    DecisionRule, FaultPlan, Network, ResilientNetwork, ResilientOutcome, RunOutcome,
+};
 use rand::Rng;
 
 /// The uniform collision rate `λ₀ = C(q,2)/n`: the expected collision
@@ -53,6 +55,16 @@ impl PreparedThresholdTester {
         self.referee_min_rejects
     }
 
+    /// The referee as a decision rule: reject iff at least
+    /// [`Self::referee_min_rejects`] nodes reject. [`Self::run`] and
+    /// [`Self::run_faulty`] both decide with it.
+    #[must_use]
+    pub fn referee(&self) -> DecisionRule {
+        DecisionRule::Threshold {
+            min_rejects: self.referee_min_rejects,
+        }
+    }
+
     /// The node's local decision on its collision count.
     #[must_use]
     pub(super) fn node_accepts(&self, collisions: u64) -> bool {
@@ -73,9 +85,7 @@ impl PreparedThresholdTester {
         // served reply as it was recorded; regenerating those artifacts
         // can drop it.
         let _: u64 = rng.random();
-        let referee = DecisionRule::Threshold {
-            min_rejects: self.referee_min_rejects,
-        };
+        let referee = self.referee();
         Network::new(self.k).run_nodes(
             vec![self.q; self.k],
             1,
@@ -83,5 +93,96 @@ impl PreparedThresholdTester {
             |_, q, rng| self.node_accepts(sampler.collision_count(q, rng)),
             |bits| referee.decide(bits),
         )
+    }
+
+    /// Runs one execution on the fault-injected star
+    /// [`ResilientNetwork::run`] under `plan`, with the node and referee
+    /// of [`Self::run`]. It draws no word of its own: the network
+    /// already skips the word that [`Self::run`] discards.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `network` does not have one player per node.
+    pub fn run_faulty<F, S, R>(
+        &self,
+        network: &ResilientNetwork,
+        plan: &mut F,
+        sampler: &S,
+        rng: &mut R,
+    ) -> ResilientOutcome
+    where
+        F: FaultPlan + ?Sized,
+        S: Sampler,
+        R: Rng + ?Sized,
+    {
+        assert_eq!(
+            network.num_players(),
+            self.k,
+            "the network needs one player per node"
+        );
+        network.run(self.q, &self.referee(), plan, rng, |_, q, rng| {
+            self.node_accepts(sampler.collision_count(q, rng))
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::TThresholdTester;
+    use dut_probability::{families, Sampler};
+    use dut_simnet::{DecisionRule, IidFaults, MissingPolicy, ResilientNetwork, ResilientOutcome};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    const N: usize = 256;
+    const K: usize = 16;
+
+    #[test]
+    fn run_faulty_matches_the_hand_built_node_on_the_resilient_network() {
+        // The fault layer's old node: a count below the tester's node
+        // threshold accepts, and the referee's T is passed separately.
+        fn hand_built<S: Sampler>(sampler: &S, t: usize, q: usize, seed: u64) -> ResilientOutcome {
+            let threshold = TThresholdTester::new(N, K, t).node_threshold(q);
+            ResilientNetwork::new(K, MissingPolicy::AssumeAccept).run(
+                q,
+                &DecisionRule::Threshold { min_rejects: t },
+                &mut IidFaults::loss_only(0.2),
+                &mut StdRng::seed_from_u64(seed),
+                |_, q, rng| sampler.collision_count(q, rng) < threshold,
+            )
+        }
+        let uniform = families::uniform(N).alias_sampler();
+        let far = families::two_level(N, 0.9).unwrap().alias_sampler();
+        let net = ResilientNetwork::new(K, MissingPolicy::AssumeAccept);
+        let mut rejects = 0;
+        for (t, q) in [(1, 40), (4, 40), (4, 100)] {
+            let prepared = TThresholdTester::new(N, K, t).prepare(q);
+            for seed in 0..40 {
+                let (sampler, expected) = if seed % 2 == 0 {
+                    (&uniform, hand_built(&uniform, t, q, seed))
+                } else {
+                    (&far, hand_built(&far, t, q, seed))
+                };
+                let mut plan = IidFaults::loss_only(0.2);
+                let mut rng = StdRng::seed_from_u64(seed);
+                let got = prepared.run_faulty(&net, &mut plan, sampler, &mut rng);
+                assert_eq!(got, expected, "t={t} q={q} seed={seed}");
+                rejects += usize::from(expected.verdict.is_reject());
+            }
+        }
+        // Both verdicts occur, so the comparison is not vacuous.
+        assert!((1..120).contains(&rejects), "{rejects} rejects of 120");
+    }
+
+    #[test]
+    #[should_panic(expected = "one player per node")]
+    fn run_faulty_needs_one_player_per_node() {
+        let uniform = families::uniform(N).alias_sampler();
+        let _ = TThresholdTester::new(N, K, 1).prepare(40).run_faulty(
+            &ResilientNetwork::new(K + 1, MissingPolicy::AssumeAccept),
+            &mut IidFaults::loss_only(0.0),
+            &uniform,
+            &mut StdRng::seed_from_u64(1),
+        );
     }
 }

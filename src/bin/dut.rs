@@ -952,15 +952,17 @@ fn fuzz_replay(paths: &[String], addr: Option<String>) -> Result<(), String> {
 /// Sweeps a fault model's intensity and prints the measured two-sided
 /// error of the AND rule next to a calibrated counting rule at the
 /// same `k`, `q`, `ε`, then probes how many Byzantine bit-flippers
-/// each rule absorbs before its error crosses 1/3 (predicted:
+/// each rule absorbs: the measured tolerance is one less than the
+/// first flipper count whose two-sided error exceeds 1/3, and 0 when
+/// the error exceeds 1/3 already without flippers (predicted:
 /// `t < min(T, k − T + 1)`, so AND breaks at `t = 1`).
 fn cmd_faults(mut args: Args) -> Result<(), String> {
-    use distributed_uniformity::probability::Sampler;
     use distributed_uniformity::simnet::{
-        byzantine_tolerance, rejection_rate, ByzantinePlan, DecisionRule, FaultPlan,
-        GilbertElliott, IidFaults, MissingPolicy, Recovery, ResilientNetwork, TargetedLoss,
+        byzantine_tolerance, measured_byzantine_tolerance, rejection_rate, ByzantinePlan,
+        FaultPlan, GilbertElliott, IidFaults, MissingPolicy, Recovery, ResilientNetwork,
+        TargetedLoss,
     };
-    use distributed_uniformity::testers::TThresholdTester;
+    use distributed_uniformity::testers::{PreparedThresholdTester, TThresholdTester};
 
     let Common { n, k, eps, seed } = Common::parse(&mut args, 256, 0.9)?;
     let trials = args.get("--trials")?.unwrap_or(60);
@@ -1018,24 +1020,18 @@ fn cmd_faults(mut args: Args) -> Result<(), String> {
         .alias_sampler();
     let network = ResilientNetwork::new(k, policy).with_recovery(recovery);
 
+    let and_rule = TThresholdTester::new(n, k, 1).prepare(q);
+    let thr_rule = TThresholdTester::new(n, k, t).prepare(q);
     // Each measurement gets its own fault-randomness stream, derived
     // deterministically from its position, so output is reproducible.
     let mut stream = 0u64;
     let mut measure =
-        |rule: &DecisionRule, rule_t: usize, plan: &mut dyn FaultPlan, far_side: bool| {
+        |prepared: &PreparedThresholdTester, plan: &mut dyn FaultPlan, far_side: bool| {
             stream += 1;
             let sampler = if far_side { &far } else { &uniform };
-            let threshold = TThresholdTester::new(n, k, rule_t).node_threshold(q);
-            let rates = rejection_rate(
-                &network,
-                q,
-                rule,
-                plan,
-                trials,
-                seed,
-                stream,
-                |_, q, rng| sampler.collision_count(q, rng) < threshold,
-            );
+            let rates = rejection_rate(trials, seed, stream, |rng| {
+                prepared.run_faulty(&network, plan, sampler, rng)
+            });
             if far_side {
                 rates.error_on_far()
             } else {
@@ -1043,7 +1039,6 @@ fn cmd_faults(mut args: Args) -> Result<(), String> {
             }
         };
 
-    let thr_rule = DecisionRule::Threshold { min_rejects: t };
     println!(
         "fault tolerance: n={n} k={k} eps={eps} q={q} trials={trials} model={model} \
          policy={policy:?} recovery={recovery}"
@@ -1085,30 +1080,35 @@ fn cmd_faults(mut args: Args) -> Result<(), String> {
     println!("graceful degradation (two-sided error per fault intensity):");
     println!("  rate   and:errU  and:errF  thr({t}):errU  thr({t}):errF");
     for (label, factory) in &sweep {
-        let and_u = measure(&DecisionRule::And, 1, factory().as_mut(), false);
-        let and_f = measure(&DecisionRule::And, 1, factory().as_mut(), true);
-        let thr_u = measure(&thr_rule, t, factory().as_mut(), false);
-        let thr_f = measure(&thr_rule, t, factory().as_mut(), true);
+        let and_u = measure(&and_rule, factory().as_mut(), false);
+        let and_f = measure(&and_rule, factory().as_mut(), true);
+        let thr_u = measure(&thr_rule, factory().as_mut(), false);
+        let thr_f = measure(&thr_rule, factory().as_mut(), true);
         println!("  {label:<6} {and_u:<9.3} {and_f:<9.3} {thr_u:<12.3} {thr_f:<12.3}");
     }
     println!();
 
-    println!("byzantine tolerance (bit-flippers until two-sided error ≥ 1/3):");
+    println!("byzantine tolerance (bit-flippers until two-sided error > 1/3):");
     println!("  rule          predicted  measured");
-    for (rule, rule_t) in [(DecisionRule::And, 1), (thr_rule.clone(), t)] {
-        let predicted = byzantine_tolerance(&rule, k);
+    for (name, prepared) in [
+        ("and".to_owned(), &and_rule),
+        (thr_rule.referee().name(), &thr_rule),
+    ] {
+        let predicted = byzantine_tolerance(&prepared.referee(), k);
         let scan_to = (predicted + 2).min(k);
+        let mut errors = Vec::new();
         let mut measured = None;
         for flippers in 0..=scan_to {
-            let err_u = measure(&rule, rule_t, &mut ByzantinePlan::flippers(flippers), false);
-            let err_f = measure(&rule, rule_t, &mut ByzantinePlan::flippers(flippers), true);
-            if err_u.max(err_f) >= 1.0 / 3.0 {
-                measured = Some(flippers.saturating_sub(1));
+            let err_u = measure(prepared, &mut ByzantinePlan::flippers(flippers), false);
+            let err_f = measure(prepared, &mut ByzantinePlan::flippers(flippers), true);
+            errors.push((err_u, err_f));
+            measured = measured_byzantine_tolerance(&errors);
+            if measured.is_some() {
                 break;
             }
         }
         let measured = measured.map_or_else(|| format!(">={scan_to}"), |m| m.to_string());
-        println!("  {:<13} {predicted:<10} {measured}", rule.name());
+        println!("  {name:<13} {predicted:<10} {measured}");
     }
     Ok(())
 }

@@ -12,7 +12,6 @@
 //! frequencies, per-seed determinism, and bit-identity of `Auto` with
 //! the engine it resolves to.
 
-#![allow(clippy::cast_precision_loss, reason = "counts are far below 2^53")]
 use distributed_uniformity::probability::{
     families, DenseDistribution, SampleBackend, Sampler, UniformSampler,
 };

@@ -13,8 +13,8 @@ use distributed_uniformity::testers::TThresholdTester;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Node function matching the AND-rule tester's local test, drawing
-/// from `sampler`.
+/// A collision-counting node that accepts counts below `threshold`,
+/// drawing from `sampler`.
 fn node<S: Sampler>(
     sampler: &S,
     threshold: u64,
@@ -36,13 +36,14 @@ fn and_rule_loses_alarms_to_message_loss() {
     let tester = TThresholdTester::new(n, k, 1);
 
     let detection = |q: usize, loss: f64, seed: u64| -> f64 {
-        let player = node(&far, tester.node_threshold(q));
+        let prepared = tester.prepare(q);
         let net = ResilientNetwork::new(k, MissingPolicy::AssumeAccept);
         let mut plan = IidFaults::new(0.0, loss);
         let mut rng = StdRng::seed_from_u64(seed);
         (0..trials)
             .filter(|_| {
-                net.run(q, &DecisionRule::And, &mut plan, &mut rng, &player)
+                prepared
+                    .run_faulty(&net, &mut plan, &far, &mut rng)
                     .verdict
                     .is_reject()
             })

@@ -10,13 +10,12 @@
     reason = "test code asserts exact values"
 )]
 use distributed_uniformity::obs::metrics::{global, Counter};
-use distributed_uniformity::probability::{families, Sampler};
+use distributed_uniformity::probability::families;
 use distributed_uniformity::simnet::{
-    byzantine_tolerance, rejection_rate, ByzantinePlan, DecisionRule, FaultPlan, GilbertElliott,
-    IidFaults, MissingPolicy, Recovery, ResilientNetwork, TargetedLoss,
+    byzantine_tolerance, rejection_rate, ByzantinePlan, FaultPlan, GilbertElliott, IidFaults,
+    MissingPolicy, Recovery, ResilientNetwork, TargetedLoss,
 };
-use distributed_uniformity::testers::TThresholdTester;
-use rand::rngs::StdRng;
+use distributed_uniformity::testers::{PreparedThresholdTester, TThresholdTester};
 
 const N: usize = 256;
 const K: usize = 16;
@@ -31,15 +30,9 @@ const Q_STRONG: usize = 100;
 /// regime where the AND rule's single-alarm locality is load-bearing.
 const Q_SCARCE: usize = 40;
 
-/// The collision-counting node of the T-threshold protocol, calibrated
-/// for referee threshold `t` at (N, K, q), drawing from `sampler`.
-fn node<S: Sampler>(
-    sampler: &S,
-    t: usize,
-    q: usize,
-) -> impl Fn(usize, usize, &mut StdRng) -> bool + '_ {
-    let threshold = TThresholdTester::new(N, K, t).node_threshold(q);
-    move |_, q, rng| sampler.collision_count(q, rng) < threshold
+/// The T-threshold protocol at (N, K, q) with referee threshold `t`.
+fn rule(t: usize, q: usize) -> PreparedThresholdTester {
+    TThresholdTester::new(N, K, t).prepare(q)
 }
 
 #[test]
@@ -55,29 +48,21 @@ fn one_byzantine_flipper_breaks_and_but_not_calibrated_threshold() {
 
     // Predicted tolerance: And (T=1) tolerates zero Byzantine players;
     // Threshold{4} on 16 players tolerates min(3, 12) = 3 ≥ 1.
-    assert_eq!(byzantine_tolerance(&DecisionRule::And, K), 0);
-    assert_eq!(
-        byzantine_tolerance(&DecisionRule::Threshold { min_rejects: t }, K),
-        3
-    );
+    let and = rule(1, Q_STRONG);
+    let thr = rule(t, Q_STRONG);
+    assert_eq!(byzantine_tolerance(&and.referee(), K), 0);
+    assert_eq!(byzantine_tolerance(&thr.referee(), K), 3);
 
-    let measure = |rule: &DecisionRule, rule_t: usize, sampler: &_, stream: u64| {
+    let measure = |prepared: &PreparedThresholdTester, sampler: &_, stream: u64| {
         let mut plan = ByzantinePlan::flippers(1);
-        rejection_rate(
-            &net,
-            Q_STRONG,
-            rule,
-            &mut plan,
-            TRIALS,
-            MASTER_SEED,
-            stream,
-            node(sampler, rule_t, Q_STRONG),
-        )
+        rejection_rate(TRIALS, MASTER_SEED, stream, |rng| {
+            prepared.run_faulty(&net, &mut plan, sampler, rng)
+        })
     };
 
     // The flipper converts its near-certain accept on uniform into a
     // reject, and AND needs only one: false-alarm rate ≈ 1.
-    let and_uniform = measure(&DecisionRule::And, 1, &uniform, 0);
+    let and_uniform = measure(&and, &uniform, 0);
     assert!(
         and_uniform.error_on_uniform() > 1.0 / 3.0,
         "AND with one flipper should exceed 1/3 error on uniform, got {}",
@@ -87,9 +72,8 @@ fn one_byzantine_flipper_breaks_and_but_not_calibrated_threshold() {
     // The calibrated threshold rule shrugs: one forged reject cannot
     // reach T=4 on uniform, and one erased reject leaves ≥ T honest
     // alarms on the far input.
-    let rule = DecisionRule::Threshold { min_rejects: t };
-    let thr_uniform = measure(&rule, t, &uniform, 1);
-    let thr_far = measure(&rule, t, &far, 2);
+    let thr_uniform = measure(&thr, &uniform, 1);
+    let thr_far = measure(&thr, &far, 2);
     assert!(
         thr_uniform.error_on_uniform() < 1.0 / 3.0,
         "threshold false-alarm rate {} too high",
@@ -114,22 +98,16 @@ fn error_curves_are_monotone_under_iid_and_bursty_loss() {
     // loss.
     let far = families::two_level(N, EPS).unwrap().alias_sampler();
     let net = ResilientNetwork::new(K, MissingPolicy::AssumeAccept);
+    let and = rule(1, Q_SCARCE);
 
     let sweep = |rates: &[f64], mk: &dyn Fn(f64) -> Box<dyn FaultPlan>| {
         rates
             .iter()
             .map(|&rate| {
                 let mut plan = mk(rate);
-                rejection_rate(
-                    &net,
-                    Q_SCARCE,
-                    &DecisionRule::And,
-                    plan.as_mut(),
-                    TRIALS,
-                    MASTER_SEED,
-                    7,
-                    node(&far, 1, Q_SCARCE),
-                )
+                rejection_rate(TRIALS, MASTER_SEED, 7, |rng| {
+                    and.run_faulty(&net, plan.as_mut(), &far, rng)
+                })
                 .error_on_far()
             })
             .collect::<Vec<f64>>()
@@ -163,20 +141,14 @@ fn recovery_restores_and_detection_and_is_charged_to_the_budget() {
     // budget (bits_sent) and surfaced through the new counters.
     let far = families::two_level(N, EPS).unwrap().alias_sampler();
     let loss = 0.7;
+    let and = rule(1, Q_SCARCE);
 
     let detect = |recovery: Recovery| {
         let net = ResilientNetwork::new(K, MissingPolicy::AssumeAccept).with_recovery(recovery);
         let mut plan = IidFaults::loss_only(loss);
-        rejection_rate(
-            &net,
-            Q_SCARCE,
-            &DecisionRule::And,
-            &mut plan,
-            TRIALS,
-            MASTER_SEED,
-            11,
-            node(&far, 1, Q_SCARCE),
-        )
+        rejection_rate(TRIALS, MASTER_SEED, 11, |rng| {
+            and.run_faulty(&net, &mut plan, &far, rng)
+        })
     };
 
     let registry = global();
@@ -237,31 +209,18 @@ fn targeted_adversary_beats_iid_loss_at_the_same_budget() {
     let far = families::two_level(N, EPS).unwrap().alias_sampler();
     let net = ResilientNetwork::new(K, MissingPolicy::AssumeAccept);
     let budget = 3;
+    let and = rule(1, Q_SCARCE);
 
     let mut targeted = TargetedLoss::alarm_silencer(budget);
-    let targeted_detection = rejection_rate(
-        &net,
-        Q_SCARCE,
-        &DecisionRule::And,
-        &mut targeted,
-        TRIALS,
-        MASTER_SEED,
-        13,
-        node(&far, 1, Q_SCARCE),
-    )
+    let targeted_detection = rejection_rate(TRIALS, MASTER_SEED, 13, |rng| {
+        and.run_faulty(&net, &mut targeted, &far, rng)
+    })
     .rejection_rate;
 
     let mut iid = IidFaults::loss_only(budget as f64 / K as f64);
-    let iid_detection = rejection_rate(
-        &net,
-        Q_SCARCE,
-        &DecisionRule::And,
-        &mut iid,
-        TRIALS,
-        MASTER_SEED,
-        13,
-        node(&far, 1, Q_SCARCE),
-    )
+    let iid_detection = rejection_rate(TRIALS, MASTER_SEED, 13, |rng| {
+        and.run_faulty(&net, &mut iid, &far, rng)
+    })
     .rejection_rate;
 
     assert!(
@@ -271,18 +230,11 @@ fn targeted_adversary_beats_iid_loss_at_the_same_budget() {
 
     // Against a well-provisioned Threshold{4} the budget-1 silencer is
     // powerless: it erases one alarm per round but ≥ T arrive.
-    let rule = DecisionRule::Threshold { min_rejects: 4 };
+    let thr = rule(4, Q_STRONG);
     let mut silencer = TargetedLoss::alarm_silencer(1);
-    let thr_detection = rejection_rate(
-        &net,
-        Q_STRONG,
-        &rule,
-        &mut silencer,
-        TRIALS,
-        MASTER_SEED,
-        17,
-        node(&far, 4, Q_STRONG),
-    )
+    let thr_detection = rejection_rate(TRIALS, MASTER_SEED, 17, |rng| {
+        thr.run_faulty(&net, &mut silencer, &far, rng)
+    })
     .rejection_rate;
     assert!(
         thr_detection > 2.0 / 3.0,
