@@ -198,16 +198,22 @@ pub enum Gauge {
     /// Persistent connections currently parked on the `dut serve`
     /// shard loops (accepted and not yet closed).
     ServeConnections,
+    /// Live `dut serve` worker threads: one from start, growing on
+    /// demand up to the `--workers` cap. Written only while the queue
+    /// lock is held, like the queue depth.
+    // dut-lint: guarded_by(queue)
+    ServeWorkers,
 }
 
 impl Gauge {
-    const COUNT: usize = 3;
+    const COUNT: usize = 4;
 
     /// All gauges, in slot order.
     pub const ALL: [Gauge; Gauge::COUNT] = [
         Gauge::RunnerThreads,
         Gauge::ServeQueueDepth,
         Gauge::ServeConnections,
+        Gauge::ServeWorkers,
     ];
 
     /// The stable name used in trace snapshots.
@@ -217,6 +223,7 @@ impl Gauge {
             Gauge::RunnerThreads => "runner_threads",
             Gauge::ServeQueueDepth => "serve_queue_depth",
             Gauge::ServeConnections => "serve_connections",
+            Gauge::ServeWorkers => "serve_workers",
         }
     }
 }

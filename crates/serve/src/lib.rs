@@ -35,17 +35,22 @@
 //!    lists only configured tenants.
 //! 3. **Observability.** Requests, cache hits/misses (and the hits
 //!    that joined a build in flight), shed requests (global and per
-//!    tenant), parked connections, queue depth, and per-request phase
-//!    timings all land in the [`dut_obs`] registry and are surfaced
-//!    by `{"cmd":"stats"}`, `dut top`, and `dut report`.
+//!    tenant), parked connections, queue depth, live workers, and
+//!    per-request phase timings all land in the [`dut_obs`] registry
+//!    and are surfaced by `{"cmd":"stats"}`, `dut top`, and
+//!    `dut report`.
 //!
 //! The serving path is request-multiplexed: shard event loops park
 //! persistent connections on nonblocking sockets and dispatch framed
-//! request lines to the worker pool. A worker answers one request at
-//! a time; requests for one configuration share its prepared tester
-//! through the single-flight tester cache. An idle shard (and the
-//! accept thread) blocks in `poll(2)` until a socket, a timer, or a
-//! cross-thread wake needs it.
+//! request lines to the worker pool; shard 0 also accepts, from the
+//! listener in its own poll set. The pool starts with one worker and
+//! starts another only when a request is queued while no idle worker
+//! is left to take it, up to the configured cap, so a started server
+//! runs its shards and one worker. A worker answers one request at a
+//! time; requests for one configuration share its prepared tester
+//! through the single-flight tester cache. An idle shard blocks in
+//! `poll(2)` until a socket, a timer, or a cross-thread wake needs
+//! it.
 //! The crate is std-only on the network path: `std::net` sockets and
 //! `std::thread` shards/workers, no async runtime. The one `poll(2)`
 //! binding lives in a private module, the only place `unsafe` is

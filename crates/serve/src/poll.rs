@@ -48,6 +48,11 @@ impl PollFd {
             revents: 0,
         }
     }
+
+    /// The last `poll(2)` reported some event on this entry.
+    pub(crate) fn is_ready(&self) -> bool {
+        self.revents != 0
+    }
 }
 
 extern "C" {

@@ -1,47 +1,55 @@
 //! The request-multiplexed TCP front end.
 //!
-//! One accept thread hands each connection to a **shard**: an event
-//! loop that parks any number of persistent connections on nonblocking
-//! sockets, frames complete request lines, and either answers them
-//! itself or dispatches them as individual jobs to a shared worker
-//! pool. A shard answers a request only when the tester cache already
-//! holds a finished build for it and the request is small (at most
-//! [`INLINE_MAX_DRAWS`] draws over its trials): such a hit costs less
-//! than the hand-off to a worker would. Misses, joins of a build still
-//! in flight, and larger requests go to the queue, so a tester is
-//! never built on a shard. The dispatch queue holds *requests*, not
-//! connections, so queue depth and shed decisions are per request: a
-//! full queue sheds the request with an explicit
-//! `{"error":"overloaded","shed":true}` line while the connection
-//! stays parked — idle keep-alive clients no longer occupy workers,
-//! and a shed never costs the client its connection.
+//! Connections are parked on **shards**: event loops that hold any
+//! number of persistent connections on nonblocking sockets, frame
+//! complete request lines, and either answer them themselves or
+//! dispatch them as individual jobs to a shared worker pool. Shard 0
+//! also owns the listener and hands each accepted connection to a shard
+//! round-robin (itself included). A shard answers a request only when
+//! the tester cache already holds a finished build for it and the
+//! request is small (at most [`INLINE_MAX_DRAWS`] draws over its
+//! trials): such a hit costs less than the hand-off to a worker would.
+//! Misses, joins of a build still in flight, and larger requests go to
+//! the queue, so a tester is never built on a shard. The dispatch queue
+//! holds *requests*, not connections, so queue depth and shed decisions
+//! are per request: a full queue sheds the request with an explicit
+//! `{"error":"overloaded","shed":true}` line while the connection stays
+//! parked — idle keep-alive clients no longer occupy workers, and a
+//! shed never costs the client its connection.
 //!
-//! Shards and the accept thread are readiness-driven. After each pass
-//! a shard blocks in `poll(2)` on exactly the sockets it would act on:
-//! readable where it would read a request (or drain a closing
-//! connection), writable where a reply is only partly flushed. The
-//! timeout is the nearest idle-reap, drain-window or shutdown-grace
+//! Shards are readiness-driven. After each pass a shard blocks in
+//! `poll(2)` on exactly the sockets it would act on: readable where it
+//! would read a request (or drain a closing connection), writable where
+//! a reply is only partly flushed, and on shard 0 the listener. Shard 0
+//! calls `accept` only when the listener polled readable, so a pass
+//! with no connect pending costs no extra syscall; after a hard accept
+//! error (out of descriptors, say) the listener stays readable, so it
+//! leaves the poll set until a retry deadline. The timeout is the
+//! nearest idle-reap, drain-window, accept-retry or shutdown-grace
 //! deadline, capped at `POLL_INTERVAL`. What the sockets cannot show
 //! arrives through the shard's self-pipe waker: a connection handed
-//! over by the accept thread, shutdown, a worker reply that left bytes
-//! unflushed or closed the writer, and the last in-flight reply of a
-//! connection that stopped reading (peer EOF or shutdown) and now only
-//! waits to be dropped. A worker's reply that flushes whole wakes
-//! nobody. The replies a shard answers itself from one read leave in
-//! one flush after that read's last line; if the socket does not take
-//! them all, the shard watches that connection for `POLLOUT` in the
-//! same pass. The accept thread likewise blocks on the listener plus
-//! its own waker.
+//! over by shard 0, shutdown, a worker reply that left bytes unflushed
+//! or closed the writer, and the last in-flight reply of a connection
+//! that stopped reading (peer EOF or shutdown) and now only waits to be
+//! dropped. A worker's reply that flushes whole wakes nobody. The
+//! replies a shard answers itself from one read leave in one flush
+//! after that read's last line; if the socket does not take them all,
+//! the shard watches that connection for `POLLOUT` in the same pass.
 //!
-//! A worker pops one queued request at a time and answers it with
-//! [`Engine::handle_queued`]; a shard answers its hits with
-//! [`Engine::handle_cached`], and both share everything after the
-//! cache lookup. A herd of identical configurations shares one
-//! prepared tester through the engine's single-flight cache. Replies
-//! are written through a per-connection reorder buffer: each request
-//! line gets a sequence number at parse time and replies release
-//! strictly in that order, so pipelined clients see answers in request
-//! order even when a queued miss finishes after the hits behind it.
+//! The worker pool starts with one worker and grows on demand up to
+//! [`ServeConfig::workers`]: a request queued when no idle worker is
+//! left to take it starts one more worker, and a worker once started
+//! stays until shutdown. On traffic that is all cache hits the one
+//! worker only ever builds the first tester. A worker pops one queued
+//! request at a time and answers it with [`Engine::handle_queued`]; a
+//! shard answers its hits with [`Engine::handle_cached`], and both
+//! share everything after the cache lookup. A herd of identical
+//! configurations shares one prepared tester through the engine's
+//! single-flight cache. Replies are written through a per-connection
+//! reorder buffer: each request line gets a sequence number at parse
+//! time and replies release strictly in that order, so pipelined
+//! clients see answers in request order even when a queued miss
+//! finishes after the hits behind it.
 //!
 //! Admission is two-tier. A per-tenant token bucket (see
 //! [`TenantQuota`]) sheds over-quota tenants before their requests
@@ -52,11 +60,11 @@
 //! queue cap, an incoming higher-priority request may evict the
 //! lowest-priority queued request instead of being shed itself.
 //!
-//! Shutdown is cooperative. A `{"cmd":"shutdown"}` request flips a
-//! flag and wakes every parked thread; the accept thread stops
-//! accepting, shards stop reading new lines, workers drain every
-//! queued request, and the shard loops keep each connection parked
-//! until its in-flight replies have flushed (bounded by a grace
+//! Shutdown is cooperative. A `{"cmd":"shutdown"}` request flips a flag
+//! and wakes every parked thread; shard 0 drops the listener at once,
+//! so new connects are refused, shards stop reading new lines, workers
+//! drain every queued request, and the shard loops keep each connection
+//! parked until its in-flight replies have flushed (bounded by a grace
 //! period). [`ServerHandle::join`] returns once all threads exit.
 
 use crate::engine::Engine;
@@ -76,7 +84,9 @@ use std::time::{Duration, Instant};
 
 /// Longest a parked thread waits before re-checking its state: the
 /// worker condvar timeout and the cap on every `poll(2)` timeout. Wakes
-/// normally come sooner; this only bounds the cost of one missed.
+/// normally come sooner; this only bounds the cost of one missed. It
+/// is also how long shard 0 leaves the listener out of its poll set
+/// after a hard accept error.
 const POLL_INTERVAL: Duration = Duration::from_millis(100);
 
 /// Read chunks one connection may consume per shard pass, so one
@@ -144,7 +154,9 @@ pub struct TenantQuota {
 pub struct ServeConfig {
     /// Bind address (`127.0.0.1:0` picks a free port).
     pub addr: String,
-    /// Worker threads draining the request queue.
+    /// Most worker threads draining the request queue. The pool starts
+    /// with one worker and starts another only when a request is
+    /// queued while no idle worker is left to take it.
     pub workers: usize,
     /// Prepared testers kept resident (across all cache shards).
     pub cache_cap: usize,
@@ -436,8 +448,7 @@ impl Conn {
     }
 }
 
-/// A freshly accepted connection in transit from the accept thread to
-/// its shard.
+/// A freshly accepted connection in transit from shard 0 to its shard.
 struct NewConn {
     stream: TcpStream,
     conn: Arc<Conn>,
@@ -573,17 +584,62 @@ impl Tenants {
     }
 }
 
-/// A shard's hand-off box: connections the accept thread passed over,
-/// and the waker that tells the parked shard to collect them.
+/// A shard's hand-off box: connections shard 0 accepted for it, and
+/// the waker that tells the parked shard to collect them.
 struct Mailbox {
     inbox: PlMutex<Vec<NewConn>>,
     waker: Arc<Waker>,
 }
 
+/// The dispatch queue and the worker pool that drains it, under one
+/// lock: whether a queued request needs a new worker depends on both.
+struct Queue {
+    jobs: VecDeque<Job>,
+    /// Workers started and not yet exited.
+    live_workers: usize,
+    /// Live workers not holding a job: parked on `available`, or
+    /// started and not yet at their first pop. A worker counts as idle
+    /// from the moment its start is decided, so a request queued while
+    /// it is still starting does not start another.
+    idle_workers: usize,
+}
+
+impl Queue {
+    /// Counts one more worker in the pool, idle until its first pop,
+    /// and returns its index. The caller must then start it with
+    /// [`start_worker`], which gives the slot back if the spawn fails.
+    fn add_worker(&mut self) -> usize {
+        self.live_workers += 1;
+        self.idle_workers += 1;
+        // dut-lint: allow(guarded-by): a `Queue` is only reachable through the `queue` lock, so `&mut self` means the guard is held
+        dut_obs::metrics::global().set_gauge(Gauge::ServeWorkers, self.live_workers as u64);
+        self.live_workers - 1
+    }
+
+    /// [`Self::add_worker`], when the queue holds more requests than
+    /// the idle workers can take and the pool is below `cap`.
+    fn claim_worker(&mut self, cap: usize) -> Option<usize> {
+        (self.jobs.len() > self.idle_workers && self.live_workers < cap).then(|| self.add_worker())
+    }
+
+    /// Takes back the slot of a worker that exited or never started.
+    fn release_worker(&mut self) {
+        self.live_workers -= 1;
+        self.idle_workers -= 1;
+        // dut-lint: allow(guarded-by): a `Queue` is only reachable through the `queue` lock, so `&mut self` means the guard is held
+        dut_obs::metrics::global().set_gauge(Gauge::ServeWorkers, self.live_workers as u64);
+    }
+}
+
 struct Shared {
     engine: Engine,
-    queue: Mutex<VecDeque<Job>>,
+    queue: Mutex<Queue>,
     available: Condvar,
+    /// The worker cap ([`ServeConfig::workers`]).
+    max_workers: usize,
+    /// Every worker started, joined by [`ServerHandle::join`] once the
+    /// shards (the only threads that queue requests) are gone.
+    workers: PlMutex<Vec<JoinHandle<()>>>,
     shutdown: AtomicBool,
     queue_cap: usize,
     /// Consecutive shed requests since the last admission; crossing
@@ -595,17 +651,15 @@ struct Shared {
     idle_timeout: Duration,
     error_budget: u32,
     max_line_bytes: usize,
-    /// Per-shard hand-off boxes from the accept thread.
+    /// Per-shard hand-off boxes from shard 0's accepts.
     shards: Vec<Mailbox>,
-    /// Wakes the accept thread out of its `poll(2)` (shutdown).
-    accept_waker: Waker,
     tenants: Tenants,
     conn_count: AtomicU64,
 }
 
 impl Shared {
     /// The state every server thread shares, before any thread starts.
-    fn new(config: &ServeConfig) -> Result<Shared, String> {
+    fn new(config: &ServeConfig) -> Result<Arc<Shared>, String> {
         let waker = || Waker::new().map_err(|e| format!("cannot create waker: {e}"));
         let shards = (0..config.shards.max(1))
             .map(|_| {
@@ -615,14 +669,20 @@ impl Shared {
                 })
             })
             .collect::<Result<Vec<_>, String>>()?;
-        Ok(Shared {
+        Ok(Arc::new(Shared {
             engine: Engine::with_options(
                 config.cache_cap,
                 config.trace_sample,
                 config.cache_shards.max(1),
             ),
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(Queue {
+                jobs: VecDeque::new(),
+                live_workers: 0,
+                idle_workers: 0,
+            }),
             available: Condvar::new(),
+            max_workers: config.workers.max(1),
+            workers: PlMutex::new(Vec::new()),
             shutdown: AtomicBool::new(false),
             queue_cap: config.queue_cap.max(1),
             shed_streak: AtomicU64::new(0),
@@ -630,22 +690,20 @@ impl Shared {
             error_budget: config.error_budget,
             max_line_bytes: config.max_line_bytes.max(1),
             shards,
-            accept_waker: waker()?,
             tenants: Tenants::new(&config.tenancy)?,
             conn_count: AtomicU64::new(0),
-        })
+        }))
     }
 
     /// Locks the request queue, recovering from poisoning (a
     /// panicking worker must not wedge the whole server).
-    fn lock_queue(&self) -> MutexGuard<'_, VecDeque<Job>> {
+    fn lock_queue(&self) -> MutexGuard<'_, Queue> {
         self.queue.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         self.available.notify_all();
-        self.accept_waker.wake();
         for mailbox in &self.shards {
             mailbox.waker.wake();
         }
@@ -686,7 +744,7 @@ fn streak_reset(streak: &AtomicU64) {
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    threads: Vec<JoinHandle<()>>,
+    shards: Vec<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -708,27 +766,32 @@ impl ServerHandle {
         self.shared.is_shutting_down()
     }
 
-    /// Waits for the accept thread, every shard, and every worker to
-    /// exit. Returns only after a shutdown was requested (by a client
-    /// or by [`Self::request_shutdown`]) and all in-flight work
-    /// drained.
+    /// Waits for every shard, then every worker, to exit. Returns only
+    /// after a shutdown was requested (by a client or by
+    /// [`Self::request_shutdown`]) and all in-flight work drained.
+    /// Workers go last: only shards queue requests, so only a shard
+    /// starts a worker, and once the shards are gone the pool is final.
     pub fn join(self) {
-        for thread in self.threads {
+        for shard in self.shards {
+            let _ = shard.join();
+        }
+        let workers = std::mem::take(&mut *self.shared.workers.lock());
+        for worker in workers {
             // A worker that panicked already served its panic to the
             // affected requests; the server still drains the rest.
-            let _ = thread.join();
+            let _ = worker.join();
         }
     }
 }
 
-/// Binds the listener and starts the accept thread, connection
-/// shards, and worker pool.
+/// Binds the listener and starts the connection shards (shard 0 owns
+/// the listener) and the pool's first worker.
 ///
 /// # Errors
 ///
 /// Returns the bind/configuration error message.
 pub fn start(config: &ServeConfig) -> Result<ServerHandle, String> {
-    let shared = Arc::new(Shared::new(config)?);
+    let shared = Shared::new(config)?;
     let listener =
         TcpListener::bind(&config.addr).map_err(|e| format!("cannot bind {}: {e}", config.addr))?;
     listener
@@ -744,57 +807,70 @@ pub fn start(config: &ServeConfig) -> Result<ServerHandle, String> {
         dut_obs::global()
             .install_sink(Arc::clone(dut_obs::flight::global()) as Arc<dyn dut_obs::Sink>);
     });
-    let shards = shared.shards.len();
-    let workers = config.workers.max(1);
-    let mut threads = Vec::with_capacity(workers + shards + 1);
-    for worker in 0..workers {
-        threads.push(spawn_named(
-            format!("serve-worker-{worker}"),
-            &shared,
-            worker_loop,
-        )?);
-    }
-    for shard in 0..shards {
-        threads.push(spawn_named(
-            format!("serve-shard-{shard}"),
-            &shared,
-            move |shared| shard_loop(shared, shard),
-        )?);
-    }
-    threads.push(spawn_named(
-        "serve-accept".to_owned(),
-        &shared,
-        move |shared| accept_loop(&listener, shared),
-    )?);
+    let shards = start_threads(&shared, listener).map_err(|e| {
+        // The threads already running exit.
+        shared.begin_shutdown();
+        format!("cannot spawn server thread: {e}")
+    })?;
     dut_obs::global().emit_with(|| {
         dut_obs::Event::new("serve_started")
             .with("addr", addr.to_string())
-            .with("workers", workers)
-            .with("shards", shards)
-            .with("queue_cap", config.queue_cap.max(1))
+            .with("workers", shared.max_workers)
+            .with("shards", shards.len())
+            .with("queue_cap", shared.queue_cap)
     });
     Ok(ServerHandle {
         addr,
         shared,
-        threads,
+        shards,
     })
 }
 
+/// Starts the first worker and every shard, and returns the shards.
+fn start_threads(
+    shared: &Arc<Shared>,
+    listener: TcpListener,
+) -> std::io::Result<Vec<JoinHandle<()>>> {
+    let first = shared.lock_queue().add_worker();
+    start_worker(shared, first)?;
+    let mut acceptor = Some(Acceptor::new(listener));
+    (0..shared.shards.len())
+        .map(|shard| {
+            let acceptor = acceptor.take();
+            spawn_named(format!("serve-shard-{shard}"), shared, move |shared| {
+                shard_loop(shared, shard, acceptor);
+            })
+        })
+        .collect()
+}
+
+/// Starts worker `index` in a slot already counted in the pool (see
+/// [`Queue::claim_worker`]); a failed spawn gives the slot back.
+fn start_worker(shared: &Arc<Shared>, index: usize) -> std::io::Result<()> {
+    match spawn_named(format!("serve-worker-{index}"), shared, |shared| {
+        worker_loop(shared);
+    }) {
+        Ok(worker) => {
+            shared.workers.lock().push(worker);
+            Ok(())
+        }
+        Err(e) => {
+            shared.lock_queue().release_worker();
+            Err(e)
+        }
+    }
+}
+
 /// Spawns one named server thread (the names make per-thread CPU in
-/// `/proc/<pid>/task/*/stat` attributable). On failure the threads
-/// already running are told to exit.
-fn spawn_named<F>(name: String, shared: &Arc<Shared>, body: F) -> Result<JoinHandle<()>, String>
+/// `/proc/<pid>/task/*/stat` attributable).
+fn spawn_named<F>(name: String, shared: &Arc<Shared>, body: F) -> std::io::Result<JoinHandle<()>>
 where
-    F: FnOnce(&Shared) + Send + 'static,
+    F: FnOnce(&Arc<Shared>) + Send + 'static,
 {
     let thread_shared = Arc::clone(shared);
     std::thread::Builder::new()
         .name(name)
         .spawn(move || body(&thread_shared))
-        .map_err(|e| {
-            shared.begin_shutdown();
-            format!("cannot spawn server thread: {e}")
-        })
 }
 
 fn conn_opened(shared: &Shared) {
@@ -807,68 +883,101 @@ fn conn_closed(shared: &Shared) {
     dut_obs::metrics::global().set_gauge(Gauge::ServeConnections, before.saturating_sub(1));
 }
 
-/// Accepts connections and hands each to a shard round-robin. This
-/// thread never writes to a socket: under overload the shed decision
-/// is per *request* and happens on the shard/worker side, so a burst
-/// of slow clients cannot stall the accept path. Between bursts it
-/// parks in `poll(2)` on the listener and its waker.
-fn accept_loop(listener: &TcpListener, shared: &Shared) {
-    let mut next_shard = 0usize;
-    let mut fds = Vec::with_capacity(2);
-    while !shared.is_shutting_down() {
-        let listening = match listener.accept() {
-            Ok((stream, _peer)) => {
-                hand_off(shared, stream, next_shard);
-                next_shard = (next_shard + 1) % shared.shards.len();
-                continue;
-            }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => true,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    ErrorKind::Interrupted | ErrorKind::ConnectionAborted
-                ) =>
-            {
-                continue;
-            }
-            // Out of descriptors or buffers: the listener stays
-            // readable, so watching it would spin. Wait out one
-            // interval on the waker alone, then retry.
-            Err(_) => false,
-        };
-        fds.clear();
-        if listening {
-            fds.push(PollFd::new(listener.as_raw_fd(), POLLIN));
-        }
-        shared.accept_waker.wait(&mut fds, POLL_INTERVAL);
-    }
-    // Listener drops here: further connects are refused, which is the
-    // observable "server is gone" signal clients get after drain.
-    shared.available.notify_all();
+/// Shard 0's listener. It never writes to a socket: under overload the
+/// shed decision is per *request*, so a burst of slow clients cannot
+/// stall accepting.
+struct Acceptor {
+    listener: TcpListener,
+    /// `poll(2)` reported the listener readable, or the last pass did
+    /// not poll: accept on the next pass. Accepting only then keeps an
+    /// `accept` that can only fail with `EAGAIN` off every other pass.
+    ready: bool,
+    /// After a hard accept error (out of descriptors or buffers) the
+    /// listener stays readable, so watching it would spin: it sits out
+    /// of the poll set until this deadline, then accepts again.
+    retry_at: Option<Instant>,
+    next_shard: usize,
 }
 
-/// Sets up one accepted connection and passes it to `shard`.
-fn hand_off(shared: &Shared, stream: TcpStream, shard: usize) {
+impl Acceptor {
+    fn new(listener: TcpListener) -> Acceptor {
+        Acceptor {
+            listener,
+            ready: false,
+            retry_at: None,
+            next_shard: 0,
+        }
+    }
+
+    /// Accepts every pending connection, when there may be one, and
+    /// hands each to a shard round-robin; shard 0's own go straight
+    /// into `conns`.
+    fn accept_pending(&mut self, shared: &Shared, conns: &mut Vec<ConnReader>) {
+        if let Some(at) = self.retry_at {
+            if Instant::now() < at {
+                return;
+            }
+            self.retry_at = None;
+            self.ready = true;
+        }
+        if !std::mem::take(&mut self.ready) {
+            return;
+        }
+        loop {
+            match self.listener.accept() {
+                Ok((stream, _peer)) => {
+                    let shard = self.next_shard;
+                    self.next_shard = (shard + 1) % shared.shards.len();
+                    let Some(item) = open_conn(shared, stream, shard) else {
+                        continue;
+                    };
+                    if shard == 0 {
+                        conns.push(ConnReader::new(item));
+                    } else {
+                        let mailbox = &shared.shards[shard];
+                        mailbox.inbox.lock().push(item);
+                        mailbox.waker.wake();
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        ErrorKind::Interrupted | ErrorKind::ConnectionAborted
+                    ) => {}
+                Err(_) => {
+                    self.retry_at = Some(Instant::now() + POLL_INTERVAL);
+                    return;
+                }
+            }
+        }
+    }
+
+    /// The listener's entry for this pass's `poll(2)`, unless it sits
+    /// out a retry.
+    fn poll_fd(&self) -> Option<PollFd> {
+        self.retry_at
+            .is_none()
+            .then(|| PollFd::new(self.listener.as_raw_fd(), POLLIN))
+    }
+}
+
+/// Sets up one accepted connection for `shard`.
+fn open_conn(shared: &Shared, stream: TcpStream, shard: usize) -> Option<NewConn> {
     // One-line replies must leave immediately: without nodelay the
     // reply sits in Nagle's buffer waiting on the client's delayed ACK
     // (~40ms a round trip).
     let _ = stream.set_nodelay(true);
     // Both halves share the fd, so this covers the writer clone too.
-    if stream.set_nonblocking(true).is_err() {
-        return;
-    }
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    let mailbox = &shared.shards[shard];
+    stream.set_nonblocking(true).ok()?;
+    let write_half = stream.try_clone().ok()?;
     let conn = Arc::new(Conn::new(
         write_half,
         shared.error_budget,
-        Arc::clone(&mailbox.waker),
+        Arc::clone(&shared.shards[shard].waker),
     ));
     conn_opened(shared);
-    mailbox.inbox.lock().push(NewConn { stream, conn });
-    mailbox.waker.wake();
+    Some(NewConn { stream, conn })
 }
 
 /// What a kept connection needs from its shard before the next pass.
@@ -903,10 +1012,11 @@ impl Wait {
 
 /// One shard: parks its connections, frames request lines, dispatches
 /// jobs, and retires connections that died, drained after EOF, or
-/// finished their closing handshake. Each pass ends in `poll(2)` over
-/// the sockets the pass left waiting, unless some connection already
-/// has more work.
-fn shard_loop(shared: &Shared, shard: usize) {
+/// finished their closing handshake; shard 0 also accepts. Each pass
+/// ends in `poll(2)` over the sockets the pass left waiting (and on
+/// shard 0 the listener), unless some connection already has more
+/// work.
+fn shard_loop(shared: &Arc<Shared>, shard: usize, mut acceptor: Option<Acceptor>) {
     let registry = dut_obs::metrics::global();
     let mailbox = &shared.shards[shard];
     let mut conns: Vec<ConnReader> = Vec::new();
@@ -914,16 +1024,29 @@ fn shard_loop(shared: &Shared, shard: usize) {
     let mut shutdown_deadline: Option<Instant> = None;
     loop {
         registry.incr(Counter::ServeShardPasses);
+        let shutting = shared.is_shutting_down();
+        if shutting {
+            // The listener drops here: further connects are refused,
+            // which is the observable "server is going" signal.
+            acceptor = None;
+            shutdown_deadline.get_or_insert_with(|| Instant::now() + SHUTDOWN_GRACE);
+        }
+        if let Some(acceptor) = acceptor.as_mut() {
+            acceptor.accept_pending(shared, &mut conns);
+        }
         let fresh: Vec<NewConn> = std::mem::take(&mut *mailbox.inbox.lock());
         conns.extend(fresh.into_iter().map(ConnReader::new));
-        let shutting = shared.is_shutting_down();
-        if shutting && shutdown_deadline.is_none() {
-            shutdown_deadline = Some(Instant::now() + SHUTDOWN_GRACE);
-        }
-        let mut deadline = shutdown_deadline;
+        let mut deadline = earliest(
+            shutdown_deadline,
+            acceptor.as_ref().and_then(|a| a.retry_at),
+        );
         let mut busy = false;
         let mut inline_budget = INLINE_DRAWS_PER_PASS;
         fds.clear();
+        // The listener, when watched, is entry 0.
+        let listener = acceptor.as_ref().and_then(Acceptor::poll_fd);
+        let watching = listener.is_some();
+        fds.extend(listener);
         conns.retain_mut(|reader| {
             let Some(wait) = step_conn(shared, reader, shutting, &mut inline_budget) else {
                 conn_closed(shared);
@@ -932,10 +1055,7 @@ fn shard_loop(shared: &Shared, shard: usize) {
             if wait.events != 0 {
                 fds.push(PollFd::new(reader.stream.as_raw_fd(), wait.events));
             }
-            deadline = match (deadline, wait.deadline) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
+            deadline = earliest(deadline, wait.deadline);
             busy |= wait.now;
             true
         });
@@ -949,14 +1069,30 @@ fn shard_loop(shared: &Shared, shard: usize) {
                 break;
             }
         }
-        if !busy {
+        if busy {
+            // No poll this pass, so nothing says the listener is idle.
+            if let Some(acceptor) = acceptor.as_mut() {
+                acceptor.ready = true;
+            }
+        } else {
             registry.incr(Counter::ServeShardParks);
             let timeout = deadline.map_or(POLL_INTERVAL, |at| {
                 at.saturating_duration_since(Instant::now())
                     .min(POLL_INTERVAL)
             });
             mailbox.waker.wait(&mut fds, timeout);
+            if let Some(acceptor) = acceptor.as_mut() {
+                acceptor.ready = watching && fds[0].is_ready();
+            }
         }
+    }
+}
+
+/// The sooner of two optional deadlines.
+fn earliest(a: Option<Instant>, b: Option<Instant>) -> Option<Instant> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
     }
 }
 
@@ -968,7 +1104,7 @@ fn shard_loop(shared: &Shared, shard: usize) {
 /// flushed before the next read; bytes the socket did not take add
 /// `POLLOUT` to this pass's wait.
 fn step_conn(
-    shared: &Shared,
+    shared: &Arc<Shared>,
     reader: &mut ConnReader,
     shutting: bool,
     inline_budget: &mut u64,
@@ -1047,16 +1183,15 @@ fn step_conn(
                     return Some(Wait::now());
                 }
                 flush = if status.unflushed { POLLOUT } else { 0 };
+                if got < chunk.len() {
+                    // A short read took all the socket held. The
+                    // level-triggered poll reports later bytes or EOF;
+                    // reading again now could only return EAGAIN.
+                    return Some(read_wait(shared, reader, flush));
+                }
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                // A reap deadline already past (requests in flight)
-                // is left to the poll cap rather than spun on.
-                let idle_at = reader.last_line_at + shared.idle_timeout;
-                return Some(Wait {
-                    events: POLLIN | flush,
-                    deadline: (idle_at > Instant::now()).then_some(idle_at),
-                    now: false,
-                });
+                return Some(read_wait(shared, reader, flush));
             }
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(_) => return None,
@@ -1064,6 +1199,19 @@ fn step_conn(
     }
     // Read budget spent with bytes still arriving: come straight back.
     Some(Wait::now())
+}
+
+/// The wait of a connection whose socket has no more bytes to read:
+/// readable (and writable, when `flush` says replies are left over)
+/// until its idle reap. A reap deadline already past (requests in
+/// flight) is left to the poll cap rather than spun on.
+fn read_wait(shared: &Shared, reader: &ConnReader, flush: i16) -> Wait {
+    let idle_at = reader.last_line_at + shared.idle_timeout;
+    Wait {
+        events: POLLIN | flush,
+        deadline: (idle_at > Instant::now()).then_some(idle_at),
+        now: false,
+    }
 }
 
 /// Frames and answers every complete request line buffered on the
@@ -1077,7 +1225,7 @@ fn step_conn(
 /// released (the replies of hits answered inline) and returns the
 /// writer's state after it.
 fn process_pending(
-    shared: &Shared,
+    shared: &Arc<Shared>,
     reader: &mut ConnReader,
     inline_budget: &mut u64,
 ) -> WriterStatus {
@@ -1131,7 +1279,12 @@ fn mute_with_notice(reader: &mut ConnReader, notice: String) {
 /// panic boundary. A panicking handler must cost at most its own
 /// connection: without this, the unwind kills the shard thread and
 /// every connection parked on it.
-fn answer_parsed(shared: &Shared, reader: &mut ConnReader, text: &str, inline_budget: &mut u64) {
+fn answer_parsed(
+    shared: &Arc<Shared>,
+    reader: &mut ConnReader,
+    text: &str,
+    inline_budget: &mut u64,
+) {
     let seq = reader.alloc_seq();
     let conn = Arc::clone(&reader.conn);
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1153,7 +1306,13 @@ fn answer_parsed(shared: &Shared, reader: &mut ConnReader, text: &str, inline_bu
 /// shard; runs pass tenant admission, then a small hit on a finished
 /// build is answered on the shard too (its reply waits for the read's
 /// one flush) and everything else enters the dispatch queue.
-fn handle_line(shared: &Shared, conn: &Arc<Conn>, seq: u64, line: &str, inline_budget: &mut u64) {
+fn handle_line(
+    shared: &Arc<Shared>,
+    conn: &Arc<Conn>,
+    seq: u64,
+    line: &str,
+    inline_budget: &mut u64,
+) {
     let registry = dut_obs::metrics::global();
     match protocol::parse_command_meta(line) {
         Ok((Command::Run(request), meta)) => {
@@ -1249,37 +1408,40 @@ fn render_stats(shared: &Shared) -> String {
 /// Queues one admitted request, or sheds. At the cap an incoming
 /// request may evict the lowest-priority queued request strictly
 /// below its own priority (the evictee gets the shed reply); equal
-/// priorities never preempt each other.
-fn enqueue_request(shared: &Shared, job: Job) {
+/// priorities never preempt each other. A request queued when no idle
+/// worker is left to take it starts one more worker, up to the cap.
+fn enqueue_request(shared: &Arc<Shared>, job: Job) {
     let registry = dut_obs::metrics::global();
     job.conn.inflight.fetch_add(1, Ordering::AcqRel);
     let mut queue = shared.lock_queue();
-    if queue.len() >= shared.queue_cap {
-        let victim_at = (0..queue.len())
-            .filter(|&i| queue[i].priority < job.priority)
-            .min_by_key(|&i| queue[i].priority);
-        if let Some(at) = victim_at {
-            let victim = queue.remove(at);
-            queue.push_back(job);
-            registry.set_gauge(Gauge::ServeQueueDepth, queue.len() as u64);
-            drop(queue);
-            shared.available.notify_one();
-            if let Some(victim) = victim {
-                shed_request(shared, &victim.conn, victim.seq);
-                victim.conn.retire();
-            }
-        } else {
-            registry.set_gauge(Gauge::ServeQueueDepth, queue.len() as u64);
+    let mut victim = None;
+    if queue.jobs.len() >= shared.queue_cap {
+        let victim_at = (0..queue.jobs.len())
+            .filter(|&i| queue.jobs[i].priority < job.priority)
+            .min_by_key(|&i| queue.jobs[i].priority);
+        let Some(at) = victim_at else {
+            registry.set_gauge(Gauge::ServeQueueDepth, queue.jobs.len() as u64);
             drop(queue);
             shed_request(shared, &job.conn, job.seq);
             job.conn.retire();
-        }
+            return;
+        };
+        victim = queue.jobs.remove(at);
     } else {
         streak_reset(&shared.shed_streak);
-        queue.push_back(job);
-        registry.set_gauge(Gauge::ServeQueueDepth, queue.len() as u64);
-        drop(queue);
-        shared.available.notify_one();
+    }
+    queue.jobs.push_back(job);
+    registry.set_gauge(Gauge::ServeQueueDepth, queue.jobs.len() as u64);
+    let worker = queue.claim_worker(shared.max_workers);
+    drop(queue);
+    shared.available.notify_one();
+    if let Some(victim) = victim {
+        shed_request(shared, &victim.conn, victim.seq);
+        victim.conn.retire();
+    }
+    if let Some(index) = worker {
+        // A failed spawn leaves the request to the workers running.
+        let _ = start_worker(shared, index);
     }
 }
 
@@ -1296,36 +1458,37 @@ fn shed_request(shared: &Shared, conn: &Conn, seq: u64) {
     conn.submit(seq, protocol::render_overloaded(), false, false);
 }
 
+/// Answers queued requests one at a time until shutdown; the worker
+/// counts as idle whenever it holds no job. It leaves the pool only
+/// once the queue is empty and shutdown was requested, so drain is
+/// guaranteed.
 fn worker_loop(shared: &Shared) {
-    while let Some(job) = next_job(shared) {
-        process_job(shared, &job);
-    }
-}
-
-/// Pops the next job. Returns `None` only when the queue is empty
-/// *and* shutdown was requested, so drain is guaranteed.
-fn next_job(shared: &Shared) -> Option<Job> {
     let mut queue = shared.lock_queue();
     loop {
-        if let Some(job) = queue.pop_front() {
-            dut_obs::metrics::global().set_gauge(Gauge::ServeQueueDepth, queue.len() as u64);
-            return Some(job);
+        if let Some(job) = queue.jobs.pop_front() {
+            queue.idle_workers -= 1;
+            dut_obs::metrics::global().set_gauge(Gauge::ServeQueueDepth, queue.jobs.len() as u64);
+            drop(queue);
+            process_job(shared, job);
+            queue = shared.lock_queue();
+            queue.idle_workers += 1;
+        } else if shared.is_shutting_down() {
+            queue.release_worker();
+            return;
+        } else {
+            let (guard, _timed_out) = shared
+                .available
+                .wait_timeout(queue, POLL_INTERVAL)
+                .unwrap_or_else(PoisonError::into_inner);
+            queue = guard;
         }
-        if shared.is_shutting_down() {
-            return None;
-        }
-        let (guard, _timed_out) = shared
-            .available
-            .wait_timeout(queue, POLL_INTERVAL)
-            .unwrap_or_else(PoisonError::into_inner);
-        queue = guard;
     }
 }
 
 /// Answers one job. The queue wait recorded here is the *request's*
 /// scheduling delay — parse to worker pickup — which is the number
 /// `queue_wait_p99` in stats actually promises.
-fn process_job(shared: &Shared, job: &Job) {
+fn process_job(shared: &Shared, job: Job) {
     let registry = dut_obs::metrics::global();
     let waited = u64::try_from(job.enqueued_at.elapsed().as_micros()).unwrap_or(u64::MAX);
     registry.observe(HistogramId::QueueWaitMicros, waited);
@@ -1564,6 +1727,7 @@ mod tests {
     fn queued(shared: &Shared, conns: &[&Arc<Conn>]) -> Vec<(usize, u64, u8)> {
         shared
             .lock_queue()
+            .jobs
             .iter()
             .map(|job| {
                 let conn = conns
@@ -1620,13 +1784,22 @@ mod tests {
         panic!("the socket never filled");
     }
 
-    #[test]
-    fn higher_priority_request_evicts_the_lowest_priority_queued_one() {
+    /// Shared state with a queue of `queue_cap` and a full pool whose
+    /// one worker is busy: queued jobs stay put and no worker starts.
+    fn busy_pool(queue_cap: usize) -> Arc<Shared> {
         let shared = Shared::new(&ServeConfig {
-            queue_cap: 2,
+            queue_cap,
+            workers: 1,
             ..ServeConfig::default()
         })
         .unwrap();
+        shared.lock_queue().live_workers = 1;
+        shared
+    }
+
+    #[test]
+    fn higher_priority_request_evicts_the_lowest_priority_queued_one() {
+        let shared = busy_pool(2);
         let (a, mut a_client) = test_conn(&shared);
         let (b, _b_client) = test_conn(&shared);
         enqueue_request(&shared, job(&a, 0, 1));
@@ -1648,11 +1821,7 @@ mod tests {
 
     #[test]
     fn equal_priorities_never_preempt() {
-        let shared = Shared::new(&ServeConfig {
-            queue_cap: 2,
-            ..ServeConfig::default()
-        })
-        .unwrap();
+        let shared = busy_pool(2);
         let (a, _a_client) = test_conn(&shared);
         let (c, mut c_client) = test_conn(&shared);
         enqueue_request(&shared, job(&a, 0, 1));

@@ -38,6 +38,9 @@ pub struct Stats {
     pub queue_depth: u64,
     /// Persistent connections currently parked on the shard loops.
     pub connections: u64,
+    /// Live worker threads: one from start, growing on demand up to
+    /// the `--workers` cap.
+    pub workers: u64,
     /// Prepared testers resident in the LRU.
     pub cached_testers: u64,
     /// Cumulative requests answered since boot.
@@ -149,6 +152,7 @@ pub fn gather(cached_testers: u64) -> Stats {
         uptime_micros: now,
         queue_depth: registry.gauge(Gauge::ServeQueueDepth),
         connections: registry.gauge(Gauge::ServeConnections),
+        workers: registry.gauge(Gauge::ServeWorkers),
         cached_testers,
         requests: registry.counter(Counter::ServeRequests),
         shed: registry.counter(Counter::ServeShed),
@@ -246,6 +250,7 @@ impl Stats {
             ("uptime_us", self.uptime_micros.into()),
             ("queue_depth", self.queue_depth.into()),
             ("connections", self.connections.into()),
+            ("workers", self.workers.into()),
             ("cached_testers", self.cached_testers.into()),
             ("cumulative", cumulative),
             ("window", window),
@@ -291,6 +296,7 @@ impl Stats {
             uptime_micros: stats.get_u64("uptime_us").unwrap_or_default(),
             queue_depth: stats.get_u64("queue_depth").unwrap_or_default(),
             connections: stats.get_u64("connections").unwrap_or_default(),
+            workers: stats.get_u64("workers").unwrap_or_default(),
             cached_testers: stats.get_u64("cached_testers").unwrap_or_default(),
             requests: cumulative.get_u64("requests").unwrap_or_default(),
             shed: cumulative.get_u64("shed").unwrap_or_default(),
@@ -341,6 +347,7 @@ mod tests {
             uptime_micros: 12_345_678,
             queue_depth: 3,
             connections: 17,
+            workers: 2,
             cached_testers: 4,
             requests: 1_000,
             shed: 7,
@@ -431,7 +438,7 @@ mod tests {
         let mut stats = sample();
         assert_eq!(
             stats.render(),
-            r#"{"stats":{"uptime_us":12345678,"queue_depth":3,"connections":17,"cached_testers":4,"cumulative":{"requests":1000,"shed":7,"coalesced":120,"tenant_shed":2,"cache_hits":950,"cache_misses":50,"inline":900,"malformed":11,"reaped":2,"error_budget_closed":1,"backend_per_draw":40,"backend_histogram":960,"shard_passes":2150,"shard_parks":1990},"window":{"span_us":10000000,"req_per_sec":99.5,"shed_per_sec":0.25,"hit_ratio":0.95,"p50_us":210,"p95_us":480.5,"p99_us":1024,"queue_wait_p99_us":88,"calibrate_p99_us":45000,"compute_p99_us":333},"slo":{"healthy":false,"latency_breach":true,"shed_breach":false,"latency_burn_short":3.5,"latency_burn_long":2.5,"shed_burn_short":0.4,"shed_burn_long":0.1,"p99_target_us":250000,"max_shed_rate":0.05}}}"#
+            r#"{"stats":{"uptime_us":12345678,"queue_depth":3,"connections":17,"workers":2,"cached_testers":4,"cumulative":{"requests":1000,"shed":7,"coalesced":120,"tenant_shed":2,"cache_hits":950,"cache_misses":50,"inline":900,"malformed":11,"reaped":2,"error_budget_closed":1,"backend_per_draw":40,"backend_histogram":960,"shard_passes":2150,"shard_parks":1990},"window":{"span_us":10000000,"req_per_sec":99.5,"shed_per_sec":0.25,"hit_ratio":0.95,"p50_us":210,"p95_us":480.5,"p99_us":1024,"queue_wait_p99_us":88,"calibrate_p99_us":45000,"compute_p99_us":333},"slo":{"healthy":false,"latency_breach":true,"shed_breach":false,"latency_burn_short":3.5,"latency_burn_long":2.5,"shed_burn_short":0.4,"shed_burn_long":0.1,"p99_target_us":250000,"max_shed_rate":0.05}}}"#
         );
         stats.tenants = vec![
             TenantStat {
@@ -447,7 +454,7 @@ mod tests {
         ];
         assert_eq!(
             stats.render(),
-            r#"{"stats":{"uptime_us":12345678,"queue_depth":3,"connections":17,"cached_testers":4,"cumulative":{"requests":1000,"shed":7,"coalesced":120,"tenant_shed":2,"cache_hits":950,"cache_misses":50,"inline":900,"malformed":11,"reaped":2,"error_budget_closed":1,"backend_per_draw":40,"backend_histogram":960,"shard_passes":2150,"shard_parks":1990},"window":{"span_us":10000000,"req_per_sec":99.5,"shed_per_sec":0.25,"hit_ratio":0.95,"p50_us":210,"p95_us":480.5,"p99_us":1024,"queue_wait_p99_us":88,"calibrate_p99_us":45000,"compute_p99_us":333},"slo":{"healthy":false,"latency_breach":true,"shed_breach":false,"latency_burn_short":3.5,"latency_burn_long":2.5,"shed_burn_short":0.4,"shed_burn_long":0.1,"p99_target_us":250000,"max_shed_rate":0.05},"tenants":{"alpha":{"requests":40,"shed":0},"metered":{"requests":10,"shed":5}}}}"#
+            r#"{"stats":{"uptime_us":12345678,"queue_depth":3,"connections":17,"workers":2,"cached_testers":4,"cumulative":{"requests":1000,"shed":7,"coalesced":120,"tenant_shed":2,"cache_hits":950,"cache_misses":50,"inline":900,"malformed":11,"reaped":2,"error_budget_closed":1,"backend_per_draw":40,"backend_histogram":960,"shard_passes":2150,"shard_parks":1990},"window":{"span_us":10000000,"req_per_sec":99.5,"shed_per_sec":0.25,"hit_ratio":0.95,"p50_us":210,"p95_us":480.5,"p99_us":1024,"queue_wait_p99_us":88,"calibrate_p99_us":45000,"compute_p99_us":333},"slo":{"healthy":false,"latency_breach":true,"shed_breach":false,"latency_burn_short":3.5,"latency_burn_long":2.5,"shed_burn_short":0.4,"shed_burn_long":0.1,"p99_target_us":250000,"max_shed_rate":0.05},"tenants":{"alpha":{"requests":40,"shed":0},"metered":{"requests":10,"shed":5}}}}"#
         );
         use dut_obs::{Event, FlightRecorder, Sink as _};
         let flight = FlightRecorder::new(3);

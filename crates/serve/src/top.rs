@@ -94,8 +94,8 @@ pub fn render_frame(stats: &Stats, addr: &str) -> String {
     }
     let _ = writeln!(
         out,
-        "serve    {} connections   {} coalesced   {} tenant-shed{tenant_note}",
-        stats.connections, stats.coalesced, stats.tenant_shed,
+        "serve    {} connections   {} workers   {} coalesced   {} tenant-shed{tenant_note}",
+        stats.connections, stats.workers, stats.coalesced, stats.tenant_shed,
     );
     let _ = writeln!(
         out,
@@ -201,6 +201,7 @@ mod tests {
             uptime_micros: 12_500_000,
             queue_depth: 2,
             connections: 16,
+            workers: 3,
             cached_testers: 4,
             requests: 1_000,
             shed: 7,
@@ -256,7 +257,9 @@ mod tests {
         assert!(frame.contains("p95 4.8ms"));
         assert!(frame.contains("p99 1.02s"));
         assert!(frame.contains("13 malformed"));
-        assert!(frame.contains("serve    16 connections   120 coalesced   3 tenant-shed"));
+        assert!(
+            frame.contains("serve    16 connections   3 workers   120 coalesced   3 tenant-shed")
+        );
         assert!(frame.contains("metered 200r/3s"));
         assert!(frame.contains("lifetime 950 hits (900 inline) / 50 misses"));
         assert!(!frame.contains("backend"));

@@ -1,9 +1,10 @@
-//! Wake sources of the readiness-driven serve loops. Shards and the
-//! accept thread park in `poll(2)`; each test here lets them park and
-//! then needs exactly one kind of wake to make progress: a connection
-//! handed to a shard, an idle-reap deadline, shutdown, the last reply
-//! of a half-closed connection, and a socket turning writable again
-//! after the client stopped reading.
+//! Wake sources of the readiness-driven serve loops. Shards park in
+//! `poll(2)`, shard 0 with the listener in its poll set; each test
+//! here lets them park and then needs exactly one kind of wake to make
+//! progress: a connect on the listener, a connection handed to another
+//! shard, an idle-reap deadline, shutdown, the last reply of a
+//! half-closed connection, and a socket turning writable again after
+//! the client stopped reading.
 
 #![allow(
     clippy::expect_used,
@@ -20,7 +21,7 @@ use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Long enough for every shard and the accept thread to park.
+/// Long enough for every shard to park.
 const SETTLE: Duration = Duration::from_millis(300);
 
 /// The tests run one at a time: their timing bounds assume an
@@ -107,8 +108,9 @@ fn connection_accepted_while_shards_park_gets_its_reply_promptly() {
     assert_reply(&read_line(&mut reader));
     drop((stream, reader));
     // Ten fresh connections, each made while every shard is parked.
-    // The accept thread must wake the chosen shard: waiting for the
-    // poll cap instead would cost about half the cap per connection.
+    // The connect must wake shard 0, and shard 0 the chosen shard:
+    // waiting for the poll cap instead would cost about half the cap
+    // per connection.
     let mut total = Duration::ZERO;
     for seed in 0..10 {
         std::thread::sleep(Duration::from_millis(30));

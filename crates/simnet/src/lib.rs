@@ -13,10 +13,10 @@
 //!   a closure `&[M] -> Verdict`. [`Network::run_nodes`] runs them and
 //!   counts the run once in the metrics registry; every protocol in the
 //!   workspace runs its nodes through it;
-//! * the one-bit referee rules are the paper's: [`DecisionRule::And`]
-//!   (the local rule — reject if *any* player rejects), the
-//!   `T`-threshold rule (reject if at least `T` players reject), and
-//!   majority. The fault-injected star ([`ResilientNetwork::run`])
+//! * the one-bit referee rules are the paper's: the `T`-threshold
+//!   rule [`DecisionRule::Threshold`] (reject if at least `T` players
+//!   reject), whose `T = 1` is the AND rule (the local rule — reject
+//!   if *any* player rejects), and majority. The fault-injected star ([`ResilientNetwork::run`])
 //!   takes the same one-bit node closure, and the threshold testers
 //!   run their own node and referee on it
 //!   (`dut_testers::PreparedThresholdTester::run_faulty`);
@@ -44,7 +44,7 @@
 //!     1,
 //!     &mut rng,
 //!     |_player, q, rng| sampler.collision_count(q, rng) == 0,
-//!     |bits| DecisionRule::And.decide(bits),
+//!     |bits| DecisionRule::Threshold { min_rejects: 1 }.decide(bits),
 //! );
 //! // 8 players, 4 samples each from a large uniform domain: collisions
 //! // are rare, so the AND rule almost surely accepts.

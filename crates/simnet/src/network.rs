@@ -176,7 +176,7 @@ mod tests {
     }
 
     fn and(bits: &[bool]) -> Verdict {
-        DecisionRule::And.decide(bits)
+        DecisionRule::Threshold { min_rejects: 1 }.decide(bits)
     }
 
     #[test]

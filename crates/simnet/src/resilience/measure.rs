@@ -90,6 +90,9 @@ mod tests {
     use super::*;
     use crate::{DecisionRule, MissingPolicy, ResilientNetwork};
 
+    /// The AND rule: reject iff any player rejects.
+    const AND: DecisionRule = DecisionRule::Threshold { min_rejects: 1 };
+
     fn always_reject(_: usize, _: usize, _: &mut StdRng) -> bool {
         false
     }
@@ -98,7 +101,7 @@ mod tests {
     fn rates_on_extremes() {
         let net = ResilientNetwork::new(4, MissingPolicy::AssumeAccept);
         let m = rejection_rate(20, 7, 0, |rng| {
-            net.run(1, &DecisionRule::And, &mut ReliablePlan, rng, always_reject)
+            net.run(1, &AND, &mut ReliablePlan, rng, always_reject)
         });
         assert!((m.rejection_rate - 1.0).abs() < f64::EPSILON);
         assert!((m.error_on_far() - 0.0).abs() < f64::EPSILON);
@@ -107,7 +110,7 @@ mod tests {
 
     #[test]
     fn loss_sweep_is_monotone_per_trial() {
-        // The coupling discipline end-to-end: And + AssumeAccept on an
+        // The coupling discipline end-to-end: AND + AssumeAccept on an
         // always-rejecting player can only lose alarms as the rate
         // grows, so the measured rejection rate is nonincreasing.
         let net = ResilientNetwork::new(6, MissingPolicy::AssumeAccept);
@@ -115,7 +118,7 @@ mod tests {
         for step in 0..=5 {
             let mut plan = IidFaults::loss_only(f64::from(step) * 0.2);
             let m = rejection_rate(40, 99, 3, |rng| {
-                net.run(1, &DecisionRule::And, &mut plan, rng, always_reject)
+                net.run(1, &AND, &mut plan, rng, always_reject)
             });
             assert!(
                 m.rejection_rate <= last + f64::EPSILON,

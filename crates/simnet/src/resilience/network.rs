@@ -289,6 +289,9 @@ mod tests {
     use dut_probability::{families, Sampler};
     use rand::SeedableRng;
 
+    /// The AND rule: reject iff any player rejects.
+    const AND: DecisionRule = DecisionRule::Threshold { min_rejects: 1 };
+
     fn rng(seed: u64) -> StdRng {
         StdRng::seed_from_u64(seed)
     }
@@ -304,13 +307,7 @@ mod tests {
     #[test]
     fn reliable_plan_is_faithful() {
         let net = ResilientNetwork::new(6, MissingPolicy::Exclude);
-        let out = net.run(
-            3,
-            &DecisionRule::And,
-            &mut ReliablePlan,
-            &mut rng(1),
-            always_reject,
-        );
+        let out = net.run(3, &AND, &mut ReliablePlan, &mut rng(1), always_reject);
         assert!(out.verdict.is_reject());
         assert_eq!(out.transcript.messages.len(), 6);
         assert_eq!(out.transcript.total_samples(), 18);
@@ -327,7 +324,7 @@ mod tests {
     fn total_loss_accepts_under_exclude() {
         let net = ResilientNetwork::new(4, MissingPolicy::Exclude);
         let mut plan = IidFaults::loss_only(1.0);
-        let out = net.run(2, &DecisionRule::And, &mut plan, &mut rng(2), always_reject);
+        let out = net.run(2, &AND, &mut plan, &mut rng(2), always_reject);
         assert!(out.verdict.is_accept());
         assert_eq!(out.transcript.messages.len(), 0);
         assert_eq!(out.faults.lost, 4);
@@ -345,7 +342,7 @@ mod tests {
         let mut r = rng(3);
         for _ in 0..30 {
             let mut plan = IidFaults::loss_only(0.6);
-            let out = net.run(1, &DecisionRule::And, &mut plan, &mut r, always_reject);
+            let out = net.run(1, &AND, &mut plan, &mut r, always_reject);
             assert!(out.verdict.is_reject());
             // Redundancy was delivered and charged.
             assert!(out.faults.redundant_bits > 0);
@@ -359,13 +356,7 @@ mod tests {
         let net = ResilientNetwork::new(8, MissingPolicy::AssumeAccept)
             .with_recovery(Recovery::AckRetry { max_attempts: 5 });
         // No faults: one attempt each, no retries, no redundancy.
-        let out = net.run(
-            1,
-            &DecisionRule::And,
-            &mut ReliablePlan,
-            &mut rng(4),
-            always_accept,
-        );
+        let out = net.run(1, &AND, &mut ReliablePlan, &mut rng(4), always_accept);
         assert_eq!(out.faults.retries, 0);
         assert_eq!(out.faults.redundant_bits, 0);
         assert_eq!(out.faults.delivered_bits, 8);
@@ -379,7 +370,7 @@ mod tests {
         let mut saw_recovery = false;
         for _ in 0..20 {
             let mut plan = IidFaults::loss_only(0.5);
-            let out = net.run(1, &DecisionRule::And, &mut plan, &mut r, always_reject);
+            let out = net.run(1, &AND, &mut plan, &mut r, always_reject);
             assert!(out.verdict.is_reject());
             if out.faults.recovered > 0 {
                 saw_recovery = true;
@@ -397,7 +388,7 @@ mod tests {
         let net = ResilientNetwork::new(4, MissingPolicy::AssumeAccept)
             .with_recovery(Recovery::AckRetry { max_attempts: 3 });
         let mut plan = IidFaults::loss_only(1.0);
-        let out = net.run(1, &DecisionRule::And, &mut plan, &mut rng(6), always_reject);
+        let out = net.run(1, &AND, &mut plan, &mut rng(6), always_reject);
         assert_eq!(out.faults.timeouts, 4);
         assert_eq!(out.faults.lost, 12);
         assert_eq!(out.faults.retries, 8);
@@ -409,13 +400,7 @@ mod tests {
     fn partial_crash_charges_sample_prefix() {
         let net = ResilientNetwork::new(10, MissingPolicy::Exclude);
         let mut plan = PartialCrash::new(1.0);
-        let out = net.run(
-            10,
-            &DecisionRule::And,
-            &mut plan,
-            &mut rng(7),
-            always_accept,
-        );
+        let out = net.run(10, &AND, &mut plan, &mut rng(7), always_accept);
         assert_eq!(out.faults.crashed, 10);
         // Prefixes are strictly below q but the budget is still charged.
         assert!(out.transcript.samples_drawn.iter().all(|&s| s < 10));
@@ -432,7 +417,7 @@ mod tests {
             let mut counts = Vec::new();
             let out = ResilientNetwork::new(8, MissingPolicy::Exclude).run(
                 12,
-                &DecisionRule::And,
+                &AND,
                 plan,
                 &mut rng(8),
                 |_, q, rng| {
@@ -473,7 +458,7 @@ mod tests {
             .with_recovery(Recovery::Repetition { copies: 2 });
         let out = net.run(
             1,
-            &DecisionRule::And,
+            &AND,
             &mut AlternatingCorruption { round: 0 },
             &mut rng(9),
             always_accept,
@@ -489,7 +474,7 @@ mod tests {
         let net = ResilientNetwork::new(8, MissingPolicy::AssumeAccept);
         let out = net.run(
             2,
-            &DecisionRule::And,
+            &AND,
             &mut IidFaults::new(0.0, 0.0),
             &mut rng(1),
             always_reject,
@@ -509,7 +494,7 @@ mod tests {
         let trials = 400;
         let rejected = (0..trials)
             .filter(|_| {
-                net.run(1, &DecisionRule::And, &mut plan, &mut r, one_rejector)
+                net.run(1, &AND, &mut plan, &mut r, one_rejector)
                     .verdict
                     .is_reject()
             })
@@ -529,7 +514,7 @@ mod tests {
         let trials = 200;
         let rejected = (0..trials)
             .filter(|_| {
-                net.run(1, &DecisionRule::And, &mut plan, &mut r, always_accept)
+                net.run(1, &AND, &mut plan, &mut r, always_accept)
                     .verdict
                     .is_reject()
             })
@@ -557,7 +542,7 @@ mod tests {
         let net = ResilientNetwork::new(4, MissingPolicy::Exclude);
         let out = net.run(
             1,
-            &DecisionRule::And,
+            &AND,
             &mut IidFaults::new(1.0, 0.0),
             &mut rng(5),
             always_reject,
@@ -581,7 +566,7 @@ mod tests {
         let mut zero_sample_players = 0usize;
         let mut partial_sample_runs = 0usize;
         for _ in 0..trials {
-            let out = net.run(2, &DecisionRule::And, &mut plan, &mut r, always_accept);
+            let out = net.run(2, &AND, &mut plan, &mut r, always_accept);
             if out.verdict.is_reject() {
                 rejected += 1;
             }

@@ -17,7 +17,6 @@ use crate::rule::DecisionRule;
 #[must_use]
 pub fn threshold_equivalent(rule: &DecisionRule, k: usize) -> usize {
     match rule {
-        DecisionRule::And => 1,
         DecisionRule::Threshold { min_rejects } => *min_rejects,
         DecisionRule::Majority => k / 2 + 1,
     }
@@ -60,7 +59,10 @@ mod tests {
 
     #[test]
     fn threshold_equivalents() {
-        assert_eq!(threshold_equivalent(&DecisionRule::And, 10), 1);
+        assert_eq!(
+            threshold_equivalent(&DecisionRule::Threshold { min_rejects: 1 }, 10),
+            1
+        );
         assert_eq!(
             threshold_equivalent(&DecisionRule::Threshold { min_rejects: 4 }, 10),
             4
@@ -72,7 +74,10 @@ mod tests {
     #[test]
     fn byzantine_tolerance_values() {
         // AND breaks at t = 1.
-        assert_eq!(byzantine_tolerance(&DecisionRule::And, 16), 0);
+        assert_eq!(
+            byzantine_tolerance(&DecisionRule::Threshold { min_rejects: 1 }, 16),
+            0
+        );
         // Threshold{T} tolerates min(T-1, k-T).
         assert_eq!(
             byzantine_tolerance(&DecisionRule::Threshold { min_rejects: 4 }, 16),

@@ -53,20 +53,20 @@ impl fmt::Display for Verdict {
 ///
 /// The paper's hierarchy of locality:
 ///
-/// * [`DecisionRule::And`] — the *local* rule: reject iff at least one
-///   player rejects (Theorem 1.2 shows this is expensive);
 /// * [`DecisionRule::Threshold`] — reject iff at least `min_rejects`
-///   players reject (Theorem 1.3 for small thresholds; with a calibrated
-///   threshold this achieves the optimal bound of Theorem 1.1);
+///   players reject. `min_rejects: 1` is the AND rule, the *local*
+///   rule: reject iff at least one player rejects (Theorem 1.2 shows
+///   this is expensive). Small thresholds are Theorem 1.3; with a
+///   calibrated threshold this achieves the optimal bound of
+///   Theorem 1.1;
 /// * [`DecisionRule::Majority`] — reject iff more than half reject.
 ///   Unlike a fixed threshold it scales with the number of bits it is
 ///   given, so under [`MissingPolicy::Exclude`](crate::MissingPolicy::Exclude)
 ///   it votes on the bits the referee heard.
 #[derive(Clone)]
 pub enum DecisionRule {
-    /// Reject iff at least one player rejects (`f = AND` of accept bits).
-    And,
-    /// Reject iff at least `min_rejects` players reject.
+    /// Reject iff at least `min_rejects` players reject (`min_rejects:
+    /// 1` is `f = AND` of the accept bits).
     Threshold {
         /// Minimal number of rejecting players that triggers rejection.
         min_rejects: usize,
@@ -92,7 +92,6 @@ impl DecisionRule {
         );
         let rejects = bits.iter().filter(|&&b| !b).count();
         match self {
-            DecisionRule::And => Verdict::from_accept_bit(rejects == 0),
             DecisionRule::Threshold { min_rejects } => {
                 assert!(*min_rejects > 0, "threshold rule needs min_rejects >= 1");
                 Verdict::from_accept_bit(rejects < *min_rejects)
@@ -105,7 +104,6 @@ impl DecisionRule {
     #[must_use]
     pub fn name(&self) -> String {
         match self {
-            DecisionRule::And => "and".to_owned(),
             DecisionRule::Threshold { min_rejects } => format!("threshold({min_rejects})"),
             DecisionRule::Majority => "majority".to_owned(),
         }
@@ -123,10 +121,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn and_rejects_on_any_rejection() {
-        assert_eq!(DecisionRule::And.decide(&[true, true]), Verdict::Accept);
-        assert_eq!(DecisionRule::And.decide(&[true, false]), Verdict::Reject);
-        assert_eq!(DecisionRule::And.decide(&[false, false]), Verdict::Reject);
+    fn threshold_one_rejects_on_any_rejection() {
+        let and = DecisionRule::Threshold { min_rejects: 1 };
+        assert_eq!(and.decide(&[true, true]), Verdict::Accept);
+        assert_eq!(and.decide(&[true, false]), Verdict::Reject);
+        assert_eq!(and.decide(&[false, false]), Verdict::Reject);
     }
 
     #[test]
@@ -135,14 +134,6 @@ mod tests {
         assert_eq!(rule.decide(&[false, true, true]), Verdict::Accept);
         assert_eq!(rule.decide(&[false, false, true]), Verdict::Reject);
         assert_eq!(rule.decide(&[false, false, false]), Verdict::Reject);
-    }
-
-    #[test]
-    fn threshold_one_equals_and() {
-        let rule = DecisionRule::Threshold { min_rejects: 1 };
-        for bits in [[true, true], [true, false], [false, false]] {
-            assert_eq!(rule.decide(&bits), DecisionRule::And.decide(&bits));
-        }
     }
 
     #[test]
@@ -159,7 +150,6 @@ mod tests {
 
     #[test]
     fn names_are_stable() {
-        assert_eq!(DecisionRule::And.name(), "and");
         assert_eq!(
             DecisionRule::Threshold { min_rejects: 7 }.name(),
             "threshold(7)"
@@ -182,7 +172,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one player")]
     fn empty_bits_panics() {
-        let _ = DecisionRule::And.decide(&[]);
+        let _ = DecisionRule::Majority.decide(&[]);
     }
 
     #[test]

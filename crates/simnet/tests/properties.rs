@@ -14,12 +14,13 @@ proptest! {
     #[test]
     fn and_rule_monotone_in_rejections(bits in prop::collection::vec(prop::bool::ANY, 1..20)) {
         // Flipping any accept to reject can only move AND towards reject.
-        let before = DecisionRule::And.decide(&bits);
+        let and = DecisionRule::Threshold { min_rejects: 1 };
+        let before = and.decide(&bits);
         for i in 0..bits.len() {
             if bits[i] {
                 let mut flipped = bits.clone();
                 flipped[i] = false;
-                let after = DecisionRule::And.decide(&flipped);
+                let after = and.decide(&flipped);
                 prop_assert!(!(before == Verdict::Reject && after == Verdict::Accept));
             }
         }
@@ -35,14 +36,6 @@ proptest! {
         let loose = DecisionRule::Threshold { min_rejects: t + 1 }.decide(&bits);
         let strict = DecisionRule::Threshold { min_rejects: t }.decide(&bits);
         prop_assert!(!(loose == Verdict::Reject && strict == Verdict::Accept));
-    }
-
-    #[test]
-    fn and_equals_threshold_one(bits in prop::collection::vec(prop::bool::ANY, 1..20)) {
-        prop_assert_eq!(
-            DecisionRule::And.decide(&bits),
-            DecisionRule::Threshold { min_rejects: 1 }.decide(&bits)
-        );
     }
 
     #[test]

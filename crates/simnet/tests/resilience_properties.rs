@@ -58,7 +58,8 @@ proptest! {
             let net = ResilientNetwork::new(k, MissingPolicy::AssumeReject);
             let mut plan = IidFaults::loss_only(f64::from(milli) / 1000.0);
             let mut rng = StdRng::seed_from_u64(seed);
-            net.run(2, &DecisionRule::And, &mut plan, &mut rng, mask_player(reject_mask))
+            let and = DecisionRule::Threshold { min_rejects: 1 };
+            net.run(2, &and, &mut plan, &mut rng, mask_player(reject_mask))
                 .verdict
         };
         let at_lo = run_at(lo);

@@ -89,13 +89,16 @@ serve USAGE:
         serve newline-delimited JSON requests until a client sends
         {\"cmd\":\"shutdown\"}; also answers {\"cmd\":\"stats\"} (windowed
         metrics + SLO) and {\"cmd\":\"flight\"} (flight-recorder dump)
-        [defaults: 127.0.0.1:7979, 4 workers, 2 shards, 32 cached
-        testers in 8 cache shards, 64 queued requests, 1-in-64 trace
-        sampling]; --shards event loops park persistent connections,
+        [defaults: 127.0.0.1:7979, up to 4 workers, 2 shards, 32
+        cached testers in 8 cache shards, 64 queued requests, 1-in-64
+        trace sampling]; --shards event loops park persistent
+        connections (shard 0 also accepts them),
         answer a request themselves when its tester is already built
         and it draws at most 1024 samples over all its trials, and
         dispatch every other request line to the worker pool (queue
         depth and shed decisions count requests, not connections);
+        --workers caps the pool: it starts with one worker and starts
+        another only when a request is queued while no worker is idle;
         each worker answers one queued request at a time, and requests for
         one configuration share its prepared tester through the
         single-flight cache (a request that finds the build in flight
@@ -468,7 +471,7 @@ fn cmd_serve(mut args: Args) -> Result<(), String> {
     args.finish(0)?;
     let handle = dut_serve::server::start(&config)?;
     println!(
-        "dut serve listening on {} ({} workers, {} shards, cache {} testers, queue {} requests)",
+        "dut serve listening on {} (up to {} workers, started on demand, {} shards, cache {} testers, queue {} requests)",
         handle.local_addr(),
         config.workers.max(1),
         config.shards.max(1),

@@ -118,7 +118,8 @@ fn assume_reject_trades_false_alarms_for_safety() {
     let mut plan = IidFaults::new(0.0, 0.05);
     let false_alarms = (0..trials)
         .filter(|_| {
-            net.run(q, &DecisionRule::And, &mut plan, &mut rng, &player)
+            let and = DecisionRule::Threshold { min_rejects: 1 };
+            net.run(q, &and, &mut plan, &mut rng, &player)
                 .verdict
                 .is_reject()
         })

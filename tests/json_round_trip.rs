@@ -153,6 +153,7 @@ fn stats_round_trip() {
             uptime_micros: u(),
             queue_depth: u(),
             connections: u(),
+            workers: u(),
             cached_testers: u(),
             requests: u(),
             shed: u(),
