@@ -23,8 +23,6 @@ pub enum Counter {
     VerdictAccept,
     /// Referee reject verdicts.
     VerdictReject,
-    /// Players that crashed before sending (fault injection).
-    FaultsCrashed,
     /// Messages lost in transit (fault injection).
     FaultsMessagesLost,
     /// Redundant transmissions after the first attempt (recovery).
@@ -104,7 +102,7 @@ pub enum Counter {
 }
 
 impl Counter {
-    const COUNT: usize = 32;
+    const COUNT: usize = 31;
 
     /// All counters, in slot order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -113,7 +111,6 @@ impl Counter {
         Counter::BitsSent,
         Counter::VerdictAccept,
         Counter::VerdictReject,
-        Counter::FaultsCrashed,
         Counter::FaultsMessagesLost,
         Counter::FaultRetries,
         Counter::FaultRedundantBits,
@@ -151,7 +148,6 @@ impl Counter {
             Counter::BitsSent => "bits_sent",
             Counter::VerdictAccept => "verdict_accept",
             Counter::VerdictReject => "verdict_reject",
-            Counter::FaultsCrashed => "faults_crashed",
             Counter::FaultsMessagesLost => "faults_messages_lost",
             Counter::FaultRetries => "fault_retries",
             Counter::FaultRedundantBits => "redundant_bits",

@@ -366,7 +366,7 @@ mod tests {
         registry.observe(metrics::HistogramId::QueueWaitMicros, 1);
         assert_eq!(
             snapshot_event(&registry.snapshot()).to_json_line(),
-            r#"{"event":"metrics","ts_us":0,"counters":{"net_runs":0,"samples_drawn":64,"bits_sent":0,"verdict_accept":0,"verdict_reject":0,"faults_crashed":0,"faults_messages_lost":0,"fault_retries":0,"redundant_bits":0,"byzantine_flips":0,"recovered_bits":0,"fault_timeouts":0,"trials_run":0,"trials_skipped":0,"search_probes":0,"sweep_fits":0,"serve_requests":3,"serve_cache_hits":0,"serve_cache_misses":0,"serve_shed":0,"serve_malformed":0,"serve_reaped":0,"serve_error_budget":0,"serve_panics_caught":0,"serve_backend_per_draw":0,"serve_backend_histogram":0,"serve_coalesced":0,"serve_tenant_shed":0,"serve_shard_passes":0,"serve_shard_parks":0,"serve_inline":0,"chaos_injected":0},"gauges":{"runner_threads":0,"serve_queue_depth":5,"serve_connections":0,"serve_workers":0},"histograms":{"trial_batch_micros":{"count":0,"sum":0,"buckets":[]},"probe_micros":{"count":0,"sum":0,"buckets":[]},"run_samples":{"count":0,"sum":0,"buckets":[]},"request_micros":{"count":3,"sum":70305,"buckets":[[4,1],[256,1],[65536,1]]},"queue_wait_micros":{"count":1,"sum":1,"buckets":[[1,1]]},"calibrate_micros":{"count":0,"sum":0,"buckets":[]},"compute_micros":{"count":0,"sum":0,"buckets":[]}}}"#
+            r#"{"event":"metrics","ts_us":0,"counters":{"net_runs":0,"samples_drawn":64,"bits_sent":0,"verdict_accept":0,"verdict_reject":0,"faults_messages_lost":0,"fault_retries":0,"redundant_bits":0,"byzantine_flips":0,"recovered_bits":0,"fault_timeouts":0,"trials_run":0,"trials_skipped":0,"search_probes":0,"sweep_fits":0,"serve_requests":3,"serve_cache_hits":0,"serve_cache_misses":0,"serve_shed":0,"serve_malformed":0,"serve_reaped":0,"serve_error_budget":0,"serve_panics_caught":0,"serve_backend_per_draw":0,"serve_backend_histogram":0,"serve_coalesced":0,"serve_tenant_shed":0,"serve_shard_passes":0,"serve_shard_parks":0,"serve_inline":0,"chaos_injected":0},"gauges":{"runner_threads":0,"serve_queue_depth":5,"serve_connections":0,"serve_workers":0},"histograms":{"trial_batch_micros":{"count":0,"sum":0,"buckets":[]},"probe_micros":{"count":0,"sum":0,"buckets":[]},"run_samples":{"count":0,"sum":0,"buckets":[]},"request_micros":{"count":3,"sum":70305,"buckets":[[4,1],[256,1],[65536,1]]},"queue_wait_micros":{"count":1,"sum":1,"buckets":[[1,1]]},"calibrate_micros":{"count":0,"sum":0,"buckets":[]},"compute_micros":{"count":0,"sum":0,"buckets":[]}}}"#
         );
     }
 

@@ -396,13 +396,11 @@ impl Report {
                 "  search probes    {}",
                 human_count(self.counter("search_probes"))
             );
-            let crashed = self.counter("faults_crashed");
             let lost = self.counter("faults_messages_lost");
-            if crashed + lost > 0 {
+            if lost > 0 {
                 let _ = writeln!(
                     out,
-                    "  faults           {} crashed, {} messages lost",
-                    human_count(crashed),
+                    "  faults           {} messages lost",
                     human_count(lost)
                 );
             }
@@ -776,7 +774,10 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("byzantine        2 corrupted bits"), "{text}");
-        assert!(text.contains("12 messages lost"), "{text}");
+        assert!(
+            text.contains("faults           12 messages lost\n"),
+            "{text}"
+        );
     }
 
     #[test]

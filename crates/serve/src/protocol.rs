@@ -94,8 +94,8 @@ pub const MAX_WORK: u64 = 1 << 26;
 /// against 0.68–0.95 s for a second trial of the then-cached key, so
 /// 42–50 s of a worker goes to calibration; a cold 32-trial request of
 /// that key took 66.2 s. An exact null law for the node's collision
-/// count (ROADMAP item 2) would replace that Monte Carlo and remove
-/// this cost.
+/// count (ROADMAP item 1) would let exact-size calibration (ROADMAP
+/// item 5) replace that Monte Carlo and remove this cost.
 pub const MAX_REQUEST_WORK: u64 = 1 << 31;
 
 /// Upper bound on `λ₀ = C(q,2)/n` for the `and` and `threshold:T`

@@ -13,20 +13,21 @@
 //!   a closure `&[M] -> Verdict`. [`Network::run_nodes`] runs them and
 //!   counts the run once in the metrics registry; every protocol in the
 //!   workspace runs its nodes through it;
-//! * the one-bit referee rules are the paper's: the `T`-threshold
-//!   rule [`DecisionRule::Threshold`] (reject if at least `T` players
-//!   reject), whose `T = 1` is the AND rule (the local rule — reject
-//!   if *any* player rejects), and majority. The fault-injected star ([`ResilientNetwork::run`])
-//!   takes the same one-bit node closure, and the threshold testers
-//!   run their own node and referee on it
+//! * the one-bit referee rule is the paper's `T`-threshold rule
+//!   [`DecisionRule`] (reject if at least `T` players reject), whose
+//!   `T = 1` is the AND rule (the local rule — reject if *any* player
+//!   rejects) and whose `T = ⌊k/2⌋ + 1` is majority. The
+//!   fault-injected star ([`ResilientNetwork::run`]) takes the same
+//!   one-bit node closure, and the threshold testers run their own
+//!   node and referee on it
 //!   (`dut_testers::PreparedThresholdTester::run_faulty`);
 //! * the network draws no shared randomness: a protocol that uses it
 //!   draws its own seed from the run's RNG before its nodes run (the
 //!   single-sample protocol's shared partition);
 //! * the asymmetric-cost model of §6.2 (per-player sampling rates
 //!   `q_i = T_i · τ`) is supported via [`RateVector`];
-//! * [`resilience`] injects message loss, crashes and adversaries into
-//!   the same star to study rule robustness.
+//! * [`resilience`] injects message loss and adversaries into the same
+//!   star to study rule robustness.
 //!
 //! # Example
 //!
@@ -44,7 +45,7 @@
 //!     1,
 //!     &mut rng,
 //!     |_player, q, rng| sampler.collision_count(q, rng) == 0,
-//!     |bits| DecisionRule::Threshold { min_rejects: 1 }.decide(bits),
+//!     |bits| DecisionRule { min_rejects: 1 }.decide(bits),
 //! );
 //! // 8 players, 4 samples each from a large uniform domain: collisions
 //! // are rare, so the AND rule almost surely accepts.
@@ -72,7 +73,7 @@ pub use network::{Network, RunOutcome, Transcript};
 pub use rates::RateVector;
 pub use resilience::{
     byzantine_tolerance, measured_byzantine_tolerance, rejection_rate, ByzantinePlan, FaultPlan,
-    FaultStats, GilbertElliott, IidFaults, MeasuredRates, MissingPolicy, PartialCrash, PreSample,
-    Recovery, ReliablePlan, ResilientNetwork, ResilientOutcome, TargetedLoss,
+    FaultStats, GilbertElliott, IidFaults, MeasuredRates, MissingPolicy, Recovery, ReliablePlan,
+    ResilientNetwork, ResilientOutcome, TargetedLoss,
 };
 pub use rule::{DecisionRule, Verdict};

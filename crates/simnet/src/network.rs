@@ -176,7 +176,7 @@ mod tests {
     }
 
     fn and(bits: &[bool]) -> Verdict {
-        DecisionRule::Threshold { min_rejects: 1 }.decide(bits)
+        DecisionRule { min_rejects: 1 }.decide(bits)
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! these plans tell the sharper version. A single bit-flipping player
 //! breaks the AND rule completely (under uniform input its flipped
 //! accept is a false alarm on every run), while
-//! `Threshold { min_rejects: T }` tolerates any `t < min(T, k − T + 1)`
+//! `DecisionRule { min_rejects: T }` tolerates any `t < min(T, k − T + 1)`
 //! flippers (see
 //! [`byzantine_tolerance`](super::byzantine_tolerance)). A targeted
 //! dropper that sees the transcript before choosing victims silences
@@ -30,9 +30,9 @@ impl ByzantinePlan {
 }
 
 impl FaultPlan for ByzantinePlan {
-    fn corrupt(&mut self, bits: &mut [Option<bool>], _rng: &mut StdRng) -> u64 {
+    fn corrupt(&mut self, bits: &mut [bool], _rng: &mut StdRng) -> u64 {
         let mut flips = 0u64;
-        for b in bits.iter_mut().take(self.corrupted).flatten() {
+        for b in bits.iter_mut().take(self.corrupted) {
             *b = !*b;
             flips += 1;
         }
@@ -40,35 +40,24 @@ impl FaultPlan for ByzantinePlan {
     }
 }
 
-/// A transcript-aware dropper: each round it inspects every bit in
-/// flight and deletes up to `budget` copies carrying `suppressed_bit`.
-/// With `suppressed_bit = false` (the alarm bit) and budget 1 it is
-/// the minimal adversary that defeats the AND rule outright, while a
-/// `Threshold { min_rejects: T }` referee forces it to spend `T`
+/// A transcript-aware dropper, the alarm silencer: each round it
+/// inspects every bit in flight and deletes up to `budget` *reject*
+/// bits, pushing every rule towards accept. With budget 1 it is the
+/// minimal adversary that defeats the AND rule outright, while a
+/// `DecisionRule { min_rejects: T }` referee forces it to spend `T`
 /// deletions *per round* — the communication-side reading of the
 /// paper's locality trade-off.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TargetedLoss {
     budget: usize,
-    suppressed_bit: bool,
 }
 
 impl TargetedLoss {
-    /// An adversary deleting up to `budget` copies of `suppressed_bit`
-    /// per round.
-    #[must_use]
-    pub fn new(budget: usize, suppressed_bit: bool) -> Self {
-        Self {
-            budget,
-            suppressed_bit,
-        }
-    }
-
-    /// The alarm silencer: deletes up to `budget` *reject* bits per
-    /// round, pushing every rule towards accept.
+    /// The alarm silencer: deletes up to `budget` reject bits per
+    /// round.
     #[must_use]
     pub fn alarm_silencer(budget: usize) -> Self {
-        Self::new(budget, false)
+        Self { budget }
     }
 }
 
@@ -77,7 +66,7 @@ impl FaultPlan for TargetedLoss {
         let mut remaining = self.budget;
         bits.iter()
             .map(|&bit| match bit {
-                Some(v) if v == self.suppressed_bit && remaining > 0 => {
+                Some(false) if remaining > 0 => {
                     remaining -= 1;
                     None
                 }
@@ -98,13 +87,15 @@ mod tests {
 
     #[test]
     fn flippers_negate_only_their_players() {
-        // The crashed player inside the corrupted range stays silent
-        // and is not counted as a flip.
         let mut plan = ByzantinePlan::flippers(3);
-        let mut bits = vec![Some(true), Some(false), None, Some(false)];
+        let mut bits = vec![true, false, true, false];
         let flips = plan.corrupt(&mut bits, &mut rng(1));
-        assert_eq!(flips, 2);
-        assert_eq!(bits, vec![Some(false), Some(true), None, Some(false)]);
+        assert_eq!(flips, 3);
+        assert_eq!(bits, vec![false, true, false, false]);
+        // More flippers than players flips every bit once.
+        let flips = ByzantinePlan::flippers(9).corrupt(&mut bits, &mut rng(1));
+        assert_eq!(flips, 4);
+        assert_eq!(bits, vec![true, false, true, true]);
     }
 
     #[test]

@@ -5,9 +5,10 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 /// A two-state Markov loss channel: the channel is either *good* or
-/// *bad*, losing each transmitted copy with a state-dependent
-/// probability, and flips state with fixed transition probabilities as
-/// it is traversed (player by player within a round, round by round).
+/// *bad*, and flips state with fixed transition probabilities as it is
+/// traversed (player by player within a round, round by round). The
+/// good state is lossless; the bad state loses each transmitted copy
+/// with one probability, set by [`GilbertElliott::bursty_with_mean_loss`].
 /// Unlike iid loss, failures arrive in bursts, which is exactly the
 /// regime where the AND rule's single-alarm fragility and a repetition
 /// code's diminishing returns show up.
@@ -17,55 +18,22 @@ use rand::Rng;
 /// worst case for rules that need several simultaneous alarms.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GilbertElliott {
-    to_bad: f64,
-    to_good: f64,
-    loss_good: f64,
     loss_bad: f64,
     bad: bool,
 }
 
-/// Fixed burst structure used by [`GilbertElliott::bursty_with_mean_loss`]:
-/// enter the bad state with probability 0.3, leave with 0.5, so the
-/// stationary bad fraction is 0.3 / (0.3 + 0.5) = 0.375 and bursts
-/// last 2 messages on average.
+/// The fixed burst structure: enter the bad state with probability
+/// 0.3, leave with 0.5, so the stationary bad fraction is
+/// 0.3 / (0.3 + 0.5) = 0.375 and bursts last 2 messages on average.
 const BURSTY_TO_BAD: f64 = 0.3;
 const BURSTY_TO_GOOD: f64 = 0.5;
 const BURSTY_STATIONARY_BAD: f64 = BURSTY_TO_BAD / (BURSTY_TO_BAD + BURSTY_TO_GOOD);
 
 impl GilbertElliott {
-    /// Builds the channel from its four parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any probability is outside `[0, 1]`, or if both
-    /// transition probabilities are zero (the chain would never mix).
-    #[must_use]
-    pub fn new(to_bad: f64, to_good: f64, loss_good: f64, loss_bad: f64) -> Self {
-        for (p, what) in [
-            (to_bad, "good→bad"),
-            (to_good, "bad→good"),
-            (loss_good, "good-state loss"),
-            (loss_bad, "bad-state loss"),
-        ] {
-            assert!((0.0..=1.0).contains(&p), "{what} probability out of range");
-        }
-        assert!(
-            to_bad > 0.0 || to_good > 0.0,
-            "a Gilbert–Elliott channel needs at least one nonzero transition"
-        );
-        Self {
-            to_bad,
-            to_good,
-            loss_good,
-            loss_bad,
-            bad: false,
-        }
-    }
-
-    /// A bursty channel with a *fixed* burst structure (mean burst
+    /// A bursty channel with the fixed burst structure (mean burst
     /// length 2, stationary bad fraction 0.375) whose long-run loss
-    /// rate is `mean_loss`: the good state is lossless and the bad
-    /// state loses with probability `mean_loss / 0.375`.
+    /// rate is `mean_loss`: the bad state loses with probability
+    /// `mean_loss / 0.375`.
     ///
     /// Because only the bad-state loss probability varies with
     /// `mean_loss`, channels built at different rates share the same
@@ -82,18 +50,10 @@ impl GilbertElliott {
             (0.0..=BURSTY_STATIONARY_BAD).contains(&mean_loss),
             "bursty mean loss must be in [0, {BURSTY_STATIONARY_BAD}], got {mean_loss}"
         );
-        Self::new(
-            BURSTY_TO_BAD,
-            BURSTY_TO_GOOD,
-            0.0,
-            mean_loss / BURSTY_STATIONARY_BAD,
-        )
-    }
-
-    /// The stationary probability of being in the bad state.
-    #[must_use]
-    pub fn stationary_bad(&self) -> f64 {
-        self.to_bad / (self.to_bad + self.to_good)
+        Self {
+            loss_bad: mean_loss / BURSTY_STATIONARY_BAD,
+            bad: false,
+        }
     }
 }
 
@@ -101,7 +61,7 @@ impl FaultPlan for GilbertElliott {
     fn begin_run(&mut self, _k: usize, rng: &mut StdRng) {
         // Start each run from the stationary distribution.
         let u: f64 = rng.random();
-        self.bad = u < self.stationary_bad();
+        self.bad = u < BURSTY_STATIONARY_BAD;
     }
 
     fn deliver_round(&mut self, bits: &[Option<bool>], rng: &mut StdRng) -> Vec<Option<bool>> {
@@ -110,19 +70,14 @@ impl FaultPlan for GilbertElliott {
                 // Two unconditional draws per slot: transition, then loss.
                 let step: f64 = rng.random();
                 if self.bad {
-                    if step < self.to_good {
+                    if step < BURSTY_TO_GOOD {
                         self.bad = false;
                     }
-                } else if step < self.to_bad {
+                } else if step < BURSTY_TO_BAD {
                     self.bad = true;
                 }
                 let u: f64 = rng.random();
-                let loss = if self.bad {
-                    self.loss_bad
-                } else {
-                    self.loss_good
-                };
-                bit.filter(|_| u >= loss)
+                bit.filter(|_| !(self.bad && u < self.loss_bad))
             })
             .collect()
     }
@@ -136,9 +91,8 @@ mod tests {
     #[test]
     fn mean_loss_matches_construction() {
         let ge = GilbertElliott::bursty_with_mean_loss(0.3);
-        let bad = ge.stationary_bad();
-        assert!((bad - 0.375).abs() < 1e-12);
-        assert!((bad * ge.loss_bad + (1.0 - bad) * ge.loss_good - 0.3).abs() < 1e-12);
+        assert!((BURSTY_STATIONARY_BAD - 0.375).abs() < 1e-12);
+        assert!((BURSTY_STATIONARY_BAD * ge.loss_bad - 0.3).abs() < 1e-12);
     }
 
     #[test]

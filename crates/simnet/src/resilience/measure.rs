@@ -12,8 +12,6 @@ use rand::SeedableRng;
 pub struct MeasuredRates {
     /// Fraction of runs the referee rejected.
     pub rejection_rate: f64,
-    /// Number of runs.
-    pub trials: usize,
     /// Mean copies delivered to the referee per run (the communication
     /// cost actually paid, including redundancy).
     pub mean_delivered_bits: f64,
@@ -78,7 +76,6 @@ pub fn rejection_rate(
     }
     MeasuredRates {
         rejection_rate: rejects as f64 / trials as f64,
-        trials,
         mean_delivered_bits: delivered as f64 / trials as f64,
         mean_retries: retries as f64 / trials as f64,
     }
@@ -91,7 +88,7 @@ mod tests {
     use crate::{DecisionRule, MissingPolicy, ResilientNetwork};
 
     /// The AND rule: reject iff any player rejects.
-    const AND: DecisionRule = DecisionRule::Threshold { min_rejects: 1 };
+    const AND: DecisionRule = DecisionRule { min_rejects: 1 };
 
     fn always_reject(_: usize, _: usize, _: &mut StdRng) -> bool {
         false

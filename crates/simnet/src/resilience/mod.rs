@@ -1,7 +1,7 @@
 //! Fault injection, fault-aware protocols, and graceful degradation.
 //!
 //! This module runs the one-bit protocol under a pluggable
-//! [`FaultPlan`] (the simplest being iid crashes and message loss,
+//! [`FaultPlan`] (the simplest being iid message loss,
 //! [`IidFaults`]) and asks the robustness question behind the paper's
 //! locality trade-off: the AND
 //! rule buys locality (any single player can raise the alarm) at the
@@ -11,11 +11,11 @@
 //! Three layers:
 //!
 //! * **Fault models** ([`plan`], [`channel`], [`adversary`]): iid
-//!   loss/crashes ([`IidFaults`]), crash-with-partial-samples
-//!   ([`PartialCrash`]), bursty Gilbert–Elliott loss
-//!   ([`GilbertElliott`]), bit-flipping Byzantine players
-//!   ([`ByzantinePlan`]) and a
-//!   transcript-aware targeted dropper ([`TargetedLoss`]).
+//!   loss ([`IidFaults`]), bursty Gilbert–Elliott loss with one fixed
+//!   burst shape ([`GilbertElliott`]), bit-flipping Byzantine players
+//!   ([`ByzantinePlan`]) and the alarm silencer, a transcript-aware
+//!   dropper of reject bits ([`TargetedLoss`]). These are the faults
+//!   E12 and `dut faults` run.
 //! * **Recovery** ([`recovery`], [`robust`]): repetition coding and
 //!   ack/retry retransmission ([`Recovery`]) with referee-side
 //!   majority decoding, plus the closed-form Byzantine-tolerance bound
@@ -43,6 +43,6 @@ pub use adversary::{ByzantinePlan, TargetedLoss};
 pub use channel::GilbertElliott;
 pub use measure::{rejection_rate, MeasuredRates};
 pub use network::{FaultStats, MissingPolicy, ResilientNetwork, ResilientOutcome};
-pub use plan::{FaultPlan, IidFaults, PartialCrash, PreSample, ReliablePlan};
+pub use plan::{FaultPlan, IidFaults, ReliablePlan};
 pub use recovery::Recovery;
-pub use robust::{byzantine_tolerance, measured_byzantine_tolerance, threshold_equivalent};
+pub use robust::{byzantine_tolerance, measured_byzantine_tolerance};

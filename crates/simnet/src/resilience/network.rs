@@ -21,14 +21,15 @@ pub enum MissingPolicy {
     /// with the fault rate).
     AssumeReject,
     /// Drop silent players from the vote (the rule sees fewer bits).
+    /// A threshold rule counts only rejections, so its verdict is the
+    /// one [`MissingPolicy::AssumeAccept`] gives; only the transcript
+    /// differs.
     Exclude,
 }
 
 /// Everything that went wrong (and was repaired) in one execution.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
-    /// Players that crashed before transmitting.
-    pub crashed: u64,
     /// Copies lost in transit, summed over all transmission rounds.
     pub lost: u64,
     /// Bits corrupted at the source by Byzantine players.
@@ -55,7 +56,6 @@ pub struct FaultStats {
 impl FaultStats {
     fn record(&self) {
         let registry = dut_obs::metrics::global();
-        registry.add(Counter::FaultsCrashed, self.crashed);
         registry.add(Counter::FaultsMessagesLost, self.lost);
         registry.add(Counter::FaultRetries, self.retries);
         registry.add(Counter::FaultRedundantBits, self.redundant_bits);
@@ -87,13 +87,11 @@ pub struct ResilientOutcome {
 /// independent streams from it: a *sampling* stream and a *fault*
 /// stream. (The discarded word was once a shared seed that no node
 /// read; skipping it keeps every committed fault sweep's streams.) The
-/// node closure runs on the sampling stream for every player, crashed
-/// ones included (their bit is discarded and only the prefix they drew
-/// before crashing is charged), so the samples a player would see are
-/// identical across fault models, rates and recovery settings for a
-/// fixed caller RNG state — fault sweeps are paired experiments by
-/// construction (see the [`plan`](super::plan) module docs for the
-/// coupling discipline on the fault side).
+/// node closure runs on the sampling stream for every player, so the
+/// samples a player sees are identical across fault models, rates and
+/// recovery settings for a fixed caller RNG state — fault sweeps are
+/// paired experiments by construction (see the [`plan`](super::plan)
+/// module docs for the coupling discipline on the fault side).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResilientNetwork {
     num_players: usize,
@@ -147,8 +145,8 @@ impl ResilientNetwork {
     /// player index, its sample count `samples_per_player` and the
     /// sampling stream, from which it draws its own samples.
     ///
-    /// Phases: `begin_run` → per-player `pre_sample` + node call →
-    /// `corrupt` (Byzantine) → up to `Recovery::rounds` transmission
+    /// Phases: `begin_run` → node call per player → `corrupt`
+    /// (Byzantine) → up to `Recovery::rounds` transmission
     /// rounds through `deliver_round` → majority decoding (ties decode
     /// to *reject*, the fail-safe direction) → missing policy →
     /// decision rule.
@@ -179,21 +177,10 @@ impl ResilientNetwork {
 
         // Phase 1: bit computation. Every player's node runs on the
         // sample stream, so the stream advances the same whatever the
-        // plan; a crashed player's bit is discarded.
-        let mut bits: Vec<Option<bool>> = Vec::with_capacity(k);
-        let mut samples_drawn = Vec::with_capacity(k);
-        for player_id in 0..k {
-            let pre = plan.pre_sample(player_id, q, &mut fault_rng);
-            let accept = node(player_id, q, &mut sample_rng);
-            if pre.sends {
-                bits.push(Some(accept));
-                samples_drawn.push(q);
-            } else {
-                bits.push(None);
-                samples_drawn.push(pre.samples.min(q));
-                stats.crashed += 1;
-            }
-        }
+        // plan.
+        let mut bits: Vec<bool> = (0..k)
+            .map(|player_id| node(player_id, q, &mut sample_rng))
+            .collect();
 
         // Phase 2: source corruption.
         stats.byzantine_flips = plan.corrupt(&mut bits, &mut fault_rng);
@@ -204,9 +191,9 @@ impl ResilientNetwork {
         for round in 0..self.recovery.rounds() {
             let sending: Vec<Option<bool>> = bits
                 .iter()
-                .enumerate()
-                .map(|(i, &bit)| {
-                    bit.filter(|_| !self.recovery.stops_after_ack() || copies[i].is_empty())
+                .zip(&copies)
+                .map(|(&bit, got)| {
+                    (!self.recovery.stops_after_ack() || got.is_empty()).then_some(bit)
                 })
                 .collect();
             let senders = sending.iter().filter(|b| b.is_some()).count() as u64;
@@ -240,7 +227,7 @@ impl ResilientNetwork {
             stats.redundant_bits += player_copies.len().saturating_sub(1) as u64;
             if player_copies.is_empty() {
                 decoded.push(None);
-                if bits[i].is_some() && !matches!(self.recovery, Recovery::None) {
+                if !matches!(self.recovery, Recovery::None) {
                     stats.timeouts += 1;
                 }
             } else {
@@ -265,17 +252,13 @@ impl ResilientNetwork {
         };
 
         stats.record();
-        record_run(
-            verdict,
-            samples_drawn.iter().map(|&s| s as u64).sum(),
-            stats.delivered_bits,
-        );
+        record_run(verdict, (k * q) as u64, stats.delivered_bits);
 
         ResilientOutcome {
             verdict,
             transcript: Transcript {
                 messages: effective,
-                samples_drawn,
+                samples_drawn: vec![q; k],
             },
             faults: stats,
         }
@@ -284,13 +267,13 @@ impl ResilientNetwork {
 
 #[cfg(test)]
 mod tests {
-    use super::super::plan::{IidFaults, PartialCrash, ReliablePlan};
+    use super::super::plan::{IidFaults, ReliablePlan};
     use super::*;
     use dut_probability::{families, Sampler};
     use rand::SeedableRng;
 
     /// The AND rule: reject iff any player rejects.
-    const AND: DecisionRule = DecisionRule::Threshold { min_rejects: 1 };
+    const AND: DecisionRule = DecisionRule { min_rejects: 1 };
 
     fn rng(seed: u64) -> StdRng {
         StdRng::seed_from_u64(seed)
@@ -397,21 +380,9 @@ mod tests {
     }
 
     #[test]
-    fn partial_crash_charges_sample_prefix() {
-        let net = ResilientNetwork::new(10, MissingPolicy::Exclude);
-        let mut plan = PartialCrash::new(1.0);
-        let out = net.run(10, &AND, &mut plan, &mut rng(7), always_accept);
-        assert_eq!(out.faults.crashed, 10);
-        // Prefixes are strictly below q but the budget is still charged.
-        assert!(out.transcript.samples_drawn.iter().all(|&s| s < 10));
-        assert!(out.verdict.is_accept());
-    }
-
-    #[test]
     fn sample_stream_is_isolated_from_faults() {
         // Same caller RNG state, wildly different fault plans: every
-        // player, crashed or not, must draw the same samples, so runs
-        // are paired.
+        // player must draw the same samples, so runs are paired.
         let sampler = families::uniform(64).alias_sampler();
         let record = |plan: &mut dyn FaultPlan| {
             let mut counts = Vec::new();
@@ -428,8 +399,8 @@ mod tests {
             (out, counts)
         };
         let (_, reliable_counts) = record(&mut ReliablePlan);
-        let (faulty, faulty_counts) = record(&mut IidFaults::new(0.5, 0.9));
-        assert!(faulty.faults.crashed > 0, "no player crashed");
+        let (faulty, faulty_counts) = record(&mut IidFaults::loss_only(0.9));
+        assert!(faulty.faults.lost > 0, "no message was lost");
         assert_eq!(reliable_counts.len(), 8);
         assert_eq!(reliable_counts, faulty_counts);
     }
@@ -466,8 +437,8 @@ mod tests {
         assert!(out.verdict.is_reject());
     }
 
-    // iid crashes and message loss through `IidFaults`, the model the
-    // root `fault_tolerance` tests measure at scale.
+    // iid message loss through `IidFaults`, the model the root
+    // `fault_tolerance` tests measure at scale.
 
     #[test]
     fn fault_free_matches_reliable_network() {
@@ -475,7 +446,7 @@ mod tests {
         let out = net.run(
             2,
             &AND,
-            &mut IidFaults::new(0.0, 0.0),
+            &mut IidFaults::loss_only(0.0),
             &mut rng(1),
             always_reject,
         );
@@ -489,7 +460,7 @@ mod tests {
         // Whenever ITS message is lost, the alarm vanishes.
         let net = ResilientNetwork::new(8, MissingPolicy::AssumeAccept);
         let one_rejector = |player: usize, _: usize, _: &mut StdRng| player != 3;
-        let mut plan = IidFaults::new(0.0, 0.5);
+        let mut plan = IidFaults::loss_only(0.5);
         let mut r = rng(2);
         let trials = 400;
         let rejected = (0..trials)
@@ -507,7 +478,7 @@ mod tests {
     #[test]
     fn assume_reject_is_fail_safe_but_noisy() {
         let net = ResilientNetwork::new(8, MissingPolicy::AssumeReject);
-        let mut plan = IidFaults::new(0.0, 0.5);
+        let mut plan = IidFaults::loss_only(0.5);
         let mut r = rng(3);
         // All players accept, but losses turn into rejects: AND almost
         // always rejects — false alarms.
@@ -528,101 +499,13 @@ mod tests {
         let mut r = rng(4);
         let out = net.run(
             1,
-            &DecisionRule::Majority,
-            &mut IidFaults::new(0.5, 0.0),
+            &AND,
+            &mut IidFaults::loss_only(0.5),
             &mut r,
             always_accept,
         );
         assert!(out.transcript.messages.len() < 10);
         assert!(out.verdict.is_accept());
-    }
-
-    #[test]
-    fn total_silence_accepts_under_exclude() {
-        let net = ResilientNetwork::new(4, MissingPolicy::Exclude);
-        let out = net.run(
-            1,
-            &AND,
-            &mut IidFaults::new(1.0, 0.0),
-            &mut rng(5),
-            always_reject,
-        );
-        assert!(out.verdict.is_accept());
-        assert_eq!(out.transcript.messages.len(), 0);
-        // Crashed players drew no samples.
-        assert_eq!(out.transcript.total_samples(), 0);
-    }
-
-    #[test]
-    fn combined_crash_and_loss_compound() {
-        // Both fault modes at once: crashes suppress sampling entirely,
-        // losses consume samples but drop the bit. Under AssumeReject
-        // every fault of either kind turns into a reject vote.
-        let net = ResilientNetwork::new(12, MissingPolicy::AssumeReject);
-        let mut plan = IidFaults::new(0.3, 0.3);
-        let mut r = rng(6);
-        let trials = 300;
-        let mut rejected = 0usize;
-        let mut zero_sample_players = 0usize;
-        let mut partial_sample_runs = 0usize;
-        for _ in 0..trials {
-            let out = net.run(2, &AND, &mut plan, &mut r, always_accept);
-            if out.verdict.is_reject() {
-                rejected += 1;
-            }
-            let zeros = out
-                .transcript
-                .samples_drawn
-                .iter()
-                .filter(|&&q| q == 0)
-                .count();
-            zero_sample_players += zeros;
-            // Lost messages consumed samples without being counted in
-            // the vote: transcript shows fewer messages than sampling
-            // players.
-            if out.transcript.messages.len() < 12 - zeros {
-                partial_sample_runs += 1;
-            }
-        }
-        // P(all 12 players survive both faults) = (0.7 * 0.7)^12 ≈ 2e-4,
-        // so AND under AssumeReject should essentially always reject.
-        assert!(rejected > trials * 9 / 10, "rejected {rejected}/{trials}");
-        // Crashes happened (~30% of 12 * 300 = 1080 expected).
-        assert!(zero_sample_players > 500, "{zero_sample_players} crashes");
-        // AssumeReject keeps every player in the vote, so messages are
-        // never fewer than the number of non-crashed players.
-        assert_eq!(partial_sample_runs, 0);
-    }
-
-    #[test]
-    fn combined_faults_with_exclude_shrink_transcript() {
-        let net = ResilientNetwork::new(12, MissingPolicy::Exclude);
-        let mut plan = IidFaults::new(0.4, 0.4);
-        let mut r = rng(7);
-        let mut saw_shrunk_vote = false;
-        for _ in 0..50 {
-            let out = net.run(1, &DecisionRule::Majority, &mut plan, &mut r, always_accept);
-            let crashes = out
-                .transcript
-                .samples_drawn
-                .iter()
-                .filter(|&&q| q == 0)
-                .count();
-            assert!(out.transcript.messages.len() <= 12 - crashes);
-            if out.transcript.messages.len() < 12 - crashes {
-                saw_shrunk_vote = true; // a non-crashed player's message was lost
-            }
-        }
-        assert!(
-            saw_shrunk_vote,
-            "40% loss never dropped a message in 50 runs"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn rejects_bad_probability() {
-        let _ = IidFaults::new(1.5, 0.0);
     }
 
     #[test]

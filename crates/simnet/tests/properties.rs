@@ -14,7 +14,7 @@ proptest! {
     #[test]
     fn and_rule_monotone_in_rejections(bits in prop::collection::vec(prop::bool::ANY, 1..20)) {
         // Flipping any accept to reject can only move AND towards reject.
-        let and = DecisionRule::Threshold { min_rejects: 1 };
+        let and = DecisionRule { min_rejects: 1 };
         let before = and.decide(&bits);
         for i in 0..bits.len() {
             if bits[i] {
@@ -33,20 +33,23 @@ proptest! {
     ) {
         // A stricter (smaller) threshold rejects whenever a looser one does...
         // precisely: if reject at threshold t+1 then reject at t.
-        let loose = DecisionRule::Threshold { min_rejects: t + 1 }.decide(&bits);
-        let strict = DecisionRule::Threshold { min_rejects: t }.decide(&bits);
+        let loose = DecisionRule { min_rejects: t + 1 }.decide(&bits);
+        let strict = DecisionRule { min_rejects: t }.decide(&bits);
         prop_assert!(!(loose == Verdict::Reject && strict == Verdict::Accept));
     }
 
     #[test]
     fn majority_agrees_with_count(bits in prop::collection::vec(prop::bool::ANY, 1..20)) {
+        // Majority is the threshold k/2 + 1: reject iff strictly more
+        // than half of the players reject.
         let rejects = bits.iter().filter(|&&b| !b).count();
         let expected = if 2 * rejects > bits.len() {
             Verdict::Reject
         } else {
             Verdict::Accept
         };
-        prop_assert_eq!(DecisionRule::Majority.decide(&bits), expected);
+        let majority = DecisionRule { min_rejects: bits.len() / 2 + 1 };
+        prop_assert_eq!(majority.decide(&bits), expected);
     }
 
     #[test]
@@ -78,6 +81,7 @@ proptest! {
         accept_threshold in 0usize..16,
     ) {
         let net = Network::new(k);
+        let majority = DecisionRule { min_rejects: k / 2 + 1 };
         let sampler = dut_probability::families::uniform(8).alias_sampler();
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let out = net.run_nodes(
@@ -85,12 +89,12 @@ proptest! {
             1,
             &mut rng,
             |_, q, rng| sampler.sample_many(q, rng).iter().sum::<usize>() >= accept_threshold,
-            |bits| DecisionRule::Majority.decide(bits),
+            |bits| majority.decide(bits),
         );
         prop_assert_eq!(out.transcript.messages.len(), k);
         prop_assert_eq!(out.transcript.total_samples(), k * q);
         // Verdict must equal re-applying the rule to the transcript bits.
-        let replay = DecisionRule::Majority.decide(&out.transcript.messages);
+        let replay = majority.decide(&out.transcript.messages);
         prop_assert_eq!(out.verdict, replay);
     }
 

@@ -24,7 +24,6 @@ proptest! {
     fn exclude_transcript_length_equals_delivered_count(
         k in 1usize..12,
         loss_milli in 0u32..1000,
-        crash_milli in 0u32..1000,
         seed in 0u64..1 << 48,
         reject_mask in any::<u32>(),
     ) {
@@ -32,14 +31,14 @@ proptest! {
         // the transcript length must equal the delivered-copy count —
         // the accounting invariant behind the bits_sent fix.
         let net = ResilientNetwork::new(k, MissingPolicy::Exclude);
-        let mut plan = IidFaults::new(f64::from(crash_milli) / 1000.0, f64::from(loss_milli) / 1000.0);
+        let mut plan = IidFaults::loss_only(f64::from(loss_milli) / 1000.0);
         let mut rng = StdRng::seed_from_u64(seed);
-        let out = net.run(2, &DecisionRule::Majority, &mut plan, &mut rng, mask_player(reject_mask));
+        let majority = DecisionRule { min_rejects: k / 2 + 1 };
+        let out = net.run(2, &majority, &mut plan, &mut rng, mask_player(reject_mask));
         prop_assert_eq!(out.transcript.messages.len() as u64, out.faults.delivered_bits);
-        // And the books balance: every surviving player's copy was
-        // either delivered or lost.
-        let senders = k as u64 - out.faults.crashed;
-        prop_assert_eq!(out.faults.delivered_bits + out.faults.lost, senders);
+        // And the books balance: every player's copy was either
+        // delivered or lost.
+        prop_assert_eq!(out.faults.delivered_bits + out.faults.lost, k as u64);
     }
 
     #[test]
@@ -58,7 +57,7 @@ proptest! {
             let net = ResilientNetwork::new(k, MissingPolicy::AssumeReject);
             let mut plan = IidFaults::loss_only(f64::from(milli) / 1000.0);
             let mut rng = StdRng::seed_from_u64(seed);
-            let and = DecisionRule::Threshold { min_rejects: 1 };
+            let and = DecisionRule { min_rejects: 1 };
             net.run(2, &and, &mut plan, &mut rng, mask_player(reject_mask))
                 .verdict
         };
@@ -79,11 +78,12 @@ proptest! {
         // With nothing missing the three policies are the same
         // function, and all match the reliable network's verdict.
         let player = mask_player(reject_mask);
+        let majority = DecisionRule { min_rejects: k / 2 + 1 };
         let verdict_under = |policy: MissingPolicy| -> Verdict {
             let net = ResilientNetwork::new(k, policy);
-            let mut plan = IidFaults::new(0.0, 0.0);
+            let mut plan = IidFaults::loss_only(0.0);
             let mut rng = StdRng::seed_from_u64(seed);
-            net.run(2, &DecisionRule::Majority, &mut plan, &mut rng, &player)
+            net.run(2, &majority, &mut plan, &mut rng, &player)
                 .verdict
         };
         let exclude = verdict_under(MissingPolicy::Exclude);
@@ -96,15 +96,15 @@ proptest! {
             1,
             &mut rng,
             &player,
-            |bits| DecisionRule::Majority.decide(bits),
+            |bits| majority.decide(bits),
         );
         prop_assert_eq!(reliable.verdict, exclude);
 
         // The reliable plan agrees too, and reports a clean fault log.
         let net = ResilientNetwork::new(k, MissingPolicy::Exclude);
         let mut rng = StdRng::seed_from_u64(seed);
-        let out = net.run(2, &DecisionRule::Majority, &mut ReliablePlan, &mut rng, &player);
+        let out = net.run(2, &majority, &mut ReliablePlan, &mut rng, &player);
         prop_assert_eq!(out.verdict, exclude);
-        prop_assert_eq!(out.faults.crashed + out.faults.lost + out.faults.byzantine_flips, 0);
+        prop_assert_eq!(out.faults.lost + out.faults.byzantine_flips, 0);
     }
 }

@@ -60,7 +60,7 @@ impl PreparedThresholdTester {
     /// [`Self::run_faulty`] both decide with it.
     #[must_use]
     pub fn referee(&self) -> DecisionRule {
-        DecisionRule::Threshold {
+        DecisionRule {
             min_rejects: self.referee_min_rejects,
         }
     }
@@ -145,7 +145,7 @@ mod tests {
             let threshold = TThresholdTester::new(N, K, t).node_threshold(q);
             ResilientNetwork::new(K, MissingPolicy::AssumeAccept).run(
                 q,
-                &DecisionRule::Threshold { min_rejects: t },
+                &DecisionRule { min_rejects: t },
                 &mut IidFaults::loss_only(0.2),
                 &mut StdRng::seed_from_u64(seed),
                 |_, q, rng| sampler.collision_count(q, rng) < threshold,

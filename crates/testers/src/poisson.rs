@@ -5,6 +5,10 @@
 //! protocols ([`crate::TThresholdTester`]) set their local thresholds from
 //! exact Poisson tails at this rate.
 
+// The binomial sampler's own table, so thresholds and the sampling
+// fast path can never disagree on factorials.
+use dut_probability::occupancy::ln_factorial;
+
 /// `Pr[Poisson(λ) ≥ t]`, computed by direct stable summation.
 ///
 /// # Panics
@@ -125,16 +129,6 @@ pub fn poisson_threshold_for_tail(lambda: f64, alpha: f64) -> u64 {
     good
 }
 
-/// `ln(k!)` by summation for small `k` and Stirling's series for large.
-///
-/// Delegates to [`dut_probability::occupancy::ln_factorial`] — the same
-/// table the binomial sampler uses — so thresholds and the sampling fast
-/// path can never disagree on factorials.
-#[must_use]
-pub fn ln_factorial(k: u64) -> f64 {
-    dut_probability::occupancy::ln_factorial(k)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,14 +240,6 @@ mod tests {
     #[test]
     fn threshold_alpha_one_is_zero() {
         assert_eq!(poisson_threshold_for_tail(3.0, 1.0), 0);
-    }
-
-    #[test]
-    fn ln_factorial_agrees_with_direct() {
-        let direct: f64 = (2..=200u64).map(|i| (i as f64).ln()).sum();
-        assert!((ln_factorial(200) - direct).abs() < 1e-6);
-        assert_eq!(ln_factorial(0), 0.0);
-        assert_eq!(ln_factorial(1), 0.0);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 use distributed_uniformity::advisor::{recommend, LocalityRequirement};
 use distributed_uniformity::lowerbound::theory;
 use distributed_uniformity::probability::{families, DenseDistribution};
-use distributed_uniformity::UniformityTester;
+use distributed_uniformity::{ConfigError, UniformityTester};
 use rand::SeedableRng;
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -66,7 +66,7 @@ faults OPTIONS:
     --policy <name>   assume-accept | assume-reject | exclude
                                                    [default: assume-accept]
     --recovery <name> none | repeat:<R> | ack:<A>  [default: none]
-    --t <int>         counting-rule threshold      [default: max(2, k/4)]
+    --t <int>         counting-rule threshold      [default: max(2, k/4), at most k]
     --q <int>         samples per player           [default: 100]
     --trials <int>    runs per sweep point         [default: 60]
 
@@ -316,13 +316,36 @@ struct Common {
 }
 
 impl Common {
+    /// Parses the common options; n ≥ 1, k ≥ 1 and ε ∈ (0, 1], or an
+    /// error naming the flag.
     fn parse(args: &mut Args, default_n: usize, default_eps: f64) -> Result<Self, String> {
-        Ok(Common {
+        let common = Common {
             n: args.get("--n")?.unwrap_or(default_n),
             k: args.get("--k")?.unwrap_or(16),
             eps: args.get("--eps")?.unwrap_or(default_eps),
             seed: args.get("--seed")?.unwrap_or(20_190_729),
-        })
+        };
+        let invalid = if common.n == 0 {
+            Some(("--n", ConfigError::EmptyDomain))
+        } else if common.k == 0 {
+            Some(("--k", ConfigError::NoPlayers))
+        } else if !(common.eps > 0.0 && common.eps <= 1.0) {
+            Some(("--eps", ConfigError::BadEpsilon(common.eps)))
+        } else {
+            None
+        };
+        match invalid {
+            Some((flag, error)) => Err(format!("{flag}: {error}")),
+            None => Ok(common),
+        }
+    }
+}
+
+/// The `--trials` of test and faults, which must be at least 1.
+fn trials(args: &mut Args, default: usize) -> Result<usize, String> {
+    match args.get("--trials")?.unwrap_or(default) {
+        0 => Err("--trials: must be at least 1".into()),
+        trials => Ok(trials),
     }
 }
 
@@ -354,7 +377,7 @@ fn parse_input(
 
 fn cmd_test(mut args: Args) -> Result<(), String> {
     let Common { n, k, eps, seed } = Common::parse(&mut args, 1024, 0.5)?;
-    let trials = args.get("--trials")?.unwrap_or(200);
+    let trials = trials(&mut args, 200)?;
     let rule_spec = args.value("--rule")?;
     let input_spec = args.value("--input")?;
     let q = args.get("--q")?;
@@ -968,9 +991,9 @@ fn cmd_faults(mut args: Args) -> Result<(), String> {
     use distributed_uniformity::testers::{PreparedThresholdTester, TThresholdTester};
 
     let Common { n, k, eps, seed } = Common::parse(&mut args, 256, 0.9)?;
-    let trials = args.get("--trials")?.unwrap_or(60);
+    let trials = trials(&mut args, 60)?;
     let q = args.get("--q")?.unwrap_or(100);
-    let t = args.get("--t")?.unwrap_or((k / 4).max(2));
+    let t = args.get("--t")?.unwrap_or((k / 4).max(2).min(k));
     let model = args.value("--model")?;
     let policy = args.value("--policy")?;
     let recovery = args.value("--recovery")?;
