@@ -1,6 +1,7 @@
 //! Microbenchmarks for the sampling substrate: alias vs CDF samplers,
 //! hard-instance construction, histogram statistics, the collision
-//! node's draw-and-count kernel and the histogram engine's calibration.
+//! node's draw-and-count kernel, the histogram engine's calibration and
+//! the alias samplers' construction.
 
 #![allow(
     clippy::expect_used,
@@ -161,12 +162,56 @@ fn bench_histogram_calibration(c: &mut Criterion) {
     group.finish();
 }
 
+/// The cold path every q* point, serve miss and fuzz case starts with:
+/// E1's two samplers at `ε = 0.5`. Each id adds one stage to the one
+/// before it, so the differences split the build into layers:
+/// `fill` writes the `two_level` vector, `validate` is `two_level`
+/// itself (fill, then the one-pass check), `alias` adds the Vose table.
+/// `uniform` is the other sampler (its vector, the check that elides
+/// its table, and the drop), so `uniform + alias` should match
+/// `workload`, which is `dut_bench::workload` as E1 and perfbench call it.
+fn bench_alias_build(c: &mut Criterion) {
+    const EPS: f64 = 0.5;
+    let mut group = c.benchmark_group("alias_build");
+    fast(&mut group);
+    for &n in &[1usize << 12, 1 << 14, 1 << 20] {
+        group.bench_with_input(BenchmarkId::new("fill", n), &n, |b, &n| {
+            b.iter(|| {
+                let mut probs = Vec::with_capacity(n);
+                probs.resize(n / 2, (1.0 + EPS) / n as f64);
+                probs.resize(n, (1.0 - EPS) / n as f64);
+                black_box(probs)
+            });
+        });
+        group.bench_with_input(BenchmarkId::new("validate", n), &n, |b, &n| {
+            b.iter(|| black_box(families::two_level(n, EPS).expect("valid two_level")));
+        });
+        group.bench_with_input(BenchmarkId::new("alias", n), &n, |b, &n| {
+            b.iter(|| {
+                black_box(
+                    families::two_level(n, EPS)
+                        .expect("valid two_level")
+                        .alias_sampler(),
+                )
+            });
+        });
+        group.bench_with_input(BenchmarkId::new("uniform", n), &n, |b, &n| {
+            b.iter(|| black_box(families::uniform(n).alias_sampler()));
+        });
+        group.bench_with_input(BenchmarkId::new("workload", n), &n, |b, &n| {
+            b.iter(|| black_box(dut_bench::workload(n, EPS)));
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_samplers,
     bench_hard_instance,
     bench_statistics,
     bench_collision_node,
-    bench_histogram_calibration
+    bench_histogram_calibration,
+    bench_alias_build
 );
 criterion_main!(benches);

@@ -7,8 +7,10 @@
 //! 1. **Degradation curves** — two-sided error versus fault rate under
 //!    iid and Gilbert–Elliott (bursty) message loss, for the AND rule
 //!    and a calibrated `Threshold{4}` rule, under each missing-bit
-//!    policy. The coupling discipline in the resilience layer makes
-//!    each curve monotone per seed, not merely in expectation.
+//!    policy. Every cell (model, rate, rule, policy) draws its trials
+//!    from a fresh fault stream, so the rates are not coupled: a curve
+//!    moves with the rate in expectation, and a step smaller than the
+//!    Monte Carlo noise can go the other way.
 //! 2. **Recovery** — detection restored (and bits charged) by blind
 //!    repetition and ack/retry at heavy loss, in the scarce-alarm
 //!    regime where the AND rule's single alarm is load-bearing.

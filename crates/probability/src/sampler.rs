@@ -122,45 +122,58 @@ fn threshold(keep: f64) -> u64 {
 }
 
 impl AliasSampler {
-    /// Builds the alias table for `dist`.
+    /// Builds the alias table for `dist` with Vose's pairing loop,
+    /// reading the probabilities in place.
+    ///
+    /// The textbook loop keeps a scaled copy and two index stacks. Each
+    /// step pops the top small column `s` and the top large column `l`,
+    /// gives `s` the alias `l`, and takes `p_s · n − 1` off `l`'s mass:
+    /// `l` goes back on the large stack while its mass is at least 1, and
+    /// otherwise onto the small one, where it is the next column popped.
+    /// So the large column's mass lives in a register until it falls
+    /// below 1, a column that falls is paired next, and neither stack is
+    /// pushed any other column: each is only ever popped, in its initial
+    /// order. Two cursors walking the vector from the top index down are
+    /// those stacks, and the table is the textbook loop's, entry for
+    /// entry.
     #[must_use]
     pub fn new(dist: &DenseDistribution) -> Self {
-        let n = dist.support_size();
+        let probs = dist.probs();
+        let n = probs.len();
+        // Scaled probabilities: mean 1.
+        let scaled = |i: usize| probs[i] * n as f64;
+        let is_small = |i: &usize| scaled(*i) < 1.0;
         // When every scaled probability falls on one side of 1, the pairing
-        // loop below would not run: every column keeps itself.
-        let small_column = |p: &f64| (p * n as f64) < 1.0;
-        if dist.probs().iter().all(small_column) || !dist.probs().iter().any(small_column) {
+        // loop would not run: every column keeps itself.
+        let small_columns = (0..n).filter(is_small).count();
+        if small_columns == 0 || small_columns == n {
             return Self {
                 n,
                 table: Vec::new(),
             };
         }
-        // Scaled probabilities: mean 1.
-        let mut scaled: Vec<f64> = dist.probs().iter().map(|p| p * n as f64).collect();
-        let mut small: Vec<usize> = Vec::with_capacity(n);
-        let mut large: Vec<usize> = Vec::with_capacity(n);
-        for (i, &s) in scaled.iter().enumerate() {
-            if s < 1.0 {
-                small.push(i);
-            } else {
-                large.push(i);
+        let mut small = (0..n).rev().filter(is_small);
+        let large = (0..n).rev().filter(|i| !is_small(i));
+        // A column never paired as the small one is numerically 1.
+        let mut table: Vec<(u64, usize)> = (0..n).map(|i| (ALWAYS_KEEP, i)).collect();
+        // The last large column to fall below 1, with its mass.
+        let mut fallen = None;
+        'pairing: for l in large {
+            let mut mass = scaled(l);
+            loop {
+                let Some((s, keep)) = fallen
+                    .take()
+                    .or_else(|| small.next().map(|s| (s, scaled(s))))
+                else {
+                    break 'pairing;
+                };
+                table[s] = (threshold(keep), l);
+                mass = (mass + keep) - 1.0;
+                if mass < 1.0 {
+                    break;
+                }
             }
-        }
-        let mut table = vec![(0u64, 0usize); n];
-        while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
-            small.pop();
-            large.pop();
-            table[s] = (threshold(scaled[s]), l);
-            scaled[l] = (scaled[l] + scaled[s]) - 1.0;
-            if scaled[l] < 1.0 {
-                small.push(l);
-            } else {
-                large.push(l);
-            }
-        }
-        // Whatever is left is numerically 1.
-        for &i in large.iter().chain(small.iter()) {
-            table[i] = (ALWAYS_KEEP, i);
+            fallen = Some((l, mass));
         }
         Self { n, table }
     }
@@ -300,6 +313,9 @@ impl Sampler for UniformSampler {
         collision_count_drawn(self, q, rng)
     }
 }
+
+#[cfg(test)]
+mod table_oracle;
 
 #[cfg(test)]
 mod tests {

@@ -11,7 +11,7 @@ use dut_simnet::{
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// A deterministic player whose bit depends only on its id, so runs
 /// are comparable across policies and fault rates.
@@ -66,6 +66,39 @@ proptest! {
         prop_assert!(
             !(at_lo == Verdict::Reject && at_hi == Verdict::Accept),
             "losing more messages flipped AND back to accept ({lo} -> {hi} milli)"
+        );
+    }
+
+    #[test]
+    fn exclude_and_assume_accept_reach_the_same_threshold_verdict(
+        k in 1usize..24,
+        threshold_seed in any::<u32>(),
+        loss_milli in 0u32..1000,
+        seed in 0u64..1 << 48,
+    ) {
+        // A threshold referee counts only rejections, so reading a
+        // silent player as an accept and dropping it from the vote give
+        // the same verdict and the same reject count. Only the
+        // transcript differs: AssumeAccept keeps all k bits, Exclude
+        // only the delivered ones.
+        let rule = DecisionRule { min_rejects: 1 + threshold_seed as usize % k };
+        let run_under = |policy: MissingPolicy| {
+            let net = ResilientNetwork::new(k, policy);
+            let mut plan = IidFaults::loss_only(f64::from(loss_milli) / 1000.0);
+            let mut rng = StdRng::seed_from_u64(seed);
+            net.run(2, &rule, &mut plan, &mut rng, |_, _, rng: &mut StdRng| {
+                rng.random_range(0..4u8) != 0
+            })
+        };
+        let accept = run_under(MissingPolicy::AssumeAccept);
+        let exclude = run_under(MissingPolicy::Exclude);
+        prop_assert_eq!(accept.verdict, exclude.verdict);
+        prop_assert_eq!(accept.transcript.reject_count(), exclude.transcript.reject_count());
+        prop_assert_eq!(accept.faults, exclude.faults);
+        prop_assert_eq!(accept.transcript.messages.len(), k);
+        prop_assert_eq!(
+            exclude.transcript.messages.len() as u64,
+            k as u64 - exclude.faults.lost
         );
     }
 
