@@ -202,6 +202,17 @@ mod tests {
         assert!(prepared.acceptance_rate(&far, 60, &mut r) < 1.0 / 3.0);
     }
 
+    /// Runs per side of [`and_rule_end_to_end`]. The AND rule's uniform
+    /// acceptance here is about p = 0.76 (0.760 over 200,000 seeded runs),
+    /// close to the 2/3 cut, so the run count sets the false-alarm rate.
+    /// The test fails when at most ⌊2N/3⌋ of N runs accept, with
+    /// probability `P[Bin(N, p) ≤ ⌊2N/3⌋] = Σ_{a ≤ ⌊2N/3⌋} C(N, a)
+    /// p^a (1−p)^(N−a)`. At N = 60 that is 0.065; at N = 700 it is
+    /// 1.1·10⁻⁸ at p = 0.76 and still 3.7·10⁻⁷ at p = 0.75. The far
+    /// input was accepted in none of 200,000 runs, so its side fails far
+    /// more rarely still.
+    const AND_RULE_RUNS: usize = 700;
+
     #[test]
     fn and_rule_end_to_end() {
         let n = 1 << 8;
@@ -211,8 +222,8 @@ mod tests {
         let prepared = tester.prepare(400, &mut r);
         let uniform = families::uniform(n).alias_sampler();
         let far = families::two_level(n, 0.9).unwrap().alias_sampler();
-        assert!(prepared.acceptance_rate(&uniform, 60, &mut r) > 2.0 / 3.0);
-        assert!(prepared.acceptance_rate(&far, 60, &mut r) < 1.0 / 3.0);
+        assert!(prepared.acceptance_rate(&uniform, AND_RULE_RUNS, &mut r) > 2.0 / 3.0);
+        assert!(prepared.acceptance_rate(&far, AND_RULE_RUNS, &mut r) < 1.0 / 3.0);
     }
 
     #[test]

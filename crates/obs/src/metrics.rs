@@ -15,9 +15,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub enum Counter {
     /// Protocol executions completed (`Network` and `ResilientNetwork`).
     NetRuns,
-    /// Samples drawn across all players, summed over runs.
+    /// Samples drawn across all players, summed over runs. A threshold
+    /// run that stops at the node settling its referee counts only the
+    /// nodes that ran.
     SamplesDrawn,
-    /// Message bits delivered to the referee.
+    /// Message bits delivered to the referee: on a threshold run, one
+    /// per node heard before the verdict was settled.
     BitsSent,
     /// Referee accept verdicts.
     VerdictAccept,

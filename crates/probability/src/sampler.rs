@@ -319,6 +319,7 @@ mod table_oracle;
 
 #[cfg(test)]
 mod tests {
+    use super::table_oracle::reference_keeps;
     use super::*;
     use rand::SeedableRng;
 
@@ -435,32 +436,6 @@ mod tests {
         }
     }
 
-    /// Vose's construction with `f64` keeps, as [`AliasSampler::new`]
-    /// pairs columns before it converts each keep to a threshold.
-    fn reference_table(dist: &DenseDistribution) -> (Vec<f64>, Vec<usize>) {
-        let n = dist.support_size();
-        let mut prob = vec![0.0; n];
-        let mut alias = vec![0; n];
-        let mut scaled: Vec<f64> = dist.probs().iter().map(|p| p * n as f64).collect();
-        let (mut small, mut large): (Vec<usize>, Vec<usize>) =
-            (0..n).partition(|&i| scaled[i] < 1.0);
-        while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
-            small.pop();
-            large.pop();
-            (prob[s], alias[s]) = (scaled[s], l);
-            scaled[l] = (scaled[l] + scaled[s]) - 1.0;
-            if scaled[l] < 1.0 {
-                small.push(l);
-            } else {
-                large.push(l);
-            }
-        }
-        for i in large.into_iter().chain(small) {
-            (prob[i], alias[i]) = (1.0, i);
-        }
-        (prob, alias)
-    }
-
     /// A sampler over a hand-built `(keep, alias)` table, each keep
     /// converted by [`threshold`] as [`AliasSampler::new`] converts it.
     fn from_keeps(columns: &[(f64, usize)]) -> AliasSampler {
@@ -526,12 +501,12 @@ mod tests {
         ];
         // Zipf's tiny keeps are not multiples of 2⁻⁵³: their thresholds
         // round up.
-        let (zipf_keeps, _) = reference_table(&others[2]);
+        let (zipf_keeps, _) = reference_keeps(&others[2]);
         assert!(zipf_keeps
             .iter()
             .any(|&keep| (keep * ALWAYS_KEEP as f64).fract() > 0.0));
         for (seed, dist) in (0u64..).zip(uniforms.chain(others)) {
-            let (prob, alias) = reference_table(&dist);
+            let (prob, alias) = reference_keeps(&dist);
             let sampler = dist.alias_sampler();
             // Exactly the tables whose every column keeps itself are elided.
             let identity = prob

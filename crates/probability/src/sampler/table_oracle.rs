@@ -1,26 +1,21 @@
-//! The table-identity oracle: the textbook two-stack Vose loop, kept
-//! verbatim as [`AliasSampler::new`] ran it before the construction
-//! read its two stacks off the probability vector. The sampler must
-//! build its table, entry for entry.
+//! The table-identity oracle: the textbook two-stack Vose loop, kept as
+//! [`AliasSampler::new`] ran it before the construction read its two
+//! stacks off the probability vector. The sampler must build its table,
+//! entry for entry. The same loop, with its keeps left as floats, is the
+//! reference for the sampler's draws (`sampler.rs`'s tests).
 
-use super::{threshold, AliasSampler, ALWAYS_KEEP};
+use super::{threshold, AliasSampler};
 use crate::dense::DenseDistribution;
 use crate::families;
 use proptest::prelude::*;
 
 /// Vose's construction with separate `small` and `large` stacks and a
-/// scaled copy of the probabilities.
-fn reference(dist: &DenseDistribution) -> AliasSampler {
+/// scaled copy of the probabilities, giving every column its `f64` keep
+/// and its alias. Converting the keeps with [`threshold`] after the loop
+/// gives the table of the old loop, which converted each keep when its
+/// column was paired: a paired column is never touched again.
+pub(super) fn reference_keeps(dist: &DenseDistribution) -> (Vec<f64>, Vec<usize>) {
     let n = dist.support_size();
-    // When every scaled probability falls on one side of 1, the pairing
-    // loop below would not run: every column keeps itself.
-    let small_column = |p: &f64| (p * n as f64) < 1.0;
-    if dist.probs().iter().all(small_column) || !dist.probs().iter().any(small_column) {
-        return AliasSampler {
-            n,
-            table: Vec::new(),
-        };
-    }
     // Scaled probabilities: mean 1.
     let mut scaled: Vec<f64> = dist.probs().iter().map(|p| p * n as f64).collect();
     let mut small: Vec<usize> = Vec::with_capacity(n);
@@ -32,11 +27,12 @@ fn reference(dist: &DenseDistribution) -> AliasSampler {
             large.push(i);
         }
     }
-    let mut table = vec![(0u64, 0usize); n];
+    let mut keeps = vec![0.0; n];
+    let mut alias = vec![0; n];
     while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
         small.pop();
         large.pop();
-        table[s] = (threshold(scaled[s]), l);
+        (keeps[s], alias[s]) = (scaled[s], l);
         scaled[l] = (scaled[l] + scaled[s]) - 1.0;
         if scaled[l] < 1.0 {
             small.push(l);
@@ -46,9 +42,29 @@ fn reference(dist: &DenseDistribution) -> AliasSampler {
     }
     // Whatever is left is numerically 1.
     for &i in large.iter().chain(small.iter()) {
-        table[i] = (ALWAYS_KEEP, i);
+        (keeps[i], alias[i]) = (1.0, i);
     }
-    AliasSampler { n, table }
+    (keeps, alias)
+}
+
+/// The sampler [`reference_keeps`] describes: no table when every
+/// column falls on one side of 1 (the pairing loop does not run and
+/// every column keeps itself), else each keep converted by
+/// [`threshold`], which maps 1 to the always-keep threshold.
+fn reference(dist: &DenseDistribution) -> AliasSampler {
+    let n = dist.support_size();
+    let small_column = |p: &f64| (p * n as f64) < 1.0;
+    if dist.probs().iter().all(small_column) || !dist.probs().iter().any(small_column) {
+        return AliasSampler {
+            n,
+            table: Vec::new(),
+        };
+    }
+    let (keeps, alias) = reference_keeps(dist);
+    AliasSampler {
+        n,
+        table: keeps.into_iter().map(threshold).zip(alias).collect(),
+    }
 }
 
 /// Panics unless `alias_sampler` builds the reference table for `dist`;

@@ -11,8 +11,11 @@
 //! * every node is a closure `(player, q, rng) -> M` that draws its own
 //!   `q` samples from `rng` and returns its message, and the referee is
 //!   a closure `&[M] -> Verdict`. [`Network::run_nodes`] runs them and
-//!   counts the run once in the metrics registry; every protocol in the
-//!   workspace runs its nodes through it;
+//!   counts the run once in the metrics registry;
+//! * one-bit counting protocols run on [`Network::run_until_settled`]
+//!   instead, which stops at the first node after which
+//!   [`DecisionRule::settled`] fixes the verdict and counts only the
+//!   nodes that ran (`dut_testers::PreparedThresholdTester::run`);
 //! * the one-bit referee rule is the paper's `T`-threshold rule
 //!   [`DecisionRule`] (reject if at least `T` players reject), whose
 //!   `T = 1` is the AND rule (the local rule — reject if *any* player

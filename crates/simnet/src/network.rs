@@ -1,4 +1,4 @@
-use crate::rule::Verdict;
+use crate::rule::{DecisionRule, Verdict};
 use dut_obs::metrics::{Counter, HistogramId};
 use rand::Rng;
 
@@ -7,10 +7,13 @@ use rand::Rng;
 /// never touches the RNG, so instrumented runs are bit-identical to
 /// uninstrumented ones.
 ///
-/// The two star loops, [`Network::run_nodes`] and
+/// The three star loops, [`Network::run_nodes`],
+/// [`Network::run_until_settled`] and
 /// [`ResilientNetwork::run`](crate::ResilientNetwork::run), are its only
 /// callers, once per run each, so every protocol's runs, samples and
-/// message bits are counted in one place.
+/// message bits are counted in one place. `samples` and `bits` are what
+/// the run's nodes drew and sent: a run that stops once its referee's
+/// verdict is settled counts only the nodes it ran.
 pub(crate) fn record_run(verdict: Verdict, samples: u64, bits: u64) {
     let registry = dut_obs::metrics::global();
     registry.incr(Counter::NetRuns);
@@ -35,7 +38,9 @@ pub(crate) fn record_run(verdict: Verdict, samples: u64, bits: u64) {
 /// One [`Network::run_nodes`] call simulates a single execution of a
 /// protocol: every player draws its samples from the (common, unknown)
 /// input distribution and computes its message, and the referee
-/// decides on the messages.
+/// decides on the messages. One-bit counting protocols run on
+/// [`Network::run_until_settled`] instead, which stops at the first
+/// player after which the referee's verdict can no longer change.
 ///
 /// The network itself is stateless and reusable; all randomness comes
 /// from the caller-provided RNG. It draws no shared randomness: a
@@ -59,18 +64,23 @@ pub struct RunOutcome<M> {
 /// many samples it consumed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Transcript<M> {
-    /// The messages the referee decided on: one per player, except that
-    /// a fault-injected run under
+    /// The messages the referee decided on, in player order. A
+    /// [`Network::run_nodes`] run holds one per player. A
+    /// [`Network::run_until_settled`] run holds the prefix of players
+    /// the referee heard before its verdict was settled. A
+    /// fault-injected run under
     /// [`MissingPolicy::Exclude`](crate::MissingPolicy::Exclude) keeps
     /// only the players it heard. One-bit protocols send accept bits
     /// (`true` = accept).
     pub messages: Vec<M>,
-    /// Number of samples each player drew.
+    /// Number of samples each player that ran drew: one entry per
+    /// player on [`Network::run_nodes`] and the fault-injected star,
+    /// one per message on [`Network::run_until_settled`].
     pub samples_drawn: Vec<usize>,
 }
 
 impl<M> Transcript<M> {
-    /// Total samples drawn across all players.
+    /// Total samples drawn across the players that ran.
     #[must_use]
     pub fn total_samples(&self) -> usize {
         self.samples_drawn.iter().sum()
@@ -78,7 +88,7 @@ impl<M> Transcript<M> {
 }
 
 impl Transcript<bool> {
-    /// Number of players that rejected.
+    /// Number of players in the transcript that rejected.
     #[must_use]
     pub fn reject_count(&self) -> usize {
         self.messages.iter().filter(|&&b| !b).count()
@@ -151,6 +161,53 @@ impl Network {
             transcript: Transcript {
                 messages,
                 samples_drawn: sample_counts,
+            },
+        }
+    }
+
+    /// Runs one execution of a one-bit counting protocol, stopping as
+    /// soon as `rule` is settled. Player 0, 1, … run in order on the
+    /// run's RNG: `node` gets the player's index, `q` and the RNG, draws
+    /// its samples and returns its accept bit. Before each player runs,
+    /// [`DecisionRule::settled`] is asked whether the rejections so far
+    /// and the players still unheard fix the verdict; the first time
+    /// they do, the run ends there, and no later player draws a sample.
+    ///
+    /// The verdict is the one [`DecisionRule::decide`] gives on every
+    /// player's bit, because no unheard bit could change it. The RNG is
+    /// left where the last player that ran left it, so a caller that
+    /// reuses it for a later run draws from a different stream than a
+    /// run of every node would leave. The transcript holds the players
+    /// heard, and the run is counted once in the metrics registry with
+    /// their `q` samples and one bit each.
+    pub fn run_until_settled<R, N>(
+        &self,
+        q: usize,
+        rule: &DecisionRule,
+        rng: &mut R,
+        mut node: N,
+    ) -> RunOutcome<bool>
+    where
+        R: Rng + ?Sized,
+        N: FnMut(usize, usize, &mut R) -> bool,
+    {
+        let mut messages = Vec::with_capacity(self.num_players);
+        let mut rejects = 0;
+        let verdict = loop {
+            if let Some(verdict) = rule.settled(rejects, self.num_players - messages.len()) {
+                break verdict;
+            }
+            let accept = node(messages.len(), q, rng);
+            rejects += usize::from(!accept);
+            messages.push(accept);
+        };
+        let heard = messages.len();
+        record_run(verdict, (heard * q) as u64, heard as u64);
+        RunOutcome {
+            verdict,
+            transcript: Transcript {
+                messages,
+                samples_drawn: vec![q; heard],
             },
         }
     }
@@ -227,7 +284,42 @@ mod tests {
     fn network_draws_no_randomness_of_its_own() {
         let mut r = rng();
         let _ = Network::new(4).run_nodes(vec![2; 4], 1, &mut r, |_, _, _| true, and);
+        let rule = DecisionRule { min_rejects: 2 };
+        let _ = Network::new(4).run_until_settled(2, &rule, &mut r, |_, _, _| true);
         assert_eq!(r.random::<u64>(), rng().random::<u64>());
+    }
+
+    #[test]
+    fn settled_run_stops_at_the_player_that_fixes_the_verdict() {
+        let bits = [true, false, true, false, false];
+        let run = |min_rejects| {
+            Network::new(5).run_until_settled(
+                7,
+                &DecisionRule { min_rejects },
+                &mut rng(),
+                |player, q, _| {
+                    assert_eq!(q, 7);
+                    bits[player]
+                },
+            )
+        };
+        // The second rejection, at player 3, settles a reject.
+        let out = run(2);
+        assert_eq!(out.verdict, Verdict::Reject);
+        assert_eq!(out.transcript.messages, bits[..4]);
+        assert_eq!(out.transcript.samples_drawn, vec![7; 4]);
+        // Three rejections need players 1, 3 and 4: every player runs.
+        let out = run(3);
+        assert_eq!(out.verdict, Verdict::Reject);
+        assert_eq!(out.transcript.messages, bits);
+        // Four cannot be reached once player 2 accepts as well.
+        let out = run(4);
+        assert_eq!(out.verdict, Verdict::Accept);
+        assert_eq!(out.transcript.messages, bits[..3]);
+        // A threshold above the player count is settled before anyone runs.
+        let out = run(6);
+        assert_eq!(out.verdict, Verdict::Accept);
+        assert!(out.transcript.messages.is_empty());
     }
 
     #[test]

@@ -64,26 +64,52 @@ pub struct DecisionRule {
 }
 
 impl DecisionRule {
-    /// Applies the rule to a vector of accept bits (`true` = accept),
-    /// which it reads only through its rejection count.
+    /// The verdict once `rejects` players have rejected and `unheard`
+    /// players are still to report, if their bits can no longer change
+    /// it: [`Verdict::Reject`] once `rejects` reaches `min_rejects`,
+    /// [`Verdict::Accept`] once `rejects + unheard` cannot, and `None`
+    /// while both verdicts remain possible. With `unheard == 0` it is
+    /// always `Some`, and it is [`Self::decide`].
     ///
     /// # Panics
     ///
-    /// Panics if `bits` is empty, or if `min_rejects == 0` (which would
-    /// reject unconditionally by convention and is almost certainly a
-    /// configuration error).
+    /// Panics if `min_rejects == 0` (which would reject unconditionally
+    /// by convention and is almost certainly a configuration error).
     #[must_use]
+    pub fn settled(&self, rejects: usize, unheard: usize) -> Option<Verdict> {
+        assert!(
+            self.min_rejects > 0,
+            "threshold rule needs min_rejects >= 1"
+        );
+        if rejects >= self.min_rejects {
+            Some(Verdict::Reject)
+        } else if rejects + unheard < self.min_rejects {
+            Some(Verdict::Accept)
+        } else {
+            None
+        }
+    }
+
+    /// Applies the rule to a vector of accept bits (`true` = accept),
+    /// which it reads only through its rejection count: the verdict
+    /// [`Self::settled`] gives once every player is heard.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits` is empty, or if `min_rejects == 0`.
+    #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "with no player unheard, `settled` always returns a verdict"
+    )]
     pub fn decide(&self, bits: &[bool]) -> Verdict {
         assert!(
             !bits.is_empty(),
             "decision rule needs at least one player bit"
         );
-        assert!(
-            self.min_rejects > 0,
-            "threshold rule needs min_rejects >= 1"
-        );
         let rejects = bits.iter().filter(|&&b| !b).count();
-        Verdict::from_accept_bit(rejects < self.min_rejects)
+        self.settled(rejects, 0)
+            .expect("a rule with every player heard is settled")
     }
 
     /// A short identifier for tables and logs.
@@ -111,6 +137,21 @@ mod tests {
         assert_eq!(rule.decide(&[false, true, true]), Verdict::Accept);
         assert_eq!(rule.decide(&[false, false, true]), Verdict::Reject);
         assert_eq!(rule.decide(&[false, false, false]), Verdict::Reject);
+    }
+
+    #[test]
+    fn settles_once_the_unheard_bits_cannot_change_the_verdict() {
+        let rule = DecisionRule { min_rejects: 2 };
+        assert_eq!(rule.settled(0, 3), None);
+        assert_eq!(rule.settled(1, 1), None);
+        assert_eq!(rule.settled(2, 5), Some(Verdict::Reject));
+        assert_eq!(rule.settled(1, 0), Some(Verdict::Accept));
+        assert_eq!(rule.settled(0, 1), Some(Verdict::Accept));
+        // A threshold above the player count accepts before anyone reports.
+        assert_eq!(
+            DecisionRule { min_rejects: 4 }.settled(0, 3),
+            Some(Verdict::Accept)
+        );
     }
 
     #[test]

@@ -93,8 +93,9 @@ impl FourierLearner {
     /// input distribution.
     ///
     /// Unlike the testers, it runs its nodes outside
-    /// [`Network::run_nodes`](dut_simnet::Network::run_nodes): that loop's
-    /// referee returns a verdict, and this referee returns a
+    /// [`Network::run_nodes`](dut_simnet::Network::run_nodes) and
+    /// [`Network::run_until_settled`](dut_simnet::Network::run_until_settled): their
+    /// referees return a verdict, and this referee returns a
     /// distribution, so its runs are not counted in the metrics
     /// registry.
     #[expect(

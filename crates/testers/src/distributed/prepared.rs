@@ -71,10 +71,14 @@ impl PreparedThresholdTester {
         collisions <= self.node_max_count
     }
 
-    /// Runs one execution on [`Network::run_nodes`]: `k` nodes draw `q`
-    /// samples each from `sampler`, each tallying its collisions as it
-    /// draws ([`Sampler::collision_count`]) and sending its accept bit,
-    /// and the referee counts their rejections.
+    /// Runs one execution on [`Network::run_until_settled`]: nodes
+    /// 0, 1, … draw `q` samples each from `sampler`, each tallying its
+    /// collisions as it draws ([`Sampler::collision_count`]) and sending
+    /// its accept bit, until the referee's verdict is settled: `T` nodes
+    /// have rejected, or too few are left to reach `T`. The verdict is
+    /// the one all `k` bits would give. The transcript holds the nodes
+    /// the referee heard, and `rng` is left where the last of them left
+    /// it.
     pub fn run<S, R>(&self, sampler: &S, rng: &mut R) -> RunOutcome<bool>
     where
         S: Sampler,
@@ -85,14 +89,9 @@ impl PreparedThresholdTester {
         // served reply as it was recorded; regenerating those artifacts
         // can drop it.
         let _: u64 = rng.random();
-        let referee = self.referee();
-        Network::new(self.k).run_nodes(
-            vec![self.q; self.k],
-            1,
-            rng,
-            |_, q, rng| self.node_accepts(sampler.collision_count(q, rng)),
-            |bits| referee.decide(bits),
-        )
+        Network::new(self.k).run_until_settled(self.q, &self.referee(), rng, |_, q, rng| {
+            self.node_accepts(sampler.collision_count(q, rng))
+        })
     }
 
     /// Runs one execution on the fault-injected star

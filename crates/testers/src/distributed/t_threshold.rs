@@ -224,7 +224,12 @@ mod tests {
         assert_eq!(prepared.referee_min_rejects(), 3);
         let uniform = families::uniform(1 << 10).alias_sampler();
         let out = prepared.run(&uniform, &mut rand::rngs::StdRng::seed_from_u64(5));
-        assert_eq!(out.transcript.samples_drawn, vec![50; 16]);
+        // Node 9 rejects and the rest accept: after 15 nodes, one
+        // rejection and one unheard node cannot reach T = 3.
+        assert!(out.verdict.is_accept());
+        assert_eq!(out.transcript.reject_count(), 1);
+        assert!(!out.transcript.messages[9]);
+        assert_eq!(out.transcript.samples_drawn, vec![50; 15]);
         // q < 2: no collision is possible, and the count 0 accepts.
         assert!(tester.prepare(1).node_accepts(0));
     }
@@ -238,7 +243,9 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(71);
         let out = tester.prepare(30).run(&point, &mut rng);
         assert!(out.verdict.is_reject());
-        assert_eq!(out.transcript.reject_count(), 4);
+        // The first rejection settles the AND rule: one node runs.
+        assert_eq!(out.transcript.messages, vec![false]);
+        assert_eq!(out.transcript.samples_drawn, vec![30]);
     }
 
     #[test]

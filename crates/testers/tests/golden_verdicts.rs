@@ -10,6 +10,11 @@
 //! asymmetric (E7) pins before those protocols moved onto
 //! `Network::run_nodes`. A change that moves any RNG call or any node
 //! or referee decision of these protocols fails here.
+//!
+//! A threshold run stops at the node that settles its referee, so its
+//! transcript no longer holds every node. Its pin folds the full
+//! `k`-node reject count, recounted on a clone of the run's generator,
+//! and each run's verdict must equal the one that count gives.
 
 #![allow(
     clippy::expect_used,
@@ -17,7 +22,7 @@
 )]
 
 use dut_probability::empirical::collision_count_of;
-use dut_probability::{families, AliasSampler};
+use dut_probability::{families, AliasSampler, Sampler};
 use dut_simnet::{RateVector, RunOutcome};
 use dut_stats::seed::derive_seed;
 use dut_testers::{
@@ -25,7 +30,7 @@ use dut_testers::{
     QuantizedSumTester, SingleSampleProtocol, TThresholdTester,
 };
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 const N: usize = 256;
 const K: usize = 16;
@@ -53,15 +58,44 @@ fn runs<T>(seed: u64, mut run: impl FnMut(usize, &mut StdRng) -> T) -> impl Iter
     })
 }
 
+/// The full `k`-node reject count of a threshold run, counted by hand on
+/// a clone of the run's generator: the skipped word, then `k` collision
+/// counts of `q` draws against the node threshold.
+fn full_reject_count(
+    prepared: &PreparedThresholdTester,
+    sampler: &AliasSampler,
+    rng: &StdRng,
+) -> usize {
+    let mut rng = rng.clone();
+    let _: u64 = rng.random();
+    (0..K)
+        .filter(|_| sampler.collision_count(Q, &mut rng) > prepared.node_max_count())
+        .count()
+}
+
 /// `(checksum, accepts)` over the threshold rule's runs, each folded as
-/// one word: its reject count and verdict.
+/// one word: its full `k`-node reject count and verdict. `run` stops at
+/// the node that settles the referee, so the count comes from
+/// [`full_reject_count`], and the verdict `run` returns must be the one
+/// that count gives.
 fn sums(prepared: &PreparedThresholdTester, seed: u64) -> (u64, u64) {
     let alias = samplers();
-    runs(seed, |side, rng| prepared.run(&alias[side], rng)).fold(
+    let min_rejects = prepared.referee_min_rejects();
+    runs(seed, |side, rng| {
+        let rejects = full_reject_count(prepared, &alias[side], rng);
+        let out = prepared.run(&alias[side], rng);
+        assert_eq!(
+            out.verdict.is_accept(),
+            rejects < min_rejects,
+            "{rejects} of {K} nodes reject at T = {min_rejects}"
+        );
+        (rejects, out)
+    })
+    .fold(
         (FNV_OFFSET, 0),
-        |(hash, accepts), out: RunOutcome<bool>| {
+        |(hash, accepts), (rejects, out): (usize, RunOutcome<bool>)| {
             let accept = u64::from(out.verdict.is_accept());
-            let word = (out.transcript.reject_count() as u64) << 1 | accept;
+            let word = (rejects as u64) << 1 | accept;
             (fnv(hash, word), accepts + accept)
         },
     )

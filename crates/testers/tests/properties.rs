@@ -15,7 +15,7 @@ use dut_testers::poisson::{poisson_threshold_for_tail, poisson_upper_tail};
 use dut_testers::reduction::IdentityToUniformityReduction;
 use dut_testers::{Chi2Tester, CollisionTester, PaninskiTester, TThresholdTester};
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn arb_full_support_distribution() -> impl Strategy<Value = DenseDistribution> {
     prop::collection::vec(0.05f64..1.0, 4..40)
@@ -91,6 +91,61 @@ proptest! {
         let t1 = TThresholdTester::new(n, k, 1).node_threshold(q);
         let t2 = TThresholdTester::new(n, k, (k / 2).max(2).min(k)).node_threshold(q);
         prop_assert!(t2 <= t1);
+    }
+
+    #[test]
+    fn threshold_run_stops_at_the_node_that_settles_its_referee(
+        half_n in 4usize..256,
+        k in 1usize..24,
+        q in 2usize..60,
+        t_share in 0.0f64..1.0,
+        budget in 0.001f64..0.49,
+        far in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        // `t_share` picks the referee threshold T in 1..=k, and the node
+        // budget picks the node threshold t.
+        let n = 2 * half_n;
+        let min_rejects = (1 + (t_share * k as f64) as usize).min(k);
+        let prepared = TThresholdTester::new(n, k, min_rejects)
+            .with_node_false_positive_budget(budget)
+            .prepare(q);
+        let input = if far {
+            families::two_level(n, 0.9).expect("even n")
+        } else {
+            families::uniform(n)
+        };
+        let sampler = input.alias_sampler();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+
+        // Every node's bit, counted by hand on a clone of the generator:
+        // the skipped word, then k collision counts against t.
+        let mut full_rng = rng.clone();
+        let _: u64 = full_rng.random();
+        let mut heard_rng = None;
+        let mut stop = None;
+        let mut rejects = 0;
+        let mut full = Vec::with_capacity(k);
+        for node in 0..=k {
+            // The first prefix after which T rejections are in, or the
+            // rejections so far plus the nodes left cannot reach T.
+            if stop.is_none() && (rejects >= min_rejects || rejects + (k - node) < min_rejects) {
+                stop = Some(node);
+                heard_rng = Some(full_rng.clone());
+            }
+            if node < k {
+                let accept = sampler.collision_count(q, &mut full_rng) <= prepared.node_max_count();
+                rejects += usize::from(!accept);
+                full.push(accept);
+            }
+        }
+        let stop = stop.expect("the full count settles the referee");
+
+        let out = prepared.run(&sampler, &mut rng);
+        prop_assert_eq!(out.verdict, prepared.referee().decide(&full));
+        prop_assert_eq!(&out.transcript.messages[..], &full[..stop]);
+        prop_assert_eq!(out.transcript.samples_drawn, vec![q; stop]);
+        prop_assert_eq!(Some(rng), heard_rng);
     }
 
     #[test]

@@ -158,8 +158,10 @@ fn transcripts_expose_player_bits() {
     let mut r = rng(6);
     let point = families::point_mass(n, 0).unwrap().alias_sampler();
     let out = t.run(&point, &mut r);
-    assert_eq!(out.transcript.messages.len(), 8);
-    assert_eq!(out.transcript.reject_count(), 8);
-    assert_eq!(out.transcript.total_samples(), 8 * 40);
+    // Every node would reject; the first rejection settles the AND
+    // rule, so the referee hears one node.
+    assert_eq!(out.transcript.messages, vec![false]);
+    assert_eq!(out.transcript.reject_count(), 1);
+    assert_eq!(out.transcript.total_samples(), 40);
     assert!(out.verdict.is_reject());
 }

@@ -14,6 +14,7 @@
 use distributed_uniformity::obs;
 use distributed_uniformity::probability::families;
 use distributed_uniformity::stats::runner::run_measurements;
+use distributed_uniformity::testers::TThresholdTester;
 use distributed_uniformity::{Rule, UniformityTester};
 use rand::SeedableRng;
 use std::process::Command;
@@ -37,6 +38,19 @@ fn protocol_trial(seed: u64) -> bool {
 /// [`protocol_trial`] as a measurement: 1.0 for accept, 0.0 for reject.
 fn accepted(seed: u64) -> f64 {
     f64::from(u8::from(protocol_trial(seed)))
+}
+
+/// The nodes [`protocol_trial`]'s run heard before its AND referee was
+/// settled, read off the transcript of the same run (the AND rule's
+/// preparation draws nothing, so the run starts on the seed's stream).
+fn nodes_heard(seed: u64) -> f64 {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let uniform = families::uniform(64).alias_sampler();
+    let run = TThresholdTester::new(64, 4, 1)
+        .prepare(16)
+        .run(&uniform, &mut rng);
+    assert_eq!(run.verdict.is_accept(), protocol_trial(seed));
+    run.transcript.messages.len() as f64
 }
 
 #[test]
@@ -77,6 +91,7 @@ fn instrumentation_does_not_perturb_determinism() {
 fn metrics_registry_counts_protocol_activity() {
     // Exact per-protocol counts are pinned in `run_accounting.rs`; this
     // checks the counters through a registry snapshot.
+    let heard: f64 = run_measurements(8, 7, nodes_heard).iter().sum();
     let registry = obs::metrics::global();
     let before = registry.snapshot();
     let outcomes = run_measurements(8, 7, accepted);
@@ -98,9 +113,12 @@ fn metrics_registry_counts_protocol_activity() {
         "net_runs delta {}",
         delta("net_runs")
     );
-    // 4 players x 16 samples, one bit each, per AND run.
-    assert!(delta("samples_drawn") >= 8 * 64);
-    assert!(delta("bits_sent") >= 8 * 4);
+    // Each AND run stops at the node that settles its referee: 16
+    // samples and one bit per node heard, between 1 and 4 nodes a run.
+    let heard = heard as u64;
+    assert!((8..=8 * 4).contains(&heard), "{heard} nodes heard");
+    assert!(delta("samples_drawn") >= heard * 16);
+    assert!(delta("bits_sent") >= heard);
     assert!(delta("verdict_accept") + delta("verdict_reject") >= 8);
     assert!(delta("trials_run") >= 8);
     assert_eq!(outcomes.len(), 8);

@@ -1,7 +1,9 @@
 //! Every protocol run is counted once, in one place: one `run` of each
 //! tester on the star network adds exactly 1 to `NetRuns`, the nodes'
 //! summed sample counts `Σq` to `SamplesDrawn` and `k·r` (`k` nodes of
-//! `r`-bit messages) to `BitsSent`; calibration counts nothing.
+//! `r`-bit messages) to `BitsSent`; calibration counts nothing. A
+//! threshold run stops at the node that settles its referee and counts
+//! only the nodes that ran.
 //!
 //! The metrics registry is global, so this file holds a single test:
 //! nothing else in its binary runs a protocol, and the deltas are
@@ -34,10 +36,20 @@ fn one_run_records_one_run_its_samples_and_its_bits() {
     let uniform = families::uniform(n).alias_sampler();
     let mut rng = StdRng::seed_from_u64(3);
 
-    // AND rule: 4 nodes x 16 samples, one bit each.
+    // AND rule on uniform: no node rejects, so all 4 nodes run, 16
+    // samples and one bit each.
     let and = TThresholdTester::new(n, 4, 1).prepare(16);
     let (_, delta) = recorded(|| and.run(&uniform, &mut rng));
     assert_eq!(delta, [1, 4 * 16, 4], "threshold rule");
+
+    // AND rule on a point mass: the first node rejects, which settles
+    // the referee, so one node's 16 samples and one bit are counted.
+    let point = families::point_mass(n, 0)
+        .expect("valid point mass")
+        .alias_sampler();
+    let (out, delta) = recorded(|| and.run(&point, &mut rng));
+    assert!(out.verdict.is_reject());
+    assert_eq!(delta, [1, 16, 1], "settled threshold rule");
 
     // Single-sample protocol: 10 nodes x 1 sample, 3-bit bucket indices.
     let single = SingleSampleProtocol::new(n, 3, 0.5);
